@@ -45,6 +45,7 @@ from .model import (
     hop_count_heights,
     is_destination_oriented,
     link_points_from,
+    orientation_predicate,
     routing_dag,
     sort_key,
     stuck_set,

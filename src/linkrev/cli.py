@@ -115,8 +115,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     reports = []
     for scenario in scenarios:
         reports.extend(standard_battery(scenario, schemes, seed=args.seed))
+    scenario_count = len(scenarios)
     if args.exhaustive:
         for scenario in exhaustive_void_scenarios(args.exhaustive):
+            scenario_count += 1
             for scheme in schemes:
                 reports.append(check_order_invariance(scenario, scheme))
 
@@ -140,7 +142,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for r in reports:
         if r.informational and r.detail and args.verbose:
             print(f"  {r.line()}")
-    print(f"checked {len(reports)} reports across {len(scenarios)} scenarios")
+    print(f"checked {len(reports)} reports across {scenario_count} scenarios")
     return EXIT_PROPERTY if failed else EXIT_OK
 
 

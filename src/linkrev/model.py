@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .errors import (
@@ -155,6 +155,19 @@ class HeightAssignment:
             raise UnknownNodeError(f"node {node} has no assigned height")
         return self.values[node - 1]
 
+    @cached_property
+    def initial_ranks(self) -> tuple[int, ...]:
+        """Rank of each node id, destination first, in the initial (height, id) order.
+
+        The phase and flag schemes break ties between equal phases or flags
+        by this order; comparing ranks is comparing (height, id) keys.
+        """
+        order = sorted(range(len(self.values) + 1), key=lambda i: (self.of(i), i))
+        ranks = [0] * len(order)
+        for rank, node in enumerate(order):
+            ranks[node] = rank
+        return tuple(ranks)
+
 
 def _canonical_edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
@@ -276,26 +289,102 @@ def _check_pair(a: State, b: State, scheme: SchemeId) -> None:
         raise ValueError(f"cannot order two states of the same node {a.node}")
 
 
+#: Global comparison keys of the totally ordered schemes.
+_SORT_KEYS = {
+    SchemeId.GB_FULL: lambda s: (s.height, s.node),
+    SchemeId.BASELINE_INCREMENT: lambda s: (s.height, s.node),
+    SchemeId.GB_PARTIAL: lambda s: (s.level, s.height, s.node),
+    SchemeId.NO_FULL: lambda s: (s.updates, s.height, s.node),
+    # the counted partial key flips the id tie-break sign on odd counts
+    SchemeId.NO_PARTIAL: lambda s: (s.updates, s.height, -s.node if s.updates % 2 else s.node),
+}
+
+
 def sort_key(state: State, scheme: SchemeId) -> tuple[int, ...]:
     """Comparison key of a state under a totally ordered scheme.
 
     The phase and flag schemes have no global key; their order is defined
-    pairwise (see compare_states and link_points_from).
+    pairwise (see orientation_predicate).
     """
-    if scheme in (SchemeId.GB_FULL, SchemeId.BASELINE_INCREMENT):
-        return (state.height, state.node)
-    if scheme is SchemeId.GB_PARTIAL:
-        return (state.level, state.height, state.node)
-    if scheme is SchemeId.NO_FULL:
-        return (state.updates, state.height, state.node)
-    if scheme is SchemeId.NO_PARTIAL:
-        sign = -1 if state.updates % 2 else 1
-        return (state.updates, state.height, sign * state.node)
-    raise SchemeMismatchError(f"scheme {scheme} has no global sort key")
+    try:
+        key = _SORT_KEYS[scheme]
+    except KeyError:
+        raise SchemeMismatchError(f"scheme {scheme} has no global sort key") from None
+    return key(state)
 
 
-def _initial_key(node: int, heights: HeightAssignment) -> tuple[int, int]:
-    return (heights.of(node), node)
+Orientation = Callable[[State, State], bool]
+
+
+def _compile_ordered(scheme: SchemeId) -> Orientation:
+    want, key = STATE_CLASSES[scheme], _SORT_KEYS[scheme]
+
+    def points_from(a: State, b: State) -> bool:
+        if type(a) is not want or type(b) is not want or a.node == b.node:
+            _check_pair(a, b, scheme)
+        return key(a) > key(b)
+
+    return points_from
+
+
+#: The totally ordered schemes need no heights, so their predicates are built once.
+_ORDERED_PREDICATES = {scheme: _compile_ordered(scheme) for scheme in _SORT_KEYS}
+
+
+def _phase_points_from(scheme: SchemeId, ranks: tuple[int, ...], a: State, b: State) -> bool:
+    if type(a) is not PhaseState or type(b) is not PhaseState or a.node == b.node:
+        _check_pair(a, b, scheme)
+    gap = (a.phase - b.phase) % PHASE_MODULUS
+    if gap == 1:
+        return True
+    if gap == 3:
+        return False
+    if gap == 2:
+        raise PhaseAdjacencyError(
+            f"phases of nodes {a.node} and {b.node} are two apart "
+            f"({a.phase} vs {b.phase}); their order is undefined"
+        )
+    initially_above = ranks[a.node] > ranks[b.node]
+    # Odd phases reverse the initial order under the partial variant only.
+    if a.phase % 2 and scheme is SchemeId.TWO_BIT_PARTIAL:
+        return not initially_above
+    return initially_above
+
+
+def _flag_points_from(ranks: tuple[int, ...], a: State, b: State) -> bool:
+    if type(a) is not FlagState or type(b) is not FlagState or a.node == b.node:
+        _check_pair(a, b, SchemeId.ONE_BIT_FULL)
+    # Equal flags keep the initial direction of the pair; opposite flags
+    # reverse it.
+    initially_above = ranks[a.node] > ranks[b.node]
+    return initially_above if a.flag == b.flag else not initially_above
+
+
+def _missing_heights(scheme: SchemeId, a: State, b: State) -> bool:
+    _check_pair(a, b, scheme)
+    kind = "flag" if scheme is SchemeId.ONE_BIT_FULL else "phase"
+    raise ValueError(f"{kind} comparison needs the initial height assignment")
+
+
+def orientation_predicate(scheme: SchemeId, heights: HeightAssignment | None = None) -> Orientation:
+    """Compiled link direction for one scheme and one height assignment.
+
+    The returned predicate answers link_points_from(a, b, scheme, heights)
+    with the same errors: SchemeMismatchError for a state of another
+    scheme, ValueError for two states of one node, PhaseAdjacencyError for
+    phases two apart, and ValueError when a phase or flag scheme was given
+    no heights.  Ties in the primary fields are broken by node id; the
+    phase and flag schemes break them by the initial (height, id) order,
+    whose ranks the heights compute once.
+    """
+    ordered = _ORDERED_PREDICATES.get(scheme)
+    if ordered is not None:
+        return ordered
+    if heights is None:
+        return partial(_missing_heights, scheme)
+    if scheme is SchemeId.ONE_BIT_FULL:
+        return partial(_flag_points_from, heights.initial_ranks)
+    return partial(_phase_points_from, scheme, heights.initial_ranks)
 
 
 def compare_states(
@@ -308,48 +397,19 @@ def compare_states(
     argument supplies).  Flag states are not totally ordered; use
     link_points_from for them.
     """
-    _check_pair(a, b, scheme)
-    if scheme in (SchemeId.TWO_BIT_FULL, SchemeId.TWO_BIT_PARTIAL):
-        if heights is None:
-            raise ValueError("phase comparison needs the initial height assignment")
-        gap = (a.phase - b.phase) % PHASE_MODULUS
-        if gap == 1:
-            return 1
-        if gap == 3:
-            return -1
-        if gap == 2:
-            raise PhaseAdjacencyError(
-                f"phases of nodes {a.node} and {b.node} are two apart "
-                f"({a.phase} vs {b.phase}); their order is undefined"
-            )
-        ka = _initial_key(a.node, heights)
-        kb = _initial_key(b.node, heights)
-        if scheme is SchemeId.TWO_BIT_PARTIAL and a.phase % 2:
-            return 1 if ka < kb else -1
-        return 1 if ka > kb else -1
     if scheme is SchemeId.ONE_BIT_FULL:
+        _check_pair(a, b, scheme)
         raise SchemeMismatchError(
             "flag states are ordered pairwise only; use link_points_from"
         )
-    return 1 if sort_key(a, scheme) > sort_key(b, scheme) else -1
+    return 1 if orientation_predicate(scheme, heights)(a, b) else -1
 
 
 def link_points_from(
     a: State, b: State, scheme: SchemeId, heights: HeightAssignment | None = None
 ) -> bool:
     """True if the link between a.node and b.node is oriented a.node -> b.node."""
-    if scheme is SchemeId.ONE_BIT_FULL:
-        _check_pair(a, b, scheme)
-        if heights is None:
-            raise ValueError("flag comparison needs the initial height assignment")
-        ka = _initial_key(a.node, heights)
-        kb = _initial_key(b.node, heights)
-        # Equal flags keep the initial direction of the pair; opposite flags
-        # reverse it.
-        if a.flag == b.flag:
-            return ka > kb
-        return ka < kb
-    return compare_states(a, b, scheme, heights) > 0
+    return orientation_predicate(scheme, heights)(a, b)
 
 
 # --- induced orientation ----------------------------------------------------
@@ -390,12 +450,11 @@ def forwarding_set(
     """
     if i == DESTINATION or not topo.has_node(i):
         raise UnknownNodeError(f"node {i} has no forwarding set here")
+    points_from = orientation_predicate(scheme, heights)
     own = states[i]
     out: set[int] = set()
     for j in topo.neighbors(i):
-        if j == DESTINATION:
-            out.add(j)
-        elif link_points_from(own, states[j], scheme, heights):
+        if j == DESTINATION or points_from(own, states[j]):
             out.add(j)
     return frozenset(out)
 
@@ -407,14 +466,11 @@ def routing_dag(
     heights: HeightAssignment,
 ) -> RoutingDag:
     """Orient every link of the topology according to the current states."""
-    arcs: list[tuple[int, int]] = []
-    for a, b in topo.edges:
-        if a == DESTINATION:
-            arcs.append((b, a))
-        elif link_points_from(states[a], states[b], scheme, heights):
-            arcs.append((a, b))
-        else:
-            arcs.append((b, a))
+    points_from = orientation_predicate(scheme, heights)
+    arcs = [
+        (a, b) if a != DESTINATION and points_from(states[a], states[b]) else (b, a)
+        for a, b in topo.edges
+    ]
     return RoutingDag(tuple(arcs))
 
 

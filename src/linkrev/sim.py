@@ -16,6 +16,28 @@ schemes the certificate is a stuck node whose update count has reached the
 node count (impossible on a connected graph); for the finite-state schemes
 partition is reported when the step budget runs out while the awake graph
 is disconnected.
+
+The step kernel is incremental.  A Simulation keeps the current arcs of the
+awake graph in canonical edge order, each awake node's out-degree, the
+stuck set, and the awake set and topology.  An update changes only the
+updater's own state, so after a step only the links of the updaters U can
+flip: they alone are re-oriented, through one orientation predicate
+compiled for the scheme and heights, which costs O(sum of deg U) instead
+of an orientation pass over every link.  A topology event rebuilds all of
+it from scratch with routing_dag, lazily at the next stuck query.  An edge
+is reported reversed when it was in the previously recorded orientation
+and now points the other way.
+
+Cross-checks kept on the incremental path:
+
+- After each step, hello_round probes every node whose own state or a
+  neighbor's state changed (U and its awake neighbors) and must agree with
+  the maintained stuck set; no other node's probe inputs changed.  After
+  each rebuild every awake node is probed.
+- Whenever the stuck set is empty on a connected awake graph, the
+  maintained orientation must be destination-oriented.  While the stuck
+  set is nonempty that follows from the probes, since a stuck node has no
+  outgoing link.
 """
 
 from __future__ import annotations
@@ -23,7 +45,7 @@ from __future__ import annotations
 import heapq
 import os
 import random
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,12 +64,9 @@ from .model import (
     SchemeId,
     State,
     Topology,
-    forwarding_set,
     is_destination_oriented,
-    link_points_from,
-    orientation_flips,
+    orientation_predicate,
     routing_dag,
-    stuck_set,
 )
 from .scenario import Scenario, SimEvent
 from .schemes import RULES, apply_update, initial_states
@@ -188,11 +207,12 @@ def hello_round(
     """
     if i not in awake:
         raise ValueError(f"node {i} is not awake")
+    points_from = orientation_predicate(scheme, heights)
     own = states[i]
     for j in topo.neighbors(i):
         if j == DESTINATION:
             return False
-        if j in awake and link_points_from(own, states[j], scheme, heights):
+        if j in awake and points_from(own, states[j]):
             return False
     return True
 
@@ -230,10 +250,13 @@ class Simulation:
         for ev in scenario.events:
             self._push_event(ev)
 
-        initial = routing_dag(self.states, self.live, scheme, self.heights)
-        self.initial_arcs = initial.arcs
-        self.initial_digest = initial.digest()
-        self._last_dag = initial
+        self._points_from = orientation_predicate(scheme, self.heights)
+        self._set_awake()
+        self._reorient_all()
+        self.initial_arcs = tuple(self._arcs)
+        self.initial_digest = RoutingDag(self.initial_arcs).digest()
+        # Edge index and arcs of the last recorded orientation.
+        self._recorded = (self._edge_index, self.initial_arcs)
 
     # -- topology bookkeeping ------------------------------------------------
 
@@ -241,14 +264,20 @@ class Simulation:
         heapq.heappush(self._queue, (ev.at_step, self._queue_seq, ev))
         self._queue_seq += 1
 
+    def _set_awake(self) -> None:
+        """Cache the awake set and topology; the orientation is rebuilt on next use."""
+        self._awake = frozenset(i for i in self.live.nodes if i not in self.sleeping)
+        self._awake_topo = (
+            self.live.without(drop_nodes=self.sleeping) if self.sleeping else self.live
+        )
+        self._stale = True
+
     @property
     def awake(self) -> frozenset[int]:
-        return frozenset(i for i in self.live.nodes if i not in self.sleeping)
+        return self._awake
 
     def awake_topology(self) -> Topology:
-        if not self.sleeping:
-            return self.live
-        return self.live.without(drop_nodes=self.sleeping)
+        return self._awake_topo
 
     def apply_event(self, ev: SimEvent) -> None:
         """Apply one topology event immediately."""
@@ -274,6 +303,7 @@ class Simulation:
             self.sleeping.pop(ev.node, None)
         else:
             raise EventError(f"unknown event kind {ev.kind!r}")
+        self._set_awake()
         self.events_applied.append((ev.at_step, ev.describe()))
 
     def _apply_due_events(self) -> None:
@@ -292,29 +322,81 @@ class Simulation:
             _, _, ev = heapq.heappop(self._queue)
             self.apply_event(ev)
 
-    # -- stuck detection -----------------------------------------------------
+    # -- orientation and stuck detection -------------------------------------
 
-    def stuck_nodes(self) -> tuple[int, ...]:
-        """Sorted stuck set, cross-checked against the orientation view."""
-        awake = self.awake
-        by_probe = tuple(
-            sorted(
-                i
-                for i in awake
-                if hello_round(i, self.states, self.live, awake, self.scheme, self.heights)
+    def _reorient_all(self) -> None:
+        """Orient every awake link from scratch; re-derive out-degrees and the stuck set."""
+        topo = self._awake_topo
+        dag = routing_dag(self.states, topo, self.scheme, self.heights)
+        self._edge_index = {e: k for k, e in enumerate(topo.edges)}
+        self._arcs = list(dag.arcs)
+        self._out_degree = dict.fromkeys(topo.nodes, 0)
+        for s, _ in dag.arcs:
+            if s != DESTINATION:
+                self._out_degree[s] += 1
+        self._stuck = {i for i, degree in self._out_degree.items() if degree == 0}
+        self._stuck_view = tuple(sorted(self._stuck))
+        self._stale = False
+        self._cross_check(topo.nodes)
+
+    def _reorient_updaters(self, updated: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+        """Re-orient the links of the updated nodes, the only ones that can flip.
+
+        Returns the edges that were in the last recorded orientation and now
+        point the other way, in canonical edge order.
+        """
+        # Stays set if the predicate raises, so the next query rebuilds.
+        self._stale = True
+        states, points_from = self.states, self._points_from
+        arcs, index, out_degree = self._arcs, self._edge_index, self._out_degree
+        recorded_index, recorded_arcs = self._recorded
+        changed = set(updated)
+        flipped = []
+        # Updaters were stuck, and stuck nodes are never adjacent, so each
+        # link below is visited once.
+        for u in updated:
+            own = states[u]
+            for j in self._awake_topo.neighbors(u):
+                if j == DESTINATION:
+                    continue  # links into the destination never flip
+                changed.add(j)
+                edge = (u, j) if u < j else (j, u)
+                arc = (u, j) if points_from(own, states[j]) else (j, u)
+                k = index[edge]
+                if arcs[k] != arc:
+                    arcs[k] = arc
+                    out_degree[arc[0]] += 1
+                    out_degree[arc[1]] -= 1
+                was = recorded_index.get(edge)
+                if was is not None and recorded_arcs[was] != arc:
+                    flipped.append(edge)
+        for i in changed:
+            if out_degree[i]:
+                self._stuck.discard(i)
+            else:
+                self._stuck.add(i)
+        self._stuck_view = tuple(sorted(self._stuck))
+        self._stale = False
+        self._cross_check(changed)
+        return tuple(sorted(flipped))
+
+    def _cross_check(self, probed: Iterable[int]) -> None:
+        """Hello probes of the given nodes must agree with the maintained stuck set."""
+        for i in probed:
+            by_probe = hello_round(i, self.states, self.live, self._awake, self.scheme, self.heights)
+            assert by_probe == (i in self._stuck), (
+                f"probe of node {i} disagrees with orientation view {list(self._stuck_view)}"
             )
-        )
-        awake_topo = self.awake_topology()
-        dag = routing_dag(self.states, awake_topo, self.scheme, self.heights)
-        by_orientation = stuck_set(dag, awake_topo)
-        assert set(by_probe) == by_orientation, (
-            f"probe view {by_probe} disagrees with orientation view {sorted(by_orientation)}"
-        )
-        if awake_topo.is_connected:
-            assert (not by_probe) == is_destination_oriented(dag, awake_topo), (
+        if not self._stuck and self._awake_topo.is_connected:
+            assert is_destination_oriented(RoutingDag(tuple(self._arcs)), self._awake_topo), (
                 "empty stuck set must coincide with destination orientation"
             )
-        return by_probe
+
+    def stuck_nodes(self) -> tuple[int, ...]:
+        """Sorted stuck set of the awake graph, maintained step by step."""
+        if self._stale:
+            self._reorient_all()
+        return self._stuck_view
 
     # -- stepping ------------------------------------------------------------
 
@@ -327,7 +409,7 @@ class Simulation:
         """
         if not RULES[self.scheme].neighbor_aware:
             return stuck
-        awake = self.awake
+        awake = self._awake
         return tuple(
             i
             for i in stuck
@@ -351,7 +433,7 @@ class Simulation:
 
         snapshot = self.states
         fresh: dict[int, State] = {}
-        awake = self.awake
+        awake = self._awake
         for i in chosen:
             own = snapshot[i]
             if RULES[self.scheme].neighbor_aware:
@@ -369,21 +451,20 @@ class Simulation:
         for i in chosen:
             self.update_counts[i] += 1
 
-        awake_topo = self.awake_topology()
-        dag = routing_dag(self.states, awake_topo, self.scheme, self.heights)
-        flipped = orientation_flips(self._last_dag, dag)
+        flipped = self._reorient_updaters(chosen)
         self.total_reversals += len(flipped)
+        arcs = tuple(self._arcs)
         record = StepRecord(
             index=index,
             stuck=stuck,
             updated=chosen,
             new_states=tuple(fresh[i] for i in chosen),
-            dag_digest=dag.digest(),
+            dag_digest=RoutingDag(arcs).digest(),
             reversed_edges=flipped,
-            arcs=dag.arcs if self.record_arcs else None,
+            arcs=arcs if self.record_arcs else None,
         )
         self.steps.append(record)
-        self._last_dag = dag
+        self._recorded = (self._edge_index, arcs)
         return record
 
     def _partition_certificate(self, stuck: tuple[int, ...]) -> str | None:
@@ -441,8 +522,7 @@ class Simulation:
         return self._finalize(outcome, certificate)
 
     def _finalize(self, outcome: Outcome, certificate: str | None) -> Trace:
-        awake_topo = self.awake_topology()
-        final = routing_dag(self.states, awake_topo, self.scheme, self.heights)
+        final = RoutingDag(tuple(self._arcs))
         return Trace(
             scheme=self.scheme,
             n=self.n,

@@ -24,7 +24,7 @@ from .model import (
     Topology,
     is_acyclic,
     is_destination_oriented,
-    link_points_from,
+    orientation_predicate,
     routing_dag,
     sort_key,
     stuck_set,
@@ -461,6 +461,7 @@ def enumerate_all_schedules(
     }
     dest_adjacent = frozenset(j for j in topo.neighbors(DESTINATION))
     aware = RULES[scheme].neighbor_aware
+    points_from = orientation_predicate(scheme, heights)
 
     init = tuple(initial_states(scheme, topo, heights)[i] for i in nodes)
     parents: dict[tuple, tuple | None] = {init: None}
@@ -470,22 +471,19 @@ def enumerate_all_schedules(
     oriented_all = True
     transitions = 0
 
-    def stuck_of(vec: tuple) -> tuple[int, ...]:
+    while frontier:
+        vec = frontier.pop() if traversal == "dfs" else frontier.pop(0)
         found = []
         for i in nodes:
             if i in dest_adjacent:
                 continue
             own = vec[node_index[i]]
             for j in plain_neighbors[i]:
-                if link_points_from(own, vec[node_index[j]], scheme, heights):
+                if points_from(own, vec[node_index[j]]):
                     break
             else:
                 found.append(i)
-        return tuple(found)
-
-    while frontier:
-        vec = frontier.pop() if traversal == "dfs" else frontier.pop(0)
-        stuck = stuck_of(vec)
+        stuck = tuple(found)
         if not stuck:
             states = dict(zip(nodes, vec))
             dag = routing_dag(states, topo, scheme, heights)

@@ -139,6 +139,14 @@ def test_verify_exhaustive_enumeration(capsys):
     assert "PASS order-invariance:" in out
 
 
+def test_verify_exhaustive_counts_its_scenarios(capsys):
+    # 30 of the connected 3-node topologies admit a void
+    code = main(["verify", "--exhaustive", "3"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "checked 210 reports across 30 scenarios" in out
+
+
 def test_verify_without_work_is_an_input_error(capsys):
     code = main(["verify"])
     assert code == EXIT_INPUT

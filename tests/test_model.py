@@ -28,7 +28,13 @@ from linkrev import (
     sort_key,
     stuck_set,
 )
-from linkrev.model import is_acyclic, is_destination_oriented, orientation_flips
+from linkrev.model import (
+    STATE_CLASSES,
+    is_acyclic,
+    is_destination_oriented,
+    orientation_flips,
+    orientation_predicate,
+)
 from linkrev.schemes import initial_states
 
 H123 = HeightAssignment((1, 2, 3))
@@ -214,6 +220,43 @@ def test_flag_links_always_have_a_direction(flags, heights):
     forward = link_points_from(a, b, SchemeId.ONE_BIT_FULL, assignment)
     backward = link_points_from(b, a, SchemeId.ONE_BIT_FULL, assignment)
     assert forward != backward
+
+
+def test_initial_ranks_follow_height_then_id():
+    # heights 2 1 2 1: order D, 2, 4, 1, 3
+    assert HeightAssignment((2, 1, 2, 1)).initial_ranks == (0, 3, 1, 4, 2)
+
+
+def test_orientation_predicate_keeps_the_pairwise_errors():
+    phase = orientation_predicate(SchemeId.TWO_BIT_FULL, H123)
+    assert phase(PhaseState(1, 1), PhaseState(2, 0))
+    with pytest.raises(PhaseAdjacencyError):
+        phase(PhaseState(1, 2), PhaseState(2, 0))
+    with pytest.raises(SchemeMismatchError):
+        phase(PhaseState(1, 0), FlagState(2, 0))
+    with pytest.raises(ValueError, match="same node"):
+        phase(PhaseState(1, 0), PhaseState(1, 1))
+    with pytest.raises(ValueError, match="needs the initial height"):
+        orientation_predicate(SchemeId.ONE_BIT_FULL)(FlagState(1, 0), FlagState(2, 0))
+
+
+@given(
+    ta=st.integers(0, 3), tb=st.integers(0, 3), ha=st.integers(1, 9), hb=st.integers(1, 9),
+    scheme=st.sampled_from(sorted(STATE_CLASSES, key=str)),
+)
+def test_orientation_predicate_is_antisymmetric(ta, tb, ha, hb, scheme):
+    heights = HeightAssignment((ha, hb))
+    cls = STATE_CLASSES[scheme]
+    a, b = cls(1, *(ta,) * (len(cls._fields) - 1)), cls(2, *(tb,) * (len(cls._fields) - 1))
+    points_from = orientation_predicate(scheme, heights)
+    try:
+        forward = points_from(a, b)
+    except PhaseAdjacencyError:
+        with pytest.raises(PhaseAdjacencyError):
+            points_from(b, a)
+        return
+    assert forward != points_from(b, a)
+    assert forward == link_points_from(a, b, scheme, heights)
 
 
 # --- induced orientation -----------------------------------------------------
