@@ -26,7 +26,20 @@ compiled for the scheme and heights, which costs O(sum of deg U) instead
 of an orientation pass over every link.  A topology event rebuilds all of
 it from scratch with routing_dag, lazily at the next stuck query.  An edge
 is reported reversed when it was in the previously recorded orientation
-and now points the other way.
+and now points the other way.  Events change no node's state, so an edge
+that survives them keeps its orientation: only the edge set of the last
+record is kept, and it changes only at a rebuild.
+
+A StepRecord holds O(1) data per step in the number of links: the stuck
+set before the step, the updaters and their new states, the digest of the
+orientation after the step, and the reversed edges.  It holds no copy of
+the orientation, which would make a run's trace grow as steps x links
+(cubic in n on a deep-void chain).  Every orientation follows from
+Trace.initial_arcs and the reversed edges of an event-free run, and from a
+deterministic rerun of any run; Simulation.arcs is the current one.
+Records share immutable tuples where they can: the reversed edges are the
+topology's own edge tuples, and the stuck set is the previous record's
+tuple whenever it did not change.
 
 Cross-checks kept on the incremental path:
 
@@ -154,7 +167,7 @@ class _Selector:
         return chosen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """What happened in one simulation step."""
 
@@ -164,13 +177,13 @@ class StepRecord:
     new_states: tuple[State, ...]
     dag_digest: str
     reversed_edges: tuple[tuple[int, int], ...]
-    arcs: tuple[tuple[int, int], ...] | None = None
 
 
 @dataclass(frozen=True)
 class Trace:
     """Full record of a run; deterministic for a given scenario and schedule."""
 
+    scenario: Scenario
     scheme: SchemeId
     n: int
     schedule: Schedule
@@ -226,7 +239,6 @@ class Simulation:
         scheme: SchemeId,
         schedule: Schedule | None = None,
         step_limit: int | None = None,
-        record_arcs: bool = True,
     ):
         self.scenario = scenario
         self.scheme = scheme
@@ -235,7 +247,6 @@ class Simulation:
         self.schedule = schedule or Schedule.single_random(scenario.seed or 0)
         self._selector = self.schedule.selector()
         self.step_limit = step_limit if step_limit is not None else default_step_limit(scenario.n)
-        self.record_arcs = record_arcs
 
         self.live: Topology = scenario.topology
         self.sleeping: dict[int, bool] = {}
@@ -255,8 +266,8 @@ class Simulation:
         self._reorient_all()
         self.initial_arcs = tuple(self._arcs)
         self.initial_digest = RoutingDag(self.initial_arcs).digest()
-        # Edge index and arcs of the last recorded orientation.
-        self._recorded = (self._edge_index, self.initial_arcs)
+        # Edge index of the last recorded orientation.
+        self._recorded_index = self._edge_index
 
     # -- topology bookkeeping ------------------------------------------------
 
@@ -290,7 +301,8 @@ class Simulation:
             self.states.pop(ev.node, None)
             self.sleeping.pop(ev.node, None)
         elif ev.kind == "remove-link":
-            if ev.edge not in set(self.live.edges):
+            a, b = ev.edge
+            if ((a, b) if a < b else (b, a)) not in set(self.live.edges):
                 raise EventError(f"cannot remove missing link {ev.edge}")
             self.live = self.live.without(drop_edges=(ev.edge,))
         elif ev.kind == "sleep":
@@ -328,6 +340,7 @@ class Simulation:
         """Orient every awake link from scratch; re-derive out-degrees and the stuck set."""
         topo = self._awake_topo
         dag = routing_dag(self.states, topo, self.scheme, self.heights)
+        self._edges = topo.edges
         self._edge_index = {e: k for k, e in enumerate(topo.edges)}
         self._arcs = list(dag.arcs)
         self._out_degree = dict.fromkeys(topo.nodes, 0)
@@ -343,13 +356,15 @@ class Simulation:
         """Re-orient the links of the updated nodes, the only ones that can flip.
 
         Returns the edges that were in the last recorded orientation and now
-        point the other way, in canonical edge order.
+        point the other way, in canonical edge order.  Such an edge points
+        the same way as at that record until this step flips it, since only
+        updates change states.
         """
         # Stays set if the predicate raises, so the next query rebuilds.
         self._stale = True
         states, points_from = self.states, self._points_from
-        arcs, index, out_degree = self._arcs, self._edge_index, self._out_degree
-        recorded_index, recorded_arcs = self._recorded
+        arcs, edges, index = self._arcs, self._edges, self._edge_index
+        out_degree, stuck, recorded = self._out_degree, self._stuck, self._recorded_index
         changed = set(updated)
         flipped = []
         # Updaters were stuck, and stuck nodes are never adjacent, so each
@@ -367,15 +382,19 @@ class Simulation:
                     arcs[k] = arc
                     out_degree[arc[0]] += 1
                     out_degree[arc[1]] -= 1
-                was = recorded_index.get(edge)
-                if was is not None and recorded_arcs[was] != arc:
-                    flipped.append(edge)
+                    if edge in recorded:
+                        flipped.append(edges[k])
+        moved = False
         for i in changed:
             if out_degree[i]:
-                self._stuck.discard(i)
-            else:
-                self._stuck.add(i)
-        self._stuck_view = tuple(sorted(self._stuck))
+                if i in stuck:
+                    stuck.discard(i)
+                    moved = True
+            elif i not in stuck:
+                stuck.add(i)
+                moved = True
+        if moved:
+            self._stuck_view = tuple(sorted(stuck))
         self._stale = False
         self._cross_check(changed)
         return tuple(sorted(flipped))
@@ -391,6 +410,13 @@ class Simulation:
             assert is_destination_oriented(RoutingDag(tuple(self._arcs)), self._awake_topo), (
                 "empty stuck set must coincide with destination orientation"
             )
+
+    @property
+    def arcs(self) -> tuple[tuple[int, int], ...]:
+        """Current orientation of the awake graph, in canonical edge order."""
+        if self._stale:
+            self._reorient_all()
+        return tuple(self._arcs)
 
     def stuck_nodes(self) -> tuple[int, ...]:
         """Sorted stuck set of the awake graph, maintained step by step."""
@@ -453,18 +479,16 @@ class Simulation:
 
         flipped = self._reorient_updaters(chosen)
         self.total_reversals += len(flipped)
-        arcs = tuple(self._arcs)
         record = StepRecord(
             index=index,
             stuck=stuck,
             updated=chosen,
             new_states=tuple(fresh[i] for i in chosen),
-            dag_digest=RoutingDag(arcs).digest(),
+            dag_digest=RoutingDag(tuple(self._arcs)).digest(),
             reversed_edges=flipped,
-            arcs=arcs if self.record_arcs else None,
         )
         self.steps.append(record)
-        self._recorded = (self._edge_index, arcs)
+        self._recorded_index = self._edge_index
         return record
 
     def _partition_certificate(self, stuck: tuple[int, ...]) -> str | None:
@@ -524,6 +548,7 @@ class Simulation:
     def _finalize(self, outcome: Outcome, certificate: str | None) -> Trace:
         final = RoutingDag(tuple(self._arcs))
         return Trace(
+            scenario=self.scenario,
             scheme=self.scheme,
             n=self.n,
             schedule=self.schedule,
@@ -547,8 +572,7 @@ def run_scenario(
     scheme: SchemeId,
     schedule: Schedule | None = None,
     step_limit: int | None = None,
-    record_arcs: bool = True,
 ) -> Trace:
     """Convenience wrapper: build a Simulation and run it to completion."""
-    sim = Simulation(scenario, scheme, schedule, step_limit, record_arcs)
+    sim = Simulation(scenario, scheme, schedule, step_limit)
     return sim.run()

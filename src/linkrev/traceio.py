@@ -2,6 +2,10 @@
 
 The JSONL format writes one self-contained record per simulation step and
 a final totals record, so a truncated file is still a valid prefix.
+
+Step records keep no orientations, so the Graphviz frames are rebuilt by
+rerunning the trace's scenario, scheme, schedule and step limit: runs are
+deterministic, and each rerun step must reproduce the recorded digest.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from pathlib import Path
 
 from .scenario import _node_name
 from .schemes import state_payload
-from .sim import Trace
+from .sim import Simulation, StepRecord, Trace
 
 EXPORT_FORMATS = ("jsonl", "csv", "dot-frames")
 
@@ -58,7 +62,8 @@ def trace_to_jsonl(trace: Trace) -> str:
         for i in range(len(trace.steps))
     ]
     lines.append(json.dumps(_totals_record(trace), sort_keys=True, separators=(",", ":")))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the trailing newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def trace_to_csv(trace: Trace) -> str:
@@ -93,19 +98,34 @@ def _frame(name: str, label: str, arcs, highlight: tuple[int, ...] = ()) -> str:
     return "\n".join(lines)
 
 
+class _FrameReplay(Simulation):
+    """Reruns a trace and draws the awake graph's orientation after each step."""
+
+    def __init__(self, trace: Trace):
+        super().__init__(trace.scenario, trace.scheme, trace.schedule, trace.step_limit)
+        if self.initial_digest != trace.initial_digest:
+            raise ValueError("the rerun's initial orientation differs from the trace")
+        self.recorded = trace.steps
+        self.frames = [_frame("frame_0", "initial", self.initial_arcs)]
+
+    def step(self) -> StepRecord:
+        rec = super().step()
+        if rec.index > len(self.recorded) or rec.dag_digest != self.recorded[rec.index - 1].dag_digest:
+            raise ValueError(f"the rerun differs from the trace at step {rec.index}")
+        updated = ",".join(str(i) for i in rec.updated)
+        self.frames.append(
+            _frame(f"frame_{rec.index}", f"step {rec.index}: updated {updated}", self.arcs, rec.updated)
+        )
+        return rec
+
+
 def trace_to_dot_frames(trace: Trace) -> str:
     """steps+1 digraph blocks: the initial orientation and one per step."""
-    frames = [_frame("frame_0", "initial", trace.initial_arcs)]
-    for rec in trace.steps:
-        if rec.arcs is None:
-            raise ValueError(
-                "dot-frames needs per-step orientations; run with record_arcs=True"
-            )
-        updated = ",".join(str(i) for i in rec.updated)
-        frames.append(
-            _frame(f"frame_{rec.index}", f"step {rec.index}: updated {updated}", rec.arcs, rec.updated)
-        )
-    return "\n\n".join(frames) + "\n"
+    replay = _FrameReplay(trace)
+    replay.run()
+    if len(replay.steps) != len(trace.steps):
+        raise ValueError(f"the rerun took {len(replay.steps)} steps, the trace {len(trace.steps)}")
+    return "\n\n".join(replay.frames) + "\n"
 
 
 def export_trace(trace: Trace, fmt: str) -> str:

@@ -7,7 +7,7 @@ counterexample: the serialized scenario, the schedule, and the step index.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import ExplosionGuardError, ScheduleError
@@ -24,6 +24,7 @@ from .model import (
     Topology,
     is_acyclic,
     is_destination_oriented,
+    orientation_flips,
     orientation_predicate,
     routing_dag,
     sort_key,
@@ -31,7 +32,7 @@ from .model import (
 )
 from .scenario import Scenario, serialize_scenario
 from .schemes import closed_form_height, initial_states, threshold, apply_update, RULES
-from .sim import Outcome, Schedule, Simulation, Trace, run_scenario
+from .sim import Outcome, Schedule, Simulation, StepRecord, Trace, run_scenario
 from .traceio import trace_to_jsonl
 
 
@@ -93,11 +94,26 @@ def _report(
     )
 
 
-def _require_plain_trace(trace: Trace, need_arcs: bool = False) -> None:
+def _require_plain_trace(trace: Trace) -> None:
     if trace.events_applied:
         raise ValueError("this check assumes an event-free trace")
-    if need_arcs and any(rec.arcs is None for rec in trace.steps):
-        raise ValueError("this check needs per-step orientations; run with record_arcs=True")
+
+
+def _replayed_orientations(trace: Trace) -> Iterator[tuple[StepRecord, dict, set]]:
+    """Yield each step's record, its arcs by canonical edge, and its reversed edges.
+
+    The orientation is rebuilt from the initial arcs and each step's
+    reversed edges, at a cost of O(flips) a step; the arcs dict is updated
+    in place and keeps the canonical edge order.  Reversed edges that are
+    not links are yielded but flip nothing.
+    """
+    arcs = {(min(s, d), max(s, d)): (s, d) for s, d in trace.initial_arcs}
+    for rec in trace.steps:
+        flipped = set(rec.reversed_edges)
+        for e in flipped & arcs.keys():
+            s, d = arcs[e]
+            arcs[e] = (d, s)
+        yield rec, arcs, flipped
 
 
 def _timeline(trace: Trace, scenario: Scenario, scheme: SchemeId):
@@ -126,10 +142,12 @@ def _monotone_failure(scheme: SchemeId, old: State, new: State) -> str | None:
 def check_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) -> CheckReport:
     """Per-step structural invariants of the recorded run.
 
-    Covers: recorded DAG digests, acyclicity, the stuck/oriented
-    equivalence, strictly advancing updater states, closed-form heights
-    and height bands for the counted schemes, update counts bounded by
-    the node count, and neighbor adjacency of counters, levels and phases.
+    Covers: recorded stuck sets, reversed edges and DAG digests against
+    the orientation the recorded states induce, acyclicity, the
+    stuck/oriented equivalence, strictly advancing updater states,
+    closed-form heights and height bands for the counted schemes, update
+    counts bounded by the node count, and neighbor adjacency of counters,
+    levels and phases.
     """
     _require_plain_trace(trace)
     topo = scenario.topology
@@ -138,28 +156,36 @@ def check_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) ->
     failures: list[str] = []
     fail_step: int | None = None
     prev_states: dict[int, State] | None = None
+    prev_dag: RoutingDag | None = None
+    prev_stuck: tuple[int, ...] = ()
 
     for index, states, rec in _timeline(trace, scenario, scheme):
         dag = routing_dag(states, topo, scheme, heights)
+        stuck = tuple(sorted(stuck_set(dag, topo)))
         tag = f"step {index}"
         if rec is not None:
             if set(rec.updated) - set(rec.stuck):
                 failures.append(f"{tag}: updated nodes {rec.updated} not all stuck")
+            if tuple(rec.stuck) != prev_stuck:
+                failures.append(
+                    f"{tag}: recorded stuck set {list(rec.stuck)} is not the stuck set "
+                    f"{list(prev_stuck)} before the step"
+                )
             for s in rec.new_states:
                 problem = _monotone_failure(scheme, prev_states[s.node], s)
                 if problem:
                     failures.append(f"{tag}: {problem}")
             if dag.digest() != rec.dag_digest:
                 failures.append(f"{tag}: recorded digest {rec.dag_digest} does not match states")
-            if rec.arcs is not None and rec.arcs != dag.arcs:
-                failures.append(f"{tag}: recorded orientation does not match states")
+            if tuple(rec.reversed_edges) != orientation_flips(prev_dag, dag):
+                failures.append(f"{tag}: recorded reversed edges do not match states")
         elif dag.digest() != trace.initial_digest:
             failures.append("initial digest does not match the scenario")
 
         if not is_acyclic(dag):
             failures.append(f"{tag}: orientation has a cycle")
         oriented = is_destination_oriented(dag, topo)
-        if bool(stuck_set(dag, topo)) == oriented:
+        if bool(stuck) == oriented:
             failures.append(f"{tag}: stuck set emptiness disagrees with orientation")
 
         if scheme in COUNTER_SCHEMES:
@@ -202,7 +228,7 @@ def check_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) ->
         if failures:
             fail_step = index
             break
-        prev_states = states
+        prev_states, prev_dag, prev_stuck = states, dag, stuck
 
     if not failures and scheme in COUNTER_SCHEMES and trace.steps:
         final = {s.node: s for s in trace.final_states}
@@ -226,24 +252,29 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
     update followed by a full one (the node stays stuck in between), while
     the neighbor-aware partial scheme resolves it in a single update.
     """
-    _require_plain_trace(trace, need_arcs=True)
+    _require_plain_trace(trace)
     if scheme not in FULL_REVERSAL_SCHEMES and scheme not in PARTIAL_REVERSAL_SCHEMES:
         raise ValueError(f"reversal semantics are undefined for {scheme}")
     topo = scenario.topology
     failures: list[str] = []
     fail_step: int | None = None
 
-    arcs_prev = {(min(s, d), max(s, d)): (s, d) for s, d in trace.initial_arcs}
     reversed_toward: dict[int, set[int]] = {i: set() for i in topo.nodes}
     pending_second: dict[int, int] = {}
     silent_updates = 0
 
-    for rec in trace.steps:
-        arcs_now = {(min(s, d), max(s, d)): (s, d) for s, d in rec.arcs}
-        flipped = {e for e, arc in arcs_now.items() if arcs_prev[e] != arc}
+    def outgoing(arcs: Mapping, u: int) -> set[int]:
+        return {j for j in topo.neighbors(u) if arcs[(min(u, j), max(u, j))][0] == u}
+
+    for rec, arcs_now, flipped in _replayed_orientations(trace):
+        unknown = flipped - arcs_now.keys()
+        if unknown:
+            failures.append(f"step {rec.index}: reversed edges {sorted(unknown)} are not links")
+            fail_step = rec.index
+            break
         updated = set(rec.updated)
 
-        for e in flipped:
+        for e in sorted(flipped):
             touched = [x for x in e if x in updated]
             if len(touched) != 1:
                 failures.append(f"step {rec.index}: link {e} flipped without a unique updater")
@@ -252,10 +283,10 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
             nbrs = {j for j in topo.neighbors(u) if j != DESTINATION}
             flipped_at_u = {a + b - u for a, b in flipped if u in (a, b)}
             if scheme in FULL_REVERSAL_SCHEMES:
-                outgoing = {d for s, d in arcs_now.values() if s == u}
-                if outgoing != set(topo.neighbors(u)):
+                if outgoing(arcs_now, u) != set(topo.neighbors(u)):
                     failures.append(
-                        f"step {rec.index}: node {u} updated but links {sorted(nbrs - outgoing)} still point in"
+                        f"step {rec.index}: node {u} updated but links "
+                        f"{sorted(nbrs - outgoing(arcs_now, u))} still point in"
                     )
             else:
                 expected = nbrs - reversed_toward[u]
@@ -279,7 +310,7 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
                 reversed_toward[other].add(source)
 
         for u, since in pending_second.items():
-            if u not in updated and any(s == u for s, _ in arcs_now.values()):
+            if u not in updated and outgoing(arcs_now, u):
                 failures.append(
                     f"step {rec.index}: node {u} should stay stuck between its paired updates (silent at {since})"
                 )
@@ -287,7 +318,6 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
         if failures:
             fail_step = rec.index
             break
-        arcs_prev = arcs_now
 
     if not failures and trace.outcome is Outcome.CONVERGED and pending_second:
         failures.append(
@@ -350,11 +380,14 @@ def check_scheme_equivalence(
     """Replay the reference run's update sets under the shadow scheme.
 
     Equivalent schemes must produce identical stuck sets and orientations
-    at every step.  A shadow node that is not stuck when scheduled is a
-    replay mismatch and fails the check.  With gating=False the comparison
-    is informational: divergence is reported, not failed.
+    at every step: the shadow's live orientation is compared, arc by arc,
+    with the reference's orientation replayed from its reversed edges.  A
+    shadow node that is not stuck when scheduled is a replay mismatch and
+    fails the check.  With gating=False the comparison is informational:
+    divergence is reported, not failed.
     """
-    ref = run_scenario(scenario, reference, schedule, record_arcs=True)
+    ref = run_scenario(scenario, reference, schedule)
+    _require_plain_trace(ref)
     failures: list[str] = []
     fail_step: int | None = None
     if ref.outcome is not Outcome.CONVERGED:
@@ -364,21 +397,21 @@ def check_scheme_equivalence(
     replay = Schedule.fixed(
         [rec.updated for rec in ref.steps], label=f"replay-of-{reference.value}"
     )
-    sim = Simulation(scenario, shadow, replay, step_limit=len(ref.steps) + 1, record_arcs=True)
+    sim = Simulation(scenario, shadow, replay, step_limit=len(ref.steps) + 1)
     divergence: str | None = None
-    for rec in ref.steps:
+    for rec, ref_arcs, _ in _replayed_orientations(ref):
         stuck = sim.stuck_nodes()
         if stuck != rec.stuck:
             divergence = f"step {rec.index}: stuck sets {list(stuck)} vs {list(rec.stuck)}"
             fail_step = rec.index
             break
         try:
-            srec = sim.step()
+            sim.step()
         except ScheduleError as exc:
             divergence = f"step {rec.index}: schedule replay mismatch: {exc}"
             fail_step = rec.index
             break
-        if srec.arcs != rec.arcs:
+        if sim.arcs != tuple(ref_arcs.values()):
             divergence = f"step {rec.index}: orientations diverge"
             fail_step = rec.index
             break
@@ -463,7 +496,7 @@ def enumerate_all_schedules(
     aware = RULES[scheme].neighbor_aware
     points_from = orientation_predicate(scheme, heights)
 
-    init = tuple(initial_states(scheme, topo, heights)[i] for i in nodes)
+    init = tuple(initial_states(scheme, topo, heights).values())  # in node order
     parents: dict[tuple, tuple | None] = {init: None}
     frontier = [init]
     finals: dict[str, tuple] = {}

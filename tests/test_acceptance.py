@@ -290,7 +290,7 @@ def _schedule_invariance_note(scenario: Scenario) -> str:
     totals: dict[SchemeId, set[int]] = {}
     for scheme in (SchemeId.NO_FULL, SchemeId.BASELINE_INCREMENT):
         totals[scheme] = {
-            run_scenario(scenario, scheme, maker(seed), record_arcs=False).total_updates
+            run_scenario(scenario, scheme, maker(seed)).total_updates
             for seed in range(6)
             for maker in (Schedule.single_random, Schedule.subset_random)
         }

@@ -22,6 +22,15 @@ edges D-1 1-2 2-3
 heights 2 1 1
 """
 
+SLEEPY = """\
+scenario v1
+name cli-sleepy
+nodes 3
+edges D-1 1-2 2-3
+heights 1 2 1
+event 1 sleep 2 2
+"""
+
 PARTITION = """\
 scenario v1
 name cli-partition
@@ -62,6 +71,23 @@ def test_run_writes_a_trace_file(scenario_file, tmp_path, capsys):
     assert trace_path.exists()
     assert '"type":"totals"' in trace_path.read_text(encoding="utf-8")
     assert "trace written" in capsys.readouterr().out
+
+
+def test_run_writes_dot_frames_of_the_awake_graph(scenario_file, tmp_path, capsys):
+    frames_path = tmp_path / "out.dot"
+    code = main([
+        "run", scenario_file(SLEEPY), "--scheme", "no-full",
+        "--trace-out", str(frames_path), "--format", "dot-frames",
+    ])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "converged steps=2" in out
+    frames = frames_path.read_text(encoding="utf-8").split("\n\n")
+    assert len(frames) == 3
+    assert '"2" -> "3";' in frames[0]
+    # node 3 updates twice while node 2 sleeps: the frames leave out node 2's links
+    for frame in frames[1:]:
+        assert "updated 3" in frame and '"2"' not in frame
 
 
 def test_run_partition_exit_code(scenario_file, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -267,10 +268,20 @@ def test_dot_frames_cover_initial_plus_each_step(one_step_trace):
     assert '"2" [style=filled];' in text
 
 
-def test_dot_frames_need_recorded_arcs(chain):
-    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0), record_arcs=False)
-    with pytest.raises(ValueError, match="record_arcs"):
-        trace_to_dot_frames(trace)
+def test_dot_frames_replay_the_orientation_after_each_step(chain):
+    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    frames = trace_to_dot_frames(trace).split("\n\n")
+    assert '"2" -> "3";' not in frames[0]
+    assert '"2" -> "3";' in frames[1]
+
+
+def test_dot_frames_reject_a_trace_the_rerun_does_not_reproduce(chain):
+    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    forged = replace(trace, steps=(replace(trace.steps[0], dag_digest="0" * 12),))
+    with pytest.raises(ValueError, match="differs from the trace at step 1"):
+        trace_to_dot_frames(forged)
+    with pytest.raises(ValueError, match="took 1 steps, the trace 2"):
+        trace_to_dot_frames(replace(trace, steps=trace.steps * 2))
 
 
 def test_export_trace_dispatch(one_step_trace):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -185,11 +188,39 @@ def test_trace_totals_are_consistent(chain):
     assert len(trace.final_states) == 3
 
 
-def test_record_arcs_flag_controls_per_step_orientations(chain):
-    with_arcs = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
-    assert all(rec.arcs is not None for rec in with_arcs.steps)
-    without = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0), record_arcs=False)
-    assert all(rec.arcs is None for rec in without.steps)
+def test_step_records_share_tuples_instead_of_copying_the_orientation(chain):
+    sim = Simulation(chain, SchemeId.BASELINE_INCREMENT, Schedule.single_random(0))
+    trace = sim.run()
+    assert not hasattr(trace.steps[0], "arcs")
+    assert sim.arcs == routing_dag(sim.states, chain.topology, sim.scheme, sim.heights).arcs
+    edges = {e: e for e in chain.topology.edges}
+    for rec in trace.steps:
+        assert all(e is edges[e] for e in rec.reversed_edges)
+    # the baseline raises node 2 one step at a time, stuck all along
+    assert [rec.updated for rec in trace.steps[:2]] == [(2,), (2,)]
+    assert trace.steps[0].stuck is trace.steps[1].stuck
+
+
+def _bytes_kept_per_step(n: int) -> float:
+    scenario = Scenario.create(n, [(0, n)] + [(i, i + 1) for i in range(1, n)], heights=range(1, n + 1))
+    run_scenario(scenario, SchemeId.NO_FULL, Schedule.single_random(0))  # warm caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_scenario(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return kept / len(trace.steps)
+
+
+def test_a_trace_keeps_no_per_step_orientation():
+    # A copy of the orientation per step would grow with the number of
+    # links: 1.33x more bytes a step at n=48 than at n=16 when records held
+    # the arcs.  What still grows is the stuck set, O(nodes stuck).
+    assert _bytes_kept_per_step(48) <= 1.2 * _bytes_kept_per_step(16)
 
 
 # --- events ------------------------------------------------------------------
@@ -200,6 +231,18 @@ def test_remove_link_event_strands_and_recovers(diamond_cut):
     assert trace.outcome is Outcome.CONVERGED
     assert trace.events_applied == ((1, "remove-link D-1"),)
     assert trace.update_counts == {1: 1, 2: 0, 3: 0}
+
+
+def test_remove_link_event_written_high_to_low():
+    scenario = Scenario.create(
+        3,
+        [(0, 1), (1, 3), (2, 3), (0, 2)],
+        heights=(1, 1, 2),
+        events=[SimEvent(at_step=1, kind="remove-link", edge=(3, 1))],
+    )
+    trace = run_scenario(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
+    assert trace.outcome is Outcome.CONVERGED
+    assert trace.events_applied == ((1, "remove-link 3-1"),)
 
 
 def test_remove_node_event_drops_the_state():
@@ -322,12 +365,17 @@ def test_isolated_stuck_node_with_pending_wake_is_not_a_partition():
 class _ScratchCheckedSimulation(Simulation):
     """After every step, compares the maintained orientation with routing_dag."""
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.recorded_arcs = self.initial_arcs
+
     def step(self):
-        before = self.steps[-1].arcs if self.steps else self.initial_arcs
+        before = self.recorded_arcs
         record = super().step()
         topo = self.awake_topology()
         dag = routing_dag(self.states, topo, self.scheme, self.heights)
-        assert record.arcs == dag.arcs
+        self.recorded_arcs = self.arcs
+        assert self.recorded_arcs == dag.arcs
         assert record.dag_digest == dag.digest()
         assert record.reversed_edges == orientation_flips(RoutingDag(before), dag)
         assert self.stuck_nodes() == tuple(sorted(stuck_set(dag, topo)))

@@ -67,7 +67,7 @@ def test_step_invariants_catch_a_forged_height(chain):
 
 def test_step_invariants_catch_a_forged_digest(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
-    forged = _tamper_step(trace, 0, dag_digest="0" * 12, arcs=None)
+    forged = _tamper_step(trace, 0, dag_digest="0" * 12)
     report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
     assert not report.passed
     assert "digest" in report.detail
@@ -79,6 +79,27 @@ def test_step_invariants_catch_a_nonstuck_updater(chain):
     report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
     assert not report.passed
     assert "not all stuck" in report.detail
+
+
+def test_step_invariants_catch_a_forged_stuck_set():
+    scenario = random_void_scenario(7, seed=2)
+    trace = run_scenario(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
+    assert trace.steps[0].stuck == (4,)
+    # the updater stays inside the forged set, so only the set itself is wrong
+    forged = _tamper_step(trace, 0, stuck=tuple(range(1, 8)))
+    report = check_step_invariants(forged, scenario, SchemeId.NO_FULL)
+    assert not report.passed
+    assert "stuck set [1, 2, 3, 4, 5, 6, 7] is not the stuck set [4]" in report.detail
+
+
+def test_step_invariants_catch_forged_reversed_edges(chain):
+    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    assert trace.steps[0].reversed_edges == ((2, 3),)
+    for forged_edges in ((), ((1, 3),), ((2, 3), (1, 3))):
+        forged = _tamper_step(trace, 0, reversed_edges=forged_edges)
+        report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
+        assert not report.passed
+        assert "reversed edges do not match" in report.detail
 
 
 def test_step_invariants_catch_a_counter_jump(chain):
@@ -133,7 +154,7 @@ def test_partial_semantics_count_silent_halves(reversed_pair):
 def test_reversal_check_catches_an_unreversed_link(chain):
     trace = run_scenario(chain, SchemeId.GB_FULL, Schedule.single_random(0))
     # pretend the step changed nothing: the updater keeps incoming links
-    forged = _tamper_step(trace, 0, arcs=trace.initial_arcs)
+    forged = _tamper_step(trace, 0, reversed_edges=())
     report = check_reversal_semantics(forged, chain, SchemeId.GB_FULL)
     assert not report.passed
     assert "point in" in report.detail
@@ -145,10 +166,20 @@ def test_reversal_check_rejects_the_baseline(chain):
         check_reversal_semantics(trace, chain, SchemeId.BASELINE_INCREMENT)
 
 
-def test_reversal_check_needs_recorded_arcs(chain):
-    trace = run_scenario(chain, SchemeId.GB_FULL, Schedule.single_random(0), record_arcs=False)
-    with pytest.raises(ValueError, match="record_arcs"):
-        check_reversal_semantics(trace, chain, SchemeId.GB_FULL)
+def test_reversal_check_catches_a_reversed_edge_that_is_not_a_link(chain):
+    trace = run_scenario(chain, SchemeId.GB_FULL, Schedule.single_random(0))
+    forged = _tamper_step(trace, 0, reversed_edges=((1, 2), (2, 3)))
+    report = check_reversal_semantics(forged, chain, SchemeId.GB_FULL)
+    assert not report.passed
+    assert "[(1, 2)] are not links" in report.detail
+
+
+def test_reversal_check_catches_a_link_flipped_by_a_bystander(chain):
+    trace = run_scenario(chain, SchemeId.GB_FULL, Schedule.single_random(0))
+    forged = _tamper_step(trace, 0, reversed_edges=((1, 3), (2, 3)))
+    report = check_reversal_semantics(forged, chain, SchemeId.GB_FULL)
+    assert not report.passed
+    assert "without a unique updater" in report.detail
 
 
 # --- greedy stability --------------------------------------------------------
