@@ -110,7 +110,8 @@ class _FrameReplay(Simulation):
 
     def step(self) -> StepRecord:
         rec = super().step()
-        if rec.index > len(self.recorded) or rec.dag_digest != self.recorded[rec.index - 1].dag_digest:
+        recorded = self.recorded[rec.index - 1] if rec.index <= len(self.recorded) else None
+        if recorded is None or rec.dag_digest != recorded.dag_digest:
             raise ValueError(f"the rerun differs from the trace at step {rec.index}")
         updated = ",".join(str(i) for i in rec.updated)
         self.frames.append(

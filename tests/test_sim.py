@@ -217,9 +217,10 @@ def _bytes_kept_per_step(n: int) -> float:
 
 
 def test_a_trace_keeps_no_per_step_orientation():
-    # A copy of the orientation per step would grow with the number of
-    # links: 1.33x more bytes a step at n=48 than at n=16 when records held
-    # the arcs.  What still grows is the stuck set, O(nodes stuck).
+    # A copy of the orientation per step grows with the number of links:
+    # on CPython 3.11, records that held the arcs kept 1.38x more bytes a
+    # step at n=48 than at n=16, and records without them 1.17x.  What
+    # still grows is the stuck set, 3.2 nodes a step at n=16, 8.7 at n=48.
     assert _bytes_kept_per_step(48) <= 1.2 * _bytes_kept_per_step(16)
 
 
