@@ -36,7 +36,10 @@ orientation after the step, and the reversed edges.  It holds no copy of
 the orientation, which would make a run's trace grow as steps x links
 (cubic in n on a deep-void chain).  Every orientation follows from
 Trace.initial_arcs and the reversed edges of an event-free run, and from a
-deterministic rerun of any run; Simulation.arcs is the current one.
+deterministic rerun of any run; Simulation.arcs is the current one.  A
+caller that needs every orientation drives a rerun one turn at a time
+through Simulation.advance(), as run() does, and reads Simulation.arcs
+after each step.
 Records share immutable tuples where they can: the reversed edges are the
 topology's own edge tuples, and the stuck set is the previous record's
 tuple whenever it did not change.
@@ -77,6 +80,7 @@ from .model import (
     SchemeId,
     State,
     Topology,
+    _canonical_edge,
     is_destination_oriented,
     orientation_predicate,
     routing_dag,
@@ -255,6 +259,8 @@ class Simulation:
         self.events_applied: list[tuple[int, str]] = []
         self.update_counts: dict[int, int] = {i: 0 for i in self.live.nodes}
         self.total_reversals = 0
+        self.outcome: Outcome | None = None
+        self.certificate: str | None = None
 
         self._queue: list[tuple[int, int, SimEvent]] = []
         self._queue_seq = 0
@@ -301,8 +307,7 @@ class Simulation:
             self.states.pop(ev.node, None)
             self.sleeping.pop(ev.node, None)
         elif ev.kind == "remove-link":
-            a, b = ev.edge
-            if ((a, b) if a < b else (b, a)) not in set(self.live.edges):
+            if _canonical_edge(*ev.edge) not in set(self.live.edges):
                 raise EventError(f"cannot remove missing link {ev.edge}")
             self.live = self.live.without(drop_edges=(ev.edge,))
         elif ev.kind == "sleep":
@@ -442,8 +447,11 @@ class Simulation:
             if any(j != DESTINATION and j in awake for j in self.live.neighbors(i))
         )
 
-    def step(self) -> StepRecord:
-        """Run one update step; raises EmptyStuckSetError when already oriented."""
+    def step(self, chosen: Sequence[int] | None = None) -> StepRecord:
+        """Run one update step; raises EmptyStuckSetError when already oriented.
+
+        The schedule picks the updaters unless chosen names them.
+        """
         stuck = self.stuck_nodes()
         if not stuck:
             raise EmptyStuckSetError("no node is stuck; nothing to schedule")
@@ -453,7 +461,9 @@ class Simulation:
                 f"stuck nodes {list(stuck)} have no awake neighbor to read"
             )
         index = len(self.steps) + 1
-        chosen = tuple(sorted(self._selector.select(eligible, index)))
+        if chosen is None:
+            chosen = self._selector.select(eligible, index)
+        chosen = tuple(sorted(chosen))
         if not chosen or set(chosen) - set(eligible):
             raise ScheduleError(f"schedule returned an invalid subset {chosen}")
 
@@ -503,10 +513,13 @@ class Simulation:
                 )
         return None
 
-    def run(self) -> Trace:
-        """Iterate until convergence, partition evidence, or the step budget."""
-        outcome: Outcome
-        certificate: str | None = None
+    def advance(self, chosen: Sequence[int] | None = None) -> StepRecord | None:
+        """One turn of run(): apply due events, then take a step or end the run.
+
+        Returns the step's record, or None once the run has ended; outcome
+        and certificate then say how.  chosen, when given, replaces the
+        schedule's pick for this step.
+        """
         while True:
             self._apply_due_events()
             stuck = self.stuck_nodes()
@@ -514,38 +527,41 @@ class Simulation:
                 if self._queue:
                     self._fast_forward_events()
                     continue
-                outcome = Outcome.CONVERGED
-                break
+                return self._end(Outcome.CONVERGED)
             certificate = self._partition_certificate(stuck)
             if certificate is not None:
-                outcome = Outcome.PARTITIONED
-                break
+                return self._end(Outcome.PARTITIONED, certificate)
             if not self._eligible(stuck):
                 if self._queue:
                     # Isolation caused by sleep is transient: let the clock
                     # jump to the next scripted wake or removal.
                     self._fast_forward_events()
                     continue
-                outcome = Outcome.PARTITIONED
-                certificate = (
+                return self._end(
+                    Outcome.PARTITIONED,
                     f"stuck nodes {list(stuck)} have no awake neighbor left to "
-                    "read, which cannot happen on a connected graph"
+                    "read, which cannot happen on a connected graph",
                 )
-                break
             if len(self.steps) >= self.step_limit:
                 if not self.awake_topology().is_connected:
-                    outcome = Outcome.PARTITIONED
-                    certificate = (
+                    return self._end(
+                        Outcome.PARTITIONED,
                         f"step budget {self.step_limit} exhausted while the awake "
-                        "graph is disconnected"
+                        "graph is disconnected",
                     )
-                else:
-                    outcome = Outcome.STEP_LIMIT
-                break
-            self.step()
-        return self._finalize(outcome, certificate)
+                return self._end(Outcome.STEP_LIMIT)
+            return self.step(chosen)
 
-    def _finalize(self, outcome: Outcome, certificate: str | None) -> Trace:
+    def _end(self, outcome: Outcome, certificate: str | None = None) -> None:
+        self.outcome, self.certificate = outcome, certificate
+
+    def run(self) -> Trace:
+        """Iterate until convergence, partition evidence, or the step budget."""
+        while self.advance() is not None:
+            pass
+        return self._finalize()
+
+    def _finalize(self) -> Trace:
         final = RoutingDag(tuple(self._arcs))
         return Trace(
             scenario=self.scenario,
@@ -556,8 +572,8 @@ class Simulation:
             initial_arcs=self.initial_arcs,
             initial_digest=self.initial_digest,
             steps=tuple(self.steps),
-            outcome=outcome,
-            certificate=certificate,
+            outcome=self.outcome,
+            certificate=self.certificate,
             update_counts=dict(self.update_counts),
             total_updates=sum(self.update_counts.values()),
             total_reversals=self.total_reversals,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .scenario import _node_name
 from .schemes import state_payload
-from .sim import Simulation, StepRecord, Trace
+from .sim import Simulation, Trace
 
 EXPORT_FORMATS = ("jsonl", "csv", "dot-frames")
 
@@ -98,35 +98,27 @@ def _frame(name: str, label: str, arcs, highlight: tuple[int, ...] = ()) -> str:
     return "\n".join(lines)
 
 
-class _FrameReplay(Simulation):
-    """Reruns a trace and draws the awake graph's orientation after each step."""
+def trace_to_dot_frames(trace: Trace) -> str:
+    """steps+1 digraph blocks: the initial orientation and one per step.
 
-    def __init__(self, trace: Trace):
-        super().__init__(trace.scenario, trace.scheme, trace.schedule, trace.step_limit)
-        if self.initial_digest != trace.initial_digest:
-            raise ValueError("the rerun's initial orientation differs from the trace")
-        self.recorded = trace.steps
-        self.frames = [_frame("frame_0", "initial", self.initial_arcs)]
-
-    def step(self) -> StepRecord:
-        rec = super().step()
-        recorded = self.recorded[rec.index - 1] if rec.index <= len(self.recorded) else None
-        if recorded is None or rec.dag_digest != recorded.dag_digest:
+    The frames are drawn from a rerun of the trace's scenario, scheme,
+    schedule and step limit, which must reproduce every recorded digest.
+    """
+    sim = Simulation(trace.scenario, trace.scheme, trace.schedule, trace.step_limit)
+    if sim.initial_digest != trace.initial_digest:
+        raise ValueError("the rerun's initial orientation differs from the trace")
+    frames = [_frame("frame_0", "initial", sim.initial_arcs)]
+    recorded = trace.steps
+    while (rec := sim.advance()) is not None:
+        if rec.index > len(recorded) or rec.dag_digest != recorded[rec.index - 1].dag_digest:
             raise ValueError(f"the rerun differs from the trace at step {rec.index}")
         updated = ",".join(str(i) for i in rec.updated)
-        self.frames.append(
-            _frame(f"frame_{rec.index}", f"step {rec.index}: updated {updated}", self.arcs, rec.updated)
+        frames.append(
+            _frame(f"frame_{rec.index}", f"step {rec.index}: updated {updated}", sim.arcs, rec.updated)
         )
-        return rec
-
-
-def trace_to_dot_frames(trace: Trace) -> str:
-    """steps+1 digraph blocks: the initial orientation and one per step."""
-    replay = _FrameReplay(trace)
-    replay.run()
-    if len(replay.steps) != len(trace.steps):
-        raise ValueError(f"the rerun took {len(replay.steps)} steps, the trace {len(trace.steps)}")
-    return "\n\n".join(replay.frames) + "\n"
+    if len(sim.steps) != len(recorded):
+        raise ValueError(f"the rerun took {len(sim.steps)} steps, the trace {len(recorded)}")
+    return "\n\n".join(frames) + "\n"
 
 
 def export_trace(trace: Trace, fmt: str) -> str:

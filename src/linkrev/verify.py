@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import ExplosionGuardError, ScheduleError
+from .errors import ExplosionGuardError, LinkrevError, ScheduleError
 from .model import (
     DESTINATION,
     CORE_SCHEMES,
@@ -370,6 +370,27 @@ EQUIVALENCE_PAIRS: tuple[tuple[SchemeId, SchemeId, bool], ...] = (
 )
 
 
+def _lockstep_divergence(sim: Simulation, ref: Simulation, rec: StepRecord) -> str | None:
+    """Advance the shadow sim through the reference's step rec; say how they differ."""
+    srec = mismatch = None
+    try:
+        srec = sim.advance(rec.updated)
+    except ScheduleError as exc:
+        mismatch = f"schedule replay mismatch: {exc}"
+    except LinkrevError as exc:
+        return f"shadow run raised {type(exc).__name__}: {exc}"
+    stuck = sim.stuck_nodes() if srec is None else srec.stuck
+    if stuck != rec.stuck:
+        return f"stuck sets {list(stuck)} vs {list(rec.stuck)}"
+    if mismatch is not None:
+        return mismatch
+    if srec is None:
+        return f"shadow run ended {sim.outcome}"
+    if sim.arcs != ref.arcs:
+        return "orientations diverge"
+    return None
+
+
 def check_scheme_equivalence(
     scenario: Scenario,
     schedule: Schedule,
@@ -379,44 +400,40 @@ def check_scheme_equivalence(
 ) -> CheckReport:
     """Replay the reference run's update sets under the shadow scheme.
 
+    The two runs advance in lockstep through the same scripted events, and
+    at each step the shadow updates exactly the nodes the reference chose.
     Equivalent schemes must produce identical stuck sets and orientations
-    at every step: the shadow's live orientation is compared, arc by arc,
-    with the reference's orientation replayed from its reversed edges.  A
+    at every step; the live orientations are compared arc by arc.  A
     shadow node that is not stuck when scheduled is a replay mismatch and
     fails the check.  With gating=False the comparison is informational:
     divergence is reported, not failed.
     """
-    ref = run_scenario(scenario, reference, schedule)
-    _require_plain_trace(ref)
-    failures: list[str] = []
+    ref = Simulation(scenario, reference, schedule)
+    # The shadow never consults its schedule while replaying; once the
+    # reference has ended, an empty one raises if the shadow is still stuck.
+    sim = Simulation(scenario, shadow, Schedule.fixed((), label=f"replay-of-{reference.value}"))
+    divergence: str | None = None
     fail_step: int | None = None
+    while (rec := ref.advance()) is not None:
+        # Once diverged, the reference still runs on: its outcome decides
+        # whether it anchors a replay at all.
+        if divergence is None and (found := _lockstep_divergence(sim, ref, rec)):
+            divergence, fail_step = f"step {rec.index}: {found}", rec.index
+
+    failures: list[str] = []
     if ref.outcome is not Outcome.CONVERGED:
         failures.append(f"reference run ended {ref.outcome} and cannot anchor a replay")
         return _report("scheme-equivalence", scenario, shadow, failures, schedule=schedule)
-
-    replay = Schedule.fixed(
-        [rec.updated for rec in ref.steps], label=f"replay-of-{reference.value}"
-    )
-    sim = Simulation(scenario, shadow, replay, step_limit=len(ref.steps) + 1)
-    divergence: str | None = None
-    for rec, ref_arcs, _ in _replayed_orientations(ref):
-        stuck = sim.stuck_nodes()
-        if stuck != rec.stuck:
-            divergence = f"step {rec.index}: stuck sets {list(stuck)} vs {list(rec.stuck)}"
-            fail_step = rec.index
-            break
+    if divergence is None:
         try:
-            sim.step()
-        except ScheduleError as exc:
-            divergence = f"step {rec.index}: schedule replay mismatch: {exc}"
-            fail_step = rec.index
-            break
-        if sim.arcs != tuple(ref_arcs.values()):
-            divergence = f"step {rec.index}: orientations diverge"
-            fail_step = rec.index
-            break
-    if divergence is None and sim.stuck_nodes():
-        divergence = "shadow run still stuck after replaying every step"
+            sim.advance()
+        except ScheduleError:
+            divergence = "shadow run still stuck after replaying every step"
+        except LinkrevError as exc:
+            divergence = f"shadow run raised {type(exc).__name__} after replaying every step: {exc}"
+        else:
+            if sim.outcome is not Outcome.CONVERGED:
+                divergence = f"shadow run ended {sim.outcome} after replaying every step"
 
     if divergence is not None:
         if not gating:

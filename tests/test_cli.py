@@ -151,6 +151,17 @@ def test_verify_scenario_files(scenario_file, capsys):
     assert "checked" in out and "1 scenarios" in out
 
 
+def test_verify_reports_an_event_scenario_that_never_converges(scenario_file, capsys):
+    # No run converges, so the battery skips the trace checks and reaches
+    # the equivalence pairs, whose reference cannot anchor a replay.
+    code = main(["verify", scenario_file(PARTITION)])
+    out = capsys.readouterr().out
+    assert code == EXIT_PROPERTY
+    assert "FAIL termination" in out
+    assert "reference run ended partitioned and cannot anchor a replay" in out
+    assert "checked 26 reports across 1 scenarios" in out
+
+
 def test_verify_random_battery(capsys):
     code = main(["verify", "--random", "5", "2", "--scheme", "no-full", "--seed", "3"])
     out = capsys.readouterr().out

@@ -13,6 +13,7 @@ from linkrev import (
     Scenario,
     Schedule,
     SchemeId,
+    SimEvent,
     check_determinism,
     check_initial_greedy_stability,
     check_order_invariance,
@@ -230,6 +231,34 @@ def test_informational_divergence_on_the_all_reversed_case(reversed_pair):
     assert report.informational
     assert report.passed  # informational reports never gate
     assert "diverge" in report.detail or "mismatch" in report.detail
+
+
+_EVENT_VOID_EDGES = ((0, 1), (0, 4), (1, 4), (2, 3), (3, 4))
+
+
+@pytest.mark.parametrize("shadow", [SchemeId.GB_FULL, SchemeId.TWO_BIT_FULL])
+def test_equivalence_replays_the_scripted_events_under_the_shadow(shadow):
+    # The link D-1 goes at step 2; a shadow that missed it would find no node stuck there.
+    scenario = Scenario.create(
+        4, _EVENT_VOID_EDGES, heights=(1, 2, 2, 1),
+        events=[SimEvent(at_step=2, kind="remove-link", edge=(0, 1))],
+    )
+    report = check_scheme_equivalence(scenario, Schedule.subset_random(0), SchemeId.NO_FULL, shadow)
+    assert report.passed, report.line()
+    assert "across 2 steps" in report.detail
+
+
+def test_equivalence_reports_a_shadow_run_that_raises():
+    # Two-bit phases of neighbors drift two apart while node 3 sleeps.
+    scenario = Scenario.create(
+        4, _EVENT_VOID_EDGES, heights=(1, 2, 2, 1),
+        events=[SimEvent(at_step=1, kind="sleep", node=3, duration=2)],
+    )
+    report = check_scheme_equivalence(
+        scenario, Schedule.subset_random(0), SchemeId.NO_FULL, SchemeId.TWO_BIT_FULL
+    )
+    assert not report.passed
+    assert "shadow run raised PhaseAdjacencyError" in report.counterexample.message
 
 
 def test_counted_partial_and_two_bit_partial_listed_as_gating():
