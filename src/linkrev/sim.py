@@ -237,6 +237,17 @@ def hello_round(
 class Simulation:
     """Mutable run state; use run() for the whole trajectory or step() manually."""
 
+    # CPython shares the keys of instance dicts only up to 30 attributes;
+    # past that every instance carries a full dict of its own.
+    __slots__ = (
+        "scenario", "scheme", "heights", "n", "schedule", "_selector", "step_limit",
+        "live", "sleeping", "states", "steps", "events_applied", "update_counts",
+        "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
+        "_points_from", "_awake", "_awake_topo", "_stale", "_edges", "_edge_index",
+        "_arcs", "_out_degree", "_stuck", "_stuck_view", "initial_arcs",
+        "initial_digest", "_recorded_index",
+    )
+
     def __init__(
         self,
         scenario: Scenario,

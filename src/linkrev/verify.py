@@ -370,7 +370,22 @@ EQUIVALENCE_PAIRS: tuple[tuple[SchemeId, SchemeId, bool], ...] = (
 )
 
 
-def _lockstep_divergence(sim: Simulation, ref: Simulation, rec: StepRecord) -> str | None:
+def _reference_orientations(ref: Trace) -> Iterator[tuple[StepRecord, tuple[tuple[int, int], ...]]]:
+    """Each step's record and the reference orientation after it.
+
+    The reversed edges cannot express a link that comes back after an
+    event, so a run with events is rerun step by step instead of replayed.
+    """
+    if not ref.events_applied:
+        for rec, arcs, _ in _replayed_orientations(ref):
+            yield rec, tuple(arcs.values())
+        return
+    rerun = Simulation(ref.scenario, ref.scheme, ref.schedule, ref.step_limit)
+    while (rec := rerun.advance()) is not None:
+        yield rec, rerun.arcs
+
+
+def _lockstep_divergence(sim: Simulation, rec: StepRecord, ref_arcs) -> str | None:
     """Advance the shadow sim through the reference's step rec; say how they differ."""
     srec = mismatch = None
     try:
@@ -386,7 +401,7 @@ def _lockstep_divergence(sim: Simulation, ref: Simulation, rec: StepRecord) -> s
         return mismatch
     if srec is None:
         return f"shadow run ended {sim.outcome}"
-    if sim.arcs != ref.arcs:
+    if sim.arcs != ref_arcs:
         return "orientations diverge"
     return None
 
@@ -400,31 +415,31 @@ def check_scheme_equivalence(
 ) -> CheckReport:
     """Replay the reference run's update sets under the shadow scheme.
 
-    The two runs advance in lockstep through the same scripted events, and
-    at each step the shadow updates exactly the nodes the reference chose.
-    Equivalent schemes must produce identical stuck sets and orientations
-    at every step; the live orientations are compared arc by arc.  A
-    shadow node that is not stuck when scheduled is a replay mismatch and
+    The shadow runs through the same scripted events, and at each step it
+    updates exactly the nodes the reference chose.  Equivalent schemes
+    must produce identical stuck sets and orientations at every step; the
+    shadow's live orientation is compared arc by arc with the reference's.
+    A shadow node that is not stuck when scheduled is a replay mismatch and
     fails the check.  With gating=False the comparison is informational:
     divergence is reported, not failed.
     """
-    ref = Simulation(scenario, reference, schedule)
-    # The shadow never consults its schedule while replaying; once the
-    # reference has ended, an empty one raises if the shadow is still stuck.
-    sim = Simulation(scenario, shadow, Schedule.fixed((), label=f"replay-of-{reference.value}"))
-    divergence: str | None = None
-    fail_step: int | None = None
-    while (rec := ref.advance()) is not None:
-        # Once diverged, the reference still runs on: its outcome decides
-        # whether it anchors a replay at all.
-        if divergence is None and (found := _lockstep_divergence(sim, ref, rec)):
-            divergence, fail_step = f"step {rec.index}: {found}", rec.index
-
+    ref = run_scenario(scenario, reference, schedule)
     failures: list[str] = []
+    fail_step: int | None = None
     if ref.outcome is not Outcome.CONVERGED:
         failures.append(f"reference run ended {ref.outcome} and cannot anchor a replay")
         return _report("scheme-equivalence", scenario, shadow, failures, schedule=schedule)
-    if divergence is None:
+
+    # The shadow never consults its schedule while replaying; after the
+    # last step, an empty one raises if the shadow is still stuck.
+    sim = Simulation(scenario, shadow, Schedule.fixed((), label=f"replay-of-{reference.value}"))
+    divergence: str | None = None
+    for rec, ref_arcs in _reference_orientations(ref):
+        found = _lockstep_divergence(sim, rec, ref_arcs)
+        if found is not None:
+            divergence, fail_step = f"step {rec.index}: {found}", rec.index
+            break
+    else:
         try:
             sim.advance()
         except ScheduleError:
