@@ -385,7 +385,9 @@ def _reference_orientations(ref: Trace) -> Iterator[tuple[StepRecord, tuple[tupl
         yield rec, rerun.arcs
 
 
-def _lockstep_divergence(sim: Simulation, rec: StepRecord, ref_arcs) -> str | None:
+def _lockstep_divergence(
+    sim: Simulation, rec: StepRecord, ref_arcs: tuple[tuple[int, int], ...]
+) -> str | None:
     """Advance the shadow sim through the reference's step rec; say how they differ."""
     srec = mismatch = None
     try:
