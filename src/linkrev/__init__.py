@@ -59,7 +59,6 @@ from .scenario import (
     serialize_scenario,
 )
 from .schemes import (
-    ThresholdSequence,
     apply_update,
     baseline_increment_update,
     closed_form_height,

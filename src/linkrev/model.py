@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, partial
+from itertools import starmap
 from typing import NamedTuple
 
 from .errors import (
@@ -144,7 +145,7 @@ class HeightAssignment:
     def n(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
     def max_height(self) -> int:
         return max(self.values)
 
@@ -167,6 +168,11 @@ class HeightAssignment:
         for rank, node in enumerate(order):
             ranks[node] = rank
         return tuple(ranks)
+
+    @cached_property
+    def _predicates(self) -> dict[SchemeId, Orientation]:
+        """The phase and flag predicates compiled for these heights, by scheme."""
+        return {}
 
 
 def _canonical_edge(a: int, b: int) -> tuple[int, int]:
@@ -375,16 +381,22 @@ def orientation_predicate(scheme: SchemeId, heights: HeightAssignment | None = N
     phases two apart, and ValueError when a phase or flag scheme was given
     no heights.  Ties in the primary fields are broken by node id; the
     phase and flag schemes break them by the initial (height, id) order,
-    whose ranks the heights compute once.
+    whose ranks the heights compute once.  Each predicate is compiled once
+    per scheme and height assignment and then reused.
     """
     ordered = _ORDERED_PREDICATES.get(scheme)
     if ordered is not None:
         return ordered
     if heights is None:
         return partial(_missing_heights, scheme)
-    if scheme is SchemeId.ONE_BIT_FULL:
-        return partial(_flag_points_from, heights.initial_ranks)
-    return partial(_phase_points_from, scheme, heights.initial_ranks)
+    compiled = heights._predicates.get(scheme)
+    if compiled is None:
+        if scheme is SchemeId.ONE_BIT_FULL:
+            compiled = partial(_flag_points_from, heights.initial_ranks)
+        else:
+            compiled = partial(_phase_points_from, scheme, heights.initial_ranks)
+        heights._predicates[scheme] = compiled
+    return compiled
 
 
 def compare_states(
@@ -415,6 +427,21 @@ def link_points_from(
 # --- induced orientation ----------------------------------------------------
 
 
+#: Text of the arc s -> d inside an orientation digest: arc_label(s, d).
+#: A bound str.format, which itertools.starmap applies to a run of arcs
+#: without a Python-level call per arc.
+arc_label: Callable[[int, int], str] = "{}>{}".format
+
+
+def arcs_digest(labels: Iterable[str]) -> str:
+    """Digest of an orientation from its arc labels, in canonical edge order.
+
+    RoutingDag.digest and the incremental simulator, which keeps the
+    labels of its arcs and patches them as links flip, both digest here.
+    """
+    return hashlib.sha256(";".join(labels).encode("ascii")).hexdigest()[:12]
+
+
 @dataclass(frozen=True)
 class RoutingDag:
     """Orientation of a topology's links as (source, target) arcs.
@@ -426,8 +453,7 @@ class RoutingDag:
     arcs: tuple[tuple[int, int], ...]
 
     def digest(self) -> str:
-        text = ";".join(f"{s}>{d}" for s, d in self.arcs)
-        return hashlib.sha256(text.encode("ascii")).hexdigest()[:12]
+        return arcs_digest(starmap(arc_label, self.arcs))
 
     @cached_property
     def edge_set(self) -> frozenset[tuple[int, int]]:
@@ -483,10 +509,17 @@ def stuck_set(dag: RoutingDag, topo: Topology) -> frozenset[int]:
     return frozenset(i for i, deg in out_degree.items() if deg == 0)
 
 
-def is_destination_oriented(dag: RoutingDag, topo: Topology) -> bool:
-    """True if every node has a directed path to the destination."""
+def is_destination_oriented(
+    dag: RoutingDag | Iterable[tuple[int, int]], topo: Topology
+) -> bool:
+    """True if every node has a directed path to the destination.
+
+    Takes a RoutingDag or its arcs, so a caller that keeps the arcs need
+    not copy them into a RoutingDag.
+    """
+    arcs = dag.arcs if isinstance(dag, RoutingDag) else dag
     reverse: dict[int, list[int]] = {}
-    for s, d in dag.arcs:
+    for s, d in arcs:
         reverse.setdefault(d, []).append(s)
     seen = {DESTINATION}
     stack = [DESTINATION]

@@ -54,16 +54,6 @@ def threshold(updates: int, max_height: int) -> int:
     return _guard(2 ** (updates - 1) * (2 * max_height + 1), "threshold")
 
 
-@dataclass(frozen=True)
-class ThresholdSequence:
-    """Memo-free callable wrapper for threshold(t) at a fixed max height."""
-
-    max_height: int
-
-    def __call__(self, updates: int) -> int:
-        return threshold(updates, self.max_height)
-
-
 def closed_form_height(
     scheme: SchemeId, updates: int, initial_height: int, max_height: int
 ) -> int:
@@ -122,9 +112,7 @@ def no_full_update(own: CountedHeightState, max_height: int) -> CountedHeightSta
     )
 
 
-def no_partial_update(
-    own: CountedHeightState, thresholds: ThresholdSequence
-) -> CountedHeightState:
+def no_partial_update(own: CountedHeightState, max_height: int) -> CountedHeightState:
     """Reflect the height off the next band threshold.
 
     The new height lands inside the next band, above every neighbor that
@@ -132,7 +120,7 @@ def no_partial_update(
     the reflection reverses the height order each update.
     """
     updates = own.updates + 1
-    return own._replace(updates=updates, height=thresholds(updates) - own.height)
+    return own._replace(updates=updates, height=threshold(updates, max_height) - own.height)
 
 
 def two_bit_update(own: PhaseState) -> PhaseState:
@@ -214,7 +202,7 @@ def apply_update(
     if scheme is SchemeId.NO_FULL:
         return no_full_update(own, heights.max_height)
     if scheme is SchemeId.NO_PARTIAL:
-        return no_partial_update(own, ThresholdSequence(heights.max_height))
+        return no_partial_update(own, heights.max_height)
     if scheme is SchemeId.TWO_BIT_FULL or scheme is SchemeId.TWO_BIT_PARTIAL:
         return two_bit_update(own)
     if scheme is SchemeId.ONE_BIT_FULL:

@@ -3,11 +3,15 @@
 Each step: scripted events due at the step are applied, stuck nodes are
 detected through hello/ack probing on the awake part of the graph, the
 schedule picks a nonempty subset of them, and the chosen nodes update
-simultaneously against a snapshot of the pre-step states.  New states
-become visible to neighbors from the next step on.  Stuck nodes are never
+simultaneously.  Every chosen node's new state is computed from the
+pre-step states before any of them is written, and the new states become
+visible to neighbors from the next step on.  Stuck nodes are never
 adjacent (each link has an outgoing endpoint), so simultaneous updates in
-one step cannot observe each other, but the snapshot discipline is kept
-explicit anyway.
+one step cannot observe each other, but the compute-then-write order is
+kept explicit anyway.  The new states are written into Simulation.states
+in place, at a cost of O(|U|) a step rather than a copy of every state: a
+caller that keeps a reference to Simulation.states across a step sees it
+change, and one that needs the states of an earlier step copies them.
 
 A run ends Converged when no node is stuck and no scripted event remains,
 StepLimit when the step budget is exhausted on a connected graph, and
@@ -18,17 +22,20 @@ partition is reported when the step budget runs out while the awake graph
 is disconnected.
 
 The step kernel is incremental.  A Simulation keeps the current arcs of the
-awake graph in canonical edge order, each awake node's out-degree, the
-stuck set, and the awake set and topology.  An update changes only the
-updater's own state, so after a step only the links of the updaters U can
-flip: they alone are re-oriented, through one orientation predicate
-compiled for the scheme and heights, which costs O(sum of deg U) instead
-of an orientation pass over every link.  A topology event rebuilds all of
-it from scratch with routing_dag, lazily at the next stuck query.  An edge
-is reported reversed when it was in the previously recorded orientation
-and now points the other way.  Events change no node's state, so an edge
-that survives them keeps its orientation: only the edge set of the last
-record is kept, and it changes only at a rebuild.
+awake graph in canonical edge order with the digest label of each arc,
+each awake node's out-degree, the stuck set, and the awake set and
+topology.  An update changes only the updater's own state, so after a step
+only the links of the updaters U can flip: they alone are re-oriented,
+through one orientation predicate compiled for the scheme and heights,
+which costs O(sum of deg U) instead of an orientation pass over every
+link.  A flipped arc's label is patched beside it, so a step's digest is
+one join and one hash of the kept labels, with no copy of the arcs.  A
+topology event rebuilds all of it from scratch with routing_dag, lazily at
+the next stuck query.  An edge is reported reversed when it was in the
+previously recorded orientation and now points the other way.  Events
+change no node's state, so an edge that survives them keeps its
+orientation: only the edge set of the last record is kept, and it changes
+only at a rebuild.
 
 A StepRecord holds O(1) data per step in the number of links: the stuck
 set before the step, the updaters and their new states, the digest of the
@@ -61,6 +68,7 @@ from __future__ import annotations
 import heapq
 import os
 import random
+from itertools import starmap
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -76,11 +84,12 @@ from .model import (
     DESTINATION,
     COUNTER_SCHEMES,
     HeightAssignment,
-    RoutingDag,
     SchemeId,
     State,
     Topology,
     _canonical_edge,
+    arc_label,
+    arcs_digest,
     is_destination_oriented,
     orientation_predicate,
     routing_dag,
@@ -244,7 +253,7 @@ class Simulation:
         "live", "sleeping", "states", "steps", "events_applied", "update_counts",
         "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
         "_points_from", "_awake", "_awake_topo", "_stale", "_edges", "_edge_index",
-        "_arcs", "_out_degree", "_stuck", "_stuck_view", "initial_arcs",
+        "_arcs", "_arc_labels", "_out_degree", "_stuck", "_stuck_view", "initial_arcs",
         "initial_digest", "_recorded_index",
     )
 
@@ -282,7 +291,7 @@ class Simulation:
         self._set_awake()
         self._reorient_all()
         self.initial_arcs = tuple(self._arcs)
-        self.initial_digest = RoutingDag(self.initial_arcs).digest()
+        self.initial_digest = arcs_digest(self._arc_labels)
         # Edge index of the last recorded orientation.
         self._recorded_index = self._edge_index
 
@@ -359,6 +368,7 @@ class Simulation:
         self._edges = topo.edges
         self._edge_index = {e: k for k, e in enumerate(topo.edges)}
         self._arcs = list(dag.arcs)
+        self._arc_labels = list(starmap(arc_label, dag.arcs))
         self._out_degree = dict.fromkeys(topo.nodes, 0)
         for s, _ in dag.arcs:
             if s != DESTINATION:
@@ -379,7 +389,7 @@ class Simulation:
         # Stays set if the predicate raises, so the next query rebuilds.
         self._stale = True
         states, points_from = self.states, self._points_from
-        arcs, edges, index = self._arcs, self._edges, self._edge_index
+        arcs, labels, edges, index = self._arcs, self._arc_labels, self._edges, self._edge_index
         out_degree, stuck, recorded = self._out_degree, self._stuck, self._recorded_index
         changed = set(updated)
         flipped = []
@@ -396,6 +406,7 @@ class Simulation:
                 k = index[edge]
                 if arcs[k] != arc:
                     arcs[k] = arc
+                    labels[k] = arc_label(*arc)
                     out_degree[arc[0]] += 1
                     out_degree[arc[1]] -= 1
                     if edge in recorded:
@@ -423,7 +434,7 @@ class Simulation:
                 f"probe of node {i} disagrees with orientation view {list(self._stuck_view)}"
             )
         if not self._stuck and self._awake_topo.is_connected:
-            assert is_destination_oriented(RoutingDag(tuple(self._arcs)), self._awake_topo), (
+            assert is_destination_oriented(self._arcs, self._awake_topo), (
                 "empty stuck set must coincide with destination orientation"
             )
 
@@ -478,25 +489,26 @@ class Simulation:
         if not chosen or set(chosen) - set(eligible):
             raise ScheduleError(f"schedule returned an invalid subset {chosen}")
 
-        snapshot = self.states
-        fresh: dict[int, State] = {}
-        awake = self._awake
+        states, awake = self.states, self._awake
+        fresh: list[State] = []
         for i in chosen:
-            own = snapshot[i]
+            own = states[i]
             if RULES[self.scheme].neighbor_aware:
-                # A stuck node is never destination-adjacent, so the snapshot
-                # below only ever contains ordinary neighbor states.
+                # A stuck node is never destination-adjacent, so only
+                # ordinary neighbor states are read here.
                 neighbor_states = [
-                    snapshot[j]
+                    states[j]
                     for j in self.live.neighbors(i)
                     if j != DESTINATION and j in awake
                 ]
-                fresh[i] = apply_update(self.scheme, own, neighbor_states, self.heights)
+                fresh.append(apply_update(self.scheme, own, neighbor_states, self.heights))
             else:
-                fresh[i] = apply_update(self.scheme, own, None, self.heights)
-        self.states = {**snapshot, **fresh}
-        for i in chosen:
-            self.update_counts[i] += 1
+                fresh.append(apply_update(self.scheme, own, None, self.heights))
+        new_states = tuple(fresh)
+        # Written only now, so every update above read the pre-step states.
+        for state in new_states:
+            states[state.node] = state
+            self.update_counts[state.node] += 1
 
         flipped = self._reorient_updaters(chosen)
         self.total_reversals += len(flipped)
@@ -504,8 +516,8 @@ class Simulation:
             index=index,
             stuck=stuck,
             updated=chosen,
-            new_states=tuple(fresh[i] for i in chosen),
-            dag_digest=RoutingDag(tuple(self._arcs)).digest(),
+            new_states=new_states,
+            dag_digest=arcs_digest(self._arc_labels),
             reversed_edges=flipped,
         )
         self.steps.append(record)
@@ -573,7 +585,6 @@ class Simulation:
         return self._finalize()
 
     def _finalize(self) -> Trace:
-        final = RoutingDag(tuple(self._arcs))
         return Trace(
             scenario=self.scenario,
             scheme=self.scheme,
@@ -588,7 +599,7 @@ class Simulation:
             update_counts=dict(self.update_counts),
             total_updates=sum(self.update_counts.values()),
             total_reversals=self.total_reversals,
-            final_digest=final.digest(),
+            final_digest=arcs_digest(self._arc_labels),
             final_states=tuple(self.states[i] for i in sorted(self.states)),
             events_applied=tuple(self.events_applied),
         )

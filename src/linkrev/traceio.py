@@ -1,7 +1,10 @@
 """Trace exports: JSON lines, a one-row CSV summary, and Graphviz frames.
 
 The JSONL format writes one self-contained record per simulation step and
-a final totals record, so a truncated file is still a valid prefix.
+a final totals record, so a truncated file is still a valid prefix.  Each
+step line is formatted straight from its StepRecord, with the bytes that
+json.dumps(record, sort_keys=True, separators=(",", ":")) would write; the
+totals record goes through json.dumps.
 
 Step records keep no orientations, so the Graphviz frames are rebuilt by
 rerunning the trace's scenario, scheme, schedule and step limit: runs are
@@ -16,24 +19,42 @@ import json
 from collections.abc import Iterator
 from pathlib import Path
 
+from .model import STATE_CLASSES
 from .scenario import _node_name
-from .schemes import state_payload
-from .sim import Simulation, Trace
+from .sim import Simulation, StepRecord, Trace
 
 EXPORT_FORMATS = ("jsonl", "csv", "dot-frames")
 
 
-def _step_record(trace: Trace, index: int) -> dict:
-    rec = trace.steps[index]
-    return {
-        "type": "step",
-        "index": rec.index,
-        "stuck": list(rec.stuck),
-        "updated": list(rec.updated),
-        "states": {str(s.node): state_payload(trace.scheme, s) for s in rec.new_states},
-        "dag": rec.dag_digest,
-        "reversed": [list(e) for e in rec.reversed_edges],
-    }
+def _state_template(cls: type) -> str:
+    """str.format template of one '"node":{payload}' entry of a step line.
+
+    The payload holds every field but the node, in sorted key order, as
+    state_payload names them; format it with the state's fields.
+    """
+    fields = sorted((name, k) for k, name in enumerate(cls._fields) if name != "node")
+    payload = ",".join(f'"{name}":{{{k}}}' for name, k in fields)
+    return '"{%d}":{{%s}}' % (cls._fields.index("node"), payload)
+
+
+_STATE_TEMPLATES = {cls: _state_template(cls) for cls in STATE_CLASSES.values()}
+
+
+def _step_line(rec: StepRecord) -> str:
+    """One step record, as json.dumps(..., sort_keys=True) with compact separators writes it.
+
+    Every value is an int, an int list or a hex digest, so no text needs
+    escaping.  Sorting the state entries sorts them by node key as a string:
+    a key that is a prefix of another ends in '"', which sorts below every
+    digit.
+    """
+    states = ",".join(sorted(_STATE_TEMPLATES[type(s)].format(*s) for s in rec.new_states))
+    reversed_edges = ",".join(f"[{a},{b}]" for a, b in rec.reversed_edges)
+    return (
+        f'{{"dag":"{rec.dag_digest}","index":{rec.index},"reversed":[{reversed_edges}],'
+        f'"states":{{{states}}},"stuck":[{",".join(map(str, rec.stuck))}],"type":"step",'
+        f'"updated":[{",".join(map(str, rec.updated))}]}}'
+    )
 
 
 def _totals_record(trace: Trace) -> dict:
@@ -57,10 +78,7 @@ def _totals_record(trace: Trace) -> dict:
 
 def trace_to_jsonl(trace: Trace) -> str:
     """One JSON object per step, then one totals object."""
-    lines = [
-        json.dumps(_step_record(trace, i), sort_keys=True, separators=(",", ":"))
-        for i in range(len(trace.steps))
-    ]
+    lines = [_step_line(rec) for rec in trace.steps]
     lines.append(json.dumps(_totals_record(trace), sort_keys=True, separators=(",", ":")))
     lines.append("")  # the trailing newline, without copying the joined text
     return "\n".join(lines)

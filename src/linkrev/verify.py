@@ -628,12 +628,33 @@ def check_order_invariance(
     )
 
 
+def _skipped_for_events(trace: Trace, scenario: Scenario, scheme: SchemeId) -> list[CheckReport]:
+    """Informational reports for the event-free checks a run with events skips."""
+    skipped = ["step-invariants", "reversal-semantics", "initial-greedy-stability"]
+    if scheme is SchemeId.BASELINE_INCREMENT:
+        skipped.remove("reversal-semantics")
+    events = "; ".join(f"step {step}: {text}" for step, text in trace.events_applied)
+    return [
+        _report(
+            check, scenario, scheme, [], schedule=trace.schedule,
+            detail=f"skipped: it assumes an event-free trace, and the run applied {events}",
+            informational=True,
+        )
+        for check in skipped
+    ]
+
+
 def standard_battery(
     scenario: Scenario,
     schemes: Sequence[SchemeId] = CORE_SCHEMES,
     seed: int = 0,
 ) -> list[CheckReport]:
-    """The per-scenario checks run by the command line verifier."""
+    """The per-scenario checks run by the command line verifier.
+
+    The step-invariant, reversal-semantics and initial-greedy-stability
+    checks assume an event-free trace; for a run that applied events each
+    yields an informational report that names the events instead.
+    """
     reports: list[CheckReport] = []
     for scheme in schemes:
         for schedule in (Schedule.single_random(seed), Schedule.subset_random(seed + 1)):
@@ -648,6 +669,9 @@ def standard_battery(
                 )
             )
             if not converged:
+                continue
+            if trace.events_applied:
+                reports.extend(_skipped_for_events(trace, scenario, scheme))
                 continue
             reports.append(check_step_invariants(trace, scenario, scheme))
             if scheme is not SchemeId.BASELINE_INCREMENT:

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import linkrev
 from linkrev.cli import EXIT_INPUT, EXIT_OK, EXIT_PARTITIONED, EXIT_PROPERTY, main
 
 CHAIN = """\
@@ -29,6 +35,15 @@ nodes 3
 edges D-1 1-2 2-3
 heights 1 2 1
 event 1 sleep 2 2
+"""
+
+DIAMOND_CUT = """\
+scenario v1
+name cli-diamond-cut
+nodes 3
+edges D-1 D-2 1-3 2-3
+heights 1 1 2
+event 1 remove-link D-1
 """
 
 PARTITION = """\
@@ -162,6 +177,22 @@ def test_verify_reports_an_event_scenario_that_never_converges(scenario_file, ca
     assert "checked 26 reports across 1 scenarios" in out
 
 
+def test_verify_reports_skipped_checks_on_a_converged_event_run(scenario_file, capsys):
+    # the step checks assume an event-free trace; the run converges after
+    # losing D-1, so each of them is reported as skipped, and exit code 0
+    # says that no check failed
+    code = main(["verify", scenario_file(DIAMOND_CUT), "--scheme", "no-full", "--verbose"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    for check in ("step-invariants", "reversal-semantics", "initial-greedy-stability"):
+        assert f"PASS {check}: 2/2 (2 informational)" in out
+        assert (
+            f"INFO {check} scheme=no-full scenario=cli-diamond-cut :: skipped: it assumes "
+            "an event-free trace, and the run applied step 1: remove-link D-1"
+        ) in out
+    assert "PASS termination: 2/2" in out
+
+
 def test_verify_random_battery(capsys):
     code = main(["verify", "--random", "5", "2", "--scheme", "no-full", "--seed", "3"])
     out = capsys.readouterr().out
@@ -223,3 +254,19 @@ def test_compare_needs_two_schemes(scenario_file, capsys):
     code = main(["compare", scenario_file(CHAIN), "--schemes", "no-full"])
     assert code == EXIT_PROPERTY
     assert "at least two" in capsys.readouterr().err
+
+
+# --- python -m linkrev ----------------------------------------------------------
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(linkrev.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "linkrev", "--help"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.startswith("usage: linkrev")
+    for command in ("run", "verify", "compare"):
+        assert command in done.stdout

@@ -18,7 +18,6 @@ from linkrev import (
     PhaseState,
     SchemeId,
     SchemeMismatchError,
-    ThresholdSequence,
     apply_update,
     baseline_increment_update,
     closed_form_height,
@@ -68,9 +67,16 @@ def test_threshold_rejects_bad_arguments():
         threshold(80, 5)
 
 
-def test_threshold_sequence_wrapper():
-    seq = ThresholdSequence(max_height=3)
-    assert [seq(t) for t in range(4)] == [0, 7, 14, 28]
+def test_threshold_starts_at_zero_and_doubles_from_its_second_term():
+    assert [threshold(t, 3) for t in range(5)] == [0, 7, 14, 28, 56]
+
+
+def test_no_partial_update_reflects_off_the_next_threshold():
+    own = CountedHeightState(1, 0, 2)
+    first = no_partial_update(own, 3)
+    assert first == CountedHeightState(1, 1, threshold(1, 3) - 2) == CountedHeightState(1, 1, 5)
+    assert no_partial_update(first, 3) == CountedHeightState(1, 2, threshold(2, 3) - 5)
+    assert list(inspect.signature(no_partial_update).parameters) == ["own", "max_height"]
 
 
 # --- closed forms checked against iterated rules -----------------------------
@@ -107,10 +113,9 @@ def test_closed_forms_match_iterated_updates(initial, extra, steps):
     max_height = initial + extra
     full = CountedHeightState(1, 0, initial)
     partial = CountedHeightState(1, 0, initial)
-    thresholds = ThresholdSequence(max_height)
     for t in range(1, steps + 1):
         full = no_full_update(full, max_height)
-        partial = no_partial_update(partial, thresholds)
+        partial = no_partial_update(partial, max_height)
         assert full == CountedHeightState(1, t, closed_form_height(SchemeId.NO_FULL, t, initial, max_height))
         assert partial == CountedHeightState(
             1, t, closed_form_height(SchemeId.NO_PARTIAL, t, initial, max_height)

@@ -33,6 +33,7 @@ from linkrev.model import (
     routing_dag,
     stuck_set,
 )
+from linkrev import sim as sim_module
 from linkrev.schemes import initial_states
 from linkrev.sim import STEP_LIMIT_ENV, default_step_limit
 
@@ -164,6 +165,15 @@ def test_simultaneous_updates_read_the_snapshot(star):
     assert sim.stuck_nodes() == ()
 
 
+def test_states_are_updated_in_place(chain):
+    sim = Simulation(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    states = sim.states
+    before = dict(states)
+    record = sim.step()
+    assert sim.states is states
+    assert states == {**before, 2: record.new_states[0]} != before
+
+
 def test_step_on_a_converged_network_raises():
     oriented = Scenario.create(2, [(0, 1), (1, 2)])
     sim = Simulation(oriented, SchemeId.NO_FULL)
@@ -235,6 +245,37 @@ def test_a_trace_keeps_no_per_step_orientation():
     # on CPython 3.11, records that held the arcs kept 1.35x more bytes a
     # step at n=48 than at n=16, and records without them 0.99x.
     assert _bytes_kept_per_step(48) <= 1.2 * _bytes_kept_per_step(16)
+
+
+@pytest.mark.parametrize("n", [16, 48])
+def test_an_event_free_step_builds_no_routing_dag(monkeypatch, n):
+    """The kernel orients the whole graph once, at construction, and never in a step."""
+    calls = {"routing_dag": 0, "RoutingDag": 0}
+    real_routing_dag, real_init = sim_module.routing_dag, RoutingDag.__init__
+
+    def counting_routing_dag(*args):
+        calls["routing_dag"] += 1
+        return real_routing_dag(*args)
+
+    def counting_init(self, *args):
+        calls["RoutingDag"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(sim_module, "routing_dag", counting_routing_dag)
+    monkeypatch.setattr(RoutingDag, "__init__", counting_init)
+    scenario = Scenario.create(n, [(0, n)] + [(i, i + 1) for i in range(1, n)], heights=range(1, n + 1))
+    sim = Simulation(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
+    assert calls["routing_dag"] == 1
+    while True:
+        before = dict(calls)
+        record = sim.advance()
+        assert calls == before
+        if record is None:
+            break
+        assert record.dag_digest == RoutingDag(sim.arcs).digest()
+    assert sim.outcome is Outcome.CONVERGED
+    assert len(sim.steps) == n * (n - 1) // 2
+    assert calls["routing_dag"] == 1
 
 
 # --- events ------------------------------------------------------------------

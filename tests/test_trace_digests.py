@@ -24,7 +24,8 @@ import pytest
 
 from linkrev import LinkrevError, Scenario, Schedule, SimEvent, run_scenario, trace_to_jsonl
 from linkrev.generate import random_partition_scenario, random_void_scenario
-from linkrev.model import ALL_SCHEMES
+from linkrev.model import ALL_SCHEMES, SchemeId
+from linkrev.schemes import state_payload
 
 DATA = Path(__file__).with_name("trace_digests.json")
 
@@ -85,6 +86,65 @@ def key(group: str, scheme) -> str:
 def test_traces_match_the_recorded_digests(group, scheme):
     expected = json.loads(DATA.read_text(encoding="utf-8"))
     assert group_digest(group, scheme) == expected[key(group, scheme)]
+
+
+# --- step lines against json.dumps --------------------------------------------
+
+
+def _chains(n: int = 12):
+    """Monotone and zigzag chains D-n, i-(i+1) under subset schedules.
+
+    On the zigzag chain every scheme updates some node 2..9 in one step
+    with a node whose key sorts below it as a string, such as 2 and 10.
+    """
+    edges = [(0, n)] + [(i, i + 1) for i in range(1, n)]
+    for heights in (range(1, n + 1), [i % 2 + 1 for i in range(1, n + 1)]):
+        scenario = Scenario.create(n, edges, heights=heights)
+        for seed in range(3):
+            yield scenario, Schedule.subset_random(seed)
+
+
+def _dumped_step(trace, rec) -> str:
+    record = {
+        "type": "step",
+        "index": rec.index,
+        "stuck": list(rec.stuck),
+        "updated": list(rec.updated),
+        "states": {str(s.node): state_payload(trace.scheme, s) for s in rec.new_states},
+        "dag": rec.dag_digest,
+        "reversed": [list(e) for e in rec.reversed_edges],
+    }
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _keys_out_of_int_order(rec) -> bool:
+    keys = [str(i) for i in rec.updated]
+    return keys != sorted(keys)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
+def test_step_lines_equal_json_dumps_of_the_record(scheme):
+    corpus = [run for group in GROUPS for run in runs(group)] + list(_chains())
+    lines = empty_reversed = string_order = negative = 0
+    for scenario, schedule in corpus:
+        try:
+            trace = run_scenario(scenario, scheme, schedule)
+        except LinkrevError:
+            continue
+        text = trace_to_jsonl(trace)
+        *steps, totals = text.splitlines()
+        assert len(steps) == len(trace.steps)
+        for line, rec in zip(steps, trace.steps):
+            assert line == _dumped_step(trace, rec)
+            lines += 1
+            empty_reversed += not rec.reversed_edges
+            string_order += _keys_out_of_int_order(rec)
+            negative += any(getattr(s, "height", 0) < 0 for s in rec.new_states)
+        assert json.loads(totals)["type"] == "totals"
+    # the corpus reaches the cases a hand-written formatter could get wrong
+    assert lines > 0 and empty_reversed > 0 and string_order > 0
+    if scheme is SchemeId.GB_PARTIAL:
+        assert negative > 0
 
 
 if __name__ == "__main__":
