@@ -129,9 +129,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for check, group in sorted(by_check.items()):
         bad = [r for r in group if not r.passed and not r.informational]
         info = [r for r in group if r.informational]
+        if len(info) == len(group):
+            print(f"INFO {check}: {len(info)} informational")
+            continue
         status = "FAIL" if bad else "PASS"
         extra = f" ({len(info)} informational)" if info else ""
-        print(f"{status} {check}: {len(group) - len(bad)}/{len(group)}{extra}")
+        passed = len(group) - len(bad) - len(info)
+        print(f"{status} {check}: {passed}/{len(group)}{extra}")
     for r in failed:
         print(f"  {r.line()}")
         if r.counterexample and args.verbose:

@@ -254,7 +254,7 @@ class Simulation:
         "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
         "_points_from", "_awake", "_awake_topo", "_stale", "_edges", "_edge_index",
         "_arcs", "_arc_labels", "_out_degree", "_stuck", "_stuck_view", "initial_arcs",
-        "initial_digest", "_recorded_index",
+        "initial_digest", "_recorded_index", "_eligible_memo",
     )
 
     def __init__(
@@ -308,6 +308,7 @@ class Simulation:
             self.live.without(drop_nodes=self.sleeping) if self.sleeping else self.live
         )
         self._stale = True
+        self._eligible_memo = (None, ())  # (stuck tuple, its eligible nodes)
 
     @property
     def awake(self) -> frozenset[int]:
@@ -458,16 +459,23 @@ class Simulation:
 
         The neighbor-aware rules need at least one awake neighbor to read;
         a stuck node isolated from every awake neighbor stays stuck but
-        cannot be scheduled.  Oblivious rules are always eligible.
+        cannot be scheduled.  Oblivious rules are always eligible.  The
+        answer is kept for the stuck tuple it was computed from until the
+        awake graph changes, so advance() and the step() it calls scan the
+        stuck nodes' neighbors once a turn.
         """
         if not RULES[self.scheme].neighbor_aware:
             return stuck
-        awake = self._awake
-        return tuple(
-            i
-            for i in stuck
-            if any(j != DESTINATION and j in awake for j in self.live.neighbors(i))
-        )
+        seen, eligible = self._eligible_memo
+        if seen is not stuck:
+            awake = self._awake
+            eligible = tuple(
+                i
+                for i in stuck
+                if any(j != DESTINATION and j in awake for j in self.live.neighbors(i))
+            )
+            self._eligible_memo = (stuck, eligible)
+        return eligible
 
     def step(self, chosen: Sequence[int] | None = None) -> StepRecord:
         """Run one update step; raises EmptyStuckSetError when already oriented.

@@ -3,12 +3,23 @@
 Checks consume recorded traces rather than re-deriving them, so a corrupted
 or hand-edited trace is caught.  Failing reports carry a replayable
 counterexample: the serialized scenario, the schedule, and the step index.
+
+check_step_invariants orients the whole graph once, at step 0, and then
+replays the recorded new states into one state dict, re-orienting only the
+links of each step's updaters U: O(sum of deg U) a step, with no copy of the
+states and no routing_dag per step.  check_determinism(first) reruns a
+recorded trace once and compares the JSONL, and
+check_scheme_equivalence(reference, shadow, gating) replays a recorded
+reference trace under the shadow scheme.  standard_battery runs
+Schedule.subset_random(seed) once per scheme and hands that one trace to
+both, so the equivalence families reuse the determinism check's first run.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import starmap
 
 from .errors import ExplosionGuardError, LinkrevError, ScheduleError
 from .model import (
@@ -18,17 +29,17 @@ from .model import (
     FULL_REVERSAL_SCHEMES,
     PARTIAL_REVERSAL_SCHEMES,
     PHASE_MODULUS,
+    HeightAssignment,
     RoutingDag,
     SchemeId,
     State,
-    Topology,
+    arc_label,
+    arcs_digest,
     is_acyclic,
     is_destination_oriented,
-    orientation_flips,
     orientation_predicate,
     routing_dag,
     sort_key,
-    stuck_set,
 )
 from .scenario import Scenario, serialize_scenario
 from .schemes import closed_form_height, initial_states, threshold, apply_update, RULES
@@ -116,15 +127,6 @@ def _replayed_orientations(trace: Trace) -> Iterator[tuple[StepRecord, dict, set
         yield rec, arcs, flipped
 
 
-def _timeline(trace: Trace, scenario: Scenario, scheme: SchemeId):
-    """Reconstruct the full state vector after each recorded step."""
-    states = initial_states(scheme, scenario.topology, scenario.heights)
-    yield 0, dict(states), None
-    for rec in trace.steps:
-        states = {**states, **{s.node: s for s in rec.new_states}}
-        yield rec.index, dict(states), rec
-
-
 def _monotone_failure(scheme: SchemeId, old: State, new: State) -> str | None:
     if scheme in (SchemeId.TWO_BIT_FULL, SchemeId.TWO_BIT_PARTIAL):
         if new.phase != (old.phase + 1) % PHASE_MODULUS:
@@ -139,6 +141,207 @@ def _monotone_failure(scheme: SchemeId, old: State, new: State) -> str | None:
     return None
 
 
+def _closes_cycle(out: Mapping[int, Iterable[int]], heads: Iterable[int]) -> bool:
+    """True if a directed cycle can be reached from one of the heads.
+
+    out maps each node to its out-neighbors.  When the orientation was
+    acyclic before some arcs flipped, every new cycle runs through a
+    flipped arc and so through its head: a depth-first search from the
+    heads of the flipped arcs finds it, at the cost of the part of the
+    graph they reach.
+    """
+    done: set[int] = set()
+    for head in heads:
+        if head in done:
+            continue
+        path = {head}
+        stack = [(head, iter(out[head]))]
+        while stack:
+            node, rest = stack[-1]
+            for nxt in rest:
+                if nxt in path:
+                    return True
+                if nxt not in done:
+                    path.add(nxt)
+                    stack.append((nxt, iter(out[nxt])))
+                    break
+            else:
+                stack.pop()
+                path.discard(node)
+                done.add(node)
+    return False
+
+
+class _StateReplay:
+    """The recorded states and the orientation they induce, patched step by step.
+
+    The states are written into one dict in place.  The arcs (in canonical
+    edge order), their digest labels, each node's out-neighbors and the
+    sorted stuck set are kept, and after each step only the links of the
+    nodes whose states were written are re-oriented: O(sum of their
+    degrees) a step.  The replay is kept apart from Simulation's kernel on
+    purpose, since the check exists to catch that kernel's faults; it
+    shares only the compiled predicate, which defines the orientation.
+    """
+
+    def __init__(self, scenario: Scenario, scheme: SchemeId):
+        topo = scenario.topology
+        self.states = initial_states(scheme, topo, scenario.heights)
+        self.initial = routing_dag(self.states, topo, scheme, scenario.heights)
+        self._points_from = orientation_predicate(scheme, scenario.heights)
+        self._edges = topo.edges
+        # Edge indices of each node's links to other nondestination nodes;
+        # a link into the destination always points into it.
+        self._links: dict[int, list[int]] = {i: [] for i in topo.nodes}
+        for k, (a, b) in enumerate(topo.edges):
+            if a != DESTINATION:
+                self._links[a].append(k)
+                self._links[b].append(k)
+        self.arcs = list(self.initial.arcs)
+        self._labels = list(starmap(arc_label, self.arcs))
+        self.out: dict[int, set[int]] = {i: set() for i in (DESTINATION, *topo.nodes)}
+        for s, d in self.arcs:
+            self.out[s].add(d)
+        self.stuck = tuple(i for i in topo.nodes if not self.out[i])
+
+    def digest(self) -> str:
+        return arcs_digest(self._labels)
+
+    def apply(
+        self, new_states: Sequence[State]
+    ) -> tuple[list[tuple[int, int]], list[int], tuple[tuple[int, int], ...]]:
+        """Write the new states and re-orient their links.
+
+        Returns the re-oriented links, the heads of the arcs that flipped,
+        and the flipped links, each in canonical edge order.
+        """
+        states, points_from, edges = self.states, self._points_from, self._edges
+        arcs, labels, out = self.arcs, self._labels, self.out
+        for s in new_states:
+            states[s.node] = s
+        touched = sorted({k for s in new_states for k in self._links[s.node]})
+        heads, flipped = [], []
+        for k in touched:
+            a, b = edges[k]
+            arc = (a, b) if points_from(states[a], states[b]) else (b, a)
+            was = arcs[k]
+            if arc != was:
+                arcs[k] = arc
+                labels[k] = arc_label(*arc)
+                out[was[0]].discard(was[1])
+                out[arc[0]].add(arc[1])
+                heads.append(arc[1])
+                flipped.append(edges[k])
+        # Only the endpoints of a flipped link changed their out-degree.
+        ends = {i for edge in flipped for i in edge}
+        if ends:
+            kept = {i for i in self.stuck if i not in ends}
+            self.stuck = tuple(sorted(kept | {i for i in ends if not out[i]}))
+        return [edges[k] for k in touched], heads, tuple(flipped)
+
+
+def _scheme_failures(
+    tag: str,
+    scheme: SchemeId,
+    states: Mapping[int, State],
+    nodes: Iterable[int],
+    edges: Iterable[tuple[int, int]],
+    n: int,
+    heights: HeightAssignment,
+) -> list[str]:
+    """Counter, phase and level invariants of the given nodes and links."""
+    failures: list[str] = []
+    max_height = heights.max_height
+    if scheme in COUNTER_SCHEMES:
+        for i in nodes:
+            s = states[i]
+            h0 = heights.of(i)
+            if s.updates > n:
+                failures.append(f"{tag}: node {i} update count {s.updates} exceeds n={n}")
+            if s.height != closed_form_height(scheme, s.updates, h0, max_height):
+                failures.append(f"{tag}: node {i} height {s.height} off closed form")
+            if scheme is SchemeId.NO_FULL:
+                if not (s.updates * max_height < s.height <= (s.updates + 1) * max_height):
+                    failures.append(f"{tag}: node {i} height {s.height} outside its band")
+            elif s.updates >= 1 and not (
+                threshold(s.updates - 1, max_height) < s.height < threshold(s.updates, max_height)
+            ):
+                failures.append(f"{tag}: node {i} height {s.height} outside its band")
+        for a, b in edges:
+            if a == DESTINATION:
+                continue
+            ta, tb = states[a].updates, states[b].updates
+            if abs(ta - tb) > 1:
+                failures.append(f"{tag}: update counts of {a},{b} differ by {abs(ta - tb)}")
+            if ta > tb and not states[a].height > states[b].height:
+                failures.append(f"{tag}: node {a} updated more but is not higher than {b}")
+            if tb > ta and not states[b].height > states[a].height:
+                failures.append(f"{tag}: node {b} updated more but is not higher than {a}")
+    elif scheme in (SchemeId.TWO_BIT_FULL, SchemeId.TWO_BIT_PARTIAL):
+        for a, b in edges:
+            if a == DESTINATION:
+                continue
+            if (states[a].phase - states[b].phase) % PHASE_MODULUS == 2:
+                failures.append(f"{tag}: phases of neighbors {a},{b} drifted two apart")
+    elif scheme is SchemeId.GB_PARTIAL:
+        for a, b in edges:
+            if a == DESTINATION:
+                continue
+            if abs(states[a].level - states[b].level) > 1:
+                failures.append(f"{tag}: levels of neighbors {a},{b} drifted apart")
+    return failures
+
+
+def _replay_failures(
+    trace: Trace, scenario: Scenario, scheme: SchemeId
+) -> tuple[list[str], int | None]:
+    """The failures of the first step that has any, and that step's index."""
+    topo = scenario.topology
+    heights = scenario.heights
+    replay = _StateReplay(scenario, scheme)
+    states = replay.states
+    failures: list[str] = []
+    if replay.digest() != trace.initial_digest:
+        failures.append("initial digest does not match the scenario")
+    if not is_acyclic(replay.initial):
+        failures.append("step 0: orientation has a cycle")
+    if not replay.stuck and not is_destination_oriented(replay.arcs, topo):
+        failures.append("step 0: stuck set emptiness disagrees with orientation")
+    failures += _scheme_failures("step 0", scheme, states, topo.nodes, topo.edges, trace.n, heights)
+    if failures:
+        return failures, 0
+
+    for rec in trace.steps:
+        tag = f"step {rec.index}"
+        before = [states[s.node] for s in rec.new_states]
+        prev_stuck = replay.stuck
+        links, heads, flipped = replay.apply(rec.new_states)
+        if set(rec.updated) - set(rec.stuck):
+            failures.append(f"{tag}: updated nodes {rec.updated} not all stuck")
+        if tuple(rec.stuck) != prev_stuck:
+            failures.append(
+                f"{tag}: recorded stuck set {list(rec.stuck)} is not the stuck set "
+                f"{list(prev_stuck)} before the step"
+            )
+        for old, s in zip(before, rec.new_states):
+            problem = _monotone_failure(scheme, old, s)
+            if problem:
+                failures.append(f"{tag}: {problem}")
+        if replay.digest() != rec.dag_digest:
+            failures.append(f"{tag}: recorded digest {rec.dag_digest} does not match states")
+        if tuple(rec.reversed_edges) != flipped:
+            failures.append(f"{tag}: recorded reversed edges do not match states")
+        if _closes_cycle(replay.out, heads):
+            failures.append(f"{tag}: orientation has a cycle")
+        if not replay.stuck and not is_destination_oriented(replay.arcs, topo):
+            failures.append(f"{tag}: stuck set emptiness disagrees with orientation")
+        updaters = sorted({s.node for s in rec.new_states})
+        failures += _scheme_failures(tag, scheme, states, updaters, links, trace.n, heights)
+        if failures:
+            return failures, rec.index
+    return [], None
+
+
 def check_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) -> CheckReport:
     """Per-step structural invariants of the recorded run.
 
@@ -148,87 +351,17 @@ def check_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) ->
     closed-form heights and height bands for the counted schemes, update
     counts bounded by the node count, and neighbor adjacency of counters,
     levels and phases.
+
+    Step 0 checks the whole initial orientation and every node and link.
+    Each recorded step is then replayed at O(sum of deg U) for its
+    updaters U, since nothing else changed: the updaters' links are
+    re-oriented, and only the arcs that flipped are searched for a new
+    cycle, only the updaters and their links are checked against the
+    scheme's invariants, and destination orientation is computed only
+    when the stuck set is empty (a stuck node has no path out).
     """
     _require_plain_trace(trace)
-    topo = scenario.topology
-    heights = scenario.heights
-    max_height = heights.max_height
-    failures: list[str] = []
-    fail_step: int | None = None
-    prev_states: dict[int, State] | None = None
-    prev_dag: RoutingDag | None = None
-    prev_stuck: tuple[int, ...] = ()
-
-    for index, states, rec in _timeline(trace, scenario, scheme):
-        dag = routing_dag(states, topo, scheme, heights)
-        stuck = tuple(sorted(stuck_set(dag, topo)))
-        tag = f"step {index}"
-        if rec is not None:
-            if set(rec.updated) - set(rec.stuck):
-                failures.append(f"{tag}: updated nodes {rec.updated} not all stuck")
-            if tuple(rec.stuck) != prev_stuck:
-                failures.append(
-                    f"{tag}: recorded stuck set {list(rec.stuck)} is not the stuck set "
-                    f"{list(prev_stuck)} before the step"
-                )
-            for s in rec.new_states:
-                problem = _monotone_failure(scheme, prev_states[s.node], s)
-                if problem:
-                    failures.append(f"{tag}: {problem}")
-            if dag.digest() != rec.dag_digest:
-                failures.append(f"{tag}: recorded digest {rec.dag_digest} does not match states")
-            if tuple(rec.reversed_edges) != orientation_flips(prev_dag, dag):
-                failures.append(f"{tag}: recorded reversed edges do not match states")
-        elif dag.digest() != trace.initial_digest:
-            failures.append("initial digest does not match the scenario")
-
-        if not is_acyclic(dag):
-            failures.append(f"{tag}: orientation has a cycle")
-        oriented = is_destination_oriented(dag, topo)
-        if bool(stuck) == oriented:
-            failures.append(f"{tag}: stuck set emptiness disagrees with orientation")
-
-        if scheme in COUNTER_SCHEMES:
-            for i, s in states.items():
-                h0 = heights.of(i)
-                if s.updates > trace.n:
-                    failures.append(f"{tag}: node {i} update count {s.updates} exceeds n={trace.n}")
-                if s.height != closed_form_height(scheme, s.updates, h0, max_height):
-                    failures.append(f"{tag}: node {i} height {s.height} off closed form")
-                if scheme is SchemeId.NO_FULL:
-                    if not (s.updates * max_height < s.height <= (s.updates + 1) * max_height):
-                        failures.append(f"{tag}: node {i} height {s.height} outside its band")
-                elif s.updates >= 1 and not (
-                    threshold(s.updates - 1, max_height) < s.height < threshold(s.updates, max_height)
-                ):
-                    failures.append(f"{tag}: node {i} height {s.height} outside its band")
-            for a, b in topo.edges:
-                if a == DESTINATION:
-                    continue
-                ta, tb = states[a].updates, states[b].updates
-                if abs(ta - tb) > 1:
-                    failures.append(f"{tag}: update counts of {a},{b} differ by {abs(ta - tb)}")
-                if ta > tb and not states[a].height > states[b].height:
-                    failures.append(f"{tag}: node {a} updated more but is not higher than {b}")
-                if tb > ta and not states[b].height > states[a].height:
-                    failures.append(f"{tag}: node {b} updated more but is not higher than {a}")
-        elif scheme in (SchemeId.TWO_BIT_FULL, SchemeId.TWO_BIT_PARTIAL):
-            for a, b in topo.edges:
-                if a == DESTINATION:
-                    continue
-                if (states[a].phase - states[b].phase) % PHASE_MODULUS == 2:
-                    failures.append(f"{tag}: phases of neighbors {a},{b} drifted two apart")
-        elif scheme is SchemeId.GB_PARTIAL:
-            for a, b in topo.edges:
-                if a == DESTINATION:
-                    continue
-                if abs(states[a].level - states[b].level) > 1:
-                    failures.append(f"{tag}: levels of neighbors {a},{b} drifted apart")
-
-        if failures:
-            fail_step = index
-            break
-        prev_states, prev_dag, prev_stuck = states, dag, stuck
+    failures, fail_step = _replay_failures(trace, scenario, scheme)
 
     if not failures and scheme in COUNTER_SCHEMES and trace.steps:
         final = {s.node: s for s in trace.final_states}
@@ -409,9 +542,7 @@ def _lockstep_divergence(
 
 
 def check_scheme_equivalence(
-    scenario: Scenario,
-    schedule: Schedule,
-    reference: SchemeId,
+    reference: Trace,
     shadow: SchemeId,
     gating: bool = True,
 ) -> CheckReport:
@@ -425,18 +556,18 @@ def check_scheme_equivalence(
     fails the check.  With gating=False the comparison is informational:
     divergence is reported, not failed.
     """
-    ref = run_scenario(scenario, reference, schedule)
+    scenario, schedule, scheme = reference.scenario, reference.schedule, reference.scheme
     failures: list[str] = []
     fail_step: int | None = None
-    if ref.outcome is not Outcome.CONVERGED:
-        failures.append(f"reference run ended {ref.outcome} and cannot anchor a replay")
+    if reference.outcome is not Outcome.CONVERGED:
+        failures.append(f"reference run ended {reference.outcome} and cannot anchor a replay")
         return _report("scheme-equivalence", scenario, shadow, failures, schedule=schedule)
 
     # The shadow never consults its schedule while replaying; after the
     # last step, an empty one raises if the shadow is still stuck.
-    sim = Simulation(scenario, shadow, Schedule.fixed((), label=f"replay-of-{reference.value}"))
+    sim = Simulation(scenario, shadow, Schedule.fixed((), label=f"replay-of-{scheme.value}"))
     divergence: str | None = None
-    for rec, ref_arcs in _reference_orientations(ref):
+    for rec, ref_arcs in _reference_orientations(reference):
         found = _lockstep_divergence(sim, rec, ref_arcs)
         if found is not None:
             divergence, fail_step = f"step {rec.index}: {found}", rec.index
@@ -456,26 +587,26 @@ def check_scheme_equivalence(
         if not gating:
             return _report(
                 "scheme-divergence", scenario, shadow, [],
-                detail=f"vs {reference.value}: {divergence}", informational=True,
+                detail=f"vs {scheme.value}: {divergence}", informational=True,
             )
-        failures.append(f"vs {reference.value}: {divergence}")
+        failures.append(f"vs {scheme.value}: {divergence}")
     return _report(
         "scheme-equivalence" if gating else "scheme-divergence",
         scenario, shadow, failures,
         schedule=schedule, step=fail_step,
-        detail=f"lockstep with {reference.value} across {len(ref.steps)} steps",
+        detail=f"lockstep with {scheme.value} across {len(reference.steps)} steps",
         informational=not gating,
     )
 
 
-def check_determinism(scenario: Scenario, scheme: SchemeId, schedule: Schedule) -> CheckReport:
-    """Two fresh runs with identical inputs must serialize byte-identically."""
-    first = trace_to_jsonl(run_scenario(scenario, scheme, schedule))
-    second = trace_to_jsonl(run_scenario(scenario, scheme, schedule))
-    failures = [] if first == second else ["reruns differ"]
+def check_determinism(first: Trace) -> CheckReport:
+    """A fresh rerun of a recorded run must serialize byte-identically."""
+    rerun = run_scenario(first.scenario, first.scheme, first.schedule, first.step_limit)
+    text, again = trace_to_jsonl(first), trace_to_jsonl(rerun)
+    failures = [] if text == again else ["reruns differ"]
     return _report(
-        "determinism", scenario, scheme, failures,
-        schedule=schedule, detail=f"{len(first.splitlines())} identical records",
+        "determinism", first.scenario, first.scheme, failures,
+        schedule=first.schedule, detail=f"{len(text.splitlines())} identical records",
     )
 
 
@@ -656,6 +787,8 @@ def standard_battery(
     yields an informational report that names the events instead.
     """
     reports: list[CheckReport] = []
+    wanted = set(schemes)
+    equivalence: dict[tuple[SchemeId, SchemeId, bool], CheckReport] = {}
     for scheme in schemes:
         for schedule in (Schedule.single_random(seed), Schedule.subset_random(seed + 1)):
             trace = run_scenario(scenario, scheme, schedule)
@@ -677,13 +810,13 @@ def standard_battery(
             if scheme is not SchemeId.BASELINE_INCREMENT:
                 reports.append(check_reversal_semantics(trace, scenario, scheme))
             reports.append(check_initial_greedy_stability(trace, scenario))
-        reports.append(check_determinism(scenario, scheme, Schedule.subset_random(seed)))
-    wanted = set(schemes)
-    for reference, shadow, gating in EQUIVALENCE_PAIRS:
-        if reference in wanted and shadow in wanted:
-            reports.append(
-                check_scheme_equivalence(
-                    scenario, Schedule.subset_random(seed), reference, shadow, gating
-                )
-            )
+        # One run serves the determinism check and every equivalence pair
+        # this scheme anchors; only the reports wait for the end, not traces.
+        trace = run_scenario(scenario, scheme, Schedule.subset_random(seed))
+        reports.append(check_determinism(trace))
+        for pair in EQUIVALENCE_PAIRS:
+            reference, shadow, gating = pair
+            if reference is scheme and shadow in wanted:
+                equivalence[pair] = check_scheme_equivalence(trace, shadow, gating)
+    reports.extend(equivalence[pair] for pair in EQUIVALENCE_PAIRS if pair in equivalence)
     return reports

@@ -258,12 +258,11 @@ def test_criterion_7_finite_state_equivalence(corpus, traces):
     violations = []
     compared = 0
     for k, scenario in enumerate(corpus):
-        schedule = _schedule_for(k)
         for reference, shadow, gating in EQUIVALENCE_PAIRS:
             if not gating:
                 continue
             compared += 1
-            report = check_scheme_equivalence(scenario, schedule, reference, shadow)
+            report = check_scheme_equivalence(runs[(k, reference)], shadow)
             if not report.passed:
                 violations.append(f"{scenario.scenario_id()}/{shadow}: {report.detail}")
     # structural bit widths over every recorded state of the corpus

@@ -162,7 +162,7 @@ def test_verify_scenario_files(scenario_file, capsys):
     assert "PASS termination:" in out
     assert "PASS step-invariants:" in out
     assert "PASS scheme-equivalence:" in out
-    assert "informational" in out
+    assert "INFO scheme-divergence: 1 informational" in out
     assert "checked" in out and "1 scenarios" in out
 
 
@@ -185,12 +185,23 @@ def test_verify_reports_skipped_checks_on_a_converged_event_run(scenario_file, c
     out = capsys.readouterr().out
     assert code == EXIT_OK
     for check in ("step-invariants", "reversal-semantics", "initial-greedy-stability"):
-        assert f"PASS {check}: 2/2 (2 informational)" in out
+        assert f"INFO {check}: 2 informational" in out
+        assert f"PASS {check}:" not in out
         assert (
             f"INFO {check} scheme=no-full scenario=cli-diamond-cut :: skipped: it assumes "
             "an event-free trace, and the run applied step 1: remove-link D-1"
         ) in out
     assert "PASS termination: 2/2" in out
+
+
+def test_verify_counts_only_gating_reports_as_passes(scenario_file, capsys):
+    # the chain's runs are checked, the diamond's are skipped for its event
+    files = [scenario_file(CHAIN, "chain.scn"), scenario_file(DIAMOND_CUT, "cut.scn")]
+    code = main(["verify", *files, "--scheme", "no-full"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "PASS step-invariants: 2/4 (2 informational)" in out
+    assert "PASS termination: 4/4" in out
 
 
 def test_verify_random_battery(capsys):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from linkrev import (
     CountedHeightState,
+    EmptyNeighborhoodError,
     EmptyStuckSetError,
     EventError,
     HeightState,
@@ -384,6 +385,37 @@ def test_neighbor_aware_schemes_detect_isolation(partition_scenario, scheme):
     trace = run_scenario(partition_scenario, scheme, Schedule.single_random(0))
     assert trace.outcome is Outcome.PARTITIONED
     assert "no awake neighbor" in trace.certificate
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.GB_FULL, SchemeId.GB_PARTIAL])
+def test_a_direct_step_still_checks_eligibility(partition_scenario, scheme):
+    sim = Simulation(partition_scenario, scheme, Schedule.single_random(0))
+    sim.run()
+    assert sim.stuck_nodes()
+    with pytest.raises(EmptyNeighborhoodError, match="no awake neighbor"):
+        sim.step()
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.GB_FULL, SchemeId.GB_PARTIAL])
+def test_eligibility_is_scanned_once_a_turn(monkeypatch, scheme):
+    # advance() and the step() it calls share one scan of the stuck nodes' neighbors
+    scans = []
+    real = Simulation._eligible
+
+    def counting(self, stuck):
+        before = self._eligible_memo
+        eligible = real(self, stuck)
+        if self._eligible_memo is not before:
+            scans.append(stuck)
+        return eligible
+
+    monkeypatch.setattr(Simulation, "_eligible", counting)
+    n = 12
+    edges = [(0, n)] + [(i, i + 1) for i in range(1, n)]
+    scenario = Scenario.create(n, edges, heights=range(1, n + 1))
+    trace = run_scenario(scenario, scheme, Schedule.single_random(0))
+    assert trace.outcome is Outcome.CONVERGED
+    assert len(scans) == len(trace.steps)
 
 
 @pytest.mark.parametrize("scheme", [SchemeId.TWO_BIT_FULL, SchemeId.ONE_BIT_FULL])

@@ -1,0 +1,343 @@
+"""The incremental step-invariant check against the whole-graph one it replaced.
+
+``oracle_step_invariants`` is the earlier ``check_step_invariants``, kept
+verbatim as a reference: it rebuilds the full state vector and a full
+``routing_dag`` for every recorded step and re-derives the stuck set, the
+flips, acyclicity and destination orientation from scratch.  The check in
+``linkrev.verify`` replays the recorded states in place and re-orients only
+the updaters' links; on clean traces and on traces with one field of one
+step record rewritten, it must return the same report as the oracle, or
+raise the same error.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from hypothesis import given, settings, strategies as st
+
+from linkrev import LinkrevError, Schedule, check_step_invariants, run_scenario
+from linkrev.generate import random_void_scenario
+from linkrev.model import (
+    CORE_SCHEMES,
+    COUNTER_SCHEMES,
+    DESTINATION,
+    PHASE_MODULUS,
+    FlagState,
+    RoutingDag,
+    SchemeId,
+    State,
+    is_acyclic,
+    is_destination_oriented,
+    orientation_flips,
+    routing_dag,
+    sort_key,
+    stuck_set,
+)
+from linkrev.scenario import Scenario
+from linkrev.schemes import closed_form_height, initial_states, threshold
+from linkrev.sim import Trace
+from linkrev.verify import CheckReport, _closes_cycle, _report, _require_plain_trace
+
+
+# --- the reference implementation --------------------------------------------
+
+
+def _timeline(trace: Trace, scenario: Scenario, scheme: SchemeId):
+    """Reconstruct the full state vector after each recorded step."""
+    states = initial_states(scheme, scenario.topology, scenario.heights)
+    yield 0, dict(states), None
+    for rec in trace.steps:
+        states = {**states, **{s.node: s for s in rec.new_states}}
+        yield rec.index, dict(states), rec
+
+
+def _monotone_failure(scheme: SchemeId, old: State, new: State) -> str | None:
+    if scheme in (SchemeId.TWO_BIT_FULL, SchemeId.TWO_BIT_PARTIAL):
+        if new.phase != (old.phase + 1) % PHASE_MODULUS:
+            return f"phase of node {old.node} moved {old.phase}->{new.phase}, not one step"
+        return None
+    if scheme is SchemeId.ONE_BIT_FULL:
+        if new.flag != old.flag ^ 1:
+            return f"flag of node {old.node} did not toggle ({old.flag}->{new.flag})"
+        return None
+    if not sort_key(new, scheme) > sort_key(old, scheme):
+        return f"state of node {old.node} did not strictly increase: {old} -> {new}"
+    return None
+
+
+def oracle_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) -> CheckReport:
+    """Per-step structural invariants of the recorded run.
+
+    Covers: recorded stuck sets, reversed edges and DAG digests against
+    the orientation the recorded states induce, acyclicity, the
+    stuck/oriented equivalence, strictly advancing updater states,
+    closed-form heights and height bands for the counted schemes, update
+    counts bounded by the node count, and neighbor adjacency of counters,
+    levels and phases.
+    """
+    _require_plain_trace(trace)
+    topo = scenario.topology
+    heights = scenario.heights
+    max_height = heights.max_height
+    failures: list[str] = []
+    fail_step: int | None = None
+    prev_states: dict[int, State] | None = None
+    prev_dag: RoutingDag | None = None
+    prev_stuck: tuple[int, ...] = ()
+
+    for index, states, rec in _timeline(trace, scenario, scheme):
+        dag = routing_dag(states, topo, scheme, heights)
+        stuck = tuple(sorted(stuck_set(dag, topo)))
+        tag = f"step {index}"
+        if rec is not None:
+            if set(rec.updated) - set(rec.stuck):
+                failures.append(f"{tag}: updated nodes {rec.updated} not all stuck")
+            if tuple(rec.stuck) != prev_stuck:
+                failures.append(
+                    f"{tag}: recorded stuck set {list(rec.stuck)} is not the stuck set "
+                    f"{list(prev_stuck)} before the step"
+                )
+            for s in rec.new_states:
+                problem = _monotone_failure(scheme, prev_states[s.node], s)
+                if problem:
+                    failures.append(f"{tag}: {problem}")
+            if dag.digest() != rec.dag_digest:
+                failures.append(f"{tag}: recorded digest {rec.dag_digest} does not match states")
+            if tuple(rec.reversed_edges) != orientation_flips(prev_dag, dag):
+                failures.append(f"{tag}: recorded reversed edges do not match states")
+        elif dag.digest() != trace.initial_digest:
+            failures.append("initial digest does not match the scenario")
+
+        if not is_acyclic(dag):
+            failures.append(f"{tag}: orientation has a cycle")
+        oriented = is_destination_oriented(dag, topo)
+        if bool(stuck) == oriented:
+            failures.append(f"{tag}: stuck set emptiness disagrees with orientation")
+
+        if scheme in COUNTER_SCHEMES:
+            for i, s in states.items():
+                h0 = heights.of(i)
+                if s.updates > trace.n:
+                    failures.append(f"{tag}: node {i} update count {s.updates} exceeds n={trace.n}")
+                if s.height != closed_form_height(scheme, s.updates, h0, max_height):
+                    failures.append(f"{tag}: node {i} height {s.height} off closed form")
+                if scheme is SchemeId.NO_FULL:
+                    if not (s.updates * max_height < s.height <= (s.updates + 1) * max_height):
+                        failures.append(f"{tag}: node {i} height {s.height} outside its band")
+                elif s.updates >= 1 and not (
+                    threshold(s.updates - 1, max_height) < s.height < threshold(s.updates, max_height)
+                ):
+                    failures.append(f"{tag}: node {i} height {s.height} outside its band")
+            for a, b in topo.edges:
+                if a == DESTINATION:
+                    continue
+                ta, tb = states[a].updates, states[b].updates
+                if abs(ta - tb) > 1:
+                    failures.append(f"{tag}: update counts of {a},{b} differ by {abs(ta - tb)}")
+                if ta > tb and not states[a].height > states[b].height:
+                    failures.append(f"{tag}: node {a} updated more but is not higher than {b}")
+                if tb > ta and not states[b].height > states[a].height:
+                    failures.append(f"{tag}: node {b} updated more but is not higher than {a}")
+        elif scheme in (SchemeId.TWO_BIT_FULL, SchemeId.TWO_BIT_PARTIAL):
+            for a, b in topo.edges:
+                if a == DESTINATION:
+                    continue
+                if (states[a].phase - states[b].phase) % PHASE_MODULUS == 2:
+                    failures.append(f"{tag}: phases of neighbors {a},{b} drifted two apart")
+        elif scheme is SchemeId.GB_PARTIAL:
+            for a, b in topo.edges:
+                if a == DESTINATION:
+                    continue
+                if abs(states[a].level - states[b].level) > 1:
+                    failures.append(f"{tag}: levels of neighbors {a},{b} drifted apart")
+
+        if failures:
+            fail_step = index
+            break
+        prev_states, prev_dag, prev_stuck = states, dag, stuck
+
+    if not failures and scheme in COUNTER_SCHEMES and trace.steps:
+        final = {s.node: s for s in trace.final_states}
+        for i, count in trace.update_counts.items():
+            if i in final and final[i].updates != count:
+                failures.append(f"final update counter of node {i} disagrees with the trace totals")
+
+    return _report(
+        "step-invariants", scenario, scheme, failures,
+        schedule=trace.schedule, step=fail_step,
+        detail=f"{len(trace.steps)} steps clean",
+    )
+
+
+# --- differential test ---------------------------------------------------------
+
+FIELDS = ("new_states", "stuck", "updated", "reversed_edges", "dag_digest")
+
+
+def _bumped(state: State, delta: int) -> State:
+    """The state with one of its counters moved by delta, kept in its domain."""
+    if hasattr(state, "phase"):
+        return state._replace(phase=(state.phase + delta) % PHASE_MODULUS)
+    if hasattr(state, "flag"):
+        return state._replace(flag=state.flag ^ 1)
+    field = state._fields[1 + abs(delta) % (len(state._fields) - 1)]
+    return state._replace(**{field: getattr(state, field) + delta})
+
+
+@st.composite
+def _rewrite(draw, trace: Trace, rec, field: str):
+    """A new value for one field of one step record."""
+    other = draw(st.sampled_from(trace.steps))
+    nodes = trace.scenario.topology.nodes
+    if field == "new_states":
+        states = list(rec.new_states)
+        k = draw(st.integers(0, len(states) - 1))
+        how = draw(st.sampled_from(("bump", "drop", "repeat", "other-step", "other-node")))
+        if how == "bump":
+            states[k] = _bumped(states[k], draw(st.sampled_from((-2, -1, 1, 2))))
+        elif how == "drop":
+            del states[k]
+        elif how == "repeat":
+            states.append(_bumped(states[k], 1))
+        elif how == "other-step":
+            return other.new_states
+        else:
+            states[k] = states[k]._replace(node=draw(st.sampled_from(nodes)))
+        return tuple(states)
+    if field == "dag_digest":
+        return draw(st.sampled_from((other.dag_digest, trace.initial_digest, "0" * 12)))
+    if field == "reversed_edges":
+        edges = list(rec.reversed_edges)
+        how = draw(st.sampled_from(("add", "drop", "reverse", "other-step")))
+        if how == "add":
+            edges.append(draw(st.sampled_from(trace.scenario.topology.edges)))
+        elif how == "drop" and edges:
+            del edges[draw(st.integers(0, len(edges) - 1))]
+        elif how == "reverse":
+            edges.reverse()
+        else:
+            return other.reversed_edges
+        return tuple(edges)
+    chosen = list(getattr(rec, field))
+    how = draw(st.sampled_from(("add", "drop", "reverse", "other-step")))
+    if how == "add":
+        chosen.append(draw(st.sampled_from(nodes)))
+    elif how == "drop" and chosen:
+        del chosen[draw(st.integers(0, len(chosen) - 1))]
+    elif how == "reverse":
+        chosen.reverse()
+    else:
+        return getattr(other, field)
+    return tuple(chosen)
+
+
+@st.composite
+def _traces(draw):
+    """A random void run under one core scheme, with at most one field rewritten."""
+    scenario = random_void_scenario(draw(st.integers(4, 10)), draw(st.integers(0, 10_000)))
+    scheme = draw(st.sampled_from(CORE_SCHEMES))
+    maker = draw(st.sampled_from((Schedule.single_random, Schedule.subset_random)))
+    trace = run_scenario(scenario, scheme, maker(draw(st.integers(0, 99))))
+    field = draw(st.sampled_from((None,) + FIELDS))
+    if field is None or not trace.steps:
+        return trace, None
+    k = draw(st.integers(0, len(trace.steps) - 1))
+    steps = list(trace.steps)
+    steps[k] = replace(steps[k], **{field: draw(_rewrite(trace, steps[k], field))})
+    return replace(trace, steps=tuple(steps)), field
+
+
+def _outcome(check, trace: Trace):
+    try:
+        return check(trace, trace.scenario, trace.scheme)
+    except (LinkrevError, KeyError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_traces())
+def test_incremental_check_reports_what_the_oracle_reports(case):
+    trace, field = case
+    expected = _outcome(oracle_step_invariants, trace)
+    assert _outcome(check_step_invariants, trace) == expected
+    if field is None:
+        assert expected.passed, expected.line()
+
+
+def test_each_rewritten_field_fails_the_same_way_in_both():
+    # A fixed rewrite of each field of the first record, over the first void
+    # scenarios: both checks agree, and each field fails at least once.
+    caught = set()
+    for k in range(12):
+        scenario = random_void_scenario(4 + k % 6, k)
+        for scheme in CORE_SCHEMES:
+            trace = run_scenario(scenario, scheme, Schedule.subset_random(k))
+            if not trace.steps:
+                continue
+            rec = trace.steps[0]
+            forged = {
+                "new_states": (_bumped(rec.new_states[0], 2),),
+                "stuck": rec.stuck + (DESTINATION,),
+                "updated": rec.updated + (max(scenario.topology.nodes) + 1,),
+                "reversed_edges": rec.reversed_edges + scenario.topology.edges[:1],
+                "dag_digest": "0" * 12,
+            }
+            for field, value in forged.items():
+                steps = (replace(rec, **{field: value}),) + trace.steps[1:]
+                forged_trace = replace(trace, steps=steps)
+                expected = _outcome(oracle_step_invariants, forged_trace)
+                assert _outcome(check_step_invariants, forged_trace) == expected
+                if isinstance(expected, CheckReport) and not expected.passed:
+                    caught.add(field)
+    assert caught == set(FIELDS)
+
+
+def test_a_forged_step_that_closes_a_cycle_fails_in_both():
+    # Flags 1, 0, 1 on the triangle 1-2-3 orient it 3->1->2->3.  The forged
+    # record toggles flags only, and its digest and reversed edges match
+    # the states, so the cycle is the first thing wrong with it.
+    scenario = Scenario.create(4, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4)], heights=(1, 2, 3, 1))
+    trace = run_scenario(scenario, SchemeId.ONE_BIT_FULL, Schedule.single_random(0))
+    rec = trace.steps[0]
+    assert rec.updated == (4,)
+    forged_states = (FlagState(1, 1), FlagState(3, 1), FlagState(4, 1))
+    states = initial_states(SchemeId.ONE_BIT_FULL, scenario.topology, scenario.heights)
+    states.update((s.node, s) for s in forged_states)
+    dag = routing_dag(states, scenario.topology, SchemeId.ONE_BIT_FULL, scenario.heights)
+    forged = replace(
+        rec,
+        new_states=forged_states,
+        dag_digest=dag.digest(),
+        reversed_edges=orientation_flips(RoutingDag(trace.initial_arcs), dag),
+    )
+    forged_trace = replace(trace, steps=(forged,) + trace.steps[1:])
+    report = check_step_invariants(forged_trace, scenario, SchemeId.ONE_BIT_FULL)
+    assert report == oracle_step_invariants(forged_trace, scenario, SchemeId.ONE_BIT_FULL)
+    assert report.detail == "step 1: orientation has a cycle"
+    assert report.counterexample.step == 1
+
+
+# --- the acyclicity step -------------------------------------------------------
+
+
+def test_a_flip_that_closes_a_cycle_is_caught():
+    # 1->2, 2->3 and 1->3 are acyclic; flipping 1->3 into 3->1 closes 1->2->3->1.
+    out = {1: {2}, 2: {3}, 3: {1}, 0: set()}
+    assert _closes_cycle(out, [1])
+    assert not is_acyclic(RoutingDag(((1, 2), (2, 3), (3, 1))))
+
+
+def test_a_flip_that_closes_no_cycle_passes():
+    # Flipping 1->2 of the same triangle into 2->1 leaves 2->1->3 and 2->3.
+    out = {1: {3}, 2: {1, 3}, 3: {0}, 0: set()}
+    assert not _closes_cycle(out, [1])
+    assert is_acyclic(RoutingDag(((2, 1), (1, 3), (2, 3), (3, 0))))
+
+
+def test_the_cycle_search_sees_a_cycle_reached_through_other_nodes():
+    # The flipped arc 4->1 has head 1; the cycle 2->3->2 lies downstream of it.
+    out = {1: {2}, 2: {3}, 3: {2, 0}, 4: {1}, 0: set()}
+    assert _closes_cycle(out, [1])
+    # A cycle that no head reaches is not searched for.
+    assert not _closes_cycle(out, [0])

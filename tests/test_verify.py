@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,7 @@ from linkrev import (
 )
 from linkrev.generate import exhaustive_void_scenarios, random_void_scenario
 from linkrev.model import CORE_SCHEMES
+from linkrev import model, verify
 from linkrev.verify import EQUIVALENCE_PAIRS
 
 
@@ -109,6 +111,26 @@ def test_step_invariants_catch_a_counter_jump(chain):
     forged = _tamper_step(trace, 0, new_states=(CountedHeightState(2, 2, 8),))
     report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
     assert not report.passed
+
+
+def test_step_invariants_build_one_routing_dag(monkeypatch):
+    # Step 0 orients the whole graph; every recorded step is replayed from it.
+    n = 10
+    edges = [(0, n)] + [(i, i + 1) for i in range(1, n)]
+    scenario = Scenario.create(n, edges, heights=range(1, n + 1))
+    trace = run_scenario(scenario, SchemeId.NO_FULL, Schedule.subset_random(5))
+    assert len(trace.steps) == 30
+    calls = []
+    real = model.routing_dag
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(model, "routing_dag", counting)
+    monkeypatch.setattr(verify, "routing_dag", counting)
+    assert check_step_invariants(trace, scenario, SchemeId.NO_FULL).passed
+    assert len(calls) == 1
 
 
 def test_step_invariants_refuse_event_traces(diamond_cut):
@@ -207,7 +229,8 @@ def test_greedy_stability_catches_a_forged_updater(chain):
 @pytest.mark.parametrize("reference, shadow, gating", EQUIVALENCE_PAIRS)
 def test_equivalence_pairs_on_a_random_void(reference, shadow, gating):
     scenario = random_void_scenario(6, seed=4)
-    report = check_scheme_equivalence(scenario, Schedule.subset_random(7), reference, shadow, gating)
+    ref = run_scenario(scenario, reference, Schedule.subset_random(7))
+    report = check_scheme_equivalence(ref, shadow, gating)
     if gating:
         assert report.passed
         assert report.check == "scheme-equivalence"
@@ -216,18 +239,15 @@ def test_equivalence_pairs_on_a_random_void(reference, shadow, gating):
 
 
 def test_gating_equivalence_is_lockstep_on_the_chain(chain):
-    report = check_scheme_equivalence(
-        chain, Schedule.single_random(0), SchemeId.NO_FULL, SchemeId.TWO_BIT_FULL
-    )
+    ref = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    report = check_scheme_equivalence(ref, SchemeId.TWO_BIT_FULL)
     assert report.passed
     assert "lockstep" in report.detail
 
 
 def test_informational_divergence_on_the_all_reversed_case(reversed_pair):
-    report = check_scheme_equivalence(
-        reversed_pair, Schedule.single_random(0),
-        SchemeId.NO_PARTIAL, SchemeId.GB_PARTIAL, gating=False,
-    )
+    ref = run_scenario(reversed_pair, SchemeId.NO_PARTIAL, Schedule.single_random(0))
+    report = check_scheme_equivalence(ref, SchemeId.GB_PARTIAL, gating=False)
     assert report.informational
     assert report.passed  # informational reports never gate
     assert "diverge" in report.detail or "mismatch" in report.detail
@@ -243,7 +263,8 @@ def test_equivalence_replays_the_scripted_events_under_the_shadow(shadow):
         4, _EVENT_VOID_EDGES, heights=(1, 2, 2, 1),
         events=[SimEvent(at_step=2, kind="remove-link", edge=(0, 1))],
     )
-    report = check_scheme_equivalence(scenario, Schedule.subset_random(0), SchemeId.NO_FULL, shadow)
+    ref = run_scenario(scenario, SchemeId.NO_FULL, Schedule.subset_random(0))
+    report = check_scheme_equivalence(ref, shadow)
     assert report.passed, report.line()
     assert "across 2 steps" in report.detail
 
@@ -254,9 +275,8 @@ def test_equivalence_reports_a_shadow_run_that_raises():
         4, _EVENT_VOID_EDGES, heights=(1, 2, 2, 1),
         events=[SimEvent(at_step=1, kind="sleep", node=3, duration=2)],
     )
-    report = check_scheme_equivalence(
-        scenario, Schedule.subset_random(0), SchemeId.NO_FULL, SchemeId.TWO_BIT_FULL
-    )
+    ref = run_scenario(scenario, SchemeId.NO_FULL, Schedule.subset_random(0))
+    report = check_scheme_equivalence(ref, SchemeId.TWO_BIT_FULL)
     assert not report.passed
     assert "shadow run raised PhaseAdjacencyError" in report.counterexample.message
 
@@ -268,9 +288,18 @@ def test_counted_partial_and_two_bit_partial_listed_as_gating():
 
 
 def test_determinism_check(chain):
-    report = check_determinism(chain, SchemeId.NO_PARTIAL, Schedule.subset_random(5))
+    first = run_scenario(chain, SchemeId.NO_PARTIAL, Schedule.subset_random(5))
+    report = check_determinism(first)
     assert report.passed
+    assert report.scheme == "no-partial"
     assert "identical records" in report.detail
+
+
+def test_determinism_catches_a_trace_the_rerun_does_not_reproduce(chain):
+    first = run_scenario(chain, SchemeId.NO_PARTIAL, Schedule.subset_random(5))
+    report = check_determinism(_tamper_step(first, 0, dag_digest="0" * 12))
+    assert not report.passed
+    assert report.detail == "reruns differ"
 
 
 # --- exhaustive schedule enumeration -----------------------------------------
@@ -337,6 +366,26 @@ def test_standard_battery_is_green_on_the_chain(chain):
             "initial-greedy-stability", "determinism", "scheme-equivalence"} <= checks
     # the counted-vs-aware partial comparison rides along as information
     assert any(r.check == "scheme-divergence" for r in reports)
+
+
+def test_standard_battery_runs_each_scheme_four_times(monkeypatch):
+    # single_random(seed) and subset_random(seed + 1) for the trace checks,
+    # then subset_random(seed) once for determinism and the equivalence
+    # pairs, and the determinism check's one rerun: 28 runs for 7 schemes.
+    runs = Counter()
+    real = verify.run_scenario
+
+    def counting(scenario, scheme, schedule=None, step_limit=None):
+        runs[scheme, schedule.describe()] += 1
+        return real(scenario, scheme, schedule, step_limit)
+
+    monkeypatch.setattr(verify, "run_scenario", counting)
+    standard_battery(random_void_scenario(7, seed=2), seed=3)
+    assert sum(runs.values()) == 28
+    for scheme in CORE_SCHEMES:
+        assert runs[scheme, "single-random(seed=3)"] == 1
+        assert runs[scheme, "subset-random(seed=4)"] == 1
+        assert runs[scheme, "subset-random(seed=3)"] == 2
 
 
 def test_standard_battery_respects_the_scheme_filter(chain):
