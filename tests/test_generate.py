@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from linkrev import Outcome, Schedule, SchemeId, run_scenario
@@ -13,6 +15,11 @@ from linkrev.generate import (
     void_heights,
 )
 from linkrev.model import Topology
+from linkrev.scenario import serialize_scenario
+
+#: sha256 of the serialized random_void_scenario(4 + k % 9, k) for k < 216
+#: (the verify-random corpus) followed by exhaustive_void_scenarios(4).
+GENERATED_DIGEST = "8c9012349d38d358413c350f748dab842e6ca2ef03ffb6145f7ed8ff043215d2"
 
 
 def test_random_void_scenario_shape():
@@ -75,3 +82,11 @@ def test_generators_reject_tiny_networks_consistently(n):
         random_void_scenario(2, seed=0)
     with pytest.raises(ValueError):
         random_partition_scenario(1, seed=0)
+
+
+def test_generated_scenarios_are_pinned():
+    corpus = [random_void_scenario(4 + k % 9, k) for k in range(216)]
+    corpus += exhaustive_void_scenarios(4)
+    assert len(corpus) == 216 + 664
+    text = "".join(map(serialize_scenario, corpus))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GENERATED_DIGEST
