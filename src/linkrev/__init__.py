@@ -28,26 +28,15 @@ from .errors import (
     UnknownNodeError,
 )
 from .model import (
-    ALL_SCHEMES,
-    CORE_SCHEMES,
     DESTINATION,
-    CountedHeightState,
-    FlagState,
     HeightAssignment,
-    HeightState,
-    LevelHeightState,
-    PhaseState,
     RoutingDag,
-    SchemeId,
     Topology,
-    compare_states,
-    forwarding_set,
     hop_count_heights,
     is_destination_oriented,
     link_points_from,
     orientation_predicate,
     routing_dag,
-    sort_key,
     stuck_set,
 )
 from .scenario import (
@@ -59,6 +48,14 @@ from .scenario import (
     serialize_scenario,
 )
 from .schemes import (
+    ALL_SCHEMES,
+    CORE_SCHEMES,
+    CountedHeightState,
+    FlagState,
+    HeightState,
+    LevelHeightState,
+    PhaseState,
+    SchemeId,
     apply_update,
     baseline_increment_update,
     closed_form_height,
@@ -69,6 +66,7 @@ from .schemes import (
     no_full_update,
     no_partial_update,
     one_bit_update,
+    sort_key,
     state_bits,
     threshold,
     two_bit_update,

@@ -7,15 +7,15 @@ detected, 4 input error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
 from .errors import AdditionForbiddenError, LinkrevError, OverflowRiskError, ScenarioError
 from .generate import exhaustive_void_scenarios, random_void_scenario
-from .model import ALL_SCHEMES, CORE_SCHEMES, SchemeId
 from .scenario import Scenario, load_scenario
-from .schemes import state_bits
-from .sim import Outcome, Schedule, run_scenario
+from .schemes import ALL_SCHEMES, CORE_SCHEMES, SchemeId, state_bits
+from .sim import STEP_LIMIT_ENV, Outcome, Schedule, default_step_limit, run_scenario
 from .traceio import EXPORT_FORMATS, export_trace
 from .verify import EQUIVALENCE_PAIRS, check_order_invariance, standard_battery
 
@@ -70,6 +70,15 @@ def _parse_schedule(text: str, seed: int) -> Schedule:
     )
 
 
+def _check_step_limit_override() -> None:
+    """A malformed step limit override is an input error, caught before any run."""
+    try:
+        default_step_limit(1)
+    except ValueError:
+        value = os.environ[STEP_LIMIT_ENV]
+        raise _InputError(f"{STEP_LIMIT_ENV} must be an integer, got {value!r}") from None
+
+
 def _outcome_exit(outcome: Outcome) -> int:
     if outcome is Outcome.CONVERGED:
         return EXIT_OK
@@ -107,7 +116,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     scenarios: list[Scenario] = [_load(p) for p in args.scenarios]
     if args.random:
         n, count = args.random
-        scenarios.extend(random_void_scenario(n, args.seed + k) for k in range(count))
+        try:
+            scenarios.extend(random_void_scenario(n, args.seed + k) for k in range(count))
+        except ValueError as exc:
+            raise _InputError(f"--random {n} {count}: {exc}") from None
+    if args.exhaustive is not None and args.exhaustive < 0:
+        raise _InputError(f"--exhaustive takes a node count, got {args.exhaustive}")
     if not scenarios and not args.exhaustive:
         print("nothing to verify: give scenario files, --random, or --exhaustive", file=sys.stderr)
         return EXIT_INPUT
@@ -251,6 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_step_limit_override()
         return args.func(args)
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

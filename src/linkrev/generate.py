@@ -4,6 +4,9 @@ Void scenarios model a failure: a connected graph is sampled, heights are
 set to hop counts (so routing starts greedy), then one node whose removal
 keeps the rest connected but strands at least one survivor is deleted.
 Survivors keep their old heights, which leaves the stranded nodes stuck.
+Each candidate is probed on its topology and heights alone, with the
+simulator's hello round over the initial states; a Scenario is built only
+for the candidate returned.
 """
 
 from __future__ import annotations
@@ -12,22 +15,21 @@ import random
 from collections.abc import Iterator
 from itertools import combinations
 
-from .model import (
-    DESTINATION,
-    SchemeId,
-    Topology,
-    hop_count_heights,
-    routing_dag,
-    stuck_set,
-)
+from .model import DESTINATION, HeightAssignment, Topology, hop_count_heights
 from .scenario import Scenario, SimEvent
-from .schemes import initial_states
+from .schemes import SchemeId, initial_states
+from .sim import hello_round
+
+#: Every scheme starts from the same orientation, so any one of them tells
+#: whether the initial states leave a node stuck.
+_PROBE_SCHEME = SchemeId.NO_FULL
 
 
-def _initial_stuck(scenario: Scenario) -> frozenset[int]:
-    topo = scenario.topology
-    states = initial_states(SchemeId.NO_FULL, topo, scenario.heights)
-    return stuck_set(routing_dag(states, topo, SchemeId.NO_FULL, scenario.heights), topo)
+def _has_void(topo: Topology, heights: HeightAssignment) -> bool:
+    """True if some node starts stuck, by hello rounds over the initial states."""
+    states = initial_states(_PROBE_SCHEME, topo, heights)
+    awake = frozenset(topo.nodes)
+    return any(hello_round(i, states, topo, awake, _PROBE_SCHEME, heights) for i in topo.nodes)
 
 
 def _random_connected_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
@@ -64,26 +66,19 @@ def random_void_scenario(n: int, seed: int) -> Scenario:
     for _ in range(200):
         wide = Topology.build(n + 1, _random_connected_edges(rng, n + 1))
         heights = hop_count_heights(wide)
+        # Survivors are probed under their old ids: numbering them 1..n in
+        # the same order afterwards turns no link around.
         candidates = []
         for victim in wide.nodes:
             shrunk = wide.without(drop_nodes=(victim,))
-            if not shrunk.is_connected:
-                continue
-            survivors = [i for i in wide.nodes if i != victim]
-            relabel = {old: new for new, old in enumerate(survivors, start=1)}
-            edges = [
-                (min(relabel.get(a, DESTINATION), relabel.get(b, DESTINATION)),
-                 max(relabel.get(a, DESTINATION), relabel.get(b, DESTINATION)))
-                for a, b in shrunk.edges
-            ]
-            values = tuple(heights.of(old) for old in survivors)
-            candidate = Scenario.create(
-                n, edges, heights=values, seed=seed, name=f"void-n{n}-s{seed}"
-            )
-            if _initial_stuck(candidate):
-                candidates.append(candidate)
+            if shrunk.is_connected and _has_void(shrunk, heights):
+                candidates.append(shrunk)
         if candidates:
-            return candidates[rng.randrange(len(candidates))]
+            shrunk = candidates[rng.randrange(len(candidates))]
+            relabel = {old: new for new, old in enumerate((DESTINATION, *shrunk.nodes))}
+            edges = [(relabel[a], relabel[b]) for a, b in shrunk.edges]
+            values = tuple(heights.of(old) for old in shrunk.nodes)
+            return Scenario.create(n, edges, heights=values, seed=seed, name=f"void-n{n}-s{seed}")
     raise RuntimeError(f"no void scenario found for n={n}, seed={seed}")
 
 
@@ -146,10 +141,8 @@ def void_heights(topo: Topology) -> tuple[int, ...] | None:
     for v in topo.nodes:
         if v not in dest_adjacent:
             attempts.append(tuple(1 if i == v else 2 for i in topo.nodes))
-    n = len(topo.nodes)
     for values in attempts:
-        scenario = Scenario.create(n, topo.edges, heights=values)
-        if _initial_stuck(scenario):
+        if _has_void(topo, HeightAssignment(values)):
             return values
     return None
 

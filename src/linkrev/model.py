@@ -1,12 +1,13 @@
-"""Node states, their orderings, and the routing DAG they induce.
+"""Topologies, initial heights, and the routing DAG a state vector induces.
 
 Every link of the communication graph is oriented from the endpoint whose
-state is higher to the endpoint whose state is lower, so a state vector
-induces an orientation of the whole graph.  The destination is a passive
-sentinel whose state is globally minimal: links incident to it always
-point into it and it never updates.  A nondestination node with no
-outgoing link is stuck; routing works once no node is stuck, i.e. once
-every node has a directed path to the destination.
+state is higher to the endpoint whose state is lower, under the order of
+the scheme's spec (see schemes.py), so a state vector induces an
+orientation of the whole graph.  The destination is a passive sentinel
+whose state is globally minimal: links incident to it always point into it
+and it never updates.  A nondestination node with no outgoing link is
+stuck; routing works once no node is stuck, i.e. once every node has a
+directed path to the destination.
 """
 
 from __future__ import annotations
@@ -15,119 +16,14 @@ import hashlib
 from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
-from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import starmap
-from typing import NamedTuple
 
-from .errors import (
-    DisconnectedGraphError,
-    PhaseAdjacencyError,
-    SchemeMismatchError,
-    UnknownNodeError,
-)
+from .errors import DisconnectedGraphError, UnknownNodeError
+from .schemes import SPECS, Orientation, SchemeId, State
 
 #: Sentinel node id of the destination.  Nondestination nodes are 1..N.
 DESTINATION = 0
-
-#: Cyclic counters wrap modulo 4.  Two bits suffice because the update
-#: counts of neighboring nodes never drift more than one apart.
-PHASE_MODULUS = 4
-
-
-class SchemeId(str, Enum):
-    """Identifier of a reversal scheme (seven schemes plus a baseline)."""
-
-    GB_FULL = "gb-full"
-    GB_PARTIAL = "gb-partial"
-    NO_FULL = "no-full"
-    TWO_BIT_FULL = "two-bit-full"
-    ONE_BIT_FULL = "one-bit-full"
-    NO_PARTIAL = "no-partial"
-    TWO_BIT_PARTIAL = "two-bit-partial"
-    BASELINE_INCREMENT = "baseline-increment"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-#: The seven schemes under study, in presentation order.
-CORE_SCHEMES: tuple[SchemeId, ...] = (
-    SchemeId.GB_FULL,
-    SchemeId.GB_PARTIAL,
-    SchemeId.NO_FULL,
-    SchemeId.TWO_BIT_FULL,
-    SchemeId.ONE_BIT_FULL,
-    SchemeId.NO_PARTIAL,
-    SchemeId.TWO_BIT_PARTIAL,
-)
-
-ALL_SCHEMES: tuple[SchemeId, ...] = CORE_SCHEMES + (SchemeId.BASELINE_INCREMENT,)
-
-#: Schemes whose update turns every incident link outgoing.
-FULL_REVERSAL_SCHEMES = frozenset(
-    {SchemeId.GB_FULL, SchemeId.NO_FULL, SchemeId.TWO_BIT_FULL, SchemeId.ONE_BIT_FULL}
-)
-
-#: Schemes whose update reverses only the links not reversed by neighbors
-#: since the node's previous update.
-PARTIAL_REVERSAL_SCHEMES = frozenset(
-    {SchemeId.GB_PARTIAL, SchemeId.NO_PARTIAL, SchemeId.TWO_BIT_PARTIAL}
-)
-
-#: Schemes that keep an explicit per-node update counter.
-COUNTER_SCHEMES = frozenset({SchemeId.NO_FULL, SchemeId.NO_PARTIAL})
-
-
-class HeightState(NamedTuple):
-    """State of the classical neighbor-aware full scheme and the baseline."""
-
-    node: int
-    height: int
-
-
-class LevelHeightState(NamedTuple):
-    """State of the neighbor-aware partial scheme: a reversal level plus height."""
-
-    node: int
-    level: int
-    height: int
-
-
-class CountedHeightState(NamedTuple):
-    """State of the neighbor-oblivious schemes: update count plus derived height."""
-
-    node: int
-    updates: int
-    height: int
-
-
-class PhaseState(NamedTuple):
-    """Two-bit state: the update count modulo 4."""
-
-    node: int
-    phase: int
-
-
-class FlagState(NamedTuple):
-    """One-bit state: a parity flag toggled on every update."""
-
-    node: int
-    flag: int
-
-
-State = HeightState | LevelHeightState | CountedHeightState | PhaseState | FlagState
-
-STATE_CLASSES: Mapping[SchemeId, type] = {
-    SchemeId.GB_FULL: HeightState,
-    SchemeId.BASELINE_INCREMENT: HeightState,
-    SchemeId.GB_PARTIAL: LevelHeightState,
-    SchemeId.NO_FULL: CountedHeightState,
-    SchemeId.NO_PARTIAL: CountedHeightState,
-    SchemeId.TWO_BIT_FULL: PhaseState,
-    SchemeId.TWO_BIT_PARTIAL: PhaseState,
-    SchemeId.ONE_BIT_FULL: FlagState,
-}
 
 
 @dataclass(frozen=True)
@@ -171,7 +67,7 @@ class HeightAssignment:
 
     @cached_property
     def _predicates(self) -> dict[SchemeId, Orientation]:
-        """The phase and flag predicates compiled for these heights, by scheme."""
+        """The orientation predicates compiled for these heights, by scheme."""
         return {}
 
 
@@ -282,94 +178,7 @@ def hop_count_heights(topo: Topology) -> HeightAssignment:
     return HeightAssignment(tuple(dist[i] for i in topo.nodes))
 
 
-# --- state ordering ---------------------------------------------------------
-
-
-def _check_pair(a: State, b: State, scheme: SchemeId) -> None:
-    want = STATE_CLASSES[scheme]
-    if type(a) is not want or type(b) is not want:
-        raise SchemeMismatchError(
-            f"scheme {scheme} orders {want.__name__} values, got {type(a).__name__}/{type(b).__name__}"
-        )
-    if a.node == b.node:
-        raise ValueError(f"cannot order two states of the same node {a.node}")
-
-
-#: Global comparison keys of the totally ordered schemes.
-_SORT_KEYS = {
-    SchemeId.GB_FULL: lambda s: (s.height, s.node),
-    SchemeId.BASELINE_INCREMENT: lambda s: (s.height, s.node),
-    SchemeId.GB_PARTIAL: lambda s: (s.level, s.height, s.node),
-    SchemeId.NO_FULL: lambda s: (s.updates, s.height, s.node),
-    # the counted partial key flips the id tie-break sign on odd counts
-    SchemeId.NO_PARTIAL: lambda s: (s.updates, s.height, -s.node if s.updates % 2 else s.node),
-}
-
-
-def sort_key(state: State, scheme: SchemeId) -> tuple[int, ...]:
-    """Comparison key of a state under a totally ordered scheme.
-
-    The phase and flag schemes have no global key; their order is defined
-    pairwise (see orientation_predicate).
-    """
-    try:
-        key = _SORT_KEYS[scheme]
-    except KeyError:
-        raise SchemeMismatchError(f"scheme {scheme} has no global sort key") from None
-    return key(state)
-
-
-Orientation = Callable[[State, State], bool]
-
-
-def _compile_ordered(scheme: SchemeId) -> Orientation:
-    want, key = STATE_CLASSES[scheme], _SORT_KEYS[scheme]
-
-    def points_from(a: State, b: State) -> bool:
-        if type(a) is not want or type(b) is not want or a.node == b.node:
-            _check_pair(a, b, scheme)
-        return key(a) > key(b)
-
-    return points_from
-
-
-#: The totally ordered schemes need no heights, so their predicates are built once.
-_ORDERED_PREDICATES = {scheme: _compile_ordered(scheme) for scheme in _SORT_KEYS}
-
-
-def _phase_points_from(scheme: SchemeId, ranks: tuple[int, ...], a: State, b: State) -> bool:
-    if type(a) is not PhaseState or type(b) is not PhaseState or a.node == b.node:
-        _check_pair(a, b, scheme)
-    gap = (a.phase - b.phase) % PHASE_MODULUS
-    if gap == 1:
-        return True
-    if gap == 3:
-        return False
-    if gap == 2:
-        raise PhaseAdjacencyError(
-            f"phases of nodes {a.node} and {b.node} are two apart "
-            f"({a.phase} vs {b.phase}); their order is undefined"
-        )
-    initially_above = ranks[a.node] > ranks[b.node]
-    # Odd phases reverse the initial order under the partial variant only.
-    if a.phase % 2 and scheme is SchemeId.TWO_BIT_PARTIAL:
-        return not initially_above
-    return initially_above
-
-
-def _flag_points_from(ranks: tuple[int, ...], a: State, b: State) -> bool:
-    if type(a) is not FlagState or type(b) is not FlagState or a.node == b.node:
-        _check_pair(a, b, SchemeId.ONE_BIT_FULL)
-    # Equal flags keep the initial direction of the pair; opposite flags
-    # reverse it.
-    initially_above = ranks[a.node] > ranks[b.node]
-    return initially_above if a.flag == b.flag else not initially_above
-
-
-def _missing_heights(scheme: SchemeId, a: State, b: State) -> bool:
-    _check_pair(a, b, scheme)
-    kind = "flag" if scheme is SchemeId.ONE_BIT_FULL else "phase"
-    raise ValueError(f"{kind} comparison needs the initial height assignment")
+# --- link direction ---------------------------------------------------------
 
 
 def orientation_predicate(scheme: SchemeId, heights: HeightAssignment | None = None) -> Orientation:
@@ -384,37 +193,12 @@ def orientation_predicate(scheme: SchemeId, heights: HeightAssignment | None = N
     whose ranks the heights compute once.  Each predicate is compiled once
     per scheme and height assignment and then reused.
     """
-    ordered = _ORDERED_PREDICATES.get(scheme)
-    if ordered is not None:
-        return ordered
     if heights is None:
-        return partial(_missing_heights, scheme)
+        return SPECS[scheme].orientation(None)
     compiled = heights._predicates.get(scheme)
     if compiled is None:
-        if scheme is SchemeId.ONE_BIT_FULL:
-            compiled = partial(_flag_points_from, heights.initial_ranks)
-        else:
-            compiled = partial(_phase_points_from, scheme, heights.initial_ranks)
-        heights._predicates[scheme] = compiled
+        compiled = heights._predicates[scheme] = SPECS[scheme].orientation(heights)
     return compiled
-
-
-def compare_states(
-    a: State, b: State, scheme: SchemeId, heights: HeightAssignment | None = None
-) -> int:
-    """Strict order of two states: +1 if a is above b, -1 if below.
-
-    Never returns 0: ties in the primary fields are broken by node id (for
-    the phase schemes, by the initial height/id key, which the heights
-    argument supplies).  Flag states are not totally ordered; use
-    link_points_from for them.
-    """
-    if scheme is SchemeId.ONE_BIT_FULL:
-        _check_pair(a, b, scheme)
-        raise SchemeMismatchError(
-            "flag states are ordered pairwise only; use link_points_from"
-        )
-    return 1 if orientation_predicate(scheme, heights)(a, b) else -1
 
 
 def link_points_from(
@@ -461,28 +245,6 @@ class RoutingDag:
 
     def out_neighbors(self, i: int) -> tuple[int, ...]:
         return tuple(d for s, d in self.arcs if s == i)
-
-
-def forwarding_set(
-    i: int,
-    states: Mapping[int, State],
-    topo: Topology,
-    scheme: SchemeId,
-    heights: HeightAssignment,
-) -> frozenset[int]:
-    """Neighbors that node i may forward to: endpoints of its outgoing links.
-
-    The destination, when adjacent, is always a member.
-    """
-    if i == DESTINATION or not topo.has_node(i):
-        raise UnknownNodeError(f"node {i} has no forwarding set here")
-    points_from = orientation_predicate(scheme, heights)
-    own = states[i]
-    out: set[int] = set()
-    for j in topo.neighbors(i):
-        if j == DESTINATION or points_from(own, states[j]):
-            out.add(j)
-    return frozenset(out)
 
 
 def routing_dag(

@@ -82,10 +82,7 @@ from .errors import (
 )
 from .model import (
     DESTINATION,
-    COUNTER_SCHEMES,
     HeightAssignment,
-    SchemeId,
-    State,
     Topology,
     _canonical_edge,
     arc_label,
@@ -95,7 +92,7 @@ from .model import (
     routing_dag,
 )
 from .scenario import Scenario, SimEvent
-from .schemes import RULES, apply_update, initial_states
+from .schemes import SPECS, SchemeId, State, apply_update, initial_states
 
 STEP_LIMIT_ENV = "LINKREV_STEP_LIMIT"
 
@@ -249,7 +246,7 @@ class Simulation:
     # CPython shares the keys of instance dicts only up to 30 attributes;
     # past that every instance carries a full dict of its own.
     __slots__ = (
-        "scenario", "scheme", "heights", "n", "schedule", "_selector", "step_limit",
+        "scenario", "scheme", "_spec", "heights", "n", "schedule", "_selector", "step_limit",
         "live", "sleeping", "states", "steps", "events_applied", "update_counts",
         "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
         "_points_from", "_awake", "_awake_topo", "_stale", "_edges", "_edge_index",
@@ -266,6 +263,7 @@ class Simulation:
     ):
         self.scenario = scenario
         self.scheme = scheme
+        self._spec = SPECS[scheme]
         self.heights = scenario.heights
         self.n = scenario.n
         self.schedule = schedule or Schedule.single_random(scenario.seed or 0)
@@ -464,7 +462,7 @@ class Simulation:
         awake graph changes, so advance() and the step() it calls scan the
         stuck nodes' neighbors once a turn.
         """
-        if not RULES[self.scheme].neighbor_aware:
+        if not self._spec.neighbor_aware:
             return stuck
         seen, eligible = self._eligible_memo
         if seen is not stuck:
@@ -497,11 +495,11 @@ class Simulation:
         if not chosen or set(chosen) - set(eligible):
             raise ScheduleError(f"schedule returned an invalid subset {chosen}")
 
-        states, awake = self.states, self._awake
+        states, awake, aware = self.states, self._awake, self._spec.neighbor_aware
         fresh: list[State] = []
         for i in chosen:
             own = states[i]
-            if RULES[self.scheme].neighbor_aware:
+            if aware:
                 # A stuck node is never destination-adjacent, so only
                 # ordinary neighbor states are read here.
                 neighbor_states = [
@@ -533,7 +531,7 @@ class Simulation:
         return record
 
     def _partition_certificate(self, stuck: tuple[int, ...]) -> str | None:
-        if self.scheme not in COUNTER_SCHEMES:
+        if not self._spec.counted:
             return None
         for i in stuck:
             if self.states[i].updates >= self.n:

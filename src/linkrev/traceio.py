@@ -19,8 +19,8 @@ import json
 from collections.abc import Iterator
 from pathlib import Path
 
-from .model import STATE_CLASSES
 from .scenario import _node_name
+from .schemes import SPECS
 from .sim import Simulation, StepRecord, Trace
 
 EXPORT_FORMATS = ("jsonl", "csv", "dot-frames")
@@ -37,7 +37,7 @@ def _state_template(cls: type) -> str:
     return '"{%d}":{{%s}}' % (cls._fields.index("node"), payload)
 
 
-_STATE_TEMPLATES = {cls: _state_template(cls) for cls in STATE_CLASSES.values()}
+_STATE_TEMPLATES = {spec.state: _state_template(spec.state) for spec in SPECS.values()}
 
 
 def _step_line(rec: StepRecord) -> str:

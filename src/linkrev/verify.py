@@ -24,25 +24,26 @@ from itertools import starmap
 from .errors import ExplosionGuardError, LinkrevError, ScheduleError
 from .model import (
     DESTINATION,
-    CORE_SCHEMES,
-    COUNTER_SCHEMES,
-    FULL_REVERSAL_SCHEMES,
-    PARTIAL_REVERSAL_SCHEMES,
-    PHASE_MODULUS,
     HeightAssignment,
     RoutingDag,
-    SchemeId,
-    State,
     arc_label,
     arcs_digest,
     is_acyclic,
     is_destination_oriented,
     orientation_predicate,
     routing_dag,
-    sort_key,
 )
 from .scenario import Scenario, serialize_scenario
-from .schemes import closed_form_height, initial_states, threshold, apply_update, RULES
+from .schemes import (
+    CORE_SCHEMES,
+    SPECS,
+    SchemeId,
+    SchemeSpec,
+    State,
+    apply_update,
+    closed_form_height,
+    initial_states,
+)
 from .sim import Outcome, Schedule, Simulation, StepRecord, Trace, run_scenario
 from .traceio import trace_to_jsonl
 
@@ -127,16 +128,10 @@ def _replayed_orientations(trace: Trace) -> Iterator[tuple[StepRecord, dict, set
         yield rec, arcs, flipped
 
 
-def _monotone_failure(scheme: SchemeId, old: State, new: State) -> str | None:
-    if scheme in (SchemeId.TWO_BIT_FULL, SchemeId.TWO_BIT_PARTIAL):
-        if new.phase != (old.phase + 1) % PHASE_MODULUS:
-            return f"phase of node {old.node} moved {old.phase}->{new.phase}, not one step"
-        return None
-    if scheme is SchemeId.ONE_BIT_FULL:
-        if new.flag != old.flag ^ 1:
-            return f"flag of node {old.node} did not toggle ({old.flag}->{new.flag})"
-        return None
-    if not sort_key(new, scheme) > sort_key(old, scheme):
+def _monotone_failure(spec: SchemeSpec, old: State, new: State) -> str | None:
+    if spec.sort_key is None:
+        return spec.advance_failure(old, new)
+    if not spec.sort_key(new) > spec.sort_key(old):
         return f"state of node {old.node} did not strictly increase: {old} -> {new}"
     return None
 
@@ -242,7 +237,7 @@ class _StateReplay:
 
 def _scheme_failures(
     tag: str,
-    scheme: SchemeId,
+    spec: SchemeSpec,
     states: Mapping[int, State],
     nodes: Iterable[int],
     edges: Iterable[tuple[int, int]],
@@ -252,43 +247,22 @@ def _scheme_failures(
     """Counter, phase and level invariants of the given nodes and links."""
     failures: list[str] = []
     max_height = heights.max_height
-    if scheme in COUNTER_SCHEMES:
+    if spec.counted:
         for i in nodes:
             s = states[i]
             h0 = heights.of(i)
             if s.updates > n:
                 failures.append(f"{tag}: node {i} update count {s.updates} exceeds n={n}")
-            if s.height != closed_form_height(scheme, s.updates, h0, max_height):
+            if s.height != closed_form_height(spec.scheme, s.updates, h0, max_height):
                 failures.append(f"{tag}: node {i} height {s.height} off closed form")
-            if scheme is SchemeId.NO_FULL:
-                if not (s.updates * max_height < s.height <= (s.updates + 1) * max_height):
-                    failures.append(f"{tag}: node {i} height {s.height} outside its band")
-            elif s.updates >= 1 and not (
-                threshold(s.updates - 1, max_height) < s.height < threshold(s.updates, max_height)
-            ):
+            if not spec.in_band(s.updates, s.height, max_height):
                 failures.append(f"{tag}: node {i} height {s.height} outside its band")
+    link_failures = spec.link_failures
+    if link_failures is not None:
         for a, b in edges:
-            if a == DESTINATION:
-                continue
-            ta, tb = states[a].updates, states[b].updates
-            if abs(ta - tb) > 1:
-                failures.append(f"{tag}: update counts of {a},{b} differ by {abs(ta - tb)}")
-            if ta > tb and not states[a].height > states[b].height:
-                failures.append(f"{tag}: node {a} updated more but is not higher than {b}")
-            if tb > ta and not states[b].height > states[a].height:
-                failures.append(f"{tag}: node {b} updated more but is not higher than {a}")
-    elif scheme in (SchemeId.TWO_BIT_FULL, SchemeId.TWO_BIT_PARTIAL):
-        for a, b in edges:
-            if a == DESTINATION:
-                continue
-            if (states[a].phase - states[b].phase) % PHASE_MODULUS == 2:
-                failures.append(f"{tag}: phases of neighbors {a},{b} drifted two apart")
-    elif scheme is SchemeId.GB_PARTIAL:
-        for a, b in edges:
-            if a == DESTINATION:
-                continue
-            if abs(states[a].level - states[b].level) > 1:
-                failures.append(f"{tag}: levels of neighbors {a},{b} drifted apart")
+            if a != DESTINATION:
+                for problem in link_failures(states[a], states[b]):
+                    failures.append(f"{tag}: {problem}")
     return failures
 
 
@@ -298,6 +272,7 @@ def _replay_failures(
     """The failures of the first step that has any, and that step's index."""
     topo = scenario.topology
     heights = scenario.heights
+    spec = SPECS[scheme]
     replay = _StateReplay(scenario, scheme)
     states = replay.states
     failures: list[str] = []
@@ -307,7 +282,7 @@ def _replay_failures(
         failures.append("step 0: orientation has a cycle")
     if not replay.stuck and not is_destination_oriented(replay.arcs, topo):
         failures.append("step 0: stuck set emptiness disagrees with orientation")
-    failures += _scheme_failures("step 0", scheme, states, topo.nodes, topo.edges, trace.n, heights)
+    failures += _scheme_failures("step 0", spec, states, topo.nodes, topo.edges, trace.n, heights)
     if failures:
         return failures, 0
 
@@ -324,7 +299,7 @@ def _replay_failures(
                 f"{list(prev_stuck)} before the step"
             )
         for old, s in zip(before, rec.new_states):
-            problem = _monotone_failure(scheme, old, s)
+            problem = _monotone_failure(spec, old, s)
             if problem:
                 failures.append(f"{tag}: {problem}")
         if replay.digest() != rec.dag_digest:
@@ -336,7 +311,7 @@ def _replay_failures(
         if not replay.stuck and not is_destination_oriented(replay.arcs, topo):
             failures.append(f"{tag}: stuck set emptiness disagrees with orientation")
         updaters = sorted({s.node for s in rec.new_states})
-        failures += _scheme_failures(tag, scheme, states, updaters, links, trace.n, heights)
+        failures += _scheme_failures(tag, spec, states, updaters, links, trace.n, heights)
         if failures:
             return failures, rec.index
     return [], None
@@ -363,7 +338,7 @@ def check_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) ->
     _require_plain_trace(trace)
     failures, fail_step = _replay_failures(trace, scenario, scheme)
 
-    if not failures and scheme in COUNTER_SCHEMES and trace.steps:
+    if not failures and SPECS[scheme].counted and trace.steps:
         final = {s.node: s for s in trace.final_states}
         for i, count in trace.update_counts.items():
             if i in final and final[i].updates != count:
@@ -386,7 +361,8 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
     the neighbor-aware partial scheme resolves it in a single update.
     """
     _require_plain_trace(trace)
-    if scheme not in FULL_REVERSAL_SCHEMES and scheme not in PARTIAL_REVERSAL_SCHEMES:
+    spec = SPECS[scheme]
+    if spec.reversal is None:
         raise ValueError(f"reversal semantics are undefined for {scheme}")
     topo = scenario.topology
     failures: list[str] = []
@@ -415,7 +391,7 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
         for u in rec.updated:
             nbrs = {j for j in topo.neighbors(u) if j != DESTINATION}
             flipped_at_u = {a + b - u for a, b in flipped if u in (a, b)}
-            if scheme in FULL_REVERSAL_SCHEMES:
+            if spec.reversal == "full":
                 if outgoing(arcs_now, u) != set(topo.neighbors(u)):
                     failures.append(
                         f"step {rec.index}: node {u} updated but links "
@@ -423,7 +399,7 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
                     )
             else:
                 expected = nbrs - reversed_toward[u]
-                if scheme is SchemeId.GB_PARTIAL and not expected:
+                if spec.neighbor_aware and not expected:
                     expected = nbrs  # the neighbor-aware rule clears an all-reversed node at once
                 if flipped_at_u != expected:
                     failures.append(
@@ -458,7 +434,7 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
         )
 
     detail = f"{len(trace.steps)} steps clean"
-    if scheme in PARTIAL_REVERSAL_SCHEMES:
+    if spec.reversal == "partial":
         detail += f", {silent_updates} silent first halves"
     return _report(
         "reversal-semantics", scenario, scheme, failures,
@@ -658,7 +634,7 @@ def enumerate_all_schedules(
         i: tuple(j for j in topo.neighbors(i) if j != DESTINATION) for i in nodes
     }
     dest_adjacent = frozenset(j for j in topo.neighbors(DESTINATION))
-    aware = RULES[scheme].neighbor_aware
+    aware = SPECS[scheme].neighbor_aware
     points_from = orientation_predicate(scheme, heights)
 
     init = tuple(initial_states(scheme, topo, heights).values())  # in node order
@@ -762,7 +738,7 @@ def check_order_invariance(
 def _skipped_for_events(trace: Trace, scenario: Scenario, scheme: SchemeId) -> list[CheckReport]:
     """Informational reports for the event-free checks a run with events skips."""
     skipped = ["step-invariants", "reversal-semantics", "initial-greedy-stability"]
-    if scheme is SchemeId.BASELINE_INCREMENT:
+    if SPECS[scheme].reversal is None:
         skipped.remove("reversal-semantics")
     events = "; ".join(f"step {step}: {text}" for step, text in trace.events_applied)
     return [
@@ -807,7 +783,7 @@ def standard_battery(
                 reports.extend(_skipped_for_events(trace, scenario, scheme))
                 continue
             reports.append(check_step_invariants(trace, scenario, scheme))
-            if scheme is not SchemeId.BASELINE_INCREMENT:
+            if SPECS[scheme].reversal is not None:
                 reports.append(check_reversal_semantics(trace, scenario, scheme))
             reports.append(check_initial_greedy_stability(trace, scenario))
         # One run serves the determinism check and every equivalence pair

@@ -5,6 +5,9 @@ reversed_pair  D-1 1-2 2-3, heights 2 1 1: node 3 starts with its only link
             already reversed toward it, the case that forces the counted
             partial schemes into a silent update followed by a full one.
 star        D-1 1-2 1-3, heights 2 1 1: two stuck leaves at once.
+
+generated_corpus is the verify-random corpus, random_void_scenario(4 + k % 9,
+k) for k < 216, followed by the 664 void scenarios at n=4, built once.
 """
 
 from __future__ import annotations
@@ -12,6 +15,13 @@ from __future__ import annotations
 import pytest
 
 from linkrev import Scenario, Schedule, SchemeId, SimEvent, run_scenario
+from linkrev.generate import exhaustive_void_scenarios, random_void_scenario
+
+
+@pytest.fixture(scope="session")
+def generated_corpus() -> tuple[Scenario, ...]:
+    corpus = [random_void_scenario(4 + k % 9, k) for k in range(216)]
+    return tuple(corpus + list(exhaustive_void_scenarios(4)))
 
 
 @pytest.fixture

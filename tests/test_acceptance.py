@@ -27,15 +27,12 @@ from linkrev import (
     trace_to_jsonl,
 )
 from linkrev.generate import exhaustive_void_scenarios, random_partition_scenario, random_void_scenario
-from linkrev.model import (
+from linkrev.model import is_destination_oriented, routing_dag
+from linkrev.schemes import (
     CORE_SCHEMES,
-    FULL_REVERSAL_SCHEMES,
+    SPECS,
     FlagState,
     PhaseState,
-    is_destination_oriented,
-    routing_dag,
-)
-from linkrev.schemes import (
     baseline_increment_update,
     no_full_update,
     no_partial_update,
@@ -204,7 +201,7 @@ def test_criterion_4_full_reversal_semantics(corpus, traces):
     violations = []
     checked = 0
     for (k, scheme), trace in runs.items():
-        if scheme not in FULL_REVERSAL_SCHEMES:
+        if SPECS[scheme].reversal != "full":
             continue
         checked += 1
         report = check_reversal_semantics(trace, corpus[k], scheme)

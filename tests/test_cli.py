@@ -11,6 +11,7 @@ import pytest
 
 import linkrev
 from linkrev.cli import EXIT_INPUT, EXIT_OK, EXIT_PARTITIONED, EXIT_PROPERTY, main
+from linkrev.sim import STEP_LIMIT_ENV
 
 CHAIN = """\
 scenario v1
@@ -150,6 +151,25 @@ def test_run_malformed_scenario_is_an_input_error(scenario_file, capsys):
     code = main(["run", scenario_file("scenario v1\nnodes 2\n"), "--scheme", "no-full"])
     assert code == EXIT_INPUT
     assert "missing edges" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, step_limit, message",
+    [
+        (["verify", "--random", "2", "3"], None, "--random 2 3: void scenarios need at least three nodes"),
+        (["verify", "--exhaustive", "-1"], None, "--exhaustive takes a node count, got -1"),
+        (["run", "CHAIN", "--scheme", "no-full"], "abc", f"{STEP_LIMIT_ENV} must be an integer, got 'abc'"),
+    ],
+    ids=["random-too-few-nodes", "exhaustive-negative", "step-limit-not-a-number"],
+)
+def test_bad_numbers_are_input_errors(scenario_file, capsys, monkeypatch, argv, step_limit, message):
+    if step_limit is None:
+        monkeypatch.delenv(STEP_LIMIT_ENV, raising=False)
+    else:
+        monkeypatch.setenv(STEP_LIMIT_ENV, step_limit)
+    code = main([scenario_file(CHAIN) if arg == "CHAIN" else arg for arg in argv])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 # --- verify --------------------------------------------------------------------

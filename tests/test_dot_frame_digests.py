@@ -24,7 +24,7 @@ import pytest
 
 from linkrev import LinkrevError, Scenario, Schedule, SimEvent, run_scenario, trace_to_dot_frames
 from linkrev.generate import random_partition_scenario
-from linkrev.model import ALL_SCHEMES
+from linkrev.schemes import ALL_SCHEMES
 
 DATA = Path(__file__).with_name("dot_frame_digests.json")
 

@@ -84,9 +84,7 @@ def test_generators_reject_tiny_networks_consistently(n):
         random_partition_scenario(1, seed=0)
 
 
-def test_generated_scenarios_are_pinned():
-    corpus = [random_void_scenario(4 + k % 9, k) for k in range(216)]
-    corpus += exhaustive_void_scenarios(4)
-    assert len(corpus) == 216 + 664
-    text = "".join(map(serialize_scenario, corpus))
+def test_generated_scenarios_are_pinned(generated_corpus):
+    assert len(generated_corpus) == 216 + 664
+    text = "".join(map(serialize_scenario, generated_corpus))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GENERATED_DIGEST

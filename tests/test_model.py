@@ -20,8 +20,6 @@ from linkrev import (
     SchemeMismatchError,
     Topology,
     UnknownNodeError,
-    compare_states,
-    forwarding_set,
     hop_count_heights,
     link_points_from,
     routing_dag,
@@ -29,13 +27,12 @@ from linkrev import (
     stuck_set,
 )
 from linkrev.model import (
-    STATE_CLASSES,
     is_acyclic,
     is_destination_oriented,
     orientation_flips,
     orientation_predicate,
 )
-from linkrev.schemes import initial_states
+from linkrev.schemes import SPECS, initial_states
 
 H123 = HeightAssignment((1, 2, 3))
 
@@ -133,17 +130,17 @@ def test_sort_key_undefined_for_pairwise_schemes(scheme):
         sort_key(state, scheme)
 
 
-def test_compare_states_never_ties():
+def test_link_points_from_never_ties():
     a, b = HeightState(1, 5), HeightState(2, 5)
-    assert compare_states(a, b, SchemeId.GB_FULL) == -1
-    assert compare_states(b, a, SchemeId.GB_FULL) == 1
+    assert not link_points_from(a, b, SchemeId.GB_FULL)
+    assert link_points_from(b, a, SchemeId.GB_FULL)
 
 
-def test_compare_states_rejects_mixed_or_same_node():
+def test_link_points_from_rejects_mixed_or_same_node():
     with pytest.raises(SchemeMismatchError):
-        compare_states(HeightState(1, 5), PhaseState(2, 1), SchemeId.GB_FULL)
+        link_points_from(HeightState(1, 5), PhaseState(2, 1), SchemeId.GB_FULL)
     with pytest.raises(ValueError):
-        compare_states(HeightState(1, 5), HeightState(1, 6), SchemeId.GB_FULL)
+        link_points_from(HeightState(1, 5), HeightState(1, 6), SchemeId.GB_FULL)
 
 
 @given(
@@ -152,47 +149,52 @@ def test_compare_states_rejects_mixed_or_same_node():
     ta=st.integers(0, 6),
     tb=st.integers(0, 6),
 )
-def test_compare_states_antisymmetric_for_counted(ha, hb, ta, tb):
+def test_link_points_from_antisymmetric_for_counted(ha, hb, ta, tb):
     a = CountedHeightState(1, ta, ha)
     b = CountedHeightState(2, tb, hb)
     for scheme in (SchemeId.NO_FULL, SchemeId.NO_PARTIAL):
-        assert compare_states(a, b, scheme) == -compare_states(b, a, scheme)
+        assert link_points_from(a, b, scheme) != link_points_from(b, a, scheme)
 
 
 def test_phase_comparison_is_cyclic():
     heights = H123
     up = PhaseState(1, 1)
     down = PhaseState(2, 0)
-    assert compare_states(up, down, SchemeId.TWO_BIT_FULL, heights) == 1
-    assert compare_states(down, up, SchemeId.TWO_BIT_FULL, heights) == -1
+    assert link_points_from(up, down, SchemeId.TWO_BIT_FULL, heights)
+    assert not link_points_from(down, up, SchemeId.TWO_BIT_FULL, heights)
     # the wrap: phase 0 beats phase 3
-    assert compare_states(PhaseState(1, 0), PhaseState(2, 3), SchemeId.TWO_BIT_FULL, heights) == 1
+    assert link_points_from(PhaseState(1, 0), PhaseState(2, 3), SchemeId.TWO_BIT_FULL, heights)
 
 
 def test_phase_gap_of_two_is_an_error():
     with pytest.raises(PhaseAdjacencyError):
-        compare_states(PhaseState(1, 2), PhaseState(2, 0), SchemeId.TWO_BIT_FULL, H123)
+        link_points_from(PhaseState(1, 2), PhaseState(2, 0), SchemeId.TWO_BIT_FULL, H123)
 
 
 def test_equal_phases_fall_back_to_initial_key():
     heights = H123
     a, b = PhaseState(1, 0), PhaseState(2, 0)  # initial heights 1 < 2
-    assert compare_states(a, b, SchemeId.TWO_BIT_FULL, heights) == -1
-    assert compare_states(a, b, SchemeId.TWO_BIT_PARTIAL, heights) == -1
+    assert not link_points_from(a, b, SchemeId.TWO_BIT_FULL, heights)
+    assert not link_points_from(a, b, SchemeId.TWO_BIT_PARTIAL, heights)
     # odd phases reverse the initial order under the partial variant only
     a, b = PhaseState(1, 1), PhaseState(2, 1)
-    assert compare_states(a, b, SchemeId.TWO_BIT_FULL, heights) == -1
-    assert compare_states(a, b, SchemeId.TWO_BIT_PARTIAL, heights) == 1
+    assert not link_points_from(a, b, SchemeId.TWO_BIT_FULL, heights)
+    assert link_points_from(a, b, SchemeId.TWO_BIT_PARTIAL, heights)
 
 
 def test_phase_comparison_needs_heights():
-    with pytest.raises(ValueError):
-        compare_states(PhaseState(1, 0), PhaseState(2, 1), SchemeId.TWO_BIT_FULL)
+    with pytest.raises(ValueError, match="phase comparison needs the initial height"):
+        link_points_from(PhaseState(1, 0), PhaseState(2, 1), SchemeId.TWO_BIT_FULL)
 
 
 def test_flag_states_have_no_total_order():
+    # Flags 1, 0, 1 over initial heights 1 < 2 < 3 orient the triangle
+    # 1 -> 2 -> 3 -> 1, which no total order can.
+    a, b, c = FlagState(1, 1), FlagState(2, 0), FlagState(3, 1)
+    for x, y in ((a, b), (b, c), (c, a)):
+        assert link_points_from(x, y, SchemeId.ONE_BIT_FULL, H123)
     with pytest.raises(SchemeMismatchError):
-        compare_states(FlagState(1, 0), FlagState(2, 1), SchemeId.ONE_BIT_FULL)
+        sort_key(a, SchemeId.ONE_BIT_FULL)
 
 
 def test_flag_link_direction():
@@ -242,11 +244,11 @@ def test_orientation_predicate_keeps_the_pairwise_errors():
 
 @given(
     ta=st.integers(0, 3), tb=st.integers(0, 3), ha=st.integers(1, 9), hb=st.integers(1, 9),
-    scheme=st.sampled_from(sorted(STATE_CLASSES, key=str)),
+    scheme=st.sampled_from(sorted(SPECS, key=str)),
 )
 def test_orientation_predicate_is_antisymmetric(ta, tb, ha, hb, scheme):
     heights = HeightAssignment((ha, hb))
-    cls = STATE_CLASSES[scheme]
+    cls = SPECS[scheme].state
     a, b = cls(1, *(ta,) * (len(cls._fields) - 1)), cls(2, *(tb,) * (len(cls._fields) - 1))
     points_from = orientation_predicate(scheme, heights)
     try:
@@ -293,13 +295,13 @@ def test_stuck_set_matches_hand_computation():
     assert not is_destination_oriented(dag, topo)
 
 
-def test_forwarding_set_always_contains_destination():
+def test_links_point_into_the_destination_and_down_the_order():
     topo, heights, states = _chain_setup()
-    assert forwarding_set(1, states, topo, SchemeId.NO_FULL, heights) == frozenset({0})
-    assert forwarding_set(2, states, topo, SchemeId.NO_FULL, heights) == frozenset()
-    assert forwarding_set(3, states, topo, SchemeId.NO_FULL, heights) == frozenset({1, 2})
-    with pytest.raises(UnknownNodeError):
-        forwarding_set(DESTINATION, states, topo, SchemeId.NO_FULL, heights)
+    points_from = orientation_predicate(SchemeId.NO_FULL, heights)
+    assert points_from(states[3], states[1]) and points_from(states[3], states[2])
+    assert not points_from(states[1], states[3]) and not points_from(states[2], states[3])
+    dag = routing_dag(states, topo, SchemeId.NO_FULL, heights)
+    assert [dag.out_neighbors(i) for i in (DESTINATION, 1, 2, 3)] == [(), (0,), (), (1, 2)]
 
 
 def test_destination_oriented_iff_no_stuck_node():

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+
+import linkrev
 
 from linkrev import (
     CountedHeightState,
@@ -31,8 +35,16 @@ from linkrev import (
     threshold,
     two_bit_update,
 )
-from linkrev.model import ALL_SCHEMES, STATE_CLASSES
-from linkrev.schemes import INT63_MAX, state_from_payload, state_payload
+from linkrev.model import routing_dag
+from linkrev.schemes import (
+    ALL_SCHEMES,
+    CORE_SCHEMES,
+    INT63_MAX,
+    SPECS,
+    initial_states,
+    state_from_payload,
+    state_payload,
+)
 
 
 # --- threshold sequence ------------------------------------------------------
@@ -284,4 +296,108 @@ def test_state_payload_round_trip(scheme):
     payload = state_payload(scheme, state)
     assert "node" not in payload
     assert state_from_payload(scheme, 3, payload) == state
-    assert type(state) is STATE_CLASSES[scheme]
+    assert type(state) is SPECS[scheme].state
+
+
+# --- the spec table ----------------------------------------------------------
+
+SOURCE = Path(linkrev.__file__).parent
+
+
+def _spec_rows() -> list[str]:
+    """The SchemeId member named by each SchemeSpec(...) row of schemes.py."""
+    tree = ast.parse((SOURCE / "schemes.py").read_text(encoding="utf-8"))
+    return [
+        node.args[0].attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SchemeSpec"
+    ]
+
+
+def test_every_scheme_has_exactly_one_spec():
+    assert sorted(_spec_rows()) == sorted(SchemeId.__members__)
+    assert ALL_SCHEMES == tuple(SPECS) == tuple(SchemeId)
+    assert all(SPECS[scheme].scheme is scheme for scheme in ALL_SCHEMES)
+    assert CORE_SCHEMES == ALL_SCHEMES[:-1]
+    assert ALL_SCHEMES[-1] is SchemeId.BASELINE_INCREMENT
+
+
+def test_every_scheme_starts_from_the_same_orientation(generated_corpus):
+    mismatched = []
+    for scenario in generated_corpus:
+        topo, heights = scenario.topology, scenario.heights
+        digests = {
+            routing_dag(initial_states(scheme, topo, heights), topo, scheme, heights).digest()
+            for scheme in ALL_SCHEMES
+        }
+        if len(digests) != 1:
+            mismatched.append(scenario.scenario_id())
+    assert len(generated_corpus) == 880
+    assert mismatched == []
+
+
+#: Assignments that may name schemes: the table itself, the claims the
+#: verifier tests, and the scheme the generator probes initial stuckness with.
+ALLOWED = {("schemes", "SPECS"), ("verify", "EQUIVALENCE_PAIRS"), ("generate", "_PROBE_SCHEME")}
+
+STATE_CLASS_NAMES = frozenset(spec.state.__name__ for spec in SPECS.values())
+
+
+def _names(node: ast.AST) -> set[str]:
+    parts = node.elts if isinstance(node, ast.Tuple) else [node]
+    return {part.id for part in parts if isinstance(part, ast.Name)}
+
+
+def _scheme_branches(module: str, text: str) -> list[str]:
+    """SchemeId members named, and state classes tested, outside ALLOWED."""
+    tree = ast.parse(text)
+    allowed = set()
+    for node in tree.body:
+        targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+        if any((module, getattr(t, "id", None)) in ALLOWED for t in targets):
+            allowed.update(map(id, ast.walk(node)))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "SchemeId"
+            and node.attr in SchemeId.__members__
+        ):
+            found.append(f"{module}.py:{node.lineno}: SchemeId.{node.attr}")
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and _names(node.args[1]) & STATE_CLASS_NAMES
+        ) or (
+            isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and set().union(*map(_names, [node.left, *node.comparators])) & STATE_CLASS_NAMES
+        ):
+            found.append(f"{module}.py:{node.lineno}: state class test")
+    return sorted(found, key=lambda line: int(line.split(":")[1]))
+
+
+def test_the_guard_sees_scheme_branches():
+    text = (
+        "if scheme is SchemeId.GB_FULL:\n    pass\n"
+        "ok = isinstance(state, (HeightState, int))\n"
+        "ok = cls is not FlagState\n"
+        "SPECS = {SchemeId.NO_FULL: None}\n"
+    )
+    assert _scheme_branches("sim", text) == [
+        "sim.py:1: SchemeId.GB_FULL",
+        "sim.py:3: state class test",
+        "sim.py:4: state class test",
+        "sim.py:5: SchemeId.NO_FULL",
+    ]
+    assert _scheme_branches("schemes", "SPECS = {SchemeId.NO_FULL: None}\n") == []
+
+
+def test_scheme_facts_stay_in_the_spec_table():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += _scheme_branches(path.stem, path.read_text(encoding="utf-8"))
+    assert found == []

@@ -26,16 +26,9 @@ from linkrev import (
     run_scenario,
 )
 from linkrev.generate import random_partition_scenario, random_void_scenario
-from linkrev.model import (
-    ALL_SCHEMES,
-    CORE_SCHEMES,
-    RoutingDag,
-    orientation_flips,
-    routing_dag,
-    stuck_set,
-)
+from linkrev.model import RoutingDag, orientation_flips, routing_dag, stuck_set
 from linkrev import sim as sim_module
-from linkrev.schemes import initial_states
+from linkrev.schemes import ALL_SCHEMES, CORE_SCHEMES, initial_states
 from linkrev.sim import STEP_LIMIT_ENV, default_step_limit
 
 

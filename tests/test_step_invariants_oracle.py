@@ -19,23 +19,29 @@ from hypothesis import given, settings, strategies as st
 from linkrev import LinkrevError, Schedule, check_step_invariants, run_scenario
 from linkrev.generate import random_void_scenario
 from linkrev.model import (
-    CORE_SCHEMES,
-    COUNTER_SCHEMES,
     DESTINATION,
-    PHASE_MODULUS,
-    FlagState,
     RoutingDag,
-    SchemeId,
-    State,
     is_acyclic,
     is_destination_oriented,
     orientation_flips,
     routing_dag,
-    sort_key,
     stuck_set,
 )
 from linkrev.scenario import Scenario
-from linkrev.schemes import closed_form_height, initial_states, threshold
+from linkrev.schemes import (
+    CORE_SCHEMES,
+    PHASE_MODULUS,
+    FlagState,
+    SchemeId,
+    State,
+    closed_form_height,
+    initial_states,
+    sort_key,
+    threshold,
+)
+
+#: The schemes whose states carry an update counter.
+COUNTER_SCHEMES = (SchemeId.NO_FULL, SchemeId.NO_PARTIAL)
 from linkrev.sim import Trace
 from linkrev.verify import CheckReport, _closes_cycle, _report, _require_plain_trace
 

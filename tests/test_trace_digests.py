@@ -24,8 +24,7 @@ import pytest
 
 from linkrev import LinkrevError, Scenario, Schedule, SimEvent, run_scenario, trace_to_jsonl
 from linkrev.generate import random_partition_scenario, random_void_scenario
-from linkrev.model import ALL_SCHEMES, SchemeId
-from linkrev.schemes import state_payload
+from linkrev.schemes import ALL_SCHEMES, SchemeId, state_payload
 
 DATA = Path(__file__).with_name("trace_digests.json")
 

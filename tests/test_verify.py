@@ -26,7 +26,7 @@ from linkrev import (
     standard_battery,
 )
 from linkrev.generate import exhaustive_void_scenarios, random_void_scenario
-from linkrev.model import CORE_SCHEMES
+from linkrev.schemes import CORE_SCHEMES
 from linkrev import model, verify
 from linkrev.verify import EQUIVALENCE_PAIRS
 
