@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from dataclasses import replace
 
@@ -339,6 +340,28 @@ def test_enumeration_guard_trips_on_tiny_budgets(chain):
 def test_enumeration_rejects_unknown_branching(chain):
     with pytest.raises(ValueError, match="branching"):
         enumerate_all_schedules(chain, SchemeId.NO_FULL, branching="pairs")
+
+
+#: sha256 over every n=4 void scenario x core scheme enumeration: its final
+#: digests, states explored, transitions, orientation verdict and the steps
+#: of each final DAG's witness.
+ENUMERATION_DIGEST = "005084d383bad09a50d0db756c505c46852ebc1895121cc8424b4abcd7fa6ceb"
+
+
+def test_enumeration_results_are_pinned():
+    lines = []
+    for scenario in exhaustive_void_scenarios(4):
+        for scheme in CORE_SCHEMES:
+            result = enumerate_all_schedules(scenario, scheme, "subset")
+            witnesses = " ".join(repr(result.witnesses[d].steps) for d in result.final_digests)
+            lines.append(
+                f"{scenario.scenario_id()}/{scheme.value} {','.join(result.final_digests)} "
+                f"{result.states_explored} {result.transitions} "
+                f"{result.all_destination_oriented} {witnesses}"
+            )
+    assert len(lines) == 664 * 7
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ENUMERATION_DIGEST
 
 
 @pytest.mark.parametrize(
