@@ -71,12 +71,14 @@ def _parse_schedule(text: str, seed: int) -> Schedule:
 
 
 def _check_step_limit_override() -> None:
-    """A malformed step limit override is an input error, caught before any run."""
+    """A malformed or negative step limit override is an input error, caught before any run."""
+    value = os.environ.get(STEP_LIMIT_ENV)
     try:
-        default_step_limit(1)
+        limit = default_step_limit(1)
     except ValueError:
-        value = os.environ[STEP_LIMIT_ENV]
         raise _InputError(f"{STEP_LIMIT_ENV} must be an integer, got {value!r}") from None
+    if limit < 0:
+        raise _InputError(f"{STEP_LIMIT_ENV} must not be negative, got {value!r}")
 
 
 def _outcome_exit(outcome: Outcome) -> int:
@@ -266,6 +268,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_step_limit_override()
+        if getattr(args, "step_limit", None) is not None and args.step_limit < 0:
+            raise _InputError(f"--step-limit must not be negative, got {args.step_limit}")
         return args.func(args)
     except _InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

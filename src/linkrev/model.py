@@ -264,11 +264,7 @@ def routing_dag(
 
 def stuck_set(dag: RoutingDag, topo: Topology) -> frozenset[int]:
     """Nondestination nodes with no outgoing link."""
-    out_degree = {i: 0 for i in topo.nodes}
-    for s, _ in dag.arcs:
-        if s != DESTINATION:
-            out_degree[s] += 1
-    return frozenset(i for i, deg in out_degree.items() if deg == 0)
+    return topo._node_set.difference(s for s, _ in dag.arcs)
 
 
 def is_destination_oriented(
@@ -280,6 +276,11 @@ def is_destination_oriented(
     not copy them into a RoutingDag.
     """
     arcs = dag.arcs if isinstance(dag, RoutingDag) else dag
+    return set(topo.nodes) <= reaches_destination(arcs)
+
+
+def reaches_destination(arcs: Iterable[tuple[int, int]]) -> set[int]:
+    """The nodes with a directed path to the destination, the destination included."""
     reverse: dict[int, list[int]] = {}
     for s, d in arcs:
         reverse.setdefault(d, []).append(s)
@@ -291,7 +292,7 @@ def is_destination_oriented(
             if j not in seen:
                 seen.add(j)
                 stack.append(j)
-    return set(topo.nodes) <= seen
+    return seen
 
 
 def is_acyclic(dag: RoutingDag) -> bool:

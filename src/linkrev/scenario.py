@@ -119,6 +119,7 @@ class Scenario:
             name=name,
             explicit_heights=explicit,
         )
+        vars(scenario)["topology"] = topo  # fill the cached property: one build
         scenario._validate_bounds()
         scenario._validate_events()
         return scenario

@@ -269,6 +269,8 @@ class Simulation:
         self.schedule = schedule or Schedule.single_random(scenario.seed or 0)
         self._selector = self.schedule.selector()
         self.step_limit = step_limit if step_limit is not None else default_step_limit(scenario.n)
+        if self.step_limit < 0:
+            raise ValueError(f"step limit must not be negative, got {self.step_limit}")
 
         self.live: Topology = scenario.topology
         self.sleeping: dict[int, bool] = {}

@@ -25,13 +25,14 @@ from .errors import ExplosionGuardError, LinkrevError, ScheduleError
 from .model import (
     DESTINATION,
     HeightAssignment,
-    RoutingDag,
     arc_label,
     arcs_digest,
     is_acyclic,
     is_destination_oriented,
     orientation_predicate,
+    reaches_destination,
     routing_dag,
+    stuck_set,
 )
 from .scenario import Scenario, serialize_scenario
 from .schemes import (
@@ -445,20 +446,8 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
 def check_initial_greedy_stability(trace: Trace, scenario: Scenario) -> CheckReport:
     """Only nodes with no initial directed path to the destination update."""
     _require_plain_trace(trace)
-    initial = RoutingDag(trace.initial_arcs)
-    reverse: dict[int, list[int]] = {}
-    for s, d in initial.arcs:
-        reverse.setdefault(d, []).append(s)
-    reach = {DESTINATION}
-    stack = [DESTINATION]
-    while stack:
-        i = stack.pop()
-        for j in reverse.get(i, ()):
-            if j not in reach:
-                reach.add(j)
-                stack.append(j)
     updaters = {i for rec in trace.steps for i in rec.updated}
-    offenders = sorted(updaters & (reach - {DESTINATION}))
+    offenders = sorted(updaters & reaches_destination(trace.initial_arcs))
     failures = (
         [f"nodes {offenders} had an initial greedy path yet updated"] if offenders else []
     )
@@ -592,9 +581,7 @@ def check_determinism(first: Trace) -> CheckReport:
 @dataclass(frozen=True)
 class EnumerationResult:
     scheme: SchemeId
-    branching: str
     final_digests: tuple[str, ...]
-    final_arcs: Mapping[str, tuple[tuple[int, int], ...]]
     states_explored: int
     transitions: int
     all_destination_oriented: bool
@@ -611,73 +598,48 @@ def _nonempty_subsets(items: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
 
 
 def enumerate_all_schedules(
-    scenario: Scenario,
-    scheme: SchemeId,
-    branching: str = "subset",
-    max_states: int = 10**6,
-    traversal: str = "dfs",
+    scenario: Scenario, scheme: SchemeId, max_states: int = 10**6
 ) -> EnumerationResult:
     """Explore every schedule, memoizing on the global state vector.
 
-    branching="single" updates one stuck node per step; "subset" branches
-    over every nonempty subset of the stuck set (and therefore visits a
-    superset of the single-node runs).  Raises ExplosionGuardError when
-    more than max_states distinct state vectors appear.
+    Each step branches over every nonempty subset of the stuck set, so a
+    single-node step is one of the options.  The stuck set of a state
+    vector is the model's: stuck_set of the routing_dag it induces, built
+    once per vector and reused, on a vector with no stuck node, for its
+    digest and its destination orientation.  Raises ExplosionGuardError
+    when more than max_states distinct state vectors appear.
     """
-    if branching not in ("single", "subset"):
-        raise ValueError(f"unknown branching {branching!r}")
     topo = scenario.topology
     heights = scenario.heights
     nodes = topo.nodes
-    node_index = {i: k for k, i in enumerate(nodes)}
-    plain_neighbors = {
-        i: tuple(j for j in topo.neighbors(i) if j != DESTINATION) for i in nodes
-    }
-    dest_adjacent = frozenset(j for j in topo.neighbors(DESTINATION))
     aware = SPECS[scheme].neighbor_aware
-    points_from = orientation_predicate(scheme, heights)
 
-    init = tuple(initial_states(scheme, topo, heights).values())  # in node order
+    # A state vector lists the states in node order: node i at index i - 1.
+    init = tuple(initial_states(scheme, topo, heights).values())
     parents: dict[tuple, tuple | None] = {init: None}
     frontier = [init]
     finals: dict[str, tuple] = {}
-    final_arcs: dict[str, tuple[tuple[int, int], ...]] = {}
     oriented_all = True
     transitions = 0
 
     while frontier:
-        vec = frontier.pop() if traversal == "dfs" else frontier.pop(0)
-        found = []
-        for i in nodes:
-            if i in dest_adjacent:
-                continue
-            own = vec[node_index[i]]
-            for j in plain_neighbors[i]:
-                if points_from(own, vec[node_index[j]]):
-                    break
-            else:
-                found.append(i)
-        stuck = tuple(found)
+        vec = frontier.pop()
+        states = dict(zip(nodes, vec))
+        dag = routing_dag(states, topo, scheme, heights)
+        stuck = tuple(sorted(stuck_set(dag, topo)))
         if not stuck:
-            states = dict(zip(nodes, vec))
-            dag = routing_dag(states, topo, scheme, heights)
             digest = dag.digest()
             if digest not in finals:
                 finals[digest] = vec
-                final_arcs[digest] = dag.arcs
                 oriented_all = oriented_all and is_destination_oriented(dag, topo)
             continue
-        options = (
-            tuple((i,) for i in stuck) if branching == "single" else tuple(_nonempty_subsets(stuck))
-        )
-        for chosen in options:
+        for chosen in _nonempty_subsets(stuck):
             fresh = list(vec)
             for i in chosen:
-                own = vec[node_index[i]]
                 neighbor_states = (
-                    [vec[node_index[j]] for j in plain_neighbors[i]] if aware else None
+                    [states[j] for j in topo.neighbors(i) if j != DESTINATION] if aware else None
                 )
-                fresh[node_index[i]] = apply_update(scheme, own, neighbor_states, heights)
+                fresh[i - 1] = apply_update(scheme, states[i], neighbor_states, heights)
             child = tuple(fresh)
             transitions += 1
             if child not in parents:
@@ -701,9 +663,7 @@ def enumerate_all_schedules(
 
     return EnumerationResult(
         scheme=scheme,
-        branching=branching,
         final_digests=tuple(sorted(finals)),
-        final_arcs=final_arcs,
         states_explored=len(parents),
         transitions=transitions,
         all_destination_oriented=oriented_all,
@@ -711,27 +671,17 @@ def enumerate_all_schedules(
     )
 
 
-def check_order_invariance(
-    scenario: Scenario,
-    scheme: SchemeId,
-    max_states: int = 10**6,
-    informational: bool = False,
-) -> CheckReport:
+def check_order_invariance(scenario: Scenario, scheme: SchemeId) -> CheckReport:
     """Every schedule must reach the same final destination-oriented DAG."""
+    result = enumerate_all_schedules(scenario, scheme)
     failures: list[str] = []
-    details = []
-    for branching in ("single", "subset"):
-        result = enumerate_all_schedules(scenario, scheme, branching, max_states)
-        details.append(f"{branching}: {result.states_explored} states")
-        if not result.singleton:
-            failures.append(
-                f"{branching} branching reached {len(result.final_digests)} distinct final DAGs"
-            )
-        if not result.all_destination_oriented:
-            failures.append(f"{branching} branching reached a final DAG that is not oriented")
+    if not result.singleton:
+        failures.append(f"reached {len(result.final_digests)} distinct final DAGs")
+    if not result.all_destination_oriented:
+        failures.append("reached a final DAG that is not oriented")
     return _report(
         "order-invariance", scenario, scheme, failures,
-        detail="; ".join(details), informational=informational,
+        detail=f"{result.states_explored} states",
     )
 
 

@@ -161,18 +161,14 @@ def test_criterion_2_order_invariance():
     ]
     for scenario in small + fives:
         for scheme in ORDER_INVARIANCE_SCHEMES:
-            for branching in ("single", "subset"):
-                result = enumerate_all_schedules(scenario, scheme, branching)
-                checked += 1
-                if not result.singleton:
-                    violations.append(
-                        f"{scenario.scenario_id()}/{scheme}/{branching}: "
-                        f"{len(result.final_digests)} final DAGs"
-                    )
-                elif not result.all_destination_oriented:
-                    violations.append(
-                        f"{scenario.scenario_id()}/{scheme}/{branching}: final DAG not oriented"
-                    )
+            result = enumerate_all_schedules(scenario, scheme)
+            checked += 1
+            if not result.singleton:
+                violations.append(
+                    f"{scenario.scenario_id()}/{scheme}: {len(result.final_digests)} final DAGs"
+                )
+            elif not result.all_destination_oriented:
+                violations.append(f"{scenario.scenario_id()}/{scheme}: final DAG not oriented")
     elapsed = time.perf_counter() - start
     if elapsed >= 120.0:
         violations.append(f"enumeration runtime {elapsed:.1f}s exceeds the 2min budget")

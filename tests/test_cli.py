@@ -159,8 +159,16 @@ def test_run_malformed_scenario_is_an_input_error(scenario_file, capsys):
         (["verify", "--random", "2", "3"], None, "--random 2 3: void scenarios need at least three nodes"),
         (["verify", "--exhaustive", "-1"], None, "--exhaustive takes a node count, got -1"),
         (["run", "CHAIN", "--scheme", "no-full"], "abc", f"{STEP_LIMIT_ENV} must be an integer, got 'abc'"),
+        (["run", "CHAIN", "--scheme", "no-full"], "-3", f"{STEP_LIMIT_ENV} must not be negative, got '-3'"),
+        (["run", "CHAIN", "--scheme", "no-full", "--step-limit", "-3"], None,
+         "--step-limit must not be negative, got -3"),
+        (["compare", "CHAIN", "--schemes", "no-full,gb-full", "--step-limit", "-1"], None,
+         "--step-limit must not be negative, got -1"),
     ],
-    ids=["random-too-few-nodes", "exhaustive-negative", "step-limit-not-a-number"],
+    ids=[
+        "random-too-few-nodes", "exhaustive-negative", "step-limit-not-a-number",
+        "step-limit-env-negative", "run-step-limit-negative", "compare-step-limit-negative",
+    ],
 )
 def test_bad_numbers_are_input_errors(scenario_file, capsys, monkeypatch, argv, step_limit, message):
     if step_limit is None:

@@ -24,6 +24,7 @@ from linkrev import (
     save_scenario,
     serialize_scenario,
 )
+from linkrev.model import Topology
 from linkrev.traceio import (
     EXPORT_FORMATS,
     export_trace,
@@ -157,6 +158,26 @@ def test_event_validation_against_the_topology():
             2, [(0, 1), (1, 2)],
             events=[SimEvent(at_step=1, kind="sleep", node=1, duration=0)],
         )
+
+
+@pytest.mark.parametrize(
+    "events",
+    [(), (SimEvent(at_step=1, kind="sleep", node=2, duration=2),)],
+    ids=["plain", "sleep"],
+)
+def test_create_builds_the_topology_once(monkeypatch, events):
+    calls = []
+    real = Topology.build.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Topology, "build", classmethod(counting))
+    scenario = Scenario.create(3, [(0, 1), (1, 2), (2, 3)], heights=(1, 2, 1), events=events)
+    trace = run_scenario(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
+    assert trace.steps
+    assert len(calls) == 1
 
 
 # --- round trips -------------------------------------------------------------

@@ -183,6 +183,14 @@ def test_step_limit_outcome_on_a_connected_graph(chain):
     assert trace.certificate is None
 
 
+def test_negative_step_limits_are_rejected(chain, monkeypatch):
+    with pytest.raises(ValueError, match="must not be negative"):
+        Simulation(chain, SchemeId.NO_FULL, step_limit=-1)
+    monkeypatch.setenv(STEP_LIMIT_ENV, "-2")
+    with pytest.raises(ValueError, match="must not be negative"):
+        Simulation(chain, SchemeId.NO_FULL)
+
+
 def test_trace_totals_are_consistent(chain):
     trace = run_scenario(chain, SchemeId.TWO_BIT_PARTIAL, Schedule.subset_random(2))
     assert trace.total_updates == sum(trace.update_counts.values())

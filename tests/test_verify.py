@@ -307,27 +307,31 @@ def test_determinism_catches_a_trace_the_rerun_does_not_reproduce(chain):
 
 
 def test_enumeration_finds_a_single_final_dag(chain):
-    single = enumerate_all_schedules(chain, SchemeId.NO_FULL, branching="single")
-    subset = enumerate_all_schedules(chain, SchemeId.NO_FULL, branching="subset")
-    assert single.singleton and subset.singleton
-    assert single.final_digests == subset.final_digests
-    assert single.all_destination_oriented
-    assert subset.states_explored >= single.states_explored >= 2
-    assert subset.transitions >= single.transitions
+    result = enumerate_all_schedules(chain, SchemeId.NO_FULL)
+    assert result.singleton
+    assert result.all_destination_oriented
+    assert result.states_explored >= 2
+    assert result.transitions >= result.states_explored - 1
+    assert set(result.witnesses) == set(result.final_digests)
 
 
-def test_enumeration_traversal_order_does_not_matter(reversed_pair):
-    dfs = enumerate_all_schedules(reversed_pair, SchemeId.NO_PARTIAL, traversal="dfs")
-    bfs = enumerate_all_schedules(reversed_pair, SchemeId.NO_PARTIAL, traversal="bfs")
-    assert dfs.final_digests == bfs.final_digests
-    assert dfs.states_explored == bfs.states_explored
-    assert dfs.transitions == bfs.transitions
+#: Every void scenario at n=3, and the conftest reversed_pair, whose counted
+#: partial schemes need a silent update.
+WITNESS_SCENARIOS = (
+    *exhaustive_void_scenarios(3),
+    Scenario.create(3, [(0, 1), (1, 2), (2, 3)], heights=(2, 1, 1), name="reversed-pair"),
+)
 
 
-def test_enumeration_witness_replays_to_its_digest(reversed_pair):
-    result = enumerate_all_schedules(reversed_pair, SchemeId.NO_PARTIAL, branching="subset")
+@pytest.mark.parametrize("scheme", CORE_SCHEMES)
+@pytest.mark.parametrize("scenario", WITNESS_SCENARIOS, ids=lambda scenario: scenario.name)
+def test_enumeration_witness_replays_to_its_digest(scenario, scheme):
+    # A fixed schedule step that names a node the simulator does not see as
+    # stuck raises ScheduleError, so every replayed witness also checks the
+    # enumerator's stuck sets against the simulator's.
+    result = enumerate_all_schedules(scenario, scheme)
     for digest, witness in result.witnesses.items():
-        trace = run_scenario(reversed_pair, SchemeId.NO_PARTIAL, witness)
+        trace = run_scenario(scenario, scheme, witness)
         assert trace.outcome is Outcome.CONVERGED
         assert trace.final_digest == digest
 
@@ -337,9 +341,27 @@ def test_enumeration_guard_trips_on_tiny_budgets(chain):
         enumerate_all_schedules(chain, SchemeId.NO_FULL, max_states=1)
 
 
-def test_enumeration_rejects_unknown_branching(chain):
-    with pytest.raises(ValueError, match="branching"):
-        enumerate_all_schedules(chain, SchemeId.NO_FULL, branching="pairs")
+def test_order_invariance_enumerates_once_with_one_dag_per_state(monkeypatch, star):
+    enumerations, dags = [], []
+    real_enumerate, real_dag = verify.enumerate_all_schedules, verify.routing_dag
+
+    def enumerate_counting(*args, **kwargs):
+        enumerations.append(real_enumerate(*args, **kwargs))
+        return enumerations[-1]
+
+    def dag_counting(*args):
+        dags.append(args)
+        return real_dag(*args)
+
+    monkeypatch.setattr(verify, "enumerate_all_schedules", enumerate_counting)
+    monkeypatch.setattr(verify, "routing_dag", dag_counting)
+    report = check_order_invariance(star, SchemeId.NO_PARTIAL)
+    assert report.passed
+    assert len(enumerations) == 1
+    states = enumerations[0].states_explored
+    assert states > 2
+    assert len(dags) == states
+    assert report.detail == f"{states} states"
 
 
 #: sha256 over every n=4 void scenario x core scheme enumeration: its final
@@ -352,7 +374,7 @@ def test_enumeration_results_are_pinned():
     lines = []
     for scenario in exhaustive_void_scenarios(4):
         for scheme in CORE_SCHEMES:
-            result = enumerate_all_schedules(scenario, scheme, "subset")
+            result = enumerate_all_schedules(scenario, scheme)
             witnesses = " ".join(repr(result.witnesses[d].steps) for d in result.final_digests)
             lines.append(
                 f"{scenario.scenario_id()}/{scheme.value} {','.join(result.final_digests)} "
