@@ -155,7 +155,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for r in failed:
         print(f"  {r.line()}")
         if r.counterexample and args.verbose:
-            print(f"    schedule: {r.counterexample.schedule.describe()}")
+            if r.counterexample.schedule is not None:
+                print(f"    schedule: {r.counterexample.schedule.describe()}")
             print("    scenario:")
             for line in r.counterexample.scenario_text.splitlines():
                 print(f"      {line}")

@@ -28,8 +28,7 @@ _PROBE_SCHEME = SchemeId.NO_FULL
 def _has_void(topo: Topology, heights: HeightAssignment) -> bool:
     """True if some node starts stuck, by hello rounds over the initial states."""
     states = initial_states(_PROBE_SCHEME, topo, heights)
-    awake = frozenset(topo.nodes)
-    return any(hello_round(i, states, topo, awake, _PROBE_SCHEME, heights) for i in topo.nodes)
+    return any(hello_round(i, states, topo, _PROBE_SCHEME, heights) for i in topo.nodes)
 
 
 def _random_connected_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:

@@ -103,12 +103,10 @@ class Scenario:
             values = tuple(heights)
             if len(values) != n:
                 raise HeightRangeError(f"expected {n} heights, got {len(values)}")
-            for idx, h in enumerate(values, start=1):
-                if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-                    raise HeightRangeError(
-                        f"initial height of node {idx} must be a positive integer, got {h!r}"
-                    )
-            assignment = HeightAssignment(values)
+            try:
+                assignment = HeightAssignment(values)
+            except ValueError as exc:
+                raise HeightRangeError(str(exc)) from None
             explicit = True
         scenario = cls(
             n=n,

@@ -23,8 +23,10 @@ is disconnected.
 
 The step kernel is incremental.  A Simulation keeps the current arcs of the
 awake graph in canonical edge order with the digest label of each arc,
-each awake node's out-degree, the stuck set, and the awake set and
-topology.  An update changes only the updater's own state, so after a step
+each awake node's out-degree, the stuck set, and the awake topology: the
+live topology without its sleeping nodes, the one view of the awake graph
+that the probes, the eligibility test, the update rule and the orientation
+all read.  An update changes only the updater's own state, so after a step
 only the links of the updaters U can flip: they alone are re-oriented,
 through one orientation predicate compiled for the scheme and heights,
 which costs O(sum of deg U) instead of an orientation pass over every
@@ -218,24 +220,22 @@ class Trace:
 def hello_round(
     i: int,
     states: Mapping[int, State],
-    topo: Topology,
-    awake: frozenset[int],
+    awake: Topology,
     scheme: SchemeId,
     heights: HeightAssignment,
 ) -> bool:
-    """True if node i finds itself stuck: no awake forwarding neighbor acks.
+    """True if node i finds itself stuck: no forwarding neighbor acks.
 
-    Sleeping neighbors never answer, so their states are not consulted at
-    all; the destination is always awake.
+    awake is the awake topology.  Sleeping nodes are not in it, so they
+    never answer and their states are not consulted at all; the
+    destination is always awake.  Probing a node that is not in it raises
+    UnknownNodeError.
     """
-    if i not in awake:
-        raise ValueError(f"node {i} is not awake")
+    neighbors = awake.neighbors(i)
     points_from = orientation_predicate(scheme, heights)
     own = states[i]
-    for j in topo.neighbors(i):
-        if j == DESTINATION:
-            return False
-        if j in awake and points_from(own, states[j]):
+    for j in neighbors:
+        if j == DESTINATION or points_from(own, states[j]):
             return False
     return True
 
@@ -249,7 +249,7 @@ class Simulation:
         "scenario", "scheme", "_spec", "heights", "n", "schedule", "_selector", "step_limit",
         "live", "sleeping", "states", "steps", "events_applied", "update_counts",
         "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
-        "_points_from", "_awake", "_awake_topo", "_stale", "_edges", "_edge_index",
+        "_points_from", "_awake_topo", "_stale", "_edges", "_edge_index",
         "_arcs", "_arc_labels", "_out_degree", "_stuck", "_stuck_view", "initial_arcs",
         "initial_digest", "_recorded_index", "_eligible_memo",
     )
@@ -273,7 +273,7 @@ class Simulation:
             raise ValueError(f"step limit must not be negative, got {self.step_limit}")
 
         self.live: Topology = scenario.topology
-        self.sleeping: dict[int, bool] = {}
+        self.sleeping: set[int] = set()
         self.states: dict[int, State] = initial_states(scheme, self.live, self.heights)
         self.steps: list[StepRecord] = []
         self.events_applied: list[tuple[int, str]] = []
@@ -302,8 +302,10 @@ class Simulation:
         self._queue_seq += 1
 
     def _set_awake(self) -> None:
-        """Cache the awake set and topology; the orientation is rebuilt on next use."""
-        self._awake = frozenset(i for i in self.live.nodes if i not in self.sleeping)
+        """Cache the awake topology, the live one without its sleeping nodes.
+
+        The orientation is rebuilt from it on next use.
+        """
         self._awake_topo = (
             self.live.without(drop_nodes=self.sleeping) if self.sleeping else self.live
         )
@@ -312,7 +314,7 @@ class Simulation:
 
     @property
     def awake(self) -> frozenset[int]:
-        return self._awake
+        return frozenset(self._awake_topo.nodes)
 
     def awake_topology(self) -> Topology:
         return self._awake_topo
@@ -326,7 +328,7 @@ class Simulation:
                 raise EventError(f"cannot remove node {ev.node}")
             self.live = self.live.without(drop_nodes=(ev.node,))
             self.states.pop(ev.node, None)
-            self.sleeping.pop(ev.node, None)
+            self.sleeping.discard(ev.node)
         elif ev.kind == "remove-link":
             if _canonical_edge(*ev.edge) not in set(self.live.edges):
                 raise EventError(f"cannot remove missing link {ev.edge}")
@@ -334,29 +336,19 @@ class Simulation:
         elif ev.kind == "sleep":
             if not self.live.has_node(ev.node) or ev.node == DESTINATION:
                 raise EventError(f"cannot put node {ev.node} to sleep")
-            self.sleeping[ev.node] = True
+            self.sleeping.add(ev.node)
             wake = SimEvent(at_step=ev.at_step + ev.duration, kind="wake", node=ev.node)
             self._push_event(wake)
         elif ev.kind == "wake":
-            self.sleeping.pop(ev.node, None)
+            self.sleeping.discard(ev.node)
         else:
             raise EventError(f"unknown event kind {ev.kind!r}")
         self._set_awake()
         self.events_applied.append((ev.at_step, ev.describe()))
 
-    def _apply_due_events(self) -> None:
-        due_step = len(self.steps) + 1
-        while self._queue and self._queue[0][0] <= due_step:
-            _, _, ev = heapq.heappop(self._queue)
-            self.apply_event(ev)
-
-    def _fast_forward_events(self) -> None:
-        # Converged but events still scheduled: time passes quietly until the
-        # next event fires.  Step indices keep counting update steps only.
-        if not self._queue:
-            return
-        next_step = self._queue[0][0]
-        while self._queue and self._queue[0][0] == next_step:
+    def _apply_events_until(self, step: int) -> None:
+        """Apply every queued event due at or before the given step, in order."""
+        while self._queue and self._queue[0][0] <= step:
             _, _, ev = heapq.heappop(self._queue)
             self.apply_event(ev)
 
@@ -430,7 +422,7 @@ class Simulation:
     def _cross_check(self, probed: Iterable[int]) -> None:
         """Hello probes of the given nodes must agree with the maintained stuck set."""
         for i in probed:
-            by_probe = hello_round(i, self.states, self.live, self._awake, self.scheme, self.heights)
+            by_probe = hello_round(i, self.states, self._awake_topo, self.scheme, self.heights)
             assert by_probe == (i in self._stuck), (
                 f"probe of node {i} disagrees with orientation view {list(self._stuck_view)}"
             )
@@ -468,11 +460,9 @@ class Simulation:
             return stuck
         seen, eligible = self._eligible_memo
         if seen is not stuck:
-            awake = self._awake
+            awake = self._awake_topo
             eligible = tuple(
-                i
-                for i in stuck
-                if any(j != DESTINATION and j in awake for j in self.live.neighbors(i))
+                i for i in stuck if any(j != DESTINATION for j in awake.neighbors(i))
             )
             self._eligible_memo = (stuck, eligible)
         return eligible
@@ -497,18 +487,14 @@ class Simulation:
         if not chosen or set(chosen) - set(eligible):
             raise ScheduleError(f"schedule returned an invalid subset {chosen}")
 
-        states, awake, aware = self.states, self._awake, self._spec.neighbor_aware
+        states, awake, aware = self.states, self._awake_topo, self._spec.neighbor_aware
         fresh: list[State] = []
         for i in chosen:
             own = states[i]
             if aware:
                 # A stuck node is never destination-adjacent, so only
                 # ordinary neighbor states are read here.
-                neighbor_states = [
-                    states[j]
-                    for j in self.live.neighbors(i)
-                    if j != DESTINATION and j in awake
-                ]
+                neighbor_states = [states[j] for j in awake.neighbors(i) if j != DESTINATION]
                 fresh.append(apply_update(self.scheme, own, neighbor_states, self.heights))
             else:
                 fresh.append(apply_update(self.scheme, own, None, self.heights))
@@ -552,11 +538,14 @@ class Simulation:
         schedule's pick for this step.
         """
         while True:
-            self._apply_due_events()
+            self._apply_events_until(len(self.steps) + 1)
             stuck = self.stuck_nodes()
             if not stuck:
                 if self._queue:
-                    self._fast_forward_events()
+                    # Converged but events still scheduled: time passes
+                    # quietly until the next event fires.  Step indices
+                    # keep counting update steps only.
+                    self._apply_events_until(self._queue[0][0])
                     continue
                 return self._end(Outcome.CONVERGED)
             certificate = self._partition_certificate(stuck)
@@ -566,7 +555,7 @@ class Simulation:
                 if self._queue:
                     # Isolation caused by sleep is transient: let the clock
                     # jump to the next scripted wake or removal.
-                    self._fast_forward_events()
+                    self._apply_events_until(self._queue[0][0])
                     continue
                 return self._end(
                     Outcome.PARTITIONED,

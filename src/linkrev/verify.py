@@ -10,7 +10,8 @@ links of each step's updaters U: O(sum of deg U) a step, with no copy of the
 states and no routing_dag per step.  check_determinism(first) reruns a
 recorded trace once and compares the JSONL, and
 check_scheme_equivalence(reference, shadow, gating) replays a recorded
-reference trace under the shadow scheme.  standard_battery runs
+reference trace's update sets under the shadow scheme in one Simulation and
+compares each of its step records with the reference's.  standard_battery runs
 Schedule.subset_random(seed) once per scheme and hands that one trace to
 both, so the equivalence families reuse the determinism check's first run.
 """
@@ -54,7 +55,7 @@ class Counterexample:
     """Everything needed to replay a failing run."""
 
     scenario_text: str
-    schedule: Schedule
+    schedule: Schedule | None  # None only when no run shows the fault
     step: int | None
     message: str
 
@@ -92,7 +93,7 @@ def _report(
         message = failures[0]
         example = Counterexample(
             scenario_text=serialize_scenario(scenario),
-            schedule=schedule or Schedule.single_random(0),
+            schedule=schedule,
             step=step,
             message=message,
         )
@@ -468,25 +469,12 @@ EQUIVALENCE_PAIRS: tuple[tuple[SchemeId, SchemeId, bool], ...] = (
 )
 
 
-def _reference_orientations(ref: Trace) -> Iterator[tuple[StepRecord, tuple[tuple[int, int], ...]]]:
-    """Each step's record and the reference orientation after it.
+def _lockstep_divergence(sim: Simulation, rec: StepRecord) -> str | None:
+    """Advance the shadow sim through the reference's step rec; say how they differ.
 
-    The reversed edges cannot express a link that comes back after an
-    event, so a run with events is rerun step by step instead of replayed.
+    The shadow's record must match rec in its stuck set, in the digest of
+    the orientation after the step and in the reversed links.
     """
-    if not ref.events_applied:
-        for rec, arcs, _ in _replayed_orientations(ref):
-            yield rec, tuple(arcs.values())
-        return
-    rerun = Simulation(ref.scenario, ref.scheme, ref.schedule, ref.step_limit)
-    while (rec := rerun.advance()) is not None:
-        yield rec, rerun.arcs
-
-
-def _lockstep_divergence(
-    sim: Simulation, rec: StepRecord, ref_arcs: tuple[tuple[int, int], ...]
-) -> str | None:
-    """Advance the shadow sim through the reference's step rec; say how they differ."""
     srec = mismatch = None
     try:
         srec = sim.advance(rec.updated)
@@ -501,7 +489,7 @@ def _lockstep_divergence(
         return mismatch
     if srec is None:
         return f"shadow run ended {sim.outcome}"
-    if sim.arcs != ref_arcs:
+    if srec.dag_digest != rec.dag_digest or srec.reversed_edges != rec.reversed_edges:
         return "orientations diverge"
     return None
 
@@ -515,8 +503,9 @@ def check_scheme_equivalence(
 
     The shadow runs through the same scripted events, and at each step it
     updates exactly the nodes the reference chose.  Equivalent schemes
-    must produce identical stuck sets and orientations at every step; the
-    shadow's live orientation is compared arc by arc with the reference's.
+    must produce identical stuck sets and orientations at every step: the
+    shadow's step records must match the reference's recorded ones in
+    their stuck sets, digests and reversed links.
     A shadow node that is not stuck when scheduled is a replay mismatch and
     fails the check.  With gating=False the comparison is informational:
     divergence is reported, not failed.
@@ -532,8 +521,8 @@ def check_scheme_equivalence(
     # last step, an empty one raises if the shadow is still stuck.
     sim = Simulation(scenario, shadow, Schedule.fixed((), label=f"replay-of-{scheme.value}"))
     divergence: str | None = None
-    for rec, ref_arcs in _reference_orientations(reference):
-        found = _lockstep_divergence(sim, rec, ref_arcs)
+    for rec in reference.steps:
+        found = _lockstep_divergence(sim, rec)
         if found is not None:
             divergence, fail_step = f"step {rec.index}: {found}", rec.index
             break
@@ -672,15 +661,25 @@ def enumerate_all_schedules(
 
 
 def check_order_invariance(scenario: Scenario, scheme: SchemeId) -> CheckReport:
-    """Every schedule must reach the same final destination-oriented DAG."""
+    """Every schedule must reach the same final destination-oriented DAG.
+
+    A failing report's counterexample is the witness schedule of the final
+    DAG that shows the first failure: the second final DAG when there are
+    several, else the only one, which is not oriented.
+    """
     result = enumerate_all_schedules(scenario, scheme)
+    digests = result.final_digests
     failures: list[str] = []
     if not result.singleton:
-        failures.append(f"reached {len(result.final_digests)} distinct final DAGs")
+        failures.append(f"reached {len(digests)} distinct final DAGs")
     if not result.all_destination_oriented:
         failures.append("reached a final DAG that is not oriented")
+    witness = None
+    if failures and digests:
+        witness = result.witnesses[digests[1] if len(digests) > 1 else digests[0]]
     return _report(
         "order-invariance", scenario, scheme, failures,
+        schedule=witness, step=len(witness.steps) if witness else None,
         detail=f"{result.states_explored} states",
     )
 

@@ -1,0 +1,64 @@
+"""The benchmark's counters stay attached to the program they measure.
+
+benchmarks/bench.py wraps functions of the package by name and counts the
+algorithm's work through Simulation.step.  A rename or a step taken around
+that method would silently read as zero work, so these checks pin both
+without importing the benchmark.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+from linkrev import Outcome, Scenario, Schedule, SchemeId, SimEvent, Simulation, run_scenario
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench.py"
+
+
+def _targets() -> list[tuple[str, str]]:
+    """(module, name) of every Target("<module>", "<name>", ...) in the benchmark."""
+    found = []
+    for node in ast.walk(ast.parse(BENCH.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Target":
+            module, name = (ast.literal_eval(arg) for arg in node.args[:2])
+            found.append((module, name))
+    return found
+
+
+def test_every_benchmark_target_is_a_callable_of_the_package():
+    targets = _targets()
+    assert ("sim", "Simulation.step") in targets
+    for module, name in targets:
+        owner = importlib.import_module(f"linkrev.{module}")
+        for part in name.split("."):
+            owner = getattr(owner, part, None)
+            assert owner is not None, f"linkrev.{module}.{name} does not exist"
+        assert callable(owner), f"linkrev.{module}.{name} is not callable"
+
+
+@pytest.mark.parametrize(
+    "events",
+    [(), (SimEvent(at_step=3, kind="sleep", node=6, duration=4),)],
+    ids=["plain", "sleep"],
+)
+def test_every_recorded_step_goes_through_simulation_step(monkeypatch, events):
+    calls = []
+    real = Simulation.step
+
+    def counting(self, chosen=None):
+        calls.append(chosen)
+        return real(self, chosen)
+
+    monkeypatch.setattr(Simulation, "step", counting)
+    n = 12
+    edges = [(0, n)] + [(i, i + 1) for i in range(1, n)]
+    scenario = Scenario.create(n, edges, heights=range(1, n + 1), events=events)
+    trace = run_scenario(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
+    assert trace.outcome is Outcome.CONVERGED
+    assert len(trace.events_applied) == 2 * len(events)
+    assert len(trace.steps) > 1
+    assert len(calls) == len(trace.steps)

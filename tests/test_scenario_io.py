@@ -115,6 +115,12 @@ def test_parse_rejects_nonpositive_heights():
     assert err.value.line == 4
 
 
+def test_create_rejects_nonpositive_heights():
+    with pytest.raises(HeightRangeError) as err:
+        Scenario.create(2, [(0, 1), (1, 2)], heights=(1, 0))
+    assert str(err.value) == "initial height of node 2 must be a positive integer, got 0"
+
+
 def test_parse_rejects_additions():
     with pytest.raises(AdditionForbiddenError):
         parse_scenario("scenario v1\nnodes 2\nedges D-1 1-2\nevent 1 add-link 1-2\n")

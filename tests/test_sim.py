@@ -22,6 +22,7 @@ from linkrev import (
     SchemeId,
     SimEvent,
     Simulation,
+    UnknownNodeError,
     hello_round,
     run_scenario,
 )
@@ -83,12 +84,7 @@ def test_fixed_schedule_replays_and_validates(chain):
 def test_hello_round_matches_the_orientation_view(chain):
     topo = chain.topology
     states = initial_states(SchemeId.NO_FULL, topo, chain.heights)
-    awake = frozenset(topo.nodes)
-    stuck = {
-        i
-        for i in topo.nodes
-        if hello_round(i, states, topo, awake, SchemeId.NO_FULL, chain.heights)
-    }
+    stuck = {i for i in topo.nodes if hello_round(i, states, topo, SchemeId.NO_FULL, chain.heights)}
     assert stuck == {2}
 
 
@@ -96,19 +92,22 @@ def test_hello_round_skips_sleeping_neighbors(chain):
     topo = chain.topology
     states = initial_states(SchemeId.NO_FULL, topo, chain.heights)
     # awake node 3 forwards through node 2 only while 2 answers probes
-    assert not hello_round(3, states, topo, frozenset({1, 2, 3}), SchemeId.NO_FULL, chain.heights)
-    assert not hello_round(3, states, topo, frozenset({1, 3}), SchemeId.NO_FULL, chain.heights)
+    assert not hello_round(3, states, topo, SchemeId.NO_FULL, chain.heights)
+    assert not hello_round(
+        3, states, topo.without(drop_nodes=(2,)), SchemeId.NO_FULL, chain.heights
+    )
     # with both lower neighbors asleep nothing acks
-    lone = frozenset({3})
-    assert hello_round(3, states, topo, lone, SchemeId.NO_FULL, chain.heights)
-    with pytest.raises(ValueError, match="not awake"):
-        hello_round(2, states, topo, lone, SchemeId.NO_FULL, chain.heights)
+    lone = topo.without(drop_nodes=(1, 2))
+    assert hello_round(3, states, lone, SchemeId.NO_FULL, chain.heights)
+    # a sleeper is not in the awake topology, so it cannot be probed
+    with pytest.raises(UnknownNodeError):
+        hello_round(2, states, lone, SchemeId.NO_FULL, chain.heights)
 
 
 def test_destination_adjacent_nodes_are_never_stuck(chain):
     topo = chain.topology
     states = initial_states(SchemeId.NO_FULL, topo, chain.heights)
-    assert not hello_round(1, states, topo, frozenset(topo.nodes), SchemeId.NO_FULL, chain.heights)
+    assert not hello_round(1, states, topo, SchemeId.NO_FULL, chain.heights)
 
 
 # --- single runs with pinned outcomes ----------------------------------------

@@ -282,6 +282,36 @@ def test_equivalence_reports_a_shadow_run_that_raises():
     assert "shadow run raised PhaseAdjacencyError" in report.counterexample.message
 
 
+def test_equivalence_builds_one_simulation_for_an_event_reference(monkeypatch):
+    # The shadow is the only run: the reference is read from its records.
+    scenario = Scenario.create(
+        4, _EVENT_VOID_EDGES, heights=(1, 2, 2, 1),
+        events=[SimEvent(at_step=2, kind="remove-link", edge=(0, 1))],
+    )
+    ref = run_scenario(scenario, SchemeId.NO_FULL, Schedule.subset_random(0))
+    assert ref.events_applied
+    built = []
+
+    class Counting(verify.Simulation):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "Simulation", Counting)
+    report = check_scheme_equivalence(ref, SchemeId.GB_FULL)
+    assert report.passed, report.line()
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("field, forged", [("dag_digest", "0" * 12), ("reversed_edges", ())])
+def test_equivalence_catches_a_forged_reference_record(chain, field, forged):
+    ref = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    report = check_scheme_equivalence(_tamper_step(ref, 0, **{field: forged}), SchemeId.TWO_BIT_FULL)
+    assert not report.passed
+    assert report.detail == "vs no-full: step 1: orientations diverge"
+    assert report.counterexample.step == 1
+
+
 def test_counted_partial_and_two_bit_partial_listed_as_gating():
     pairs = {(a, b): g for a, b, g in EQUIVALENCE_PAIRS}
     assert pairs[(SchemeId.NO_PARTIAL, SchemeId.TWO_BIT_PARTIAL)] is True
@@ -362,6 +392,29 @@ def test_order_invariance_enumerates_once_with_one_dag_per_state(monkeypatch, st
     assert states > 2
     assert len(dags) == states
     assert report.detail == f"{states} states"
+
+
+@pytest.mark.parametrize("fault", ["two-final-dags", "not-oriented"])
+def test_order_invariance_counterexample_is_the_faulty_dags_witness(monkeypatch, star, fault):
+    real = verify.enumerate_all_schedules(star, SchemeId.NO_PARTIAL)
+    (digest,) = real.final_digests
+    witnesses = dict(real.witnesses)
+    if fault == "two-final-dags":
+        other = "f" * len(digest)  # sorts after the real digest
+        witnesses[other] = Schedule.fixed([(2,), (3,), (2, 3)], label="forged")
+        forged = replace(real, final_digests=tuple(sorted((digest, other))), witnesses=witnesses)
+        shown = witnesses[other]
+        message = "reached 2 distinct final DAGs"
+    else:
+        forged = replace(real, all_destination_oriented=False)
+        shown = witnesses[digest]
+        message = "reached a final DAG that is not oriented"
+    monkeypatch.setattr(verify, "enumerate_all_schedules", lambda *args: forged)
+    report = check_order_invariance(star, SchemeId.NO_PARTIAL)
+    assert not report.passed
+    assert report.detail == message
+    assert report.counterexample.schedule == shown
+    assert report.counterexample.step == len(shown.steps)
 
 
 #: sha256 over every n=4 void scenario x core scheme enumeration: its final
