@@ -50,7 +50,16 @@ class AdditionForbiddenError(EventError):
 
 
 class ExplosionGuardError(LinkrevError):
-    """Exhaustive schedule enumeration exceeded its state budget."""
+    """Exhaustive schedule enumeration exceeded its state budget.
+
+    It stopped with states_explored distinct state vectors found, of which
+    frontier were still waiting to be expanded.
+    """
+
+    def __init__(self, message: str, states_explored: int, frontier: int):
+        self.states_explored = states_explored
+        self.frontier = frontier
+        super().__init__(f"{message} ({states_explored} states explored, {frontier} on the frontier)")
 
 
 class ScenarioError(LinkrevError):

@@ -129,6 +129,11 @@ class Topology:
         return frozenset(self.nodes)
 
     @cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        """Position of each canonical edge in edges, built once per topology."""
+        return {e: k for k, e in enumerate(self.edges)}
+
+    @cached_property
     def is_connected(self) -> bool:
         """True if every node is reachable from the destination, ignoring direction."""
         if not self.nodes:

@@ -34,7 +34,7 @@ from .errors import (
     ScenarioFormatError,
 )
 from .model import DESTINATION, HeightAssignment, Topology, hop_count_heights
-from .schemes import INT63_MAX, threshold
+from .schemes import INT63_MAX, SchemeId, threshold
 
 HEADER = "scenario v1"
 
@@ -125,6 +125,11 @@ class Scenario:
     @cached_property
     def topology(self) -> Topology:
         return Topology.build(self.n, self.edges)
+
+    @cached_property
+    def _starts(self) -> dict[SchemeId, object]:
+        """Each scheme's event-free step 0, built and filled in by the simulator."""
+        return {}
 
     def scenario_id(self) -> str:
         """Stable short identifier for reports."""

@@ -58,7 +58,13 @@ Cross-checks kept on the incremental path:
 - After each step, hello_round probes every node whose own state or a
   neighbor's state changed (U and its awake neighbors) and must agree with
   the maintained stuck set; no other node's probe inputs changed.  After
-  each rebuild every awake node is probed.
+  each rebuild that follows an event every awake node is probed.
+- The full probe of step 0 runs once per (scenario, scheme), in the first
+  Simulation of the pair, which caches that start on the Scenario: events
+  start at step 1, so every run of the pair starts there.  The scenario's
+  schemes share one copy of its arcs, labels, out-degrees, stuck set and
+  digest, and the edge index is the Topology's.  Each Simulation copies
+  what a run mutates (states, arcs, labels, out-degrees, stuck set).
 - Whenever the stuck set is empty on a connected awake graph, the
   maintained orientation must be destination-oriented.  While the stuck
   set is nonempty that follows from the probes, since a stuck node has no
@@ -72,7 +78,7 @@ import os
 import random
 from itertools import starmap
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import (
@@ -240,6 +246,21 @@ def hello_round(
     return True
 
 
+@dataclass(frozen=True, slots=True)
+class _Start:
+    """A scheme's step 0 on a scenario, kept in Scenario._starts and never mutated.
+
+    Every field but states is shared by all the scenario's schemes.
+    """
+
+    states: Mapping[int, State]
+    arcs: tuple[tuple[int, int], ...]
+    labels: tuple[str, ...]
+    out_degree: Mapping[int, int]
+    stuck_view: tuple[int, ...]
+    digest: str
+
+
 class Simulation:
     """Mutable run state; use run() for the whole trajectory or step() manually."""
 
@@ -249,9 +270,9 @@ class Simulation:
         "scenario", "scheme", "_spec", "heights", "n", "schedule", "_selector", "step_limit",
         "live", "sleeping", "states", "steps", "events_applied", "update_counts",
         "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
-        "_points_from", "_awake_topo", "_stale", "_edges", "_edge_index",
-        "_arcs", "_arc_labels", "_out_degree", "_stuck", "_stuck_view", "initial_arcs",
-        "initial_digest", "_recorded_index", "_eligible_memo",
+        "_points_from", "_awake_topo", "_stale", "_arcs", "_arc_labels", "_out_degree",
+        "_stuck", "_stuck_view", "initial_arcs", "initial_digest", "_recorded_index",
+        "_eligible_memo",
     )
 
     def __init__(
@@ -274,7 +295,6 @@ class Simulation:
 
         self.live: Topology = scenario.topology
         self.sleeping: set[int] = set()
-        self.states: dict[int, State] = initial_states(scheme, self.live, self.heights)
         self.steps: list[StepRecord] = []
         self.events_applied: list[tuple[int, str]] = []
         self.update_counts: dict[int, int] = {i: 0 for i in self.live.nodes}
@@ -289,11 +309,20 @@ class Simulation:
 
         self._points_from = orientation_predicate(scheme, self.heights)
         self._set_awake()
-        self._reorient_all()
-        self.initial_arcs = tuple(self._arcs)
-        self.initial_digest = arcs_digest(self._arc_labels)
+        # Events start at step 1, so step 0 is the same for every run of the
+        # scheme on this scenario: copy what a run mutates, share the rest.
+        start = scenario._starts.get(scheme) or self._build_start()
+        self.states: dict[int, State] = dict(start.states)
+        self._arcs = list(start.arcs)
+        self._arc_labels = list(start.labels)
+        self._out_degree = dict(start.out_degree)
+        self._stuck = set(start.stuck_view)
+        self._stuck_view = start.stuck_view
+        self._stale = False
+        self.initial_arcs = start.arcs
+        self.initial_digest = start.digest
         # Edge index of the last recorded orientation.
-        self._recorded_index = self._edge_index
+        self._recorded_index = self.live.edge_index
 
     # -- topology bookkeeping ------------------------------------------------
 
@@ -330,7 +359,7 @@ class Simulation:
             self.states.pop(ev.node, None)
             self.sleeping.discard(ev.node)
         elif ev.kind == "remove-link":
-            if _canonical_edge(*ev.edge) not in set(self.live.edges):
+            if _canonical_edge(*ev.edge) not in self.live.edge_index:
                 raise EventError(f"cannot remove missing link {ev.edge}")
             self.live = self.live.without(drop_edges=(ev.edge,))
         elif ev.kind == "sleep":
@@ -354,12 +383,34 @@ class Simulation:
 
     # -- orientation and stuck detection -------------------------------------
 
+    def _build_start(self) -> _Start:
+        """Orient and probe this scheme's step 0 and cache it on the scenario.
+
+        Every scheme's initial states orient each link by the initial
+        (height, id) order, so the schemes of a scenario share one
+        orientation; each scheme's first build asserts it before sharing.
+        """
+        self.states = initial_states(self.scheme, self.live, self.heights)
+        self._reorient_all()
+        starts = self.scenario._starts
+        shared = next(iter(starts.values()), None)
+        if shared is None:
+            start = _Start(
+                self.states, tuple(self._arcs), tuple(self._arc_labels), self._out_degree,
+                self._stuck_view, arcs_digest(self._arc_labels),
+            )
+        else:
+            assert shared.arcs == tuple(self._arcs), (
+                f"{self.scheme} starts from another orientation than {next(iter(starts))}"
+            )
+            start = replace(shared, states=self.states)
+        starts[self.scheme] = start
+        return start
+
     def _reorient_all(self) -> None:
         """Orient every awake link from scratch; re-derive out-degrees and the stuck set."""
         topo = self._awake_topo
         dag = routing_dag(self.states, topo, self.scheme, self.heights)
-        self._edges = topo.edges
-        self._edge_index = {e: k for k, e in enumerate(topo.edges)}
         self._arcs = list(dag.arcs)
         self._arc_labels = list(starmap(arc_label, dag.arcs))
         self._out_degree = dict.fromkeys(topo.nodes, 0)
@@ -382,7 +433,8 @@ class Simulation:
         # Stays set if the predicate raises, so the next query rebuilds.
         self._stale = True
         states, points_from = self.states, self._points_from
-        arcs, labels, edges, index = self._arcs, self._arc_labels, self._edges, self._edge_index
+        awake, arcs, labels = self._awake_topo, self._arcs, self._arc_labels
+        edges, index = awake.edges, awake.edge_index
         out_degree, stuck, recorded = self._out_degree, self._stuck, self._recorded_index
         changed = set(updated)
         flipped = []
@@ -390,7 +442,7 @@ class Simulation:
         # link below is visited once.
         for u in updated:
             own = states[u]
-            for j in self._awake_topo.neighbors(u):
+            for j in awake.neighbors(u):
                 if j == DESTINATION:
                     continue  # links into the destination never flip
                 changed.add(j)
@@ -515,7 +567,7 @@ class Simulation:
             reversed_edges=flipped,
         )
         self.steps.append(record)
-        self._recorded_index = self._edge_index
+        self._recorded_index = self._awake_topo.edge_index
         return record
 
     def _partition_certificate(self, stuck: tuple[int, ...]) -> str | None:

@@ -554,7 +554,11 @@ def check_scheme_equivalence(
 
 
 def check_determinism(first: Trace) -> CheckReport:
-    """A fresh rerun of a recorded run must serialize byte-identically."""
+    """A fresh rerun of a recorded run must serialize byte-identically.
+
+    The rerun takes step 0 from the start the scenario caches, not from a
+    second derivation of it.
+    """
     rerun = run_scenario(first.scenario, first.scheme, first.schedule, first.step_limit)
     text, again = trace_to_jsonl(first), trace_to_jsonl(rerun)
     failures = [] if text == again else ["reruns differ"]
@@ -634,7 +638,8 @@ def enumerate_all_schedules(
             if child not in parents:
                 if len(parents) >= max_states:
                     raise ExplosionGuardError(
-                        f"enumeration exceeded {max_states} states for {scheme} on {scenario.scenario_id()}"
+                        f"enumeration exceeded {max_states} states for {scheme} on {scenario.scenario_id()}",
+                        len(parents), len(frontier),
                     )
                 parents[child] = (vec, chosen)
                 frontier.append(child)

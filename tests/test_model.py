@@ -93,6 +93,9 @@ def test_topology_without_drops_nodes_and_edges():
     assert shrunk.edges == ((0, 1), (1, 3))
     cut = topo.without(drop_edges=((3, 1),))
     assert (1, 3) not in cut.edges
+    assert topo.edge_index == {(0, 1): 0, (1, 2): 1, (1, 3): 2, (2, 3): 3}
+    assert shrunk.edge_index == {(0, 1): 0, (1, 3): 1}
+    assert cut.edge_index == {(0, 1): 0, (1, 2): 1, (2, 3): 2}
     with pytest.raises(ValueError):
         topo.without(drop_nodes=(DESTINATION,))
 

@@ -27,10 +27,11 @@ from linkrev import (
     run_scenario,
 )
 from linkrev.generate import random_partition_scenario, random_void_scenario
-from linkrev.model import RoutingDag, orientation_flips, routing_dag, stuck_set
+from linkrev.model import HeightAssignment, RoutingDag, orientation_flips, routing_dag, stuck_set
 from linkrev import sim as sim_module
 from linkrev.schemes import ALL_SCHEMES, CORE_SCHEMES, initial_states
 from linkrev.sim import STEP_LIMIT_ENV, default_step_limit
+from linkrev.traceio import trace_to_jsonl
 
 
 # --- step limit and schedules ------------------------------------------------
@@ -277,6 +278,76 @@ def test_an_event_free_step_builds_no_routing_dag(monkeypatch, n):
     assert sim.outcome is Outcome.CONVERGED
     assert len(sim.steps) == n * (n - 1) // 2
     assert calls["routing_dag"] == 1
+
+
+# --- the cached start ----------------------------------------------------------
+
+
+def _cold_copy(scenario: Scenario) -> Scenario:
+    """The same scenario built again from its parts, with nothing cached on it."""
+    return Scenario.create(
+        scenario.n, scenario.edges, scenario.heights.values, scenario.events,
+        scenario.seed, scenario.name,
+    )
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_a_cached_start_behaves_like_a_cold_one(generated_corpus, scheme):
+    for scenario in generated_corpus:
+        # The first Simulation fills the cache unless an earlier one did;
+        # its steps and the write below mutate everything it took from it.
+        spoiled = Simulation(scenario, scheme)
+        for _ in range(2):
+            if spoiled.stuck_nodes():
+                spoiled.step()
+        spoiled.states.clear()
+        assert scheme in scenario._starts
+        warm, cold = Simulation(scenario, scheme), Simulation(_cold_copy(scenario), scheme)
+        assert warm.states == cold.states
+        assert warm.arcs == cold.arcs == warm.initial_arcs == cold.initial_arcs
+        assert warm.stuck_nodes() == cold.stuck_nodes()
+        assert warm.initial_digest == cold.initial_digest
+        assert trace_to_jsonl(warm.run()) == trace_to_jsonl(cold.run())
+
+
+def test_a_scheme_that_starts_elsewhere_trips_the_shared_start_guard(monkeypatch, chain):
+    Simulation(chain, SchemeId.GB_FULL)
+    real = sim_module.initial_states
+
+    def upside_down(scheme, topo, heights):
+        return real(scheme, topo, HeightAssignment(tuple(reversed(heights.values))))
+
+    monkeypatch.setattr(sim_module, "initial_states", upside_down)
+    with pytest.raises(AssertionError, match="no-full starts from another orientation than gb-full"):
+        Simulation(chain, SchemeId.NO_FULL)
+    assert list(chain._starts) == [SchemeId.GB_FULL]
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.NO_FULL, SchemeId.GB_PARTIAL])
+@pytest.mark.parametrize("fixture", ["diamond_cut", "sleepy_chain"])
+def test_every_rebuild_after_an_event_goes_through_reorient_all(monkeypatch, request, fixture, scheme):
+    scenario = request.getfixturevalue(fixture)
+    rebuilds, dags = [], []
+    real_reorient, real_dag = Simulation._reorient_all, sim_module.routing_dag
+
+    def reorient_counting(self):
+        rebuilds.append(len(self.steps))
+        real_reorient(self)
+
+    def dag_counting(*args):
+        dags.append(args)
+        return real_dag(*args)
+
+    monkeypatch.setattr(Simulation, "_reorient_all", reorient_counting)
+    monkeypatch.setattr(sim_module, "routing_dag", dag_counting)
+    first = run_scenario(scenario, scheme, Schedule.single_random(0))
+    # The first run builds the start at step 0; the second takes it cached.
+    assert rebuilds[0] == 0 and len(rebuilds) == len(dags) == 1 + len(first.events_applied)
+    rebuilds.clear()
+    dags.clear()
+    second = run_scenario(scenario, scheme, Schedule.single_random(0))
+    assert len(rebuilds) == len(dags) == len(second.events_applied) > 0
+    assert trace_to_jsonl(second) == trace_to_jsonl(first)
 
 
 # --- events ------------------------------------------------------------------

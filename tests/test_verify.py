@@ -16,6 +16,7 @@ from linkrev import (
     Schedule,
     SchemeId,
     SimEvent,
+    Simulation,
     check_determinism,
     check_initial_greedy_stability,
     check_order_invariance,
@@ -138,6 +139,33 @@ def test_step_invariants_refuse_event_traces(diamond_cut):
     trace = run_scenario(diamond_cut, SchemeId.NO_FULL, Schedule.single_random(0))
     with pytest.raises(ValueError, match="event-free"):
         check_step_invariants(trace, diamond_cut, SchemeId.NO_FULL)
+
+
+def test_a_battery_builds_each_start_once(monkeypatch):
+    scenario = random_void_scenario(8, 3)
+    assert not scenario.events
+    rebuilds, dags = [], []
+    real_reorient, real_dag = Simulation._reorient_all, verify.routing_dag
+
+    def reorient_counting(self):
+        rebuilds.append(self.scheme)
+        real_reorient(self)
+
+    def dag_counting(*args):
+        dags.append(args)
+        return real_dag(*args)
+
+    monkeypatch.setattr(Simulation, "_reorient_all", reorient_counting)
+    monkeypatch.setattr(verify, "routing_dag", dag_counting)
+    first = standard_battery(scenario, CORE_SCHEMES)
+    assert sorted(rebuilds) == sorted(CORE_SCHEMES)
+    rebuilds.clear()
+    dags.clear()
+    second = standard_battery(scenario, CORE_SCHEMES)
+    assert rebuilds == []
+    # The step check's replay is the kernel's oracle: it never reads the cache.
+    assert len(dags) == sum(r.check == "step-invariants" for r in second) > 0
+    assert [r.line() for r in second] == [r.line() for r in first]
 
 
 # --- reversal semantics ------------------------------------------------------
@@ -369,6 +397,16 @@ def test_enumeration_witness_replays_to_its_digest(scenario, scheme):
 def test_enumeration_guard_trips_on_tiny_budgets(chain):
     with pytest.raises(ExplosionGuardError):
         enumerate_all_schedules(chain, SchemeId.NO_FULL, max_states=1)
+
+
+def test_enumeration_guard_says_how_far_it_got(star):
+    # Leaves 2 and 3 start stuck: of the three subsets, the first two make
+    # states 2 and 3, both still to expand, and the third overflows.
+    assert enumerate_all_schedules(star, SchemeId.NO_FULL).states_explored == 4
+    with pytest.raises(ExplosionGuardError) as caught:
+        enumerate_all_schedules(star, SchemeId.NO_FULL, max_states=3)
+    assert (caught.value.states_explored, caught.value.frontier) == (3, 2)
+    assert "(3 states explored, 2 on the frontier)" in str(caught.value)
 
 
 def test_order_invariance_enumerates_once_with_one_dag_per_state(monkeypatch, star):
