@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -252,6 +253,28 @@ def test_verify_exhaustive_counts_its_scenarios(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "checked 210 reports across 30 scenarios" in out
+
+
+@pytest.mark.parametrize(
+    "texts, flags, exit_code, digest",
+    [
+        ((), ["--random", "6", "4", "--verbose"], EXIT_OK,
+         "e092456ab56da6bd9494806906d3223bbf5ffb125c58498d85c9d850dd432337"),
+        ((), ["--exhaustive", "3"], EXIT_OK,
+         "5778c8aae66029ac84ac53be9d2379f229af1206dedd5e4ac1807805aacb672b"),
+        ((PARTITION, DIAMOND_CUT), ["--verbose"], EXIT_PROPERTY,
+         "e0ed1ebed87cf6d8e85691c4699c96d661e209cac7da295ff68738d3e5a31faf"),
+    ],
+    ids=["random-verbose", "exhaustive", "failing-verbose"],
+)
+def test_verify_stdout_is_pinned(scenario_file, capsys, texts, flags, exit_code, digest):
+    # sha256 of the whole summary: counts, failing reports with their
+    # counterexamples, informational details and the closing line
+    files = [scenario_file(text, f"case{k}.scn") for k, text in enumerate(texts)]
+    code = main(["verify", *files, *flags])
+    out = capsys.readouterr().out
+    assert code == exit_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_without_work_is_an_input_error(capsys):

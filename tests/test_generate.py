@@ -21,6 +21,9 @@ from linkrev.scenario import serialize_scenario
 #: (the verify-random corpus) followed by exhaustive_void_scenarios(4).
 GENERATED_DIGEST = "8c9012349d38d358413c350f748dab842e6ca2ef03ffb6145f7ed8ff043215d2"
 
+#: sha256 of the serialized exhaustive_void_scenarios(5), in the order yielded.
+EXHAUSTIVE_N5_DIGEST = "ef7bcccad1747c1c813e58db585d55901d4131d3fc1b3bb92cc8bbad54f33881"
+
 
 def test_random_void_scenario_shape():
     sc = random_void_scenario(6, seed=0)
@@ -88,3 +91,13 @@ def test_generated_scenarios_are_pinned(generated_corpus):
     assert len(generated_corpus) == 216 + 664
     text = "".join(map(serialize_scenario, generated_corpus))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GENERATED_DIGEST
+
+
+def test_exhaustive_n5_scenarios_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for scenario in exhaustive_void_scenarios(5):
+        digest.update(serialize_scenario(scenario).encode("utf-8"))
+        count += 1
+    assert count == 25_680
+    assert digest.hexdigest() == EXHAUSTIVE_N5_DIGEST
