@@ -9,6 +9,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from .errors import AdditionForbiddenError, LinkrevError, OverflowRiskError, ScenarioError
@@ -17,7 +20,7 @@ from .scenario import Scenario, load_scenario
 from .schemes import ALL_SCHEMES, CORE_SCHEMES, SchemeId, state_bits
 from .sim import STEP_LIMIT_ENV, Outcome, Schedule, default_step_limit, run_scenario
 from .traceio import EXPORT_FORMATS, export_trace
-from .verify import EQUIVALENCE_PAIRS, check_order_invariance, standard_battery
+from .verify import EQUIVALENCE_PAIRS, CheckReport, check_order_invariance, standard_battery
 
 EXIT_OK = 0
 EXIT_PROPERTY = 2
@@ -113,58 +116,104 @@ def cmd_run(args: argparse.Namespace) -> int:
     return _outcome_exit(trace.outcome)
 
 
+#: verify --exhaustive writes a progress line to stderr after this many scenarios.
+PROGRESS_EVERY = 1000
+
+
+class _Summary:
+    """verify's summary, tallied as the reports arrive.
+
+    Only the counts per check are kept for every report; a report itself is
+    kept when it fails, or when it is informational with a detail and
+    --verbose will print it.
+    """
+
+    def __init__(self, verbose: bool):
+        self.verbose = verbose
+        self.reports = 0
+        self.counts: dict[str, list[int]] = {}  # check -> [reports, failed, informational]
+        self.failed: list[CheckReport] = []
+        self.notes: list[CheckReport] = []
+
+    def add(self, reports: Iterable[CheckReport]) -> None:
+        for r in reports:
+            self.reports += 1
+            counts = self.counts.setdefault(r.check, [0, 0, 0])
+            counts[0] += 1
+            if r.informational:
+                counts[2] += 1
+                if r.detail and self.verbose:
+                    self.notes.append(r)
+            elif not r.passed:
+                counts[1] += 1
+                self.failed.append(r)
+
+    def show(self, scenario_count: int) -> None:
+        for check, (total, bad, info) in sorted(self.counts.items()):
+            if info == total:
+                print(f"INFO {check}: {info} informational")
+                continue
+            status = "FAIL" if bad else "PASS"
+            extra = f" ({info} informational)" if info else ""
+            print(f"{status} {check}: {total - bad - info}/{total}{extra}")
+        for r in self.failed:
+            print(f"  {r.line()}")
+            if r.counterexample and self.verbose:
+                if r.counterexample.schedule is not None:
+                    print(f"    schedule: {r.counterexample.schedule.describe()}")
+                print("    scenario:")
+                for line in r.counterexample.scenario_text.splitlines():
+                    print(f"      {line}")
+        for r in self.notes:
+            print(f"  {r.line()}")
+        print(f"checked {self.reports} reports across {scenario_count} scenarios")
+
+
+def _random_scenarios(n: int, count: int, seed: int) -> Iterator[Scenario]:
+    """The --random scenarios, each made only when its battery is due.
+
+    The first one is made at once, so that a size the generator rejects is
+    an input error before any battery runs.
+    """
+    if count < 1:
+        return iter(())
+    try:
+        first = random_void_scenario(n, seed)
+    except ValueError as exc:
+        raise _InputError(f"--random {n} {count}: {exc}") from None
+    rest = (random_void_scenario(n, seed + k) for k in range(1, count))
+    return chain((first,), rest)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     schemes = CORE_SCHEMES if args.scheme == "all" else (_parse_scheme(args.scheme),)
-    scenarios: list[Scenario] = [_load(p) for p in args.scenarios]
-    if args.random:
-        n, count = args.random
-        try:
-            scenarios.extend(random_void_scenario(n, args.seed + k) for k in range(count))
-        except ValueError as exc:
-            raise _InputError(f"--random {n} {count}: {exc}") from None
+    loaded = [_load(p) for p in args.scenarios]
+    n, count = args.random or (0, 0)
+    randoms = _random_scenarios(n, count, args.seed)
     if args.exhaustive is not None and args.exhaustive < 0:
         raise _InputError(f"--exhaustive takes a node count, got {args.exhaustive}")
-    if not scenarios and not args.exhaustive:
+    if not loaded and count < 1 and not args.exhaustive:
         print("nothing to verify: give scenario files, --random, or --exhaustive", file=sys.stderr)
         return EXIT_INPUT
 
-    reports = []
-    for scenario in scenarios:
-        reports.extend(standard_battery(scenario, schemes, seed=args.seed))
-    scenario_count = len(scenarios)
+    started = time.monotonic()
+    summary = _Summary(args.verbose)
+    scenario_count = 0
+    for scenario in chain(loaded, randoms):
+        scenario_count += 1
+        summary.add(standard_battery(scenario, schemes, seed=args.seed))
     if args.exhaustive:
-        for scenario in exhaustive_void_scenarios(args.exhaustive):
+        for done, scenario in enumerate(exhaustive_void_scenarios(args.exhaustive), start=1):
             scenario_count += 1
-            for scheme in schemes:
-                reports.append(check_order_invariance(scenario, scheme))
-
-    failed = [r for r in reports if not r.passed and not r.informational]
-    by_check: dict[str, list] = {}
-    for r in reports:
-        by_check.setdefault(r.check, []).append(r)
-    for check, group in sorted(by_check.items()):
-        bad = [r for r in group if not r.passed and not r.informational]
-        info = [r for r in group if r.informational]
-        if len(info) == len(group):
-            print(f"INFO {check}: {len(info)} informational")
-            continue
-        status = "FAIL" if bad else "PASS"
-        extra = f" ({len(info)} informational)" if info else ""
-        passed = len(group) - len(bad) - len(info)
-        print(f"{status} {check}: {passed}/{len(group)}{extra}")
-    for r in failed:
-        print(f"  {r.line()}")
-        if r.counterexample and args.verbose:
-            if r.counterexample.schedule is not None:
-                print(f"    schedule: {r.counterexample.schedule.describe()}")
-            print("    scenario:")
-            for line in r.counterexample.scenario_text.splitlines():
-                print(f"      {line}")
-    for r in reports:
-        if r.informational and r.detail and args.verbose:
-            print(f"  {r.line()}")
-    print(f"checked {len(reports)} reports across {scenario_count} scenarios")
-    return EXIT_PROPERTY if failed else EXIT_OK
+            summary.add(check_order_invariance(scenario, scheme) for scheme in schemes)
+            if done % PROGRESS_EVERY == 0:
+                print(
+                    f"exhaustive n={args.exhaustive}: {done} scenarios, {summary.reports} reports, "
+                    f"{time.monotonic() - started:.1f} s",
+                    file=sys.stderr,
+                )
+    summary.show(scenario_count)
+    return EXIT_PROPERTY if summary.failed else EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

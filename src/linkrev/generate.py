@@ -4,31 +4,79 @@ Void scenarios model a failure: a connected graph is sampled, heights are
 set to hop counts (so routing starts greedy), then one node whose removal
 keeps the rest connected but strands at least one survivor is deleted.
 Survivors keep their old heights, which leaves the stranded nodes stuck.
-Each candidate is probed on its topology and heights alone, with the
-simulator's hello round over the initial states; a Scenario is built only
-for the candidate returned.
+
+Candidates are tested on adjacency bitsets, with no Topology and no
+states: bit j of adjacency[i] is set when nodes i and j are linked, and the
+destination is node 0.  Every scheme orients each link by the initial
+(height, id) order, so a node starts stuck iff it has no link to the
+destination and no neighbor below it in that order; _starts_stuck is that
+test, for both generators.  exhaustive_void_scenarios walks the edge masks
+once, with connectivity and hop counts from a bitset breadth-first search,
+and builds a Scenario only for the masks it keeps.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 
-from .model import DESTINATION, HeightAssignment, Topology, hop_count_heights
+from .errors import DisconnectedGraphError
+from .model import DESTINATION, Topology, hop_count_heights
 from .scenario import Scenario, SimEvent
-from .schemes import SchemeId, initial_states
-from .sim import hello_round
-
-#: Every scheme starts from the same orientation, so any one of them tells
-#: whether the initial states leave a node stuck.
-_PROBE_SCHEME = SchemeId.NO_FULL
 
 
-def _has_void(topo: Topology, heights: HeightAssignment) -> bool:
-    """True if some node starts stuck, by hello rounds over the initial states."""
-    states = initial_states(_PROBE_SCHEME, topo, heights)
-    return any(hello_round(i, states, topo, _PROBE_SCHEME, heights) for i in topo.nodes)
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """Neighbor bitset of the destination and of each node 1..n, by node id."""
+    adjacency = [0] * (n + 1)
+    for a, b in edges:
+        adjacency[a] |= 1 << b
+        adjacency[b] |= 1 << a
+    return adjacency
+
+
+def _hop_counts(adjacency: Sequence[int], alive: int) -> list[int] | None:
+    """Hop count of each node of the bitset alive over the links inside it.
+
+    A breadth-first search from the destination, a frontier bitset at a
+    time.  Counts are indexed by node id, 0 for the destination and for
+    nodes outside alive.  None when some node of alive is unreachable.
+    """
+    hops = [0] * len(adjacency)
+    seen = frontier = 1 << DESTINATION
+    level = 0
+    while frontier:
+        level += 1
+        reached = 0
+        for i in _bits(frontier):
+            reached |= adjacency[i]
+        frontier = reached & alive & ~seen
+        seen |= frontier
+        for i in _bits(frontier):
+            hops[i] = level
+    return hops if seen == alive else None
+
+
+def _starts_stuck(adjacency: Sequence[int], heights: Sequence[int], alive: int) -> bool:
+    """True if some node of alive has no link down, under the initial (height, id) order.
+
+    heights is indexed by node id.  The destination is below every node,
+    so a node linked to it is never stuck.
+    """
+    below = 1 << DESTINATION
+    for i in sorted(_bits(alive & ~below), key=lambda i: (heights[i], i)):
+        if not adjacency[i] & below:
+            return True
+        below |= 1 << i
+    return False
 
 
 def _random_connected_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
@@ -62,22 +110,25 @@ def random_void_scenario(n: int, seed: int) -> Scenario:
     if n < 3:
         raise ValueError("void scenarios need at least three nodes")
     rng = random.Random(seed * 1_000_003 + n)
+    everyone = (1 << (n + 2)) - 1
     for _ in range(200):
-        wide = Topology.build(n + 1, _random_connected_edges(rng, n + 1))
-        heights = hop_count_heights(wide)
-        # Survivors are probed under their old ids: numbering them 1..n in
+        edges = _random_connected_edges(rng, n + 1)
+        adjacency = _adjacency(n + 1, edges)
+        hops = _hop_counts(adjacency, everyone)
+        # Survivors are tested under their old ids: numbering them 1..n in
         # the same order afterwards turns no link around.
         candidates = []
-        for victim in wide.nodes:
-            shrunk = wide.without(drop_nodes=(victim,))
-            if shrunk.is_connected and _has_void(shrunk, heights):
-                candidates.append(shrunk)
+        for victim in range(1, n + 2):
+            alive = everyone & ~(1 << victim)
+            if _hop_counts(adjacency, alive) is not None and _starts_stuck(adjacency, hops, alive):
+                candidates.append(victim)
         if candidates:
-            shrunk = candidates[rng.randrange(len(candidates))]
-            relabel = {old: new for new, old in enumerate((DESTINATION, *shrunk.nodes))}
-            edges = [(relabel[a], relabel[b]) for a, b in shrunk.edges]
-            values = tuple(heights.of(old) for old in shrunk.nodes)
-            return Scenario.create(n, edges, heights=values, seed=seed, name=f"void-n{n}-s{seed}")
+            victim = candidates[rng.randrange(len(candidates))]
+            kept = [
+                (a - (a > victim), b - (b > victim)) for a, b in edges if victim not in (a, b)
+            ]
+            values = tuple(hops[i] for i in range(1, n + 2) if i != victim)
+            return Scenario.create(n, kept, heights=values, seed=seed, name=f"void-n{n}-s{seed}")
     raise RuntimeError(f"no void scenario found for n={n}, seed={seed}")
 
 
@@ -113,17 +164,53 @@ def random_partition_scenario(n: int, seed: int) -> Scenario:
     raise RuntimeError(f"no partition scenario found for n={n}, seed={seed}")
 
 
+def _connected_graphs(n: int) -> Iterator[tuple[list[tuple[int, int]], list[int], list[int]]]:
+    """Edges, adjacency bitsets and hop counts of every connected labeled graph.
+
+    The graphs are on the destination and nodes 1..n, in edge-mask order:
+    bit k of the mask stands for the k-th pair of combinations(0..n, 2).
+    """
+    if n < 1:
+        raise ValueError("a topology needs at least one nondestination node")
+    pairs = list(combinations(range(n + 1), 2))
+    everyone = (1 << (n + 1)) - 1
+    for mask in range(1 << len(pairs)):
+        if mask.bit_count() < n:
+            continue  # a connected graph on n+1 vertices needs at least n links
+        edges = [pairs[k] for k in _bits(mask)]
+        adjacency = _adjacency(n, edges)
+        hops = _hop_counts(adjacency, everyone)
+        if hops is not None:
+            yield edges, adjacency, hops
+
+
 def all_connected_topologies(n: int) -> Iterator[Topology]:
     """Every labeled connected graph on the destination and nodes 1..n."""
-    ids = [DESTINATION] + list(range(1, n + 1))
-    pairs = list(combinations(ids, 2))
-    for mask in range(1 << len(pairs)):
-        if bin(mask).count("1") < n:
-            continue  # a connected graph on n+1 vertices needs at least n links
-        edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-        topo = Topology.build(n, edges, require_connected=False)
-        if topo.is_connected:
-            yield topo
+    for edges, _, _ in _connected_graphs(n):
+        yield Topology.build(n, edges, require_connected=False)
+
+
+def _height_attempts(adjacency: Sequence[int], hops: Sequence[int]) -> Iterator[list[int]]:
+    """The heights void_heights tries, in order, indexed by node id.
+
+    Reversed hop counts first, then a single low sink at each node that is
+    not destination-adjacent, in id order.
+    """
+    n = len(adjacency) - 1
+    top = max(hops)
+    yield [0] + [top + 1 - h for h in hops[1:]]
+    for v in range(1, n + 1):
+        if not adjacency[v] >> DESTINATION & 1:
+            yield [0] + [1 if i == v else 2 for i in range(1, n + 1)]
+
+
+def _void_values(adjacency: Sequence[int], hops: Sequence[int]) -> tuple[int, ...] | None:
+    """Heights of nodes 1..n from the first attempt that leaves a node stuck."""
+    everyone = (1 << len(adjacency)) - 1
+    for heights in _height_attempts(adjacency, hops):
+        if _starts_stuck(adjacency, heights, everyone):
+            return tuple(heights[1:])
+    return None
 
 
 def void_heights(topo: Topology) -> tuple[int, ...] | None:
@@ -133,27 +220,20 @@ def void_heights(topo: Topology) -> tuple[int, ...] | None:
     is not destination-adjacent.  Returns None when no assignment can make
     a void (every node adjacent to the destination).
     """
-    hops = hop_count_heights(topo)
-    top = max(hops.values)
-    attempts: list[tuple[int, ...]] = [tuple(top + 1 - h for h in hops.values)]
-    dest_adjacent = set(topo.neighbors(DESTINATION))
-    for v in topo.nodes:
-        if v not in dest_adjacent:
-            attempts.append(tuple(1 if i == v else 2 for i in topo.nodes))
-    for values in attempts:
-        if _has_void(topo, HeightAssignment(values)):
-            return values
-    return None
+    n = len(topo.nodes)
+    adjacency = _adjacency(n, topo.edges)
+    hops = _hop_counts(adjacency, (1 << (n + 1)) - 1)
+    if hops is None:
+        raise DisconnectedGraphError("graph is not connected")
+    return _void_values(adjacency, hops)
 
 
 def exhaustive_void_scenarios(n: int) -> Iterator[Scenario]:
     """Each connected topology on n nodes, equipped with a void when possible."""
     counter = 0
-    for topo in all_connected_topologies(n):
-        values = void_heights(topo)
+    for edges, adjacency, hops in _connected_graphs(n):
+        values = _void_values(adjacency, hops)
         if values is None:
             continue
         counter += 1
-        yield Scenario.create(
-            n, topo.edges, heights=values, name=f"exhaustive-n{n}-{counter:04d}"
-        )
+        yield Scenario.create(n, edges, heights=values, name=f"exhaustive-n{n}-{counter:04d}")

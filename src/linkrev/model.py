@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import starmap
@@ -253,12 +253,16 @@ class RoutingDag:
 
 
 def routing_dag(
-    states: Mapping[int, State],
+    states: Mapping[int, State] | Sequence[State | None],
     topo: Topology,
     scheme: SchemeId,
     heights: HeightAssignment,
 ) -> RoutingDag:
-    """Orient every link of the topology according to the current states."""
+    """Orient every link of the topology according to the current states.
+
+    states gives each nondestination node's state by node id: a dict, or a
+    sequence whose slot 0, the destination's, is never read.
+    """
     points_from = orientation_predicate(scheme, heights)
     arcs = [
         (a, b) if a != DESTINATION and points_from(states[a], states[b]) else (b, a)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import starmap
 
 from .errors import ExplosionGuardError, LinkrevError, ScheduleError
@@ -585,9 +586,17 @@ class EnumerationResult:
         return len(self.final_digests) == 1
 
 
-def _nonempty_subsets(items: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    for mask in range(1, 1 << len(items)):
-        yield tuple(i for bit, i in enumerate(items) if mask >> bit & 1)
+@lru_cache(maxsize=4096)
+def _nonempty_subsets(items: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every nonempty subset of items, in the order of its bitmask over them.
+
+    Stuck sets repeat across the vectors of an enumeration and across
+    scenarios, so each one's subsets are listed once.
+    """
+    return tuple(
+        tuple(i for bit, i in enumerate(items) if mask >> bit & 1)
+        for mask in range(1, 1 << len(items))
+    )
 
 
 def enumerate_all_schedules(
@@ -596,19 +605,21 @@ def enumerate_all_schedules(
     """Explore every schedule, memoizing on the global state vector.
 
     Each step branches over every nonempty subset of the stuck set, so a
-    single-node step is one of the options.  The stuck set of a state
-    vector is the model's: stuck_set of the routing_dag it induces, built
-    once per vector and reused, on a vector with no stuck node, for its
-    digest and its destination orientation.  Raises ExplosionGuardError
-    when more than max_states distinct state vectors appear.
+    single-node step is one of the options.  A state vector is indexed by
+    node id, with None in slot 0 for the destination, so it is its own
+    state mapping.  Its stuck set is the model's: stuck_set of the
+    routing_dag it induces, built once per vector and reused, on a vector
+    with no stuck node, for its digest and its destination orientation.
+    An update reads only the states before the step, so each stuck node's
+    new state is computed once per vector and shared by every subset that
+    chooses it.  Raises ExplosionGuardError when more than max_states
+    distinct state vectors appear.
     """
     topo = scenario.topology
     heights = scenario.heights
-    nodes = topo.nodes
     aware = SPECS[scheme].neighbor_aware
 
-    # A state vector lists the states in node order: node i at index i - 1.
-    init = tuple(initial_states(scheme, topo, heights).values())
+    init = (None, *initial_states(scheme, topo, heights).values())
     parents: dict[tuple, tuple | None] = {init: None}
     frontier = [init]
     finals: dict[str, tuple] = {}
@@ -617,8 +628,7 @@ def enumerate_all_schedules(
 
     while frontier:
         vec = frontier.pop()
-        states = dict(zip(nodes, vec))
-        dag = routing_dag(states, topo, scheme, heights)
+        dag = routing_dag(vec, topo, scheme, heights)
         stuck = tuple(sorted(stuck_set(dag, topo)))
         if not stuck:
             digest = dag.digest()
@@ -626,13 +636,16 @@ def enumerate_all_schedules(
                 finals[digest] = vec
                 oriented_all = oriented_all and is_destination_oriented(dag, topo)
             continue
+        updated = {}
+        for i in stuck:
+            neighbor_states = (
+                [vec[j] for j in topo.neighbors(i) if j != DESTINATION] if aware else None
+            )
+            updated[i] = apply_update(scheme, vec[i], neighbor_states, heights)
         for chosen in _nonempty_subsets(stuck):
             fresh = list(vec)
             for i in chosen:
-                neighbor_states = (
-                    [states[j] for j in topo.neighbors(i) if j != DESTINATION] if aware else None
-                )
-                fresh[i - 1] = apply_update(scheme, states[i], neighbor_states, heights)
+                fresh[i] = updated[i]
             child = tuple(fresh)
             transitions += 1
             if child not in parents:

@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import linkrev
+from linkrev import cli
 from linkrev.cli import EXIT_INPUT, EXIT_OK, EXIT_PARTITIONED, EXIT_PROPERTY, main
+from linkrev.generate import random_void_scenario
+from linkrev.schemes import CORE_SCHEMES
+from linkrev.verify import standard_battery
 from linkrev.sim import STEP_LIMIT_ENV
 
 CHAIN = """\
@@ -275,6 +281,64 @@ def test_verify_stdout_is_pinned(scenario_file, capsys, texts, flags, exit_code,
     out = capsys.readouterr().out
     assert code == exit_code
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_verify_checks_each_random_scenario_before_making_the_next(monkeypatch, capsys):
+    calls = []
+
+    def made(n, seed):
+        calls.append(("made", seed))
+        return random_void_scenario(n, seed)
+
+    def checked(scenario, schemes, seed=0):
+        calls.append(("checked", scenario.seed))
+        return standard_battery(scenario, schemes, seed=seed)
+
+    monkeypatch.setattr(cli, "random_void_scenario", made)
+    monkeypatch.setattr(cli, "standard_battery", checked)
+    code = main(["verify", "--random", "5", "3", "--scheme", "no-full", "--seed", "3"])
+    assert code == EXIT_OK
+    assert calls == [("made", 3), ("checked", 3), ("made", 4), ("checked", 4), ("made", 5), ("checked", 5)]
+    assert "checked 27 reports across 3 scenarios" in capsys.readouterr().out
+
+
+def test_verify_rejects_a_random_size_before_any_battery(scenario_file, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a battery ran before the input error")
+
+    monkeypatch.setattr(cli, "standard_battery", never)
+    code = main(["verify", scenario_file(CHAIN), "--random", "2", "3"])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: --random 2 3: void scenarios need at least three nodes\n"
+
+
+def test_verify_summary_keeps_only_the_reports_it_prints():
+    scenario = random_void_scenario(5, 3)
+    reports = standard_battery(scenario, CORE_SCHEMES)
+    passing = [r for r in reports if r.passed and not r.informational]
+    notes = [r for r in reports if r.informational and r.detail]
+    failing = [replace(reports[0], passed=False, detail="forged")]
+    assert passing and notes
+    for verbose, kept_notes in ((False, []), (True, notes)):
+        summary = cli._Summary(verbose)
+        summary.add(reports + failing)
+        assert summary.reports == len(reports) + 1
+        assert summary.failed == failing
+        assert summary.notes == kept_notes
+
+
+def test_verify_exhaustive_reports_progress_on_stderr(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "PROGRESS_EVERY", 10)
+    code = main(["verify", "--exhaustive", "3", "--scheme", "no-full"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert captured.out == "PASS order-invariance: 30/30\nchecked 30 reports across 30 scenarios\n"
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    for done, line in zip((10, 20, 30), lines):
+        assert re.fullmatch(rf"exhaustive n=3: {done} scenarios, {done} reports, \d+\.\d s", line), line
 
 
 def test_verify_without_work_is_an_input_error(capsys):

@@ -3,19 +3,26 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import combinations
 
 import pytest
 
 from linkrev import Outcome, Schedule, SchemeId, run_scenario
 from linkrev.generate import (
+    _adjacency,
+    _height_attempts,
+    _hop_counts,
+    _starts_stuck,
     all_connected_topologies,
     exhaustive_void_scenarios,
     random_partition_scenario,
     random_void_scenario,
     void_heights,
 )
-from linkrev.model import Topology
+from linkrev.model import HeightAssignment, Topology, hop_count_heights
 from linkrev.scenario import serialize_scenario
+from linkrev.schemes import initial_states
+from linkrev.sim import hello_round
 
 #: sha256 of the serialized random_void_scenario(4 + k % 9, k) for k < 216
 #: (the verify-random corpus) followed by exhaustive_void_scenarios(4).
@@ -51,12 +58,63 @@ def test_random_partition_scenario_disconnects():
     assert trace.outcome is Outcome.PARTITIONED
 
 
+def _every_mask_in_order(n: int):
+    """Reference: each edge mask over the pairs of 0..n in turn, kept when connected."""
+    pairs = list(combinations(range(n + 1), 2))
+    for mask in range(1 << len(pairs)):
+        edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
+        topo = Topology.build(n, edges, require_connected=False)
+        if topo.is_connected:
+            yield topo
+
+
 def test_all_connected_topologies_counts():
-    # labeled connected graphs on 3 and 4 vertices
-    assert sum(1 for _ in all_connected_topologies(2)) == 4
-    assert sum(1 for _ in all_connected_topologies(3)) == 38
+    # labeled connected graphs on 3, 4 and 5 vertices, in edge-mask order
+    for n, count in ((2, 4), (3, 38), (4, 728)):
+        topologies = list(all_connected_topologies(n))
+        assert len(topologies) == count
+        assert topologies == list(_every_mask_in_order(n))
     for topo in all_connected_topologies(2):
         assert topo.is_connected
+
+
+def _hello_void(topo: Topology, values) -> bool:
+    """Reference: some node is stuck by hello rounds over the initial states."""
+    heights = HeightAssignment(tuple(values))
+    states = initial_states(SchemeId.NO_FULL, topo, heights)
+    return any(hello_round(i, states, topo, SchemeId.NO_FULL, heights) for i in topo.nodes)
+
+
+def test_bitset_void_test_agrees_with_hello_rounds():
+    tried = stuck = 0
+    for n in (1, 2, 3, 4):
+        everyone = (1 << (n + 1)) - 1
+        for topo in all_connected_topologies(n):
+            adjacency = _adjacency(n, topo.edges)
+            hops = _hop_counts(adjacency, everyone)
+            assert hops[1:] == list(hop_count_heights(topo).values)
+            for heights in _height_attempts(adjacency, hops):
+                tried += 1
+                verdict = _starts_stuck(adjacency, heights, everyone)
+                assert verdict == _hello_void(topo, heights[1:]), (topo.edges, heights)
+                stuck += verdict
+    # both verdicts occur: the attempts are not all voids
+    assert 0 < stuck < tried
+
+
+def test_bitset_void_test_agrees_on_survivors():
+    # random_void_scenario tests the survivors of each removal under their old ids
+    for topo in all_connected_topologies(4):
+        adjacency = _adjacency(4, topo.edges)
+        for values in ([0, 1, 2, 2, 3], [0, 3, 1, 2, 1]):
+            for victim in topo.nodes:
+                alive = 0b11111 & ~(1 << victim)
+                shrunk = topo.without(drop_nodes=(victim,))
+                connected = _hop_counts(adjacency, alive) is not None
+                assert connected == shrunk.is_connected
+                if connected:
+                    verdict = _starts_stuck(adjacency, values, alive)
+                    assert verdict == _hello_void(shrunk, values[1:]), (topo.edges, victim)
 
 
 def test_void_heights_cover_or_decline():

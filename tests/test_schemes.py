@@ -336,9 +336,9 @@ def test_every_scheme_starts_from_the_same_orientation(generated_corpus):
     assert mismatched == []
 
 
-#: Assignments that may name schemes: the table itself, the claims the
-#: verifier tests, and the scheme the generator probes initial stuckness with.
-ALLOWED = {("schemes", "SPECS"), ("verify", "EQUIVALENCE_PAIRS"), ("generate", "_PROBE_SCHEME")}
+#: Assignments that may name schemes: the table itself and the claims the
+#: verifier tests.
+ALLOWED = {("schemes", "SPECS"), ("verify", "EQUIVALENCE_PAIRS")}
 
 STATE_CLASS_NAMES = frozenset(spec.state.__name__ for spec in SPECS.values())
 
