@@ -31,6 +31,10 @@ GENERATED_DIGEST = "8c9012349d38d358413c350f748dab842e6ca2ef03ffb6145f7ed8ff0432
 #: sha256 of the serialized exhaustive_void_scenarios(5), in the order yielded.
 EXHAUSTIVE_N5_DIGEST = "ef7bcccad1747c1c813e58db585d55901d4131d3fc1b3bb92cc8bbad54f33881"
 
+#: sha256 of the serialized random_partition_scenario(n, k) for n = 2..12,
+#: then k = 0..19.
+PARTITION_DIGEST = "df7adf31a72a20e6d44ecf8f46f40c3a1b0a3dfb85365e4fae1061f1e525765c"
+
 
 def test_random_void_scenario_shape():
     sc = random_void_scenario(6, seed=0)
@@ -159,3 +163,10 @@ def test_exhaustive_n5_scenarios_are_pinned():
         count += 1
     assert count == 25_680
     assert digest.hexdigest() == EXHAUSTIVE_N5_DIGEST
+
+
+def test_partition_scenarios_are_pinned():
+    text = "".join(
+        serialize_scenario(random_partition_scenario(n, k)) for n in range(2, 13) for k in range(20)
+    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PARTITION_DIGEST
