@@ -1,7 +1,8 @@
 """Command line front end: run one simulation, verify properties, compare schemes.
 
 Exit codes: 0 success, 2 property failure or non-convergence, 3 partition
-detected, 4 input error.
+detected, 4 input error, which includes a height or threshold that would
+leave the signed 64-bit range.
 """
 
 from __future__ import annotations
@@ -321,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "step_limit", None) is not None and args.step_limit < 0:
             raise _InputError(f"--step-limit must not be negative, got {args.step_limit}")
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, OverflowRiskError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except LinkrevError as exc:

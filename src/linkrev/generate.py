@@ -12,7 +12,9 @@ destination is node 0.  Every scheme orients each link by the initial
 destination and no neighbor below it in that order; _starts_stuck is that
 test, for both generators.  exhaustive_void_scenarios walks the edge masks
 once, with connectivity and hop counts from a bitset breadth-first search,
-and builds a Scenario only for the masks it keeps.
+and builds a Scenario only for the masks it keeps.  Partition scenarios
+find their bridges with the same search: a link is a bridge when the graph
+without it leaves some node unreached.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 
 from .errors import DisconnectedGraphError
-from .model import DESTINATION, Topology, hop_count_heights
+from .model import DESTINATION, Topology
 from .scenario import Scenario, SimEvent
 
 
@@ -141,22 +143,25 @@ def random_partition_scenario(n: int, seed: int) -> Scenario:
     if n < 2:
         raise ValueError("partition scenarios need at least two nodes")
     rng = random.Random(seed * 7_000_003 + n)
+    everyone = (1 << (n + 1)) - 1
     for _ in range(200):
-        topo = Topology.build(n, _random_connected_edges(rng, n))
+        edges = _random_connected_edges(rng, n)
+        adjacency = _adjacency(n, edges)
         bridges = []
-        for edge in topo.edges:
-            rest = topo.without(drop_edges=(edge,))
-            if not rest.is_connected:
-                # Only keep cuts that strand at least one nondestination node.
-                bridges.append(edge)
+        for a, b in edges:
+            cut = adjacency.copy()
+            cut[a] ^= 1 << b
+            cut[b] ^= 1 << a
+            if _hop_counts(cut, everyone) is None:
+                bridges.append((a, b))
         if not bridges:
             continue
         edge = bridges[rng.randrange(len(bridges))]
-        heights = hop_count_heights(topo)
+        hops = _hop_counts(adjacency, everyone)
         return Scenario.create(
             n,
-            topo.edges,
-            heights=heights.values,
+            edges,
+            heights=hops[1:],
             events=[SimEvent(at_step=1, kind="remove-link", edge=edge)],
             seed=seed,
             name=f"partition-n{n}-s{seed}",
@@ -186,8 +191,10 @@ def _connected_graphs(n: int) -> Iterator[tuple[list[tuple[int, int]], list[int]
 
 def all_connected_topologies(n: int) -> Iterator[Topology]:
     """Every labeled connected graph on the destination and nodes 1..n."""
+    nodes = tuple(range(1, n + 1))
     for edges, _, _ in _connected_graphs(n):
-        yield Topology.build(n, edges, require_connected=False)
+        # Mask order lists each graph's edges canonical and sorted.
+        yield Topology(nodes, tuple(edges))
 
 
 def _height_attempts(adjacency: Sequence[int], hops: Sequence[int]) -> Iterator[list[int]]:

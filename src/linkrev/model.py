@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import starmap
 
-from .errors import DisconnectedGraphError, UnknownNodeError
-from .schemes import SPECS, Orientation, SchemeId, State
+from .errors import DisconnectedGraphError, OverflowRiskError, UnknownNodeError
+from .schemes import INT63_MAX, SPECS, Orientation, SchemeId, State
 
 #: Sentinel node id of the destination.  Nondestination nodes are 1..N.
 DESTINATION = 0
@@ -28,7 +28,11 @@ DESTINATION = 0
 
 @dataclass(frozen=True)
 class HeightAssignment:
-    """Initial heights of nodes 1..N.  The destination is fixed at 0."""
+    """Initial heights of nodes 1..N.  The destination is fixed at 0.
+
+    A height that is not a positive integer raises ValueError, and one
+    beyond the signed 64-bit range raises OverflowRiskError.
+    """
 
     values: tuple[int, ...]
 
@@ -36,6 +40,8 @@ class HeightAssignment:
         for idx, h in enumerate(self.values, start=1):
             if not isinstance(h, int) or isinstance(h, bool) or h < 1:
                 raise ValueError(f"initial height of node {idx} must be a positive integer, got {h!r}")
+            if h > INT63_MAX:
+                raise OverflowRiskError(f"initial height {h} of node {idx} exceeds the signed 64-bit range")
 
     @property
     def n(self) -> int:
@@ -83,12 +89,7 @@ class Topology:
     edges: tuple[tuple[int, int], ...]
 
     @classmethod
-    def build(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        require_connected: bool = True,
-    ) -> Topology:
+    def build(cls, n: int, edges: Iterable[tuple[int, int]]) -> Topology:
         if n < 1:
             raise ValueError("a topology needs at least one nondestination node")
         valid = set(range(1, n + 1)) | {DESTINATION}
@@ -103,7 +104,7 @@ class Topology:
                 raise ValueError(f"duplicate edge ({e[0]},{e[1]})")
             seen.add(e)
         topo = cls(nodes=tuple(range(1, n + 1)), edges=tuple(sorted(seen)))
-        if require_connected and not topo.is_connected:
+        if not topo.is_connected:
             raise DisconnectedGraphError("graph is not connected")
         return topo
 

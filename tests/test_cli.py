@@ -148,6 +148,17 @@ def test_run_bad_arguments_exit_with_input_error(scenario_file, capsys, argv_pat
     assert "input error" in capsys.readouterr().err
 
 
+def test_run_past_64_bits_is_an_input_error(scenario_file, capsys):
+    # a zigzag chain: edges D-80 and i-(i+1), heights 1,2,1,2,...
+    edges = " ".join(["D-80"] + [f"{i}-{i + 1}" for i in range(1, 80)])
+    heights = " ".join("1" if i % 2 else "2" for i in range(1, 81))
+    path = scenario_file(f"scenario v1\nnodes 80\nedges {edges}\nheights {heights}\n")
+    assert main(["run", path, "--scheme", "one-bit-full"]) == EXIT_OK
+    assert "converged" in capsys.readouterr().out
+    assert main(["run", path, "--scheme", "no-partial"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: threshold ")
+
+
 def test_run_missing_file_is_an_input_error(capsys):
     code = main(["run", "/nonexistent/path.scn", "--scheme", "no-full"])
     assert code == EXIT_INPUT

@@ -67,7 +67,7 @@ def _every_mask_in_order(n: int):
     pairs = list(combinations(range(n + 1), 2))
     for mask in range(1 << len(pairs)):
         edges = [pair for k, pair in enumerate(pairs) if mask >> k & 1]
-        topo = Topology.build(n, edges, require_connected=False)
+        topo = Topology(tuple(range(1, n + 1)), tuple(edges))
         if topo.is_connected:
             yield topo
 

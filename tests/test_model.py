@@ -82,7 +82,7 @@ def test_topology_build_rejects_bad_edges(edges, message):
 def test_topology_build_requires_connectivity():
     with pytest.raises(DisconnectedGraphError):
         Topology.build(3, [(0, 1), (2, 3)])
-    loose = Topology.build(3, [(0, 1), (2, 3)], require_connected=False)
+    loose = Topology.build(3, [(0, 1), (1, 2), (2, 3)]).without(drop_edges=((1, 2),))
     assert not loose.is_connected
 
 
@@ -108,7 +108,7 @@ def test_hop_count_heights_chain_and_diamond():
 
 
 def test_hop_count_heights_needs_connectivity():
-    loose = Topology.build(2, [(0, 1)], require_connected=False)
+    loose = Topology.build(2, [(0, 1), (1, 2)]).without(drop_edges=((1, 2),))
     with pytest.raises(DisconnectedGraphError):
         hop_count_heights(loose)
 

@@ -24,7 +24,9 @@ from linkrev import (
     save_scenario,
     serialize_scenario,
 )
+from linkrev.generate import random_void_scenario
 from linkrev.model import Topology
+from linkrev.schemes import ALL_SCHEMES, INT63_MAX, SPECS
 from linkrev.traceio import (
     EXPORT_FORMATS,
     export_trace,
@@ -131,12 +133,53 @@ def test_parse_rejects_disconnected_graphs():
         parse_scenario("scenario v1\nnodes 3\nedges D-1 2-3\n")
 
 
-def test_parse_rejects_overflowing_threshold_range():
-    # 80 nodes of height 1000 push the doubling sequence past 64 bits
+def test_parse_accepts_heights_past_the_no_partial_threshold_range():
+    # 80 nodes of height 1000 would push the doubling sequence past 64 bits,
+    # but only a no-partial update that reaches such a threshold overflows
     edges = " ".join(f"{i}-{i + 1}" for i in range(1, 80)) + " D-1"
     text = f"scenario v1\nnodes 80\nedges {edges}\nheights {' '.join(['1000'] * 80)}\n"
-    with pytest.raises(OverflowRiskError):
-        parse_scenario(text)
+    scenario = parse_scenario(text)
+    for scheme in ALL_SCHEMES:
+        assert run_scenario(scenario, scheme).converged, scheme
+
+
+def _chain(n: int, heights) -> Scenario:
+    """Edges D-n and i-(i+1)."""
+    edges = [(0, n)] + [(i, i + 1) for i in range(1, n)]
+    return Scenario.create(n, edges, heights=heights)
+
+
+def _zigzag(n: int) -> Scenario:
+    return _chain(n, [1 if i % 2 else 2 for i in range(1, n + 1)])
+
+
+def test_no_partial_overflows_only_at_the_update_past_64_bits():
+    assert run_scenario(_zigzag(60), SchemeId.NO_PARTIAL).total_updates == 1770
+    with pytest.raises(OverflowRiskError, match="threshold"):
+        run_scenario(_zigzag(80), SchemeId.NO_PARTIAL)
+    trace = run_scenario(_zigzag(80), SchemeId.TWO_BIT_PARTIAL)
+    assert trace.converged and trace.total_updates == 3160
+
+
+def test_every_scheme_converges_on_a_100_node_monotone_chain():
+    chain = _chain(100, range(1, 101))
+    updates = {"full": 4950, "partial": 99, None: 9900}
+    for scheme in ALL_SCHEMES:
+        trace = run_scenario(chain, scheme)
+        assert trace.converged, scheme
+        assert trace.total_updates == updates[SPECS[scheme].reversal], scheme
+
+
+def test_random_void_scenarios_build_past_n57():
+    assert random_void_scenario(100, 1).n == 100
+
+
+def test_heights_past_64_bits_are_rejected():
+    with pytest.raises(OverflowRiskError, match="initial height"):
+        Scenario.create(2, [(0, 1), (1, 2)], heights=(1, INT63_MAX + 1))
+    with pytest.raises(OverflowRiskError, match="initial height"):
+        parse_scenario(f"scenario v1\nnodes 2\nedges D-1 1-2\nheights 1 {INT63_MAX + 1}\n")
+    assert Scenario.create(2, [(0, 1), (1, 2)], heights=(1, INT63_MAX)).heights.max_height == INT63_MAX
 
 
 def test_missing_sections_are_reported():
