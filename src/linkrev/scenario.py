@@ -25,6 +25,7 @@ import hashlib
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import (
@@ -138,7 +139,16 @@ class Scenario:
         return f"n{self.n}-e{len(self.edges)}-{tag}"
 
     def _validate_events(self) -> None:
-        for ev in self.events:
+        """Check each event against the graph the events before it leave.
+
+        Events fire by step, then in script order.  A removed node cannot
+        be removed again or put to sleep, and a link that is gone, by
+        itself or with an endpoint, cannot be removed again.  A wake is
+        always valid.
+        """
+        gone_nodes: set[int] = set()
+        gone_links: set[tuple[int, int]] = set()
+        for ev in sorted(self.events, key=attrgetter("at_step")):
             if ev.at_step < 1:
                 raise ScenarioFormatError(f"event step must be >= 1, got {ev.at_step}")
             if ev.kind not in EVENT_KINDS:
@@ -150,6 +160,11 @@ class Scenario:
                     raise ScenarioFormatError(
                         f"event removes unknown link {_node_name(a)}-{_node_name(b)}"
                     )
+                if e in gone_links or a in gone_nodes or b in gone_nodes:
+                    raise ScenarioFormatError(
+                        f"event {ev.at_step} {ev.describe()}: the link is already gone"
+                    )
+                gone_links.add(e)
             else:
                 if ev.node == DESTINATION:
                     raise ScenarioFormatError("the destination is permanent and never sleeps")
@@ -157,6 +172,12 @@ class Scenario:
                     raise ScenarioFormatError(f"event refers to unknown node {ev.node}")
                 if ev.kind == "sleep" and (ev.duration is None or ev.duration < 1):
                     raise ScenarioFormatError("sleep duration must be a positive integer")
+                if ev.kind != "wake" and ev.node in gone_nodes:
+                    raise ScenarioFormatError(
+                        f"event {ev.at_step} {ev.describe()}: node {ev.node} is already removed"
+                    )
+                if ev.kind == "remove-node":
+                    gone_nodes.add(ev.node)
 
 
 # --- parsing ----------------------------------------------------------------

@@ -159,6 +159,12 @@ def test_run_past_64_bits_is_an_input_error(scenario_file, capsys):
     assert capsys.readouterr().err.startswith("input error: threshold ")
 
 
+def test_run_rejects_an_event_script_it_cannot_apply(scenario_file, capsys):
+    path = scenario_file(CHAIN + "event 1 remove-link 1-3\nevent 2 remove-link 1-3\n")
+    assert main(["run", path, "--scheme", "no-full"]) == EXIT_INPUT
+    assert "event 2 remove-link 1-3: the link is already gone" in capsys.readouterr().err
+
+
 def test_run_missing_file_is_an_input_error(capsys):
     code = main(["run", "/nonexistent/path.scn", "--scheme", "no-full"])
     assert code == EXIT_INPUT

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -180,6 +181,37 @@ def test_heights_past_64_bits_are_rejected():
     with pytest.raises(OverflowRiskError, match="initial height"):
         parse_scenario(f"scenario v1\nnodes 2\nedges D-1 1-2\nheights 1 {INT63_MAX + 1}\n")
     assert Scenario.create(2, [(0, 1), (1, 2)], heights=(1, INT63_MAX)).heights.max_height == INT63_MAX
+
+
+EVENT_BASE = "scenario v1\nnodes 3\nedges D-1 1-3 2-3\nheights 1 2 3\n"
+
+
+@pytest.mark.parametrize(
+    "script, message",
+    [
+        ("event 1 remove-link 1-3\nevent 2 remove-link 1-3", "event 2 remove-link 1-3: the link is already gone"),
+        ("event 1 remove-node 2\nevent 2 remove-node 2", "event 2 remove-node 2: node 2 is already removed"),
+        ("event 1 remove-node 2\nevent 2 sleep 2 1", "event 2 sleep 2 1: node 2 is already removed"),
+        ("event 1 remove-node 1\nevent 2 remove-link 1-3", "event 2 remove-link 1-3: the link is already gone"),
+        # events fire by step, then in script order
+        ("event 2 remove-node 2\nevent 1 remove-node 2", "event 2 remove-node 2: node 2 is already removed"),
+        ("event 1 remove-link 3-1\nevent 1 remove-link 1-3", "event 1 remove-link 1-3: the link is already gone"),
+    ],
+    ids=["link-twice", "node-twice", "sleep-after-removal", "link-of-removed-node", "step-order", "script-order"],
+)
+def test_parse_rejects_events_the_run_cannot_apply(script, message):
+    with pytest.raises(ScenarioFormatError, match=re.escape(message)):
+        parse_scenario(EVENT_BASE + script + "\n")
+
+
+def test_sleeps_before_a_removal_and_wakes_stay_valid():
+    scenario = parse_scenario(
+        EVENT_BASE + "event 1 sleep 2 3\nevent 2 remove-node 2\nevent 3 wake 2\nevent 3 wake 1\n"
+    )
+    for scheme in ALL_SCHEMES:
+        assert run_scenario(scenario, scheme).events_applied[:4] == (
+            (1, "sleep 2 3"), (2, "remove-node 2"), (3, "wake 2"), (3, "wake 1"),
+        )
 
 
 def test_missing_sections_are_reported():
