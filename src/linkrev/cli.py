@@ -15,7 +15,13 @@ from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
 
-from .errors import AdditionForbiddenError, LinkrevError, OverflowRiskError, ScenarioError
+from .errors import (
+    AdditionForbiddenError,
+    LinkrevError,
+    OverflowRiskError,
+    ScenarioError,
+    ScheduleError,
+)
 from .generate import exhaustive_void_scenarios, random_void_scenario
 from .scenario import Scenario, load_scenario
 from .schemes import ALL_SCHEMES, CORE_SCHEMES, SchemeId, state_bits
@@ -68,7 +74,10 @@ def _parse_schedule(text: str, seed: int) -> Schedule:
                 steps.append(tuple(int(tok) for tok in chunk.split(",")))
             except ValueError:
                 raise _InputError(f"bad fixed schedule chunk {chunk!r}") from None
-        return Schedule.fixed(steps, label="cli")
+        try:
+            return Schedule.fixed(steps, label="cli")
+        except ScheduleError as exc:
+            raise _InputError(str(exc)) from None
     raise _InputError(
         f"unknown schedule {text!r}; expected single, subset, or fixed:1;2,3"
     )

@@ -142,9 +142,11 @@ class Schedule:
     @classmethod
     def fixed(cls, steps: Sequence[Sequence[int]], label: str | None = None) -> Schedule:
         frozen = tuple(tuple(sorted(step)) for step in steps)
-        for step in frozen:
+        for index, step in enumerate(frozen, start=1):
             if not step:
                 raise ScheduleError("a fixed schedule step cannot be empty")
+            if len(set(step)) < len(step):
+                raise ScheduleError(f"fixed schedule step {index} names a node twice: {list(step)}")
         return cls(kind="fixed", steps=frozen, label=label)
 
     def describe(self) -> str:
@@ -522,7 +524,9 @@ class Simulation:
     def step(self, chosen: Sequence[int] | None = None) -> StepRecord:
         """Run one update step; raises EmptyStuckSetError when already oriented.
 
-        The schedule picks the updaters unless chosen names them.
+        The schedule picks the updaters unless chosen names them.  Updaters
+        that are empty, name a node twice or name one that cannot update
+        now raise ScheduleError.
         """
         stuck = self.stuck_nodes()
         if not stuck:
@@ -536,7 +540,8 @@ class Simulation:
         if chosen is None:
             chosen = self._selector.select(eligible, index)
         chosen = tuple(sorted(chosen))
-        if not chosen or set(chosen) - set(eligible):
+        picked = set(chosen)
+        if not chosen or len(picked) < len(chosen) or not picked.issubset(eligible):
             raise ScheduleError(f"schedule returned an invalid subset {chosen}")
 
         states, awake, aware = self.states, self._awake_topo, self._spec.neighbor_aware

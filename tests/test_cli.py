@@ -140,6 +140,7 @@ def test_run_fixed_schedule(scenario_file, capsys):
         ["--scheme", "warp-speed"],
         ["--scheme", "no-full", "--schedule", "sometimes"],
         ["--scheme", "no-full", "--schedule", "fixed:x"],
+        ["--scheme", "no-full", "--schedule", "fixed:2,2"],
     ],
 )
 def test_run_bad_arguments_exit_with_input_error(scenario_file, capsys, argv_patch):

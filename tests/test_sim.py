@@ -51,6 +51,19 @@ def test_fixed_schedule_rejects_empty_steps():
     assert Schedule.fixed([]).steps == ()
 
 
+def test_fixed_schedule_rejects_a_node_named_twice():
+    with pytest.raises(ScheduleError, match="step 2 names a node twice"):
+        Schedule.fixed([(1,), (2, 3, 2)])
+
+
+def test_step_rejects_a_node_chosen_twice(chain):
+    sim = Simulation(chain, SchemeId.NO_FULL)
+    with pytest.raises(ScheduleError, match="invalid subset"):
+        sim.step((2, 2))
+    assert sim.steps == [] and sim.update_counts[2] == 0
+    assert sim.step((2,)).updated == (2,)
+
+
 def test_schedule_descriptions():
     assert Schedule.single_random(3).describe() == "single-random(seed=3)"
     assert Schedule.subset_random(4).describe() == "subset-random(seed=4)"
