@@ -349,7 +349,10 @@ def _names(node: ast.AST) -> set[str]:
 
 
 def _scheme_branches(module: str, text: str) -> list[str]:
-    """SchemeId members named, and state classes tested, outside ALLOWED."""
+    """SchemeId members named, and state classes tested, outside ALLOWED.
+
+    threshold, no-partial's doubling sequence, is named only in schemes.py.
+    """
     tree = ast.parse(text)
     allowed = set()
     for node in tree.body:
@@ -377,6 +380,10 @@ def _scheme_branches(module: str, text: str) -> list[str]:
             and set().union(*map(_names, [node.left, *node.comparators])) & STATE_CLASS_NAMES
         ):
             found.append(f"{module}.py:{node.lineno}: state class test")
+        elif module != "schemes" and "threshold" in (
+            getattr(node, "id", None), getattr(node, "attr", None)
+        ):
+            found.append(f"{module}.py:{node.lineno}: threshold")
     return sorted(found, key=lambda line: int(line.split(":")[1]))
 
 
@@ -386,14 +393,18 @@ def test_the_guard_sees_scheme_branches():
         "ok = isinstance(state, (HeightState, int))\n"
         "ok = cls is not FlagState\n"
         "SPECS = {SchemeId.NO_FULL: None}\n"
+        "threshold(n, top)\n"
+        "bound = schemes.threshold(n, top)\n"
     )
     assert _scheme_branches("sim", text) == [
         "sim.py:1: SchemeId.GB_FULL",
         "sim.py:3: state class test",
         "sim.py:4: state class test",
         "sim.py:5: SchemeId.NO_FULL",
+        "sim.py:6: threshold",
+        "sim.py:7: threshold",
     ]
-    assert _scheme_branches("schemes", "SPECS = {SchemeId.NO_FULL: None}\n") == []
+    assert _scheme_branches("schemes", "SPECS = {SchemeId.NO_FULL: None}\nthreshold(n, top)\n") == []
 
 
 def test_scheme_facts_stay_in_the_spec_table():
