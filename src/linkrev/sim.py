@@ -142,10 +142,11 @@ class Schedule:
     @classmethod
     def fixed(cls, steps: Sequence[Sequence[int]], label: str | None = None) -> Schedule:
         frozen = tuple(tuple(sorted(step)) for step in steps)
-        for index, step in enumerate(frozen, start=1):
+        for step in frozen:
             if not step:
                 raise ScheduleError("a fixed schedule step cannot be empty")
-            if len(set(step)) < len(step):
+            if len(step) > 1 and len({*step}) < len(step):
+                index = frozen.index(step) + 1
                 raise ScheduleError(f"fixed schedule step {index} names a node twice: {list(step)}")
         return cls(kind="fixed", steps=frozen, label=label)
 
