@@ -13,6 +13,11 @@ in place, at a cost of O(|U|) a step rather than a copy of every state: a
 caller that keeps a reference to Simulation.states across a step sees it
 change, and one that needs the states of an earlier step copies them.
 
+The schedule is the only source of a step's updaters: Schedule.pick
+chooses them, and it alone tests a fixed step against the nodes that can
+update.  A recorded run's picks replay as
+Schedule.fixed([rec.updated for rec in trace.steps]).
+
 A run ends Converged when no node is stuck and no scripted event remains,
 StepLimit when the step budget is exhausted on a connected graph, and
 Partitioned when the awake graph is disconnected: for the counter-carrying
@@ -156,31 +161,26 @@ class Schedule:
             return f"fixed{tag}({len(self.steps or ())} steps)"
         return f"{self.kind}(seed={self.seed})"
 
-    def selector(self) -> _Selector:
-        return _Selector(self)
+    def pick(
+        self, rng: random.Random | None, eligible: tuple[int, ...], index: int
+    ) -> tuple[int, ...]:
+        """The updaters of step index: a sorted, nonempty, repeat-free subset of eligible.
 
-
-class _Selector:
-    """Stateful per-run view of a schedule."""
-
-    def __init__(self, schedule: Schedule):
-        self.schedule = schedule
-        self._rng = random.Random(schedule.seed) if schedule.kind != "fixed" else None
-
-    def select(self, stuck: tuple[int, ...], index: int) -> tuple[int, ...]:
-        kind = self.schedule.kind
-        if kind == "single-random":
-            return (self._rng.choice(stuck),)
-        if kind == "subset-random":
-            mask = self._rng.randrange(1, 1 << len(stuck))
-            return tuple(i for bit, i in enumerate(stuck) if mask >> bit & 1)
-        steps = self.schedule.steps or ()
+        eligible is sorted; rng is the run's generator, None for a fixed
+        schedule, whose steps Schedule.fixed already sorted and freed of repeats.
+        """
+        if self.kind == "single-random":
+            return (rng.choice(eligible),)
+        if self.kind == "subset-random":
+            mask = rng.randrange(1, 1 << len(eligible))
+            return tuple(i for bit, i in enumerate(eligible) if mask >> bit & 1)
+        steps = self.steps or ()
         if index > len(steps):
             raise ScheduleError(
                 f"fixed schedule exhausted after {len(steps)} steps but the network is still stuck"
             )
         chosen = steps[index - 1]
-        extras = set(chosen) - set(stuck)
+        extras = set(chosen).difference(eligible)
         if extras:
             raise ScheduleError(
                 f"fixed schedule step {index} selects {sorted(extras)} which are not stuck"
@@ -270,12 +270,12 @@ class Simulation:
     # CPython shares the keys of instance dicts only up to 30 attributes;
     # past that every instance carries a full dict of its own.
     __slots__ = (
-        "scenario", "scheme", "_spec", "heights", "n", "schedule", "_selector", "step_limit",
+        "scenario", "scheme", "_spec", "heights", "n", "schedule", "_rng", "step_limit",
         "live", "sleeping", "states", "steps", "events_applied", "update_counts",
         "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
-        "_points_from", "_awake_topo", "_stale", "_arcs", "_arc_labels", "_out_degree",
-        "_stuck", "_stuck_view", "initial_arcs", "initial_digest", "_recorded_index",
-        "_eligible_memo",
+        "_points_from", "_awake_topo", "_isolated", "_stale", "_arcs", "_arc_labels",
+        "_out_degree", "_stuck", "_stuck_view", "initial_arcs", "initial_digest",
+        "_recorded_index",
     )
 
     def __init__(
@@ -291,7 +291,7 @@ class Simulation:
         self.heights = scenario.heights
         self.n = scenario.n
         self.schedule = schedule or Schedule.single_random(scenario.seed or 0)
-        self._selector = self.schedule.selector()
+        self._rng = random.Random(self.schedule.seed) if self.schedule.kind != "fixed" else None
         self.step_limit = step_limit if step_limit is not None else default_step_limit(scenario.n)
         if self.step_limit < 0:
             raise ValueError(f"step limit must not be negative, got {self.step_limit}")
@@ -311,7 +311,8 @@ class Simulation:
             self._push_event(ev)
 
         self._points_from = orientation_predicate(scheme, self.heights)
-        self._set_awake()
+        # A scenario is connected, so no node starts without an awake neighbor.
+        self._awake_topo, self._isolated = self.live, frozenset()
         # Events start at step 1, so step 0 is the same for every run of the
         # scheme on this scenario: copy what a run mutates, share the rest.
         start = scenario._starts.get(scheme) or self._build_start()
@@ -336,17 +337,14 @@ class Simulation:
     def _set_awake(self) -> None:
         """Cache the awake topology, the live one without its sleeping nodes.
 
-        The orientation is rebuilt from it on next use.
+        The orientation is rebuilt from it on next use.  A neighbor-aware
+        rule reads its neighbors' states, so under one the awake nodes
+        with no awake neighbor are kept as isolated: they cannot update.
         """
-        self._awake_topo = (
-            self.live.without(drop_nodes=self.sleeping) if self.sleeping else self.live
-        )
-        self._stale = True
-        self._eligible_memo = (None, ())  # (stuck tuple, its eligible nodes)
-
-    @property
-    def awake(self) -> frozenset[int]:
-        return frozenset(self._awake_topo.nodes)
+        topo = self.live.without(drop_nodes=self.sleeping) if self.sleeping else self.live
+        self._awake_topo, self._stale = topo, True
+        if self._spec.neighbor_aware:
+            self._isolated = frozenset(i for i in topo.nodes if not topo.neighbors(i))
 
     def awake_topology(self) -> Topology:
         return self._awake_topo
@@ -502,32 +500,22 @@ class Simulation:
     # -- stepping ------------------------------------------------------------
 
     def _eligible(self, stuck: tuple[int, ...]) -> tuple[int, ...]:
-        """Stuck nodes that can actually update now.
+        """Stuck nodes that can update now, in sorted order: all but the isolated ones.
 
-        The neighbor-aware rules need at least one awake neighbor to read;
-        a stuck node isolated from every awake neighbor stays stuck but
-        cannot be scheduled.  Oblivious rules are always eligible.  The
-        answer is kept for the stuck tuple it was computed from until the
-        awake graph changes, so advance() and the step() it calls scan the
-        stuck nodes' neighbors once a turn.
+        A neighbor-aware rule needs an awake neighbor to read, and a stuck
+        node is never linked to the destination, so it has none exactly when
+        it is isolated.  Only neighbor-aware runs track isolated nodes.
         """
-        if not self._spec.neighbor_aware:
+        isolated = self._isolated
+        if not isolated:
             return stuck
-        seen, eligible = self._eligible_memo
-        if seen is not stuck:
-            awake = self._awake_topo
-            eligible = tuple(
-                i for i in stuck if any(j != DESTINATION for j in awake.neighbors(i))
-            )
-            self._eligible_memo = (stuck, eligible)
-        return eligible
+        return tuple(i for i in stuck if i not in isolated)
 
-    def step(self, chosen: Sequence[int] | None = None) -> StepRecord:
+    def step(self) -> StepRecord:
         """Run one update step; raises EmptyStuckSetError when already oriented.
 
-        The schedule picks the updaters unless chosen names them.  Updaters
-        that are empty, name a node twice or name one that cannot update
-        now raise ScheduleError.
+        The schedule picks the updaters among the eligible stuck nodes; a
+        fixed step that names another node raises ScheduleError.
         """
         stuck = self.stuck_nodes()
         if not stuck:
@@ -538,12 +526,7 @@ class Simulation:
                 f"stuck nodes {list(stuck)} have no awake neighbor to read"
             )
         index = len(self.steps) + 1
-        if chosen is None:
-            chosen = self._selector.select(eligible, index)
-        chosen = tuple(sorted(chosen))
-        picked = set(chosen)
-        if not chosen or len(picked) < len(chosen) or not picked.issubset(eligible):
-            raise ScheduleError(f"schedule returned an invalid subset {chosen}")
+        chosen = self.schedule.pick(self._rng, eligible, index)
 
         states, awake, aware = self.states, self._awake_topo, self._spec.neighbor_aware
         fresh: list[State] = []
@@ -588,12 +571,11 @@ class Simulation:
                 )
         return None
 
-    def advance(self, chosen: Sequence[int] | None = None) -> StepRecord | None:
+    def advance(self) -> StepRecord | None:
         """One turn of run(): apply due events, then take a step or end the run.
 
         Returns the step's record, or None once the run has ended; outcome
-        and certificate then say how.  chosen, when given, replaces the
-        schedule's pick for this step.
+        and certificate then say how.
         """
         while True:
             self._apply_events_until(len(self.steps) + 1)
@@ -628,7 +610,7 @@ class Simulation:
                         "graph is disconnected",
                     )
                 return self._end(Outcome.STEP_LIMIT)
-            return self.step(chosen)
+            return self.step()
 
     def _end(self, outcome: Outcome, certificate: str | None = None) -> None:
         self.outcome, self.certificate = outcome, certificate

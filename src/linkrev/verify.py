@@ -10,8 +10,9 @@ links of each step's updaters U: O(sum of deg U) a step, with no copy of the
 states and no routing_dag per step.  check_determinism(first) reruns a
 recorded trace once and compares the JSONL, and
 check_scheme_equivalence(reference, shadow, gating) replays a recorded
-reference trace's update sets under the shadow scheme in one Simulation and
-compares each of its step records with the reference's.  standard_battery runs
+reference trace's update sets under the shadow scheme, as the fixed schedule
+Schedule.fixed([rec.updated for rec in reference.steps]) of one Simulation,
+and compares each of its step records with the reference's.  standard_battery runs
 Schedule.subset_random(seed) once per scheme and hands that one trace to
 both, so the equivalence families reuse the determinism check's first run.
 """
@@ -473,12 +474,14 @@ EQUIVALENCE_PAIRS: tuple[tuple[SchemeId, SchemeId, bool], ...] = (
 def _lockstep_divergence(sim: Simulation, rec: StepRecord) -> str | None:
     """Advance the shadow sim through the reference's step rec; say how they differ.
 
-    The shadow's record must match rec in its stuck set, in the digest of
-    the orientation after the step and in the reversed links.
+    The shadow's schedule replays the reference's picks, so its next step
+    updates rec.updated.  The shadow's record must match rec in its stuck
+    set, in the digest of the orientation after the step and in the
+    reversed links.
     """
     srec = mismatch = None
     try:
-        srec = sim.advance(rec.updated)
+        srec = sim.advance()
     except ScheduleError as exc:
         mismatch = f"schedule replay mismatch: {exc}"
     except LinkrevError as exc:
@@ -507,8 +510,8 @@ def check_scheme_equivalence(
     must produce identical stuck sets and orientations at every step: the
     shadow's step records must match the reference's recorded ones in
     their stuck sets, digests and reversed links.
-    A shadow node that is not stuck when scheduled is a replay mismatch and
-    fails the check.  With gating=False the comparison is informational:
+    A reference updater that is not stuck in the shadow is a replay mismatch
+    and fails the check.  With gating=False the comparison is informational:
     divergence is reported, not failed.
     """
     scenario, schedule, scheme = reference.scenario, reference.schedule, reference.scheme
@@ -518,9 +521,11 @@ def check_scheme_equivalence(
         failures.append(f"reference run ended {reference.outcome} and cannot anchor a replay")
         return _report("scheme-equivalence", scenario, shadow, failures, schedule=schedule)
 
-    # The shadow never consults its schedule while replaying; after the
-    # last step, an empty one raises if the shadow is still stuck.
-    sim = Simulation(scenario, shadow, Schedule.fixed((), label=f"replay-of-{scheme.value}"))
+    # After the last step the exhausted schedule raises if the shadow is still stuck.
+    replay = Schedule.fixed(
+        [rec.updated for rec in reference.steps], label=f"replay-of-{scheme.value}"
+    )
+    sim = Simulation(scenario, shadow, replay)
     divergence: str | None = None
     for rec in reference.steps:
         found = _lockstep_divergence(sim, rec)

@@ -62,6 +62,20 @@ def sleepy_chain() -> Scenario:
 
 
 @pytest.fixture
+def stranded_chain() -> Scenario:
+    """D-5 and i-(i+1), heights 1..5: node 2 sleeps at step 1, leaving node 1 no awake neighbor.
+
+    Nodes 1 and 3 are then stuck, and node 3 can still read node 4.
+    """
+    return Scenario.create(
+        5,
+        [(0, 5)] + [(i, i + 1) for i in range(1, 5)],
+        heights=range(1, 6),
+        events=[SimEvent(at_step=1, kind="sleep", node=2, duration=3)],
+    )
+
+
+@pytest.fixture
 def run_single():
     """Run a scenario under the default single-node random schedule."""
 

@@ -49,9 +49,9 @@ def test_every_recorded_step_goes_through_simulation_step(monkeypatch, events):
     calls = []
     real = Simulation.step
 
-    def counting(self, chosen=None):
-        calls.append(chosen)
-        return real(self, chosen)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(Simulation, "step", counting)
     n = 12

@@ -56,14 +56,6 @@ def test_fixed_schedule_rejects_a_node_named_twice():
         Schedule.fixed([(1,), (2, 3, 2)])
 
 
-def test_step_rejects_a_node_chosen_twice(chain):
-    sim = Simulation(chain, SchemeId.NO_FULL)
-    with pytest.raises(ScheduleError, match="invalid subset"):
-        sim.step((2, 2))
-    assert sim.steps == [] and sim.update_counts[2] == 0
-    assert sim.step((2,)).updated == (2,)
-
-
 def test_schedule_descriptions():
     assert Schedule.single_random(3).describe() == "single-random(seed=3)"
     assert Schedule.subset_random(4).describe() == "subset-random(seed=4)"
@@ -77,6 +69,7 @@ def test_random_schedules_only_pick_stuck_nodes():
         assert trace.outcome is Outcome.CONVERGED
         for rec in trace.steps:
             assert rec.updated
+            assert list(rec.updated) == sorted(set(rec.updated))
             assert set(rec.updated) <= set(rec.stuck)
 
 
@@ -479,26 +472,24 @@ def test_a_direct_step_still_checks_eligibility(partition_scenario, scheme):
         sim.step()
 
 
-@pytest.mark.parametrize("scheme", [SchemeId.GB_FULL, SchemeId.GB_PARTIAL])
-def test_eligibility_is_scanned_once_a_turn(monkeypatch, scheme):
-    # advance() and the step() it calls share one scan of the stuck nodes' neighbors
-    scans = []
-    real = Simulation._eligible
-
-    def counting(self, stuck):
-        before = self._eligible_memo
-        eligible = real(self, stuck)
-        if self._eligible_memo is not before:
-            scans.append(stuck)
-        return eligible
-
-    monkeypatch.setattr(Simulation, "_eligible", counting)
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_every_stuck_node_is_eligible_without_events(scheme):
+    # a scenario is connected, so before any event no stuck node lacks an awake neighbor
     n = 12
     edges = [(0, n)] + [(i, i + 1) for i in range(1, n)]
-    scenario = Scenario.create(n, edges, heights=range(1, n + 1))
-    trace = run_scenario(scenario, scheme, Schedule.single_random(0))
-    assert trace.outcome is Outcome.CONVERGED
-    assert len(scans) == len(trace.steps)
+    sim = Simulation(Scenario.create(n, edges, heights=range(1, n + 1)), scheme)
+    while sim.stuck_nodes():
+        stuck = sim.stuck_nodes()
+        assert sim._eligible(stuck) is stuck
+        sim.step()
+
+
+def test_only_neighbor_aware_schemes_skip_a_node_isolated_by_sleep(stranded_chain):
+    for scheme, eligible in ((SchemeId.GB_FULL, (3,)), (SchemeId.NO_FULL, (1, 3))):
+        sim = Simulation(stranded_chain, scheme)
+        sim._apply_events_until(1)  # node 2 sleeps, so node 1 has no awake neighbor
+        assert sim.stuck_nodes() == (1, 3)
+        assert sim._eligible(sim.stuck_nodes()) == eligible
 
 
 @pytest.mark.parametrize("scheme", [SchemeId.TWO_BIT_FULL, SchemeId.ONE_BIT_FULL])
@@ -539,9 +530,9 @@ class _ScratchCheckedSimulation(Simulation):
         super().__init__(*args)
         self.recorded_arcs = self.initial_arcs
 
-    def step(self, chosen=None):
+    def step(self):
         before = self.recorded_arcs
-        record = super().step(chosen)
+        record = super().step()
         topo = self.awake_topology()
         dag = routing_dag(self.states, topo, self.scheme, self.heights)
         self.recorded_arcs = self.arcs
