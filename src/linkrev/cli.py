@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 property failure or non-convergence, 3 partition
 detected, 4 input error, which includes a height or threshold that would
-leave the signed 64-bit range.
+leave the signed 64-bit range in run or compare.  verify reports such a
+run as a failing termination or determinism check of its scheme instead.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 from itertools import chain
-from pathlib import Path
 
 from .errors import (
     AdditionForbiddenError,
@@ -26,7 +26,7 @@ from .generate import exhaustive_void_scenarios, random_void_scenario
 from .scenario import Scenario, load_scenario
 from .schemes import ALL_SCHEMES, CORE_SCHEMES, SchemeId, state_bits
 from .sim import STEP_LIMIT_ENV, Outcome, Schedule, default_step_limit, run_scenario
-from .traceio import EXPORT_FORMATS, export_trace
+from .traceio import EXPORT_FORMATS, write_trace
 from .verify import EQUIVALENCE_PAIRS, CheckReport, check_order_invariance, standard_battery
 
 EXIT_OK = 0
@@ -121,7 +121,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         applied = "; ".join(f"step {s}: {text}" for s, text in trace.events_applied)
         print(f"events applied: {applied}")
     if args.trace_out:
-        Path(args.trace_out).write_text(export_trace(trace, args.format), encoding="utf-8")
+        write_trace(trace, args.trace_out, args.format)
         print(f"trace written to {args.trace_out} ({args.format})")
     return _outcome_exit(trace.outcome)
 
@@ -237,7 +237,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     worst = Outcome.CONVERGED
     for scheme in schemes:
-        trace = run_scenario(scenario, scheme, schedule, step_limit=args.step_limit)
+        try:
+            trace = run_scenario(scenario, scheme, schedule, step_limit=args.step_limit)
+        except OverflowRiskError as exc:
+            raise _InputError(f"{scheme.value}: {exc}") from None
         bits = max(
             (state_bits(scheme, s) for rec in trace.steps for s in rec.new_states),
             default=max(state_bits(scheme, s) for s in trace.final_states),

@@ -147,11 +147,10 @@ class Schedule:
     @classmethod
     def fixed(cls, steps: Sequence[Sequence[int]], label: str | None = None) -> Schedule:
         frozen = tuple(tuple(sorted(step)) for step in steps)
-        for step in frozen:
+        for index, step in enumerate(frozen, start=1):
             if not step:
                 raise ScheduleError("a fixed schedule step cannot be empty")
-            if len(step) > 1 and len({*step}) < len(step):
-                index = frozen.index(step) + 1
+            if len({*step}) < len(step):
                 raise ScheduleError(f"fixed schedule step {index} names a node twice: {list(step)}")
         return cls(kind="fixed", steps=frozen, label=label)
 
@@ -183,7 +182,8 @@ class Schedule:
         extras = set(chosen).difference(eligible)
         if extras:
             raise ScheduleError(
-                f"fixed schedule step {index} selects {sorted(extras)} which are not stuck"
+                f"fixed schedule step {index} selects {sorted(extras)} which are not stuck "
+                "or with no awake neighbor"
             )
         return chosen
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import starmap
 
-from .errors import ExplosionGuardError, LinkrevError, ScheduleError
+from .errors import ExplosionGuardError, LinkrevError, OverflowRiskError, ScheduleError
 from .model import (
     DESTINATION,
     HeightAssignment,
@@ -510,8 +510,8 @@ def check_scheme_equivalence(
     must produce identical stuck sets and orientations at every step: the
     shadow's step records must match the reference's recorded ones in
     their stuck sets, digests and reversed links.
-    A reference updater that is not stuck in the shadow is a replay mismatch
-    and fails the check.  With gating=False the comparison is informational:
+    A reference updater that the shadow cannot update, being not stuck or
+    with no awake neighbor, is a replay mismatch and fails the check.  With gating=False the comparison is informational:
     divergence is reported, not failed.
     """
     scenario, schedule, scheme = reference.scenario, reference.schedule, reference.scheme
@@ -671,7 +671,8 @@ def enumerate_all_schedules(
             chain.append(chosen)
             cursor = parent
         chain.reverse()
-        witnesses[digest] = Schedule.fixed(chain, label=f"witness-{digest[:6]}")
+        # Each step is already a sorted, nonempty, repeat-free subset of a stuck set.
+        witnesses[digest] = Schedule("fixed", steps=tuple(chain), label=f"witness-{digest[:6]}")
 
     return EnumerationResult(
         scheme=scheme,
@@ -723,6 +724,14 @@ def _skipped_for_events(trace: Trace, scenario: Scenario, scheme: SchemeId) -> l
     ]
 
 
+def _raised(
+    check: str, scenario: Scenario, scheme: SchemeId, schedule: Schedule, exc: Exception
+) -> CheckReport:
+    """The failing report of a check whose run raised exc."""
+    failure = f"run raised {type(exc).__name__}: {exc}"
+    return _report(check, scenario, scheme, [failure], schedule=schedule)
+
+
 def standard_battery(
     scenario: Scenario,
     schemes: Sequence[SchemeId] = CORE_SCHEMES,
@@ -732,14 +741,20 @@ def standard_battery(
 
     The step-invariant, reversal-semantics and initial-greedy-stability
     checks assume an event-free trace; for a run that applied events each
-    yields an informational report that names the events instead.
+    yields an informational report that names the events instead.  A run
+    that raises OverflowRiskError fails the check it was made for,
+    termination or determinism, and the battery goes on without it.
     """
     reports: list[CheckReport] = []
     wanted = set(schemes)
     equivalence: dict[tuple[SchemeId, SchemeId, bool], CheckReport] = {}
     for scheme in schemes:
         for schedule in (Schedule.single_random(seed), Schedule.subset_random(seed + 1)):
-            trace = run_scenario(scenario, scheme, schedule)
+            try:
+                trace = run_scenario(scenario, scheme, schedule)
+            except OverflowRiskError as exc:
+                reports.append(_raised("termination", scenario, scheme, schedule, exc))
+                continue
             converged = trace.outcome is Outcome.CONVERGED
             reports.append(
                 _report(
@@ -760,7 +775,12 @@ def standard_battery(
             reports.append(check_initial_greedy_stability(trace, scenario))
         # One run serves the determinism check and every equivalence pair
         # this scheme anchors; only the reports wait for the end, not traces.
-        trace = run_scenario(scenario, scheme, Schedule.subset_random(seed))
+        schedule = Schedule.subset_random(seed)
+        try:
+            trace = run_scenario(scenario, scheme, schedule)
+        except OverflowRiskError as exc:
+            reports.append(_raised("determinism", scenario, scheme, schedule, exc))
+            continue
         reports.append(check_determinism(trace))
         for pair in EQUIVALENCE_PAIRS:
             reference, shadow, gating = pair

@@ -247,6 +247,40 @@ def test_verify_reports_skipped_checks_on_a_converged_event_run(scenario_file, c
     assert "PASS termination: 2/2" in out
 
 
+OVERFLOWING = """\
+scenario v1
+name cli-overflow
+nodes 2
+edges D-2 1-2
+heights 4611686018427387913 4611686018427387914
+"""
+
+
+def test_verify_reports_each_scheme_that_overflows(scenario_file, capsys):
+    # no-full and no-partial leave 64 bits on their second update; the other
+    # schemes converge, and verify reports every scheme instead of stopping
+    path = scenario_file(OVERFLOWING)
+    code = main(["verify", path])
+    out = capsys.readouterr().out
+    assert code == EXIT_PROPERTY
+    failed = [line for line in out.splitlines() if line.startswith("  FAIL ")]
+    assert [line.split()[1:3] for line in failed] == [
+        [check, f"scheme={scheme}"]
+        for scheme in ("no-full", "no-partial")
+        for check in ("termination", "termination", "determinism")
+    ]
+    assert failed[0].endswith(
+        ":: run raised OverflowRiskError: height 9223372036854775827 exceeds the signed 64-bit range"
+    )
+    assert "FAIL termination: 10/14" in out
+    assert main(["verify", path, "--scheme", "gb-full"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["compare", path, "--schemes", "gb-full,no-partial"]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: no-partial: threshold 9223372036854775829 exceeds the signed 64-bit range\n"
+    )
+
+
 def test_verify_counts_only_gating_reports_as_passes(scenario_file, capsys):
     # the chain's runs are checked, the diamond's are skipped for its event
     files = [scenario_file(CHAIN, "chain.scn"), scenario_file(DIAMOND_CUT, "cut.scn")]

@@ -331,6 +331,20 @@ def test_equivalence_builds_one_simulation_for_an_event_reference(monkeypatch):
     assert len(built) == 1
 
 
+def test_equivalence_names_a_reference_updater_with_no_awake_neighbor(stranded_chain):
+    # The oblivious reference updates node 1 while its only neighbor sleeps;
+    # node 1 is stuck under gb-full too, but has no neighbor state to read.
+    ref = run_scenario(stranded_chain, SchemeId.NO_FULL, Schedule.single_random(1))
+    assert ref.steps[0].stuck == (1, 3) and ref.steps[0].updated == (1,)
+    report = check_scheme_equivalence(ref, SchemeId.GB_FULL)
+    assert not report.passed
+    assert report.detail == (
+        "vs no-full: step 1: schedule replay mismatch: fixed schedule step 1 selects [1] "
+        "which are not stuck or with no awake neighbor"
+    )
+    assert report.counterexample.step == 1
+
+
 @pytest.mark.parametrize("field, forged", [("dag_digest", "0" * 12), ("reversed_edges", ())])
 def test_equivalence_catches_a_forged_reference_record(chain, field, forged):
     ref = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
@@ -466,6 +480,9 @@ def test_enumeration_results_are_pinned():
     for scenario in exhaustive_void_scenarios(4):
         for scheme in CORE_SCHEMES:
             result = enumerate_all_schedules(scenario, scheme)
+            for witness in result.witnesses.values():
+                for step in witness.steps:
+                    assert step and list(step) == sorted(set(step)), witness
             witnesses = " ".join(repr(result.witnesses[d].steps) for d in result.final_digests)
             lines.append(
                 f"{scenario.scenario_id()}/{scheme.value} {','.join(result.final_digests)} "
@@ -522,6 +539,27 @@ def test_standard_battery_runs_each_scheme_four_times(monkeypatch):
         assert runs[scheme, "single-random(seed=3)"] == 1
         assert runs[scheme, "subset-random(seed=4)"] == 1
         assert runs[scheme, "subset-random(seed=3)"] == 2
+
+
+def test_standard_battery_reports_a_run_that_overflows():
+    # Two updates past these heights leave 64 bits under no-full and no-partial.
+    big = 4611686018427387913
+    scenario = Scenario.create(2, [(0, 2), (1, 2)], heights=(big, big + 1))
+    reports = standard_battery(scenario, seed=0)
+    failed = [(r.scheme, r.check) for r in reports if not r.passed]
+    assert failed == [
+        (scheme, check)
+        for scheme in ("no-full", "no-partial")
+        for check in ("termination", "termination", "determinism")
+    ]
+    assert all(
+        r.detail.startswith("run raised OverflowRiskError: ")
+        and r.counterexample.schedule is not None
+        for r in reports if not r.passed
+    )
+    assert {r.scheme for r in reports if r.check == "termination" and r.passed} == {
+        scheme.value for scheme in CORE_SCHEMES
+    } - {"no-full", "no-partial"}
 
 
 def test_standard_battery_respects_the_scheme_filter(chain):
