@@ -166,7 +166,7 @@ class Schedule:
         """The updaters of step index: a sorted, nonempty, repeat-free subset of eligible.
 
         eligible is sorted; rng is the run's generator, None for a fixed
-        schedule, whose steps Schedule.fixed already sorted and freed of repeats.
+        schedule, whose steps are already sorted and free of repeats.
         """
         if self.kind == "single-random":
             return (rng.choice(eligible),)

@@ -12,9 +12,10 @@ recorded trace once and compares the JSONL, and
 check_scheme_equivalence(reference, shadow, gating) replays a recorded
 reference trace's update sets under the shadow scheme, as the fixed schedule
 Schedule.fixed([rec.updated for rec in reference.steps]) of one Simulation,
-and compares each of its step records with the reference's.  standard_battery runs
-Schedule.subset_random(seed) once per scheme and hands that one trace to
-both, so the equivalence families reuse the determinism check's first run.
+and compares each of its step records with the reference's.
+standard_battery runs Schedule.subset_random(seed) once per scheme and hands
+that one trace to both, so the equivalence families reuse the determinism
+check's first run.
 """
 
 from __future__ import annotations
@@ -511,8 +512,9 @@ def check_scheme_equivalence(
     shadow's step records must match the reference's recorded ones in
     their stuck sets, digests and reversed links.
     A reference updater that the shadow cannot update, being not stuck or
-    with no awake neighbor, is a replay mismatch and fails the check.  With gating=False the comparison is informational:
-    divergence is reported, not failed.
+    with no awake neighbor, is a replay mismatch and fails the check.
+    With gating=False the comparison is informational: divergence is
+    reported, not failed.
     """
     scenario, schedule, scheme = reference.scenario, reference.schedule, reference.scheme
     failures: list[str] = []
