@@ -8,9 +8,13 @@ star        D-1 1-2 1-3, heights 2 1 1: two stuck leaves at once.
 
 generated_corpus is the verify-random corpus, random_void_scenario(4 + k % 9,
 k) for k < 216, followed by the 664 void scenarios at n=4, built once.
+n5_stride is every N5_STRIDE-th of the 25,680 void scenarios at n=5, from the
+first, built once.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 import pytest
 
@@ -22,6 +26,15 @@ from linkrev.generate import exhaustive_void_scenarios, random_void_scenario
 def generated_corpus() -> tuple[Scenario, ...]:
     corpus = [random_void_scenario(4 + k % 9, k) for k in range(216)]
     return tuple(corpus + list(exhaustive_void_scenarios(4)))
+
+
+#: Stride of the n=5 void scenarios that n5_stride keeps: 1,605 of 25,680.
+N5_STRIDE = 16
+
+
+@pytest.fixture(scope="session")
+def n5_stride() -> tuple[Scenario, ...]:
+    return tuple(islice(exhaustive_void_scenarios(5), 0, None, N5_STRIDE))
 
 
 @pytest.fixture

@@ -474,10 +474,15 @@ def test_order_invariance_counterexample_is_the_faulty_dags_witness(monkeypatch,
 #: of each final DAG's witness.
 ENUMERATION_DIGEST = "005084d383bad09a50d0db756c505c46852ebc1895121cc8424b4abcd7fa6ceb"
 
+#: The same sha256 over the n5_stride scenarios (every 16th void scenario at
+#: n=5) x core schemes.
+ENUMERATION_N5_STRIDE_DIGEST = "09deb82d648eed1dcffb22914750ea6a933947221f32ad1c1862a855d51001e8"
 
-def test_enumeration_results_are_pinned():
+
+def _enumeration_lines(scenarios):
+    """One line per scenario x core scheme: what the enumeration digests pin."""
     lines = []
-    for scenario in exhaustive_void_scenarios(4):
+    for scenario in scenarios:
         for scheme in CORE_SCHEMES:
             result = enumerate_all_schedules(scenario, scheme)
             for witness in result.witnesses.values():
@@ -489,9 +494,21 @@ def test_enumeration_results_are_pinned():
                 f"{result.states_explored} {result.transitions} "
                 f"{result.all_destination_oriented} {witnesses}"
             )
+    return lines
+
+
+def test_enumeration_results_are_pinned():
+    lines = _enumeration_lines(exhaustive_void_scenarios(4))
     assert len(lines) == 664 * 7
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ENUMERATION_DIGEST
+
+
+def test_n5_enumeration_results_are_pinned(n5_stride):
+    lines = _enumeration_lines(n5_stride)
+    assert len(lines) == 1605 * 7
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ENUMERATION_N5_STRIDE_DIGEST
 
 
 @pytest.mark.parametrize(
