@@ -12,8 +12,9 @@ destination is node 0.  Every scheme orients each link by the initial
 destination and no neighbor below it in that order; _starts_stuck is that
 test, for both generators.  exhaustive_void_scenarios walks the edge masks
 once, with connectivity and hop counts from a bitset breadth-first search,
-and builds a Scenario only for the masks it keeps.  Partition scenarios
-find their bridges with the same search: a link is a bridge when the graph
+and builds a Scenario only for the masks it keeps, on a Topology made from
+the walk's edges with no second validation.  Partition scenarios find
+their bridges with the same search: a link is a bridge when the graph
 without it leaves some node unreached.
 """
 
@@ -24,7 +25,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 
 from .errors import DisconnectedGraphError
-from .model import DESTINATION, Topology
+from .model import DESTINATION, HeightAssignment, Topology
 from .scenario import Scenario, SimEvent
 
 
@@ -236,11 +237,20 @@ def void_heights(topo: Topology) -> tuple[int, ...] | None:
 
 
 def exhaustive_void_scenarios(n: int) -> Iterator[Scenario]:
-    """Each connected topology on n nodes, equipped with a void when possible."""
+    """Each connected topology on n nodes, equipped with a void when possible.
+
+    The walk's edges are canonical, sorted and connected, so each Scenario
+    is built on its Topology with no second validation; HeightAssignment
+    still validates the heights.
+    """
+    nodes = tuple(range(1, n + 1))
     counter = 0
     for edges, adjacency, hops in _connected_graphs(n):
         values = _void_values(adjacency, hops)
         if values is None:
             continue
         counter += 1
-        yield Scenario.create(n, edges, heights=values, name=f"exhaustive-n{n}-{counter:04d}")
+        yield Scenario.from_topology(
+            Topology(nodes, tuple(edges)), HeightAssignment(values),
+            name=f"exhaustive-n{n}-{counter:04d}",
+        )

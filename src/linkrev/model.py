@@ -65,7 +65,9 @@ class HeightAssignment:
         The phase and flag schemes break ties between equal phases or flags
         by this order; comparing ranks is comparing (height, id) keys.
         """
-        order = sorted(range(len(self.values) + 1), key=lambda i: (self.of(i), i))
+        # A stable sort of the ids by height leaves equal heights in id order.
+        heights = (0, *self.values)
+        order = sorted(range(len(heights)), key=heights.__getitem__)
         ranks = [0] * len(order)
         for rank, node in enumerate(order):
             ranks[node] = rank
@@ -128,6 +130,29 @@ class Topology:
     @cached_property
     def _node_set(self) -> frozenset[int]:
         return frozenset(self.nodes)
+
+    @cached_property
+    def probe_table(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Each node with no link to the destination and its neighbors, by node id.
+
+        Those are the nodes a hello probe can find stuck, and all their
+        neighbors are ordinary nodes.  Built once per topology, so every
+        scheme probing it shares the table.
+        """
+        adjacency = self._adjacency
+        # Built from a list, so the tuple is allocated at its final size: a
+        # tuple shrunk from a generator's guess leaves CPython's free list of
+        # its size a block that no later tuple reuses.
+        return tuple([(i, adjacency[i]) for i in self.nodes if DESTINATION not in adjacency[i]])
+
+    @cached_property
+    def _final_facts(self) -> dict[tuple[tuple[int, int], ...], tuple[str, bool]]:
+        """Digest and destination orientation of final orientations, by arcs.
+
+        Filled by the schedule enumeration: the schemes run on one
+        topology mostly end in the same orientations.
+        """
+        return {}
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -270,6 +295,31 @@ def routing_dag(
         for a, b in topo.edges
     ]
     return RoutingDag(tuple(arcs))
+
+
+def probe_stuck(
+    table: Iterable[tuple[int, Iterable[int]]],
+    states: Mapping[int, State] | Sequence[State | None],
+    points_from: Orientation,
+) -> tuple[int, ...]:
+    """The hello probe: the nodes of table that no neighbor lies below.
+
+    table holds (node, neighbors) rows, such as Topology.probe_table, of
+    nodes with no link to the destination, which is never stuck.  A node
+    is stuck iff no neighbor acks, that is iff the link to each neighbor
+    points toward the node; its probe stops at the first neighbor below
+    it.  A node with no neighbor is stuck.  The stuck nodes are listed in
+    table order.
+    """
+    stuck: list[int] = []
+    for i, neighbors in table:
+        own = states[i]
+        for j in neighbors:
+            if points_from(own, states[j]):
+                break
+        else:
+            stuck.append(i)
+    return tuple(stuck)
 
 
 def stuck_set(dag: RoutingDag, topo: Topology) -> frozenset[int]:

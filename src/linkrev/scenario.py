@@ -94,7 +94,8 @@ class Scenario:
         """Build and validate a scenario from raw parts.
 
         Heights default to hop counts when omitted; edge lists are
-        canonicalized so that equal scenarios compare equal.
+        canonicalized so that equal scenarios compare equal.  The validated
+        parts go through from_topology.
         """
         topo = Topology.build(n, edges)
         if heights is None:
@@ -109,16 +110,35 @@ class Scenario:
             except ValueError as exc:
                 raise HeightRangeError(str(exc)) from None
             explicit = True
+        return cls.from_topology(topo, assignment, events, seed, name, explicit)
+
+    @classmethod
+    def from_topology(
+        cls,
+        topology: Topology,
+        heights: HeightAssignment,
+        events: Iterable[SimEvent] = (),
+        seed: int | None = None,
+        name: str | None = None,
+        explicit_heights: bool = True,
+    ) -> Scenario:
+        """A scenario on a connected topology with canonical, sorted edges.
+
+        The topology and the heights are taken as they are: create ends
+        here once it has validated them, and a generator whose edges are
+        canonical, sorted and connected by construction starts here.  The
+        events are checked against the topology.
+        """
         scenario = cls(
-            n=n,
-            edges=topo.edges,
-            heights=assignment,
+            n=len(topology.nodes),
+            edges=topology.edges,
+            heights=heights,
             events=tuple(events),
             seed=seed,
             name=name,
-            explicit_heights=explicit,
+            explicit_heights=explicit_heights,
         )
-        vars(scenario)["topology"] = topo  # fill the cached property: one build
+        vars(scenario)["topology"] = topology  # fill the cached property: one build
         scenario._validate_events()
         return scenario
 

@@ -156,7 +156,7 @@ def gb_full_update(own: HeightState, neighbors: Sequence[HeightState]) -> Height
     """Climb just above the highest neighbor."""
     if not neighbors:
         raise EmptyNeighborhoodError(f"node {own.node} has no reachable neighbor")
-    return own._replace(height=_guard(max(s.height for s in neighbors) + 1, "height"))
+    return HeightState(own.node, _guard(max(s.height for s in neighbors) + 1, "height"))
 
 
 def gb_partial_update(
@@ -173,14 +173,13 @@ def gb_partial_update(
     level = min(s.level for s in neighbors) + 1
     peers = [s.height for s in neighbors if s.level == level]
     height = min(peers) - 1 if peers else own.height
-    return own._replace(level=level, height=height)
+    return LevelHeightState(own.node, level, height)
 
 
 def no_full_update(own: CountedHeightState, max_height: int) -> CountedHeightState:
     """Add the global maximum initial height, which clears every neighbor."""
-    return own._replace(
-        updates=own.updates + 1,
-        height=_guard(own.height + max_height, "height"),
+    return CountedHeightState(
+        own.node, own.updates + 1, _guard(own.height + max_height, "height")
     )
 
 
@@ -192,22 +191,22 @@ def no_partial_update(own: CountedHeightState, max_height: int) -> CountedHeight
     the reflection reverses the height order each update.
     """
     updates = own.updates + 1
-    return own._replace(updates=updates, height=threshold(updates, max_height) - own.height)
+    return CountedHeightState(own.node, updates, threshold(updates, max_height) - own.height)
 
 
 def two_bit_update(own: PhaseState) -> PhaseState:
     """Advance the cyclic phase."""
-    return own._replace(phase=(own.phase + 1) % PHASE_MODULUS)
+    return PhaseState(own.node, (own.phase + 1) % PHASE_MODULUS)
 
 
 def one_bit_update(own: FlagState) -> FlagState:
     """Toggle the parity flag."""
-    return own._replace(flag=own.flag ^ 1)
+    return FlagState(own.node, own.flag ^ 1)
 
 
 def baseline_increment_update(own: HeightState) -> HeightState:
     """Naive comparison baseline: raise the height by one."""
-    return own._replace(height=_guard(own.height + 1, "height"))
+    return HeightState(own.node, _guard(own.height + 1, "height"))
 
 
 # --- orders -----------------------------------------------------------------

@@ -102,6 +102,7 @@ from .model import (
     arcs_digest,
     is_destination_oriented,
     orientation_predicate,
+    probe_stuck,
     routing_dag,
 )
 from .scenario import Scenario, SimEvent
@@ -237,16 +238,14 @@ def hello_round(
 
     awake is the awake topology.  Sleeping nodes are not in it, so they
     never answer and their states are not consulted at all; the
-    destination is always awake.  Probing a node that is not in it raises
-    UnknownNodeError.
+    destination is always awake, and a node linked to it is never stuck.
+    Any other node runs the model's probe, probe_stuck.  Probing a node
+    that is not in the awake topology raises UnknownNodeError.
     """
     neighbors = awake.neighbors(i)
-    points_from = orientation_predicate(scheme, heights)
-    own = states[i]
-    for j in neighbors:
-        if j == DESTINATION or points_from(own, states[j]):
-            return False
-    return True
+    if DESTINATION in neighbors:
+        return False
+    return bool(probe_stuck(((i, neighbors),), states, orientation_predicate(scheme, heights)))
 
 
 @dataclass(frozen=True, slots=True)

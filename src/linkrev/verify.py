@@ -15,7 +15,15 @@ Schedule.fixed([rec.updated for rec in reference.steps]) of one Simulation,
 and compares each of its step records with the reference's.
 standard_battery runs Schedule.subset_random(seed) once per scheme and hands
 that one trace to both, so the equivalence families reuse the determinism
-check's first run.
+check's first run; when that run overflows, each pair it anchors gets an
+informational report that it was skipped.
+
+enumerate_all_schedules, behind check_order_invariance, finds the stuck
+nodes of each state vector with the model's hello probe, probe_stuck, the
+one the simulator's hello_round runs, and builds a routing_dag only for a
+terminal vector, whose digest and orientation verdict are kept on the
+topology for every scheme run on it.  It explores event-free scenarios
+only: one with scripted events raises ValueError.
 """
 
 from __future__ import annotations
@@ -29,14 +37,16 @@ from .errors import ExplosionGuardError, LinkrevError, OverflowRiskError, Schedu
 from .model import (
     DESTINATION,
     HeightAssignment,
+    RoutingDag,
+    Topology,
     arc_label,
     arcs_digest,
     is_acyclic,
     is_destination_oriented,
     orientation_predicate,
+    probe_stuck,
     reaches_destination,
     routing_dag,
-    stuck_set,
 )
 from .scenario import Scenario, serialize_scenario
 from .schemes import (
@@ -606,6 +616,19 @@ def _nonempty_subsets(items: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _final_facts(dag: RoutingDag, topo: Topology) -> tuple[str, bool]:
+    """The digest of a final DAG and whether it is destination-oriented.
+
+    Both depend on the arcs and the topology alone, so they are computed
+    once per topology and orientation, for all the schemes run on it.
+    """
+    memo = topo._final_facts
+    facts = memo.get(dag.arcs)
+    if facts is None:
+        facts = memo[dag.arcs] = (dag.digest(), is_destination_oriented(dag, topo))
+    return facts
+
+
 def enumerate_all_schedules(
     scenario: Scenario, scheme: SchemeId, max_states: int = 10**6
 ) -> EnumerationResult:
@@ -614,19 +637,30 @@ def enumerate_all_schedules(
     Each step branches over every nonempty subset of the stuck set, so a
     single-node step is one of the options.  A state vector is indexed by
     node id, with None in slot 0 for the destination, so it is its own
-    state mapping.  Its stuck set is the model's: stuck_set of the
-    routing_dag it induces, built once per vector and reused, on a vector
-    with no stuck node, for its digest and its destination orientation.
-    An update reads only the states before the step, so each stuck node's
-    new state is computed once per vector and shared by every subset that
-    chooses it.  Raises ExplosionGuardError when more than max_states
-    distinct state vectors appear.
+    state mapping; the first one is built from the scheme's initial
+    states.  Its stuck set is found by the hello probe, probe_stuck, over
+    the topology's probe table, the one stuck detection the simulator's
+    hello_round runs too.  A routing_dag is built only for a terminal
+    vector, one with no stuck node, for its digest and its destination
+    orientation.  An update reads only the states before the step, so
+    each stuck node's new state is computed once per vector and shared by
+    every subset that chooses it.  Scripted events are outside the
+    enumeration: a scenario with any raises ValueError.  Raises
+    ExplosionGuardError when more than max_states distinct state vectors
+    appear.
     """
+    if scenario.events:
+        raise ValueError("the schedule enumeration assumes an event-free scenario")
     topo = scenario.topology
     heights = scenario.heights
-    aware = SPECS[scheme].neighbor_aware
+    spec = SPECS[scheme]
+    table = topo.probe_table
+    # A stuck node is never linked to the destination, so its row of the
+    # probe table lists exactly the neighbor states a neighbor-aware rule reads.
+    neighbors = dict(table) if spec.neighbor_aware else None
+    points_from = orientation_predicate(scheme, heights)
 
-    init = (None, *initial_states(scheme, topo, heights).values())
+    init = (None, *starmap(spec.initial, enumerate(heights.values, start=1)))
     parents: dict[tuple, tuple | None] = {init: None}
     frontier = [init]
     finals: dict[str, tuple] = {}
@@ -635,19 +669,16 @@ def enumerate_all_schedules(
 
     while frontier:
         vec = frontier.pop()
-        dag = routing_dag(vec, topo, scheme, heights)
-        stuck = tuple(sorted(stuck_set(dag, topo)))
+        stuck = probe_stuck(table, vec, points_from)
         if not stuck:
-            digest = dag.digest()
+            digest, oriented = _final_facts(routing_dag(vec, topo, scheme, heights), topo)
             if digest not in finals:
                 finals[digest] = vec
-                oriented_all = oriented_all and is_destination_oriented(dag, topo)
+                oriented_all = oriented_all and oriented
             continue
         updated = {}
         for i in stuck:
-            neighbor_states = (
-                [vec[j] for j in topo.neighbors(i) if j != DESTINATION] if aware else None
-            )
+            neighbor_states = [vec[j] for j in neighbors[i]] if neighbors is not None else None
             updated[i] = apply_update(scheme, vec[i], neighbor_states, heights)
         for chosen in _nonempty_subsets(stuck):
             fresh = list(vec)
@@ -745,7 +776,9 @@ def standard_battery(
     checks assume an event-free trace; for a run that applied events each
     yields an informational report that names the events instead.  A run
     that raises OverflowRiskError fails the check it was made for,
-    termination or determinism, and the battery goes on without it.
+    termination or determinism, and the battery goes on without it; when
+    that run is the reference of equivalence pairs, each pair gets an
+    informational report that says it was skipped and why.
     """
     reports: list[CheckReport] = []
     wanted = set(schemes)
@@ -782,11 +815,20 @@ def standard_battery(
             trace = run_scenario(scenario, scheme, schedule)
         except OverflowRiskError as exc:
             reports.append(_raised("determinism", scenario, scheme, schedule, exc))
-            continue
-        reports.append(check_determinism(trace))
+            trace, skipped = None, f"skipped: the reference run raised OverflowRiskError: {exc}"
+        else:
+            reports.append(check_determinism(trace))
         for pair in EQUIVALENCE_PAIRS:
             reference, shadow, gating = pair
-            if reference is scheme and shadow in wanted:
+            if reference is not scheme or shadow not in wanted:
+                continue
+            if trace is None:
+                check = "scheme-equivalence" if gating else "scheme-divergence"
+                equivalence[pair] = _report(
+                    check, scenario, shadow, [], detail=f"vs {scheme.value}: {skipped}",
+                    informational=True,
+                )
+            else:
                 equivalence[pair] = check_scheme_equivalence(trace, shadow, gating)
     reports.extend(equivalence[pair] for pair in EQUIVALENCE_PAIRS if pair in equivalence)
     return reports

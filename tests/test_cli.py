@@ -281,6 +281,31 @@ def test_verify_reports_each_scheme_that_overflows(scenario_file, capsys):
     )
 
 
+def test_verify_says_which_equivalence_pairs_an_overflow_skips(scenario_file, capsys):
+    # The no-full and no-partial reference runs overflow, so none of the five
+    # pairs they anchor can be replayed; each is reported as skipped, not dropped.
+    path = scenario_file(OVERFLOWING)
+    assert main(["verify", path, "--verbose"]) == EXIT_PROPERTY
+    out = capsys.readouterr().out
+    assert "INFO scheme-equivalence: 4 informational" in out
+    assert "INFO scheme-divergence: 1 informational" in out
+    skipped = [line.split(" :: ") for line in out.splitlines() if "skipped: the reference" in line]
+    assert [head.split()[:3] for head, _ in skipped] == [
+        ["INFO", "scheme-equivalence", "scheme=gb-full"],
+        ["INFO", "scheme-equivalence", "scheme=two-bit-full"],
+        ["INFO", "scheme-equivalence", "scheme=one-bit-full"],
+        ["INFO", "scheme-equivalence", "scheme=two-bit-partial"],
+        ["INFO", "scheme-divergence", "scheme=gb-partial"],
+    ]
+    assert [detail for _, detail in skipped] == [
+        f"vs {reference}: skipped: the reference run raised OverflowRiskError: {message}"
+        for reference, message in [
+            *[("no-full", "height 9223372036854775827 exceeds the signed 64-bit range")] * 3,
+            *[("no-partial", "threshold 9223372036854775829 exceeds the signed 64-bit range")] * 2,
+        ]
+    ]
+
+
 def test_verify_counts_only_gating_reports_as_passes(scenario_file, capsys):
     # the chain's runs are checked, the diamond's are skipped for its event
     files = [scenario_file(CHAIN, "chain.scn"), scenario_file(DIAMOND_CUT, "cut.scn")]

@@ -423,27 +423,20 @@ def test_enumeration_guard_says_how_far_it_got(star):
     assert "(3 states explored, 2 on the frontier)" in str(caught.value)
 
 
-def test_order_invariance_enumerates_once_with_one_dag_per_state(monkeypatch, star):
-    enumerations, dags = [], []
-    real_enumerate, real_dag = verify.enumerate_all_schedules, verify.routing_dag
-
-    def enumerate_counting(*args, **kwargs):
-        enumerations.append(real_enumerate(*args, **kwargs))
-        return enumerations[-1]
-
-    def dag_counting(*args):
-        dags.append(args)
-        return real_dag(*args)
-
-    monkeypatch.setattr(verify, "enumerate_all_schedules", enumerate_counting)
-    monkeypatch.setattr(verify, "routing_dag", dag_counting)
-    report = check_order_invariance(star, SchemeId.NO_PARTIAL)
-    assert report.passed
-    assert len(enumerations) == 1
-    states = enumerations[0].states_explored
-    assert states > 2
-    assert len(dags) == states
-    assert report.detail == f"{states} states"
+def test_enumeration_rejects_scripted_events():
+    # Losing D-5 before the first step partitions the chain, which the
+    # enumeration, blind to events, would report as order-invariant.
+    cut = Scenario.create(
+        5,
+        [(0, 5)] + [(i, i + 1) for i in range(1, 5)],
+        heights=range(1, 6),
+        events=[SimEvent(at_step=1, kind="remove-link", edge=(0, 5))],
+    )
+    assert run_scenario(cut, SchemeId.NO_FULL).outcome is Outcome.PARTITIONED
+    with pytest.raises(ValueError, match="event-free scenario"):
+        enumerate_all_schedules(cut, SchemeId.NO_FULL)
+    with pytest.raises(ValueError, match="event-free scenario"):
+        check_order_invariance(cut, SchemeId.NO_FULL)
 
 
 @pytest.mark.parametrize("fault", ["two-final-dags", "not-oriented"])
