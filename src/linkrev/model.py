@@ -146,13 +146,33 @@ class Topology:
         return tuple([(i, adjacency[i]) for i in self.nodes if DESTINATION not in adjacency[i]])
 
     @cached_property
-    def _final_facts(self) -> dict[tuple[tuple[int, int], ...], tuple[str, bool]]:
-        """Digest and destination orientation of final orientations, by arcs.
+    def _final_digests(self) -> dict[tuple[tuple[int, int], ...], str]:
+        """Digests of final orientations, by arcs.
 
         Filled by the schedule enumeration: the schemes run on one
         topology mostly end in the same orientations.
         """
         return {}
+
+    @cached_property
+    def _reach(self) -> dict[tuple[tuple[int, int], ...], frozenset[int]]:
+        """The nodes each orientation leads to the destination, by arcs; see destination_reach."""
+        return {}
+
+    @cached_property
+    def ordinary_links(self) -> dict[int, tuple[int, ...]]:
+        """Positions in edges of each node's links to other nondestination nodes.
+
+        Those are the links an update can flip: a link into the destination
+        always points into it.  Built once per topology, so every scheme
+        replayed on it shares the lists.
+        """
+        links: dict[int, list[int]] = {i: [] for i in self.nodes}
+        for k, (a, b) in enumerate(self.edges):
+            if a != DESTINATION:
+                links[a].append(k)
+                links[b].append(k)
+        return {i: tuple(ks) for i, ks in links.items()}
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -333,10 +353,27 @@ def is_destination_oriented(
     """True if every node has a directed path to the destination.
 
     Takes a RoutingDag or its arcs, so a caller that keeps the arcs need
-    not copy them into a RoutingDag.
+    not copy them into a RoutingDag.  Reads the topology's memo through
+    destination_reach.
     """
     arcs = dag.arcs if isinstance(dag, RoutingDag) else dag
-    return set(topo.nodes) <= reaches_destination(arcs)
+    return topo._node_set <= destination_reach(arcs, topo)
+
+
+def destination_reach(arcs: Iterable[tuple[int, int]], topo: Topology) -> frozenset[int]:
+    """reaches_destination(arcs), memoized on the topology by the arcs tuple.
+
+    The set depends on the arcs alone, so the memo returns what the search
+    would; keeping it per topology lets it die with the topology.  The runs
+    and checks of one scenario end in few orientations, and the battery asks
+    about each many times.
+    """
+    key = arcs if type(arcs) is tuple else tuple(arcs)
+    memo = topo._reach
+    reach = memo.get(key)
+    if reach is None:
+        reach = memo[key] = frozenset(reaches_destination(key))
+    return reach
 
 
 def reaches_destination(arcs: Iterable[tuple[int, int]]) -> set[int]:

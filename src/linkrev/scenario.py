@@ -151,6 +151,14 @@ class Scenario:
         """Each scheme's event-free step 0, built and filled in by the simulator."""
         return {}
 
+    @cached_property
+    def _replay_starts(self) -> dict[SchemeId, object]:
+        """Each scheme's step 0 as the step check derives it, filled in by verify.
+
+        Kept apart from _starts: the check is the simulator's oracle.
+        """
+        return {}
+
     def scenario_id(self) -> str:
         """Stable short identifier for reports."""
         if self.name:

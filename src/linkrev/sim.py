@@ -69,11 +69,14 @@ Cross-checks kept on the incremental path:
   start at step 1, so every run of the pair starts there.  The scenario's
   schemes share one copy of its arcs, labels, out-degrees, stuck set and
   digest, and the edge index is the Topology's.  Each Simulation copies
-  what a run mutates (states, arcs, labels, out-degrees, stuck set).
+  what a run mutates (states, arcs, labels, out-degrees, stuck set).  The
+  verifier's step check derives its own start and never reads this cache.
 - Whenever the stuck set is empty on a connected awake graph, the
   maintained orientation must be destination-oriented.  While the stuck
   set is nonempty that follows from the probes, since a stuck node has no
-  outgoing link.
+  outgoing link.  The search is memoized on the awake topology by the
+  arcs (model.destination_reach): the runs of a scenario end in few
+  orientations.
 """
 
 from __future__ import annotations

@@ -4,26 +4,36 @@ Checks consume recorded traces rather than re-deriving them, so a corrupted
 or hand-edited trace is caught.  Failing reports carry a replayable
 counterexample: the serialized scenario, the schedule, and the step index.
 
-check_step_invariants orients the whole graph once, at step 0, and then
-replays the recorded new states into one state dict, re-orienting only the
-links of each step's updaters U: O(sum of deg U) a step, with no copy of the
-states and no routing_dag per step.  check_determinism(first) reruns a
-recorded trace once and compares the JSONL, and
-check_scheme_equivalence(reference, shadow, gating) replays a recorded
-reference trace's update sets under the shadow scheme, as the fixed schedule
-Schedule.fixed([rec.updated for rec in reference.steps]) of one Simulation,
-and compares each of its step records with the reference's.
-standard_battery runs Schedule.subset_random(seed) once per scheme and hands
-that one trace to both, so the equivalence families reuse the determinism
-check's first run; when that run overflows, each pair it anchors gets an
-informational report that it was skipped.
+check_step_invariants orients the whole graph once per (scenario, scheme),
+at step 0, and judges that start once: acyclicity, the stuck/oriented
+agreement and the scheme's invariants over every node and link.  The start
+and its verdict are cached in Scenario._replay_starts, which only this
+module fills and which never reads the simulator's Scenario._starts, so the
+replay stays the kernel's oracle.  Each trace's recorded initial digest is
+still compared with the start, and each trace is replayed from a copy of
+the start's states, arcs, labels and out-neighbors: its recorded new states
+go into one state dict, and only the links of each step's updaters U are
+re-oriented, O(sum of deg U) a step, with no routing_dag per step.
+Destination orientation, wherever a check asks for it, reads the
+topology's reachability memo, model.destination_reach, as the simulator's
+cross-check and check_initial_greedy_stability do.
+
+check_determinism(first) reruns a recorded trace once and compares the
+JSONL, and check_scheme_equivalence(reference, shadow, gating) replays a
+recorded reference trace's update sets under the shadow scheme, as the
+fixed schedule Schedule.fixed([rec.updated for rec in reference.steps]) of
+one Simulation, and compares each of its step records with the
+reference's.  standard_battery runs Schedule.subset_random(seed) once per
+scheme and hands that one trace to both, so the equivalence families reuse
+the determinism check's first run; when that run overflows, each pair it
+anchors gets an informational report that it was skipped.
 
 enumerate_all_schedules, behind check_order_invariance, finds the stuck
 nodes of each state vector with the model's hello probe, probe_stuck, the
 one the simulator's hello_round runs, and builds a routing_dag only for a
-terminal vector, whose digest and orientation verdict are kept on the
-topology for every scheme run on it.  It explores event-free scenarios
-only: one with scripted events raises ValueError.
+terminal vector, whose digest and reach set are kept on the topology for
+every scheme run on it.  It explores event-free scenarios only: one with
+scripted events raises ValueError.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import starmap
+from typing import NamedTuple
 
 from .errors import ExplosionGuardError, LinkrevError, OverflowRiskError, ScheduleError
 from .model import (
@@ -41,11 +52,11 @@ from .model import (
     Topology,
     arc_label,
     arcs_digest,
+    destination_reach,
     is_acyclic,
     is_destination_oriented,
     orientation_predicate,
     probe_stuck,
-    reaches_destination,
     routing_dag,
 )
 from .scenario import Scenario, serialize_scenario
@@ -182,6 +193,68 @@ def _closes_cycle(out: Mapping[int, Iterable[int]], heads: Iterable[int]) -> boo
     return False
 
 
+class _ReplayStart(NamedTuple):
+    """A scheme's step 0 as the step check derives it, kept in Scenario._replay_starts.
+
+    It is derived from the scheme's initial states alone and never read
+    from the simulator's Scenario._starts, whose faults the check exists
+    to catch.  failures is the step-0 verdict: acyclicity, the
+    stuck/oriented agreement and the scheme's invariants over every node
+    and link, for the scenario's node count.  Never mutated.
+    """
+
+    states: Mapping[int, State]
+    initial: RoutingDag
+    labels: tuple[str, ...]
+    out: Mapping[int, tuple[int, ...]]
+    stuck: tuple[int, ...]
+    digest: str
+    failures: tuple[str, ...]
+
+
+def _start_failures(start: _ReplayStart, scenario: Scenario, scheme: SchemeId, n: int) -> list[str]:
+    """The step-0 failures of a start: its orientation, every node and every link."""
+    topo = scenario.topology
+    failures: list[str] = []
+    if not is_acyclic(start.initial):
+        failures.append("step 0: orientation has a cycle")
+    if not start.stuck and not is_destination_oriented(start.initial, topo):
+        failures.append("step 0: stuck set emptiness disagrees with orientation")
+    failures += _scheme_failures(
+        "step 0", SPECS[scheme], start.states, topo.nodes, topo.edges, n, scenario.heights
+    )
+    return failures
+
+
+def _replay_start(scenario: Scenario, scheme: SchemeId) -> _ReplayStart:
+    """The scheme's step 0 on the scenario, derived and judged once, then cached.
+
+    Schemes whose initial states induce the same arcs share one copy of
+    the orientation, its labels, out-neighbors, stuck set and digest.
+    """
+    starts = scenario._replay_starts
+    start = starts.get(scheme)
+    if start is None:
+        topo = scenario.topology
+        states = initial_states(scheme, topo, scenario.heights)
+        initial = routing_dag(states, topo, scheme, scenario.heights)
+        shared = next((o for o in starts.values() if o.initial.arcs == initial.arcs), None)
+        if shared is None:
+            out: dict[int, list[int]] = {i: [] for i in (DESTINATION, *topo.nodes)}
+            for s, d in initial.arcs:
+                out[s].append(d)
+            labels = tuple(starmap(arc_label, initial.arcs))
+            start = _ReplayStart(
+                states, initial, labels, {i: tuple(js) for i, js in out.items()},
+                tuple(i for i in topo.nodes if not out[i]), arcs_digest(labels), (),
+            )
+        else:
+            start = shared._replace(states=states)
+        verdict = _start_failures(start, scenario, scheme, scenario.n)
+        start = starts[scheme] = start._replace(failures=tuple(verdict))
+    return start
+
+
 class _StateReplay:
     """The recorded states and the orientation they induce, patched step by step.
 
@@ -191,28 +264,21 @@ class _StateReplay:
     nodes whose states were written are re-oriented: O(sum of their
     degrees) a step.  The replay is kept apart from Simulation's kernel on
     purpose, since the check exists to catch that kernel's faults; it
-    shares only the compiled predicate, which defines the orientation.
+    shares only the compiled predicate, which defines the orientation.  It
+    starts from the scheme's cached _ReplayStart and copies only what it
+    mutates; the link lists are the topology's.
     """
 
-    def __init__(self, scenario: Scenario, scheme: SchemeId):
+    def __init__(self, scenario: Scenario, scheme: SchemeId, start: _ReplayStart):
         topo = scenario.topology
-        self.states = initial_states(scheme, topo, scenario.heights)
-        self.initial = routing_dag(self.states, topo, scheme, scenario.heights)
+        self.states = dict(start.states)
         self._points_from = orientation_predicate(scheme, scenario.heights)
         self._edges = topo.edges
-        # Edge indices of each node's links to other nondestination nodes;
-        # a link into the destination always points into it.
-        self._links: dict[int, list[int]] = {i: [] for i in topo.nodes}
-        for k, (a, b) in enumerate(topo.edges):
-            if a != DESTINATION:
-                self._links[a].append(k)
-                self._links[b].append(k)
-        self.arcs = list(self.initial.arcs)
-        self._labels = list(starmap(arc_label, self.arcs))
-        self.out: dict[int, set[int]] = {i: set() for i in (DESTINATION, *topo.nodes)}
-        for s, d in self.arcs:
-            self.out[s].add(d)
-        self.stuck = tuple(i for i in topo.nodes if not self.out[i])
+        self._links = topo.ordinary_links
+        self.arcs = list(start.initial.arcs)
+        self._labels = list(start.labels)
+        self.out = {i: set(js) for i, js in start.out.items()}
+        self.stuck = start.stuck
 
     def digest(self) -> str:
         return arcs_digest(self._labels)
@@ -288,19 +354,21 @@ def _replay_failures(
     topo = scenario.topology
     heights = scenario.heights
     spec = SPECS[scheme]
-    replay = _StateReplay(scenario, scheme)
-    states = replay.states
+    start = _replay_start(scenario, scheme)
     failures: list[str] = []
-    if replay.digest() != trace.initial_digest:
+    if start.digest != trace.initial_digest:
         failures.append("initial digest does not match the scenario")
-    if not is_acyclic(replay.initial):
-        failures.append("step 0: orientation has a cycle")
-    if not replay.stuck and not is_destination_oriented(replay.arcs, topo):
-        failures.append("step 0: stuck set emptiness disagrees with orientation")
-    failures += _scheme_failures("step 0", spec, states, topo.nodes, topo.edges, trace.n, heights)
+    # The cached verdict is for the scenario's node count, which every
+    # Simulation records as the trace's.
+    if trace.n == scenario.n:
+        failures += start.failures
+    else:
+        failures += _start_failures(start, scenario, scheme, trace.n)
     if failures:
         return failures, 0
 
+    replay = _StateReplay(scenario, scheme, start)
+    states = replay.states
     for rec in trace.steps:
         tag = f"step {rec.index}"
         before = [states[s.node] for s in rec.new_states]
@@ -461,7 +529,7 @@ def check_initial_greedy_stability(trace: Trace, scenario: Scenario) -> CheckRep
     """Only nodes with no initial directed path to the destination update."""
     _require_plain_trace(trace)
     updaters = {i for rec in trace.steps for i in rec.updated}
-    offenders = sorted(updaters & reaches_destination(trace.initial_arcs))
+    offenders = sorted(updaters & destination_reach(trace.initial_arcs, scenario.topology))
     failures = (
         [f"nodes {offenders} had an initial greedy path yet updated"] if offenders else []
     )
@@ -619,14 +687,15 @@ def _nonempty_subsets(items: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _final_facts(dag: RoutingDag, topo: Topology) -> tuple[str, bool]:
     """The digest of a final DAG and whether it is destination-oriented.
 
-    Both depend on the arcs and the topology alone, so they are computed
-    once per topology and orientation, for all the schemes run on it.
+    Both depend on the arcs and the topology alone, so the topology keeps
+    them for all the schemes run on it: the digests here, the reach sets
+    in destination_reach's memo.
     """
-    memo = topo._final_facts
-    facts = memo.get(dag.arcs)
-    if facts is None:
-        facts = memo[dag.arcs] = (dag.digest(), is_destination_oriented(dag, topo))
-    return facts
+    digests = topo._final_digests
+    digest = digests.get(dag.arcs)
+    if digest is None:
+        digest = digests[dag.arcs] = dag.digest()
+    return digest, is_destination_oriented(dag, topo)
 
 
 def enumerate_all_schedules(

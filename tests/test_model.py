@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,11 +29,14 @@ from linkrev import (
     sort_key,
     stuck_set,
 )
+from linkrev.generate import _random_connected_edges
 from linkrev.model import (
+    destination_reach,
     is_acyclic,
     is_destination_oriented,
     orientation_flips,
     orientation_predicate,
+    reaches_destination,
 )
 from linkrev.schemes import SPECS, initial_states
 
@@ -323,6 +329,47 @@ def test_destination_oriented_iff_no_stuck_node():
 def test_is_acyclic_detects_a_cycle():
     assert is_acyclic(RoutingDag(((1, 2), (2, 3), (3, 1)))) is False
     assert is_acyclic(RoutingDag(((1, 2), (2, 3), (1, 3)))) is True
+
+
+def _random_orientations(rng: random.Random, topo: Topology) -> list[tuple[tuple[int, int], ...]]:
+    """Coin-flip orientations, often cyclic, and rank orientations, acyclic and often oriented."""
+    flips = [
+        tuple((a, b) if rng.random() < 0.5 else (b, a) for a, b in topo.edges) for _ in range(6)
+    ]
+    ranked = []
+    for _ in range(6):
+        rank = {i: rng.random() for i in topo.nodes}
+        rank[DESTINATION] = -1.0
+        ranked.append(tuple((a, b) if rank[a] > rank[b] else (b, a) for a, b in topo.edges))
+    return flips + ranked
+
+
+def test_the_reachability_memo_answers_as_a_fresh_search():
+    """On a cold memo and a warm one, and on two topologies sharing the arcs.
+
+    The awake topology without a sleeper has the arcs the live one is asked
+    about too, but not the sleeper: a memo that kept verdicts by arcs alone
+    would answer one topology with the other's verdict.
+    """
+    rng = random.Random(15)
+    seen: Counter = Counter()
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        live = Topology.build(n, _random_connected_edges(rng, n))
+        awake = live.without(drop_nodes=(rng.randint(1, n),))
+        orientations = _random_orientations(rng, awake)
+        for _warm in range(2):
+            for arcs in orientations:
+                fresh = reaches_destination(arcs)
+                for topo in (awake, live):
+                    oriented = set(topo.nodes) <= fresh
+                    assert destination_reach(arcs, topo) == fresh
+                    assert destination_reach(list(arcs), topo) == fresh
+                    assert is_destination_oriented(arcs, topo) is oriented
+                    assert is_destination_oriented(RoutingDag(arcs), topo) is oriented
+                seen["cyclic" if not is_acyclic(RoutingDag(arcs)) else "acyclic"] += 1
+                seen["oriented" if set(awake.nodes) <= fresh else "not oriented"] += 1
+    assert min(seen[k] for k in ("cyclic", "acyclic", "oriented", "not oriented")) > 20, seen
 
 
 @st.composite

@@ -159,13 +159,45 @@ def test_a_battery_builds_each_start_once(monkeypatch):
     monkeypatch.setattr(verify, "routing_dag", dag_counting)
     first = standard_battery(scenario, CORE_SCHEMES)
     assert sorted(rebuilds) == sorted(CORE_SCHEMES)
+    # The step check derives its own start once per scheme, apart from the kernel's.
+    assert len(dags) == len(CORE_SCHEMES)
     rebuilds.clear()
     dags.clear()
     second = standard_battery(scenario, CORE_SCHEMES)
     assert rebuilds == []
-    # The step check's replay is the kernel's oracle: it never reads the cache.
-    assert len(dags) == sum(r.check == "step-invariants" for r in second) > 0
+    assert dags == []
     assert [r.line() for r in second] == [r.line() for r in first]
+
+
+def test_the_step_check_never_reads_the_simulators_starts():
+    scenario = random_void_scenario(8, 3)
+    standard_battery(scenario, CORE_SCHEMES)
+    clean = dict(scenario._starts)
+    for scheme, start in clean.items():
+        scenario._starts[scheme] = replace(start, digest="0" * 12)
+    steps = [r for r in standard_battery(scenario, CORE_SCHEMES) if r.check == "step-invariants"]
+    assert len(steps) == 2 * len(CORE_SCHEMES)
+    for report in steps:
+        assert not report.passed
+        assert report.detail == "initial digest does not match the scenario"
+    # Starting the kernel from arcs its states do not induce trips its cross-check.
+    for scheme, start in clean.items():
+        scenario._starts[scheme] = replace(start, arcs=tuple((d, s) for s, d in start.arcs))
+    with pytest.raises(AssertionError, match="disagrees with orientation view|must coincide"):
+        standard_battery(scenario, CORE_SCHEMES)
+
+
+def test_a_cached_step_zero_failure_is_reported_on_every_trace(monkeypatch):
+    scenario = random_void_scenario(7, 5)
+    monkeypatch.setattr(verify, "is_acyclic", lambda dag: False)
+    for _ in range(2):
+        reports = standard_battery(scenario, CORE_SCHEMES)
+        steps = [r for r in reports if r.check == "step-invariants"]
+        assert len(steps) == 2 * len(CORE_SCHEMES)
+        for report in steps:
+            assert not report.passed
+            assert report.detail == "step 0: orientation has a cycle"
+            assert report.counterexample.step == 0
 
 
 # --- reversal semantics ------------------------------------------------------
