@@ -160,6 +160,11 @@ class Topology:
         return {}
 
     @cached_property
+    def _views(self) -> dict[tuple[frozenset[int], frozenset[tuple[int, int]]], Topology]:
+        """The topologies without returned, by the nodes and canonical links dropped."""
+        return {}
+
+    @cached_property
     def ordinary_links(self) -> dict[int, tuple[int, ...]]:
         """Positions in edges of each node's links to other nondestination nodes.
 
@@ -199,18 +204,28 @@ class Topology:
         drop_nodes: Iterable[int] = (),
         drop_edges: Iterable[tuple[int, int]] = (),
     ) -> Topology:
-        """Copy of this topology with the given nodes and links removed."""
-        gone_nodes = set(drop_nodes)
+        """This topology with the given nodes and links removed.
+
+        Memoized on this topology by the set of nodes and the set of
+        canonical links, so every run of a scenario that puts the same
+        nodes to sleep or removes the same parts shares one view, and with
+        it the view's adjacency, edge index, probe table and reach memo.
+        """
+        gone_nodes = frozenset(drop_nodes)
         if DESTINATION in gone_nodes:
             raise ValueError("the destination cannot be removed")
-        gone_edges = {_canonical_edge(a, b) for a, b in drop_edges}
-        nodes = tuple(i for i in self.nodes if i not in gone_nodes)
-        edges = tuple(
-            e
-            for e in self.edges
-            if e not in gone_edges and e[0] not in gone_nodes and e[1] not in gone_nodes
-        )
-        return Topology(nodes=nodes, edges=edges)
+        gone_edges = frozenset(_canonical_edge(a, b) for a, b in drop_edges)
+        key = (gone_nodes, gone_edges)
+        view = self._views.get(key)
+        if view is None:
+            nodes = tuple(i for i in self.nodes if i not in gone_nodes)
+            edges = tuple(
+                e
+                for e in self.edges
+                if e not in gone_edges and e[0] not in gone_nodes and e[1] not in gone_nodes
+            )
+            view = self._views[key] = Topology(nodes=nodes, edges=edges)
+        return view
 
 
 def hop_count_heights(topo: Topology) -> HeightAssignment:

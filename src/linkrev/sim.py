@@ -38,11 +38,15 @@ which costs O(sum of deg U) instead of an orientation pass over every
 link.  A flipped arc's label is patched beside it, so a step's digest is
 one join and one hash of the kept labels, with no copy of the arcs.  A
 topology event rebuilds all of it from scratch with routing_dag, lazily at
-the next stuck query.  An edge is reported reversed when it was in the
-previously recorded orientation and now points the other way.  Events
-change no node's state, so an edge that survives them keeps its
-orientation: only the edge set of the last record is kept, and it changes
-only at a rebuild.
+the next stuck query.  Topology.without memoizes its views, so every run of
+a scenario shares one awake topology per set of sleepers and removals, with
+its adjacency, edge index, link lists, probe table and reach memo.  A
+Simulation binds the scheme's update rule and the maximum initial height
+once, and each step calls the rule directly.  An edge is reported reversed
+when it was in the previously recorded orientation and now points the
+other way.  Events change no node's state, so an edge that survives them
+keeps its orientation: only the edge set of the last record is kept, and
+it changes only at a rebuild.
 
 A StepRecord holds O(1) data per step in the number of links: the stuck
 set before the step, the updaters and their new states, the digest of the
@@ -60,10 +64,15 @@ tuple whenever it did not change.
 
 Cross-checks kept on the incremental path:
 
-- After each step, hello_round probes every node whose own state or a
-  neighbor's state changed (U and its awake neighbors) and must agree with
-  the maintained stuck set; no other node's probe inputs changed.  After
-  each rebuild that follows an event every awake node is probed.
+- After each step, one call of the model's hello probe, probe_stuck,
+  probes every node whose own state or a neighbor's state changed (U and
+  its awake neighbors) and must agree with the maintained stuck set; no
+  other node's probe inputs changed.  Its rows are the (node, awake
+  neighbors) of those nodes with no link to the destination, and the
+  others must not be in the stuck set.  A mismatch names the first node
+  that disagrees.  After each rebuild that follows an event every awake
+  node is probed, in one call over the awake topology's probe_table.
+  hello_round runs the same probe for one node.
 - The full probe of step 0 runs once per (scenario, scheme), in the first
   Simulation of the pair, which caches that start on the Scenario: events
   start at step 1, so every run of the pair starts there.  The scenario's
@@ -85,7 +94,7 @@ import heapq
 import os
 import random
 from itertools import starmap
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -109,7 +118,7 @@ from .model import (
     routing_dag,
 )
 from .scenario import Scenario, SimEvent
-from .schemes import SPECS, SchemeId, State, apply_update, initial_states
+from .schemes import SPECS, SchemeId, State, initial_states
 
 STEP_LIMIT_ENV = "LINKREV_STEP_LIMIT"
 
@@ -277,7 +286,7 @@ class Simulation:
         "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
         "_points_from", "_awake_topo", "_isolated", "_stale", "_arcs", "_arc_labels",
         "_out_degree", "_stuck", "_stuck_view", "initial_arcs", "initial_digest",
-        "_recorded_index",
+        "_recorded_index", "_update", "_max_height",
     )
 
     def __init__(
@@ -313,6 +322,7 @@ class Simulation:
             self._push_event(ev)
 
         self._points_from = orientation_predicate(scheme, self.heights)
+        self._update, self._max_height = self._spec.update, self.heights.max_height
         # A scenario is connected, so no node starts without an awake neighbor.
         self._awake_topo, self._isolated = self.live, frozenset()
         # Events start at step 1, so step 0 is the same for every run of the
@@ -423,7 +433,7 @@ class Simulation:
         self._stuck = {i for i, degree in self._out_degree.items() if degree == 0}
         self._stuck_view = tuple(sorted(self._stuck))
         self._stale = False
-        self._cross_check(topo.nodes)
+        self._cross_check(topo.nodes, topo.probe_table)
 
     def _reorient_updaters(self, updated: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         """Re-orient the links of the updated nodes, the only ones that can flip.
@@ -437,28 +447,30 @@ class Simulation:
         self._stale = True
         states, points_from = self.states, self._points_from
         awake, arcs, labels = self._awake_topo, self._arcs, self._arc_labels
-        edges, index = awake.edges, awake.edge_index
-        out_degree, stuck, recorded = self._out_degree, self._stuck, self._recorded_index
+        edges, links = awake.edges, awake.ordinary_links
+        out_degree, stuck = self._out_degree, self._stuck
+        # With no rebuild since the last record, every awake edge was in it.
+        recorded = None if self._recorded_index is awake.edge_index else self._recorded_index
         changed = set(updated)
         flipped = []
         # Updaters were stuck, and stuck nodes are never adjacent, so each
-        # link below is visited once.
+        # link below is visited once.  Links into the destination never flip.
         for u in updated:
             own = states[u]
-            for j in awake.neighbors(u):
-                if j == DESTINATION:
-                    continue  # links into the destination never flip
+            for k in links[u]:
+                a, b = edges[k]
+                j = b if a == u else a
                 changed.add(j)
-                edge = (u, j) if u < j else (j, u)
                 arc = (u, j) if points_from(own, states[j]) else (j, u)
-                k = index[edge]
                 if arcs[k] != arc:
                     arcs[k] = arc
                     labels[k] = arc_label(*arc)
                     out_degree[arc[0]] += 1
                     out_degree[arc[1]] -= 1
-                    if edge in recorded:
+                    if recorded is None or edges[k] in recorded:
                         flipped.append(edges[k])
+        adjacency = awake._adjacency
+        rows = []
         moved = False
         for i in changed:
             if out_degree[i]:
@@ -468,20 +480,33 @@ class Simulation:
             elif i not in stuck:
                 stuck.add(i)
                 moved = True
+            neighbors = adjacency[i]
+            if DESTINATION not in neighbors:
+                rows.append((i, neighbors))
         if moved:
             self._stuck_view = tuple(sorted(stuck))
         self._stale = False
-        self._cross_check(changed)
+        self._cross_check(changed, rows)
         return tuple(sorted(flipped))
 
-    def _cross_check(self, probed: Iterable[int]) -> None:
-        """Hello probes of the given nodes must agree with the maintained stuck set."""
-        for i in probed:
-            by_probe = hello_round(i, self.states, self._awake_topo, self.scheme, self.heights)
-            assert by_probe == (i in self._stuck), (
-                f"probe of node {i} disagrees with orientation view {list(self._stuck_view)}"
-            )
-        if not self._stuck and self._awake_topo.is_connected:
+    def _cross_check(
+        self, probed: Collection[int], rows: Iterable[tuple[int, tuple[int, ...]]]
+    ) -> None:
+        """One hello probe of the probed nodes must agree with the maintained stuck set.
+
+        rows are the probe's (node, awake neighbors) rows of the probed nodes
+        that have no link to the destination; the others must not be in the
+        stuck set.  A mismatch names the first probed node that disagrees.
+        """
+        stuck = self._stuck
+        by_probe = probe_stuck(rows, self.states, self._points_from)
+        if len(by_probe) != len(stuck.intersection(probed)) or not stuck.issuperset(by_probe):
+            found = set(by_probe)
+            for i in probed:
+                assert (i in found) == (i in stuck), (
+                    f"probe of node {i} disagrees with orientation view {list(self._stuck_view)}"
+                )
+        if not stuck and self._awake_topo.is_connected:
             assert is_destination_oriented(self._arcs, self._awake_topo), (
                 "empty stuck set must coincide with destination orientation"
             )
@@ -530,33 +555,26 @@ class Simulation:
         index = len(self.steps) + 1
         chosen = self.schedule.pick(self._rng, eligible, index)
 
-        states, awake, aware = self.states, self._awake_topo, self._spec.neighbor_aware
-        fresh: list[State] = []
-        for i in chosen:
-            own = states[i]
-            if aware:
-                # A stuck node is never destination-adjacent, so only
-                # ordinary neighbor states are read here.
-                neighbor_states = [states[j] for j in awake.neighbors(i) if j != DESTINATION]
-                fresh.append(apply_update(self.scheme, own, neighbor_states, self.heights))
-            else:
-                fresh.append(apply_update(self.scheme, own, None, self.heights))
-        new_states = tuple(fresh)
+        states, update, max_height = self.states, self._update, self._max_height
+        if self._spec.neighbor_aware:
+            # A stuck node is never destination-adjacent, so only ordinary
+            # neighbor states are read here.
+            neighbors = self._awake_topo.neighbors
+            new_states = tuple([
+                update(states[i], [states[j] for j in neighbors(i) if j != DESTINATION], max_height)
+                for i in chosen
+            ])
+        else:
+            new_states = tuple([update(states[i], None, max_height) for i in chosen])
         # Written only now, so every update above read the pre-step states.
+        counts = self.update_counts
         for state in new_states:
             states[state.node] = state
-            self.update_counts[state.node] += 1
+            counts[state.node] += 1
 
         flipped = self._reorient_updaters(chosen)
         self.total_reversals += len(flipped)
-        record = StepRecord(
-            index=index,
-            stuck=stuck,
-            updated=chosen,
-            new_states=new_states,
-            dag_digest=arcs_digest(self._arc_labels),
-            reversed_edges=flipped,
-        )
+        record = StepRecord(index, stuck, chosen, new_states, arcs_digest(self._arc_labels), flipped)
         self.steps.append(record)
         self._recorded_index = self._awake_topo.edge_index
         return record

@@ -106,6 +106,31 @@ def test_topology_without_drops_nodes_and_edges():
         topo.without(drop_nodes=(DESTINATION,))
 
 
+def test_topology_without_is_memoized_by_its_canonical_arguments():
+    topo = Topology.build(4, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)])
+    view = topo.without(drop_nodes=(2, 4), drop_edges=((1, 3), (0, 1)))
+    # The same sets of nodes and links, in another order and orientation.
+    assert topo.without(drop_nodes=[4, 2, 4], drop_edges=[(1, 0), (3, 1)]) is view
+    assert topo.without(drop_nodes={2, 4}, drop_edges=iter([(3, 1), (1, 0)])) is view
+    assert view.nodes == (1, 3) and view.edges == ()
+    assert topo.without() is topo.without(drop_nodes=(), drop_edges=())
+    assert topo.without() == topo
+    others = [
+        topo.without(drop_nodes=(2,)),
+        topo.without(drop_nodes=(4,)),
+        topo.without(drop_nodes=(2, 4)),
+        topo.without(drop_edges=((1, 3),)),
+        topo.without(drop_nodes=(2, 4), drop_edges=((1, 3),)),
+        topo.without(),
+        view,
+    ]
+    assert len({id(t) for t in others}) == len(others)
+    # Each view keeps its own memo: a view of a view is not a view of topo.
+    assert view.without(drop_nodes=(1,)) is not topo.without(drop_nodes=(1,))
+    with pytest.raises(ValueError):
+        topo.without(drop_nodes=(DESTINATION,))
+
+
 def test_hop_count_heights_chain_and_diamond():
     chain = Topology.build(3, [(0, 1), (1, 2), (2, 3)])
     assert hop_count_heights(chain).values == (1, 2, 3)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkrev import (
+    DESTINATION,
     CountedHeightState,
     EmptyNeighborhoodError,
     EmptyStuckSetError,
@@ -583,3 +584,179 @@ def test_incremental_kernel_matches_a_from_scratch_orientation(scenario, subset,
             # the orientation from scratch fails on the same states
             with pytest.raises(PhaseAdjacencyError):
                 routing_dag(sim.states, sim.awake_topology(), scheme, sim.heights)
+
+
+def _awake_parts(scenario: Scenario, events_applied) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Nodes and links of the awake graph after the applied events, rebuilt from the event log."""
+    nodes, edges, sleeping = set(scenario.topology.nodes), set(scenario.topology.edges), set()
+    for _, text in events_applied:
+        kind, _, argument = text.partition(" ")
+        if kind == "remove-link":
+            a, b = (DESTINATION if end == "D" else int(end) for end in argument.split("-"))
+            edges.discard((min(a, b), max(a, b)))
+            continue
+        node = int(argument.split()[0])
+        if kind == "remove-node":
+            nodes.discard(node)
+            sleeping.discard(node)
+        elif kind == "sleep":
+            sleeping.add(node)
+        else:
+            sleeping.discard(node)
+    awake = nodes - sleeping
+    return (
+        tuple(sorted(awake)),
+        tuple(sorted(e for e in edges if all(i == DESTINATION or i in awake for i in e))),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenario=_event_scenarios(), subset=st.booleans(), seed=st.integers(0, 99))
+def test_the_kernel_agrees_with_fresh_hello_rounds_on_unshared_views(scenario, subset, seed):
+    """After every turn the kernel agrees with fresh probes and an unshared view.
+
+    The stuck set is what a fresh hello_round of each awake node says, and the
+    awake topology, shared through the without memo, has the nodes and links
+    rebuilt from the scenario and the events applied.
+    """
+    schedule = Schedule.subset_random(seed) if subset else Schedule.single_random(seed)
+    for scheme in ALL_SCHEMES:
+        sim = Simulation(scenario, scheme, schedule)
+        try:
+            while True:
+                record = sim.advance()
+                awake = sim.awake_topology()
+                assert (awake.nodes, awake.edges) == _awake_parts(scenario, sim.events_applied)
+                by_probe = {
+                    i for i in awake.nodes if hello_round(i, sim.states, awake, scheme, sim.heights)
+                }
+                assert set(sim.stuck_nodes()) == by_probe
+                if record is None:
+                    break
+        except PhaseAdjacencyError:
+            # The known drift of the two-bit schemes across a sleep.
+            assert scheme in (SchemeId.TWO_BIT_FULL, SchemeId.TWO_BIT_PARTIAL)
+
+
+# --- the per-step cross-check ----------------------------------------------------
+
+
+def _corrupt_a_neighbor_of_the_next_updater(sim: Simulation, twin: Simulation) -> int:
+    """Skew sim's out-degree of a neighbor of its next updater to the wrong side of zero.
+
+    twin is a simulation in the same state under the same schedule: it takes
+    the step that sim is about to take, so its count after that step is the
+    true one.  Returns the neighbor.
+    """
+    record = twin.step()
+    u = record.updated[0]
+    j = next(j for j in sim.awake_topology().neighbors(u) if j != DESTINATION)
+    after = twin._out_degree[j]
+    sim._out_degree[j] += 1 if after == 0 else -after
+    return j
+
+
+def _monotone_chain(n: int, events=()) -> Scenario:
+    return Scenario.create(
+        n, [(0, n)] + [(i, i + 1) for i in range(1, n)], heights=range(1, n + 1), events=events
+    )
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_a_corrupted_count_mid_run_trips_the_next_steps_probe(scheme):
+    scenario = _monotone_chain(8)
+    sim, twin = (Simulation(scenario, scheme, Schedule.single_random(4)) for _ in range(2))
+    for _ in range(3):
+        assert sim.step() == twin.step()
+    j = _corrupt_a_neighbor_of_the_next_updater(sim, twin)
+    with pytest.raises(AssertionError, match=rf"probe of node {j} disagrees with orientation view"):
+        sim.step()
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_a_destination_neighbor_counted_stuck_trips_the_next_steps_probe(scheme):
+    # Node 2 is stuck below node 1, whose link to D keeps it from ever being stuck.
+    scenario = Scenario.create(2, [(0, 1), (1, 2)], heights=(2, 1))
+    sim, twin = (Simulation(scenario, scheme, Schedule.single_random(0)) for _ in range(2))
+    assert _corrupt_a_neighbor_of_the_next_updater(sim, twin) == 1
+    with pytest.raises(AssertionError, match=r"probe of node 1 disagrees with orientation view"):
+        sim.step()
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_a_corrupted_count_after_a_sleep_rebuild_trips_the_next_steps_probe(scheme):
+    scenario = _monotone_chain(8)
+    sim, twin = (Simulation(scenario, scheme, Schedule.single_random(4)) for _ in range(2))
+    for _ in range(2):
+        assert sim.step() == twin.step()
+    for each in (sim, twin):
+        each.apply_event(SimEvent(at_step=3, kind="sleep", node=7, duration=4))
+        assert each.stuck_nodes()  # rebuilds on the awake view
+    assert sim.awake_topology().nodes == (1, 2, 3, 4, 5, 6, 8)
+    j = _corrupt_a_neighbor_of_the_next_updater(sim, twin)
+    with pytest.raises(AssertionError, match=rf"probe of node {j} disagrees with orientation view"):
+        sim.step()
+
+
+def test_the_kernel_probes_once_per_step_and_once_per_rebuild(monkeypatch):
+    """Each step probes exactly its updaters U and their awake neighbors N(U), in one call."""
+    log = []
+    real_probe, real_reorient = sim_module.probe_stuck, Simulation._reorient_all
+
+    def probing(rows, states, points_from):
+        rows = list(rows)
+        log.append(("probe", rows))
+        return real_probe(rows, states, points_from)
+
+    def rebuilding(self):
+        log.append(("rebuild", self.awake_topology()))
+        real_reorient(self)
+
+    monkeypatch.setattr(sim_module, "probe_stuck", probing)
+    monkeypatch.setattr(Simulation, "_reorient_all", rebuilding)
+    scenario = _monotone_chain(10, [SimEvent(at_step=3, kind="sleep", node=6, duration=4)])
+    sim = Simulation(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
+    probes = rebuilds = 0
+    while True:
+        log.clear()
+        record = sim.advance()
+        awake = sim.awake_topology()
+        while log and log[0][0] == "rebuild":
+            (_, topo), (kind, rows) = log[0], log[1]
+            assert kind == "probe" and rows == list(topo.probe_table)
+            del log[:2]
+            probes, rebuilds = probes + 1, rebuilds + 1
+        if record is None:
+            assert log == []
+            break
+        [(kind, rows)] = log
+        probes += 1
+        touched = set(record.updated).union(*(awake.neighbors(u) for u in record.updated))
+        expected = {i for i in touched - {DESTINATION} if DESTINATION not in awake.neighbors(i)}
+        assert kind == "probe" and len(rows) == len({i for i, _ in rows}) == len(expected)
+        assert {i for i, _ in rows} == expected
+        assert all(neighbors == awake.neighbors(i) for i, neighbors in rows)
+    assert sim.outcome is Outcome.CONVERGED
+    assert sim.events_applied == [(3, "sleep 6 4"), (7, "wake 6")]
+    assert rebuilds == len(sim.events_applied) and probes == len(sim.steps) + rebuilds
+
+
+def test_the_schemes_of_a_sleep_script_share_one_awake_view(monkeypatch):
+    scenario = _monotone_chain(8, [SimEvent(at_step=2, kind="sleep", node=5, duration=3)])
+    built = []
+    real_init = sim_module.Topology.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sim_module.Topology, "__init__", counting)
+    views = set()
+    for scheme in ALL_SCHEMES:
+        sim = Simulation(scenario, scheme, Schedule.single_random(0))
+        while sim.advance() is not None:
+            if sim.sleeping:
+                views.add(id(sim.awake_topology()))
+        assert sim.events_applied == [(2, "sleep 5 3"), (5, "wake 5")]
+    assert len(built) == len(views) == 1
+    assert built[0].nodes == (1, 2, 3, 4, 6, 7, 8)
