@@ -24,7 +24,7 @@ from .errors import (
 )
 from .generate import exhaustive_void_scenarios, random_void_scenario
 from .scenario import Scenario, load_scenario
-from .schemes import ALL_SCHEMES, CORE_SCHEMES, SchemeId, state_bits
+from .schemes import ALL_SCHEMES, CORE_SCHEMES, SchemeId, initial_states, state_bits
 from .sim import STEP_LIMIT_ENV, Outcome, Schedule, default_step_limit, run_scenario
 from .traceio import EXPORT_FORMATS, write_trace
 from .verify import EQUIVALENCE_PAIRS, CheckReport, check_order_invariance, standard_battery
@@ -241,10 +241,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
             trace = run_scenario(scenario, scheme, schedule, step_limit=args.step_limit)
         except OverflowRiskError as exc:
             raise _InputError(f"{scheme.value}: {exc}") from None
-        bits = max(
-            (state_bits(scheme, s) for rec in trace.steps for s in rec.new_states),
-            default=max(state_bits(scheme, s) for s in trace.final_states),
+        # Every state a node held is its initial one or a recorded update.
+        held = chain(
+            initial_states(scheme, scenario.topology, scenario.heights).values(),
+            (s for rec in trace.steps for s in rec.new_states),
         )
+        bits = max(state_bits(scheme, s) for s in held)
         rows.append((scheme.value, trace.outcome.value, len(trace.steps),
                      trace.total_updates, trace.total_reversals, bits, trace))
         if trace.outcome is Outcome.PARTITIONED:

@@ -23,6 +23,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -226,7 +227,7 @@ def _key_points_from(spec: SchemeSpec) -> Orientation:
     want, key = spec.state, spec.sort_key
 
     def points_from(a: State, b: State) -> bool:
-        if type(a) is not want or type(b) is not want or a.node == b.node:
+        if type(a) is not want or type(b) is not want or a[0] == b[0]:
             _check_pair(a, b, spec)
         return key(a) > key(b)
 
@@ -367,20 +368,20 @@ SPECS: Mapping[SchemeId, SchemeSpec] = {
             SchemeId.GB_FULL, HeightState, HeightState,
             lambda own, neighbors, max_height: gb_full_update(own, neighbors or ()),
             neighbor_aware=True, reversal="full",
-            sort_key=lambda s: (s.height, s.node),
+            sort_key=itemgetter(1, 0),  # (height, node)
         ),
         SchemeSpec(
             SchemeId.GB_PARTIAL, LevelHeightState, lambda i, h: LevelHeightState(i, 0, h),
             lambda own, neighbors, max_height: gb_partial_update(own, neighbors or ()),
             neighbor_aware=True, reversal="partial",
-            sort_key=lambda s: (s.level, s.height, s.node),
+            sort_key=itemgetter(1, 2, 0),  # (level, height, node)
             link_failures=_level_link_failures,
         ),
         SchemeSpec(
             SchemeId.NO_FULL, CountedHeightState, lambda i, h: CountedHeightState(i, 0, h),
             lambda own, neighbors, max_height: no_full_update(own, max_height),
             neighbor_aware=False, reversal="full",
-            sort_key=lambda s: (s.updates, s.height, s.node),
+            sort_key=itemgetter(1, 2, 0),  # (updates, height, node)
             closed_form=_full_height, in_band=_in_full_band,
             link_failures=_count_link_failures,
         ),
@@ -419,7 +420,7 @@ SPECS: Mapping[SchemeId, SchemeSpec] = {
             SchemeId.BASELINE_INCREMENT, HeightState, HeightState,
             lambda own, neighbors, max_height: baseline_increment_update(own),
             neighbor_aware=False, reversal=None,
-            sort_key=lambda s: (s.height, s.node),
+            sort_key=itemgetter(1, 0),  # (height, node)
         ),
     )
 }
@@ -454,10 +455,15 @@ def sort_key(state: State, scheme: SchemeId) -> tuple[int, ...]:
     The phase and flag schemes have no global key; their order is defined
     pairwise (see orientation_predicate).
     """
-    key = SPECS[scheme].sort_key
-    if key is None:
+    spec = SPECS[scheme]
+    if spec.sort_key is None:
         raise SchemeMismatchError(f"scheme {scheme} has no global sort key")
-    return key(state)
+    # The key reads fields by position, so it would read any state class.
+    if type(state) is not spec.state:
+        raise SchemeMismatchError(
+            f"scheme {scheme} orders {spec.state.__name__} values, got {type(state).__name__}"
+        )
+    return spec.sort_key(state)
 
 
 def initial_state(scheme: SchemeId, node: int, heights: HeightAssignment) -> State:

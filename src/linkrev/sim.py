@@ -48,6 +48,12 @@ other way.  Events change no node's state, so an edge that survives them
 keeps its orientation: only the edge set of the last record is kept, and
 it changes only at a rebuild.
 
+A run's finish reuses what it holds: the Trace's final digest is the one
+the run computed last, the last step record's or the start's, unless a
+rebuild followed it, which drops it; the final states are read in the live
+topology's node order, which is sorted.  So a run pays for its steps, not
+for a second hash of its orientation or a sort of its states.
+
 A StepRecord holds O(1) data per step in the number of links: the stuck
 set before the step, the updaters and their new states, the digest of the
 orientation after the step, and the reversed edges.  It holds no copy of
@@ -286,7 +292,7 @@ class Simulation:
         "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
         "_points_from", "_awake_topo", "_isolated", "_stale", "_arcs", "_arc_labels",
         "_out_degree", "_stuck", "_stuck_view", "initial_arcs", "initial_digest",
-        "_recorded_index", "_update", "_max_height",
+        "_recorded_index", "_update", "_max_height", "_digest",
     )
 
     def __init__(
@@ -298,20 +304,22 @@ class Simulation:
     ):
         self.scenario = scenario
         self.scheme = scheme
-        self._spec = SPECS[scheme]
-        self.heights = scenario.heights
-        self.n = scenario.n
-        self.schedule = schedule or Schedule.single_random(scenario.seed or 0)
-        self._rng = random.Random(self.schedule.seed) if self.schedule.kind != "fixed" else None
-        self.step_limit = step_limit if step_limit is not None else default_step_limit(scenario.n)
-        if self.step_limit < 0:
-            raise ValueError(f"step limit must not be negative, got {self.step_limit}")
+        self._spec = spec = SPECS[scheme]
+        self.heights = heights = scenario.heights
+        self.n = n = scenario.n
+        self.schedule = schedule = schedule or Schedule.single_random(scenario.seed or 0)
+        self._rng = random.Random(schedule.seed) if schedule.kind != "fixed" else None
+        if step_limit is None:
+            step_limit = default_step_limit(n)
+        if step_limit < 0:
+            raise ValueError(f"step limit must not be negative, got {step_limit}")
+        self.step_limit = step_limit
 
         self.live: Topology = scenario.topology
         self.sleeping: set[int] = set()
         self.steps: list[StepRecord] = []
         self.events_applied: list[tuple[int, str]] = []
-        self.update_counts: dict[int, int] = {i: 0 for i in self.live.nodes}
+        self.update_counts: dict[int, int] = dict.fromkeys(self.live.nodes, 0)
         self.total_reversals = 0
         self.outcome: Outcome | None = None
         self.certificate: str | None = None
@@ -321,8 +329,8 @@ class Simulation:
         for ev in scenario.events:
             self._push_event(ev)
 
-        self._points_from = orientation_predicate(scheme, self.heights)
-        self._update, self._max_height = self._spec.update, self.heights.max_height
+        self._points_from = orientation_predicate(scheme, heights)
+        self._update, self._max_height = spec.update, heights.max_height
         # A scenario is connected, so no node starts without an awake neighbor.
         self._awake_topo, self._isolated = self.live, frozenset()
         # Events start at step 1, so step 0 is the same for every run of the
@@ -336,7 +344,7 @@ class Simulation:
         self._stuck_view = start.stuck_view
         self._stale = False
         self.initial_arcs = start.arcs
-        self.initial_digest = start.digest
+        self.initial_digest = self._digest = start.digest
         # Edge index of the last recorded orientation.
         self._recorded_index = self.live.edge_index
 
@@ -433,6 +441,7 @@ class Simulation:
         self._stuck = {i for i, degree in self._out_degree.items() if degree == 0}
         self._stuck_view = tuple(sorted(self._stuck))
         self._stale = False
+        self._digest = None
         self._cross_check(topo.nodes, topo.probe_table)
 
     def _reorient_updaters(self, updated: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -574,7 +583,8 @@ class Simulation:
 
         flipped = self._reorient_updaters(chosen)
         self.total_reversals += len(flipped)
-        record = StepRecord(index, stuck, chosen, new_states, arcs_digest(self._arc_labels), flipped)
+        self._digest = digest = arcs_digest(self._arc_labels)
+        record = StepRecord(index, stuck, chosen, new_states, digest, flipped)
         self.steps.append(record)
         self._recorded_index = self._awake_topo.edge_index
         return record
@@ -642,6 +652,11 @@ class Simulation:
         return self._finalize()
 
     def _finalize(self) -> Trace:
+        """The run's Trace; the final digest is the last one computed, unless a rebuild followed it."""
+        digest = self._digest
+        if digest is None:
+            digest = arcs_digest(self._arc_labels)
+        states = self.states
         return Trace(
             scenario=self.scenario,
             scheme=self.scheme,
@@ -656,8 +671,9 @@ class Simulation:
             update_counts=dict(self.update_counts),
             total_updates=sum(self.update_counts.values()),
             total_reversals=self.total_reversals,
-            final_digest=arcs_digest(self._arc_labels),
-            final_states=tuple(self.states[i] for i in sorted(self.states)),
+            final_digest=digest,
+            # The live nodes are sorted, and they are exactly the nodes with a state.
+            final_states=tuple([states[i] for i in self.live.nodes]),
             events_applied=tuple(self.events_applied),
         )
 

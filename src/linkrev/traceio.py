@@ -1,10 +1,13 @@
 """Trace exports: JSON lines, a one-row CSV summary, and Graphviz frames.
 
 The JSONL format writes one self-contained record per simulation step and
-a final totals record, so a truncated file is still a valid prefix.  Each
-step line is formatted straight from its StepRecord, with the bytes that
-json.dumps(record, sort_keys=True, separators=(",", ":")) would write; the
-totals record goes through json.dumps.
+a final totals record, so a truncated file is still a valid prefix.  Every
+line is formatted directly, each step line from its StepRecord and the
+totals line from the Trace, with the bytes that json.dumps(record,
+sort_keys=True, separators=(",", ":")) would write: the keys in sorted
+order, and every text that can hold arbitrary characters (the schedule's
+description, the certificate, the events) escaped by
+json.encoder.encode_basestring_ascii, the encoder json.dumps itself uses.
 
 Step records keep no orientations, so the Graphviz frames are rebuilt by
 rerunning the trace's scenario, scheme, schedule and step limit: runs are
@@ -22,6 +25,9 @@ from pathlib import Path
 from .scenario import _node_name
 from .schemes import SPECS
 from .sim import Simulation, StepRecord, Trace
+
+#: JSON string literal of a text, escaped to ASCII as json.dumps writes it.
+_text = json.encoder.encode_basestring_ascii
 
 EXPORT_FORMATS = ("jsonl", "csv", "dot-frames")
 
@@ -57,29 +63,29 @@ def _step_line(rec: StepRecord) -> str:
     )
 
 
-def _totals_record(trace: Trace) -> dict:
-    return {
-        "type": "totals",
-        "outcome": trace.outcome.value,
-        "scheme": trace.scheme.value,
-        "n": trace.n,
-        "schedule": trace.schedule.describe(),
-        "step_limit": trace.step_limit,
-        "steps": len(trace.steps),
-        "total_updates": trace.total_updates,
-        "total_reversals": trace.total_reversals,
-        "updates_by_node": {str(i): c for i, c in sorted(trace.update_counts.items())},
-        "initial_dag": trace.initial_digest,
-        "final_dag": trace.final_digest,
-        "certificate": trace.certificate,
-        "events": [[step, text] for step, text in trace.events_applied],
-    }
+def _totals_line(trace: Trace) -> str:
+    """The totals record, as json.dumps(..., sort_keys=True) with compact separators writes it.
+
+    The updates_by_node keys are sorted as strings, so "10" comes before "2".
+    """
+    certificate = "null" if trace.certificate is None else _text(trace.certificate)
+    events = ",".join(f"[{step},{_text(text)}]" for step, text in trace.events_applied)
+    counts = trace.update_counts
+    by_node = ",".join([f'"{i}":{counts[i]}' for i in sorted(counts, key=str)])
+    return (
+        f'{{"certificate":{certificate},"events":[{events}],"final_dag":"{trace.final_digest}",'
+        f'"initial_dag":"{trace.initial_digest}","n":{trace.n},"outcome":"{trace.outcome.value}",'
+        f'"schedule":{_text(trace.schedule.describe())},"scheme":"{trace.scheme.value}",'
+        f'"step_limit":{trace.step_limit},"steps":{len(trace.steps)},'
+        f'"total_reversals":{trace.total_reversals},"total_updates":{trace.total_updates},'
+        f'"type":"totals","updates_by_node":{{{by_node}}}}}'
+    )
 
 
 def trace_to_jsonl(trace: Trace) -> str:
     """One JSON object per step, then one totals object."""
     lines = [_step_line(rec) for rec in trace.steps]
-    lines.append(json.dumps(_totals_record(trace), sort_keys=True, separators=(",", ":")))
+    lines.append(_totals_line(trace))
     lines.append("")  # the trailing newline, without copying the joined text
     return "\n".join(lines)
 

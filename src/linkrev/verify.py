@@ -13,7 +13,12 @@ replay stays the kernel's oracle.  Each trace's recorded initial digest is
 still compared with the start, and each trace is replayed from a copy of
 the start's states, arcs, labels and out-neighbors: its recorded new states
 go into one state dict, and only the links of each step's updaters U are
-re-oriented, O(sum of deg U) a step, with no routing_dag per step.
+re-oriented, O(sum of deg U) a step, with no routing_dag per step.  The
+per-trace set-ups are copy-on-write where they would otherwise build n
+sets: the replay reads the start's tuple of a node's out-neighbors until a
+flip first touches the node and only then makes a set of its own, and
+check_reversal_semantics makes a node's reversed-toward set only when a
+link is first reversed toward it.
 Destination orientation, wherever a check asks for it, reads the
 topology's reachability memo, model.destination_reach, as the simulator's
 cross-check and check_initial_greedy_stability do.
@@ -145,7 +150,7 @@ def _replayed_orientations(trace: Trace) -> Iterator[tuple[StepRecord, dict, set
     in place and keeps the canonical edge order.  Reversed edges that are
     not links are yielded but flip nothing.
     """
-    arcs = {(min(s, d), max(s, d)): (s, d) for s, d in trace.initial_arcs}
+    arcs = {((s, d) if s < d else (d, s)): (s, d) for s, d in trace.initial_arcs}
     for rec in trace.steps:
         flipped = set(rec.reversed_edges)
         for e in flipped & arcs.keys():
@@ -266,7 +271,10 @@ class _StateReplay:
     purpose, since the check exists to catch that kernel's faults; it
     shares only the compiled predicate, which defines the orientation.  It
     starts from the scheme's cached _ReplayStart and copies only what it
-    mutates; the link lists are the topology's.
+    mutates; the link lists are the topology's.  out holds the start's
+    tuple of each node's out-neighbors until a flip first touches the node,
+    which replaces it with a set of its own: copy-on-write, so a trace pays
+    for the nodes its steps reach, not for every node.
     """
 
     def __init__(self, scenario: Scenario, scheme: SchemeId, start: _ReplayStart):
@@ -277,7 +285,7 @@ class _StateReplay:
         self._links = topo.ordinary_links
         self.arcs = list(start.initial.arcs)
         self._labels = list(start.labels)
-        self.out = {i: set(js) for i, js in start.out.items()}
+        self.out: dict[int, tuple[int, ...] | set[int]] = dict(start.out)
         self.stuck = start.stuck
 
     def digest(self) -> str:
@@ -291,28 +299,35 @@ class _StateReplay:
         Returns the re-oriented links, the heads of the arcs that flipped,
         and the flipped links, each in canonical edge order.
         """
-        states, points_from, edges = self.states, self._points_from, self._edges
+        states, points_from, edges, links = self.states, self._points_from, self._edges, self._links
         arcs, labels, out = self.arcs, self._labels, self.out
+        reached: set[int] = set()
         for s in new_states:
             states[s.node] = s
-        touched = sorted({k for s in new_states for k in self._links[s.node]})
+            reached.update(links[s.node])
+        touched = sorted(reached)
         heads, flipped = [], []
         for k in touched:
             a, b = edges[k]
             arc = (a, b) if points_from(states[a], states[b]) else (b, a)
-            was = arcs[k]
-            if arc != was:
+            if arc != arcs[k]:
                 arcs[k] = arc
                 labels[k] = arc_label(*arc)
-                out[was[0]].discard(was[1])
-                out[arc[0]].add(arc[1])
-                heads.append(arc[1])
+                tail, head = arc
+                head_out, tail_out = out[head], out[tail]
+                if type(head_out) is tuple:
+                    head_out = out[head] = set(head_out)
+                if type(tail_out) is tuple:
+                    tail_out = out[tail] = set(tail_out)
+                head_out.discard(tail)
+                tail_out.add(head)
+                heads.append(head)
                 flipped.append(edges[k])
-        # Only the endpoints of a flipped link changed their out-degree.
-        ends = {i for edge in flipped for i in edge}
-        if ends:
-            kept = {i for i in self.stuck if i not in ends}
-            self.stuck = tuple(sorted(kept | {i for i in ends if not out[i]}))
+        if flipped:
+            # Only the endpoints of a flipped link changed their out-degree.
+            ends = {i for edge in flipped for i in edge}
+            kept = [i for i in self.stuck if i not in ends]
+            self.stuck = tuple(sorted(kept + [i for i in ends if not out[i]]))
         return [edges[k] for k in touched], heads, tuple(flipped)
 
 
@@ -448,15 +463,17 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
     if spec.reversal is None:
         raise ValueError(f"reversal semantics are undefined for {scheme}")
     topo = scenario.topology
+    full = spec.reversal == "full"
     failures: list[str] = []
     fail_step: int | None = None
 
-    reversed_toward: dict[int, set[int]] = {i: set() for i in topo.nodes}
+    # A node's entry is made when a link is first reversed toward it.
+    reversed_toward: dict[int, set[int]] = {}
     pending_second: dict[int, int] = {}
     silent_updates = 0
 
     def outgoing(arcs: Mapping, u: int) -> set[int]:
-        return {j for j in topo.neighbors(u) if arcs[(min(u, j), max(u, j))][0] == u}
+        return {j for j in topo.neighbors(u) if arcs[(u, j) if u < j else (j, u)][0] == u}
 
     for rec, arcs_now, flipped in _replayed_orientations(trace):
         unknown = flipped - arcs_now.keys()
@@ -467,21 +484,22 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
         updated = set(rec.updated)
 
         for e in sorted(flipped):
-            touched = [x for x in e if x in updated]
-            if len(touched) != 1:
+            # Every flipped edge is a link, so a pair: exactly one end must have updated.
+            if (e[0] in updated) == (e[1] in updated):
                 failures.append(f"step {rec.index}: link {e} flipped without a unique updater")
 
         for u in rec.updated:
-            nbrs = {j for j in topo.neighbors(u) if j != DESTINATION}
-            flipped_at_u = {a + b - u for a, b in flipped if u in (a, b)}
-            if spec.reversal == "full":
+            if full:
                 if outgoing(arcs_now, u) != set(topo.neighbors(u)):
+                    nbrs = {j for j in topo.neighbors(u) if j != DESTINATION}
                     failures.append(
                         f"step {rec.index}: node {u} updated but links "
                         f"{sorted(nbrs - outgoing(arcs_now, u))} still point in"
                     )
             else:
-                expected = nbrs - reversed_toward[u]
+                nbrs = {j for j in topo.neighbors(u) if j != DESTINATION}
+                flipped_at_u = {a + b - u for a, b in flipped if u in (a, b)}
+                expected = nbrs.difference(reversed_toward.get(u, ()))
                 if spec.neighbor_aware and not expected:
                     expected = nbrs  # the neighbor-aware rule clears an all-reversed node at once
                 if flipped_at_u != expected:
@@ -493,13 +511,13 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
                     silent_updates += 1
                 else:
                     pending_second.pop(u, None)
-                reversed_toward[u] = set()
+                reversed_toward.pop(u, None)
 
         for a, b in flipped:
             source = arcs_now[(a, b)][0]
             other = a + b - source
-            if source in updated and other != DESTINATION and other in reversed_toward:
-                reversed_toward[other].add(source)
+            if source in updated and other != DESTINATION and topo.has_node(other):
+                reversed_toward.setdefault(other, set()).add(source)
 
         for u, since in pending_second.items():
             if u not in updated and outgoing(arcs_now, u):
@@ -852,8 +870,11 @@ def standard_battery(
     reports: list[CheckReport] = []
     wanted = set(schemes)
     equivalence: dict[tuple[SchemeId, SchemeId, bool], CheckReport] = {}
+    # Schedules are immutable, so every scheme shares one of each.
+    checked = (Schedule.single_random(seed), Schedule.subset_random(seed + 1))
+    anchor = Schedule.subset_random(seed)
     for scheme in schemes:
-        for schedule in (Schedule.single_random(seed), Schedule.subset_random(seed + 1)):
+        for schedule in checked:
             try:
                 trace = run_scenario(scenario, scheme, schedule)
             except OverflowRiskError as exc:
@@ -879,11 +900,10 @@ def standard_battery(
             reports.append(check_initial_greedy_stability(trace, scenario))
         # One run serves the determinism check and every equivalence pair
         # this scheme anchors; only the reports wait for the end, not traces.
-        schedule = Schedule.subset_random(seed)
         try:
-            trace = run_scenario(scenario, scheme, schedule)
+            trace = run_scenario(scenario, scheme, anchor)
         except OverflowRiskError as exc:
-            reports.append(_raised("determinism", scenario, scheme, schedule, exc))
+            reports.append(_raised("determinism", scenario, scheme, anchor, exc))
             trace, skipped = None, f"skipped: the reference run raised OverflowRiskError: {exc}"
         else:
             reports.append(check_determinism(trace))

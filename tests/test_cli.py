@@ -453,6 +453,27 @@ def test_compare_shows_the_partial_divergence(scenario_file, capsys):
     assert "first at step 2" in out
 
 
+HIGH_NEIGHBOR = """\
+scenario v1
+name cli-high-neighbor
+nodes 3
+edges D-2 D-3 1-2
+heights 1 2 60
+"""
+
+
+def test_compare_max_bits_counts_states_a_node_never_updated(scenario_file, capsys):
+    # Only node 1 updates, to gb-full height 3 (2 bits), while node 3 holds
+    # its initial height 60 (6 bits) all run long.
+    code = main(["compare", scenario_file(HIGH_NEIGHBOR), "--schemes", "gb-full,no-full,two-bit-full"])
+    assert code == EXIT_OK
+    rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()[2:5]}
+    assert {name: row[5] for name, row in rows.items()} == {
+        "gb-full": "6", "no-full": "7", "two-bit-full": "2",
+    }
+    assert all(row[2] == "1" for row in rows.values())
+
+
 def test_compare_needs_two_schemes(scenario_file, capsys):
     code = main(["compare", scenario_file(CHAIN), "--schemes", "no-full"])
     assert code == EXIT_PROPERTY

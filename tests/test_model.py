@@ -157,6 +157,52 @@ def test_sort_keys_by_scheme():
     assert sort_key(CountedHeightState(4, 2, 9), SchemeId.NO_PARTIAL) == (2, 9, 4)
 
 
+#: Each ordered scheme's key, spelled out field by field.
+DOCUMENTED_KEYS = {
+    SchemeId.GB_FULL: lambda s: (s.height, s.node),
+    SchemeId.BASELINE_INCREMENT: lambda s: (s.height, s.node),
+    SchemeId.GB_PARTIAL: lambda s: (s.level, s.height, s.node),
+    SchemeId.NO_FULL: lambda s: (s.updates, s.height, s.node),
+    SchemeId.NO_PARTIAL: lambda s: (s.updates, s.height, -s.node if s.updates % 2 else s.node),
+}
+
+_int64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def _ordered_states(draw):
+    """A scheme with a sort key and one of its states, with any field values."""
+    scheme = draw(st.sampled_from(sorted(DOCUMENTED_KEYS, key=str)))
+    cls = SPECS[scheme].state
+    return scheme, cls(draw(st.integers(1, 10**6)), *(draw(_int64) for _ in cls._fields[1:]))
+
+
+def test_the_documented_keys_cover_every_ordered_scheme():
+    assert set(DOCUMENTED_KEYS) == {s for s, spec in SPECS.items() if spec.sort_key is not None}
+
+
+@given(drawn=_ordered_states())
+def test_sort_keys_are_their_documented_field_tuples(drawn):
+    scheme, state = drawn
+    assert SPECS[scheme].sort_key(state) == DOCUMENTED_KEYS[scheme](state)
+    assert sort_key(state, scheme) == DOCUMENTED_KEYS[scheme](state)
+
+
+@given(drawn=_ordered_states(), other_node=st.integers(1, 10**6))
+def test_ordered_predicates_reject_mixed_types_and_one_node(drawn, other_node):
+    scheme, state = drawn
+    points_from = orientation_predicate(scheme, None)
+    cls = next(spec.state for spec in SPECS.values() if spec.state is not type(state))
+    foreign = cls(other_node, *[1] * (len(cls._fields) - 1))
+    for a, b in ((state, foreign), (foreign, state), (state, tuple(state))):
+        with pytest.raises(SchemeMismatchError):
+            points_from(a, b)
+    with pytest.raises(ValueError, match="same node"):
+        points_from(state, state)
+    with pytest.raises(SchemeMismatchError):
+        sort_key(tuple(state), scheme)
+
+
 @pytest.mark.parametrize("scheme", [SchemeId.TWO_BIT_FULL, SchemeId.ONE_BIT_FULL])
 def test_sort_key_undefined_for_pairwise_schemes(scheme):
     state = PhaseState(1, 0) if scheme is SchemeId.TWO_BIT_FULL else FlagState(1, 0)

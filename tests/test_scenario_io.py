@@ -25,9 +25,10 @@ from linkrev import (
     save_scenario,
     serialize_scenario,
 )
-from linkrev.generate import random_void_scenario
+from linkrev.generate import random_partition_scenario, random_void_scenario
 from linkrev.model import Topology
 from linkrev.schemes import ALL_SCHEMES, INT63_MAX, SPECS
+from linkrev.sim import STEP_LIMIT_ENV, Outcome
 from linkrev.traceio import (
     EXPORT_FORMATS,
     export_trace,
@@ -344,6 +345,100 @@ def test_jsonl_has_one_record_per_step_plus_totals(one_step_trace):
     assert totals["updates_by_node"] == {"1": 0, "2": 1, "3": 0}
     assert totals["initial_dag"] != totals["final_dag"]
     assert totals["certificate"] is None
+
+
+def _reference_totals(trace) -> dict:
+    """The totals record as a dict, for json.dumps to write the reference line."""
+    return {
+        "type": "totals",
+        "outcome": trace.outcome.value,
+        "scheme": trace.scheme.value,
+        "n": trace.n,
+        "schedule": trace.schedule.describe(),
+        "step_limit": trace.step_limit,
+        "steps": len(trace.steps),
+        "total_updates": trace.total_updates,
+        "total_reversals": trace.total_reversals,
+        "updates_by_node": {str(i): c for i, c in sorted(trace.update_counts.items())},
+        "initial_dag": trace.initial_digest,
+        "final_dag": trace.final_digest,
+        "certificate": trace.certificate,
+        "events": [[step, text] for step, text in trace.events_applied],
+    }
+
+
+def _partition_certificate(monkeypatch):
+    trace = run_scenario(random_partition_scenario(6, seed=3), SchemeId.NO_FULL, Schedule.single_random(0))
+    assert trace.outcome is Outcome.PARTITIONED and trace.certificate
+    return trace
+
+
+def _sleep_wake_and_removals(monkeypatch):
+    scenario = Scenario.create(
+        6,
+        [(0, 5), (0, 6), (5, 6), (1, 2), (2, 3), (3, 4), (4, 5)],
+        heights=range(1, 7),
+        events=[
+            SimEvent(at_step=1, kind="sleep", node=3, duration=2),
+            SimEvent(at_step=1, kind="remove-link", edge=(5, 6)),
+            SimEvent(at_step=2, kind="remove-node", node=6),
+        ],
+    )
+    trace = run_scenario(scenario, SchemeId.GB_FULL, Schedule.single_random(0))
+    kinds = [text.split()[0] for _, text in trace.events_applied]
+    assert kinds == ["sleep", "remove-link", "remove-node", "wake"]
+    return trace
+
+
+def _ten_nodes_or_more(monkeypatch):
+    trace = run_scenario(random_void_scenario(12, 1), SchemeId.NO_FULL, Schedule.subset_random(2))
+    assert len(trace.update_counts) >= 10 and trace.steps
+    return trace
+
+
+def _zero_steps(monkeypatch):
+    trace = run_scenario(Scenario.create(2, [(0, 1), (1, 2)], heights=(1, 2)), SchemeId.GB_FULL)
+    assert not trace.steps
+    return trace
+
+
+def _environment_step_limit(monkeypatch):
+    monkeypatch.setenv(STEP_LIMIT_ENV, "2")
+    chain = Scenario.create(6, [(0, 6)] + [(i, i + 1) for i in range(1, 6)], heights=range(1, 7))
+    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    assert trace.outcome is Outcome.STEP_LIMIT and trace.step_limit == 2
+    return trace
+
+
+def _labeled_fixed_schedule(monkeypatch):
+    chain = Scenario.create(3, [(0, 1), (1, 3), (2, 3)], heights=(1, 2, 3))
+    label = 'quote " backslash \\ bell \x07 e-acute \u00e9'
+    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.fixed([[2]], label=label))
+    assert label in trace.schedule.describe()
+    return trace
+
+
+TOTALS_CASES = {
+    build.__name__.strip("_"): build
+    for build in (
+        _partition_certificate,
+        _sleep_wake_and_removals,
+        _ten_nodes_or_more,
+        _zero_steps,
+        _environment_step_limit,
+        _labeled_fixed_schedule,
+    )
+}
+
+
+@pytest.mark.parametrize("case", list(TOTALS_CASES))
+def test_the_totals_line_is_what_json_dumps_writes(case, monkeypatch):
+    monkeypatch.delenv(STEP_LIMIT_ENV, raising=False)
+    trace = TOTALS_CASES[case](monkeypatch)
+    expected = json.dumps(_reference_totals(trace), sort_keys=True, separators=(",", ":"))
+    text = trace_to_jsonl(trace)
+    assert text.endswith("\n")
+    assert text.split("\n")[-2] == expected
 
 
 def test_truncated_jsonl_is_still_a_valid_prefix(one_step_trace):

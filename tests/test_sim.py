@@ -521,6 +521,63 @@ def test_isolated_stuck_node_with_pending_wake_is_not_a_partition():
     assert trace.update_counts[2] >= 1
 
 
+# --- the final digest ----------------------------------------------------------
+
+
+def _no_void(scheme):
+    trace = run_scenario(Scenario.create(2, [(0, 1), (1, 2)], heights=(1, 2)), scheme)
+    assert not trace.steps
+    return trace
+
+
+def _event_free(scheme):
+    trace = run_scenario(random_void_scenario(9, 4), scheme, Schedule.subset_random(1))
+    assert trace.steps and not trace.events_applied
+    return trace
+
+
+def _wake_after_convergence(scheme):
+    # Node 2 is the void; node 4 sleeps through it and wakes at step 6, after
+    # the run converged, so a rebuild follows the last step.
+    scenario = Scenario.create(
+        4, [(0, 1), (1, 3), (2, 3), (0, 4)], heights=(1, 2, 3, 1),
+        events=[SimEvent(at_step=1, kind="sleep", node=4, duration=5)],
+    )
+    trace = run_scenario(scenario, scheme, Schedule.single_random(0))
+    assert 1 <= len(trace.steps) < 6 and trace.events_applied[-1] == (6, "wake 4")
+    assert trace.final_digest != trace.steps[-1].dag_digest
+    return trace
+
+
+def _partitioned(scheme):
+    trace = run_scenario(random_partition_scenario(6, seed=3), scheme, Schedule.single_random(0))
+    assert trace.outcome is Outcome.PARTITIONED
+    return trace
+
+
+def _step_limit(scheme):
+    chain = Scenario.create(6, [(0, 6)] + [(i, i + 1) for i in range(1, 6)], heights=range(1, 7))
+    trace = run_scenario(chain, scheme, Schedule.single_random(0), step_limit=2)
+    assert trace.outcome is Outcome.STEP_LIMIT
+    return trace
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
+@pytest.mark.parametrize(
+    "case", [_no_void, _event_free, _wake_after_convergence, _partitioned, _step_limit],
+    ids=lambda case: case.__name__.strip("_"),
+)
+def test_the_final_digest_is_the_final_orientations(case, scheme):
+    """The run reuses the last digest it computed; a fresh orientation must agree."""
+    trace = case(scheme)
+    sim = Simulation(trace.scenario, scheme, trace.schedule, trace.step_limit)
+    while sim.advance() is not None:
+        pass
+    dag = routing_dag(sim.states, sim.awake_topology(), scheme, sim.heights)
+    assert sim.arcs == dag.arcs
+    assert trace.final_digest == dag.digest()
+
+
 # --- incremental kernel against a from-scratch orientation --------------------
 
 
