@@ -13,12 +13,9 @@ replay stays the kernel's oracle.  Each trace's recorded initial digest is
 still compared with the start, and each trace is replayed from a copy of
 the start's states, arcs, labels and out-neighbors: its recorded new states
 go into one state dict, and only the links of each step's updaters U are
-re-oriented, O(sum of deg U) a step, with no routing_dag per step.  The
-per-trace set-ups are copy-on-write where they would otherwise build n
-sets: the replay reads the start's tuple of a node's out-neighbors until a
-flip first touches the node and only then makes a set of its own, and
+re-oriented, O(sum of deg U) a step, with no routing_dag per step.
 check_reversal_semantics makes a node's reversed-toward set only when a
-link is first reversed toward it.
+link is first reversed toward it, not one set per node for every trace.
 Destination orientation, wherever a check asks for it, reads the
 topology's reachability memo, model.destination_reach, as the simulator's
 cross-check and check_initial_greedy_stability do.
@@ -271,10 +268,7 @@ class _StateReplay:
     purpose, since the check exists to catch that kernel's faults; it
     shares only the compiled predicate, which defines the orientation.  It
     starts from the scheme's cached _ReplayStart and copies only what it
-    mutates; the link lists are the topology's.  out holds the start's
-    tuple of each node's out-neighbors until a flip first touches the node,
-    which replaces it with a set of its own: copy-on-write, so a trace pays
-    for the nodes its steps reach, not for every node.
+    mutates; the link lists are the topology's.
     """
 
     def __init__(self, scenario: Scenario, scheme: SchemeId, start: _ReplayStart):
@@ -285,7 +279,7 @@ class _StateReplay:
         self._links = topo.ordinary_links
         self.arcs = list(start.initial.arcs)
         self._labels = list(start.labels)
-        self.out: dict[int, tuple[int, ...] | set[int]] = dict(start.out)
+        self.out = {i: set(js) for i, js in start.out.items()}
         self.stuck = start.stuck
 
     def digest(self) -> str:
@@ -299,35 +293,28 @@ class _StateReplay:
         Returns the re-oriented links, the heads of the arcs that flipped,
         and the flipped links, each in canonical edge order.
         """
-        states, points_from, edges, links = self.states, self._points_from, self._edges, self._links
+        states, points_from, edges = self.states, self._points_from, self._edges
         arcs, labels, out = self.arcs, self._labels, self.out
-        reached: set[int] = set()
         for s in new_states:
             states[s.node] = s
-            reached.update(links[s.node])
-        touched = sorted(reached)
+        touched = sorted({k for s in new_states for k in self._links[s.node]})
         heads, flipped = [], []
         for k in touched:
             a, b = edges[k]
             arc = (a, b) if points_from(states[a], states[b]) else (b, a)
-            if arc != arcs[k]:
+            was = arcs[k]
+            if arc != was:
                 arcs[k] = arc
                 labels[k] = arc_label(*arc)
-                tail, head = arc
-                head_out, tail_out = out[head], out[tail]
-                if type(head_out) is tuple:
-                    head_out = out[head] = set(head_out)
-                if type(tail_out) is tuple:
-                    tail_out = out[tail] = set(tail_out)
-                head_out.discard(tail)
-                tail_out.add(head)
-                heads.append(head)
+                out[was[0]].discard(was[1])
+                out[arc[0]].add(arc[1])
+                heads.append(arc[1])
                 flipped.append(edges[k])
-        if flipped:
-            # Only the endpoints of a flipped link changed their out-degree.
-            ends = {i for edge in flipped for i in edge}
-            kept = [i for i in self.stuck if i not in ends]
-            self.stuck = tuple(sorted(kept + [i for i in ends if not out[i]]))
+        # Only the endpoints of a flipped link changed their out-degree.
+        ends = {i for edge in flipped for i in edge}
+        if ends:
+            kept = {i for i in self.stuck if i not in ends}
+            self.stuck = tuple(sorted(kept | {i for i in ends if not out[i]}))
         return [edges[k] for k in touched], heads, tuple(flipped)
 
 

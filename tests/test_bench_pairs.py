@@ -28,7 +28,7 @@ def test_quartiles_interpolate_between_samples():
 def test_a_clear_gain_is_supported():
     parent = _runs("wall_s", [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99])
     change = _runs("wall_s", [0.88, 0.90, 0.87, 0.89, 0.88, 0.91, 0.86, 0.88, 0.89, 0.87])
-    (row,) = bench_pairs.summarize(parent, change, {"wall_s": "lower"})
+    (row,) = bench_pairs.summarize(parent, change, {"wall_s": "lower"}, (0, 0))
     assert (row.wins, row.pairs) == (10, 10)
     assert row.parent == (0.99, 1.0, 1.01)
     assert row.change == pytest.approx((0.8725, 0.88, 0.89))
@@ -40,7 +40,7 @@ def test_a_clear_gain_is_supported():
 def test_eight_wins_in_ten_support_no_gain():
     parent = _runs("wall_s", [1.0] * 10)
     change = _runs("wall_s", [0.8] * 8 + [1.2] * 2)
-    (row,) = bench_pairs.summarize(parent, change, {"wall_s": "lower"})
+    (row,) = bench_pairs.summarize(parent, change, {"wall_s": "lower"}, (0, 0))
     assert row.wins == 8
     assert not row.supported
 
@@ -49,7 +49,7 @@ def test_a_gap_inside_the_parents_spread_supports_no_gain():
     # The change wins every pair, but by less than the parent's interquartile range.
     parent = _runs("wall_s", [1.0, 1.2, 1.4, 1.6, 1.8, 1.0, 1.2, 1.4, 1.6, 1.8])
     change = _runs("wall_s", [v - 0.1 for v in (1.0, 1.2, 1.4, 1.6, 1.8, 1.0, 1.2, 1.4, 1.6, 1.8)])
-    (row,) = bench_pairs.summarize(parent, change, {"wall_s": "lower"})
+    (row,) = bench_pairs.summarize(parent, change, {"wall_s": "lower"}, (0, 0))
     assert row.wins == 10
     assert row.parent[2] - row.parent[0] == pytest.approx(0.4)
     assert not row.supported
@@ -58,7 +58,7 @@ def test_a_gap_inside_the_parents_spread_supports_no_gain():
 def test_ties_count_for_neither_side_and_higher_can_be_better():
     parent = _runs("work_per_s", [100.0, 100.0, 100.0, 100.0])
     change = _runs("work_per_s", [100.0, 120.0, 90.0, 130.0])
-    (row,) = bench_pairs.summarize(parent, change, {"work_per_s": "higher"})
+    (row,) = bench_pairs.summarize(parent, change, {"work_per_s": "higher"}, (0, 0))
     assert row.wins == 2
     assert row.gap == pytest.approx(10.0)
     assert not row.supported
@@ -66,17 +66,40 @@ def test_ties_count_for_neither_side_and_higher_can_be_better():
 
 def test_summaries_need_paired_runs_and_a_direction():
     with pytest.raises(ValueError, match="same nonzero number"):
-        bench_pairs.summarize(_runs("wall_s", [1.0]), [], {"wall_s": "lower"})
+        bench_pairs.summarize(_runs("wall_s", [1.0]), [], {"wall_s": "lower"}, (0, 0))
     with pytest.raises(ValueError, match="not lower or higher"):
-        bench_pairs.summarize(_runs("wall_s", [1.0]), _runs("wall_s", [1.0]), {"wall_s": "less"})
+        bench_pairs.summarize(_runs("wall_s", [1.0]), _runs("wall_s", [1.0]), {"wall_s": "less"}, (0, 0))
 
 
 def test_seeds_take_ranges():
     assert bench_pairs.parse_seeds(["7001-7003", "42"]) == [7001, 7002, 7003, 42]
 
 
+def test_fewer_than_ten_pairs_support_no_gain():
+    # Nine clear wins out of nine pairs are still too few pairs.
+    parent = _runs("wall_s", [1.0] * 9)
+    change = _runs("wall_s", [0.5] * 9)
+    (row,) = bench_pairs.summarize(parent, change, {"wall_s": "lower"}, (0, 0))
+    assert (row.wins, row.pairs) == (9, 9)
+    assert not row.supported
+
+
+def test_a_change_that_fails_more_operations_supports_no_gain():
+    parent = _runs("wall_s", [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99])
+    change = _runs("wall_s", [0.5] * 10)
+    (row,) = bench_pairs.summarize(parent, change, {"wall_s": "lower"}, (3, 4))
+    assert row.wins == 10
+    assert not row.supported
+    (row,) = bench_pairs.summarize(parent, change, {"wall_s": "lower"}, (3, 3))
+    assert row.supported
+
+
 def test_the_table_names_every_metric_and_its_verdict():
     parent = _runs("wall_s", [1.0, 1.0])
     change = _runs("wall_s", [0.5, 0.5])
-    text = bench_pairs.format_summary(bench_pairs.summarize(parent, change, {"wall_s": "lower"}))
-    assert "wall_s" in text and "0.500" in text and "2/2" in text and "supported" in text
+    text = bench_pairs.format_summary(bench_pairs.summarize(parent, change, {"wall_s": "lower"}, (0, 0)))
+    assert "wall_s" in text and "0.500" in text and "2/2" in text and "not supported" in text
+    parent = _runs("wall_s", [1.0] * 10)
+    change = _runs("wall_s", [0.5] * 10)
+    text = bench_pairs.format_summary(bench_pairs.summarize(parent, change, {"wall_s": "lower"}, (0, 0)))
+    assert "10/10" in text and "supported" in text and "not supported" not in text

@@ -6,17 +6,16 @@
 Each pair runs ``benchmarks/bench.py --workload W --seed S --seconds T
 --trace 0`` once in each checkout with the same seed, one after the other;
 even pairs run the parent first and odd pairs the change, so a slow spell
-of the machine does not always land on one side.  The run length defaults
-to ``run_seconds`` of the change's ``BENCHMARK.json``, which also says
-whether each end-to-end metric is better lower or higher.
+of the machine does not always land on one side.  The run length T is
+``run_seconds`` of the change's ``BENCHMARK.json``, the benchmark's own,
+which also says whether each end-to-end metric is better lower or higher.
 
 For each metric the summary gives both sides' medians and quartiles, the
 change/parent ratio of the medians and the number of pairs the change won
-(ties count for neither side).  A gain is supported when the change wins
-at least nine tenths of the pairs and its median is better than the
-parent's by more than the parent's interquartile range.  Each run's
-``correct`` flag and failed-operation count are printed beside the table;
-a gain does not count when the change fails more operations.
+(ties count for neither side).  A gain is supported when at least ten
+pairs were run, the change failed no more operations than the parent, it
+won at least nine tenths of the pairs, and its median is better than the
+parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+#: Fewest pairs that can support a gain.
+MIN_PAIRS = 10
 #: Share of all pairs the change must win before a gain is supported.
 WIN_SHARE = 0.9
 
@@ -44,6 +45,7 @@ class MetricSummary:
     change: tuple[float, float, float]
     wins: int
     pairs: int
+    failed: tuple[int, int]  # failed operations over all runs: parent, change
 
     @property
     def ratio(self) -> float:
@@ -58,9 +60,14 @@ class MetricSummary:
 
     @property
     def supported(self) -> bool:
-        """At least nine wins in ten, and a median gap wider than the parent's quartiles."""
+        """Ten pairs or more, no more failed ops, nine wins in ten, a gap wider than the parent's IQR."""
         spread = self.parent[2] - self.parent[0]
-        return self.wins >= WIN_SHARE * self.pairs and self.gap > spread
+        return (
+            self.pairs >= MIN_PAIRS
+            and self.failed[1] <= self.failed[0]
+            and self.wins >= WIN_SHARE * self.pairs
+            and self.gap > spread
+        )
 
 
 def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
@@ -75,8 +82,12 @@ def summarize(
     parent: Sequence[Mapping[str, float]],
     change: Sequence[Mapping[str, float]],
     better: Mapping[str, str],
+    failed: tuple[int, int],
 ) -> list[MetricSummary]:
-    """One summary per metric of better, over runs given pair by pair on each side."""
+    """One summary per metric of better, over runs given pair by pair on each side.
+
+    failed is the number of operations that failed over all runs, parent first.
+    """
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need the same nonzero number of runs, got {len(parent)} and {len(change)}")
     rows = []
@@ -89,7 +100,7 @@ def summarize(
             wins = sum(b < a for a, b in zip(old, new))
         else:
             wins = sum(b > a for a, b in zip(old, new))
-        rows.append(MetricSummary(name, direction, quartiles(old), quartiles(new), wins, len(old)))
+        rows.append(MetricSummary(name, direction, quartiles(old), quartiles(new), wins, len(old), failed))
     return rows
 
 
@@ -139,12 +150,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", nargs="+", required=True, help="one seed per pair, or ranges A-B")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length; defaults to run_seconds of the change's BENCHMARK.json")
     args = parser.parse_args(argv)
 
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else declared["run_seconds"]
+    seconds = declared["run_seconds"]
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     results: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -160,13 +169,14 @@ def main(argv: list[str] | None = None) -> int:
         side: [{k: v["value"] for k, v in run["metrics"].items()} for run in runs]
         for side, runs in results.items()
     }
+    failed = {side: sum(run["failed"] for run in runs) for side, runs in results.items()}
     print(f"{args.workload}: {len(values['parent'])} pairs at {seconds:g} s")
-    print(format_summary(summarize(values["parent"], values["change"], better)))
+    print(format_summary(summarize(
+        values["parent"], values["change"], better, (failed["parent"], failed["change"]))))
     for side, runs in results.items():
-        failed = sum(run["failed"] for run in runs)
         attempted = sum(run["attempted"] for run in runs)
         correct = all(run["correct"] for run in runs)
-        print(f"{side}: {failed} of {attempted} ops failed; every run correct: {correct}")
+        print(f"{side}: {failed[side]} of {attempted} ops failed; every run correct: {correct}")
     return 0
 
 
