@@ -18,6 +18,17 @@ chooses them, and it alone tests a fixed step against the nodes that can
 update.  A recorded run's picks replay as
 Schedule.fixed([rec.updated for rec in trace.steps]).
 
+A random schedule's generator, random.Random(schedule.seed), is seeded at
+the first step whose eligible set holds two or more nodes, not when the
+Simulation is built: most runs on small voids only ever have one node to
+pick, and they never build one.  A step with one eligible node picks it
+and counts the draw it deferred.  The first step with a choice seeds the
+generator and replays the deferred draws through Schedule.pick on a
+one-node tuple before it picks.  The replay is needed because a one-node
+draw still consumes the stream (_randbelow(1) draws bits until it gets a
+0), so skipping it would change every later pick.  A fixed schedule has
+no generator.
+
 A run ends Converged when no node is stuck and no scripted event remains,
 StepLimit when the step budget is exhausted on a connected graph, and
 Partitioned when the awake graph is disconnected: for the counter-carrying
@@ -155,6 +166,19 @@ class Schedule:
     steps: tuple[tuple[int, ...], ...] | None = None
     label: str | None = None
 
+    def __post_init__(self) -> None:
+        # Kept to a few comparisons: the schedule enumeration builds one
+        # fixed witness per terminal orientation.
+        kind = self.kind
+        if kind == "fixed":
+            if type(self.steps) is not tuple:
+                raise ScheduleError("a fixed schedule needs a tuple of steps")
+        elif kind == "single-random" or kind == "subset-random":
+            if not isinstance(self.seed, int):
+                raise ScheduleError(f"a {kind} schedule needs an int seed, got {self.seed!r}")
+        else:
+            raise ScheduleError(f"unknown schedule kind {kind!r}")
+
     @classmethod
     def single_random(cls, seed: int) -> Schedule:
         return cls(kind="single-random", seed=seed)
@@ -176,7 +200,7 @@ class Schedule:
     def describe(self) -> str:
         if self.kind == "fixed":
             tag = f"[{self.label}]" if self.label else ""
-            return f"fixed{tag}({len(self.steps or ())} steps)"
+            return f"fixed{tag}({len(self.steps)} steps)"
         return f"{self.kind}(seed={self.seed})"
 
     def pick(
@@ -185,14 +209,18 @@ class Schedule:
         """The updaters of step index: a sorted, nonempty, repeat-free subset of eligible.
 
         eligible is sorted; rng is the run's generator, None for a fixed
-        schedule, whose steps are already sorted and free of repeats.
+        schedule, whose steps are already sorted and free of repeats.  A
+        random pick draws from rng even when eligible is one node: both
+        choice and randrange call _randbelow(1), which draws bits until it
+        gets a 0.  So a run that defers its one-node picks (Simulation.step)
+        must replay them through this method before its first real choice.
         """
         if self.kind == "single-random":
             return (rng.choice(eligible),)
         if self.kind == "subset-random":
             mask = rng.randrange(1, 1 << len(eligible))
             return tuple(i for bit, i in enumerate(eligible) if mask >> bit & 1)
-        steps = self.steps or ()
+        steps = self.steps
         if index > len(steps):
             raise ScheduleError(
                 f"fixed schedule exhausted after {len(steps)} steps but the network is still stuck"
@@ -287,8 +315,8 @@ class Simulation:
     # CPython shares the keys of instance dicts only up to 30 attributes;
     # past that every instance carries a full dict of its own.
     __slots__ = (
-        "scenario", "scheme", "_spec", "heights", "n", "schedule", "_rng", "step_limit",
-        "live", "sleeping", "states", "steps", "events_applied", "update_counts",
+        "scenario", "scheme", "_spec", "heights", "n", "schedule", "_rng", "_deferred",
+        "step_limit", "live", "sleeping", "states", "steps", "events_applied", "update_counts",
         "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
         "_points_from", "_awake_topo", "_isolated", "_stale", "_arcs", "_arc_labels",
         "_out_degree", "_stuck", "_stuck_view", "initial_arcs", "initial_digest",
@@ -308,7 +336,9 @@ class Simulation:
         self.heights = heights = scenario.heights
         self.n = n = scenario.n
         self.schedule = schedule = schedule or Schedule.single_random(scenario.seed or 0)
-        self._rng = random.Random(schedule.seed) if schedule.kind != "fixed" else None
+        # A random schedule's generator is seeded at its first real choice.
+        self._rng = None
+        self._deferred = 0 if schedule.kind != "fixed" else None
         if step_limit is None:
             step_limit = default_step_limit(n)
         if step_limit < 0:
@@ -547,6 +577,14 @@ class Simulation:
             return stuck
         return tuple(i for i in stuck if i not in isolated)
 
+    def _seed_rng(self) -> None:
+        """Seed the random schedule's generator and replay the one-node draws deferred so far."""
+        schedule = self.schedule
+        self._rng = rng = random.Random(schedule.seed)
+        for _ in range(self._deferred):
+            schedule.pick(rng, (DESTINATION,), 0)
+        self._deferred = None
+
     def step(self) -> StepRecord:
         """Run one update step; raises EmptyStuckSetError when already oriented.
 
@@ -562,7 +600,15 @@ class Simulation:
                 f"stuck nodes {list(stuck)} have no awake neighbor to read"
             )
         index = len(self.steps) + 1
-        chosen = self.schedule.pick(self._rng, eligible, index)
+        deferred = self._deferred
+        if deferred is not None and len(eligible) == 1:
+            # Nothing to choose: the draw waits until a step offers a choice.
+            self._deferred = deferred + 1
+            chosen = eligible
+        else:
+            if deferred is not None:
+                self._seed_rng()
+            chosen = self.schedule.pick(self._rng, eligible, index)
 
         states, update, max_height = self.states, self._update, self._max_height
         if self._spec.neighbor_aware:

@@ -277,6 +277,7 @@ class _StateReplay:
         self._points_from = orientation_predicate(scheme, scenario.heights)
         self._edges = topo.edges
         self._links = topo.ordinary_links
+        self._adjacency = topo._adjacency
         self.arcs = list(start.initial.arcs)
         self._labels = list(start.labels)
         self.out = {i: set(js) for i, js in start.out.items()}
@@ -290,15 +291,18 @@ class _StateReplay:
     ) -> tuple[list[tuple[int, int]], list[int], tuple[tuple[int, int], ...]]:
         """Write the new states and re-orient their links.
 
-        Returns the re-oriented links, the heads of the arcs that flipped,
-        and the flipped links, each in canonical edge order.
+        Returns the re-oriented links, the heads of the arcs that flipped
+        and whose tails keep an in-arc, and the flipped links, each in
+        canonical edge order.  A new cycle runs through a flipped arc, and
+        a tail with no in-arc lies on no cycle, so only those heads need a
+        cycle search.  After a full-reversal update there are none.
         """
         states, points_from, edges = self.states, self._points_from, self._edges
         arcs, labels, out = self.arcs, self._labels, self.out
         for s in new_states:
             states[s.node] = s
         touched = sorted({k for s in new_states for k in self._links[s.node]})
-        heads, flipped = [], []
+        turned, flipped = [], []
         for k in touched:
             a, b = edges[k]
             arc = (a, b) if points_from(states[a], states[b]) else (b, a)
@@ -308,13 +312,17 @@ class _StateReplay:
                 labels[k] = arc_label(*arc)
                 out[was[0]].discard(was[1])
                 out[arc[0]].add(arc[1])
-                heads.append(arc[1])
+                turned.append(arc)
                 flipped.append(edges[k])
         # Only the endpoints of a flipped link changed their out-degree.
         ends = {i for edge in flipped for i in edge}
         if ends:
             kept = {i for i in self.stuck if i not in ends}
             self.stuck = tuple(sorted(kept | {i for i in ends if not out[i]}))
+        # Every link of a tail is oriented, so it keeps an in-arc when some
+        # of its links are not out-arcs.
+        adjacency = self._adjacency
+        heads = [h for t, h in turned if len(out[t]) < len(adjacency[t])]
         return [edges[k] for k in touched], heads, tuple(flipped)
 
 
@@ -391,7 +399,7 @@ def _replay_failures(
             failures.append(f"{tag}: recorded digest {rec.dag_digest} does not match states")
         if tuple(rec.reversed_edges) != flipped:
             failures.append(f"{tag}: recorded reversed edges do not match states")
-        if _closes_cycle(replay.out, heads):
+        if heads and _closes_cycle(replay.out, heads):
             failures.append(f"{tag}: orientation has a cycle")
         if not replay.stuck and not is_destination_oriented(replay.arcs, topo):
             failures.append(f"{tag}: stuck set emptiness disagrees with orientation")
@@ -415,10 +423,11 @@ def check_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) ->
     Step 0 checks the whole initial orientation and every node and link.
     Each recorded step is then replayed at O(sum of deg U) for its
     updaters U, since nothing else changed: the updaters' links are
-    re-oriented, and only the arcs that flipped are searched for a new
-    cycle, only the updaters and their links are checked against the
-    scheme's invariants, and destination orientation is computed only
-    when the stuck set is empty (a stuck node has no path out).
+    re-oriented, only the flipped arcs whose tails keep an in-arc are
+    searched for a new cycle, only the updaters and their links are
+    checked against the scheme's invariants, and destination orientation
+    is computed only when the stuck set is empty (a stuck node has no
+    path out).
     """
     _require_plain_trace(trace)
     failures, fail_step = _replay_failures(trace, scenario, scheme)

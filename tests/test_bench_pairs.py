@@ -103,3 +103,64 @@ def test_the_table_names_every_metric_and_its_verdict():
     change = _runs("wall_s", [0.5] * 10)
     text = bench_pairs.format_summary(bench_pairs.summarize(parent, change, {"wall_s": "lower"}, (0, 0)))
     assert "10/10" in text and "supported" in text and "not supported" not in text
+
+
+def test_failed_shares_not_counts_decide():
+    # A faster change runs more operations in the same time: at the same
+    # share it fails more of them, and that is no reason to refuse a gain.
+    parent = _runs("wall_s", [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99])
+    change = _runs("wall_s", [0.9] * 10)
+    (row,) = bench_pairs.summarize(parent, change, {"wall_s": "lower"}, (10669 / 111296, 10896 / 113664))
+    assert row.supported
+    (row,) = bench_pairs.summarize(parent, change, {"wall_s": "lower"}, (10669 / 111296, 10670 / 111296))
+    assert not row.supported
+
+
+def _checkout(root: Path, files: dict[str, str]) -> Path:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+_BENCHMARK = {
+    "BENCHMARK.json": '{"paths": ["benchmarks"]}',
+    "benchmarks/bench.py": "print('bench')\n",
+    "benchmarks/data/expected.json": "{}\n",
+    "src/code.py": "x = 1\n",
+}
+
+
+def test_checkouts_with_the_same_benchmark_pair(tmp_path):
+    parent = _checkout(tmp_path / "parent", _BENCHMARK)
+    change = _checkout(tmp_path / "change", {**_BENCHMARK, "src/code.py": "x = 2\n"})
+    # Caches left by runs are not part of the benchmark.
+    _checkout(change, {"benchmarks/__pycache__/bench.pyc": "cache", "benchmarks/.benchmarks/x": "run"})
+    assert bench_pairs.first_difference(parent, change) is None
+
+
+@pytest.mark.parametrize(
+    ("edit", "named"),
+    [
+        ({"BENCHMARK.json": '{"paths": ["benchmarks"], "run_seconds": 1}'}, "BENCHMARK.json"),
+        ({"benchmarks/data/expected.json": "{\"x\": 1}\n"}, "benchmarks/data/expected.json"),
+        ({"benchmarks/new.py": ""}, "benchmarks/new.py"),
+    ],
+)
+def test_checkouts_with_different_benchmarks_are_refused(tmp_path, edit, named):
+    parent = _checkout(tmp_path / "parent", _BENCHMARK)
+    change = _checkout(tmp_path / "change", {**_BENCHMARK, **edit})
+    assert bench_pairs.first_difference(parent, change) == named
+    assert bench_pairs.first_difference(change, parent) == named
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                          "--workload", "verify-random", "--seeds", "1"])
+
+
+def test_a_file_missing_on_one_side_is_named_first(tmp_path):
+    parent = _checkout(tmp_path / "parent", _BENCHMARK)
+    change = _checkout(tmp_path / "change", _BENCHMARK)
+    (change / "benchmarks/bench.py").unlink()
+    _checkout(change, {"benchmarks/data/expected.json": "changed"})
+    assert bench_pairs.first_difference(parent, change) == "benchmarks/bench.py"

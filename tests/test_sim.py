@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 import sys
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,6 +65,27 @@ def test_schedule_descriptions():
     assert Schedule.fixed([(1, 2)], label="demo").describe() == "fixed[demo](1 steps)"
 
 
+def test_a_schedule_of_an_unknown_kind_is_refused():
+    with pytest.raises(ScheduleError, match="unknown schedule kind 'weird'"):
+        Schedule("weird", seed=3)
+
+
+@pytest.mark.parametrize("kind", ["single-random", "subset-random"])
+@pytest.mark.parametrize("seed", [None, "3", 1.0])
+def test_a_random_schedule_needs_an_int_seed(kind, seed):
+    # Without one, random.Random would seed itself from the OS and no run
+    # could be reproduced.
+    with pytest.raises(ScheduleError, match="needs an int seed"):
+        Schedule(kind, seed=seed)
+
+
+@pytest.mark.parametrize("steps", [None, [(1,)]])
+def test_a_fixed_schedule_needs_a_tuple_of_steps(steps):
+    with pytest.raises(ScheduleError, match="needs a tuple of steps"):
+        Schedule("fixed", steps=steps)
+    assert Schedule("fixed", steps=((1,),)).describe() == "fixed(1 steps)"
+
+
 def test_random_schedules_only_pick_stuck_nodes():
     scenario = random_void_scenario(8, seed=5)
     for kind in (Schedule.single_random(1), Schedule.subset_random(1)):
@@ -85,6 +108,65 @@ def test_fixed_schedule_replays_and_validates(chain):
     starved = Simulation(chain, SchemeId.NO_FULL, Schedule.fixed([]))
     with pytest.raises(ScheduleError, match="exhausted"):
         starved.run()
+
+
+# --- the lazily seeded generator ---------------------------------------------
+
+RANDOM_KINDS = (Schedule.single_random, Schedule.subset_random)
+
+
+def _deep_chain(n: int) -> Scenario:
+    """Edges D-n and i-(i+1), heights 1..n: every link points toward node 1."""
+    return Scenario.create(n, [(0, n), *((i, i + 1) for i in range(1, n))], heights=range(1, n + 1))
+
+
+def _eager_picks(trace) -> list[tuple[int, ...]]:
+    """Each step's pick, drawn from a generator seeded before the first step.
+
+    An event-free run isolates no node, so every stuck node is eligible.
+    """
+    rng = random.Random(trace.schedule.seed)
+    return [trace.schedule.pick(rng, rec.stuck, rec.index) for rec in trace.steps]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(6, 12), scenario_seed=st.integers(0, 10_000), seed=st.integers(0, 99))
+def test_a_lazily_seeded_run_picks_what_an_eagerly_seeded_one_picks(n, scenario_seed, seed):
+    # Below 6 nodes a random void almost never defers a draw before its
+    # first choice, and so cannot show a replay that went wrong.
+    scenario = random_void_scenario(n, scenario_seed)
+    for scheme in ALL_SCHEMES:
+        for maker in RANDOM_KINDS:
+            trace = run_scenario(scenario, scheme, maker(seed))
+            assert [rec.updated for rec in trace.steps] == _eager_picks(trace)
+
+
+@pytest.mark.parametrize("maker", RANDOM_KINDS, ids=lambda m: m.__name__)
+def test_one_node_draws_are_replayed_before_the_first_choice(maker):
+    # On a deep void chain, node 1 and then node 2 are stuck alone, and
+    # step 3 offers nodes 1 and 3.  Under seed 0 a generator that skipped
+    # the two deferred draws would pick otherwise at step 3.
+    schedule = maker(0)
+    trace = run_scenario(_deep_chain(6), SchemeId.NO_FULL, schedule)
+    assert [rec.stuck for rec in trace.steps[:3]] == [(1,), (2,), (1, 3)]
+    assert [rec.updated for rec in trace.steps] == _eager_picks(trace)
+    assert schedule.pick(random.Random(0), (1, 3), 3) != trace.steps[2].updated
+
+
+def test_a_run_with_no_choice_builds_no_generator(monkeypatch, chain):
+    built = []
+
+    def counting(seed):
+        built.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(sim_module, "random", SimpleNamespace(Random=counting))
+    for maker in RANDOM_KINDS:
+        trace = run_scenario(chain, SchemeId.NO_FULL, maker(7))
+        assert trace.steps and all(len(rec.stuck) == 1 for rec in trace.steps)
+    assert built == []
+    run_scenario(_deep_chain(6), SchemeId.NO_FULL, Schedule.subset_random(7))
+    assert built == [7]
 
 
 # --- stuck detection ---------------------------------------------------------

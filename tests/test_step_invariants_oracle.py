@@ -31,7 +31,9 @@ from linkrev.scenario import Scenario
 from linkrev.schemes import (
     CORE_SCHEMES,
     PHASE_MODULUS,
+    SPECS,
     FlagState,
+    PhaseState,
     SchemeId,
     State,
     closed_form_height,
@@ -43,7 +45,14 @@ from linkrev.schemes import (
 #: The schemes whose states carry an update counter.
 COUNTER_SCHEMES = (SchemeId.NO_FULL, SchemeId.NO_PARTIAL)
 from linkrev.sim import Trace
-from linkrev.verify import CheckReport, _closes_cycle, _report, _require_plain_trace
+from linkrev import verify as verify_module
+from linkrev.verify import (
+    CheckReport,
+    _closes_cycle,
+    _replay_failures,
+    _report,
+    _require_plain_trace,
+)
 
 
 # --- the reference implementation --------------------------------------------
@@ -322,6 +331,57 @@ def test_a_forged_step_that_closes_a_cycle_fails_in_both():
     assert report == oracle_step_invariants(forged_trace, scenario, SchemeId.ONE_BIT_FULL)
     assert report.detail == "step 1: orientation has a cycle"
     assert report.counterexample.step == 1
+
+
+def test_a_forged_partial_step_whose_tails_keep_in_arcs_fails_in_both():
+    # On the ring 1-2-3-4 with D-4, phases 3, 2, 1, 0 orient it 1->2->3->4->1.
+    # The flipped arcs 1->2 and 2->3 have tails that keep the in-arcs 4->1
+    # and 1->2, so the step check must search for the cycle.  Jumping node 1
+    # from phase 0 to 3 and node 2 to 2 is wrong too, and reported first.
+    scheme = SchemeId.TWO_BIT_PARTIAL
+    scenario = Scenario.create(4, [(0, 4), (1, 2), (2, 3), (3, 4), (1, 4)], heights=(1, 2, 3, 1))
+    trace = run_scenario(scenario, scheme, Schedule.single_random(0))
+    rec = trace.steps[0]
+    forged_states = (PhaseState(1, 3), PhaseState(2, 2), PhaseState(3, 1))
+    states = initial_states(scheme, scenario.topology, scenario.heights)
+    states.update((s.node, s) for s in forged_states)
+    dag = routing_dag(states, scenario.topology, scheme, scenario.heights)
+    assert set(dag.arcs) >= {(1, 2), (2, 3), (3, 4), (4, 1)}
+    forged = replace(
+        rec,
+        new_states=forged_states,
+        dag_digest=dag.digest(),
+        reversed_edges=orientation_flips(RoutingDag(trace.initial_arcs), dag),
+    )
+    forged_trace = replace(trace, steps=(forged,) + trace.steps[1:])
+    report = check_step_invariants(forged_trace, scenario, scheme)
+    assert report == oracle_step_invariants(forged_trace, scenario, scheme)
+    assert report.counterexample.step == 1
+    failures, step = _replay_failures(forged_trace, scenario, scheme)
+    assert step == 1 and "step 1: orientation has a cycle" in failures
+
+
+def test_only_steps_whose_flipped_tails_keep_an_in_arc_are_searched(monkeypatch):
+    # A full reversal leaves its updater with no in-arc, so a full scheme's
+    # steps never search.  A partial reversal keeps one on a deep void chain.
+    calls = {"full": 0, "partial": 0}
+    real = verify_module._closes_cycle
+    chain = Scenario.create(8, [(0, 8), *((i, i + 1) for i in range(1, 8))], heights=range(1, 9))
+    scenarios = (chain, *(random_void_scenario(9, seed) for seed in range(6)))
+
+    for scheme in CORE_SCHEMES:
+        family = SPECS[scheme].reversal
+
+        def counting(out, heads, family=family):
+            calls[family] += 1
+            return real(out, heads)
+
+        monkeypatch.setattr(verify_module, "_closes_cycle", counting)
+        for seed, scenario in enumerate(scenarios):
+            trace = run_scenario(scenario, scheme, Schedule.subset_random(seed))
+            assert check_step_invariants(trace, scenario, scheme).passed
+    assert calls["full"] == 0
+    assert calls["partial"] > 0
 
 
 # --- the acyclicity step -------------------------------------------------------

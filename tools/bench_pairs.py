@@ -10,12 +10,18 @@ of the machine does not always land on one side.  The run length T is
 ``run_seconds`` of the change's ``BENCHMARK.json``, the benchmark's own,
 which also says whether each end-to-end metric is better lower or higher.
 
+The two checkouts must hold the same benchmark: the script refuses to pair
+them when ``BENCHMARK.json`` or a file under its ``paths`` differs, and
+names the first such file.
+
 For each metric the summary gives both sides' medians and quartiles, the
 change/parent ratio of the medians and the number of pairs the change won
 (ties count for neither side).  A gain is supported when at least ten
-pairs were run, the change failed no more operations than the parent, it
-won at least nine tenths of the pairs, and its median is better than the
-parent's by more than the parent's interquartile range.
+pairs were run, the change failed no larger share of its operations than
+the parent, it won at least nine tenths of the pairs, and its median is
+better than the parent's by more than the parent's interquartile range.
+Shares, not counts, are compared: a faster change runs more operations in
+the same time, and so fails more of them at the same share.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ class MetricSummary:
     change: tuple[float, float, float]
     wins: int
     pairs: int
-    failed: tuple[int, int]  # failed operations over all runs: parent, change
+    failed_share: tuple[float, float]  # share of operations failed over all runs: parent, change
 
     @property
     def ratio(self) -> float:
@@ -60,11 +66,11 @@ class MetricSummary:
 
     @property
     def supported(self) -> bool:
-        """Ten pairs or more, no more failed ops, nine wins in ten, a gap wider than the parent's IQR."""
+        """Ten pairs or more, no larger failed share, nine wins in ten, a gap wider than the parent's IQR."""
         spread = self.parent[2] - self.parent[0]
         return (
             self.pairs >= MIN_PAIRS
-            and self.failed[1] <= self.failed[0]
+            and self.failed_share[1] <= self.failed_share[0]
             and self.wins >= WIN_SHARE * self.pairs
             and self.gap > spread
         )
@@ -82,11 +88,12 @@ def summarize(
     parent: Sequence[Mapping[str, float]],
     change: Sequence[Mapping[str, float]],
     better: Mapping[str, str],
-    failed: tuple[int, int],
+    failed_share: tuple[float, float],
 ) -> list[MetricSummary]:
     """One summary per metric of better, over runs given pair by pair on each side.
 
-    failed is the number of operations that failed over all runs, parent first.
+    failed_share is the share of operations that failed over all runs,
+    parent first.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError(f"need the same nonzero number of runs, got {len(parent)} and {len(change)}")
@@ -100,7 +107,9 @@ def summarize(
             wins = sum(b < a for a, b in zip(old, new))
         else:
             wins = sum(b > a for a, b in zip(old, new))
-        rows.append(MetricSummary(name, direction, quartiles(old), quartiles(new), wins, len(old), failed))
+        rows.append(
+            MetricSummary(name, direction, quartiles(old), quartiles(new), wins, len(old), failed_share)
+        )
     return rows
 
 
@@ -132,6 +141,33 @@ def parse_seeds(tokens: Iterable[str]) -> list[int]:
     return seeds
 
 
+def first_difference(parent: Path, change: Path) -> str | None:
+    """The first benchmark file whose bytes differ between two checkouts, or None.
+
+    The files are BENCHMARK.json and every file under the paths it lists,
+    by relative path; a file on one side only differs.  Caches that runs
+    leave behind (__pycache__ and hidden directories) are not compared.
+    """
+    names = ["BENCHMARK.json"]
+    for root in json.loads((change / "BENCHMARK.json").read_text())["paths"]:
+        found = set()
+        for side in (parent, change):
+            base = side / root
+            if base.is_file():
+                found.add(root)
+            for path in base.rglob("*"):
+                relative = path.relative_to(side)
+                hidden = any(part == "__pycache__" or part.startswith(".") for part in relative.parts)
+                if path.is_file() and not hidden:
+                    found.add(relative.as_posix())
+        names += sorted(found)
+    for name in names:
+        old, new = parent / name, change / name
+        if not (old.is_file() and new.is_file() and old.read_bytes() == new.read_bytes()):
+            return name
+    return None
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in a checkout; its last line of standard output, parsed."""
     command = [
@@ -152,6 +188,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", nargs="+", required=True, help="one seed per pair, or ranges A-B")
     args = parser.parse_args(argv)
 
+    differs = first_difference(args.parent, args.change)
+    if differs is not None:
+        parser.error(f"the checkouts hold different benchmarks: {differs} differs")
     declared = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = declared["run_seconds"]
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
@@ -170,13 +209,15 @@ def main(argv: list[str] | None = None) -> int:
         for side, runs in results.items()
     }
     failed = {side: sum(run["failed"] for run in runs) for side, runs in results.items()}
+    attempted = {side: sum(run["attempted"] for run in runs) for side, runs in results.items()}
+    share = {side: failed[side] / attempted[side] if attempted[side] else 0.0 for side in results}
     print(f"{args.workload}: {len(values['parent'])} pairs at {seconds:g} s")
     print(format_summary(summarize(
-        values["parent"], values["change"], better, (failed["parent"], failed["change"]))))
+        values["parent"], values["change"], better, (share["parent"], share["change"]))))
     for side, runs in results.items():
-        attempted = sum(run["attempted"] for run in runs)
         correct = all(run["correct"] for run in runs)
-        print(f"{side}: {failed[side]} of {attempted} ops failed; every run correct: {correct}")
+        print(f"{side}: {failed[side]} of {attempted[side]} ops failed ({share[side]:.6f}); "
+              f"every run correct: {correct}")
     return 0
 
 
