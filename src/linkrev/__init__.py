@@ -44,7 +44,6 @@ from .scenario import (
     SimEvent,
     load_scenario,
     parse_scenario,
-    save_scenario,
     serialize_scenario,
 )
 from .schemes import (
@@ -61,12 +60,10 @@ from .schemes import (
     closed_form_height,
     gb_full_update,
     gb_partial_update,
-    initial_state,
     initial_states,
     no_full_update,
     no_partial_update,
     one_bit_update,
-    sort_key,
     state_bits,
     threshold,
     two_bit_update,
@@ -77,7 +74,6 @@ from .sim import (
     Simulation,
     StepRecord,
     Trace,
-    default_step_limit,
     hello_round,
     run_scenario,
 )

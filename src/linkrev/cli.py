@@ -9,7 +9,6 @@ run as a failing termination or determinism check of its scheme instead.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -25,7 +24,7 @@ from .errors import (
 from .generate import exhaustive_void_scenarios, random_void_scenario
 from .scenario import Scenario, load_scenario
 from .schemes import ALL_SCHEMES, CORE_SCHEMES, SchemeId, initial_states, state_bits
-from .sim import STEP_LIMIT_ENV, Outcome, Schedule, default_step_limit, run_scenario
+from .sim import Outcome, Schedule, run_scenario
 from .traceio import EXPORT_FORMATS, write_trace
 from .verify import EQUIVALENCE_PAIRS, CheckReport, check_order_invariance, standard_battery
 
@@ -81,17 +80,6 @@ def _parse_schedule(text: str, seed: int) -> Schedule:
     raise _InputError(
         f"unknown schedule {text!r}; expected single, subset, or fixed:1;2,3"
     )
-
-
-def _check_step_limit_override() -> None:
-    """A malformed or negative step limit override is an input error, caught before any run."""
-    value = os.environ.get(STEP_LIMIT_ENV)
-    try:
-        limit = default_step_limit(1)
-    except ValueError:
-        raise _InputError(f"{STEP_LIMIT_ENV} must be an integer, got {value!r}") from None
-    if limit < 0:
-        raise _InputError(f"{STEP_LIMIT_ENV} must not be negative, got {value!r}")
 
 
 def _outcome_exit(outcome: Outcome) -> int:
@@ -332,7 +320,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_step_limit_override()
         if getattr(args, "step_limit", None) is not None and args.step_limit < 0:
             raise _InputError(f"--step-limit must not be negative, got {args.step_limit}")
         return args.func(args)

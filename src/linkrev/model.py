@@ -305,13 +305,6 @@ class RoutingDag:
     def digest(self) -> str:
         return arcs_digest(starmap(arc_label, self.arcs))
 
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(_canonical_edge(s, d) for s, d in self.arcs)
-
-    def out_neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(d for s, d in self.arcs if s == i)
-
 
 def routing_dag(
     states: Mapping[int, State] | Sequence[State | None],

@@ -411,7 +411,3 @@ def serialize_scenario(scenario: Scenario) -> str:
 def load_scenario(path: str | Path) -> Scenario:
     p = Path(path)
     return parse_scenario(p.read_text(encoding="utf-8"), name=p.stem)
-
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(serialize_scenario(scenario), encoding="utf-8")

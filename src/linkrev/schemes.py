@@ -449,30 +449,6 @@ def closed_form_height(
     return closed_form(updates, initial_height, max_height)
 
 
-def sort_key(state: State, scheme: SchemeId) -> tuple[int, ...]:
-    """Comparison key of a state under a totally ordered scheme.
-
-    The phase and flag schemes have no global key; their order is defined
-    pairwise (see orientation_predicate).
-    """
-    spec = SPECS[scheme]
-    if spec.sort_key is None:
-        raise SchemeMismatchError(f"scheme {scheme} has no global sort key")
-    # The key reads fields by position, so it would read any state class.
-    if type(state) is not spec.state:
-        raise SchemeMismatchError(
-            f"scheme {scheme} orders {spec.state.__name__} values, got {type(state).__name__}"
-        )
-    return spec.sort_key(state)
-
-
-def initial_state(scheme: SchemeId, node: int, heights: HeightAssignment) -> State:
-    height = heights.of(node)
-    if not height:  # only the destination has height 0
-        raise ValueError("the destination carries no mutable state")
-    return SPECS[scheme].initial(node, height)
-
-
 def initial_states(
     scheme: SchemeId, topo: Topology, heights: HeightAssignment
 ) -> dict[int, State]:
@@ -498,13 +474,3 @@ def state_bits(scheme: SchemeId, state: State) -> int:
     """Dynamic state size in bits, the figure the finite-state schemes optimize."""
     bits = SPECS[scheme].bits
     return bits if bits is not None else sum(value.bit_length() for value in state[1:])
-
-
-def state_payload(scheme: SchemeId, state: State) -> dict[str, int]:
-    """JSON-friendly field dict, without the node id."""
-    return dict(zip(state._fields[1:], state[1:]))
-
-
-def state_from_payload(scheme: SchemeId, node: int, payload: Mapping[str, int]) -> State:
-    cls = SPECS[scheme].state
-    return cls(node, *[payload[f] for f in cls._fields[1:]])

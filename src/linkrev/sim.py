@@ -35,7 +35,10 @@ Partitioned when the awake graph is disconnected: for the counter-carrying
 schemes the certificate is a stuck node whose update count has reached the
 node count (impossible on a connected graph); for the finite-state schemes
 partition is reported when the step budget runs out while the awake graph
-is disconnected.
+is disconnected and the live graph, after its permanent removals, is too.
+Every sleeper's wake is queued, so sleep alone never certifies a
+partition: a budget that runs out while only sleepers keep the awake graph
+apart ends StepLimit.
 
 The step kernel is incremental.  A Simulation keeps the current arcs of the
 awake graph in canonical edge order with the digest label of each arc,
@@ -108,7 +111,6 @@ Cross-checks kept on the incremental path:
 from __future__ import annotations
 
 import heapq
-import os
 import random
 from itertools import starmap
 from collections.abc import Collection, Iterable, Mapping, Sequence
@@ -136,17 +138,6 @@ from .model import (
 )
 from .scenario import Scenario, SimEvent
 from .schemes import SPECS, SchemeId, State, initial_states
-
-STEP_LIMIT_ENV = "LINKREV_STEP_LIMIT"
-
-
-def default_step_limit(n: int) -> int:
-    """4*N*N unless overridden through the environment."""
-    override = os.environ.get(STEP_LIMIT_ENV)
-    if override:
-        return int(override)
-    return 4 * n * n
-
 
 class Outcome(str, Enum):
     CONVERGED = "converged"
@@ -340,7 +331,7 @@ class Simulation:
         self._rng = None
         self._deferred = 0 if schedule.kind != "fixed" else None
         if step_limit is None:
-            step_limit = default_step_limit(n)
+            step_limit = 4 * n * n
         if step_limit < 0:
             raise ValueError(f"step limit must not be negative, got {step_limit}")
         self.step_limit = step_limit
@@ -679,7 +670,9 @@ class Simulation:
                     "read, which cannot happen on a connected graph",
                 )
             if len(self.steps) >= self.step_limit:
-                if not self.awake_topology().is_connected:
+                # A sleeper's wake is always queued, so only a removal can
+                # keep the graph apart for good.
+                if not self.awake_topology().is_connected and not self.live.is_connected:
                     return self._end(
                         Outcome.PARTITIONED,
                         f"step budget {self.step_limit} exhausted while the awake "

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Iterator
 from pathlib import Path
 
 from .scenario import _node_name
@@ -35,8 +34,8 @@ EXPORT_FORMATS = ("jsonl", "csv", "dot-frames")
 def _state_template(cls: type) -> str:
     """str.format template of one '"node":{payload}' entry of a step line.
 
-    The payload holds every field but the node, in sorted key order, as
-    state_payload names them; format it with the state's fields.
+    The payload holds every field but the node, keyed by field name in
+    sorted order; format it with the state's fields.
     """
     fields = sorted((name, k) for k, name in enumerate(cls._fields) if name != "node")
     payload = ",".join(f'"{name}":{{{k}}}' for name, k in fields)
@@ -157,11 +156,3 @@ def export_trace(trace: Trace, fmt: str) -> str:
 
 def write_trace(trace: Trace, path: str | Path, fmt: str) -> None:
     Path(path).write_text(export_trace(trace, fmt), encoding="utf-8")
-
-
-def iter_jsonl(text: str) -> Iterator[dict]:
-    """Parse a JSONL trace export; tolerates a missing totals line."""
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            yield json.loads(line)

@@ -18,7 +18,6 @@ from linkrev.cli import EXIT_INPUT, EXIT_OK, EXIT_PARTITIONED, EXIT_PROPERTY, ma
 from linkrev.generate import random_void_scenario
 from linkrev.schemes import CORE_SCHEMES
 from linkrev.verify import standard_battery
-from linkrev.sim import STEP_LIMIT_ENV
 
 CHAIN = """\
 scenario v1
@@ -60,6 +59,26 @@ name cli-partition
 nodes 2
 edges D-1 1-2
 event 1 remove-link D-1
+"""
+
+#: Node 2 sleeps from step 1 to step 5, which cuts the chain D-4-3-2-1 in
+#: two while its wake is queued.
+SLEEP_CUT = """\
+scenario v1
+name cli-sleep-cut
+nodes 4
+edges D-4 1-2 2-3 3-4
+heights 1 2 3 4
+event 1 sleep 2 4
+seed 1
+"""
+
+DEEP_CHAIN = """\
+scenario v1
+name cli-deep-chain
+nodes 4
+edges D-4 1-2 2-3 3-4
+heights 1 2 3 4
 """
 
 
@@ -128,6 +147,23 @@ def test_run_step_limit_exit_code(scenario_file, capsys):
     assert "step-limit" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scheme", ["no-full", "two-bit-full"])
+def test_a_budget_spent_while_a_wake_is_queued_is_no_partition(scenario_file, capsys, scheme):
+    path = scenario_file(SLEEP_CUT)
+    code = main(["run", path, "--scheme", scheme, "--step-limit", "1"])
+    out = capsys.readouterr().out
+    assert code == EXIT_PROPERTY
+    assert out.startswith("step-limit steps=1 ")
+    assert "partition certificate" not in out
+    # the same run converges once node 2 wakes
+    code = main(["run", path, "--scheme", scheme])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "step 5: wake 2" in out
+    if scheme == "no-full":
+        assert out.startswith("converged steps=6 ")
+
+
 def test_run_fixed_schedule(scenario_file, capsys):
     code = main(["run", scenario_file(CHAIN), "--scheme", "no-full", "--schedule", "fixed:2"])
     assert code == EXIT_OK
@@ -179,27 +215,18 @@ def test_run_malformed_scenario_is_an_input_error(scenario_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, step_limit, message",
+    "argv, message",
     [
-        (["verify", "--random", "2", "3"], None, "--random 2 3: void scenarios need at least three nodes"),
-        (["verify", "--exhaustive", "-1"], None, "--exhaustive takes a node count, got -1"),
-        (["run", "CHAIN", "--scheme", "no-full"], "abc", f"{STEP_LIMIT_ENV} must be an integer, got 'abc'"),
-        (["run", "CHAIN", "--scheme", "no-full"], "-3", f"{STEP_LIMIT_ENV} must not be negative, got '-3'"),
-        (["run", "CHAIN", "--scheme", "no-full", "--step-limit", "-3"], None,
+        (["verify", "--random", "2", "3"], "--random 2 3: void scenarios need at least three nodes"),
+        (["verify", "--exhaustive", "-1"], "--exhaustive takes a node count, got -1"),
+        (["run", "CHAIN", "--scheme", "no-full", "--step-limit", "-3"],
          "--step-limit must not be negative, got -3"),
-        (["compare", "CHAIN", "--schemes", "no-full,gb-full", "--step-limit", "-1"], None,
+        (["compare", "CHAIN", "--schemes", "no-full,gb-full", "--step-limit", "-1"],
          "--step-limit must not be negative, got -1"),
     ],
-    ids=[
-        "random-too-few-nodes", "exhaustive-negative", "step-limit-not-a-number",
-        "step-limit-env-negative", "run-step-limit-negative", "compare-step-limit-negative",
-    ],
+    ids=["random-too-few-nodes", "exhaustive-negative", "run-step-limit-negative", "compare-step-limit-negative"],
 )
-def test_bad_numbers_are_input_errors(scenario_file, capsys, monkeypatch, argv, step_limit, message):
-    if step_limit is None:
-        monkeypatch.delenv(STEP_LIMIT_ENV, raising=False)
-    else:
-        monkeypatch.setenv(STEP_LIMIT_ENV, step_limit)
+def test_bad_numbers_are_input_errors(scenario_file, capsys, argv, message):
     code = main([scenario_file(CHAIN) if arg == "CHAIN" else arg for arg in argv])
     assert code == EXIT_INPUT
     assert capsys.readouterr().err == f"input error: {message}\n"
@@ -472,6 +499,30 @@ def test_compare_max_bits_counts_states_a_node_never_updated(scenario_file, caps
         "gb-full": "6", "no-full": "7", "two-bit-full": "2",
     }
     assert all(row[2] == "1" for row in rows.values())
+
+
+def test_compare_exits_3_when_a_scheme_certifies_a_partition(scenario_file, capsys):
+    code = main(["compare", scenario_file(PARTITION), "--schemes", "no-full,gb-full"])
+    rows = capsys.readouterr().out.splitlines()[2:4]
+    assert code == EXIT_PARTITIONED
+    assert [row.split()[:2] for row in rows] == [["no-full", "partitioned"], ["gb-full", "partitioned"]]
+
+
+def test_compare_exits_2_when_a_run_spends_its_step_budget(scenario_file, capsys):
+    code = main(["compare", scenario_file(DEEP_CHAIN), "--schemes", "no-full,gb-full", "--step-limit", "1"])
+    out = capsys.readouterr().out
+    assert code == EXIT_PROPERTY
+    assert [row.split()[:3] for row in out.splitlines()[2:4]] == [
+        ["no-full", "step-limit", "1"], ["gb-full", "step-limit", "1"],
+    ]
+    assert "no-full vs gb-full: identical runs (expected lockstep)" in out
+
+
+def test_compare_names_the_scheme_that_needs_extra_steps(scenario_file, capsys):
+    code = main(["compare", scenario_file(SLEEP_CUT), "--schemes", "no-full,one-bit-full"])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "no-full vs one-bit-full: diverge (expected lockstep; no-full needs 2 extra step(s))" in out
 
 
 def test_compare_needs_two_schemes(scenario_file, capsys):

@@ -22,17 +22,15 @@ from linkrev import (
     load_scenario,
     parse_scenario,
     run_scenario,
-    save_scenario,
     serialize_scenario,
 )
 from linkrev.generate import random_partition_scenario, random_void_scenario
 from linkrev.model import Topology
 from linkrev.schemes import ALL_SCHEMES, INT63_MAX, SPECS
-from linkrev.sim import STEP_LIMIT_ENV, Outcome
+from linkrev.sim import Outcome
 from linkrev.traceio import (
     EXPORT_FORMATS,
     export_trace,
-    iter_jsonl,
     trace_to_csv,
     trace_to_dot_frames,
     trace_to_jsonl,
@@ -269,7 +267,7 @@ def test_serialize_round_trip(tmp_path):
     sc = parse_scenario(GOOD)
     assert parse_scenario(serialize_scenario(sc)) == sc
     path = tmp_path / "demo.scn"
-    save_scenario(sc, path)
+    path.write_text(serialize_scenario(sc), encoding="utf-8")
     assert load_scenario(path) == sc
 
 
@@ -367,13 +365,13 @@ def _reference_totals(trace) -> dict:
     }
 
 
-def _partition_certificate(monkeypatch):
+def _partition_certificate():
     trace = run_scenario(random_partition_scenario(6, seed=3), SchemeId.NO_FULL, Schedule.single_random(0))
     assert trace.outcome is Outcome.PARTITIONED and trace.certificate
     return trace
 
 
-def _sleep_wake_and_removals(monkeypatch):
+def _sleep_wake_and_removals():
     scenario = Scenario.create(
         6,
         [(0, 5), (0, 6), (5, 6), (1, 2), (2, 3), (3, 4), (4, 5)],
@@ -390,27 +388,26 @@ def _sleep_wake_and_removals(monkeypatch):
     return trace
 
 
-def _ten_nodes_or_more(monkeypatch):
+def _ten_nodes_or_more():
     trace = run_scenario(random_void_scenario(12, 1), SchemeId.NO_FULL, Schedule.subset_random(2))
     assert len(trace.update_counts) >= 10 and trace.steps
     return trace
 
 
-def _zero_steps(monkeypatch):
+def _zero_steps():
     trace = run_scenario(Scenario.create(2, [(0, 1), (1, 2)], heights=(1, 2)), SchemeId.GB_FULL)
     assert not trace.steps
     return trace
 
 
-def _environment_step_limit(monkeypatch):
-    monkeypatch.setenv(STEP_LIMIT_ENV, "2")
+def _explicit_step_limit():
     chain = Scenario.create(6, [(0, 6)] + [(i, i + 1) for i in range(1, 6)], heights=range(1, 7))
-    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0), step_limit=2)
     assert trace.outcome is Outcome.STEP_LIMIT and trace.step_limit == 2
     return trace
 
 
-def _labeled_fixed_schedule(monkeypatch):
+def _labeled_fixed_schedule():
     chain = Scenario.create(3, [(0, 1), (1, 3), (2, 3)], heights=(1, 2, 3))
     label = 'quote " backslash \\ bell \x07 e-acute \u00e9'
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.fixed([[2]], label=label))
@@ -425,16 +422,15 @@ TOTALS_CASES = {
         _sleep_wake_and_removals,
         _ten_nodes_or_more,
         _zero_steps,
-        _environment_step_limit,
+        _explicit_step_limit,
         _labeled_fixed_schedule,
     )
 }
 
 
 @pytest.mark.parametrize("case", list(TOTALS_CASES))
-def test_the_totals_line_is_what_json_dumps_writes(case, monkeypatch):
-    monkeypatch.delenv(STEP_LIMIT_ENV, raising=False)
-    trace = TOTALS_CASES[case](monkeypatch)
+def test_the_totals_line_is_what_json_dumps_writes(case):
+    trace = TOTALS_CASES[case]()
     expected = json.dumps(_reference_totals(trace), sort_keys=True, separators=(",", ":"))
     text = trace_to_jsonl(trace)
     assert text.endswith("\n")
@@ -443,7 +439,7 @@ def test_the_totals_line_is_what_json_dumps_writes(case, monkeypatch):
 
 def test_truncated_jsonl_is_still_a_valid_prefix(one_step_trace):
     lines = trace_to_jsonl(one_step_trace).splitlines()
-    parsed = list(iter_jsonl("\n".join(lines[:-1])))
+    parsed = [json.loads(line) for line in lines[:-1]]
     assert [rec["type"] for rec in parsed] == ["step"]
 
 

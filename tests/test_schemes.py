@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -20,17 +21,20 @@ from linkrev import (
     LevelHeightState,
     OverflowRiskError,
     PhaseState,
+    Scenario,
+    Schedule,
     SchemeId,
     SchemeMismatchError,
+    Topology,
     apply_update,
     baseline_increment_update,
     closed_form_height,
     gb_full_update,
     gb_partial_update,
-    initial_state,
     no_full_update,
     no_partial_update,
     one_bit_update,
+    run_scenario,
     state_bits,
     threshold,
     two_bit_update,
@@ -42,9 +46,8 @@ from linkrev.schemes import (
     INT63_MAX,
     SPECS,
     initial_states,
-    state_from_payload,
-    state_payload,
 )
+from linkrev.traceio import trace_to_jsonl
 
 
 # --- threshold sequence ------------------------------------------------------
@@ -268,14 +271,21 @@ def test_apply_update_dispatches_aware_schemes():
 
 
 def test_initial_state_per_scheme():
+    topo = Topology.build(3, [(0, 1), (1, 2), (2, 3)])
     heights = HeightAssignment((1, 2, 3))
-    assert initial_state(SchemeId.GB_FULL, 2, heights) == HeightState(2, 2)
-    assert initial_state(SchemeId.GB_PARTIAL, 2, heights) == LevelHeightState(2, 0, 2)
-    assert initial_state(SchemeId.NO_FULL, 2, heights) == CountedHeightState(2, 0, 2)
-    assert initial_state(SchemeId.TWO_BIT_FULL, 2, heights) == PhaseState(2, 0)
-    assert initial_state(SchemeId.ONE_BIT_FULL, 2, heights) == FlagState(2, 0)
-    with pytest.raises(ValueError):
-        initial_state(SchemeId.GB_FULL, 0, heights)
+
+    def initial(scheme):
+        return initial_states(scheme, topo, heights)[2]
+
+    assert initial(SchemeId.GB_FULL) == HeightState(2, 2)
+    assert initial(SchemeId.GB_PARTIAL) == LevelHeightState(2, 0, 2)
+    assert initial(SchemeId.NO_FULL) == CountedHeightState(2, 0, 2)
+    assert initial(SchemeId.TWO_BIT_FULL) == PhaseState(2, 0)
+    assert initial(SchemeId.ONE_BIT_FULL) == FlagState(2, 0)
+    for scheme in ALL_SCHEMES:
+        states = initial_states(scheme, topo, heights)
+        assert sorted(states) == [1, 2, 3]
+        assert all(type(state) is SPECS[scheme].state for state in states.values())
 
 
 def test_state_bits_are_constant_for_finite_schemes():
@@ -291,12 +301,19 @@ def test_state_bits_are_constant_for_finite_schemes():
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_state_payload_round_trip(scheme):
-    heights = HeightAssignment((1, 2, 3))
-    state = initial_state(scheme, 3, heights)
-    payload = state_payload(scheme, state)
-    assert "node" not in payload
-    assert state_from_payload(scheme, 3, payload) == state
-    assert type(state) is SPECS[scheme].state
+    """A JSONL step line keys each new state's fields but the node by name."""
+    scenario = Scenario.create(4, [(0, 4), (1, 2), (2, 3), (3, 4)], heights=(1, 2, 3, 4))
+    trace = run_scenario(scenario, scheme, Schedule.single_random(0))
+    cls = SPECS[scheme].state
+    lines = trace_to_jsonl(trace).splitlines()[:-1]
+    assert len(lines) == len(trace.steps) > 0
+    for rec, line in zip(trace.steps, lines):
+        payloads = json.loads(line)["states"]
+        assert set(payloads) == {str(s.node) for s in rec.new_states}
+        for state in rec.new_states:
+            payload = payloads[str(state.node)]
+            assert "node" not in payload
+            assert cls(state.node, **payload) == state
 
 
 # --- the spec table ----------------------------------------------------------
@@ -411,4 +428,62 @@ def test_scheme_facts_stay_in_the_spec_table():
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         found += _scheme_branches(path.stem, path.read_text(encoding="utf-8"))
+    assert found == []
+
+
+#: What reads the process environment: attributes of os, and names imported from it.
+ENVIRONMENT_READS = frozenset({"environ", "environb", "getenv", "getenvb"})
+
+
+def _environment_reads(module: str, text: str) -> list[str]:
+    """Reads of the process environment, through os or any alias of it."""
+    tree = ast.parse(text)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "os"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+            and node.attr in ENVIRONMENT_READS
+        ):
+            found.append(f"{module}.py:{node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [
+                f"{module}.py:{node.lineno}: from os import {alias.name}"
+                for alias in node.names
+                if alias.name in ENVIRONMENT_READS | {"*"}
+            ]
+    return sorted(found, key=lambda line: int(line.split(":")[1]))
+
+
+def test_the_guard_sees_environment_reads():
+    text = (
+        "import os\n"
+        "limit = os.environ.get('LIMIT')\n"
+        "limit = os.getenv('LIMIT')\n"
+        "import os as system\n"
+        "limit = system.environ['LIMIT']\n"
+        "from os import getenv\n"
+        "here = os.getcwd()\n"
+        "environ = {}\n"
+    )
+    assert _environment_reads("sim", text) == [
+        "sim.py:2: os.environ",
+        "sim.py:3: os.getenv",
+        "sim.py:5: system.environ",
+        "sim.py:6: from os import getenv",
+    ]
+
+
+def test_no_module_reads_the_environment():
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += _environment_reads(path.stem, path.read_text(encoding="utf-8"))
     assert found == []

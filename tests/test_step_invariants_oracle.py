@@ -38,7 +38,6 @@ from linkrev.schemes import (
     State,
     closed_form_height,
     initial_states,
-    sort_key,
     threshold,
 )
 
@@ -76,7 +75,8 @@ def _monotone_failure(scheme: SchemeId, old: State, new: State) -> str | None:
         if new.flag != old.flag ^ 1:
             return f"flag of node {old.node} did not toggle ({old.flag}->{new.flag})"
         return None
-    if not sort_key(new, scheme) > sort_key(old, scheme):
+    key = SPECS[scheme].sort_key
+    if not key(new) > key(old):
         return f"state of node {old.node} did not strictly increase: {old} -> {new}"
     return None
 

@@ -24,7 +24,7 @@ import pytest
 
 from linkrev import LinkrevError, Scenario, Schedule, SimEvent, run_scenario, trace_to_jsonl
 from linkrev.generate import random_partition_scenario, random_void_scenario
-from linkrev.schemes import ALL_SCHEMES, SchemeId, state_payload
+from linkrev.schemes import ALL_SCHEMES, SchemeId
 
 DATA = Path(__file__).with_name("trace_digests.json")
 
@@ -109,7 +109,7 @@ def _dumped_step(trace, rec) -> str:
         "index": rec.index,
         "stuck": list(rec.stuck),
         "updated": list(rec.updated),
-        "states": {str(s.node): state_payload(trace.scheme, s) for s in rec.new_states},
+        "states": {str(s.node): dict(zip(s._fields[1:], s[1:])) for s in rec.new_states},
         "dag": rec.dag_digest,
         "reversed": [list(e) for e in rec.reversed_edges],
     }

@@ -11,6 +11,8 @@ import pytest
 from linkrev import (
     CountedHeightState,
     ExplosionGuardError,
+    FlagState,
+    HeightState,
     Outcome,
     Scenario,
     Schedule,
@@ -27,8 +29,8 @@ from linkrev import (
     run_scenario,
     standard_battery,
 )
-from linkrev.generate import exhaustive_void_scenarios, random_void_scenario
-from linkrev.schemes import CORE_SCHEMES
+from linkrev.generate import exhaustive_void_scenarios, random_partition_scenario, random_void_scenario
+from linkrev.schemes import CORE_SCHEMES, closed_form_height
 from linkrev import model, verify
 from linkrev.verify import EQUIVALENCE_PAIRS
 
@@ -258,12 +260,109 @@ def test_reversal_check_catches_a_reversed_edge_that_is_not_a_link(chain):
     assert "[(1, 2)] are not links" in report.detail
 
 
+@pytest.mark.parametrize("scheme", [SchemeId.NO_PARTIAL, SchemeId.TWO_BIT_PARTIAL])
+def test_reversal_check_catches_a_partial_update_that_skips_a_link(reversed_pair, scheme):
+    trace = run_scenario(reversed_pair, scheme, Schedule.single_random(0))
+    assert trace.steps[0].reversed_edges == ((1, 2), (2, 3))
+    forged = _tamper_step(trace, 0, reversed_edges=((1, 2),))
+    report = check_reversal_semantics(forged, reversed_pair, scheme)
+    assert report.detail == "step 1: node 2 reversed [1], expected [1, 3]"
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.NO_PARTIAL, SchemeId.TWO_BIT_PARTIAL])
+def test_reversal_check_catches_a_silent_node_that_gets_unstuck(reversed_pair, scheme):
+    # Node 3 takes its silent half at step 2.  A forged step 3 has node 2
+    # reverse both its links again, which hands node 3 an outgoing link
+    # before its second half.
+    trace = run_scenario(reversed_pair, scheme, Schedule.single_random(0))
+    first, silent, second = trace.steps
+    assert silent.updated == (3,) and not silent.reversed_edges
+    forged = replace(trace, steps=(
+        first, silent, replace(first, index=3), replace(second, index=4),
+    ))
+    report = check_reversal_semantics(forged, reversed_pair, scheme)
+    assert report.detail == "step 3: node 3 should stay stuck between its paired updates (silent at 2)"
+    assert report.counterexample.step == 3
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.NO_PARTIAL, SchemeId.TWO_BIT_PARTIAL])
+def test_reversal_check_catches_a_silent_half_left_unpaired(reversed_pair, scheme):
+    trace = run_scenario(reversed_pair, scheme, Schedule.single_random(0))
+    forged = replace(trace, steps=trace.steps[:2])
+    assert forged.outcome is Outcome.CONVERGED
+    report = check_reversal_semantics(forged, reversed_pair, scheme)
+    assert report.detail == "nodes [3] did a silent update but never completed the pair"
+
+
 def test_reversal_check_catches_a_link_flipped_by_a_bystander(chain):
     trace = run_scenario(chain, SchemeId.GB_FULL, Schedule.single_random(0))
     forged = _tamper_step(trace, 0, reversed_edges=((1, 3), (2, 3)))
     report = check_reversal_semantics(forged, chain, SchemeId.GB_FULL)
     assert not report.passed
     assert "without a unique updater" in report.detail
+
+
+def test_step_invariants_catch_a_state_that_does_not_advance(chain):
+    trace = run_scenario(chain, SchemeId.GB_FULL, Schedule.single_random(0))
+    # node 2 "updates" to its initial height, which orients nothing anew
+    forged = _tamper_step(trace, 0, new_states=(HeightState(2, 2),))
+    report = check_step_invariants(forged, chain, SchemeId.GB_FULL)
+    assert report.detail == (
+        "step 1: state of node 2 did not strictly increase: "
+        "HeightState(node=2, height=2) -> HeightState(node=2, height=2)"
+    )
+
+
+def test_step_invariants_catch_a_counter_past_the_node_count(chain):
+    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    # four updates on the closed form orient the links as one does
+    height = closed_form_height(SchemeId.NO_FULL, 4, 2, 3)
+    forged = _tamper_step(trace, 0, new_states=(CountedHeightState(2, 4, height),))
+    report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
+    assert report.detail == "step 1: node 2 update count 4 exceeds n=3"
+    assert report.counterexample.step == 1
+
+
+def test_step_invariants_catch_totals_that_disagree_with_the_final_counters(chain):
+    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    forged = replace(trace, update_counts={**trace.update_counts, 2: 5})
+    report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
+    assert report.detail == "final update counter of node 2 disagrees with the trace totals"
+
+
+def test_step_invariants_see_a_cycle_that_leaves_no_node_stuck():
+    # A flag on node 2 alone orients the triangle 1-2-3 as 1->2->3->1, and
+    # node 4 points into it: no node is stuck, yet only node 4 reaches D.
+    # The cycle is found first, so the emptiness failure is the second one.
+    scenario = Scenario.create(4, [(0, 4), (1, 4), (1, 2), (2, 3), (1, 3)], heights=(1, 1, 1, 1))
+    scheme = SchemeId.ONE_BIT_FULL
+    trace = run_scenario(scenario, scheme, Schedule.single_random(0))
+    assert trace.steps[0].updated == (1,)
+    states = {i: FlagState(i, int(i == 2)) for i in range(1, 5)}
+    dag = model.routing_dag(states, scenario.topology, scheme, scenario.heights)
+    assert dag.arcs == ((4, 0), (1, 2), (3, 1), (4, 1), (2, 3))
+    flipped = sorted(tuple(sorted(arc)) for arc in set(dag.arcs) - set(trace.initial_arcs))
+    forged = _tamper_step(
+        trace, 0, new_states=(states[2],), dag_digest=dag.digest(), reversed_edges=tuple(flipped),
+    )
+    failures, step = verify._replay_failures(forged, scenario, scheme)
+    assert step == 1
+    assert failures == [
+        "step 1: orientation has a cycle",
+        "step 1: stuck set emptiness disagrees with orientation",
+    ]
+
+
+def test_step_zero_emptiness_is_checked_against_the_orientation(monkeypatch):
+    # A scheme's initial orientation is acyclic, so with no stuck node it is
+    # destination-oriented: only a faulty orientation test trips this.
+    scenario = Scenario.create(2, [(0, 1), (1, 2)], heights=(1, 2))
+    trace = run_scenario(scenario, SchemeId.NO_FULL)
+    assert not trace.steps
+    monkeypatch.setattr(verify, "is_destination_oriented", lambda arcs, topo: False)
+    report = check_step_invariants(trace, scenario, SchemeId.NO_FULL)
+    assert report.detail == "step 0: stuck set emptiness disagrees with orientation"
+    assert report.counterexample.step == 0
 
 
 # --- greedy stability --------------------------------------------------------
@@ -390,6 +489,64 @@ def test_counted_partial_and_two_bit_partial_listed_as_gating():
     pairs = {(a, b): g for a, b, g in EQUIVALENCE_PAIRS}
     assert pairs[(SchemeId.NO_PARTIAL, SchemeId.TWO_BIT_PARTIAL)] is True
     assert pairs[(SchemeId.NO_PARTIAL, SchemeId.GB_PARTIAL)] is False
+
+
+def test_equivalence_refuses_a_reference_that_did_not_converge():
+    scenario = random_partition_scenario(6, seed=3)
+    ref = run_scenario(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
+    report = check_scheme_equivalence(ref, SchemeId.GB_FULL)
+    assert report.detail == "reference run ended partitioned and cannot anchor a replay"
+
+
+def test_equivalence_reports_a_shadow_that_raises_mid_replay():
+    # Node 4 sleeps through steps 1-4; at step 5, the reference's last, the
+    # two-bit phases of nodes 3 and 4 are two apart inside the replay loop.
+    scenario = Scenario.create(
+        4, _EVENT_VOID_EDGES, heights=(1, 2, 2, 1),
+        events=[SimEvent(at_step=1, kind="sleep", node=4, duration=4)],
+    )
+    ref = run_scenario(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
+    assert ref.outcome is Outcome.CONVERGED and len(ref.steps) == 5
+    report = check_scheme_equivalence(ref, SchemeId.TWO_BIT_FULL)
+    assert report.detail.startswith("vs no-full: step 5: shadow run raised PhaseAdjacencyError: ")
+    assert report.counterexample.step == 5
+
+
+def test_equivalence_catches_a_forged_reference_stuck_set(chain):
+    ref = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    report = check_scheme_equivalence(_tamper_step(ref, 0, stuck=(1, 2)), SchemeId.TWO_BIT_FULL)
+    assert report.detail == "vs no-full: step 1: stuck sets [2] vs [1, 2]"
+
+
+@pytest.fixture
+def forged_partition_reference():
+    """A no-full run that ends on a partition certificate, relabeled converged."""
+    scenario = random_partition_scenario(6, seed=3)
+    ref = run_scenario(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
+    assert ref.outcome is Outcome.PARTITIONED and ref.steps
+    return replace(ref, outcome=Outcome.CONVERGED)
+
+
+def test_equivalence_reports_a_shadow_that_ends_mid_replay(forged_partition_reference):
+    # The neighbor-aware shadow ends at once: stuck node 5 has no awake neighbor.
+    report = check_scheme_equivalence(forged_partition_reference, SchemeId.GB_FULL)
+    assert report.detail == "vs no-full: step 1: shadow run ended partitioned"
+
+
+def test_equivalence_reports_a_shadow_that_ends_after_the_replay(forged_partition_reference):
+    report = check_scheme_equivalence(replace(forged_partition_reference, steps=()), SchemeId.GB_FULL)
+    assert report.detail == "vs no-full: shadow run ended partitioned after replaying every step"
+
+
+def test_equivalence_reports_a_shadow_still_stuck_after_the_replay(forged_partition_reference):
+    report = check_scheme_equivalence(forged_partition_reference, SchemeId.TWO_BIT_FULL)
+    assert report.detail == "vs no-full: shadow run still stuck after replaying every step"
+    n = 5
+    chain = Scenario.create(n, [(0, n)] + [(i, i + 1) for i in range(1, n)], heights=range(1, n + 1))
+    ref = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    truncated = replace(ref, steps=ref.steps[:-1])
+    report = check_scheme_equivalence(truncated, SchemeId.GB_FULL)
+    assert report.detail == "vs no-full: shadow run still stuck after replaying every step"
 
 
 def test_determinism_check(chain):
