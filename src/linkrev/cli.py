@@ -249,6 +249,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(f"{name:<20} {outcome:<12} {steps:>6} {updates:>8} {reversals:>10} {bits:>9}")
 
     by_scheme = {SchemeId(name): trace for name, *_rest, trace in rows}
+    lockstep_broken = False
     for reference, shadow, gating in EQUIVALENCE_PAIRS:
         if reference in by_scheme and shadow in by_scheme:
             a, b = by_scheme[reference], by_scheme[shadow]
@@ -263,7 +264,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
             else:
                 diff = _first_divergence(a, b)
                 print(f"{reference.value} vs {shadow.value}: diverge ({kind}; {diff})")
-    return _outcome_exit(worst)
+                lockstep_broken = lockstep_broken or gating
+    # A partition outranks a broken gated pair, which fails like a step limit.
+    code = _outcome_exit(worst)
+    return EXIT_PROPERTY if lockstep_broken and code == EXIT_OK else code
 
 
 def _first_divergence(a, b) -> str:

@@ -180,6 +180,16 @@ class Topology:
         return {i: tuple(ks) for i, ks in links.items()}
 
     @cached_property
+    def arc_table(self) -> tuple[tuple[tuple[int, int], tuple[int, int], str, str], ...]:
+        """One row per edge, in edge order: (edge, reversed edge, "a>b", "b>a").
+
+        The two arcs a link can hold and their digest labels, built once per
+        topology, so the simulator picks an arc and its label instead of
+        building them.  The forward arc is the edge tuple of edges itself.
+        """
+        return tuple([(e, (e[1], e[0]), arc_label(*e), arc_label(e[1], e[0])) for e in self.edges])
+
+    @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         """Position of each canonical edge in edges, built once per topology."""
         return {e: k for k, e in enumerate(self.edges)}
@@ -289,7 +299,7 @@ def arcs_digest(labels: Iterable[str]) -> str:
     RoutingDag.digest and the incremental simulator, which keeps the
     labels of its arcs and patches them as links flip, both digest here.
     """
-    return hashlib.sha256(";".join(labels).encode("ascii")).hexdigest()[:12]
+    return hashlib.sha256(";".join(labels).encode("ascii")).digest()[:6].hex()
 
 
 @dataclass(frozen=True)

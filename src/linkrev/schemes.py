@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -343,7 +343,7 @@ class SchemeSpec:
     #: The invariants two neighbors' states break, one message each.
     link_failures: Callable[[State, State], Sequence[str]] | None = None
 
-    @property
+    @cached_property
     def counted(self) -> bool:
         """Whether the state carries the node's update count."""
         return "updates" in self.state._fields

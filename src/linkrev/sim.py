@@ -49,14 +49,20 @@ all read.  An update changes only the updater's own state, so after a step
 only the links of the updaters U can flip: they alone are re-oriented,
 through one orientation predicate compiled for the scheme and heights,
 which costs O(sum of deg U) instead of an orientation pass over every
-link.  A flipped arc's label is patched beside it, so a step's digest is
-one join and one hash of the kept labels, with no copy of the arcs.  A
-topology event rebuilds all of it from scratch with routing_dag, lazily at
-the next stuck query.  Topology.without memoizes its views, so every run of
-a scenario shares one awake topology per set of sleepers and removals, with
-its adjacency, edge index, link lists, probe table and reach memo.  A
-Simulation binds the scheme's update rule and the maximum initial height
-once, and each step calls the rule directly.  An edge is reported reversed
+link.  Neither a step nor a rebuild builds an arc or a label: each link's
+two arcs and their digest labels are a row of the topology's arc_table,
+(edge, reversed edge, "a>b", "b>a"), and the kept arcs and labels are
+picked from it.  A flipped arc's label is patched beside it, so a step's
+digest is one join and one hash of the kept labels, with no copy of the
+arcs.  A topology event rebuilds all of it from scratch with routing_dag,
+lazily at the next stuck query.  Topology.without memoizes its views, so
+every run of a scenario shares one awake topology per set of sleepers and
+removals, with its adjacency, edge index, link lists, arc table, probe
+table and reach memo.  A Simulation binds the scheme's update rule and the
+maximum initial height once, and each step calls the rule directly.  A turn
+of advance() and its step read the maintained stuck view unless a rebuild
+is due, apply events only when the head of the queue is due, and filter
+the eligible nodes only when some are isolated.  An edge is reported reversed
 when it was in the previously recorded orientation and now points the
 other way.  Events change no node's state, so an edge that survives them
 keeps its orientation: only the edge set of the last record is kept, and
@@ -68,7 +74,9 @@ rebuild followed it, which drops it; the final states are read in the live
 topology's node order, which is sorted.  So a run pays for its steps, not
 for a second hash of its orientation or a sort of its states.
 
-A StepRecord holds O(1) data per step in the number of links: the stuck
+A StepRecord is a NamedTuple, immutable and about a third as costly to
+build as a frozen dataclass, and it holds O(1) data per step in the number
+of links: the stuck
 set before the step, the updaters and their new states, the digest of the
 orientation after the step, and the reversed edges.  It holds no copy of
 the orientation, which would make a run's trace grow as steps x links
@@ -89,10 +97,14 @@ Cross-checks kept on the incremental path:
   its awake neighbors) and must agree with the maintained stuck set; no
   other node's probe inputs changed.  Its rows are the (node, awake
   neighbors) of those nodes with no link to the destination, and the
-  others must not be in the stuck set.  A mismatch names the first node
-  that disagrees.  After each rebuild that follows an event every awake
-  node is probed, in one call over the awake topology's probe_table.
-  hello_round runs the same probe for one node.
+  others must not be in the stuck set.  The check is fused into the
+  re-orientation: the rows are gathered, and the changed nodes left stuck
+  counted, in the same pass that updates the stuck set, and the probe
+  agrees iff it finds that many nodes, all in the stuck set.  Only a
+  mismatch walks the changed nodes again, to name the first that
+  disagrees.  After each rebuild that follows an event every awake node is
+  probed, in one call over the awake topology's probe_table.  hello_round
+  runs the same probe for one node.
 - The full probe of step 0 runs once per (scenario, scheme), in the first
   Simulation of the pair, which caches that start on the Scenario: events
   start at step 1, so every run of the pair starts there.  The scenario's
@@ -112,10 +124,10 @@ from __future__ import annotations
 
 import heapq
 import random
-from itertools import starmap
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     AdditionForbiddenError,
@@ -129,7 +141,6 @@ from .model import (
     HeightAssignment,
     Topology,
     _canonical_edge,
-    arc_label,
     arcs_digest,
     is_destination_oriented,
     orientation_predicate,
@@ -226,8 +237,7 @@ class Schedule:
         return chosen
 
 
-@dataclass(frozen=True, slots=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """What happened in one simulation step."""
 
     index: int
@@ -453,17 +463,27 @@ class Simulation:
         """Orient every awake link from scratch; re-derive out-degrees and the stuck set."""
         topo = self._awake_topo
         dag = routing_dag(self.states, topo, self.scheme, self.heights)
-        self._arcs = list(dag.arcs)
-        self._arc_labels = list(starmap(arc_label, dag.arcs))
-        self._out_degree = dict.fromkeys(topo.nodes, 0)
-        for s, _ in dag.arcs:
+        self._arcs = arcs = []
+        self._arc_labels = labels = []
+        self._out_degree = out_degree = dict.fromkeys(topo.nodes, 0)
+        for (s, _), (edge, back, forward_label, back_label) in zip(dag.arcs, topo.arc_table):
+            if s == edge[0]:
+                arcs.append(edge)
+                labels.append(forward_label)
+            else:
+                arcs.append(back)
+                labels.append(back_label)
             if s != DESTINATION:
-                self._out_degree[s] += 1
-        self._stuck = {i for i, degree in self._out_degree.items() if degree == 0}
-        self._stuck_view = tuple(sorted(self._stuck))
+                out_degree[s] += 1
+        self._stuck = stuck = {i for i, degree in out_degree.items() if degree == 0}
+        self._stuck_view = tuple(sorted(stuck))
         self._stale = False
         self._digest = None
-        self._cross_check(topo.nodes, topo.probe_table)
+        by_probe = probe_stuck(topo.probe_table, self.states, self._points_from)
+        if len(by_probe) != len(stuck) or not stuck.issuperset(by_probe):
+            self._cross_check(topo.nodes, by_probe)
+        if not stuck:
+            self._check_oriented()
 
     def _reorient_updaters(self, updated: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         """Re-orient the links of the updated nodes, the only ones that can flip.
@@ -477,7 +497,7 @@ class Simulation:
         self._stale = True
         states, points_from = self.states, self._points_from
         awake, arcs, labels = self._awake_topo, self._arcs, self._arc_labels
-        edges, links = awake.edges, awake.ordinary_links
+        table, links = awake.arc_table, awake.ordinary_links
         out_degree, stuck = self._out_degree, self._stuck
         # With no rebuild since the last record, every awake edge was in it.
         recorded = None if self._recorded_index is awake.edge_index else self._recorded_index
@@ -488,55 +508,70 @@ class Simulation:
         for u in updated:
             own = states[u]
             for k in links[u]:
-                a, b = edges[k]
-                j = b if a == u else a
+                edge, back, forward_label, back_label = table[k]
+                a, j = edge
+                if a != u:
+                    j = a
                 changed.add(j)
-                arc = (u, j) if points_from(own, states[j]) else (j, u)
+                # u -> j is the forward arc exactly when u is the edge's first end.
+                if points_from(own, states[j]) == (a == u):
+                    arc, label = edge, forward_label
+                else:
+                    arc, label = back, back_label
                 if arcs[k] != arc:
                     arcs[k] = arc
-                    labels[k] = arc_label(*arc)
+                    labels[k] = label
                     out_degree[arc[0]] += 1
                     out_degree[arc[1]] -= 1
-                    if recorded is None or edges[k] in recorded:
-                        flipped.append(edges[k])
+                    if recorded is None or edge in recorded:
+                        flipped.append(edge)
+        # The hello probe of the changed nodes, U and its awake neighbors, is
+        # built while the stuck set is updated: rows for the nodes with no
+        # link to the destination, and a count of the changed nodes left stuck.
         adjacency = awake._adjacency
         rows = []
         moved = False
+        left_stuck = 0
         for i in changed:
             if out_degree[i]:
                 if i in stuck:
                     stuck.discard(i)
                     moved = True
-            elif i not in stuck:
-                stuck.add(i)
-                moved = True
+            else:
+                left_stuck += 1
+                if i not in stuck:
+                    stuck.add(i)
+                    moved = True
             neighbors = adjacency[i]
             if DESTINATION not in neighbors:
                 rows.append((i, neighbors))
         if moved:
             self._stuck_view = tuple(sorted(stuck))
         self._stale = False
-        self._cross_check(changed, rows)
-        return tuple(sorted(flipped))
+        # The probe's stuck nodes all lie among the changed ones, so it agrees
+        # with the stuck set iff it finds as many as were left stuck, all in it.
+        by_probe = probe_stuck(rows, states, points_from)
+        if len(by_probe) != left_stuck or not stuck.issuperset(by_probe):
+            self._cross_check(changed, by_probe)
+        if not stuck:
+            self._check_oriented()
+        return tuple(flipped) if len(flipped) < 2 else tuple(sorted(flipped))
 
-    def _cross_check(
-        self, probed: Collection[int], rows: Iterable[tuple[int, tuple[int, ...]]]
-    ) -> None:
-        """One hello probe of the probed nodes must agree with the maintained stuck set.
+    def _cross_check(self, probed: Collection[int], by_probe: Collection[int]) -> None:
+        """Name the first probed node whose hello probe disagrees with the maintained stuck set.
 
-        rows are the probe's (node, awake neighbors) rows of the probed nodes
-        that have no link to the destination; the others must not be in the
-        stuck set.  A mismatch names the first probed node that disagrees.
+        by_probe is the stuck nodes that one probe of the probed nodes found;
+        the callers check it first and call here only on a mismatch.
         """
-        stuck = self._stuck
-        by_probe = probe_stuck(rows, self.states, self._points_from)
-        if len(by_probe) != len(stuck.intersection(probed)) or not stuck.issuperset(by_probe):
-            found = set(by_probe)
-            for i in probed:
-                assert (i in found) == (i in stuck), (
-                    f"probe of node {i} disagrees with orientation view {list(self._stuck_view)}"
-                )
-        if not stuck and self._awake_topo.is_connected:
+        found, stuck = set(by_probe), self._stuck
+        for i in probed:
+            assert (i in found) == (i in stuck), (
+                f"probe of node {i} disagrees with orientation view {list(self._stuck_view)}"
+            )
+
+    def _check_oriented(self) -> None:
+        """An empty stuck set on a connected awake graph must mean a destination-oriented one."""
+        if self._awake_topo.is_connected:
             assert is_destination_oriented(self._arcs, self._awake_topo), (
                 "empty stuck set must coincide with destination orientation"
             )
@@ -561,7 +596,8 @@ class Simulation:
 
         A neighbor-aware rule needs an awake neighbor to read, and a stuck
         node is never linked to the destination, so it has none exactly when
-        it is isolated.  Only neighbor-aware runs track isolated nodes.
+        it is isolated.  Only neighbor-aware runs track isolated nodes, and
+        the kernel calls here only when there are some.
         """
         isolated = self._isolated
         if not isolated:
@@ -582,10 +618,10 @@ class Simulation:
         The schedule picks the updaters among the eligible stuck nodes; a
         fixed step that names another node raises ScheduleError.
         """
-        stuck = self.stuck_nodes()
+        stuck = self.stuck_nodes() if self._stale else self._stuck_view
         if not stuck:
             raise EmptyStuckSetError("no node is stuck; nothing to schedule")
-        eligible = self._eligible(stuck)
+        eligible = self._eligible(stuck) if self._isolated else stuck
         if not eligible:
             raise EmptyNeighborhoodError(
                 f"stuck nodes {list(stuck)} have no awake neighbor to read"
@@ -610,6 +646,8 @@ class Simulation:
                 update(states[i], [states[j] for j in neighbors(i) if j != DESTINATION], max_height)
                 for i in chosen
             ])
+        elif len(chosen) == 1:
+            new_states = (update(states[chosen[0]], None, max_height),)
         else:
             new_states = tuple([update(states[i], None, max_height) for i in chosen])
         # Written only now, so every update above read the pre-step states.
@@ -627,8 +665,7 @@ class Simulation:
         return record
 
     def _partition_certificate(self, stuck: tuple[int, ...]) -> str | None:
-        if not self._spec.counted:
-            return None
+        """The counter certificate of a counted scheme: a stuck node at update count n."""
         for i in stuck:
             if self.states[i].updates >= self.n:
                 return (
@@ -644,25 +681,28 @@ class Simulation:
         Returns the step's record, or None once the run has ended; outcome
         and certificate then say how.
         """
+        queue = self._queue
         while True:
-            self._apply_events_until(len(self.steps) + 1)
-            stuck = self.stuck_nodes()
+            if queue and queue[0][0] <= len(self.steps) + 1:
+                self._apply_events_until(len(self.steps) + 1)
+            stuck = self.stuck_nodes() if self._stale else self._stuck_view
             if not stuck:
-                if self._queue:
+                if queue:
                     # Converged but events still scheduled: time passes
                     # quietly until the next event fires.  Step indices
                     # keep counting update steps only.
-                    self._apply_events_until(self._queue[0][0])
+                    self._apply_events_until(queue[0][0])
                     continue
                 return self._end(Outcome.CONVERGED)
-            certificate = self._partition_certificate(stuck)
-            if certificate is not None:
-                return self._end(Outcome.PARTITIONED, certificate)
-            if not self._eligible(stuck):
-                if self._queue:
+            if self._spec.counted:
+                certificate = self._partition_certificate(stuck)
+                if certificate is not None:
+                    return self._end(Outcome.PARTITIONED, certificate)
+            if self._isolated and not self._eligible(stuck):
+                if queue:
                     # Isolation caused by sleep is transient: let the clock
                     # jump to the next scripted wake or removal.
-                    self._apply_events_until(self._queue[0][0])
+                    self._apply_events_until(queue[0][0])
                     continue
                 return self._end(
                     Outcome.PARTITIONED,

@@ -86,8 +86,9 @@ class Counterexample:
     message: str
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
+    """The verdict of one check on one scenario and scheme."""
+
     check: str
     scenario_id: str
     scheme: str

@@ -7,7 +7,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -423,7 +422,7 @@ def test_verify_summary_keeps_only_the_reports_it_prints():
     reports = standard_battery(scenario, CORE_SCHEMES)
     passing = [r for r in reports if r.passed and not r.informational]
     notes = [r for r in reports if r.informational and r.detail]
-    failing = [replace(reports[0], passed=False, detail="forged")]
+    failing = [reports[0]._replace(passed=False, detail="forged")]
     assert passing and notes
     for verbose, kept_notes in ((False, []), (True, notes)):
         summary = cli._Summary(verbose)
@@ -508,6 +507,13 @@ def test_compare_exits_3_when_a_scheme_certifies_a_partition(scenario_file, caps
     assert [row.split()[:2] for row in rows] == [["no-full", "partitioned"], ["gb-full", "partitioned"]]
 
 
+def test_compare_keeps_exit_3_when_a_partition_breaks_a_gated_pair(scenario_file, capsys):
+    code = main(["compare", scenario_file(PARTITION), "--schemes", "no-full,one-bit-full"])
+    out = capsys.readouterr().out
+    assert code == EXIT_PARTITIONED
+    assert "no-full vs one-bit-full: diverge (expected lockstep;" in out
+
+
 def test_compare_exits_2_when_a_run_spends_its_step_budget(scenario_file, capsys):
     code = main(["compare", scenario_file(DEEP_CHAIN), "--schemes", "no-full,gb-full", "--step-limit", "1"])
     out = capsys.readouterr().out
@@ -521,7 +527,7 @@ def test_compare_exits_2_when_a_run_spends_its_step_budget(scenario_file, capsys
 def test_compare_names_the_scheme_that_needs_extra_steps(scenario_file, capsys):
     code = main(["compare", scenario_file(SLEEP_CUT), "--schemes", "no-full,one-bit-full"])
     out = capsys.readouterr().out
-    assert code == EXIT_OK
+    assert code == EXIT_PROPERTY
     assert "no-full vs one-bit-full: diverge (expected lockstep; no-full needs 2 extra step(s))" in out
 
 

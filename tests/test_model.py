@@ -30,6 +30,7 @@ from linkrev import (
 )
 from linkrev.generate import _random_connected_edges
 from linkrev.model import (
+    arc_label,
     destination_reach,
     is_acyclic,
     is_destination_oriented,
@@ -103,6 +104,19 @@ def test_topology_without_drops_nodes_and_edges():
     assert cut.edge_index == {(0, 1): 0, (1, 2): 1, (2, 3): 2}
     with pytest.raises(ValueError):
         topo.without(drop_nodes=(DESTINATION,))
+
+
+def test_the_arc_table_holds_both_arcs_of_each_edge_and_their_labels():
+    topo = Topology.build(3, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    assert topo.arc_table == (
+        ((0, 1), (1, 0), "0>1", "1>0"),
+        ((1, 2), (2, 1), "1>2", "2>1"),
+        ((1, 3), (3, 1), "1>3", "3>1"),
+        ((2, 3), (3, 2), "2>3", "3>2"),
+    )
+    assert all(row[0] is edge for row, edge in zip(topo.arc_table, topo.edges))
+    assert all(row[2] == arc_label(*row[0]) and row[3] == arc_label(*row[1]) for row in topo.arc_table)
+    assert topo.arc_table is topo.arc_table
 
 
 def test_topology_without_is_memoized_by_its_canonical_arguments():

@@ -470,7 +470,7 @@ def test_dot_frames_replay_the_orientation_after_each_step(chain):
 
 def test_dot_frames_reject_a_trace_the_rerun_does_not_reproduce(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
-    forged = replace(trace, steps=(replace(trace.steps[0], dag_digest="0" * 12),))
+    forged = replace(trace, steps=(trace.steps[0]._replace(dag_digest="0" * 12),))
     with pytest.raises(ValueError, match="differs from the trace at step 1"):
         trace_to_dot_frames(forged)
     with pytest.raises(ValueError, match="took 1 steps, the trace 2"):

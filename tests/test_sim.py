@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +27,7 @@ from linkrev import (
     SimEvent,
     Simulation,
     UnknownNodeError,
+    check_scheme_equivalence,
     hello_round,
     parse_scenario,
     run_scenario,
@@ -321,10 +322,10 @@ def _bytes_kept_per_step(n: int) -> float:
     total = 0
     for rec in trace.steps:
         total += size(rec)
-        for field in fields(rec):
-            if field.name == "stuck":
+        for name in rec._fields:
+            if name == "stuck":
                 continue
-            value = getattr(rec, field.name)
+            value = getattr(rec, name)
             total += size(value)
             if isinstance(value, tuple):
                 total += sum(size(item) for item in value)
@@ -913,3 +914,58 @@ def test_the_schemes_of_a_sleep_script_share_one_awake_view(monkeypatch):
         assert sim.events_applied == [(2, "sleep 5 3"), (5, "wake 5")]
     assert len(built) == len(views) == 1
     assert built[0].nodes == (1, 2, 3, 4, 6, 7, 8)
+
+
+# --- one Simulation.step call per recorded step --------------------------------
+
+
+@pytest.fixture
+def step_calls(monkeypatch) -> list:
+    """Records every Simulation.step call, wrapped on the class as a benchmark tracer wraps it."""
+    calls = []
+    real_step = Simulation.step
+
+    def counting(self):
+        record = real_step(self)
+        calls.append(record)
+        return record
+
+    monkeypatch.setattr(Simulation, "step", counting)
+    return calls
+
+
+def test_an_event_free_run_calls_step_once_per_record(step_calls):
+    trace = run_scenario(_monotone_chain(10), SchemeId.NO_FULL, Schedule.single_random(0))
+    assert len(trace.steps) == 45
+    assert len(step_calls) == len(trace.steps)
+    assert all(call is rec for call, rec in zip(step_calls, trace.steps))
+
+
+@pytest.mark.parametrize("scheme", (SchemeId.NO_FULL, SchemeId.GB_FULL, SchemeId.GB_PARTIAL))
+def test_a_sleep_sweep_calls_step_once_per_record(step_calls, scheme):
+    runs = 0
+    for node in range(1, 6):
+        for duration in range(1, 8):
+            step_calls.clear()
+            sleep = SimEvent(at_step=1, kind="sleep", node=node, duration=duration)
+            trace = run_scenario(_monotone_chain(5, [sleep]), scheme, Schedule.single_random(1))
+            assert trace.events_applied and trace.outcome is Outcome.CONVERGED
+            assert len(step_calls) == len(trace.steps)
+            assert all(call is rec for call, rec in zip(step_calls, trace.steps))
+            runs += 1
+    assert runs == 35
+
+
+def test_an_equivalence_shadow_calls_step_once_per_reference_record(step_calls):
+    reference = run_scenario(_monotone_chain(8), SchemeId.NO_FULL, Schedule.subset_random(3))
+    step_calls.clear()
+    report = check_scheme_equivalence(reference, SchemeId.ONE_BIT_FULL)
+    assert report.passed, report.line()
+    assert [call.updated for call in step_calls] == [rec.updated for rec in reference.steps]
+
+
+def test_a_step_record_is_immutable(chain):
+    record = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0)).steps[0]
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)

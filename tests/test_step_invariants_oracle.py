@@ -259,7 +259,7 @@ def _traces(draw):
         return trace, None
     k = draw(st.integers(0, len(trace.steps) - 1))
     steps = list(trace.steps)
-    steps[k] = replace(steps[k], **{field: draw(_rewrite(trace, steps[k], field))})
+    steps[k] = steps[k]._replace(**{field: draw(_rewrite(trace, steps[k], field))})
     return replace(trace, steps=tuple(steps)), field
 
 
@@ -299,7 +299,7 @@ def test_each_rewritten_field_fails_the_same_way_in_both():
                 "dag_digest": "0" * 12,
             }
             for field, value in forged.items():
-                steps = (replace(rec, **{field: value}),) + trace.steps[1:]
+                steps = (rec._replace(**{field: value}),) + trace.steps[1:]
                 forged_trace = replace(trace, steps=steps)
                 expected = _outcome(oracle_step_invariants, forged_trace)
                 assert _outcome(check_step_invariants, forged_trace) == expected
@@ -320,8 +320,7 @@ def test_a_forged_step_that_closes_a_cycle_fails_in_both():
     states = initial_states(SchemeId.ONE_BIT_FULL, scenario.topology, scenario.heights)
     states.update((s.node, s) for s in forged_states)
     dag = routing_dag(states, scenario.topology, SchemeId.ONE_BIT_FULL, scenario.heights)
-    forged = replace(
-        rec,
+    forged = rec._replace(
         new_states=forged_states,
         dag_digest=dag.digest(),
         reversed_edges=orientation_flips(RoutingDag(trace.initial_arcs), dag),
@@ -347,8 +346,7 @@ def test_a_forged_partial_step_whose_tails_keep_in_arcs_fails_in_both():
     states.update((s.node, s) for s in forged_states)
     dag = routing_dag(states, scenario.topology, scheme, scenario.heights)
     assert set(dag.arcs) >= {(1, 2), (2, 3), (3, 4), (4, 1)}
-    forged = replace(
-        rec,
+    forged = rec._replace(
         new_states=forged_states,
         dag_digest=dag.digest(),
         reversed_edges=orientation_flips(RoutingDag(trace.initial_arcs), dag),

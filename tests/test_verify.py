@@ -38,7 +38,7 @@ from linkrev.verify import EQUIVALENCE_PAIRS
 def _tamper_step(trace, step_index: int, **changes):
     """Return a copy of the trace with one StepRecord field rewritten."""
     steps = list(trace.steps)
-    steps[step_index] = replace(steps[step_index], **changes)
+    steps[step_index] = steps[step_index]._replace(**changes)
     return replace(trace, steps=tuple(steps))
 
 
@@ -51,6 +51,14 @@ def test_step_invariants_pass_on_a_clean_trace(chain):
     assert report.passed
     assert report.check == "step-invariants"
     assert "clean" in report.detail
+
+
+def test_a_check_report_is_immutable(chain):
+    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    report = check_step_invariants(trace, chain, SchemeId.NO_FULL)
+    for name in report._fields:
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
 
 
 @pytest.mark.parametrize("scheme", CORE_SCHEMES)
@@ -278,7 +286,7 @@ def test_reversal_check_catches_a_silent_node_that_gets_unstuck(reversed_pair, s
     first, silent, second = trace.steps
     assert silent.updated == (3,) and not silent.reversed_edges
     forged = replace(trace, steps=(
-        first, silent, replace(first, index=3), replace(second, index=4),
+        first, silent, first._replace(index=3), second._replace(index=4),
     ))
     report = check_reversal_semantics(forged, reversed_pair, scheme)
     assert report.detail == "step 3: node 3 should stay stuck between its paired updates (silent at 2)"
