@@ -72,7 +72,8 @@ A run's finish reuses what it holds: the Trace's final digest is the one
 the run computed last, the last step record's or the start's, unless a
 rebuild followed it, which drops it; the final states are read in the live
 topology's node order, which is sorted.  So a run pays for its steps, not
-for a second hash of its orientation or a sort of its states.
+for a second hash of its orientation or a sort of its states.  A Trace is
+a NamedTuple too, so equal runs compare equal field by field.
 
 A StepRecord is a NamedTuple, immutable and about a third as costly to
 build as a frozen dataclass, and it holds O(1) data per step in the number
@@ -248,8 +249,7 @@ class StepRecord(NamedTuple):
     reversed_edges: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """Full record of a run; deterministic for a given scenario and schedule."""
 
     scenario: Scenario

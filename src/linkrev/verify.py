@@ -30,6 +30,18 @@ scheme and hands that one trace to both, so the equivalence families reuse
 the determinism check's first run; when that run overflows, each pair it
 anchors gets an informational report that it was skipped.
 
+standard_battery judges each distinct trace once.  A scheme's two checked
+runs, Schedule.single_random(seed) and Schedule.subset_random(seed + 1),
+record the same run whenever no step offers a choice, as on most small
+voids.  When the second trace equals the first in every field but the
+schedule, and every report on the first passed, the second gets those
+reports again.  The termination, step, reversal and greedy verdicts read
+the trace but not its schedule, and a passing report holds no schedule,
+so the reused reports are the ones a second judgement would make.  A
+failing report is never reused: its counterexample names its own
+schedule.  Both runs are still made.  At most one checked trace is alive
+while a check runs, and none during the scheme's anchor run.
+
 enumerate_all_schedules, behind check_order_invariance, finds the stuck
 nodes of each state vector with the model's hello probe, probe_stuck, the
 one the simulator's hello_round runs, and builds a routing_dag only for a
@@ -40,10 +52,11 @@ scripted events raises ValueError.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import starmap
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ExplosionGuardError, LinkrevError, OverflowRiskError, ScheduleError
@@ -849,6 +862,91 @@ def _raised(
     return _report(check, scenario, scheme, [failure], schedule=schedule)
 
 
+#: Every field of a Trace but its schedule.
+_run_fields = itemgetter(*(i for i, name in enumerate(Trace._fields) if name != "schedule"))
+
+
+def _same_run(first: Trace, second: Trace) -> bool:
+    """True if two traces record the same run: equal in every field but the schedule."""
+    return _run_fields(first) == _run_fields(second)
+
+
+def _judge_run(trace: Trace, scenario: Scenario, scheme: SchemeId) -> list[CheckReport]:
+    """The termination report of a checked run, then the per-trace checks' reports on it."""
+    converged = trace.outcome is Outcome.CONVERGED
+    reports = [
+        _report(
+            "termination", scenario, scheme,
+            [] if converged else [f"run ended {trace.outcome} after {len(trace.steps)} steps"],
+            schedule=trace.schedule,
+            detail=f"{len(trace.steps)} steps, {trace.total_updates} updates",
+        )
+    ]
+    if not converged:
+        return reports
+    if trace.events_applied:
+        return reports + _skipped_for_events(trace, scenario, scheme)
+    reports.append(check_step_invariants(trace, scenario, scheme))
+    if SPECS[scheme].reversal is not None:
+        reports.append(check_reversal_semantics(trace, scenario, scheme))
+    reports.append(check_initial_greedy_stability(trace, scenario))
+    return reports
+
+
+def _judge_checked_runs(
+    scenario: Scenario, scheme: SchemeId, schedules: Sequence[Schedule]
+) -> list[CheckReport]:
+    """The reports on a scheme's checked runs, each distinct trace judged once.
+
+    A run that records the same run as the one before it, and follows
+    reports that all passed, gets those reports again.  A trace that is
+    judged anew releases the kept one first, so at most one trace is alive
+    while a check runs.
+    """
+    reports: list[CheckReport] = []
+    kept: tuple[Trace, list[CheckReport]] | None = None
+    for schedule in schedules:
+        try:
+            trace = run_scenario(scenario, scheme, schedule)
+        except OverflowRiskError as exc:
+            reports.append(_raised("termination", scenario, scheme, schedule, exc))
+            continue
+        if kept is not None and _same_run(kept[0], trace):
+            reports += kept[1]
+            continue
+        kept = None
+        judged = _judge_run(trace, scenario, scheme)
+        reports += judged
+        if all(r.passed for r in judged):
+            kept = trace, judged
+    return reports
+
+
+def _judge_anchor_run(
+    scenario: Scenario, scheme: SchemeId, anchor: Schedule, wanted: Collection[SchemeId],
+    equivalence: dict[tuple[SchemeId, SchemeId, bool], CheckReport],
+) -> CheckReport:
+    """The determinism report of a scheme's anchor run.
+
+    The same run anchors every equivalence pair whose reference is the
+    scheme and whose shadow is wanted; each such pair's report goes into
+    equivalence.
+    """
+    pairs = [pair for pair in EQUIVALENCE_PAIRS if pair[0] is scheme and pair[1] in wanted]
+    try:
+        trace = run_scenario(scenario, scheme, anchor)
+    except OverflowRiskError as exc:
+        skipped = f"vs {scheme.value}: skipped: the reference run raised OverflowRiskError: {exc}"
+        for pair in pairs:
+            check = "scheme-equivalence" if pair[2] else "scheme-divergence"
+            equivalence[pair] = _report(check, scenario, pair[1], [], detail=skipped, informational=True)
+        return _raised("determinism", scenario, scheme, anchor, exc)
+    determinism = check_determinism(trace)
+    for pair in pairs:
+        equivalence[pair] = check_scheme_equivalence(trace, pair[1], pair[2])
+    return determinism
+
+
 def standard_battery(
     scenario: Scenario,
     schemes: Sequence[SchemeId] = CORE_SCHEMES,
@@ -863,6 +961,12 @@ def standard_battery(
     termination or determinism, and the battery goes on without it; when
     that run is the reference of equivalence pairs, each pair gets an
     informational report that says it was skipped and why.
+
+    Each scheme's two checked runs are both made, but each distinct trace
+    is judged once (see the module docstring): a second run that records
+    the same run as the first reuses the first's reports when all passed.
+    No trace outlives the helper that judges it, so at most one is alive
+    while a check runs.
     """
     reports: list[CheckReport] = []
     wanted = set(schemes)
@@ -871,50 +975,8 @@ def standard_battery(
     checked = (Schedule.single_random(seed), Schedule.subset_random(seed + 1))
     anchor = Schedule.subset_random(seed)
     for scheme in schemes:
-        for schedule in checked:
-            try:
-                trace = run_scenario(scenario, scheme, schedule)
-            except OverflowRiskError as exc:
-                reports.append(_raised("termination", scenario, scheme, schedule, exc))
-                continue
-            converged = trace.outcome is Outcome.CONVERGED
-            reports.append(
-                _report(
-                    "termination", scenario, scheme,
-                    [] if converged else [f"run ended {trace.outcome} after {len(trace.steps)} steps"],
-                    schedule=schedule,
-                    detail=f"{len(trace.steps)} steps, {trace.total_updates} updates",
-                )
-            )
-            if not converged:
-                continue
-            if trace.events_applied:
-                reports.extend(_skipped_for_events(trace, scenario, scheme))
-                continue
-            reports.append(check_step_invariants(trace, scenario, scheme))
-            if SPECS[scheme].reversal is not None:
-                reports.append(check_reversal_semantics(trace, scenario, scheme))
-            reports.append(check_initial_greedy_stability(trace, scenario))
-        # One run serves the determinism check and every equivalence pair
-        # this scheme anchors; only the reports wait for the end, not traces.
-        try:
-            trace = run_scenario(scenario, scheme, anchor)
-        except OverflowRiskError as exc:
-            reports.append(_raised("determinism", scenario, scheme, anchor, exc))
-            trace, skipped = None, f"skipped: the reference run raised OverflowRiskError: {exc}"
-        else:
-            reports.append(check_determinism(trace))
-        for pair in EQUIVALENCE_PAIRS:
-            reference, shadow, gating = pair
-            if reference is not scheme or shadow not in wanted:
-                continue
-            if trace is None:
-                check = "scheme-equivalence" if gating else "scheme-divergence"
-                equivalence[pair] = _report(
-                    check, scenario, shadow, [], detail=f"vs {scheme.value}: {skipped}",
-                    informational=True,
-                )
-            else:
-                equivalence[pair] = check_scheme_equivalence(trace, shadow, gating)
+        reports += _judge_checked_runs(scenario, scheme, checked)
+        # The equivalence reports wait for the end, in EQUIVALENCE_PAIRS order.
+        reports.append(_judge_anchor_run(scenario, scheme, anchor, wanted, equivalence))
     reports.extend(equivalence[pair] for pair in EQUIVALENCE_PAIRS if pair in equivalence)
     return reports

@@ -11,6 +11,11 @@ After an intended report change, regenerate the data file with
     PYTHONPATH=src python tests/test_battery_digests.py
 
 and record the change in CHANGES.md.
+
+Over the same corpus, every per-trace report of a battery must equal the
+report its check makes afresh on a rerun of that report's own schedule,
+whether the battery judged the trace or reused the verdicts of the
+scheme's other checked run.
 """
 
 from __future__ import annotations
@@ -21,8 +26,10 @@ from pathlib import Path
 
 import pytest
 
-from linkrev import Scenario, parse_scenario, standard_battery
+from linkrev import Scenario, Schedule, parse_scenario, run_scenario, standard_battery
 from linkrev.generate import random_void_scenario
+from linkrev.schemes import CORE_SCHEMES
+from linkrev.verify import _judge_run
 
 DATA = Path(__file__).with_name("battery_digests.json")
 SEEDS = (0, 3)
@@ -62,6 +69,29 @@ def test_battery_reports_match_the_recorded_digests(seed):
     changed = sorted(k for k, digest in found.items() if expected[k] != digest)
     assert not changed, f"{len(changed)} batteries changed, first {changed[0]}"
     assert len(found) == 61
+
+
+#: The checks that standard_battery makes on each of a scheme's two checked runs.
+PER_TRACE_CHECKS = ("termination", "step-invariants", "reversal-semantics", "initial-greedy-stability")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reused_verdicts_equal_fresh_ones(seed):
+    checked = (Schedule.single_random(seed), Schedule.subset_random(seed + 1))
+    same = differ = 0
+    for name, scenario in scenarios().items():
+        found = [r for r in standard_battery(scenario, seed=seed) if r.check in PER_TRACE_CHECKS]
+        fresh = []
+        for scheme in CORE_SCHEMES:
+            first, second = (run_scenario(scenario, scheme, schedule) for schedule in checked)
+            fresh += _judge_run(first, scenario, scheme) + _judge_run(second, scenario, scheme)
+            if first._replace(schedule=second.schedule) == second:
+                same += 1
+            else:
+                differ += 1
+        assert found == fresh, name
+    # Both paths are taken: 378 and 413 reused, 49 and 14 judged again.
+    assert (same, differ) == {0: (378, 49), 3: (413, 14)}[seed]
 
 
 if __name__ == "__main__":

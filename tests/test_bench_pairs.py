@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -164,3 +165,40 @@ def test_a_file_missing_on_one_side_is_named_first(tmp_path):
     (change / "benchmarks/bench.py").unlink()
     _checkout(change, {"benchmarks/data/expected.json": "changed"})
     assert bench_pairs.first_difference(parent, change) == "benchmarks/bench.py"
+
+
+def test_the_json_file_keeps_each_workloads_summary(tmp_path, monkeypatch):
+    declared = '{"paths": ["benchmarks"], "run_seconds": 2, "end_to_end": [' \
+        '{"name": "wall_s", "better": "lower"}, {"name": "ok_share", "better": "higher"}]}'
+    files = {**_BENCHMARK, "BENCHMARK.json": declared}
+    parent = _checkout(tmp_path / "parent", files)
+    change = _checkout(tmp_path / "change", files)
+    walls = {parent: 1.0, change: 0.8}
+
+    def fake_bench(checkout, workload, seed, seconds):
+        assert seconds == 2
+        failed = 1 if workload == "events" else 0
+        metrics = {"wall_s": walls[checkout] + seed / 1000, "ok_share": 1 - failed / 10}
+        return {"metrics": {k: {"value": v} for k, v in metrics.items()},
+                "correct": True, "failed": failed, "attempted": 10}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_bench)
+    out = tmp_path / "BENCH.json"
+    for workload in ("verify-random", "events"):
+        assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload",
+                                 workload, "--seeds", "1-10", "--json", str(out)]) == 0
+    table = json.loads(out.read_text())
+    assert sorted(table) == ["events", "verify-random"]
+    claim = table["verify-random"]
+    assert claim["run_seconds"] == 2
+    assert claim["seeds"] == list(range(1, 11))
+    assert claim["failed_share"] == {"parent": 0.0, "change": 0.0}
+    wall = claim["metrics"]["wall_s"]
+    assert wall["better"] == "lower"
+    assert (wall["wins"], wall["pairs"], wall["supported"]) == (10, 10, True)
+    assert wall["parent"] == pytest.approx([1.00325, 1.0055, 1.00775])
+    assert wall["change"] == pytest.approx([0.80325, 0.8055, 0.80775])
+    assert wall["ratio"] == pytest.approx(0.8055 / 1.0055)
+    assert claim["metrics"]["ok_share"]["supported"] is False
+    assert table["events"]["failed_share"] == {"parent": 0.1, "change": 0.1}
+    assert table["events"]["metrics"]["ok_share"]["parent"] == pytest.approx([0.9] * 3)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -470,11 +469,11 @@ def test_dot_frames_replay_the_orientation_after_each_step(chain):
 
 def test_dot_frames_reject_a_trace_the_rerun_does_not_reproduce(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
-    forged = replace(trace, steps=(trace.steps[0]._replace(dag_digest="0" * 12),))
+    forged = trace._replace(steps=(trace.steps[0]._replace(dag_digest="0" * 12),))
     with pytest.raises(ValueError, match="differs from the trace at step 1"):
         trace_to_dot_frames(forged)
     with pytest.raises(ValueError, match="took 1 steps, the trace 2"):
-        trace_to_dot_frames(replace(trace, steps=trace.steps * 2))
+        trace_to_dot_frames(trace._replace(steps=trace.steps * 2))
 
 
 def test_export_trace_dispatch(one_step_trace):

@@ -969,3 +969,13 @@ def test_a_step_record_is_immutable(chain):
     for name in record._fields:
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+
+
+def test_a_trace_is_immutable(chain):
+    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    for name in trace._fields:
+        with pytest.raises(AttributeError):
+            setattr(trace, name, None)
+    with pytest.raises(AttributeError):
+        trace.converged = False
+    assert trace.converged

@@ -12,8 +12,6 @@ raise the same error.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from hypothesis import given, settings, strategies as st
 
 from linkrev import LinkrevError, Schedule, check_step_invariants, run_scenario
@@ -260,7 +258,7 @@ def _traces(draw):
     k = draw(st.integers(0, len(trace.steps) - 1))
     steps = list(trace.steps)
     steps[k] = steps[k]._replace(**{field: draw(_rewrite(trace, steps[k], field))})
-    return replace(trace, steps=tuple(steps)), field
+    return trace._replace(steps=tuple(steps)), field
 
 
 def _outcome(check, trace: Trace):
@@ -300,7 +298,7 @@ def test_each_rewritten_field_fails_the_same_way_in_both():
             }
             for field, value in forged.items():
                 steps = (rec._replace(**{field: value}),) + trace.steps[1:]
-                forged_trace = replace(trace, steps=steps)
+                forged_trace = trace._replace(steps=steps)
                 expected = _outcome(oracle_step_invariants, forged_trace)
                 assert _outcome(check_step_invariants, forged_trace) == expected
                 if isinstance(expected, CheckReport) and not expected.passed:
@@ -325,7 +323,7 @@ def test_a_forged_step_that_closes_a_cycle_fails_in_both():
         dag_digest=dag.digest(),
         reversed_edges=orientation_flips(RoutingDag(trace.initial_arcs), dag),
     )
-    forged_trace = replace(trace, steps=(forged,) + trace.steps[1:])
+    forged_trace = trace._replace(steps=(forged,) + trace.steps[1:])
     report = check_step_invariants(forged_trace, scenario, SchemeId.ONE_BIT_FULL)
     assert report == oracle_step_invariants(forged_trace, scenario, SchemeId.ONE_BIT_FULL)
     assert report.detail == "step 1: orientation has a cycle"
@@ -351,7 +349,7 @@ def test_a_forged_partial_step_whose_tails_keep_in_arcs_fails_in_both():
         dag_digest=dag.digest(),
         reversed_edges=orientation_flips(RoutingDag(trace.initial_arcs), dag),
     )
-    forged_trace = replace(trace, steps=(forged,) + trace.steps[1:])
+    forged_trace = trace._replace(steps=(forged,) + trace.steps[1:])
     report = check_step_invariants(forged_trace, scenario, scheme)
     assert report == oracle_step_invariants(forged_trace, scenario, scheme)
     assert report.counterexample.step == 1

@@ -39,7 +39,7 @@ def _tamper_step(trace, step_index: int, **changes):
     """Return a copy of the trace with one StepRecord field rewritten."""
     steps = list(trace.steps)
     steps[step_index] = steps[step_index]._replace(**changes)
-    return replace(trace, steps=tuple(steps))
+    return trace._replace(steps=tuple(steps))
 
 
 # --- step invariants ---------------------------------------------------------
@@ -285,7 +285,7 @@ def test_reversal_check_catches_a_silent_node_that_gets_unstuck(reversed_pair, s
     trace = run_scenario(reversed_pair, scheme, Schedule.single_random(0))
     first, silent, second = trace.steps
     assert silent.updated == (3,) and not silent.reversed_edges
-    forged = replace(trace, steps=(
+    forged = trace._replace(steps=(
         first, silent, first._replace(index=3), second._replace(index=4),
     ))
     report = check_reversal_semantics(forged, reversed_pair, scheme)
@@ -296,7 +296,7 @@ def test_reversal_check_catches_a_silent_node_that_gets_unstuck(reversed_pair, s
 @pytest.mark.parametrize("scheme", [SchemeId.NO_PARTIAL, SchemeId.TWO_BIT_PARTIAL])
 def test_reversal_check_catches_a_silent_half_left_unpaired(reversed_pair, scheme):
     trace = run_scenario(reversed_pair, scheme, Schedule.single_random(0))
-    forged = replace(trace, steps=trace.steps[:2])
+    forged = trace._replace(steps=trace.steps[:2])
     assert forged.outcome is Outcome.CONVERGED
     report = check_reversal_semantics(forged, reversed_pair, scheme)
     assert report.detail == "nodes [3] did a silent update but never completed the pair"
@@ -333,7 +333,7 @@ def test_step_invariants_catch_a_counter_past_the_node_count(chain):
 
 def test_step_invariants_catch_totals_that_disagree_with_the_final_counters(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
-    forged = replace(trace, update_counts={**trace.update_counts, 2: 5})
+    forged = trace._replace(update_counts={**trace.update_counts, 2: 5})
     report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
     assert report.detail == "final update counter of node 2 disagrees with the trace totals"
 
@@ -532,7 +532,7 @@ def forged_partition_reference():
     scenario = random_partition_scenario(6, seed=3)
     ref = run_scenario(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
     assert ref.outcome is Outcome.PARTITIONED and ref.steps
-    return replace(ref, outcome=Outcome.CONVERGED)
+    return ref._replace(outcome=Outcome.CONVERGED)
 
 
 def test_equivalence_reports_a_shadow_that_ends_mid_replay(forged_partition_reference):
@@ -542,7 +542,7 @@ def test_equivalence_reports_a_shadow_that_ends_mid_replay(forged_partition_refe
 
 
 def test_equivalence_reports_a_shadow_that_ends_after_the_replay(forged_partition_reference):
-    report = check_scheme_equivalence(replace(forged_partition_reference, steps=()), SchemeId.GB_FULL)
+    report = check_scheme_equivalence(forged_partition_reference._replace(steps=()), SchemeId.GB_FULL)
     assert report.detail == "vs no-full: shadow run ended partitioned after replaying every step"
 
 
@@ -552,7 +552,7 @@ def test_equivalence_reports_a_shadow_still_stuck_after_the_replay(forged_partit
     n = 5
     chain = Scenario.create(n, [(0, n)] + [(i, i + 1) for i in range(1, n)], heights=range(1, n + 1))
     ref = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
-    truncated = replace(ref, steps=ref.steps[:-1])
+    truncated = ref._replace(steps=ref.steps[:-1])
     report = check_scheme_equivalence(truncated, SchemeId.GB_FULL)
     assert report.detail == "vs no-full: shadow run still stuck after replaying every step"
 
@@ -746,6 +746,71 @@ def test_standard_battery_runs_each_scheme_four_times(monkeypatch):
         assert runs[scheme, "single-random(seed=3)"] == 1
         assert runs[scheme, "subset-random(seed=4)"] == 1
         assert runs[scheme, "subset-random(seed=3)"] == 2
+
+
+def _count_per_trace_checks(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in ("check_step_invariants", "check_reversal_semantics", "check_initial_greedy_stability"):
+        real = getattr(verify, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(verify, name, counting)
+    return calls
+
+
+def test_standard_battery_judges_each_distinct_trace_once(monkeypatch):
+    # On this scenario every scheme's two checked runs record the same run,
+    # so each per-trace check runs once per scheme, while the simulator
+    # still makes all 28 runs (test_standard_battery_runs_each_scheme_four_times).
+    scenario = random_void_scenario(7, seed=2)
+    for scheme in CORE_SCHEMES:
+        first, second = (run_scenario(scenario, scheme, s)
+                         for s in (Schedule.single_random(3), Schedule.subset_random(4)))
+        assert first.schedule != second.schedule
+        assert first._replace(schedule=second.schedule) == second
+    calls = _count_per_trace_checks(monkeypatch)
+    reports = standard_battery(scenario, seed=3)
+    assert calls == {
+        "check_step_invariants": 7,
+        "check_reversal_semantics": 7,
+        "check_initial_greedy_stability": 7,
+    }
+    for check in ("termination", "step-invariants", "reversal-semantics", "initial-greedy-stability"):
+        assert sum(r.check == check for r in reports) == 14
+
+
+def test_a_failing_verdict_is_not_reused(monkeypatch, chain):
+    # The chain offers one node a step, so both checked runs of a scheme
+    # record the same run.  A failing report names its own schedule, so
+    # the second run's reports are made afresh.
+    for scheme in CORE_SCHEMES:
+        first, second = (run_scenario(chain, scheme, s)
+                         for s in (Schedule.single_random(5), Schedule.subset_random(6)))
+        assert first._replace(schedule=second.schedule) == second
+    calls = _count_per_trace_checks(monkeypatch)
+
+    def failing_greedy(trace, scenario):
+        calls["check_initial_greedy_stability"] += 1
+        return verify._report(
+            "initial-greedy-stability", scenario, trace.scheme, ["forged failure"],
+            schedule=trace.schedule,
+        )
+
+    monkeypatch.setattr(verify, "check_initial_greedy_stability", failing_greedy)
+    reports = standard_battery(chain, seed=5)
+    assert calls == {
+        "check_step_invariants": 14,
+        "check_reversal_semantics": 14,
+        "check_initial_greedy_stability": 14,
+    }
+    failed = [r for r in reports if not r.passed]
+    assert [r.check for r in failed] == ["initial-greedy-stability"] * 14
+    assert [r.counterexample.schedule.describe() for r in failed] == [
+        "single-random(seed=5)", "subset-random(seed=6)",
+    ] * 7
 
 
 def test_standard_battery_reports_a_run_that_overflows():

@@ -22,6 +22,12 @@ the parent, it won at least nine tenths of the pairs, and its median is
 better than the parent's by more than the parent's interquartile range.
 Shares, not counts, are compared: a faster change runs more operations in
 the same time, and so fails more of them at the same share.
+
+With ``--json PATH`` the summary is also stored in PATH under the
+workload's name, beside the workloads the file already holds: the run
+length, the seeds, each side's failed share and one row per metric with
+both sides' quartiles, the ratio, the wins and the verdict.  So one file
+can keep the pairs of every workload a change was measured on.
 """
 
 from __future__ import annotations
@@ -168,6 +174,36 @@ def first_difference(parent: Path, change: Path) -> str | None:
     return None
 
 
+def summary_record(
+    rows: Iterable[MetricSummary], failed_share: tuple[float, float], seconds: float, seeds: Sequence[int]
+) -> dict:
+    """The summary of one workload's pairs as plain JSON data."""
+    return {
+        "run_seconds": seconds,
+        "seeds": list(seeds),
+        "failed_share": {"parent": failed_share[0], "change": failed_share[1]},
+        "metrics": {
+            row.name: {
+                "better": row.better,
+                "parent": list(row.parent),
+                "change": list(row.change),
+                "ratio": row.ratio,
+                "wins": row.wins,
+                "pairs": row.pairs,
+                "supported": row.supported,
+            }
+            for row in rows
+        },
+    }
+
+
+def store_summary(path: Path, workload: str, record: Mapping) -> None:
+    """Write record into the JSON file at path under workload, keeping the other workloads."""
+    table = json.loads(path.read_text()) if path.exists() else {}
+    table[workload] = record
+    path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in a checkout; its last line of standard output, parsed."""
     command = [
@@ -186,6 +222,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", nargs="+", required=True, help="one seed per pair, or ranges A-B")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also store the summary in this JSON file, under the workload's name")
     args = parser.parse_args(argv)
 
     differs = first_difference(args.parent, args.change)
@@ -196,7 +234,8 @@ def main(argv: list[str] | None = None) -> int:
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for pair, seed in enumerate(parse_seeds(args.seeds)):
+    seeds = parse_seeds(args.seeds)
+    for pair, seed in enumerate(seeds):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:
             result = run_bench(sides[side], args.workload, seed, seconds)
@@ -211,13 +250,16 @@ def main(argv: list[str] | None = None) -> int:
     failed = {side: sum(run["failed"] for run in runs) for side, runs in results.items()}
     attempted = {side: sum(run["attempted"] for run in runs) for side, runs in results.items()}
     share = {side: failed[side] / attempted[side] if attempted[side] else 0.0 for side in results}
+    shares = (share["parent"], share["change"])
+    rows = summarize(values["parent"], values["change"], better, shares)
     print(f"{args.workload}: {len(values['parent'])} pairs at {seconds:g} s")
-    print(format_summary(summarize(
-        values["parent"], values["change"], better, (share["parent"], share["change"]))))
+    print(format_summary(rows))
     for side, runs in results.items():
         correct = all(run["correct"] for run in runs)
         print(f"{side}: {failed[side]} of {attempted[side]} ops failed ({share[side]:.6f}); "
               f"every run correct: {correct}")
+    if args.json is not None:
+        store_summary(args.json, args.workload, summary_record(rows, shares, seconds, seeds))
     return 0
 
 
