@@ -72,8 +72,8 @@ A run's finish reuses what it holds: the Trace's final digest is the one
 the run computed last, the last step record's or the start's, unless a
 rebuild followed it, which drops it; the final states are read in the live
 topology's node order, which is sorted.  So a run pays for its steps, not
-for a second hash of its orientation or a sort of its states.  A Trace is
-a NamedTuple too, so equal runs compare equal field by field.
+for a second hash of its orientation or a sort of its states.  A Trace,
+like a StepRecord (below), is a NamedTuple.
 
 A StepRecord is a NamedTuple, immutable and about a third as costly to
 build as a frozen dataclass, and it holds O(1) data per step in the number
