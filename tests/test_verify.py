@@ -701,6 +701,41 @@ def test_n5_enumeration_results_are_pinned(n5_stride):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == ENUMERATION_N5_STRIDE_DIGEST
 
 
+#: sha256 over what every schedule enumeration must keep however it branches:
+#: each n=4 void scenario x core scheme's final digests, states explored and
+#: orientation verdict.  Transitions and witnesses are left out.
+ENUMERATION_FACTS_DIGEST = "18d763ce7bab228876d4b065c1396568496b12c0b7b92728bc00f252ba394c81"
+
+#: The same sha256 over the n5_stride scenarios x core schemes.
+ENUMERATION_N5_STRIDE_FACTS_DIGEST = "b6850da5fddb8aa8ce065378b5e214c9921e1b5c51eb1e1b73fc4e1fc637b44e"
+
+
+def _enumeration_fact_lines(scenarios):
+    """One line per scenario x core scheme: its final digests, states and verdict."""
+    lines = []
+    for scenario in scenarios:
+        for scheme in CORE_SCHEMES:
+            result = enumerate_all_schedules(scenario, scheme)
+            lines.append(
+                f"{scenario.scenario_id()}/{scheme.value} {','.join(result.final_digests)} "
+                f"{result.states_explored} {result.all_destination_oriented}"
+            )
+    return lines
+
+
+@pytest.mark.parametrize(
+    ("n", "expected"),
+    [(4, ENUMERATION_FACTS_DIGEST), (5, ENUMERATION_N5_STRIDE_FACTS_DIGEST)],
+    ids=["n4", "n5-stride"],
+)
+def test_enumeration_facts_are_pinned(request, n, expected):
+    scenarios = exhaustive_void_scenarios(4) if n == 4 else request.getfixturevalue("n5_stride")
+    lines = _enumeration_fact_lines(scenarios)
+    assert len(lines) == (664 if n == 4 else 1605) * 7
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
+
+
 @pytest.mark.parametrize(
     "scheme",
     [SchemeId.NO_FULL, SchemeId.NO_PARTIAL, SchemeId.GB_FULL, SchemeId.GB_PARTIAL],
