@@ -252,17 +252,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     lockstep_broken = False
     for reference, shadow, gating in EQUIVALENCE_PAIRS:
         if reference in by_scheme and shadow in by_scheme:
-            a, b = by_scheme[reference], by_scheme[shadow]
-            same = (
-                len(a.steps) == len(b.steps)
-                and all(x.updated == y.updated for x, y in zip(a.steps, b.steps))
-                and a.final_digest == b.final_digest
-            )
+            diff = _first_divergence(by_scheme[reference], by_scheme[shadow])
             kind = "expected lockstep" if gating else "informational"
-            if same:
+            if diff is None:
                 print(f"{reference.value} vs {shadow.value}: identical runs ({kind})")
             else:
-                diff = _first_divergence(a, b)
                 print(f"{reference.value} vs {shadow.value}: diverge ({kind}; {diff})")
                 lockstep_broken = lockstep_broken or gating
     # A partition outranks a broken gated pair, which fails like a step limit.
@@ -270,7 +264,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_PROPERTY if lockstep_broken and code == EXIT_OK else code
 
 
-def _first_divergence(a, b) -> str:
+def _first_divergence(a, b) -> str | None:
+    """Where two runs first differ, or None when they are identical."""
     for x, y in zip(a.steps, b.steps):
         if x.updated != y.updated or x.dag_digest != y.dag_digest:
             return f"first at step {x.index}"
@@ -278,7 +273,9 @@ def _first_divergence(a, b) -> str:
         extra = abs(len(a.steps) - len(b.steps))
         longer = a.scheme.value if len(a.steps) > len(b.steps) else b.scheme.value
         return f"{longer} needs {extra} extra step(s)"
-    return "final states differ"
+    if a.final_digest != b.final_digest:
+        return "final states differ"
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:

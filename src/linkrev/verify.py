@@ -46,15 +46,16 @@ enumerate_all_schedules, behind check_order_invariance, finds the stuck
 nodes of each state vector with the model's hello probe, probe_stuck, the
 one the simulator's hello_round runs, and builds a routing_dag only for a
 terminal vector, whose digest and reach set are kept on the topology for
-every scheme run on it.  It explores event-free scenarios only: one with
-scripted events raises ValueError.
+every scheme run on it.  It branches over one stuck node at a time: stuck
+nodes are sinks, so no two are adjacent, and a step by several of them is
+the same as their one-node steps in any order.  It explores event-free
+scenarios only: one with scripted events raises ValueError.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import starmap
 from operator import itemgetter
 from typing import NamedTuple
@@ -699,19 +700,6 @@ class EnumerationResult:
         return len(self.final_digests) == 1
 
 
-@lru_cache(maxsize=4096)
-def _nonempty_subsets(items: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every nonempty subset of items, in the order of its bitmask over them.
-
-    Stuck sets repeat across the vectors of an enumeration and across
-    scenarios, so each one's subsets are listed once.
-    """
-    return tuple(
-        tuple(i for bit, i in enumerate(items) if mask >> bit & 1)
-        for mask in range(1, 1 << len(items))
-    )
-
-
 def _final_facts(dag: RoutingDag, topo: Topology) -> tuple[str, bool]:
     """The digest of a final DAG and whether it is destination-oriented.
 
@@ -731,18 +719,21 @@ def enumerate_all_schedules(
 ) -> EnumerationResult:
     """Explore every schedule, memoizing on the global state vector.
 
-    Each step branches over every nonempty subset of the stuck set, so a
-    single-node step is one of the options.  A state vector is indexed by
-    node id, with None in slot 0 for the destination, so it is its own
-    state mapping; the first one is built from the scheme's initial
-    states.  Its stuck set is found by the hello probe, probe_stuck, over
-    the topology's probe table, the one stuck detection the simulator's
-    hello_round runs too.  A routing_dag is built only for a terminal
-    vector, one with no stuck node, for its digest and its destination
-    orientation.  An update reads only the states before the step, so
-    each stuck node's new state is computed once per vector and shared by
-    every subset that chooses it.  Scripted events are outside the
-    enumeration: a scenario with any raises ValueError.  Raises
+    Each step branches over the stuck nodes of a vector, one at a time: the
+    child replaces node i's state with its update.  A stuck node is a sink,
+    so no two stuck nodes are adjacent, and an update reads only the
+    node's own state and its neighbors' states.  A step by a set of stuck
+    nodes is therefore the same as its one-node steps taken in any order,
+    and single nodes reach every vector that subsets do.  transitions
+    counts the (vector, stuck node) pairs, and each witness step names one
+    node.  A state vector is indexed by node id, with None in slot 0 for
+    the destination, so it is its own state mapping; the first one is
+    built from the scheme's initial states.  Its stuck set is found by the
+    hello probe, probe_stuck, over the topology's probe table, the one
+    stuck detection the simulator's hello_round runs too.  A routing_dag is
+    built only for a terminal vector, one with no stuck node, for its
+    digest and its destination orientation.  Scripted events are outside
+    the enumeration: a scenario with any raises ValueError.  Raises
     ExplosionGuardError when more than max_states distinct state vectors
     appear.
     """
@@ -773,23 +764,17 @@ def enumerate_all_schedules(
                 finals[digest] = vec
                 oriented_all = oriented_all and oriented
             continue
-        updated = {}
+        transitions += len(stuck)
         for i in stuck:
             neighbor_states = [vec[j] for j in neighbors[i]] if neighbors is not None else None
-            updated[i] = apply_update(scheme, vec[i], neighbor_states, heights)
-        for chosen in _nonempty_subsets(stuck):
-            fresh = list(vec)
-            for i in chosen:
-                fresh[i] = updated[i]
-            child = tuple(fresh)
-            transitions += 1
+            child = (*vec[:i], apply_update(scheme, vec[i], neighbor_states, heights), *vec[i + 1:])
             if child not in parents:
                 if len(parents) >= max_states:
                     raise ExplosionGuardError(
                         f"enumeration exceeded {max_states} states for {scheme} on {scenario.scenario_id()}",
                         len(parents), len(frontier),
                     )
-                parents[child] = (vec, chosen)
+                parents[child] = (vec, (i,))
                 frontier.append(child)
 
     witnesses = {}
@@ -801,7 +786,7 @@ def enumerate_all_schedules(
             chain.append(chosen)
             cursor = parent
         chain.reverse()
-        # Each step is already a sorted, nonempty, repeat-free subset of a stuck set.
+        # Each step is one node of a stuck set.
         witnesses[digest] = Schedule("fixed", steps=tuple(chain), label=f"witness-{digest[:6]}")
 
     return EnumerationResult(

@@ -531,6 +531,31 @@ def test_compare_names_the_scheme_that_needs_extra_steps(scenario_file, capsys):
     assert "no-full vs one-bit-full: diverge (expected lockstep; no-full needs 2 extra step(s))" in out
 
 
+def test_compare_reports_a_gated_pair_that_differs_mid_run_but_ends_alike(
+    monkeypatch, scenario_file, capsys
+):
+    # The gb-full run's second orientation is forged; its updaters and final
+    # digest still match no-full's, so only the step digests tell them apart.
+    real_run = cli.run_scenario
+    forged = []
+
+    def forged_run(scenario, scheme, *args, **kwargs):
+        trace = real_run(scenario, scheme, *args, **kwargs)
+        if scheme.value != "gb-full":
+            return trace
+        steps = list(trace.steps)
+        steps[1] = steps[1]._replace(dag_digest="f" * len(steps[1].dag_digest))
+        forged.append(steps[1].index)
+        return trace._replace(steps=tuple(steps))
+
+    monkeypatch.setattr(cli, "run_scenario", forged_run)
+    code = main(["compare", scenario_file(DEEP_CHAIN), "--schemes", "no-full,gb-full"])
+    out = capsys.readouterr().out
+    assert code == EXIT_PROPERTY
+    assert f"no-full vs gb-full: diverge (expected lockstep; first at step {forged[0]})" in out
+    assert "identical runs" not in out
+
+
 def test_compare_needs_two_schemes(scenario_file, capsys):
     code = main(["compare", scenario_file(CHAIN), "--schemes", "no-full"])
     assert code == EXIT_PROPERTY

@@ -1,13 +1,20 @@
-"""The probe-based schedule enumeration against the per-vector one it replaced.
+"""The singleton-step, probe-based schedule enumeration against a subset one.
 
-``oracle_enumerate`` is the earlier ``enumerate_all_schedules``, kept as a
-reference: it builds a full ``routing_dag`` for every state vector and reads
-the vector's stuck set off it with ``stuck_set``.  It also returns the
-terminal vectors it met, the ones with no stuck node.  The enumeration in
-``linkrev.verify`` finds stuck nodes with the hello probe and builds a
-``routing_dag`` only for terminal vectors; on every void scenario up to n=4
-and on the reversed pair it must give the same final digests, states,
-transitions, verdict and witness steps.
+``oracle_enumerate`` is an earlier ``enumerate_all_schedules``, kept as a
+reference: it builds a full ``routing_dag`` for every state vector, reads
+the vector's stuck set off it with ``stuck_set``, and branches over every
+nonempty subset of that set.  It also returns the terminal vectors it met,
+the ones with no stuck node, and the sum of the stuck set sizes of the
+vectors it expanded.  The enumeration in ``linkrev.verify`` finds stuck
+nodes with the hello probe, builds a ``routing_dag`` only for terminal
+vectors, and branches over one stuck node at a time.  Stuck nodes are
+sinks, so no two are adjacent; an update reads only the node's own state
+and its neighbors' states, so a subset step is the same as its one-node
+steps in any order, and both enumerations reach the same vectors.  On every
+void scenario up to n=4, on the n5_stride scenarios and on the reversed
+pair they must give the same final digests, states and verdict, the
+singleton enumeration must count one transition per stuck node of each
+expanded vector, and each of its witness steps must name one node.
 
 The void scenarios themselves are built on the generator's own Topology,
 with no second validation, so each must equal what ``Scenario.create``
@@ -33,15 +40,23 @@ from linkrev.model import (
 )
 from linkrev.schemes import CORE_SCHEMES, SPECS, apply_update, initial_states
 from linkrev.sim import Schedule
-from linkrev.verify import EnumerationResult, _nonempty_subsets
+from linkrev.verify import EnumerationResult
 
 
 # --- the reference implementation --------------------------------------------
 
 
+def _nonempty_subsets(items: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every nonempty subset of items, in the order of its bitmask over them."""
+    return tuple(
+        tuple(i for bit, i in enumerate(items) if mask >> bit & 1)
+        for mask in range(1, 1 << len(items))
+    )
+
+
 def oracle_enumerate(
     scenario: Scenario, scheme: SchemeId, max_states: int = 10**6
-) -> tuple[EnumerationResult, set[tuple]]:
+) -> tuple[EnumerationResult, set[tuple], int]:
     """Explore every schedule, memoizing on the global state vector.
 
     Each step branches over every nonempty subset of the stuck set, so a
@@ -52,8 +67,10 @@ def oracle_enumerate(
     with no stuck node, for its digest and its destination orientation.
     An update reads only the states before the step, so each stuck node's
     new state is computed once per vector and shared by every subset that
-    chooses it.  Raises ExplosionGuardError when more than max_states
-    distinct state vectors appear.
+    chooses it.  Also returns the terminal vectors and the sum of the
+    stuck set sizes over the vectors with a stuck node.  Raises
+    ExplosionGuardError when more than max_states distinct state vectors
+    appear.
     """
     topo = scenario.topology
     heights = scenario.heights
@@ -66,6 +83,7 @@ def oracle_enumerate(
     terminals: set[tuple] = set()
     oriented_all = True
     transitions = 0
+    stuck_total = 0
 
     while frontier:
         vec = frontier.pop()
@@ -78,6 +96,7 @@ def oracle_enumerate(
                 finals[digest] = vec
                 oriented_all = oriented_all and is_destination_oriented(dag, topo)
             continue
+        stuck_total += len(stuck)
         updated = {}
         for i in stuck:
             neighbor_states = (
@@ -118,7 +137,7 @@ def oracle_enumerate(
         all_destination_oriented=oriented_all,
         witnesses=witnesses,
     )
-    return result, terminals
+    return result, terminals, stuck_total
 
 
 # --- the comparison ----------------------------------------------------------
@@ -127,11 +146,17 @@ REVERSED_PAIR = Scenario.create(3, [(0, 1), (1, 2), (2, 3)], heights=(2, 1, 1), 
 
 
 def _facts(result: EnumerationResult) -> tuple:
-    witnesses = {digest: schedule.steps for digest, schedule in result.witnesses.items()}
-    return (
-        result.final_digests, result.states_explored, result.transitions,
-        result.all_destination_oriented, witnesses,
-    )
+    """What any complete enumeration keeps, however it branches."""
+    return result.final_digests, result.states_explored, result.all_destination_oriented
+
+
+def _assert_matches_the_oracle(scenario: Scenario, scheme: SchemeId) -> None:
+    expected, _, stuck_total = oracle_enumerate(scenario, scheme)
+    result = enumerate_all_schedules(scenario, scheme)
+    assert _facts(result) == _facts(expected), scenario.scenario_id()
+    assert result.transitions == stuck_total, scenario.scenario_id()
+    for witness in result.witnesses.values():
+        assert all(len(step) == 1 for step in witness.steps), witness
 
 
 @pytest.mark.parametrize("scheme", CORE_SCHEMES)
@@ -139,16 +164,20 @@ def test_enumeration_matches_the_oracle(scheme):
     scenarios = chain(*(exhaustive_void_scenarios(n) for n in range(1, 5)), (REVERSED_PAIR,))
     compared = 0
     for scenario in scenarios:
-        expected, _ = oracle_enumerate(scenario, scheme)
-        assert _facts(enumerate_all_schedules(scenario, scheme)) == _facts(expected), (
-            scenario.scenario_id()
-        )
+        _assert_matches_the_oracle(scenario, scheme)
         compared += 1
     assert compared == 2 + 30 + 664 + 1
 
 
+@pytest.mark.parametrize("scheme", CORE_SCHEMES)
+def test_n5_enumeration_matches_the_oracle(n5_stride, scheme):
+    for scenario in n5_stride:
+        _assert_matches_the_oracle(scenario, scheme)
+    assert len(n5_stride) == 1605
+
+
 def test_order_invariance_enumerates_once_with_one_dag_per_terminal_vector(monkeypatch, star):
-    _, terminals = oracle_enumerate(star, SchemeId.NO_PARTIAL)
+    _, terminals, _ = oracle_enumerate(star, SchemeId.NO_PARTIAL)
     enumerations, dags = [], []
     real_enumerate, real_dag = verify.enumerate_all_schedules, verify.routing_dag
 
