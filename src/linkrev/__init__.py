@@ -30,7 +30,6 @@ from .errors import (
 from .model import (
     DESTINATION,
     HeightAssignment,
-    RoutingDag,
     Topology,
     hop_count_heights,
     is_destination_oriented,

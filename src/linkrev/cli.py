@@ -218,7 +218,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     schemes = [_parse_scheme(tok) for tok in args.schemes.split(",")]
     if len(schemes) < 2:
-        raise LinkrevError("compare needs at least two schemes")
+        raise _InputError("compare needs at least two schemes")
+    if len(set(schemes)) < len(schemes):
+        raise _InputError(f"--schemes names a scheme twice: {args.schemes}")
     seed = args.seed if args.seed is not None else (scenario.seed or 0)
     schedule = _parse_schedule(args.schedule, seed)
 

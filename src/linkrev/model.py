@@ -7,7 +7,8 @@ orientation of the whole graph.  The destination is a passive sentinel
 whose state is globally minimal: links incident to it always point into it
 and it never updates.  A nondestination node with no outgoing link is
 stuck; routing works once no node is stuck, i.e. once every node has a
-directed path to the destination.
+directed path to the destination.  An orientation is one value, its arcs:
+a tuple of (source, target) pairs in the canonical order of the edges.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from collections import deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import starmap
 
 from .errors import DisconnectedGraphError, OverflowRiskError, UnknownNodeError
 from .schemes import INT63_MAX, SPECS, Orientation, SchemeId, State
 
 #: Sentinel node id of the destination.  Nondestination nodes are 1..N.
 DESTINATION = 0
+
+#: An orientation: one (source, target) arc per link, in canonical edge order.
+Arcs = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ class Topology:
         return tuple([(i, adjacency[i]) for i in self.nodes if DESTINATION not in adjacency[i]])
 
     @cached_property
-    def _final_digests(self) -> dict[tuple[tuple[int, int], ...], str]:
+    def _final_digests(self) -> dict[Arcs, str]:
         """Digests of final orientations, by arcs.
 
         Filled by the schedule enumeration: the schemes run on one
@@ -155,7 +158,7 @@ class Topology:
         return {}
 
     @cached_property
-    def _reach(self) -> dict[tuple[tuple[int, int], ...], frozenset[int]]:
+    def _reach(self) -> dict[Arcs, frozenset[int]]:
         """The nodes each orientation leads to the destination, by arcs; see destination_reach."""
         return {}
 
@@ -257,29 +260,24 @@ def hop_count_heights(topo: Topology) -> HeightAssignment:
 # --- link direction ---------------------------------------------------------
 
 
-def orientation_predicate(scheme: SchemeId, heights: HeightAssignment | None = None) -> Orientation:
+def orientation_predicate(scheme: SchemeId, heights: HeightAssignment) -> Orientation:
     """Compiled link direction for one scheme and one height assignment.
 
     The returned predicate answers link_points_from(a, b, scheme, heights)
     with the same errors: SchemeMismatchError for a state of another
-    scheme, ValueError for two states of one node, PhaseAdjacencyError for
-    phases two apart, and ValueError when a phase or flag scheme was given
-    no heights.  Ties in the primary fields are broken by node id; the
-    phase and flag schemes break them by the initial (height, id) order,
-    whose ranks the heights compute once.  Each predicate is compiled once
-    per scheme and height assignment and then reused.
+    scheme, ValueError for two states of one node, and PhaseAdjacencyError
+    for phases two apart.  Ties in the primary fields are broken by node
+    id; the phase and flag schemes break them by the initial (height, id)
+    order, whose ranks the heights compute once.  Each predicate is
+    compiled once per scheme and height assignment and then reused.
     """
-    if heights is None:
-        return SPECS[scheme].orientation(None)
     compiled = heights._predicates.get(scheme)
     if compiled is None:
         compiled = heights._predicates[scheme] = SPECS[scheme].orientation(heights)
     return compiled
 
 
-def link_points_from(
-    a: State, b: State, scheme: SchemeId, heights: HeightAssignment | None = None
-) -> bool:
+def link_points_from(a: State, b: State, scheme: SchemeId, heights: HeightAssignment) -> bool:
     """True if the link between a.node and b.node is oriented a.node -> b.node."""
     return orientation_predicate(scheme, heights)(a, b)
 
@@ -296,24 +294,12 @@ arc_label: Callable[[int, int], str] = "{}>{}".format
 def arcs_digest(labels: Iterable[str]) -> str:
     """Digest of an orientation from its arc labels, in canonical edge order.
 
-    RoutingDag.digest and the incremental simulator, which keeps the
-    labels of its arcs and patches them as links flip, both digest here.
+    The one digest of an orientation: arcs_digest(starmap(arc_label, arcs)).
+    The incremental simulator, which keeps the labels of its arcs and
+    patches them as links flip, passes its labels directly.  The canonical
+    order makes the digest stable across runs.
     """
     return hashlib.sha256(";".join(labels).encode("ascii")).digest()[:6].hex()
-
-
-@dataclass(frozen=True)
-class RoutingDag:
-    """Orientation of a topology's links as (source, target) arcs.
-
-    Arcs are listed in the canonical order of the underlying undirected
-    edges, which makes the digest stable across runs.
-    """
-
-    arcs: tuple[tuple[int, int], ...]
-
-    def digest(self) -> str:
-        return arcs_digest(starmap(arc_label, self.arcs))
 
 
 def routing_dag(
@@ -321,18 +307,18 @@ def routing_dag(
     topo: Topology,
     scheme: SchemeId,
     heights: HeightAssignment,
-) -> RoutingDag:
+) -> Arcs:
     """Orient every link of the topology according to the current states.
 
-    states gives each nondestination node's state by node id: a dict, or a
+    Returns the arcs, one per edge of topo.edges and in its order.  states
+    gives each nondestination node's state by node id: a dict, or a
     sequence whose slot 0, the destination's, is never read.
     """
     points_from = orientation_predicate(scheme, heights)
-    arcs = [
+    return tuple([
         (a, b) if a != DESTINATION and points_from(states[a], states[b]) else (b, a)
         for a, b in topo.edges
-    ]
-    return RoutingDag(tuple(arcs))
+    ])
 
 
 def probe_stuck(
@@ -360,21 +346,17 @@ def probe_stuck(
     return tuple(stuck)
 
 
-def stuck_set(dag: RoutingDag, topo: Topology) -> frozenset[int]:
+def stuck_set(arcs: Iterable[tuple[int, int]], topo: Topology) -> frozenset[int]:
     """Nondestination nodes with no outgoing link."""
-    return topo._node_set.difference(s for s, _ in dag.arcs)
+    return topo._node_set.difference(s for s, _ in arcs)
 
 
-def is_destination_oriented(
-    dag: RoutingDag | Iterable[tuple[int, int]], topo: Topology
-) -> bool:
+def is_destination_oriented(arcs: Iterable[tuple[int, int]], topo: Topology) -> bool:
     """True if every node has a directed path to the destination.
 
-    Takes a RoutingDag or its arcs, so a caller that keeps the arcs need
-    not copy them into a RoutingDag.  Reads the topology's memo through
-    destination_reach.
+    Reads the topology's memo through destination_reach, keyed by the arcs
+    tuple; other arcs are copied into a tuple first.
     """
-    arcs = dag.arcs if isinstance(dag, RoutingDag) else dag
     return topo._node_set <= destination_reach(arcs, topo)
 
 
@@ -410,12 +392,12 @@ def reaches_destination(arcs: Iterable[tuple[int, int]]) -> set[int]:
     return seen
 
 
-def is_acyclic(dag: RoutingDag) -> bool:
+def is_acyclic(arcs: Iterable[tuple[int, int]]) -> bool:
     """Kahn-style check; orientations from a total order always pass."""
     out: dict[int, set[int]] = {}
     in_degree: dict[int, int] = {}
     nodes: set[int] = set()
-    for s, d in dag.arcs:
+    for s, d in arcs:
         out.setdefault(s, set()).add(d)
         in_degree[d] = in_degree.get(d, 0) + 1
         nodes.update((s, d))
@@ -431,11 +413,13 @@ def is_acyclic(dag: RoutingDag) -> bool:
     return removed == len(nodes)
 
 
-def orientation_flips(before: RoutingDag, after: RoutingDag) -> tuple[tuple[int, int], ...]:
+def orientation_flips(
+    before: Iterable[tuple[int, int]], after: Iterable[tuple[int, int]]
+) -> tuple[tuple[int, int], ...]:
     """Edges common to both orientations whose direction changed."""
-    prev = {_canonical_edge(s, d): (s, d) for s, d in before.arcs}
+    prev = {_canonical_edge(s, d): (s, d) for s, d in before}
     flipped = []
-    for s, d in after.arcs:
+    for s, d in after:
         e = _canonical_edge(s, d)
         old = prev.get(e)
         if old is not None and old != (s, d):

@@ -30,7 +30,6 @@ from pathlib import Path
 
 from .errors import (
     AdditionForbiddenError,
-    DisconnectedGraphError,
     HeightRangeError,
     ScenarioFormatError,
 )
@@ -325,17 +324,14 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
     if not edges:
         raise ScenarioFormatError("missing edges directive", 1)
 
-    try:
-        return Scenario.create(
-            n,
-            edges,
-            heights=heights,
-            events=events,
-            seed=seed,
-            name=declared_name if declared_name is not None else name,
-        )
-    except DisconnectedGraphError as exc:
-        raise DisconnectedGraphError(str(exc)) from None
+    return Scenario.create(
+        n,
+        edges,
+        heights=heights,
+        events=events,
+        seed=seed,
+        name=declared_name if declared_name is not None else name,
+    )
 
 
 def _token_columns(line: str, tokens: list[str]) -> list[int]:

@@ -264,11 +264,6 @@ def _flag_points_from(spec: SchemeSpec, ranks: tuple[int, ...], a: State, b: Sta
     return initially_above if a.flag == b.flag else not initially_above
 
 
-def _missing_heights(spec: SchemeSpec, a: State, b: State) -> bool:
-    _check_pair(a, b, spec)
-    raise ValueError(f"{spec.state._fields[1]} comparison needs the initial height assignment")
-
-
 # --- invariants the verifier checks -----------------------------------------
 
 
@@ -348,16 +343,13 @@ class SchemeSpec:
         """Whether the state carries the node's update count."""
         return "updates" in self.state._fields
 
-    def orientation(self, heights: HeightAssignment | None) -> Orientation:
+    def orientation(self, heights: HeightAssignment) -> Orientation:
         """The compiled link direction: True when the link points a.node -> b.node.
 
-        The pairwise orders need the initial heights; without them the
-        predicate raises ValueError for every pair.
+        The pairwise orders break ties by the initial heights' ranks.
         """
         if self.sort_key is not None:
             return _key_points_from(self)
-        if heights is None:
-            return partial(_missing_heights, self)
         return partial(self.pairwise, self, heights.initial_ranks)
 
 

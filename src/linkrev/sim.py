@@ -462,11 +462,11 @@ class Simulation:
     def _reorient_all(self) -> None:
         """Orient every awake link from scratch; re-derive out-degrees and the stuck set."""
         topo = self._awake_topo
-        dag = routing_dag(self.states, topo, self.scheme, self.heights)
+        oriented = routing_dag(self.states, topo, self.scheme, self.heights)
         self._arcs = arcs = []
         self._arc_labels = labels = []
         self._out_degree = out_degree = dict.fromkeys(topo.nodes, 0)
-        for (s, _), (edge, back, forward_label, back_label) in zip(dag.arcs, topo.arc_table):
+        for (s, _), (edge, back, forward_label, back_label) in zip(oriented, topo.arc_table):
             if s == edge[0]:
                 arcs.append(edge)
                 labels.append(forward_label)

@@ -63,8 +63,8 @@ from typing import NamedTuple
 from .errors import ExplosionGuardError, LinkrevError, OverflowRiskError, ScheduleError
 from .model import (
     DESTINATION,
+    Arcs,
     HeightAssignment,
-    RoutingDag,
     Topology,
     arc_label,
     arcs_digest,
@@ -215,13 +215,15 @@ class _ReplayStart(NamedTuple):
 
     It is derived from the scheme's initial states alone and never read
     from the simulator's Scenario._starts, whose faults the check exists
-    to catch.  failures is the step-0 verdict: acyclicity, the
-    stuck/oriented agreement and the scheme's invariants over every node
-    and link, for the scenario's node count.  Never mutated.
+    to catch.  arcs is the orientation those states induce, routing_dag's
+    tuple, and labels, out, stuck and digest are read off it.  failures is
+    the step-0 verdict: acyclicity, the stuck/oriented agreement and the
+    scheme's invariants over every node and link, for the scenario's node
+    count.  Never mutated.
     """
 
     states: Mapping[int, State]
-    initial: RoutingDag
+    arcs: Arcs
     labels: tuple[str, ...]
     out: Mapping[int, tuple[int, ...]]
     stuck: tuple[int, ...]
@@ -233,9 +235,9 @@ def _start_failures(start: _ReplayStart, scenario: Scenario, scheme: SchemeId, n
     """The step-0 failures of a start: its orientation, every node and every link."""
     topo = scenario.topology
     failures: list[str] = []
-    if not is_acyclic(start.initial):
+    if not is_acyclic(start.arcs):
         failures.append("step 0: orientation has a cycle")
-    if not start.stuck and not is_destination_oriented(start.initial, topo):
+    if not start.stuck and not is_destination_oriented(start.arcs, topo):
         failures.append("step 0: stuck set emptiness disagrees with orientation")
     failures += _scheme_failures(
         "step 0", SPECS[scheme], start.states, topo.nodes, topo.edges, n, scenario.heights
@@ -254,15 +256,15 @@ def _replay_start(scenario: Scenario, scheme: SchemeId) -> _ReplayStart:
     if start is None:
         topo = scenario.topology
         states = initial_states(scheme, topo, scenario.heights)
-        initial = routing_dag(states, topo, scheme, scenario.heights)
-        shared = next((o for o in starts.values() if o.initial.arcs == initial.arcs), None)
+        arcs = routing_dag(states, topo, scheme, scenario.heights)
+        shared = next((o for o in starts.values() if o.arcs == arcs), None)
         if shared is None:
             out: dict[int, list[int]] = {i: [] for i in (DESTINATION, *topo.nodes)}
-            for s, d in initial.arcs:
+            for s, d in arcs:
                 out[s].append(d)
-            labels = tuple(starmap(arc_label, initial.arcs))
+            labels = tuple(starmap(arc_label, arcs))
             start = _ReplayStart(
-                states, initial, labels, {i: tuple(js) for i, js in out.items()},
+                states, arcs, labels, {i: tuple(js) for i, js in out.items()},
                 tuple(i for i in topo.nodes if not out[i]), arcs_digest(labels), (),
             )
         else:
@@ -293,7 +295,7 @@ class _StateReplay:
         self._edges = topo.edges
         self._links = topo.ordinary_links
         self._adjacency = topo._adjacency
-        self.arcs = list(start.initial.arcs)
+        self.arcs = list(start.arcs)
         self._labels = list(start.labels)
         self.out = {i: set(js) for i, js in start.out.items()}
         self.stuck = start.stuck
@@ -606,6 +608,32 @@ def _lockstep_divergence(sim: Simulation, rec: StepRecord) -> str | None:
     return None
 
 
+def _lockstep_replay(reference: Trace, shadow: SchemeId) -> tuple[str | None, int | None]:
+    """Replay a converged reference run's update sets under the shadow scheme.
+
+    Returns the first divergence and the index of its step, or None and
+    None when the shadow kept lockstep and converged with the reference.
+    """
+    # After the last step the exhausted schedule raises if the shadow is still stuck.
+    replay = Schedule.fixed(
+        [rec.updated for rec in reference.steps], label=f"replay-of-{reference.scheme.value}"
+    )
+    sim = Simulation(reference.scenario, shadow, replay)
+    for rec in reference.steps:
+        found = _lockstep_divergence(sim, rec)
+        if found is not None:
+            return f"step {rec.index}: {found}", rec.index
+    try:
+        sim.advance()
+    except ScheduleError:
+        return "shadow run still stuck after replaying every step", None
+    except LinkrevError as exc:
+        return f"shadow run raised {type(exc).__name__} after replaying every step: {exc}", None
+    if sim.outcome is not Outcome.CONVERGED:
+        return f"shadow run ended {sim.outcome} after replaying every step", None
+    return None, None
+
+
 def check_scheme_equivalence(
     reference: Trace,
     shadow: SchemeId,
@@ -619,50 +647,24 @@ def check_scheme_equivalence(
     shadow's step records must match the reference's recorded ones in
     their stuck sets, digests and reversed links.
     A reference updater that the shadow cannot update, being not stuck or
-    with no awake neighbor, is a replay mismatch and fails the check.
-    With gating=False the comparison is informational: divergence is
-    reported, not failed.
+    with no awake neighbor, is a replay mismatch and fails the check.  A
+    reference run that did not converge anchors no replay and fails it too.
+    With gating=False the comparison is informational: a scheme-divergence
+    report that states the divergence, or the missing anchor, and never fails.
     """
-    scenario, schedule, scheme = reference.scenario, reference.schedule, reference.scheme
+    scheme = reference.scheme
     failures: list[str] = []
     fail_step: int | None = None
     if reference.outcome is not Outcome.CONVERGED:
         failures.append(f"reference run ended {reference.outcome} and cannot anchor a replay")
-        return _report("scheme-equivalence", scenario, shadow, failures, schedule=schedule)
-
-    # After the last step the exhausted schedule raises if the shadow is still stuck.
-    replay = Schedule.fixed(
-        [rec.updated for rec in reference.steps], label=f"replay-of-{scheme.value}"
-    )
-    sim = Simulation(scenario, shadow, replay)
-    divergence: str | None = None
-    for rec in reference.steps:
-        found = _lockstep_divergence(sim, rec)
-        if found is not None:
-            divergence, fail_step = f"step {rec.index}: {found}", rec.index
-            break
     else:
-        try:
-            sim.advance()
-        except ScheduleError:
-            divergence = "shadow run still stuck after replaying every step"
-        except LinkrevError as exc:
-            divergence = f"shadow run raised {type(exc).__name__} after replaying every step: {exc}"
-        else:
-            if sim.outcome is not Outcome.CONVERGED:
-                divergence = f"shadow run ended {sim.outcome} after replaying every step"
-
-    if divergence is not None:
-        if not gating:
-            return _report(
-                "scheme-divergence", scenario, shadow, [],
-                detail=f"vs {scheme.value}: {divergence}", informational=True,
-            )
-        failures.append(f"vs {scheme.value}: {divergence}")
+        divergence, fail_step = _lockstep_replay(reference, shadow)
+        if divergence is not None:
+            failures.append(f"vs {scheme.value}: {divergence}")
     return _report(
         "scheme-equivalence" if gating else "scheme-divergence",
-        scenario, shadow, failures,
-        schedule=schedule, step=fail_step,
+        reference.scenario, shadow, failures,
+        schedule=reference.schedule, step=fail_step,
         detail=f"lockstep with {scheme.value} across {len(reference.steps)} steps",
         informational=not gating,
     )
@@ -700,18 +702,20 @@ class EnumerationResult:
         return len(self.final_digests) == 1
 
 
-def _final_facts(dag: RoutingDag, topo: Topology) -> tuple[str, bool]:
-    """The digest of a final DAG and whether it is destination-oriented.
+def _final_facts(arcs: Arcs, topo: Topology) -> tuple[str, bool]:
+    """The digest of a final orientation's arcs and whether they are destination-oriented.
 
     Both depend on the arcs and the topology alone, so the topology keeps
     them for all the schemes run on it: the digests here, the reach sets
-    in destination_reach's memo.
+    in destination_reach's memo.  The enumeration passes routing_dag's
+    tuple straight in and binds it nowhere else, so the arcs of a terminal
+    whose orientation the memo already holds are freed at once.
     """
     digests = topo._final_digests
-    digest = digests.get(dag.arcs)
+    digest = digests.get(arcs)
     if digest is None:
-        digest = digests[dag.arcs] = dag.digest()
-    return digest, is_destination_oriented(dag, topo)
+        digest = digests[arcs] = arcs_digest(starmap(arc_label, arcs))
+    return digest, is_destination_oriented(arcs, topo)
 
 
 def enumerate_all_schedules(

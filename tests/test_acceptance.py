@@ -137,8 +137,8 @@ def test_criterion_1_termination(corpus, traces):
             )
         else:
             states = {s.node: s for s in trace.final_states}
-            dag = routing_dag(states, scenario.topology, scheme, scenario.heights)
-            if not is_destination_oriented(dag, scenario.topology):
+            arcs = routing_dag(states, scenario.topology, scheme, scenario.heights)
+            if not is_destination_oriented(arcs, scenario.topology):
                 violations.append(f"{scenario.scenario_id()}/{scheme}: final DAG not oriented")
     if elapsed >= 30.0:
         violations.append(f"corpus runtime {elapsed:.1f}s exceeds the 30s budget")

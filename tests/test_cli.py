@@ -372,7 +372,7 @@ def test_verify_exhaustive_counts_its_scenarios(capsys):
         ((), ["--exhaustive", "3"], EXIT_OK,
          "5778c8aae66029ac84ac53be9d2379f229af1206dedd5e4ac1807805aacb672b"),
         ((PARTITION, DIAMOND_CUT), ["--verbose"], EXIT_PROPERTY,
-         "e0ed1ebed87cf6d8e85691c4699c96d661e209cac7da295ff68738d3e5a31faf"),
+         "56275745382cd5c31f6314521ef28949d5ba5e0cf144163ea7b9e84e9af5d9d3"),
     ],
     ids=["random-verbose", "exhaustive", "failing-verbose"],
 )
@@ -558,8 +558,16 @@ def test_compare_reports_a_gated_pair_that_differs_mid_run_but_ends_alike(
 
 def test_compare_needs_two_schemes(scenario_file, capsys):
     code = main(["compare", scenario_file(CHAIN), "--schemes", "no-full"])
-    assert code == EXIT_PROPERTY
+    assert code == EXIT_INPUT
     assert "at least two" in capsys.readouterr().err
+
+
+def test_compare_refuses_a_scheme_named_twice(scenario_file, capsys):
+    code = main(["compare", scenario_file(CHAIN), "--schemes", "no-full,gb-full,no-full"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert "names a scheme twice" in captured.err
+    assert captured.out == ""
 
 
 # --- python -m linkrev ----------------------------------------------------------

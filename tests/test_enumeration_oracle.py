@@ -23,7 +23,7 @@ makes of its parts.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, starmap
 
 import pytest
 
@@ -34,6 +34,8 @@ from linkrev.generate import exhaustive_void_scenarios
 from linkrev.model import (
     DESTINATION,
     Topology,
+    arc_label,
+    arcs_digest,
     is_destination_oriented,
     routing_dag,
     stuck_set,
@@ -87,14 +89,14 @@ def oracle_enumerate(
 
     while frontier:
         vec = frontier.pop()
-        dag = routing_dag(vec, topo, scheme, heights)
-        stuck = tuple(sorted(stuck_set(dag, topo)))
+        arcs = routing_dag(vec, topo, scheme, heights)
+        stuck = tuple(sorted(stuck_set(arcs, topo)))
         if not stuck:
             terminals.add(vec)
-            digest = dag.digest()
+            digest = arcs_digest(starmap(arc_label, arcs))
             if digest not in finals:
                 finals[digest] = vec
-                oriented_all = oriented_all and is_destination_oriented(dag, topo)
+                oriented_all = oriented_all and is_destination_oriented(arcs, topo)
             continue
         stuck_total += len(stuck)
         updated = {}

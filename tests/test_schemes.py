@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+from itertools import starmap
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from linkrev import (
     Schedule,
     SchemeId,
     SchemeMismatchError,
+    Simulation,
     Topology,
     apply_update,
     baseline_increment_update,
@@ -39,7 +41,7 @@ from linkrev import (
     threshold,
     two_bit_update,
 )
-from linkrev.model import routing_dag
+from linkrev.model import arc_label, arcs_digest, routing_dag
 from linkrev.schemes import (
     ALL_SCHEMES,
     CORE_SCHEMES,
@@ -340,14 +342,19 @@ def test_every_scheme_has_exactly_one_spec():
 
 
 def test_every_scheme_starts_from_the_same_orientation(generated_corpus):
+    """Each scheme's initial arcs are the simulator's step 0, and all schemes share them."""
     mismatched = []
     for scenario in generated_corpus:
         topo, heights = scenario.topology, scenario.heights
-        digests = {
-            routing_dag(initial_states(scheme, topo, heights), topo, scheme, heights).digest()
-            for scheme in ALL_SCHEMES
-        }
-        if len(digests) != 1:
+        orientations = set()
+        for scheme in ALL_SCHEMES:
+            arcs = routing_dag(initial_states(scheme, topo, heights), topo, scheme, heights)
+            sim = Simulation(scenario, scheme)
+            assert type(arcs) is tuple
+            assert arcs == sim.initial_arcs
+            assert arcs_digest(starmap(arc_label, arcs)) == sim.initial_digest
+            orientations.add(arcs)
+        if len(orientations) != 1:
             mismatched.append(scenario.scenario_id())
     assert len(generated_corpus) == 880
     assert mismatched == []

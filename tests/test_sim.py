@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import replace
+from itertools import starmap
 from types import SimpleNamespace
 
 import pytest
@@ -33,7 +34,14 @@ from linkrev import (
     run_scenario,
 )
 from linkrev.generate import random_partition_scenario, random_void_scenario
-from linkrev.model import HeightAssignment, RoutingDag, orientation_flips, routing_dag, stuck_set
+from linkrev.model import (
+    HeightAssignment,
+    arc_label,
+    arcs_digest,
+    orientation_flips,
+    routing_dag,
+    stuck_set,
+)
 from linkrev import sim as sim_module
 from linkrev.schemes import ALL_SCHEMES, CORE_SCHEMES, initial_states
 from linkrev.traceio import trace_to_jsonl
@@ -294,7 +302,7 @@ def test_step_records_share_tuples_instead_of_copying_the_orientation(chain):
     sim = Simulation(chain, SchemeId.BASELINE_INCREMENT, Schedule.single_random(0))
     trace = sim.run()
     assert not hasattr(trace.steps[0], "arcs")
-    assert sim.arcs == routing_dag(sim.states, chain.topology, sim.scheme, sim.heights).arcs
+    assert sim.arcs == routing_dag(sim.states, chain.topology, sim.scheme, sim.heights)
     edges = {e: e for e in chain.topology.edges}
     for rec in trace.steps:
         assert all(e is edges[e] for e in rec.reversed_edges)
@@ -342,19 +350,14 @@ def test_a_trace_keeps_no_per_step_orientation():
 @pytest.mark.parametrize("n", [16, 48])
 def test_an_event_free_step_builds_no_routing_dag(monkeypatch, n):
     """The kernel orients the whole graph once, at construction, and never in a step."""
-    calls = {"routing_dag": 0, "RoutingDag": 0}
-    real_routing_dag, real_init = sim_module.routing_dag, RoutingDag.__init__
+    calls = {"routing_dag": 0}
+    real_routing_dag = sim_module.routing_dag
 
     def counting_routing_dag(*args):
         calls["routing_dag"] += 1
         return real_routing_dag(*args)
 
-    def counting_init(self, *args):
-        calls["RoutingDag"] += 1
-        real_init(self, *args)
-
     monkeypatch.setattr(sim_module, "routing_dag", counting_routing_dag)
-    monkeypatch.setattr(RoutingDag, "__init__", counting_init)
     scenario = Scenario.create(n, [(0, n)] + [(i, i + 1) for i in range(1, n)], heights=range(1, n + 1))
     sim = Simulation(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
     assert calls["routing_dag"] == 1
@@ -364,7 +367,7 @@ def test_an_event_free_step_builds_no_routing_dag(monkeypatch, n):
         assert calls == before
         if record is None:
             break
-        assert record.dag_digest == RoutingDag(sim.arcs).digest()
+        assert record.dag_digest == arcs_digest(starmap(arc_label, sim.arcs))
     assert sim.outcome is Outcome.CONVERGED
     assert len(sim.steps) == n * (n - 1) // 2
     assert calls["routing_dag"] == 1
@@ -670,9 +673,9 @@ def test_the_final_digest_is_the_final_orientations(case, scheme):
     sim = Simulation(trace.scenario, scheme, trace.schedule, trace.step_limit)
     while sim.advance() is not None:
         pass
-    dag = routing_dag(sim.states, sim.awake_topology(), scheme, sim.heights)
-    assert sim.arcs == dag.arcs
-    assert trace.final_digest == dag.digest()
+    arcs = routing_dag(sim.states, sim.awake_topology(), scheme, sim.heights)
+    assert sim.arcs == arcs
+    assert trace.final_digest == arcs_digest(starmap(arc_label, arcs))
 
 
 # --- incremental kernel against a from-scratch orientation --------------------
@@ -689,12 +692,12 @@ class _ScratchCheckedSimulation(Simulation):
         before = self.recorded_arcs
         record = super().step()
         topo = self.awake_topology()
-        dag = routing_dag(self.states, topo, self.scheme, self.heights)
+        arcs = routing_dag(self.states, topo, self.scheme, self.heights)
         self.recorded_arcs = self.arcs
-        assert self.recorded_arcs == dag.arcs
-        assert record.dag_digest == dag.digest()
-        assert record.reversed_edges == orientation_flips(RoutingDag(before), dag)
-        assert self.stuck_nodes() == tuple(sorted(stuck_set(dag, topo)))
+        assert self.recorded_arcs == arcs
+        assert record.dag_digest == arcs_digest(starmap(arc_label, arcs))
+        assert record.reversed_edges == orientation_flips(before, arcs)
+        assert self.stuck_nodes() == tuple(sorted(stuck_set(arcs, topo)))
         return record
 
 

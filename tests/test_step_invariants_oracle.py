@@ -12,13 +12,16 @@ raise the same error.
 
 from __future__ import annotations
 
+from itertools import starmap
+
 from hypothesis import given, settings, strategies as st
 
 from linkrev import LinkrevError, Schedule, check_step_invariants, run_scenario
 from linkrev.generate import random_void_scenario
 from linkrev.model import (
     DESTINATION,
-    RoutingDag,
+    arc_label,
+    arcs_digest,
     is_acyclic,
     is_destination_oriented,
     orientation_flips,
@@ -96,12 +99,12 @@ def oracle_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) -
     failures: list[str] = []
     fail_step: int | None = None
     prev_states: dict[int, State] | None = None
-    prev_dag: RoutingDag | None = None
+    prev_arcs: tuple[tuple[int, int], ...] | None = None
     prev_stuck: tuple[int, ...] = ()
 
     for index, states, rec in _timeline(trace, scenario, scheme):
-        dag = routing_dag(states, topo, scheme, heights)
-        stuck = tuple(sorted(stuck_set(dag, topo)))
+        arcs = routing_dag(states, topo, scheme, heights)
+        stuck = tuple(sorted(stuck_set(arcs, topo)))
         tag = f"step {index}"
         if rec is not None:
             if set(rec.updated) - set(rec.stuck):
@@ -115,16 +118,16 @@ def oracle_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) -
                 problem = _monotone_failure(scheme, prev_states[s.node], s)
                 if problem:
                     failures.append(f"{tag}: {problem}")
-            if dag.digest() != rec.dag_digest:
+            if arcs_digest(starmap(arc_label, arcs)) != rec.dag_digest:
                 failures.append(f"{tag}: recorded digest {rec.dag_digest} does not match states")
-            if tuple(rec.reversed_edges) != orientation_flips(prev_dag, dag):
+            if tuple(rec.reversed_edges) != orientation_flips(prev_arcs, arcs):
                 failures.append(f"{tag}: recorded reversed edges do not match states")
-        elif dag.digest() != trace.initial_digest:
+        elif arcs_digest(starmap(arc_label, arcs)) != trace.initial_digest:
             failures.append("initial digest does not match the scenario")
 
-        if not is_acyclic(dag):
+        if not is_acyclic(arcs):
             failures.append(f"{tag}: orientation has a cycle")
-        oriented = is_destination_oriented(dag, topo)
+        oriented = is_destination_oriented(arcs, topo)
         if bool(stuck) == oriented:
             failures.append(f"{tag}: stuck set emptiness disagrees with orientation")
 
@@ -168,7 +171,7 @@ def oracle_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) -
         if failures:
             fail_step = index
             break
-        prev_states, prev_dag, prev_stuck = states, dag, stuck
+        prev_states, prev_arcs, prev_stuck = states, arcs, stuck
 
     if not failures and scheme in COUNTER_SCHEMES and trace.steps:
         final = {s.node: s for s in trace.final_states}
@@ -317,11 +320,11 @@ def test_a_forged_step_that_closes_a_cycle_fails_in_both():
     forged_states = (FlagState(1, 1), FlagState(3, 1), FlagState(4, 1))
     states = initial_states(SchemeId.ONE_BIT_FULL, scenario.topology, scenario.heights)
     states.update((s.node, s) for s in forged_states)
-    dag = routing_dag(states, scenario.topology, SchemeId.ONE_BIT_FULL, scenario.heights)
+    arcs = routing_dag(states, scenario.topology, SchemeId.ONE_BIT_FULL, scenario.heights)
     forged = rec._replace(
         new_states=forged_states,
-        dag_digest=dag.digest(),
-        reversed_edges=orientation_flips(RoutingDag(trace.initial_arcs), dag),
+        dag_digest=arcs_digest(starmap(arc_label, arcs)),
+        reversed_edges=orientation_flips(trace.initial_arcs, arcs),
     )
     forged_trace = trace._replace(steps=(forged,) + trace.steps[1:])
     report = check_step_invariants(forged_trace, scenario, SchemeId.ONE_BIT_FULL)
@@ -342,12 +345,12 @@ def test_a_forged_partial_step_whose_tails_keep_in_arcs_fails_in_both():
     forged_states = (PhaseState(1, 3), PhaseState(2, 2), PhaseState(3, 1))
     states = initial_states(scheme, scenario.topology, scenario.heights)
     states.update((s.node, s) for s in forged_states)
-    dag = routing_dag(states, scenario.topology, scheme, scenario.heights)
-    assert set(dag.arcs) >= {(1, 2), (2, 3), (3, 4), (4, 1)}
+    arcs = routing_dag(states, scenario.topology, scheme, scenario.heights)
+    assert set(arcs) >= {(1, 2), (2, 3), (3, 4), (4, 1)}
     forged = rec._replace(
         new_states=forged_states,
-        dag_digest=dag.digest(),
-        reversed_edges=orientation_flips(RoutingDag(trace.initial_arcs), dag),
+        dag_digest=arcs_digest(starmap(arc_label, arcs)),
+        reversed_edges=orientation_flips(trace.initial_arcs, arcs),
     )
     forged_trace = trace._replace(steps=(forged,) + trace.steps[1:])
     report = check_step_invariants(forged_trace, scenario, scheme)
@@ -387,14 +390,14 @@ def test_a_flip_that_closes_a_cycle_is_caught():
     # 1->2, 2->3 and 1->3 are acyclic; flipping 1->3 into 3->1 closes 1->2->3->1.
     out = {1: {2}, 2: {3}, 3: {1}, 0: set()}
     assert _closes_cycle(out, [1])
-    assert not is_acyclic(RoutingDag(((1, 2), (2, 3), (3, 1))))
+    assert not is_acyclic(((1, 2), (2, 3), (3, 1)))
 
 
 def test_a_flip_that_closes_no_cycle_passes():
     # Flipping 1->2 of the same triangle into 2->1 leaves 2->1->3 and 2->3.
     out = {1: {3}, 2: {1, 3}, 3: {0}, 0: set()}
     assert not _closes_cycle(out, [1])
-    assert is_acyclic(RoutingDag(((2, 1), (1, 3), (2, 3), (3, 0))))
+    assert is_acyclic(((2, 1), (1, 3), (2, 3), (3, 0)))
 
 
 def test_the_cycle_search_sees_a_cycle_reached_through_other_nodes():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import replace
+from itertools import starmap
 
 import pytest
 
@@ -347,11 +348,12 @@ def test_step_invariants_see_a_cycle_that_leaves_no_node_stuck():
     trace = run_scenario(scenario, scheme, Schedule.single_random(0))
     assert trace.steps[0].updated == (1,)
     states = {i: FlagState(i, int(i == 2)) for i in range(1, 5)}
-    dag = model.routing_dag(states, scenario.topology, scheme, scenario.heights)
-    assert dag.arcs == ((4, 0), (1, 2), (3, 1), (4, 1), (2, 3))
-    flipped = sorted(tuple(sorted(arc)) for arc in set(dag.arcs) - set(trace.initial_arcs))
+    arcs = model.routing_dag(states, scenario.topology, scheme, scenario.heights)
+    assert arcs == ((4, 0), (1, 2), (3, 1), (4, 1), (2, 3))
+    flipped = sorted(tuple(sorted(arc)) for arc in set(arcs) - set(trace.initial_arcs))
+    digest = model.arcs_digest(starmap(model.arc_label, arcs))
     forged = _tamper_step(
-        trace, 0, new_states=(states[2],), dag_digest=dag.digest(), reversed_edges=tuple(flipped),
+        trace, 0, new_states=(states[2],), dag_digest=digest, reversed_edges=tuple(flipped),
     )
     failures, step = verify._replay_failures(forged, scenario, scheme)
     assert step == 1
@@ -504,6 +506,24 @@ def test_equivalence_refuses_a_reference_that_did_not_converge():
     ref = run_scenario(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
     report = check_scheme_equivalence(ref, SchemeId.GB_FULL)
     assert report.detail == "reference run ended partitioned and cannot anchor a replay"
+
+
+def test_the_informational_pair_never_fails_on_a_reference_that_did_not_converge():
+    # The divergence pair states the missing anchor and gates nothing, as
+    # it does for every other divergence.
+    scenario = Scenario.create(3, [(0, 1), (1, 2), (2, 3)], heights=(1, 3, 2), events=[
+        SimEvent(at_step=1, kind="remove-link", edge=(1, 2)),
+    ])
+    ref = run_scenario(scenario, SchemeId.NO_PARTIAL, Schedule.subset_random(0))
+    assert ref.outcome is Outcome.PARTITIONED
+    report = check_scheme_equivalence(ref, SchemeId.GB_PARTIAL, gating=False)
+    assert report.check == "scheme-divergence"
+    assert report.informational and report.passed
+    assert report.counterexample is None
+    assert report.detail == "reference run ended partitioned and cannot anchor a replay"
+    gated = check_scheme_equivalence(ref, SchemeId.TWO_BIT_PARTIAL)
+    assert (gated.check, gated.passed) == ("scheme-equivalence", False)
+    assert gated.detail == report.detail
 
 
 def test_equivalence_reports_a_shadow_that_raises_mid_replay():
