@@ -58,7 +58,8 @@ def _parse_scheme(name: str) -> SchemeId:
         ) from None
 
 
-def _parse_schedule(text: str, seed: int) -> Schedule:
+def _parse_schedule(text: str, seed: int, n: int) -> Schedule:
+    """The --schedule option; a fixed step naming an id outside 1..n is an input error."""
     if text == "single":
         return Schedule.single_random(seed)
     if text == "subset":
@@ -70,9 +71,16 @@ def _parse_schedule(text: str, seed: int) -> Schedule:
             if not chunk:
                 continue
             try:
-                steps.append(tuple(int(tok) for tok in chunk.split(",")))
+                step = tuple(int(tok) for tok in chunk.split(","))
             except ValueError:
                 raise _InputError(f"bad fixed schedule chunk {chunk!r}") from None
+            outside = sorted({i for i in step if not 1 <= i <= n})
+            if outside:
+                raise _InputError(
+                    f"fixed schedule step {len(steps) + 1} names {outside}, "
+                    f"which are not nodes 1..{n} of the scenario"
+                )
+            steps.append(step)
         try:
             return Schedule.fixed(steps, label="cli")
         except ScheduleError as exc:
@@ -94,7 +102,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args.scenario)
     scheme = _parse_scheme(args.scheme)
     seed = args.seed if args.seed is not None else (scenario.seed or 0)
-    schedule = _parse_schedule(args.schedule, seed)
+    schedule = _parse_schedule(args.schedule, seed, scenario.n)
     trace = run_scenario(scenario, scheme, schedule, step_limit=args.step_limit)
 
     counts = " ".join(f"{i}={c}" for i, c in sorted(trace.update_counts.items()))
@@ -222,7 +230,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(set(schemes)) < len(schemes):
         raise _InputError(f"--schemes names a scheme twice: {args.schemes}")
     seed = args.seed if args.seed is not None else (scenario.seed or 0)
-    schedule = _parse_schedule(args.schedule, seed)
+    schedule = _parse_schedule(args.schedule, seed, scenario.n)
 
     rows = []
     worst = Outcome.CONVERGED

@@ -296,8 +296,10 @@ def arcs_digest(labels: Iterable[str]) -> str:
 
     The one digest of an orientation: arcs_digest(starmap(arc_label, arcs)).
     The incremental simulator, which keeps the labels of its arcs and
-    patches them as links flip, passes its labels directly.  The canonical
-    order makes the digest stable across runs.
+    patches them as links flip, passes its labels directly, and only after
+    a step that flipped a link or a rebuild: a step that reverses no link
+    keeps the last digest, and its record shares that string.  The
+    canonical order makes the digest stable across runs.
     """
     return hashlib.sha256(";".join(labels).encode("ascii")).digest()[:6].hex()
 

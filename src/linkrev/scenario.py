@@ -213,7 +213,8 @@ class Scenario:
 def _parse_node_token(token: str, n: int | None, lineno: int, column: int) -> int:
     if token == "D":
         return DESTINATION
-    if not token.isdigit():
+    # isdigit() also holds for digits such as "²" that int() cannot read.
+    if not token.isdecimal():
         raise ScenarioFormatError(f"expected a node id, got {token!r}", lineno, column)
     value = int(token)
     if value < 1 or (n is not None and value > n):

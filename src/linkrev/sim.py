@@ -52,17 +52,22 @@ which costs O(sum of deg U) instead of an orientation pass over every
 link.  Neither a step nor a rebuild builds an arc or a label: each link's
 two arcs and their digest labels are a row of the topology's arc_table,
 (edge, reversed edge, "a>b", "b>a"), and the kept arcs and labels are
-picked from it.  A flipped arc's label is patched beside it, so a step's
-digest is one join and one hash of the kept labels, with no copy of the
-arcs.  A topology event rebuilds all of it from scratch with routing_dag,
-lazily at the next stuck query.  Topology.without memoizes its views, so
-every run of a scenario shares one awake topology per set of sleepers and
-removals, with its adjacency, edge index, link lists, arc table, probe
-table and reach memo.  A Simulation binds the scheme's update rule and the
-maximum initial height once, and each step calls the rule directly.  A turn
-of advance() and its step read the maintained stuck view unless a rebuild
-is due, apply events only when the head of the queue is due, and filter
-the eligible nodes only when some are isolated.  An edge is reported reversed
+picked from it.  A flipped arc's label is patched beside it, so the
+digest of a step that flips a link is one join and one hash of the kept
+labels, with no copy of the arcs.  A step that reverses no link keeps the
+last digest, and its record shares that string: with no rebuild since the
+digest was taken, every awake edge was in the last record, so the flipped
+edges name every label the step patched, and none were.  A rebuild drops
+the digest, and the next step hashes the labels again.  A topology event
+rebuilds all of it from scratch with routing_dag, lazily at the next stuck
+query.  Topology.without memoizes its views, so every run of a scenario
+shares one awake topology per set of sleepers and removals, with its
+adjacency, edge index, link lists, arc table, probe table and reach memo.
+A Simulation binds the scheme's update rule and the maximum initial
+height once, and each step calls the rule directly.  A turn of advance()
+and its step read the maintained stuck view unless a rebuild is due,
+apply events only when the head of the queue is due, and filter the
+eligible nodes only when some are isolated.  An edge is reported reversed
 when it was in the previously recorded orientation and now points the
 other way.  Events change no node's state, so an edge that survives them
 keeps its orientation: only the edge set of the last record is kept, and
@@ -87,9 +92,10 @@ deterministic rerun of any run; Simulation.arcs is the current one.  A
 caller that needs every orientation drives a rerun one turn at a time
 through Simulation.advance(), as run() does, and reads Simulation.arcs
 after each step.
-Records share immutable tuples where they can: the reversed edges are the
-topology's own edge tuples, and the stuck set is the previous record's
-tuple whenever it did not change.
+Records share immutable values where they can: the reversed edges are the
+topology's own edge tuples, the stuck set is the previous record's tuple
+whenever it did not change, and the digest is the previous record's string
+(the start's for the first) whenever the step reversed no link.
 
 Cross-checks kept on the incremental path:
 
@@ -658,7 +664,11 @@ class Simulation:
 
         flipped = self._reorient_updaters(chosen)
         self.total_reversals += len(flipped)
-        self._digest = digest = arcs_digest(self._arc_labels)
+        # With no rebuild since the digest was taken, flipped names every
+        # label the step patched, so a step that flips nothing keeps it.
+        digest = self._digest
+        if flipped or digest is None:
+            self._digest = digest = arcs_digest(self._arc_labels)
         record = StepRecord(index, stuck, chosen, new_states, digest, flipped)
         self.steps.append(record)
         self._recorded_index = self._awake_topo.edge_index

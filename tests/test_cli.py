@@ -176,12 +176,31 @@ def test_run_fixed_schedule(scenario_file, capsys):
         ["--scheme", "no-full", "--schedule", "sometimes"],
         ["--scheme", "no-full", "--schedule", "fixed:x"],
         ["--scheme", "no-full", "--schedule", "fixed:2,2"],
+        ["--scheme", "no-full", "--schedule", "fixed:9"],
+        ["--scheme", "no-full", "--schedule", "fixed:0"],
     ],
 )
 def test_run_bad_arguments_exit_with_input_error(scenario_file, capsys, argv_patch):
     code = main(["run", scenario_file(CHAIN), *argv_patch])
     assert code == EXIT_INPUT
     assert "input error" in capsys.readouterr().err
+
+
+def test_a_fixed_step_outside_the_nodes_is_refused_before_any_run(scenario_file, capsys):
+    path = scenario_file(CHAIN)
+    assert main(["compare", path, "--schemes", "no-full,gb-full", "--schedule", "fixed:2;-1"]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: fixed schedule step 2 names [-1], which are not nodes 1..3 of the scenario\n"
+    # node 1 is a node of the chain but not stuck at step 1: a property of the run
+    assert main(["run", path, "--scheme", "no-full", "--schedule", "fixed:1"]) == EXIT_PROPERTY
+    assert "not stuck" in capsys.readouterr().err
+
+
+def test_a_node_id_int_cannot_read_is_an_input_error(scenario_file, capsys):
+    path = scenario_file("scenario v1\nnodes 3\nedges D-1 1-2 2-²\n")
+    assert main(["run", path, "--scheme", "no-full"]) == EXIT_INPUT
+    assert "expected a node id, got '²'" in capsys.readouterr().err
 
 
 def test_run_past_64_bits_is_an_input_error(scenario_file, capsys):

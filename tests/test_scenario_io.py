@@ -94,6 +94,9 @@ def test_parse_defaults_heights_to_hop_counts():
         ("scenario v1\nnodes 2\nedges D-1 1-2\nevent 1 sleep 1\n", 4, "usage: event"),
         ("scenario v1\nnodes 2\nedges D-1 1-2\nname\n", 4, "name directive"),
         ("scenario v1\nnodes 2\nedges D-1 1-2\nseed x\n", 4, "seed"),
+        # "²" is a digit to str.isdigit() but not a number to int().
+        ("scenario v1\nnodes 3\nedges D-1 1-2 2-²\n", 3, "expected a node id"),
+        ("scenario v1\nnodes 2\nedges D-1 1-2\nevent 1 sleep ² 2\n", 4, "expected a node id"),
     ],
 )
 def test_parse_errors_carry_the_line_number(text, line, fragment):

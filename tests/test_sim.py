@@ -743,6 +743,70 @@ def test_incremental_kernel_matches_a_from_scratch_orientation(scenario, subset,
                 routing_dag(sim.states, sim.awake_topology(), scheme, sim.heights)
 
 
+@pytest.fixture(scope="module")
+def event_sweep() -> list[Scenario]:
+    """The fixed inputs of the benchmark's events workload at n=5 and n=10.
+
+    Each node of the 5-node monotone chain sleeps at step 1 or 2 for 1..11
+    steps, and ten 10-node partition scenarios strand a node until the
+    finite-state schemes spend their step budget updating it.
+    """
+    chain = [(0, 5)] + [(i, i + 1) for i in range(1, 5)]
+    sweep = [
+        Scenario.create(
+            5, chain, heights=range(1, 6), seed=1,
+            events=[SimEvent(at_step=at, kind="sleep", node=node, duration=duration)],
+        )
+        for at in (1, 2) for node in range(1, 6) for duration in range(1, 12)
+    ]
+    return sweep + [random_partition_scenario(10, k) for k in range(10)]
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
+def test_the_kernel_matches_a_from_scratch_orientation_on_the_event_sweep(event_sweep, scheme):
+    """Every record's digest, reversed edges and stuck set, checked on the events workload.
+
+    The schedule is `linkrev run`'s default, as the benchmark runs it.
+    """
+    for scenario in event_sweep:
+        schedule = Schedule.single_random(scenario.seed or 0)
+        sim = _ScratchCheckedSimulation(scenario, scheme, schedule)
+        try:
+            sim.run()
+        except PhaseAdjacencyError:
+            with pytest.raises(PhaseAdjacencyError):
+                routing_dag(sim.states, sim.awake_topology(), scheme, sim.heights)
+
+
+def _zigzag_chain(n: int) -> Scenario:
+    """Edges D-n and i-(i+1), heights 1,2,1,2,...: the partial schemes take silent halves."""
+    return Scenario.create(
+        n, [(0, n)] + [(i, i + 1) for i in range(1, n)],
+        heights=[2 - i % 2 for i in range(1, n + 1)],
+    )
+
+
+def test_a_step_that_reverses_no_link_shares_the_last_digest(event_sweep):
+    """A record that flips nothing, with no event since the last, holds the same string."""
+    shared = 0
+    for scenario in [*event_sweep, _zigzag_chain(12)]:
+        for scheme in ALL_SCHEMES:
+            sim = Simulation(scenario, scheme, Schedule.single_random(scenario.seed or 0))
+            last, applied = sim.initial_digest, 0
+            try:
+                while (record := sim.advance()) is not None:
+                    quiet = len(sim.events_applied) == applied
+                    if quiet and not record.reversed_edges:
+                        assert record.dag_digest is last
+                        shared += 1
+                    elif record.reversed_edges:
+                        assert record.dag_digest != last
+                    last, applied = record.dag_digest, len(sim.events_applied)
+            except PhaseAdjacencyError:
+                assert scheme in (SchemeId.TWO_BIT_FULL, SchemeId.TWO_BIT_PARTIAL)
+    assert shared > 10_000
+
+
 def _awake_parts(scenario: Scenario, events_applied) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Nodes and links of the awake graph after the applied events, rebuilt from the event log."""
     nodes, edges, sleeping = set(scenario.topology.nodes), set(scenario.topology.edges), set()

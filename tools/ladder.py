@@ -1,0 +1,117 @@
+"""The scale ladder: one scheme on chains of growing size, one row per size.
+
+    python3 tools/ladder.py --scheme no-full --shape monotone --sizes 50,100,200,400
+
+For each size n the chain has the edges D-n and i-(i+1), and the heights
+1..n (monotone, a deep void of n nodes) or 1,2,1,2,... (zigzag, where the
+partial schemes take silent halves).  The chain runs under
+Schedule.single_random(0); its trace is then written as JSONL and checked
+by check_step_invariants.  A row gives the steps, the run's time and its
+µs per step, the peak of a second run traced by tracemalloc, the JSONL
+bytes and the step check's time (with FAIL when the check fails).  A size
+whose run raises OverflowRiskError prints the error instead of a row.
+
+Times are one run each, wall clock, so they move with the machine's load.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+import tracemalloc
+from collections.abc import Sequence
+from pathlib import Path
+from typing import NamedTuple
+
+# Run from a checkout without installing: the package is under src/.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from linkrev import OverflowRiskError, Scenario, Schedule, SchemeId, run_scenario  # noqa: E402
+from linkrev.traceio import trace_to_jsonl  # noqa: E402
+from linkrev.verify import check_step_invariants  # noqa: E402
+
+SHAPES = ("monotone", "zigzag")
+HEADER = (
+    "| n | steps | run | µs/step | traced peak | JSONL | step check |\n"
+    "|---|---|---|---|---|---|---|"
+)
+
+
+class Row(NamedTuple):
+    """One size of the ladder."""
+
+    n: int
+    steps: int
+    run_s: float
+    peak_bytes: int
+    jsonl_bytes: int
+    check_s: float
+    check_passed: bool
+
+    def line(self) -> str:
+        per_step = self.run_s / self.steps * 1e6 if self.steps else 0.0
+        verdict = "" if self.check_passed else " FAIL"
+        return (
+            f"| {self.n} | {self.steps:,} | {self.run_s:.3f} s | {per_step:.1f} "
+            f"| {self.peak_bytes / 1e6:.1f} MB | {self.jsonl_bytes / 1e3:,.0f} KB "
+            f"| {self.check_s:.2f} s{verdict} |"
+        )
+
+
+def chain(n: int, shape: str) -> Scenario:
+    """The chain D-n, i-(i+1) with monotone or zigzag heights."""
+    heights = range(1, n + 1) if shape == "monotone" else [2 - i % 2 for i in range(1, n + 1)]
+    return Scenario.create(n, [(0, n)] + [(i, i + 1) for i in range(1, n)], heights=heights)
+
+
+def measure(scheme: SchemeId, shape: str, n: int) -> Row:
+    """Run one size; raises OverflowRiskError when the run would leave 64 bits."""
+    scenario = chain(n, shape)
+    started = time.perf_counter()
+    trace = run_scenario(scenario, scheme, Schedule.single_random(0))
+    run_s = time.perf_counter() - started
+    steps = len(trace.steps)
+    jsonl_bytes = len(trace_to_jsonl(trace).encode("utf-8"))
+    started = time.perf_counter()
+    report = check_step_invariants(trace, scenario, scheme)
+    check_s = time.perf_counter() - started
+    del trace
+    # A second, cold run: its scenario has no cached start to share.
+    tracemalloc.start()
+    try:
+        run_scenario(chain(n, shape), scheme, Schedule.single_random(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return Row(n, steps, run_s, peak, jsonl_bytes, check_s, report.passed)
+
+
+def parse_sizes(text: str) -> list[int]:
+    try:
+        sizes = [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected sizes like 50,100, got {text!r}") from None
+    if any(n < 1 for n in sizes):
+        raise argparse.ArgumentTypeError(f"a chain needs at least one node, got {text!r}")
+    return sizes
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--scheme", required=True, type=SchemeId, help="a scheme, e.g. no-full")
+    parser.add_argument("--shape", choices=SHAPES, default="monotone")
+    parser.add_argument("--sizes", type=parse_sizes, default=[50, 100, 200, 400])
+    args = parser.parse_args(argv)
+    print(f"{args.scheme.value}, {args.shape} chain, single_random(0)")
+    print(HEADER)
+    for n in args.sizes:
+        try:
+            print(measure(args.scheme, args.shape, n).line(), flush=True)
+        except OverflowRiskError as exc:
+            print(f"| {n} | OverflowRiskError: {exc} |", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
