@@ -16,9 +16,10 @@ pair they must give the same final digests, states and verdict, the
 singleton enumeration must count one transition per stuck node of each
 expanded vector, and each of its witness steps must name one node.
 
-The void scenarios themselves are built on the generator's own Topology,
-with no second validation, so each must equal what ``Scenario.create``
-makes of its parts.
+The generated scenarios themselves are built on the generator's own
+Topology, with no second validation, so each must equal what
+``Scenario.create`` makes of its parts: the exhaustive void scenarios, the
+random void corpus and the random partition scenarios.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import pytest
 from linkrev import Scenario, SchemeId, check_order_invariance, enumerate_all_schedules
 from linkrev import verify
 from linkrev.errors import ExplosionGuardError
-from linkrev.generate import exhaustive_void_scenarios
+from linkrev.generate import exhaustive_void_scenarios, random_partition_scenario
 from linkrev.model import (
     DESTINATION,
     Topology,
@@ -208,7 +209,12 @@ def test_order_invariance_enumerates_once_with_one_dag_per_terminal_vector(monke
 
 def _assert_created_alike(scenario: Scenario) -> None:
     created = Scenario.create(
-        scenario.n, scenario.edges, heights=scenario.heights.values, name=scenario.name
+        scenario.n,
+        scenario.edges,
+        heights=scenario.heights.values,
+        events=scenario.events,
+        seed=scenario.seed,
+        name=scenario.name,
     )
     assert scenario == created
     assert scenario.topology == Topology.build(scenario.n, scenario.edges)
@@ -223,3 +229,16 @@ def test_generated_scenarios_equal_created_ones(n):
 def test_n5_generated_scenarios_equal_created_ones(n5_stride):
     for scenario in n5_stride:
         _assert_created_alike(scenario)
+
+
+def test_random_void_scenarios_equal_created_ones(generated_corpus):
+    corpus = generated_corpus[:216]
+    assert all(scenario.name.startswith("void-") for scenario in corpus)
+    for scenario in corpus:
+        _assert_created_alike(scenario)
+
+
+def test_random_partition_scenarios_equal_created_ones():
+    for n in range(2, 13):
+        for k in range(20):
+            _assert_created_alike(random_partition_scenario(n, k))

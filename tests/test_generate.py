@@ -35,6 +35,10 @@ EXHAUSTIVE_N5_DIGEST = "ef7bcccad1747c1c813e58db585d55901d4131d3fc1b3bb92cc8bbad
 #: then k = 0..19.
 PARTITION_DIGEST = "df7adf31a72a20e6d44ecf8f46f40c3a1b0a3dfb85365e4fae1061f1e525765c"
 
+#: sha256 of the serialized random_void_scenario(n, k) for n = 3..19, then
+#: k = 0..149: every size from the floor past the verify-random corpus.
+WIDE_VOID_DIGEST = "8c25ee3e5b3516c1570ac4cb2ee2e4159cadcca26252a96b8d5b299b938566dc"
+
 
 def test_random_void_scenario_shape():
     sc = random_void_scenario(6, seed=0)
@@ -170,3 +174,11 @@ def test_partition_scenarios_are_pinned():
         serialize_scenario(random_partition_scenario(n, k)) for n in range(2, 13) for k in range(20)
     )
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PARTITION_DIGEST
+
+
+def test_void_scenarios_of_every_size_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(3, 20):
+        for k in range(150):
+            digest.update(serialize_scenario(random_void_scenario(n, k)).encode("utf-8"))
+    assert digest.hexdigest() == WIDE_VOID_DIGEST
