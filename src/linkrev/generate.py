@@ -10,14 +10,18 @@ states: bit j of adjacency[i] is set when nodes i and j are linked, and the
 destination is node 0.  Every scheme orients each link by the initial
 (height, id) order, so a node starts stuck iff it has no link to the
 destination and no neighbor below it in that order; _starts_stuck is that
-test, for both generators.  exhaustive_void_scenarios walks the edge masks
+test, a walk over the nodes sorted once by that order, for both
+generators.  A random void sorts each sampled graph's nodes once and runs
+the walk first for every victim: only a victim whose removal would strand
+a survivor costs a connectivity search, and the scenario is built through
+Scenario.from_topology on the renumbered kept edges, which that search has
+already shown connected.  exhaustive_void_scenarios walks the edge masks
 once, with connectivity and hop counts from a bitset breadth-first search,
 and builds a Scenario only for the masks it keeps, on a Topology made from
 the walk's edges with no second validation.  Partition scenarios find
 their bridges with the same search: a link is a bridge when the graph
 without it leaves some node unreached.
 """
-
 from __future__ import annotations
 
 import random
@@ -59,26 +63,40 @@ def _hop_counts(adjacency: Sequence[int], alive: int) -> list[int] | None:
     while frontier:
         level += 1
         reached = 0
-        for i in _bits(frontier):
-            reached |= adjacency[i]
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            reached |= adjacency[low.bit_length() - 1]
+            rest ^= low
         frontier = reached & alive & ~seen
         seen |= frontier
-        for i in _bits(frontier):
-            hops[i] = level
+        rest = frontier
+        while rest:
+            low = rest & -rest
+            hops[low.bit_length() - 1] = level
+            rest ^= low
     return hops if seen == alive else None
 
 
-def _starts_stuck(adjacency: Sequence[int], heights: Sequence[int], alive: int) -> bool:
+def _height_order(heights: Sequence[int]) -> list[int]:
+    """The nodes 1.. of heights, indexed by node id, in the initial (height, id) order."""
+    # sorted is stable, so nodes of equal height stay in id order.
+    return sorted(range(1, len(heights)), key=heights.__getitem__)
+
+
+def _starts_stuck(adjacency: Sequence[int], order: Sequence[int], alive: int) -> bool:
     """True if some node of alive has no link down, under the initial (height, id) order.
 
-    heights is indexed by node id.  The destination is below every node,
-    so a node linked to it is never stuck.
+    order is _height_order of the heights; the nodes it lists outside alive
+    are skipped.  The destination is below every node, so a node linked to
+    it is never stuck.
     """
     below = 1 << DESTINATION
-    for i in sorted(_bits(alive & ~below), key=lambda i: (heights[i], i)):
-        if not adjacency[i] & below:
-            return True
-        below |= 1 << i
+    for i in order:
+        if alive >> i & 1:
+            if not adjacency[i] & below:
+                return True
+            below |= 1 << i
     return False
 
 
@@ -118,20 +136,27 @@ def random_void_scenario(n: int, seed: int) -> Scenario:
         edges = _random_connected_edges(rng, n + 1)
         adjacency = _adjacency(n + 1, edges)
         hops = _hop_counts(adjacency, everyone)
+        order = _height_order(hops)
         # Survivors are tested under their old ids: numbering them 1..n in
-        # the same order afterwards turns no link around.
+        # the same order afterwards turns no link around.  The stuck walk
+        # is the cheap test, so it goes first.
         candidates = []
         for victim in range(1, n + 2):
             alive = everyone & ~(1 << victim)
-            if _hop_counts(adjacency, alive) is not None and _starts_stuck(adjacency, hops, alive):
+            if _starts_stuck(adjacency, order, alive) and _hop_counts(adjacency, alive) is not None:
                 candidates.append(victim)
         if candidates:
             victim = candidates[rng.randrange(len(candidates))]
-            kept = [
+            # Renumbering keeps the sorted, canonical edges sorted and
+            # canonical, and the victim's test found them connected.
+            kept = tuple(
                 (a - (a > victim), b - (b > victim)) for a, b in edges if victim not in (a, b)
-            ]
+            )
             values = tuple(hops[i] for i in range(1, n + 2) if i != victim)
-            return Scenario.create(n, kept, heights=values, seed=seed, name=f"void-n{n}-s{seed}")
+            return Scenario.from_topology(
+                Topology(tuple(range(1, n + 1)), kept), HeightAssignment(values),
+                seed=seed, name=f"void-n{n}-s{seed}",
+            )
     raise RuntimeError(f"no void scenario found for n={n}, seed={seed}")
 
 
@@ -216,7 +241,7 @@ def _void_values(adjacency: Sequence[int], hops: Sequence[int]) -> tuple[int, ..
     """Heights of nodes 1..n from the first attempt that leaves a node stuck."""
     everyone = (1 << len(adjacency)) - 1
     for heights in _height_attempts(adjacency, hops):
-        if _starts_stuck(adjacency, heights, everyone):
+        if _starts_stuck(adjacency, _height_order(heights), everyone):
             return tuple(heights[1:])
     return None
 

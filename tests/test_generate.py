@@ -11,6 +11,7 @@ from linkrev import Outcome, Schedule, SchemeId, run_scenario
 from linkrev.generate import (
     _adjacency,
     _height_attempts,
+    _height_order,
     _hop_counts,
     _starts_stuck,
     all_connected_topologies,
@@ -103,7 +104,7 @@ def test_bitset_void_test_agrees_with_hello_rounds():
             assert hops[1:] == list(hop_count_heights(topo).values)
             for heights in _height_attempts(adjacency, hops):
                 tried += 1
-                verdict = _starts_stuck(adjacency, heights, everyone)
+                verdict = _starts_stuck(adjacency, _height_order(heights), everyone)
                 assert verdict == _hello_void(topo, heights[1:]), (topo.edges, heights)
                 stuck += verdict
     # both verdicts occur: the attempts are not all voids
@@ -121,7 +122,7 @@ def test_bitset_void_test_agrees_on_survivors():
                 connected = _hop_counts(adjacency, alive) is not None
                 assert connected == shrunk.is_connected
                 if connected:
-                    verdict = _starts_stuck(adjacency, values, alive)
+                    verdict = _starts_stuck(adjacency, _height_order(values), alive)
                     assert verdict == _hello_void(shrunk, values[1:]), (topo.edges, victim)
 
 
