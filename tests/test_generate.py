@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
 
-from linkrev import Outcome, Schedule, SchemeId, run_scenario
+from linkrev import Outcome, Schedule, SchemeId, generate, run_scenario
 from linkrev.generate import (
     _adjacency,
     _height_attempts,
     _height_order,
     _hop_counts,
+    _random_connected_edges,
     _starts_stuck,
     all_connected_topologies,
     exhaustive_void_scenarios,
@@ -20,7 +22,7 @@ from linkrev.generate import (
     random_void_scenario,
     void_heights,
 )
-from linkrev.model import HeightAssignment, Topology, hop_count_heights
+from linkrev.model import DESTINATION, HeightAssignment, Topology, hop_count_heights
 from linkrev.scenario import serialize_scenario
 from linkrev.schemes import initial_states
 from linkrev.sim import hello_round
@@ -183,3 +185,54 @@ def test_void_scenarios_of_every_size_are_pinned():
         for k in range(150):
             digest.update(serialize_scenario(random_void_scenario(n, k)).encode("utf-8"))
     assert digest.hexdigest() == WIDE_VOID_DIGEST
+
+
+def _void_attempts(n: int, seed: int) -> tuple[int, int]:
+    """Reference: the graphs random_void_scenario(n, seed) samples, and its stranding victims.
+
+    Replays the generator's draws on Topology objects.  A stranding victim
+    is one whose removal leaves a survivor with no link to the destination
+    and every remaining neighbor above it in the (hop count, id) order.
+    """
+    rng = random.Random(seed * 1_000_003 + n)
+    attempts = stranding = 0
+    while True:
+        topo = Topology.build(n + 1, _random_connected_edges(rng, n + 1))
+        hops = (0, *hop_count_heights(topo).values)
+        attempts += 1
+        candidates = []
+        for victim in topo.nodes:
+            if any(
+                all(
+                    j != DESTINATION and (hops[j], j) > (hops[i], i)
+                    for j in topo.neighbors(i)
+                    if j != victim
+                )
+                for i in topo.nodes
+                if i != victim
+            ):
+                stranding += 1
+                if topo.without(drop_nodes=(victim,)).is_connected:
+                    candidates.append(victim)
+        if candidates:
+            rng.randrange(len(candidates))
+            return attempts, stranding
+
+
+def test_void_generation_searches_only_for_stranding_victims(monkeypatch):
+    # One connectivity search per sampled graph and one per victim that
+    # would strand a survivor, none for the other victims.
+    searches = 0
+    search = generate._hop_counts
+
+    def counting(adjacency, alive):
+        nonlocal searches
+        searches += 1
+        return search(adjacency, alive)
+
+    monkeypatch.setattr(generate, "_hop_counts", counting)
+    for k in range(216):
+        random_void_scenario(4 + k % 9, k)
+    attempts, stranding = map(sum, zip(*(_void_attempts(4 + k % 9, k) for k in range(216))))
+    assert (attempts, stranding) == (574, 959)
+    assert searches == attempts + stranding
