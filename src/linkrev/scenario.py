@@ -13,6 +13,10 @@ Grammar (one directive per line, '#' starts a comment, blank lines ignored)::
     event <step> sleep <i> <duration>
     event <step> wake <i>
 
+Every number (the node count, node ids, heights, the seed, an event's
+step and a sleep's duration) is an optional "-" followed by the ASCII
+digits 0-9; any other spelling, such as "+2", "1_0" or non-ASCII digits,
+is a format error, so a text the parser accepts means what it says.
 Node additions are outside the model and rejected.  Parsing validates
 connectivity and that every height is positive and fits in a signed 64-bit
 integer.  Heights a run computes are checked where they are computed: the
@@ -22,6 +26,7 @@ update that would leave the 64-bit range raises OverflowRiskError.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,6 +46,10 @@ HEADER = "scenario v1"
 EVENT_KINDS = ("remove-node", "remove-link", "sleep", "wake")
 
 _FORBIDDEN_EVENT_KINDS = ("add-node", "add-link")
+
+#: The one spelling of a number in the format.  int() alone would also read
+#: "+2", "1_0" and non-ASCII digits, which serialize back as other text.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -213,8 +222,7 @@ class Scenario:
 def _parse_node_token(token: str, n: int | None, lineno: int, column: int) -> int:
     if token == "D":
         return DESTINATION
-    # isdigit() also holds for digits such as "²" that int() cannot read.
-    if not token.isdecimal():
+    if not _INTEGER.fullmatch(token):
         raise ScenarioFormatError(f"expected a node id, got {token!r}", lineno, column)
     value = int(token)
     if value < 1 or (n is not None and value > n):
@@ -233,12 +241,14 @@ def _parse_edge_token(token: str, n: int | None, lineno: int, column: int) -> tu
     return (a, b) if a < b else (b, a)
 
 
-def _parse_int(token: str, what: str, lineno: int, column: int, minimum: int = 0) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ScenarioFormatError(f"{what} must be an integer, got {token!r}", lineno, column) from None
-    if value < minimum:
+def _parse_int(
+    token: str, what: str, lineno: int, column: int, minimum: int | None = 0
+) -> int:
+    """The number token spells; a minimum of None leaves the range to the caller."""
+    if not _INTEGER.fullmatch(token):
+        raise ScenarioFormatError(f"{what} must be an integer, got {token!r}", lineno, column)
+    value = int(token)
+    if minimum is not None and value < minimum:
         raise ScenarioFormatError(f"{what} must be >= {minimum}, got {value}", lineno, column)
     return value
 
@@ -298,12 +308,7 @@ def parse_scenario(text: str, name: str | None = None) -> Scenario:
                 )
             heights = []
             for token, col in zip(tokens[1:], columns[1:]):
-                try:
-                    value = int(token)
-                except ValueError:
-                    raise ScenarioFormatError(
-                        f"height must be an integer, got {token!r}", lineno, col
-                    ) from None
+                value = _parse_int(token, "height", lineno, col, minimum=None)
                 if value < 1:
                     raise HeightRangeError(
                         f"initial heights must be positive, got {value}", lineno, col

@@ -203,6 +203,20 @@ def test_a_node_id_int_cannot_read_is_an_input_error(scenario_file, capsys):
     assert "expected a node id, got '²'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "directive, message",
+    [
+        ("heights 1_0 +2", "height must be an integer, got '1_0'"),
+        ("seed ٣", "seed must be an integer, got '٣'"),
+        ("event ١ sleep 2 1", "event step must be an integer, got '١'"),
+    ],
+)
+def test_a_number_in_another_spelling_is_an_input_error(scenario_file, capsys, directive, message):
+    path = scenario_file(f"scenario v1\nnodes 2\nedges D-1 1-2\n{directive}\n")
+    assert main(["run", path, "--scheme", "no-full"]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_run_past_64_bits_is_an_input_error(scenario_file, capsys):
     # a zigzag chain: edges D-80 and i-(i+1), heights 1,2,1,2,...
     edges = " ".join(["D-80"] + [f"{i}-{i + 1}" for i in range(1, 80)])

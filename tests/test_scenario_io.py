@@ -97,6 +97,17 @@ def test_parse_defaults_heights_to_hop_counts():
         # "²" is a digit to str.isdigit() but not a number to int().
         ("scenario v1\nnodes 3\nedges D-1 1-2 2-²\n", 3, "expected a node id"),
         ("scenario v1\nnodes 2\nedges D-1 1-2\nevent 1 sleep ² 2\n", 4, "expected a node id"),
+        # int() reads signs, underscores and non-ASCII digits; the format
+        # reads ASCII digits after an optional "-", in every number field.
+        ("scenario v1\nnodes +2\n", 2, "node count must be an integer"),
+        ("scenario v1\nnodes 2\nedges D-1 1-٢\n", 3, "expected a node id"),
+        ("scenario v1\nnodes 2\nedges D-1 1-+2\n", 3, "expected a node id"),
+        ("scenario v1\nnodes 2\nedges D-1 1-2\nheights 1_0 +2\n", 4, "height must be an integer"),
+        ("scenario v1\nnodes 2\nedges D-1 1-2\nheights 1 +2\n", 4, "height must be an integer"),
+        ("scenario v1\nnodes 2\nedges D-1 1-2\nseed ٣\n", 4, "seed must be an integer"),
+        ("scenario v1\nnodes 2\nedges D-1 1-2\nevent ١ sleep 2 1\n", 4, "event step must be"),
+        ("scenario v1\nnodes 2\nedges D-1 1-2\nevent 1 sleep 2 1_0\n", 4, "sleep duration must"),
+        ("scenario v1\nnodes 2\nedges D-1 1-2\nevent 1 wake +1\n", 4, "expected a node id"),
     ],
 )
 def test_parse_errors_carry_the_line_number(text, line, fragment):
@@ -113,10 +124,16 @@ def test_parse_error_column_points_at_the_offending_node():
     assert (err.value.line, err.value.column) == (3, 13)
 
 
-def test_parse_rejects_nonpositive_heights():
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_parse_rejects_nonpositive_heights(value):
     with pytest.raises(HeightRangeError) as err:
-        parse_scenario("scenario v1\nnodes 2\nedges D-1 1-2\nheights 1 0\n")
+        parse_scenario(f"scenario v1\nnodes 2\nedges D-1 1-2\nheights 1 {value}\n")
     assert err.value.line == 4
+
+
+def test_a_negative_seed_is_out_of_range():
+    with pytest.raises(ScenarioFormatError, match="seed must be >= 0, got -1"):
+        parse_scenario("scenario v1\nnodes 2\nedges D-1 1-2\nseed -1\n")
 
 
 def test_create_rejects_nonpositive_heights():
@@ -317,6 +334,57 @@ def _random_scenarios(draw):
 
 @given(sc=_random_scenarios())
 def test_round_trip_is_lossless(sc):
+    assert parse_scenario(serialize_scenario(sc)) == sc
+
+
+#: Spellings of a nonnegative number that int() reads: the ASCII ones the
+#: format accepts, and a sign, an underscore or non-ASCII digits, which it
+#: refuses.
+_ACCEPTED_SPELLINGS = (str, lambda v: f"0{v}")
+_REFUSED_SPELLINGS = (
+    lambda v: f"+{v}",
+    lambda v: f"0_{v}",
+    lambda v: str(v).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda v: str(v).translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+)
+
+
+@st.composite
+def _spelled_scenario_texts(draw):
+    """Scenario text whose every number is drawn from its spellings, and whether all are ASCII."""
+    sc = draw(_random_scenarios())
+    ascii_only = True
+
+    def spell(value: int) -> str:
+        nonlocal ascii_only
+        accepted = draw(st.booleans())
+        ascii_only &= accepted
+        return draw(st.sampled_from(_ACCEPTED_SPELLINGS if accepted else _REFUSED_SPELLINGS))(value)
+
+    def node(i: int) -> str:
+        return "D" if i == 0 else spell(i)
+
+    lines = ["scenario v1", f"nodes {spell(sc.n)}"]
+    lines.append("edges " + " ".join(f"{node(a)}-{node(b)}" for a, b in sc.edges))
+    lines.append("heights " + " ".join(spell(h) for h in sc.heights.values))
+    if sc.seed is not None:
+        lines.append(f"seed {spell(sc.seed)}")
+    for ev in sc.events:
+        lines.append(f"event {spell(ev.at_step)} sleep {spell(ev.node)} {spell(ev.duration)}")
+    return "\n".join(lines) + "\n", ascii_only
+
+
+@given(case=_spelled_scenario_texts())
+def test_accepted_text_round_trips(case):
+    # A text is accepted exactly when all its numbers are ASCII digits, and
+    # then it serializes to text that parses back to an equal scenario.
+    text, ascii_only = case
+    try:
+        sc = parse_scenario(text)
+    except ScenarioFormatError:
+        assert not ascii_only, text
+        return
+    assert ascii_only, text
     assert parse_scenario(serialize_scenario(sc)) == sc
 
 
