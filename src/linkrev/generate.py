@@ -22,6 +22,7 @@ the walk's edges with no second validation.  Partition scenarios find
 their bridges with the same search: a link is a bridge when the graph
 without it leaves some node unreached.
 """
+
 from __future__ import annotations
 
 import random

@@ -105,6 +105,7 @@ def test_parse_defaults_heights_to_hop_counts():
         ("scenario v1\nnodes 2\nedges D-1 1-2\nheights 1_0 +2\n", 4, "height must be an integer"),
         ("scenario v1\nnodes 2\nedges D-1 1-2\nheights 1 +2\n", 4, "height must be an integer"),
         ("scenario v1\nnodes 2\nedges D-1 1-2\nseed ٣\n", 4, "seed must be an integer"),
+        ("scenario v1\nnodes 2\nedges D-1 1-2\nseed -1\n", 4, "seed must be >= 0, got -1"),
         ("scenario v1\nnodes 2\nedges D-1 1-2\nevent ١ sleep 2 1\n", 4, "event step must be"),
         ("scenario v1\nnodes 2\nedges D-1 1-2\nevent 1 sleep 2 1_0\n", 4, "sleep duration must"),
         ("scenario v1\nnodes 2\nedges D-1 1-2\nevent 1 wake +1\n", 4, "expected a node id"),
@@ -124,16 +125,16 @@ def test_parse_error_column_points_at_the_offending_node():
     assert (err.value.line, err.value.column) == (3, 13)
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_parse_rejects_nonpositive_heights(value):
+def test_parse_rejects_nonpositive_heights():
     with pytest.raises(HeightRangeError) as err:
-        parse_scenario(f"scenario v1\nnodes 2\nedges D-1 1-2\nheights 1 {value}\n")
+        parse_scenario("scenario v1\nnodes 2\nedges D-1 1-2\nheights 1 0\n")
     assert err.value.line == 4
 
 
-def test_a_negative_seed_is_out_of_range():
-    with pytest.raises(ScenarioFormatError, match="seed must be >= 0, got -1"):
-        parse_scenario("scenario v1\nnodes 2\nedges D-1 1-2\nseed -1\n")
+def test_a_negative_height_is_out_of_range_not_misspelled():
+    with pytest.raises(HeightRangeError, match="must be positive, got -3") as err:
+        parse_scenario("scenario v1\nnodes 2\nedges D-1 1-2\nheights -3 1\n")
+    assert (err.value.line, err.value.column) == (4, 9)
 
 
 def test_create_rejects_nonpositive_heights():
