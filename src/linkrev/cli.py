@@ -24,9 +24,15 @@ from .errors import (
 from .generate import exhaustive_void_scenarios, random_void_scenario
 from .scenario import Scenario, load_scenario
 from .schemes import ALL_SCHEMES, CORE_SCHEMES, SchemeId, initial_states, state_bits
-from .sim import Outcome, Schedule, run_scenario
+from .sim import Outcome, Schedule, Trace, run_scenario
 from .traceio import EXPORT_FORMATS, write_trace
-from .verify import EQUIVALENCE_PAIRS, CheckReport, check_order_invariance, standard_battery
+from .verify import (
+    EQUIVALENCE_PAIRS,
+    CheckReport,
+    check_order_invariance,
+    check_scheme_equivalence,
+    standard_battery,
+)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 2
@@ -232,8 +238,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else (scenario.seed or 0)
     schedule = _parse_schedule(args.schedule, seed, scenario.n)
 
+    by_scheme: dict[SchemeId, Trace] = {}
     rows = []
-    worst = Outcome.CONVERGED
     for scheme in schemes:
         try:
             trace = run_scenario(scenario, scheme, schedule, step_limit=args.step_limit)
@@ -245,47 +251,31 @@ def cmd_compare(args: argparse.Namespace) -> int:
             (s for rec in trace.steps for s in rec.new_states),
         )
         bits = max(state_bits(scheme, s) for s in held)
-        rows.append((scheme.value, trace.outcome.value, len(trace.steps),
-                     trace.total_updates, trace.total_reversals, bits, trace))
-        if trace.outcome is Outcome.PARTITIONED:
-            worst = Outcome.PARTITIONED
-        elif trace.outcome is Outcome.STEP_LIMIT and worst is Outcome.CONVERGED:
-            worst = Outcome.STEP_LIMIT
+        rows.append(
+            f"{scheme.value:<20} {trace.outcome.value:<12} {len(trace.steps):>6} "
+            f"{trace.total_updates:>8} {trace.total_reversals:>10} {bits:>9}"
+        )
+        by_scheme[scheme] = trace
 
     header = f"{'scheme':<20} {'outcome':<12} {'steps':>6} {'updates':>8} {'reversals':>10} {'max-bits':>9}"
     print(header)
     print("-" * len(header))
-    for name, outcome, steps, updates, reversals, bits, _ in rows:
-        print(f"{name:<20} {outcome:<12} {steps:>6} {updates:>8} {reversals:>10} {bits:>9}")
+    print("\n".join(rows))
 
-    by_scheme = {SchemeId(name): trace for name, *_rest, trace in rows}
-    lockstep_broken = False
+    code = max(_outcome_exit(trace.outcome) for trace in by_scheme.values())
     for reference, shadow, gating in EQUIVALENCE_PAIRS:
         if reference in by_scheme and shadow in by_scheme:
-            diff = _first_divergence(by_scheme[reference], by_scheme[shadow])
+            # Judged as verify judges a gated pair; an informational pair
+            # differs only in its label and in never setting the exit code.
+            report = check_scheme_equivalence(by_scheme[reference], shadow, gating=True)
             kind = "expected lockstep" if gating else "informational"
-            if diff is None:
+            if report.passed:
                 print(f"{reference.value} vs {shadow.value}: identical runs ({kind})")
             else:
-                print(f"{reference.value} vs {shadow.value}: diverge ({kind}; {diff})")
-                lockstep_broken = lockstep_broken or gating
-    # A partition outranks a broken gated pair, which fails like a step limit.
-    code = _outcome_exit(worst)
-    return EXIT_PROPERTY if lockstep_broken and code == EXIT_OK else code
-
-
-def _first_divergence(a, b) -> str | None:
-    """Where two runs first differ, or None when they are identical."""
-    for x, y in zip(a.steps, b.steps):
-        if x.updated != y.updated or x.dag_digest != y.dag_digest:
-            return f"first at step {x.index}"
-    if len(a.steps) != len(b.steps):
-        extra = abs(len(a.steps) - len(b.steps))
-        longer = a.scheme.value if len(a.steps) > len(b.steps) else b.scheme.value
-        return f"{longer} needs {extra} extra step(s)"
-    if a.final_digest != b.final_digest:
-        return "final states differ"
-    return None
+                print(f"{reference.value} vs {shadow.value}: diverge ({kind}; {report.detail})")
+                if gating:
+                    code = max(code, EXIT_PROPERTY)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

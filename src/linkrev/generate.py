@@ -29,7 +29,6 @@ import random
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 
-from .errors import DisconnectedGraphError
 from .model import DESTINATION, HeightAssignment, Topology
 from .scenario import Scenario, SimEvent
 
@@ -225,7 +224,7 @@ def all_connected_topologies(n: int) -> Iterator[Topology]:
 
 
 def _height_attempts(adjacency: Sequence[int], hops: Sequence[int]) -> Iterator[list[int]]:
-    """The heights void_heights tries, in order, indexed by node id.
+    """The heights _void_values tries, in order, indexed by node id.
 
     Reversed hop counts first, then a single low sink at each node that is
     not destination-adjacent, in id order.
@@ -245,21 +244,6 @@ def _void_values(adjacency: Sequence[int], hops: Sequence[int]) -> tuple[int, ..
         if _starts_stuck(adjacency, _height_order(heights), everyone):
             return tuple(heights[1:])
     return None
-
-
-def void_heights(topo: Topology) -> tuple[int, ...] | None:
-    """Deterministic height assignment that leaves some node stuck.
-
-    Tries reversed hop counts first, then a single low sink per node that
-    is not destination-adjacent.  Returns None when no assignment can make
-    a void (every node adjacent to the destination).
-    """
-    n = len(topo.nodes)
-    adjacency = _adjacency(n, topo.edges)
-    hops = _hop_counts(adjacency, (1 << (n + 1)) - 1)
-    if hops is None:
-        raise DisconnectedGraphError("graph is not connected")
-    return _void_values(adjacency, hops)
 
 
 def exhaustive_void_scenarios(n: int) -> Iterator[Scenario]:

@@ -394,27 +394,6 @@ def reaches_destination(arcs: Iterable[tuple[int, int]]) -> set[int]:
     return seen
 
 
-def is_acyclic(arcs: Iterable[tuple[int, int]]) -> bool:
-    """Kahn-style check; orientations from a total order always pass."""
-    out: dict[int, set[int]] = {}
-    in_degree: dict[int, int] = {}
-    nodes: set[int] = set()
-    for s, d in arcs:
-        out.setdefault(s, set()).add(d)
-        in_degree[d] = in_degree.get(d, 0) + 1
-        nodes.update((s, d))
-    ready = [i for i in nodes if in_degree.get(i, 0) == 0]
-    removed = 0
-    while ready:
-        i = ready.pop()
-        removed += 1
-        for j in out.get(i, ()):
-            in_degree[j] -= 1
-            if in_degree[j] == 0:
-                ready.append(j)
-    return removed == len(nodes)
-
-
 def orientation_flips(
     before: Iterable[tuple[int, int]], after: Iterable[tuple[int, int]]
 ) -> tuple[tuple[int, int], ...]:

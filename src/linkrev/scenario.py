@@ -187,6 +187,8 @@ class Scenario:
         for ev in sorted(self.events, key=attrgetter("at_step")):
             if ev.at_step < 1:
                 raise ScenarioFormatError(f"event step must be >= 1, got {ev.at_step}")
+            if ev.kind in _FORBIDDEN_EVENT_KINDS:
+                raise AdditionForbiddenError(f"topology additions are not modeled ({ev.kind})")
             if ev.kind not in EVENT_KINDS:
                 raise ScenarioFormatError(f"unknown event kind {ev.kind!r}")
             if ev.kind == "remove-link":

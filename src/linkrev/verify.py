@@ -69,7 +69,6 @@ from .model import (
     arc_label,
     arcs_digest,
     destination_reach,
-    is_acyclic,
     is_destination_oriented,
     orientation_predicate,
     probe_stuck,
@@ -186,7 +185,8 @@ def _closes_cycle(out: Mapping[int, Iterable[int]], heads: Iterable[int]) -> boo
     acyclic before some arcs flipped, every new cycle runs through a
     flipped arc and so through its head: a depth-first search from the
     heads of the flipped arcs finds it, at the cost of the part of the
-    graph they reach.
+    graph they reach.  Step 0 has no earlier orientation, so it searches
+    from every node, which finds any cycle.
     """
     done: set[int] = set()
     for head in heads:
@@ -235,7 +235,7 @@ def _start_failures(start: _ReplayStart, scenario: Scenario, scheme: SchemeId, n
     """The step-0 failures of a start: its orientation, every node and every link."""
     topo = scenario.topology
     failures: list[str] = []
-    if not is_acyclic(start.arcs):
+    if _closes_cycle(start.out, topo.nodes):
         failures.append("step 0: orientation has a cycle")
     if not start.stuck and not is_destination_oriented(start.arcs, topo):
         failures.append("step 0: stuck set emptiness disagrees with orientation")

@@ -509,7 +509,7 @@ def test_compare_shows_the_partial_divergence(scenario_file, capsys):
     assert code == EXIT_OK
     assert "no-partial vs gb-partial: diverge (informational" in out
     # orientations differ from the silent first half onward
-    assert "first at step 2" in out
+    assert "vs no-partial: step 2: orientations diverge" in out
 
 
 HIGH_NEIGHBOR = """\
@@ -554,27 +554,33 @@ def test_compare_exits_2_when_a_run_spends_its_step_budget(scenario_file, capsys
     assert [row.split()[:3] for row in out.splitlines()[2:4]] == [
         ["no-full", "step-limit", "1"], ["gb-full", "step-limit", "1"],
     ]
-    assert "no-full vs gb-full: identical runs (expected lockstep)" in out
+    assert (
+        "no-full vs gb-full: diverge (expected lockstep; "
+        "reference run ended step-limit and cannot anchor a replay)"
+    ) in out
 
 
 def test_compare_names_the_scheme_that_needs_extra_steps(scenario_file, capsys):
     code = main(["compare", scenario_file(SLEEP_CUT), "--schemes", "no-full,one-bit-full"])
     out = capsys.readouterr().out
     assert code == EXIT_PROPERTY
-    assert "no-full vs one-bit-full: diverge (expected lockstep; no-full needs 2 extra step(s))" in out
+    # At step 5 the one-bit-full replay has converged while no-full's node 2 is still stuck.
+    assert (
+        "no-full vs one-bit-full: diverge (expected lockstep; vs no-full: step 5: stuck sets [] vs [2])"
+    ) in out
 
 
 def test_compare_reports_a_gated_pair_that_differs_mid_run_but_ends_alike(
     monkeypatch, scenario_file, capsys
 ):
-    # The gb-full run's second orientation is forged; its updaters and final
-    # digest still match no-full's, so only the step digests tell them apart.
+    # The no-full run's second orientation is forged; its updaters and final
+    # digest still match gb-full's, so only the step digests tell them apart.
     real_run = cli.run_scenario
     forged = []
 
     def forged_run(scenario, scheme, *args, **kwargs):
         trace = real_run(scenario, scheme, *args, **kwargs)
-        if scheme.value != "gb-full":
+        if scheme.value != "no-full":
             return trace
         steps = list(trace.steps)
         steps[1] = steps[1]._replace(dag_digest="f" * len(steps[1].dag_digest))
@@ -585,7 +591,9 @@ def test_compare_reports_a_gated_pair_that_differs_mid_run_but_ends_alike(
     code = main(["compare", scenario_file(DEEP_CHAIN), "--schemes", "no-full,gb-full"])
     out = capsys.readouterr().out
     assert code == EXIT_PROPERTY
-    assert f"no-full vs gb-full: diverge (expected lockstep; first at step {forged[0]})" in out
+    assert (
+        f"no-full vs gb-full: diverge (expected lockstep; vs no-full: step {forged[0]}: orientations diverge)"
+    ) in out
     assert "identical runs" not in out
 
 

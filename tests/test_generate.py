@@ -20,7 +20,6 @@ from linkrev.generate import (
     exhaustive_void_scenarios,
     random_partition_scenario,
     random_void_scenario,
-    void_heights,
 )
 from linkrev.model import DESTINATION, HeightAssignment, Topology, hop_count_heights
 from linkrev.scenario import serialize_scenario
@@ -126,14 +125,6 @@ def test_bitset_void_test_agrees_on_survivors():
                 if connected:
                     verdict = _starts_stuck(adjacency, _height_order(values), alive)
                     assert verdict == _hello_void(shrunk, values[1:]), (topo.edges, victim)
-
-
-def test_void_heights_cover_or_decline():
-    line = Topology.build(3, [(0, 1), (1, 2), (2, 3)])
-    values = void_heights(line)
-    assert values is not None
-    complete = Topology.build(2, [(0, 1), (0, 2), (1, 2)])
-    assert void_heights(complete) is None
 
 
 def test_exhaustive_void_scenarios_start_stuck():

@@ -148,6 +148,18 @@ def test_parse_rejects_additions():
         parse_scenario("scenario v1\nnodes 2\nedges D-1 1-2\nevent 1 add-link 1-2\n")
 
 
+@pytest.mark.parametrize(
+    "event",
+    [SimEvent(1, "add-node", node=2), SimEvent(1, "add-link", edge=(1, 2))],
+    ids=["add-node", "add-link"],
+)
+def test_create_rejects_additions_as_the_parser_does(event):
+    with pytest.raises(AdditionForbiddenError, match=f"not modeled \\({event.kind}\\)"):
+        Scenario.create(2, [(0, 1), (1, 2)], events=[event])
+    with pytest.raises(AdditionForbiddenError, match="line 4:"):
+        parse_scenario(f"scenario v1\nnodes 2\nedges D-1 1-2\nevent 1 {event.kind} 1-2\n")
+
+
 def test_parse_rejects_disconnected_graphs():
     with pytest.raises(DisconnectedGraphError):
         parse_scenario("scenario v1\nnodes 3\nedges D-1 2-3\n")

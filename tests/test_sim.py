@@ -606,18 +606,33 @@ def test_isolated_stuck_node_with_pending_wake_is_not_a_partition():
     assert trace.update_counts[2] >= 1
 
 
+#: Two sleeps on eight nodes: after step 7 neighbors 5 and 8 are two
+#: updates apart, the arcs hold the cycle 1->6->7->1 and no node is stuck.
+_TWO_SLEEPS = (
+    "scenario v1\nnodes 8\n"
+    "edges D-8 1-6 1-7 1-8 2-7 3-4 3-6 3-7 3-8 4-5 5-8 6-7\n"
+    "heights 2 2 2 3 2 3 3 1\n"
+    "event 1 sleep 6 4\nevent 3 sleep 8 3\n"
+)
+#: The smallest input known to show the same fault: one sleep on four nodes.
+_ONE_SLEEP = (
+    "scenario v1\nnodes 4\n"
+    "edges D-4 1-2 1-3 1-4 2-3\n"
+    "heights 2 1 1 3\n"
+    "event 1 sleep 1 3\n"
+)
+
+
 @pytest.mark.xfail(strict=True, raises=AssertionError)
-def test_one_bit_full_under_two_sleeps_ends_in_a_documented_outcome():
-    # Known defect: after step 7 neighbors 5 and 8 are two updates apart,
-    # the arcs hold the cycle 1->6->7->1 and no node is stuck, so the
-    # kernel's cross-check fails its destination-orientation assertion.
-    scenario = parse_scenario(
-        "scenario v1\nnodes 8\n"
-        "edges D-8 1-6 1-7 1-8 2-7 3-4 3-6 3-7 3-8 4-5 5-8 6-7\n"
-        "heights 2 2 2 3 2 3 3 1\n"
-        "event 1 sleep 6 4\nevent 3 sleep 8 3\n"
-    )
-    trace = run_scenario(scenario, SchemeId.ONE_BIT_FULL, Schedule.single_random(0))
+@pytest.mark.parametrize(
+    "text, seed",
+    [(_TWO_SLEEPS, 0), (_ONE_SLEEP, 0), (_ONE_SLEEP, 1), (_ONE_SLEEP, 2)],
+    ids=["two-sleeps-n8-seed0", "one-sleep-n4-seed0", "one-sleep-n4-seed1", "one-sleep-n4-seed2"],
+)
+def test_one_bit_full_under_two_sleeps_ends_in_a_documented_outcome(text, seed):
+    # Known defect: the kernel's cross-check fails its destination-orientation
+    # assertion once one-bit-full's arcs hold a cycle that leaves no node stuck.
+    trace = run_scenario(parse_scenario(text), SchemeId.ONE_BIT_FULL, Schedule.single_random(seed))
     assert trace.outcome in tuple(Outcome)
 
 
