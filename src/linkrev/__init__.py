@@ -33,10 +33,8 @@ from .model import (
     Topology,
     hop_count_heights,
     is_destination_oriented,
-    link_points_from,
     orientation_predicate,
     routing_dag,
-    stuck_set,
 )
 from .scenario import (
     Scenario,
@@ -73,7 +71,6 @@ from .sim import (
     Simulation,
     StepRecord,
     Trace,
-    hello_round,
     run_scenario,
 )
 from .traceio import export_trace, trace_to_csv, trace_to_dot_frames, trace_to_jsonl, write_trace

@@ -123,7 +123,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         applied = "; ".join(f"step {s}: {text}" for s, text in trace.events_applied)
         print(f"events applied: {applied}")
     if args.trace_out:
-        write_trace(trace, args.trace_out, args.format)
+        try:
+            write_trace(trace, args.trace_out, args.format)
+        except OSError as exc:
+            raise _InputError(f"cannot write {args.trace_out}: {exc}") from None
         print(f"trace written to {args.trace_out} ({args.format})")
     return _outcome_exit(trace.outcome)
 

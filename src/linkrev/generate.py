@@ -215,14 +215,6 @@ def _connected_graphs(n: int) -> Iterator[tuple[list[tuple[int, int]], list[int]
             yield edges, adjacency, hops
 
 
-def all_connected_topologies(n: int) -> Iterator[Topology]:
-    """Every labeled connected graph on the destination and nodes 1..n."""
-    nodes = tuple(range(1, n + 1))
-    for edges, _, _ in _connected_graphs(n):
-        # Mask order lists each graph's edges canonical and sorted.
-        yield Topology(nodes, tuple(edges))
-
-
 def _height_attempts(adjacency: Sequence[int], hops: Sequence[int]) -> Iterator[list[int]]:
     """The heights _void_values tries, in order, indexed by node id.
 

@@ -263,23 +263,19 @@ def hop_count_heights(topo: Topology) -> HeightAssignment:
 def orientation_predicate(scheme: SchemeId, heights: HeightAssignment) -> Orientation:
     """Compiled link direction for one scheme and one height assignment.
 
-    The returned predicate answers link_points_from(a, b, scheme, heights)
-    with the same errors: SchemeMismatchError for a state of another
-    scheme, ValueError for two states of one node, and PhaseAdjacencyError
-    for phases two apart.  Ties in the primary fields are broken by node
-    id; the phase and flag schemes break them by the initial (height, id)
-    order, whose ranks the heights compute once.  Each predicate is
-    compiled once per scheme and height assignment and then reused.
+    The returned predicate points_from(a, b) is True if the link between
+    a.node and b.node is oriented a.node -> b.node.  It raises
+    SchemeMismatchError for a state of another scheme, ValueError for two
+    states of one node, and PhaseAdjacencyError for phases two apart.  Ties
+    in the primary fields are broken by node id; the phase and flag schemes
+    break them by the initial (height, id) order, whose ranks the heights
+    compute once.  Each predicate is compiled once per scheme and height
+    assignment and then reused.
     """
     compiled = heights._predicates.get(scheme)
     if compiled is None:
         compiled = heights._predicates[scheme] = SPECS[scheme].orientation(heights)
     return compiled
-
-
-def link_points_from(a: State, b: State, scheme: SchemeId, heights: HeightAssignment) -> bool:
-    """True if the link between a.node and b.node is oriented a.node -> b.node."""
-    return orientation_predicate(scheme, heights)(a, b)
 
 
 # --- induced orientation ----------------------------------------------------
@@ -348,11 +344,6 @@ def probe_stuck(
     return tuple(stuck)
 
 
-def stuck_set(arcs: Iterable[tuple[int, int]], topo: Topology) -> frozenset[int]:
-    """Nondestination nodes with no outgoing link."""
-    return topo._node_set.difference(s for s, _ in arcs)
-
-
 def is_destination_oriented(arcs: Iterable[tuple[int, int]], topo: Topology) -> bool:
     """True if every node has a directed path to the destination.
 
@@ -363,46 +354,27 @@ def is_destination_oriented(arcs: Iterable[tuple[int, int]], topo: Topology) -> 
 
 
 def destination_reach(arcs: Iterable[tuple[int, int]], topo: Topology) -> frozenset[int]:
-    """reaches_destination(arcs), memoized on the topology by the arcs tuple.
+    """The nodes with a directed path to the destination, the destination included.
 
-    The set depends on the arcs alone, so the memo returns what the search
-    would; keeping it per topology lets it die with the topology.  The runs
-    and checks of one scenario end in few orientations, and the battery asks
-    about each many times.
+    A search backward from the destination, memoized on the topology by the
+    arcs tuple.  The set depends on the arcs alone, so the memo returns what
+    the search would; keeping it per topology lets it die with the topology.
+    The runs and checks of one scenario end in few orientations, and the
+    battery asks about each many times.
     """
     key = arcs if type(arcs) is tuple else tuple(arcs)
     memo = topo._reach
     reach = memo.get(key)
     if reach is None:
-        reach = memo[key] = frozenset(reaches_destination(key))
+        reverse: dict[int, list[int]] = {}
+        for s, d in key:
+            reverse.setdefault(d, []).append(s)
+        seen = {DESTINATION}
+        stack = [DESTINATION]
+        while stack:
+            for j in reverse.get(stack.pop(), ()):
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        reach = memo[key] = frozenset(seen)
     return reach
-
-
-def reaches_destination(arcs: Iterable[tuple[int, int]]) -> set[int]:
-    """The nodes with a directed path to the destination, the destination included."""
-    reverse: dict[int, list[int]] = {}
-    for s, d in arcs:
-        reverse.setdefault(d, []).append(s)
-    seen = {DESTINATION}
-    stack = [DESTINATION]
-    while stack:
-        i = stack.pop()
-        for j in reverse.get(i, ()):
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return seen
-
-
-def orientation_flips(
-    before: Iterable[tuple[int, int]], after: Iterable[tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
-    """Edges common to both orientations whose direction changed."""
-    prev = {_canonical_edge(s, d): (s, d) for s, d in before}
-    flipped = []
-    for s, d in after:
-        e = _canonical_edge(s, d)
-        old = prev.get(e)
-        if old is not None and old != (s, d):
-            flipped.append(e)
-    return tuple(flipped)

@@ -81,13 +81,22 @@ def _node_name(i: int) -> str:
 class Scenario:
     """A parsed scenario: topology, initial heights, and optional events."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    topology: Topology
     heights: HeightAssignment
     events: tuple[SimEvent, ...] = ()
     seed: int | None = None
     name: str | None = None
     explicit_heights: bool = True
+
+    @property
+    def n(self) -> int:
+        """The number of nondestination nodes, 1..n."""
+        return len(self.topology.nodes)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The topology's canonical, sorted edges."""
+        return self.topology.edges
 
     @classmethod
     def create(
@@ -137,22 +146,9 @@ class Scenario:
         canonical, sorted and connected by construction starts here.  The
         events are checked against the topology.
         """
-        scenario = cls(
-            n=len(topology.nodes),
-            edges=topology.edges,
-            heights=heights,
-            events=tuple(events),
-            seed=seed,
-            name=name,
-            explicit_heights=explicit_heights,
-        )
-        vars(scenario)["topology"] = topology  # fill the cached property: one build
+        scenario = cls(topology, heights, tuple(events), seed, name, explicit_heights)
         scenario._validate_events()
         return scenario
-
-    @cached_property
-    def topology(self) -> Topology:
-        return Topology.build(self.n, self.edges)
 
     @cached_property
     def _starts(self) -> dict[SchemeId, object]:
@@ -413,5 +409,18 @@ def serialize_scenario(scenario: Scenario) -> str:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    """Parse the scenario file at path, named after its stem unless it names itself.
+
+    The file must be UTF-8 text: one that is not raises ScenarioFormatError
+    naming the offset and line of the first byte that does not decode.
+    """
     p = Path(path)
-    return parse_scenario(p.read_text(encoding="utf-8"), name=p.stem)
+    raw = p.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(
+            f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset {exc.start} does not decode",
+            raw.count(b"\n", 0, exc.start) + 1,
+        ) from None
+    return parse_scenario(text, name=p.stem)

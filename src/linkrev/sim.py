@@ -110,8 +110,8 @@ Cross-checks kept on the incremental path:
   agrees iff it finds that many nodes, all in the stuck set.  Only a
   mismatch walks the changed nodes again, to name the first that
   disagrees.  After each rebuild that follows an event every awake node is
-  probed, in one call over the awake topology's probe_table.  hello_round
-  runs the same probe for one node.
+  probed, in one call over the awake topology's probe_table.  Sleeping
+  nodes are not in the awake topology, so they never answer a probe.
 - The full probe of step 0 runs once per (scenario, scheme), in the first
   Simulation of the pair, which caches that start on the Scenario: events
   start at step 1, so every run of the pair starts there.  The scenario's
@@ -145,7 +145,6 @@ from .errors import (
 )
 from .model import (
     DESTINATION,
-    HeightAssignment,
     Topology,
     _canonical_edge,
     arcs_digest,
@@ -260,7 +259,6 @@ class Trace(NamedTuple):
 
     scenario: Scenario
     scheme: SchemeId
-    n: int
     schedule: Schedule
     step_limit: int
     initial_arcs: tuple[tuple[int, int], ...]
@@ -278,27 +276,6 @@ class Trace(NamedTuple):
     @property
     def converged(self) -> bool:
         return self.outcome is Outcome.CONVERGED
-
-
-def hello_round(
-    i: int,
-    states: Mapping[int, State],
-    awake: Topology,
-    scheme: SchemeId,
-    heights: HeightAssignment,
-) -> bool:
-    """True if node i finds itself stuck: no forwarding neighbor acks.
-
-    awake is the awake topology.  Sleeping nodes are not in it, so they
-    never answer and their states are not consulted at all; the
-    destination is always awake, and a node linked to it is never stuck.
-    Any other node runs the model's probe, probe_stuck.  Probing a node
-    that is not in the awake topology raises UnknownNodeError.
-    """
-    neighbors = awake.neighbors(i)
-    if DESTINATION in neighbors:
-        return False
-    return bool(probe_stuck(((i, neighbors),), states, orientation_predicate(scheme, heights)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -749,7 +726,6 @@ class Simulation:
         return Trace(
             scenario=self.scenario,
             scheme=self.scheme,
-            n=self.n,
             schedule=self.schedule,
             step_limit=self.step_limit,
             initial_arcs=self.initial_arcs,

@@ -73,7 +73,7 @@ def _totals_line(trace: Trace) -> str:
     by_node = ",".join([f'"{i}":{counts[i]}' for i in sorted(counts, key=str)])
     return (
         f'{{"certificate":{certificate},"events":[{events}],"final_dag":"{trace.final_digest}",'
-        f'"initial_dag":"{trace.initial_digest}","n":{trace.n},"outcome":"{trace.outcome.value}",'
+        f'"initial_dag":"{trace.initial_digest}","n":{trace.scenario.n},"outcome":"{trace.outcome.value}",'
         f'"schedule":{_text(trace.schedule.describe())},"scheme":"{trace.scheme.value}",'
         f'"step_limit":{trace.step_limit},"steps":{len(trace.steps)},'
         f'"total_reversals":{trace.total_reversals},"total_updates":{trace.total_updates},'

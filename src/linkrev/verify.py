@@ -1,8 +1,10 @@
 """Trace verification: invariants, reversal semantics, schedule invariance.
 
 Checks consume recorded traces rather than re-deriving them, so a corrupted
-or hand-edited trace is caught.  Failing reports carry a replayable
-counterexample: the serialized scenario, the schedule, and the step index.
+or hand-edited trace is caught.  A check of a recorded run takes the trace
+alone and judges it against the scenario and scheme it holds.  Failing
+reports carry a replayable counterexample: the serialized scenario, the
+schedule, and the step index.
 
 check_step_invariants orients the whole graph once per (scenario, scheme),
 at step 0, and judges that start once: acyclicity, the stuck/oriented
@@ -44,7 +46,7 @@ while a check runs, and none during the scheme's anchor run.
 
 enumerate_all_schedules, behind check_order_invariance, finds the stuck
 nodes of each state vector with the model's hello probe, probe_stuck, the
-one the simulator's hello_round runs, and builds a routing_dag only for a
+one the simulator's kernel runs, and builds a routing_dag only for a
 terminal vector, whose digest and reach set are kept on the topology for
 every scheme run on it.  It branches over one stuck node at a time: stuck
 nodes are sinks, so no two are adjacent, and a step by several of them is
@@ -231,7 +233,7 @@ class _ReplayStart(NamedTuple):
     failures: tuple[str, ...]
 
 
-def _start_failures(start: _ReplayStart, scenario: Scenario, scheme: SchemeId, n: int) -> list[str]:
+def _start_failures(start: _ReplayStart, scenario: Scenario, scheme: SchemeId) -> list[str]:
     """The step-0 failures of a start: its orientation, every node and every link."""
     topo = scenario.topology
     failures: list[str] = []
@@ -240,7 +242,7 @@ def _start_failures(start: _ReplayStart, scenario: Scenario, scheme: SchemeId, n
     if not start.stuck and not is_destination_oriented(start.arcs, topo):
         failures.append("step 0: stuck set emptiness disagrees with orientation")
     failures += _scheme_failures(
-        "step 0", SPECS[scheme], start.states, topo.nodes, topo.edges, n, scenario.heights
+        "step 0", SPECS[scheme], start.states, topo.nodes, topo.edges, scenario.n, scenario.heights
     )
     return failures
 
@@ -269,7 +271,7 @@ def _replay_start(scenario: Scenario, scheme: SchemeId) -> _ReplayStart:
             )
         else:
             start = shared._replace(states=states)
-        verdict = _start_failures(start, scenario, scheme, scenario.n)
+        verdict = _start_failures(start, scenario, scheme)
         start = starts[scheme] = start._replace(failures=tuple(verdict))
     return start
 
@@ -374,10 +376,9 @@ def _scheme_failures(
     return failures
 
 
-def _replay_failures(
-    trace: Trace, scenario: Scenario, scheme: SchemeId
-) -> tuple[list[str], int | None]:
+def _replay_failures(trace: Trace) -> tuple[list[str], int | None]:
     """The failures of the first step that has any, and that step's index."""
+    scenario, scheme = trace.scenario, trace.scheme
     topo = scenario.topology
     heights = scenario.heights
     spec = SPECS[scheme]
@@ -385,12 +386,7 @@ def _replay_failures(
     failures: list[str] = []
     if start.digest != trace.initial_digest:
         failures.append("initial digest does not match the scenario")
-    # The cached verdict is for the scenario's node count, which every
-    # Simulation records as the trace's.
-    if trace.n == scenario.n:
-        failures += start.failures
-    else:
-        failures += _start_failures(start, scenario, scheme, trace.n)
+    failures += start.failures
     if failures:
         return failures, 0
 
@@ -421,13 +417,13 @@ def _replay_failures(
         if not replay.stuck and not is_destination_oriented(replay.arcs, topo):
             failures.append(f"{tag}: stuck set emptiness disagrees with orientation")
         updaters = sorted({s.node for s in rec.new_states})
-        failures += _scheme_failures(tag, spec, states, updaters, links, trace.n, heights)
+        failures += _scheme_failures(tag, spec, states, updaters, links, scenario.n, heights)
         if failures:
             return failures, rec.index
     return [], None
 
 
-def check_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) -> CheckReport:
+def check_step_invariants(trace: Trace) -> CheckReport:
     """Per-step structural invariants of the recorded run.
 
     Covers: recorded stuck sets, reversed edges and DAG digests against
@@ -447,22 +443,22 @@ def check_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) ->
     path out).
     """
     _require_plain_trace(trace)
-    failures, fail_step = _replay_failures(trace, scenario, scheme)
+    failures, fail_step = _replay_failures(trace)
 
-    if not failures and SPECS[scheme].counted and trace.steps:
+    if not failures and SPECS[trace.scheme].counted and trace.steps:
         final = {s.node: s for s in trace.final_states}
         for i, count in trace.update_counts.items():
             if i in final and final[i].updates != count:
                 failures.append(f"final update counter of node {i} disagrees with the trace totals")
 
     return _report(
-        "step-invariants", scenario, scheme, failures,
+        "step-invariants", trace.scenario, trace.scheme, failures,
         schedule=trace.schedule, step=fail_step,
         detail=f"{len(trace.steps)} steps clean",
     )
 
 
-def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId) -> CheckReport:
+def check_reversal_semantics(trace: Trace) -> CheckReport:
     """Full schemes: an update turns every incident link outgoing.
 
     Partial schemes: an update reverses exactly the links not reversed
@@ -472,10 +468,10 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
     the neighbor-aware partial scheme resolves it in a single update.
     """
     _require_plain_trace(trace)
-    spec = SPECS[scheme]
+    spec = SPECS[trace.scheme]
     if spec.reversal is None:
-        raise ValueError(f"reversal semantics are undefined for {scheme}")
-    topo = scenario.topology
+        raise ValueError(f"reversal semantics are undefined for {trace.scheme}")
+    topo = trace.scenario.topology
     full = spec.reversal == "full"
     failures: list[str] = []
     fail_step: int | None = None
@@ -551,21 +547,21 @@ def check_reversal_semantics(trace: Trace, scenario: Scenario, scheme: SchemeId)
     if spec.reversal == "partial":
         detail += f", {silent_updates} silent first halves"
     return _report(
-        "reversal-semantics", scenario, scheme, failures,
+        "reversal-semantics", trace.scenario, trace.scheme, failures,
         schedule=trace.schedule, step=fail_step, detail=detail,
     )
 
 
-def check_initial_greedy_stability(trace: Trace, scenario: Scenario) -> CheckReport:
+def check_initial_greedy_stability(trace: Trace) -> CheckReport:
     """Only nodes with no initial directed path to the destination update."""
     _require_plain_trace(trace)
     updaters = {i for rec in trace.steps for i in rec.updated}
-    offenders = sorted(updaters & destination_reach(trace.initial_arcs, scenario.topology))
+    offenders = sorted(updaters & destination_reach(trace.initial_arcs, trace.scenario.topology))
     failures = (
         [f"nodes {offenders} had an initial greedy path yet updated"] if offenders else []
     )
     return _report(
-        "initial-greedy-stability", scenario, trace.scheme, failures,
+        "initial-greedy-stability", trace.scenario, trace.scheme, failures,
         schedule=trace.schedule,
         detail=f"{len(updaters)} updaters, all initially disconnected from the destination",
     )
@@ -734,7 +730,7 @@ def enumerate_all_schedules(
     the destination, so it is its own state mapping; the first one is
     built from the scheme's initial states.  Its stuck set is found by the
     hello probe, probe_stuck, over the topology's probe table, the one
-    stuck detection the simulator's hello_round runs too.  A routing_dag is
+    stuck detection the simulator runs too.  A routing_dag is
     built only for a terminal vector, one with no stuck node, for its
     digest and its destination orientation.  Scripted events are outside
     the enumeration: a scenario with any raises ValueError.  Raises
@@ -827,15 +823,15 @@ def check_order_invariance(scenario: Scenario, scheme: SchemeId) -> CheckReport:
     )
 
 
-def _skipped_for_events(trace: Trace, scenario: Scenario, scheme: SchemeId) -> list[CheckReport]:
+def _skipped_for_events(trace: Trace) -> list[CheckReport]:
     """Informational reports for the event-free checks a run with events skips."""
     skipped = ["step-invariants", "reversal-semantics", "initial-greedy-stability"]
-    if SPECS[scheme].reversal is None:
+    if SPECS[trace.scheme].reversal is None:
         skipped.remove("reversal-semantics")
     events = "; ".join(f"step {step}: {text}" for step, text in trace.events_applied)
     return [
         _report(
-            check, scenario, scheme, [], schedule=trace.schedule,
+            check, trace.scenario, trace.scheme, [], schedule=trace.schedule,
             detail=f"skipped: it assumes an event-free trace, and the run applied {events}",
             informational=True,
         )
@@ -860,12 +856,12 @@ def _same_run(first: Trace, second: Trace) -> bool:
     return _run_fields(first) == _run_fields(second)
 
 
-def _judge_run(trace: Trace, scenario: Scenario, scheme: SchemeId) -> list[CheckReport]:
+def _judge_run(trace: Trace) -> list[CheckReport]:
     """The termination report of a checked run, then the per-trace checks' reports on it."""
     converged = trace.outcome is Outcome.CONVERGED
     reports = [
         _report(
-            "termination", scenario, scheme,
+            "termination", trace.scenario, trace.scheme,
             [] if converged else [f"run ended {trace.outcome} after {len(trace.steps)} steps"],
             schedule=trace.schedule,
             detail=f"{len(trace.steps)} steps, {trace.total_updates} updates",
@@ -874,11 +870,11 @@ def _judge_run(trace: Trace, scenario: Scenario, scheme: SchemeId) -> list[Check
     if not converged:
         return reports
     if trace.events_applied:
-        return reports + _skipped_for_events(trace, scenario, scheme)
-    reports.append(check_step_invariants(trace, scenario, scheme))
-    if SPECS[scheme].reversal is not None:
-        reports.append(check_reversal_semantics(trace, scenario, scheme))
-    reports.append(check_initial_greedy_stability(trace, scenario))
+        return reports + _skipped_for_events(trace)
+    reports.append(check_step_invariants(trace))
+    if SPECS[trace.scheme].reversal is not None:
+        reports.append(check_reversal_semantics(trace))
+    reports.append(check_initial_greedy_stability(trace))
     return reports
 
 
@@ -904,7 +900,7 @@ def _judge_checked_runs(
             reports += kept[1]
             continue
         kept = None
-        judged = _judge_run(trace, scenario, scheme)
+        judged = _judge_run(trace)
         reports += judged
         if all(r.passed for r in judged):
             kept = trace, judged

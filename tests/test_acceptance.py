@@ -185,7 +185,7 @@ def test_criterion_3_who_updates(corpus, traces):
     runs, _ = traces
     violations = []
     for (k, scheme), trace in runs.items():
-        report = check_initial_greedy_stability(trace, corpus[k])
+        report = check_initial_greedy_stability(trace)
         if not report.passed:
             violations.append(f"{corpus[k].scenario_id()}/{scheme}: {report.detail}")
     _verdict(3, "only nodes without an initial greedy path ever update", violations,
@@ -200,7 +200,7 @@ def test_criterion_4_full_reversal_semantics(corpus, traces):
         if SPECS[scheme].reversal != "full":
             continue
         checked += 1
-        report = check_reversal_semantics(trace, corpus[k], scheme)
+        report = check_reversal_semantics(trace)
         if not report.passed:
             violations.append(f"{corpus[k].scenario_id()}/{scheme}: {report.detail}")
     _verdict(4, "full-reversal updaters end each update with all links outgoing",
@@ -215,14 +215,14 @@ def test_criterion_5_partial_reversal_semantics(corpus, traces):
         if scheme not in (SchemeId.NO_PARTIAL, SchemeId.TWO_BIT_PARTIAL):
             continue
         checked += 1
-        report = check_reversal_semantics(trace, corpus[k], scheme)
+        report = check_reversal_semantics(trace)
         if not report.passed:
             violations.append(f"{corpus[k].scenario_id()}/{scheme}: {report.detail}")
     # the all-reversed case must take exactly two successive updates
     for scheme in (SchemeId.NO_PARTIAL, SchemeId.TWO_BIT_PARTIAL):
         trace = run_scenario(ALL_REVERSED_PAIR, scheme, Schedule.single_random(0))
         checked += 1
-        report = check_reversal_semantics(trace, ALL_REVERSED_PAIR, scheme)
+        report = check_reversal_semantics(trace)
         if not report.passed:
             violations.append(f"all-reversed-pair/{scheme}: {report.detail}")
         elif "1 silent first halves" not in report.detail:
@@ -239,7 +239,7 @@ def test_criterion_6_state_invariants(corpus, traces):
     runs, _ = traces
     violations = []
     for (k, scheme), trace in runs.items():
-        report = check_step_invariants(trace, corpus[k], scheme)
+        report = check_step_invariants(trace)
         if not report.passed:
             violations.append(f"{corpus[k].scenario_id()}/{scheme}: {report.detail}")
     _verdict(6, "closed forms, height bands, and neighbor adjacency hold at every step",

@@ -84,7 +84,7 @@ def test_reused_verdicts_equal_fresh_ones(seed):
         fresh = []
         for scheme in CORE_SCHEMES:
             first, second = (run_scenario(scenario, scheme, schedule) for schedule in checked)
-            fresh += _judge_run(first, scenario, scheme) + _judge_run(second, scenario, scheme)
+            fresh += _judge_run(first) + _judge_run(second)
             if first._replace(schedule=second.schedule) == second:
                 same += 1
             else:

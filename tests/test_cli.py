@@ -240,6 +240,30 @@ def test_run_missing_file_is_an_input_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run", "--scheme", "no-full"], ["verify"]], ids=["run", "verify"])
+def test_a_scenario_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.scen"
+    path.write_bytes(b"scenario v1\nnodes 3\nedges D-3 1-2 2-3\nname caf\xe9\n")
+    assert main([command[0], str(path), *command[1:]]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: {path}: not UTF-8 text: byte 0xe9 at offset 46 does not decode (line 4)\n"
+    )
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_an_unwritable_trace_out_is_an_input_error(scenario_file, tmp_path, capsys, target):
+    out = tmp_path / "no" / "such" / "t.jsonl" if target == "missing-dir" else tmp_path
+    code = main(["run", scenario_file(CHAIN), "--scheme", "no-full", "--trace-out", str(out)])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "converged steps=1" in captured.out
+    assert "trace written" not in captured.out
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"input error: cannot write {out}: ")
+
+
 def test_run_malformed_scenario_is_an_input_error(scenario_file, capsys):
     code = main(["run", scenario_file("scenario v1\nnodes 2\n"), "--scheme", "no-full"])
     assert code == EXIT_INPUT

@@ -39,11 +39,11 @@ from linkrev.model import (
     arcs_digest,
     is_destination_oriented,
     routing_dag,
-    stuck_set,
 )
 from linkrev.schemes import CORE_SCHEMES, SPECS, apply_update, initial_states
 from linkrev.sim import Schedule
 from linkrev.verify import EnumerationResult
+from oracles import stuck_set
 
 
 # --- the reference implementation --------------------------------------------

@@ -11,20 +11,26 @@ import pytest
 from linkrev import Outcome, Schedule, SchemeId, generate, run_scenario
 from linkrev.generate import (
     _adjacency,
+    _connected_graphs,
     _height_attempts,
     _height_order,
     _hop_counts,
     _random_connected_edges,
     _starts_stuck,
-    all_connected_topologies,
     exhaustive_void_scenarios,
     random_partition_scenario,
     random_void_scenario,
 )
-from linkrev.model import DESTINATION, HeightAssignment, Topology, hop_count_heights
+from linkrev.model import (
+    DESTINATION,
+    HeightAssignment,
+    Topology,
+    hop_count_heights,
+    orientation_predicate,
+    probe_stuck,
+)
 from linkrev.scenario import serialize_scenario
 from linkrev.schemes import initial_states
-from linkrev.sim import hello_round
 
 #: sha256 of the serialized random_void_scenario(4 + k % 9, k) for k < 216
 #: (the verify-random corpus) followed by exhaustive_void_scenarios(4).
@@ -78,28 +84,34 @@ def _every_mask_in_order(n: int):
             yield topo
 
 
+def _connected_topologies(n: int) -> list[Topology]:
+    """The graphs _connected_graphs walks, as topologies, in its order."""
+    nodes = tuple(range(1, n + 1))
+    return [Topology(nodes, tuple(edges)) for edges, _, _ in _connected_graphs(n)]
+
+
 def test_all_connected_topologies_counts():
     # labeled connected graphs on 3, 4 and 5 vertices, in edge-mask order
     for n, count in ((2, 4), (3, 38), (4, 728)):
-        topologies = list(all_connected_topologies(n))
+        topologies = _connected_topologies(n)
         assert len(topologies) == count
         assert topologies == list(_every_mask_in_order(n))
-    for topo in all_connected_topologies(2):
+    for topo in _connected_topologies(2):
         assert topo.is_connected
 
 
 def _hello_void(topo: Topology, values) -> bool:
-    """Reference: some node is stuck by hello rounds over the initial states."""
+    """Reference: some node is stuck by hello probes over the initial states."""
     heights = HeightAssignment(tuple(values))
     states = initial_states(SchemeId.NO_FULL, topo, heights)
-    return any(hello_round(i, states, topo, SchemeId.NO_FULL, heights) for i in topo.nodes)
+    return bool(probe_stuck(topo.probe_table, states, orientation_predicate(SchemeId.NO_FULL, heights)))
 
 
 def test_bitset_void_test_agrees_with_hello_rounds():
     tried = stuck = 0
     for n in (1, 2, 3, 4):
         everyone = (1 << (n + 1)) - 1
-        for topo in all_connected_topologies(n):
+        for topo in _connected_topologies(n):
             adjacency = _adjacency(n, topo.edges)
             hops = _hop_counts(adjacency, everyone)
             assert hops[1:] == list(hop_count_heights(topo).values)
@@ -114,7 +126,7 @@ def test_bitset_void_test_agrees_with_hello_rounds():
 
 def test_bitset_void_test_agrees_on_survivors():
     # random_void_scenario tests the survivors of each removal under their old ids
-    for topo in all_connected_topologies(4):
+    for topo in _connected_topologies(4):
         adjacency = _adjacency(4, topo.edges)
         for values in ([0, 1, 2, 2, 3], [0, 3, 1, 2, 1]):
             for victim in topo.nodes:

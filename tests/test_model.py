@@ -25,9 +25,7 @@ from linkrev import (
     Topology,
     UnknownNodeError,
     hop_count_heights,
-    link_points_from,
     routing_dag,
-    stuck_set,
 )
 from linkrev.generate import _random_connected_edges
 from linkrev.model import (
@@ -35,11 +33,10 @@ from linkrev.model import (
     arcs_digest,
     destination_reach,
     is_destination_oriented,
-    orientation_flips,
     orientation_predicate,
-    reaches_destination,
 )
 from linkrev.schemes import SPECS, initial_states
+from oracles import orientation_flips, reaching_destination, stuck_set
 
 H123 = HeightAssignment((1, 2, 3))
 
@@ -224,16 +221,18 @@ def test_sort_key_undefined_for_pairwise_schemes(scheme):
 
 
 def test_link_points_from_never_ties():
+    points_from = orientation_predicate(SchemeId.GB_FULL, H123)
     a, b = HeightState(1, 5), HeightState(2, 5)
-    assert not link_points_from(a, b, SchemeId.GB_FULL, H123)
-    assert link_points_from(b, a, SchemeId.GB_FULL, H123)
+    assert not points_from(a, b)
+    assert points_from(b, a)
 
 
 def test_link_points_from_rejects_mixed_or_same_node():
+    points_from = orientation_predicate(SchemeId.GB_FULL, H123)
     with pytest.raises(SchemeMismatchError):
-        link_points_from(HeightState(1, 5), PhaseState(2, 1), SchemeId.GB_FULL, H123)
+        points_from(HeightState(1, 5), PhaseState(2, 1))
     with pytest.raises(ValueError):
-        link_points_from(HeightState(1, 5), HeightState(1, 6), SchemeId.GB_FULL, H123)
+        points_from(HeightState(1, 5), HeightState(1, 6))
 
 
 @given(
@@ -246,33 +245,35 @@ def test_link_points_from_antisymmetric_for_counted(ha, hb, ta, tb):
     a = CountedHeightState(1, ta, ha)
     b = CountedHeightState(2, tb, hb)
     for scheme in (SchemeId.NO_FULL, SchemeId.NO_PARTIAL):
-        assert link_points_from(a, b, scheme, H123) != link_points_from(b, a, scheme, H123)
+        points_from = orientation_predicate(scheme, H123)
+        assert points_from(a, b) != points_from(b, a)
 
 
 def test_phase_comparison_is_cyclic():
-    heights = H123
+    points_from = orientation_predicate(SchemeId.TWO_BIT_FULL, H123)
     up = PhaseState(1, 1)
     down = PhaseState(2, 0)
-    assert link_points_from(up, down, SchemeId.TWO_BIT_FULL, heights)
-    assert not link_points_from(down, up, SchemeId.TWO_BIT_FULL, heights)
+    assert points_from(up, down)
+    assert not points_from(down, up)
     # the wrap: phase 0 beats phase 3
-    assert link_points_from(PhaseState(1, 0), PhaseState(2, 3), SchemeId.TWO_BIT_FULL, heights)
+    assert points_from(PhaseState(1, 0), PhaseState(2, 3))
 
 
 def test_phase_gap_of_two_is_an_error():
     with pytest.raises(PhaseAdjacencyError):
-        link_points_from(PhaseState(1, 2), PhaseState(2, 0), SchemeId.TWO_BIT_FULL, H123)
+        orientation_predicate(SchemeId.TWO_BIT_FULL, H123)(PhaseState(1, 2), PhaseState(2, 0))
 
 
 def test_equal_phases_fall_back_to_initial_key():
-    heights = H123
+    full = orientation_predicate(SchemeId.TWO_BIT_FULL, H123)
+    partial = orientation_predicate(SchemeId.TWO_BIT_PARTIAL, H123)
     a, b = PhaseState(1, 0), PhaseState(2, 0)  # initial heights 1 < 2
-    assert not link_points_from(a, b, SchemeId.TWO_BIT_FULL, heights)
-    assert not link_points_from(a, b, SchemeId.TWO_BIT_PARTIAL, heights)
+    assert not full(a, b)
+    assert not partial(a, b)
     # odd phases reverse the initial order under the partial variant only
     a, b = PhaseState(1, 1), PhaseState(2, 1)
-    assert not link_points_from(a, b, SchemeId.TWO_BIT_FULL, heights)
-    assert link_points_from(a, b, SchemeId.TWO_BIT_PARTIAL, heights)
+    assert not full(a, b)
+    assert partial(a, b)
 
 
 def test_flag_states_have_no_total_order():
@@ -280,20 +281,20 @@ def test_flag_states_have_no_total_order():
     # 1 -> 2 -> 3 -> 1, which no total order can.
     a, b, c = FlagState(1, 1), FlagState(2, 0), FlagState(3, 1)
     for x, y in ((a, b), (b, c), (c, a)):
-        assert link_points_from(x, y, SchemeId.ONE_BIT_FULL, H123)
+        assert orientation_predicate(SchemeId.ONE_BIT_FULL, H123)(x, y)
     assert SPECS[SchemeId.ONE_BIT_FULL].sort_key is None
 
 
 def test_flag_link_direction():
-    heights = H123
+    points_from = orientation_predicate(SchemeId.ONE_BIT_FULL, H123)
     low, high = FlagState(1, 0), FlagState(2, 0)
     # equal flags keep the initial order: the higher initial key points down
-    assert link_points_from(high, low, SchemeId.ONE_BIT_FULL, heights)
-    assert not link_points_from(low, high, SchemeId.ONE_BIT_FULL, heights)
+    assert points_from(high, low)
+    assert not points_from(low, high)
     # opposite flags reverse it
     flipped = FlagState(1, 1)
-    assert link_points_from(flipped, high, SchemeId.ONE_BIT_FULL, heights)
-    assert not link_points_from(high, flipped, SchemeId.ONE_BIT_FULL, heights)
+    assert points_from(flipped, high)
+    assert not points_from(high, flipped)
 
 
 @given(
@@ -304,9 +305,8 @@ def test_flag_links_always_have_a_direction(flags, heights):
     assignment = HeightAssignment(tuple(heights))
     a = FlagState(1, flags[0])
     b = FlagState(2, flags[1])
-    forward = link_points_from(a, b, SchemeId.ONE_BIT_FULL, assignment)
-    backward = link_points_from(b, a, SchemeId.ONE_BIT_FULL, assignment)
-    assert forward != backward
+    points_from = orientation_predicate(SchemeId.ONE_BIT_FULL, assignment)
+    assert points_from(a, b) != points_from(b, a)
 
 
 def test_initial_ranks_follow_height_then_id():
@@ -341,7 +341,6 @@ def test_orientation_predicate_is_antisymmetric(ta, tb, ha, hb, scheme):
             points_from(b, a)
         return
     assert forward != points_from(b, a)
-    assert forward == link_points_from(a, b, scheme, heights)
 
 
 # --- induced orientation -----------------------------------------------------
@@ -449,7 +448,7 @@ def test_the_reachability_memo_answers_as_a_fresh_search():
         orientations = _random_orientations(rng, awake)
         for _warm in range(2):
             for arcs in orientations:
-                fresh = reaches_destination(arcs)
+                fresh = reaching_destination(arcs)
                 for topo in (awake, live):
                     oriented = set(topo.nodes) <= fresh
                     assert destination_reach(arcs, topo) == fresh

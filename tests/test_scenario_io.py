@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -65,6 +66,21 @@ def test_parse_good_scenario():
         SimEvent(at_step=5, kind="remove-link", edge=(2, 3)),
     )
     assert sc.scenario_id() == "chain-demo"
+
+
+def test_a_scenario_holds_its_topology_and_reads_n_and_edges_off_it():
+    assert [f.name for f in fields(Scenario)] == [
+        "topology", "heights", "events", "seed", "name", "explicit_heights",
+    ]
+    for sc in (parse_scenario(GOOD), random_void_scenario(7, 2)):
+        assert sc.n == len(sc.topology.nodes)
+        assert sc.topology.nodes == tuple(range(1, sc.n + 1))
+        assert sc.edges is sc.topology.edges
+        assert sc.topology == Topology.build(sc.n, sc.edges)
+        with pytest.raises(FrozenInstanceError):
+            sc.n = sc.n + 1
+        with pytest.raises(FrozenInstanceError):
+            sc.topology = Topology.build(1, [(0, 1)])
 
 
 def test_parse_defaults_heights_to_hop_counts():
@@ -310,6 +326,21 @@ def test_round_trip_preserves_default_heights():
     assert parse_scenario(text) == sc
 
 
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin.scn"
+    path.write_bytes(b"scenario v1\nname caf\xe9\nnodes 2\nedges D-1 1-2\n")
+    with pytest.raises(ScenarioFormatError) as info:
+        load_scenario(path)
+    assert info.value.line == 2
+    assert str(info.value) == "not UTF-8 text: byte 0xe9 at offset 20 does not decode (line 2)"
+
+
+def test_load_reads_crlf_line_ends_as_the_parser_does(tmp_path):
+    path = tmp_path / "crlf.scn"
+    path.write_bytes(GOOD.replace("\n", "\r\n").encode("utf-8"))
+    assert load_scenario(path) == parse_scenario(GOOD)
+
+
 def test_load_uses_the_file_stem_as_fallback_name(tmp_path):
     path = tmp_path / "my-case.scn"
     path.write_text("scenario v1\nnodes 2\nedges D-1 1-2\n", encoding="utf-8")
@@ -434,7 +465,7 @@ def _reference_totals(trace) -> dict:
         "type": "totals",
         "outcome": trace.outcome.value,
         "scheme": trace.scheme.value,
-        "n": trace.n,
+        "n": trace.scenario.n,
         "schedule": trace.schedule.describe(),
         "step_limit": trace.step_limit,
         "steps": len(trace.steps),

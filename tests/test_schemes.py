@@ -494,3 +494,68 @@ def test_no_module_reads_the_environment():
     for path in sorted(SOURCE.glob("*.py")):
         found += _environment_reads(path.stem, path.read_text(encoding="utf-8"))
     assert found == []
+
+
+# --- the package's exports ----------------------------------------------------
+
+#: The command line helpers that drive the package from outside it.
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _exports(init_text: str) -> list[str]:
+    """The names the package's __init__ imports from its modules."""
+    return [
+        alias.asname or alias.name
+        for node in ast.parse(init_text).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def _references(name: str, text: str) -> int:
+    """Loads of name, bare or as an attribute, outside its own def or class statement."""
+    tree = ast.parse(text)
+    own = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+        for inner in ast.walk(node)
+    }
+    return sum(
+        id(node) not in own
+        and (
+            (isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+        )
+        for node in ast.walk(tree)
+    )
+
+
+def test_the_guard_sees_references():
+    text = (
+        "def probe(i):\n    return probe(i - 1)\n"
+        "def run(): return model.routing_dag\n"
+        "routing_dag = None\n"
+        "from .model import stuck_set\n"
+        "class Trace:\n    def again(self) -> Trace: ...\n"
+        "x: Trace\n"
+    )
+    assert _references("probe", text) == 0
+    assert _references("routing_dag", text) == 1
+    assert _references("stuck_set", text) == 0
+    assert _references("Trace", text) == 1
+    assert _exports("from .sim import Trace, run_scenario as run\n__version__ = '1'\n") == [
+        "Trace", "run",
+    ]
+
+
+def test_every_export_is_used_by_the_package_or_its_tools():
+    texts = [
+        path.read_text(encoding="utf-8")
+        for path in [*sorted(SOURCE.glob("*.py")), *sorted(TOOLS.glob("*.py"))]
+        if path.name != "__init__.py"
+    ]
+    exports = _exports((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    assert len(exports) > 50
+    unused = [name for name in exports if not any(_references(name, text) for text in texts)]
+    assert unused == []

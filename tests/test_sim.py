@@ -29,7 +29,6 @@ from linkrev import (
     Simulation,
     UnknownNodeError,
     check_scheme_equivalence,
-    hello_round,
     parse_scenario,
     run_scenario,
 )
@@ -38,13 +37,14 @@ from linkrev.model import (
     HeightAssignment,
     arc_label,
     arcs_digest,
-    orientation_flips,
+    orientation_predicate,
+    probe_stuck,
     routing_dag,
-    stuck_set,
 )
 from linkrev import sim as sim_module
 from linkrev.schemes import ALL_SCHEMES, CORE_SCHEMES, initial_states
 from linkrev.traceio import trace_to_jsonl
+from oracles import orientation_flips, stuck_set
 
 
 # --- step limit and schedules ------------------------------------------------
@@ -181,33 +181,42 @@ def test_a_run_with_no_choice_builds_no_generator(monkeypatch, chain):
 # --- stuck detection ---------------------------------------------------------
 
 
+def _probed_stuck(states, awake, scheme, heights) -> tuple[int, ...]:
+    """The nodes a fresh probe of every row of the awake topology's probe_table finds stuck."""
+    return probe_stuck(awake.probe_table, states, orientation_predicate(scheme, heights))
+
+
 def test_hello_round_matches_the_orientation_view(chain):
     topo = chain.topology
     states = initial_states(SchemeId.NO_FULL, topo, chain.heights)
-    stuck = {i for i in topo.nodes if hello_round(i, states, topo, SchemeId.NO_FULL, chain.heights)}
-    assert stuck == {2}
+    assert _probed_stuck(states, topo, SchemeId.NO_FULL, chain.heights) == (2,)
+    arcs = routing_dag(states, topo, SchemeId.NO_FULL, chain.heights)
+    assert stuck_set(arcs, topo) == {2}
 
 
 def test_hello_round_skips_sleeping_neighbors(chain):
     topo = chain.topology
     states = initial_states(SchemeId.NO_FULL, topo, chain.heights)
+    points_from = orientation_predicate(SchemeId.NO_FULL, chain.heights)
+
+    def stuck(i, awake):
+        return probe_stuck(((i, awake.neighbors(i)),), states, points_from) == (i,)
+
     # awake node 3 forwards through node 2 only while 2 answers probes
-    assert not hello_round(3, states, topo, SchemeId.NO_FULL, chain.heights)
-    assert not hello_round(
-        3, states, topo.without(drop_nodes=(2,)), SchemeId.NO_FULL, chain.heights
-    )
+    assert not stuck(3, topo)
+    assert not stuck(3, topo.without(drop_nodes=(2,)))
     # with both lower neighbors asleep nothing acks
     lone = topo.without(drop_nodes=(1, 2))
-    assert hello_round(3, states, lone, SchemeId.NO_FULL, chain.heights)
+    assert stuck(3, lone)
+    assert _probed_stuck(states, lone, SchemeId.NO_FULL, chain.heights) == (3,)
     # a sleeper is not in the awake topology, so it cannot be probed
     with pytest.raises(UnknownNodeError):
-        hello_round(2, states, lone, SchemeId.NO_FULL, chain.heights)
+        stuck(2, lone)
 
 
 def test_destination_adjacent_nodes_are_never_stuck(chain):
-    topo = chain.topology
-    states = initial_states(SchemeId.NO_FULL, topo, chain.heights)
-    assert not hello_round(1, states, topo, SchemeId.NO_FULL, chain.heights)
+    # node 1 is linked to D, so no probe ever asks about it
+    assert [i for i, _ in chain.topology.probe_table] == [2, 3]
 
 
 # --- single runs with pinned outcomes ----------------------------------------
@@ -292,7 +301,7 @@ def test_negative_step_limits_are_rejected(chain):
 def test_trace_totals_are_consistent(chain):
     trace = run_scenario(chain, SchemeId.TWO_BIT_PARTIAL, Schedule.subset_random(2))
     assert trace.total_updates == sum(trace.update_counts.values())
-    assert trace.n == 3
+    assert trace.scenario.n == 3
     assert trace.step_limit == 36
     assert trace.events_applied == ()
     assert len(trace.final_states) == 3
@@ -539,7 +548,7 @@ def test_counter_schemes_certify_partitions(partition_scenario, scheme):
     assert "impossible on a connected graph" in trace.certificate
     # the certificate fires before any counter exceeds the node count
     final = {s.node: s for s in trace.final_states}
-    assert max(s.updates for s in final.values()) == trace.n
+    assert max(s.updates for s in final.values()) == trace.scenario.n
 
 
 @pytest.mark.parametrize("scheme", [SchemeId.GB_FULL, SchemeId.GB_PARTIAL])
@@ -851,7 +860,7 @@ def _awake_parts(scenario: Scenario, events_applied) -> tuple[tuple[int, ...], t
 def test_the_kernel_agrees_with_fresh_hello_rounds_on_unshared_views(scenario, subset, seed):
     """After every turn the kernel agrees with fresh probes and an unshared view.
 
-    The stuck set is what a fresh hello_round of each awake node says, and the
+    The stuck set is what a fresh probe of each awake node says, and the
     awake topology, shared through the without memo, has the nodes and links
     rebuilt from the scenario and the events applied.
     """
@@ -863,10 +872,8 @@ def test_the_kernel_agrees_with_fresh_hello_rounds_on_unshared_views(scenario, s
                 record = sim.advance()
                 awake = sim.awake_topology()
                 assert (awake.nodes, awake.edges) == _awake_parts(scenario, sim.events_applied)
-                by_probe = {
-                    i for i in awake.nodes if hello_round(i, sim.states, awake, scheme, sim.heights)
-                }
-                assert set(sim.stuck_nodes()) == by_probe
+                by_probe = _probed_stuck(sim.states, awake, scheme, sim.heights)
+                assert sim.stuck_nodes() == by_probe
                 if record is None:
                     break
         except PhaseAdjacencyError:

@@ -25,9 +25,7 @@ from linkrev.model import (
     arc_label,
     arcs_digest,
     is_destination_oriented,
-    orientation_flips,
     routing_dag,
-    stuck_set,
 )
 from linkrev.scenario import Scenario
 from linkrev.schemes import (
@@ -55,6 +53,7 @@ from linkrev.verify import (
     _report,
     _require_plain_trace,
 )
+from oracles import orientation_flips, stuck_set
 
 
 # --- the reference implementation --------------------------------------------
@@ -72,9 +71,10 @@ def _cyclic(arcs) -> bool:
     return False
 
 
-def _timeline(trace: Trace, scenario: Scenario, scheme: SchemeId):
+def _timeline(trace: Trace):
     """Reconstruct the full state vector after each recorded step."""
-    states = initial_states(scheme, scenario.topology, scenario.heights)
+    scenario = trace.scenario
+    states = initial_states(trace.scheme, scenario.topology, scenario.heights)
     yield 0, dict(states), None
     for rec in trace.steps:
         states = {**states, **{s.node: s for s in rec.new_states}}
@@ -96,7 +96,7 @@ def _monotone_failure(scheme: SchemeId, old: State, new: State) -> str | None:
     return None
 
 
-def oracle_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) -> CheckReport:
+def oracle_step_invariants(trace: Trace) -> CheckReport:
     """Per-step structural invariants of the recorded run.
 
     Covers: recorded stuck sets, reversed edges and DAG digests against
@@ -107,6 +107,7 @@ def oracle_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) -
     levels and phases.
     """
     _require_plain_trace(trace)
+    scenario, scheme = trace.scenario, trace.scheme
     topo = scenario.topology
     heights = scenario.heights
     max_height = heights.max_height
@@ -116,7 +117,7 @@ def oracle_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) -
     prev_arcs: tuple[tuple[int, int], ...] | None = None
     prev_stuck: tuple[int, ...] = ()
 
-    for index, states, rec in _timeline(trace, scenario, scheme):
+    for index, states, rec in _timeline(trace):
         arcs = routing_dag(states, topo, scheme, heights)
         stuck = tuple(sorted(stuck_set(arcs, topo)))
         tag = f"step {index}"
@@ -148,8 +149,8 @@ def oracle_step_invariants(trace: Trace, scenario: Scenario, scheme: SchemeId) -
         if scheme in COUNTER_SCHEMES:
             for i, s in states.items():
                 h0 = heights.of(i)
-                if s.updates > trace.n:
-                    failures.append(f"{tag}: node {i} update count {s.updates} exceeds n={trace.n}")
+                if s.updates > scenario.n:
+                    failures.append(f"{tag}: node {i} update count {s.updates} exceeds n={scenario.n}")
                 if s.height != closed_form_height(scheme, s.updates, h0, max_height):
                     failures.append(f"{tag}: node {i} height {s.height} off closed form")
                 if scheme is SchemeId.NO_FULL:
@@ -280,7 +281,7 @@ def _traces(draw):
 
 def _outcome(check, trace: Trace):
     try:
-        return check(trace, trace.scenario, trace.scheme)
+        return check(trace)
     except (LinkrevError, KeyError, ValueError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -341,8 +342,8 @@ def test_a_forged_step_that_closes_a_cycle_fails_in_both():
         reversed_edges=orientation_flips(trace.initial_arcs, arcs),
     )
     forged_trace = trace._replace(steps=(forged,) + trace.steps[1:])
-    report = check_step_invariants(forged_trace, scenario, SchemeId.ONE_BIT_FULL)
-    assert report == oracle_step_invariants(forged_trace, scenario, SchemeId.ONE_BIT_FULL)
+    report = check_step_invariants(forged_trace)
+    assert report == oracle_step_invariants(forged_trace)
     assert report.detail == "step 1: orientation has a cycle"
     assert report.counterexample.step == 1
 
@@ -367,10 +368,10 @@ def test_a_forged_partial_step_whose_tails_keep_in_arcs_fails_in_both():
         reversed_edges=orientation_flips(trace.initial_arcs, arcs),
     )
     forged_trace = trace._replace(steps=(forged,) + trace.steps[1:])
-    report = check_step_invariants(forged_trace, scenario, scheme)
-    assert report == oracle_step_invariants(forged_trace, scenario, scheme)
+    report = check_step_invariants(forged_trace)
+    assert report == oracle_step_invariants(forged_trace)
     assert report.counterexample.step == 1
-    failures, step = _replay_failures(forged_trace, scenario, scheme)
+    failures, step = _replay_failures(forged_trace)
     assert step == 1 and "step 1: orientation has a cycle" in failures
 
 
@@ -396,7 +397,7 @@ def test_only_steps_whose_flipped_tails_keep_an_in_arc_are_searched(monkeypatch)
         monkeypatch.setattr(verify_module, "_closes_cycle", counting)
         for seed, scenario in enumerate(scenarios):
             trace = run_scenario(scenario, scheme, Schedule.subset_random(seed))
-            assert check_step_invariants(trace, scenario, scheme).passed
+            assert check_step_invariants(trace).passed
     assert calls["full"] == 0
     assert calls["partial"] > 0
 

@@ -28,6 +28,7 @@ from linkrev import (
     check_step_invariants,
     enumerate_all_schedules,
     run_scenario,
+    serialize_scenario,
     standard_battery,
 )
 from linkrev.generate import exhaustive_void_scenarios, random_partition_scenario, random_void_scenario
@@ -48,7 +49,7 @@ def _tamper_step(trace, step_index: int, **changes):
 
 def test_step_invariants_pass_on_a_clean_trace(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
-    report = check_step_invariants(trace, chain, SchemeId.NO_FULL)
+    report = check_step_invariants(trace)
     assert report.passed
     assert report.check == "step-invariants"
     assert "clean" in report.detail
@@ -56,7 +57,7 @@ def test_step_invariants_pass_on_a_clean_trace(chain):
 
 def test_a_check_report_is_immutable(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
-    report = check_step_invariants(trace, chain, SchemeId.NO_FULL)
+    report = check_step_invariants(trace)
     for name in report._fields:
         with pytest.raises(AttributeError):
             setattr(report, name, None)
@@ -67,13 +68,27 @@ def test_step_invariants_pass_for_every_scheme(scheme):
     scenario = random_void_scenario(7, seed=2)
     trace = run_scenario(scenario, scheme, Schedule.subset_random(4))
     assert trace.outcome is Outcome.CONVERGED
-    assert check_step_invariants(trace, scenario, scheme).passed
+    assert check_step_invariants(trace).passed
+
+
+def test_a_check_judges_the_trace_against_the_scenario_it_holds(chain):
+    # The checks take the trace alone.  A trace whose scenario was swapped
+    # for one with the same nodes and links but other heights is judged
+    # against the swapped one, whose step 0 is another orientation.
+    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    other = Scenario.create(chain.n, chain.edges, heights=(1, 3, 2))
+    assert other.n == chain.n and other.heights != chain.heights
+    report = check_step_invariants(trace._replace(scenario=other))
+    assert report.detail == "initial digest does not match the scenario"
+    assert report.counterexample.step == 0
+    assert report.counterexample.scenario_text == serialize_scenario(other)
+    assert check_step_invariants(trace).passed
 
 
 def test_step_invariants_catch_a_forged_height(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
     forged = _tamper_step(trace, 0, new_states=(CountedHeightState(2, 1, 6),))
-    report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
+    report = check_step_invariants(forged)
     assert not report.passed
     assert "closed form" in report.detail
     assert report.counterexample is not None
@@ -84,7 +99,7 @@ def test_step_invariants_catch_a_forged_height(chain):
 def test_step_invariants_catch_a_forged_digest(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
     forged = _tamper_step(trace, 0, dag_digest="0" * 12)
-    report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
+    report = check_step_invariants(forged)
     assert not report.passed
     assert "digest" in report.detail
 
@@ -92,7 +107,7 @@ def test_step_invariants_catch_a_forged_digest(chain):
 def test_step_invariants_catch_a_nonstuck_updater(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
     forged = _tamper_step(trace, 0, stuck=(3,))
-    report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
+    report = check_step_invariants(forged)
     assert not report.passed
     assert "not all stuck" in report.detail
 
@@ -103,7 +118,7 @@ def test_step_invariants_catch_a_forged_stuck_set():
     assert trace.steps[0].stuck == (4,)
     # the updater stays inside the forged set, so only the set itself is wrong
     forged = _tamper_step(trace, 0, stuck=tuple(range(1, 8)))
-    report = check_step_invariants(forged, scenario, SchemeId.NO_FULL)
+    report = check_step_invariants(forged)
     assert not report.passed
     assert "stuck set [1, 2, 3, 4, 5, 6, 7] is not the stuck set [4]" in report.detail
 
@@ -113,7 +128,7 @@ def test_step_invariants_catch_forged_reversed_edges(chain):
     assert trace.steps[0].reversed_edges == ((2, 3),)
     for forged_edges in ((), ((1, 3),), ((2, 3), (1, 3))):
         forged = _tamper_step(trace, 0, reversed_edges=forged_edges)
-        report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
+        report = check_step_invariants(forged)
         assert not report.passed
         assert "reversed edges do not match" in report.detail
 
@@ -122,7 +137,7 @@ def test_step_invariants_catch_a_counter_jump(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
     # updates jumping 0 -> 2 violates monotonicity and band adjacency at once
     forged = _tamper_step(trace, 0, new_states=(CountedHeightState(2, 2, 8),))
-    report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
+    report = check_step_invariants(forged)
     assert not report.passed
 
 
@@ -142,14 +157,14 @@ def test_step_invariants_build_one_routing_dag(monkeypatch):
 
     monkeypatch.setattr(model, "routing_dag", counting)
     monkeypatch.setattr(verify, "routing_dag", counting)
-    assert check_step_invariants(trace, scenario, SchemeId.NO_FULL).passed
+    assert check_step_invariants(trace).passed
     assert len(calls) == 1
 
 
 def test_step_invariants_refuse_event_traces(diamond_cut):
     trace = run_scenario(diamond_cut, SchemeId.NO_FULL, Schedule.single_random(0))
     with pytest.raises(ValueError, match="event-free"):
-        check_step_invariants(trace, diamond_cut, SchemeId.NO_FULL)
+        check_step_invariants(trace)
 
 
 def test_a_battery_builds_each_start_once(monkeypatch):
@@ -221,7 +236,7 @@ def test_a_cached_step_zero_failure_is_reported_on_every_trace(monkeypatch):
 def test_full_reversal_semantics_hold(scheme):
     scenario = random_void_scenario(6, seed=9)
     trace = run_scenario(scenario, scheme, Schedule.subset_random(3))
-    report = check_reversal_semantics(trace, scenario, scheme)
+    report = check_reversal_semantics(trace)
     assert report.passed
 
 
@@ -231,17 +246,17 @@ def test_full_reversal_semantics_hold(scheme):
 def test_partial_reversal_semantics_hold(scheme):
     scenario = random_void_scenario(6, seed=9)
     trace = run_scenario(scenario, scheme, Schedule.subset_random(3))
-    report = check_reversal_semantics(trace, scenario, scheme)
+    report = check_reversal_semantics(trace)
     assert report.passed
 
 
 def test_partial_semantics_count_silent_halves(reversed_pair):
     trace = run_scenario(reversed_pair, SchemeId.NO_PARTIAL, Schedule.single_random(0))
-    report = check_reversal_semantics(trace, reversed_pair, SchemeId.NO_PARTIAL)
+    report = check_reversal_semantics(trace)
     assert report.passed
     assert "1 silent first halves" in report.detail
     aware = run_scenario(reversed_pair, SchemeId.GB_PARTIAL, Schedule.single_random(0))
-    aware_report = check_reversal_semantics(aware, reversed_pair, SchemeId.GB_PARTIAL)
+    aware_report = check_reversal_semantics(aware)
     assert aware_report.passed
     assert "0 silent first halves" in aware_report.detail
 
@@ -250,7 +265,7 @@ def test_reversal_check_catches_an_unreversed_link(chain):
     trace = run_scenario(chain, SchemeId.GB_FULL, Schedule.single_random(0))
     # pretend the step changed nothing: the updater keeps incoming links
     forged = _tamper_step(trace, 0, reversed_edges=())
-    report = check_reversal_semantics(forged, chain, SchemeId.GB_FULL)
+    report = check_reversal_semantics(forged)
     assert not report.passed
     assert "point in" in report.detail
 
@@ -258,13 +273,13 @@ def test_reversal_check_catches_an_unreversed_link(chain):
 def test_reversal_check_rejects_the_baseline(chain):
     trace = run_scenario(chain, SchemeId.BASELINE_INCREMENT, Schedule.single_random(0))
     with pytest.raises(ValueError, match="undefined"):
-        check_reversal_semantics(trace, chain, SchemeId.BASELINE_INCREMENT)
+        check_reversal_semantics(trace)
 
 
 def test_reversal_check_catches_a_reversed_edge_that_is_not_a_link(chain):
     trace = run_scenario(chain, SchemeId.GB_FULL, Schedule.single_random(0))
     forged = _tamper_step(trace, 0, reversed_edges=((1, 2), (2, 3)))
-    report = check_reversal_semantics(forged, chain, SchemeId.GB_FULL)
+    report = check_reversal_semantics(forged)
     assert not report.passed
     assert "[(1, 2)] are not links" in report.detail
 
@@ -274,7 +289,7 @@ def test_reversal_check_catches_a_partial_update_that_skips_a_link(reversed_pair
     trace = run_scenario(reversed_pair, scheme, Schedule.single_random(0))
     assert trace.steps[0].reversed_edges == ((1, 2), (2, 3))
     forged = _tamper_step(trace, 0, reversed_edges=((1, 2),))
-    report = check_reversal_semantics(forged, reversed_pair, scheme)
+    report = check_reversal_semantics(forged)
     assert report.detail == "step 1: node 2 reversed [1], expected [1, 3]"
 
 
@@ -289,7 +304,7 @@ def test_reversal_check_catches_a_silent_node_that_gets_unstuck(reversed_pair, s
     forged = trace._replace(steps=(
         first, silent, first._replace(index=3), second._replace(index=4),
     ))
-    report = check_reversal_semantics(forged, reversed_pair, scheme)
+    report = check_reversal_semantics(forged)
     assert report.detail == "step 3: node 3 should stay stuck between its paired updates (silent at 2)"
     assert report.counterexample.step == 3
 
@@ -299,14 +314,14 @@ def test_reversal_check_catches_a_silent_half_left_unpaired(reversed_pair, schem
     trace = run_scenario(reversed_pair, scheme, Schedule.single_random(0))
     forged = trace._replace(steps=trace.steps[:2])
     assert forged.outcome is Outcome.CONVERGED
-    report = check_reversal_semantics(forged, reversed_pair, scheme)
+    report = check_reversal_semantics(forged)
     assert report.detail == "nodes [3] did a silent update but never completed the pair"
 
 
 def test_reversal_check_catches_a_link_flipped_by_a_bystander(chain):
     trace = run_scenario(chain, SchemeId.GB_FULL, Schedule.single_random(0))
     forged = _tamper_step(trace, 0, reversed_edges=((1, 3), (2, 3)))
-    report = check_reversal_semantics(forged, chain, SchemeId.GB_FULL)
+    report = check_reversal_semantics(forged)
     assert not report.passed
     assert "without a unique updater" in report.detail
 
@@ -315,7 +330,7 @@ def test_step_invariants_catch_a_state_that_does_not_advance(chain):
     trace = run_scenario(chain, SchemeId.GB_FULL, Schedule.single_random(0))
     # node 2 "updates" to its initial height, which orients nothing anew
     forged = _tamper_step(trace, 0, new_states=(HeightState(2, 2),))
-    report = check_step_invariants(forged, chain, SchemeId.GB_FULL)
+    report = check_step_invariants(forged)
     assert report.detail == (
         "step 1: state of node 2 did not strictly increase: "
         "HeightState(node=2, height=2) -> HeightState(node=2, height=2)"
@@ -327,7 +342,7 @@ def test_step_invariants_catch_a_counter_past_the_node_count(chain):
     # four updates on the closed form orient the links as one does
     height = closed_form_height(SchemeId.NO_FULL, 4, 2, 3)
     forged = _tamper_step(trace, 0, new_states=(CountedHeightState(2, 4, height),))
-    report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
+    report = check_step_invariants(forged)
     assert report.detail == "step 1: node 2 update count 4 exceeds n=3"
     assert report.counterexample.step == 1
 
@@ -335,7 +350,7 @@ def test_step_invariants_catch_a_counter_past_the_node_count(chain):
 def test_step_invariants_catch_totals_that_disagree_with_the_final_counters(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
     forged = trace._replace(update_counts={**trace.update_counts, 2: 5})
-    report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
+    report = check_step_invariants(forged)
     assert report.detail == "final update counter of node 2 disagrees with the trace totals"
 
 
@@ -355,7 +370,7 @@ def test_step_invariants_see_a_cycle_that_leaves_no_node_stuck():
     forged = _tamper_step(
         trace, 0, new_states=(states[2],), dag_digest=digest, reversed_edges=tuple(flipped),
     )
-    failures, step = verify._replay_failures(forged, scenario, scheme)
+    failures, step = verify._replay_failures(forged)
     assert step == 1
     assert failures == [
         "step 1: orientation has a cycle",
@@ -370,7 +385,7 @@ def test_step_zero_emptiness_is_checked_against_the_orientation(monkeypatch):
     trace = run_scenario(scenario, SchemeId.NO_FULL)
     assert not trace.steps
     monkeypatch.setattr(verify, "is_destination_oriented", lambda arcs, topo: False)
-    report = check_step_invariants(trace, scenario, SchemeId.NO_FULL)
+    report = check_step_invariants(trace)
     assert report.detail == "step 0: stuck set emptiness disagrees with orientation"
     assert report.counterexample.step == 0
 
@@ -380,7 +395,7 @@ def test_step_zero_emptiness_is_checked_against_the_orientation(monkeypatch):
 
 def test_greedy_stability_passes_on_a_clean_trace(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
-    report = check_initial_greedy_stability(trace, chain)
+    report = check_initial_greedy_stability(trace)
     assert report.passed
 
 
@@ -388,7 +403,7 @@ def test_greedy_stability_catches_a_forged_updater(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
     # node 1 reaches the destination initially; it must never appear as updater
     forged = _tamper_step(trace, 0, updated=(1, 2))
-    report = check_initial_greedy_stability(forged, chain)
+    report = check_initial_greedy_stability(forged)
     assert not report.passed
     assert "[1]" in report.detail
 
@@ -848,10 +863,10 @@ def test_a_failing_verdict_is_not_reused(monkeypatch, chain):
         assert first._replace(schedule=second.schedule) == second
     calls = _count_per_trace_checks(monkeypatch)
 
-    def failing_greedy(trace, scenario):
+    def failing_greedy(trace):
         calls["check_initial_greedy_stability"] += 1
         return verify._report(
-            "initial-greedy-stability", scenario, trace.scheme, ["forged failure"],
+            "initial-greedy-stability", trace.scenario, trace.scheme, ["forged failure"],
             schedule=trace.schedule,
         )
 
@@ -899,7 +914,7 @@ def test_standard_battery_respects_the_scheme_filter(chain):
 def test_counterexamples_replay_to_the_reported_failure(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
     forged = _tamper_step(trace, 0, new_states=(CountedHeightState(2, 1, 6),))
-    report = check_step_invariants(forged, chain, SchemeId.NO_FULL)
+    report = check_step_invariants(forged)
     example = report.counterexample
     assert example is not None
     from linkrev import parse_scenario
@@ -908,5 +923,5 @@ def test_counterexamples_replay_to_the_reported_failure(chain):
     rerun = run_scenario(replayed, SchemeId.NO_FULL, example.schedule)
     # the honest rerun of the counterexample passes: the forgery was in the
     # trace bytes, and the report pins the step where they diverged
-    assert check_step_invariants(rerun, replayed, SchemeId.NO_FULL).passed
+    assert check_step_invariants(rerun).passed
     assert example.step == 1

@@ -74,7 +74,7 @@ def measure(scheme: SchemeId, shape: str, n: int) -> Row:
     steps = len(trace.steps)
     jsonl_bytes = len(trace_to_jsonl(trace).encode("utf-8"))
     started = time.perf_counter()
-    report = check_step_invariants(trace, scenario, scheme)
+    report = check_step_invariants(trace)
     check_s = time.perf_counter() - started
     del trace
     # A second, cold run: its scenario has no cached start to share.
