@@ -28,6 +28,9 @@ DESTINATION = 0
 #: An orientation: one (source, target) arc per link, in canonical edge order.
 Arcs = tuple[tuple[int, int], ...]
 
+#: One link seen from one end i: (position, neighbor j, arc i>j, its label, arc j>i, its label).
+LinkRow = tuple[int, int, tuple[int, int], str, tuple[int, int], str]
+
 
 @dataclass(frozen=True)
 class HeightAssignment:
@@ -191,6 +194,39 @@ class Topology:
         building them.  The forward arc is the edge tuple of edges itself.
         """
         return tuple([(e, (e[1], e[0]), arc_label(*e), arc_label(e[1], e[0])) for e in self.edges])
+
+    @cached_property
+    def link_rows(self) -> tuple[tuple[LinkRow, ...], ...]:
+        """Each node's links to other nondestination nodes, seen from the node, by node id.
+
+        Slot i holds node i's rows, in the order of ordinary_links; the
+        destination's slot, and the slot of an id the topology lacks, are
+        empty.  A row (k, j, out arc, out label, in arc, in label) holds the
+        link's position k in edges, the neighbor j, and the arcs i -> j and
+        j -> i with their digest labels, the arc_table's own objects.  So
+        the simulator re-orients an updater's links without testing which
+        end of each it is.  Built once per topology, so every run on it
+        shares them.
+        """
+        rows: list[list] = [[] for _ in range(max(self.nodes, default=DESTINATION) + 1)]
+        for k, (edge, back, forward_label, back_label) in enumerate(self.arc_table):
+            a, b = edge
+            if a != DESTINATION:
+                rows[a].append((k, b, edge, forward_label, back, back_label))
+                rows[b].append((k, a, back, back_label, edge, forward_label))
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def probe_rows(self) -> tuple[tuple[int, tuple[int, ...]] | None, ...]:
+        """The probe_table's rows by node id, None for a node with none.
+
+        The hello probe of any set of nodes gathers its rows here; the
+        destination, its neighbors and the ids the topology lacks have none.
+        """
+        rows: list = [None] * (max(self.nodes, default=DESTINATION) + 1)
+        for row in self.probe_table:
+            rows[row[0]] = row
+        return tuple(rows)
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:

@@ -412,12 +412,15 @@ def load_scenario(path: str | Path) -> Scenario:
     """Parse the scenario file at path, named after its stem unless it names itself.
 
     The file must be UTF-8 text: one that is not raises ScenarioFormatError
-    naming the offset and line of the first byte that does not decode.
+    naming the offset and line of the first byte that does not decode.  One
+    leading byte order mark, as some editors save UTF-8, is dropped; a
+    U+FEFF anywhere else is text, which the parser refuses.
     """
     p = Path(path)
     raw = p.read_bytes()
     try:
-        text = raw.decode("utf-8")
+        # Decoded before the mark is dropped, so an offset counts the file's bytes.
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ScenarioFormatError(
             f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset {exc.start} does not decode",

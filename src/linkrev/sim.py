@@ -22,12 +22,13 @@ A random schedule's generator, random.Random(schedule.seed), is seeded at
 the first step whose eligible set holds two or more nodes, not when the
 Simulation is built: most runs on small voids only ever have one node to
 pick, and they never build one.  A step with one eligible node picks it
-and counts the draw it deferred.  The first step with a choice seeds the
-generator and replays the deferred draws through Schedule.pick on a
-one-node tuple before it picks.  The replay is needed because a one-node
-draw still consumes the stream (_randbelow(1) draws bits until it gets a
-0), so skipping it would change every later pick.  A fixed schedule has
-no generator.
+and counts the draw it deferred, before and after the seeding alike.  A
+step with a choice seeds the generator if it has none yet and replays the
+deferred draws through Schedule.pick on a one-node tuple before it picks.
+The replay is needed because a one-node draw still consumes the stream
+(_randbelow(1) draws bits until it gets a 0), so skipping it would change
+every later pick.  So the 4n² budget steps of a stranded node draw
+nothing.  A fixed schedule has no generator.
 
 A run ends Converged when no node is stuck and no scripted event remains,
 StepLimit when the step budget is exhausted on a connected graph, and
@@ -38,10 +39,14 @@ partition is reported when the step budget runs out while the awake graph
 is disconnected and the live graph, after its permanent removals, is too.
 Every sleeper's wake is queued, so sleep alone never certifies a
 partition: a budget that runs out while only sleepers keep the awake graph
-apart ends StepLimit.
+apart ends StepLimit.  Only an update raises a count, so the counter
+certificate is armed by the first update that brings a count to n, and a
+turn asks for it, a scan of the stuck set, only once it is armed: the same
+text at the same step as a scan on every turn, without the scan on the
+turns where it cannot fire.
 
-The step kernel is incremental.  A Simulation keeps the current arcs of the
-awake graph in canonical edge order with the digest label of each arc,
+The step kernel is incremental.  A Simulation keeps the current arcs of
+the awake graph in canonical edge order with the digest label of each arc,
 each awake node's out-degree, the stuck set, and the awake topology: the
 live topology without its sleeping nodes, the one view of the awake graph
 that the probes, the eligibility test, the update rule and the orientation
@@ -52,26 +57,34 @@ which costs O(sum of deg U) instead of an orientation pass over every
 link.  Neither a step nor a rebuild builds an arc or a label: each link's
 two arcs and their digest labels are a row of the topology's arc_table,
 (edge, reversed edge, "a>b", "b>a"), and the kept arcs and labels are
-picked from it.  A flipped arc's label is patched beside it, so the
-digest of a step that flips a link is one join and one hash of the kept
-labels, with no copy of the arcs.  A step that reverses no link keeps the
-last digest, and its record shares that string: with no rebuild since the
-digest was taken, every awake edge was in the last record, so the flipped
-edges name every label the step patched, and none were.  A rebuild drops
-the digest, and the next step hashes the labels again.  A topology event
-rebuilds all of it from scratch with routing_dag, lazily at the next stuck
-query.  Topology.without memoizes its views, so every run of a scenario
-shares one awake topology per set of sleepers and removals, with its
-adjacency, edge index, link lists, arc table, probe table and reach memo.
-A Simulation binds the scheme's update rule and the maximum initial
-height once, and each step calls the rule directly.  A turn of advance()
-and its step read the maintained stuck view unless a rebuild is due,
-apply events only when the head of the queue is due, and filter the
-eligible nodes only when some are isolated.  An edge is reported reversed
-when it was in the previously recorded orientation and now points the
-other way.  Events change no node's state, so an edge that survives them
-keeps its orientation: only the edge set of the last record is kept, and
-it changes only at a rebuild.
+picked from it.  A step reads an updater u's links from the topology's
+link_rows, one row per link of u: its position, the neighbor j, and the
+arcs u -> j and j -> u with their labels, the arc table's own objects.  So
+it orients a link without testing which end u is, and it compares a kept
+arc with the one the predicate picks by identity; only a flip names its
+edge, the arc from the lower id.  A flipped arc's label is patched beside
+it, so the digest of a step that flips a link is one join and one hash of
+the kept labels, with no copy of the arcs.  A step that reverses no link
+keeps the last digest, and its record shares that string: with no rebuild
+since the digest was taken, every awake edge was in the last record, so
+the flipped edges name every label the step patched, and none were.  A
+rebuild drops the digest, and the next step hashes the labels again.  A
+topology event rebuilds all of it from scratch with routing_dag, lazily at
+the next stuck query.  Topology.without memoizes its views, so every run
+of a scenario shares one awake topology per set of sleepers and removals,
+with its adjacency, edge index, link lists, arc table, link rows, probe
+table and reach memo.  A Simulation binds the scheme's update rule,
+whether the rule reads neighbors, whether the scheme counts updates, and
+the maximum initial height once, and each step calls the rule directly.
+The sorted stuck view is patched where nodes enter or leave it, each
+placed by bisection, not sorted again.  A turn of advance() and its step
+read the maintained stuck view unless a rebuild is due, apply events only
+when the head of the queue is due, and filter the eligible nodes only when
+some are isolated.  An edge is reported reversed when it was in the
+previously recorded orientation and now points the other way.  Events
+change no node's state, so an edge that survives them keeps its
+orientation: only the edge set of the last record is kept, and it changes
+only at a rebuild.
 
 A run's finish reuses what it holds: the Trace's final digest is the one
 the run computed last, the last step record's or the start's, unless a
@@ -81,17 +94,18 @@ for a second hash of its orientation or a sort of its states.  A Trace,
 like a StepRecord (below), is a NamedTuple.
 
 A StepRecord is a NamedTuple, immutable and about a third as costly to
-build as a frozen dataclass, and it holds O(1) data per step in the number
-of links: the stuck
-set before the step, the updaters and their new states, the digest of the
-orientation after the step, and the reversed edges.  It holds no copy of
-the orientation, which would make a run's trace grow as steps x links
-(cubic in n on a deep-void chain).  Every orientation follows from
-Trace.initial_arcs and the reversed edges of an event-free run, and from a
-deterministic rerun of any run; Simulation.arcs is the current one.  A
-caller that needs every orientation drives a rerun one turn at a time
-through Simulation.advance(), as run() does, and reads Simulation.arcs
-after each step.
+build as a frozen dataclass; step() builds it through tuple.__new__, as
+the NamedTuple's generated __new__ does, without that frame.  It holds
+O(1) data per step in the number of links: the stuck set before the step,
+the updaters and their new states, the digest of the orientation after the
+step, and the reversed edges.  It holds no copy of the orientation, which
+would make a run's trace grow as steps x links (cubic in n on a deep-void
+chain).  Every orientation follows from Trace.initial_arcs and the
+reversed edges of an event-free run, and from a deterministic rerun of any
+run; Simulation.arcs is the current one.  A caller that needs every
+orientation drives a rerun one turn at a time through
+Simulation.advance(), as run() does, and reads Simulation.arcs after each
+step.
 Records share immutable values where they can: the reversed edges are the
 topology's own edge tuples, the stuck set is the previous record's tuple
 whenever it did not change, and the digest is the previous record's string
@@ -102,9 +116,10 @@ Cross-checks kept on the incremental path:
 - After each step, one call of the model's hello probe, probe_stuck,
   probes every node whose own state or a neighbor's state changed (U and
   its awake neighbors) and must agree with the maintained stuck set; no
-  other node's probe inputs changed.  Its rows are the (node, awake
-  neighbors) of those nodes with no link to the destination, and the
-  others must not be in the stuck set.  The check is fused into the
+  other node's probe inputs changed.  Its rows are those nodes' rows of
+  the awake topology's probe_table, (node, awake neighbors), gathered by
+  node through its probe_rows; a node linked to the destination has none
+  and must not be in the stuck set.  The check is fused into the
   re-orientation: the rows are gathered, and the changed nodes left stuck
   counted, in the same pass that updates the stuck set, and the probe
   agrees iff it finds that many nodes, all in the stuck set.  Only a
@@ -131,6 +146,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_left, insort
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -254,6 +270,9 @@ class StepRecord(NamedTuple):
     reversed_edges: tuple[tuple[int, int], ...]
 
 
+_new_tuple = tuple.__new__
+
+
 class Trace(NamedTuple):
     """Full record of a run; deterministic for a given scenario and schedule."""
 
@@ -299,12 +318,12 @@ class Simulation:
     # CPython shares the keys of instance dicts only up to 30 attributes;
     # past that every instance carries a full dict of its own.
     __slots__ = (
-        "scenario", "scheme", "_spec", "heights", "n", "schedule", "_rng", "_deferred",
+        "scenario", "scheme", "heights", "n", "schedule", "_rng", "_deferred",
         "step_limit", "live", "sleeping", "states", "steps", "events_applied", "update_counts",
         "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
         "_points_from", "_awake_topo", "_isolated", "_stale", "_arcs", "_arc_labels",
         "_out_degree", "_stuck", "_stuck_view", "initial_arcs", "initial_digest",
-        "_recorded_index", "_update", "_max_height", "_digest",
+        "_recorded_index", "_update", "_max_height", "_digest", "_neighbor_aware", "_armed",
     )
 
     def __init__(
@@ -316,7 +335,7 @@ class Simulation:
     ):
         self.scenario = scenario
         self.scheme = scheme
-        self._spec = spec = SPECS[scheme]
+        spec = SPECS[scheme]
         self.heights = heights = scenario.heights
         self.n = n = scenario.n
         self.schedule = schedule = schedule or Schedule.single_random(scenario.seed or 0)
@@ -345,6 +364,10 @@ class Simulation:
 
         self._points_from = orientation_predicate(scheme, heights)
         self._update, self._max_height = spec.update, heights.max_height
+        self._neighbor_aware = spec.neighbor_aware
+        # The counter certificate's gate: None for a scheme with no counter,
+        # False until some node's update count reaches n, then True.
+        self._armed = False if spec.counted else None
         # A scenario is connected, so no node starts without an awake neighbor.
         self._awake_topo, self._isolated = self.live, frozenset()
         # Events start at step 1, so step 0 is the same for every run of the
@@ -377,7 +400,7 @@ class Simulation:
         """
         topo = self.live.without(drop_nodes=self.sleeping) if self.sleeping else self.live
         self._awake_topo, self._stale = topo, True
-        if self._spec.neighbor_aware:
+        if self._neighbor_aware:
             self._isolated = frozenset(i for i in topo.nodes if not topo.neighbors(i))
 
     def awake_topology(self) -> Topology:
@@ -480,56 +503,55 @@ class Simulation:
         self._stale = True
         states, points_from = self.states, self._points_from
         awake, arcs, labels = self._awake_topo, self._arcs, self._arc_labels
-        table, links = awake.arc_table, awake.ordinary_links
-        out_degree, stuck = self._out_degree, self._stuck
-        # With no rebuild since the last record, every awake edge was in it.
-        recorded = None if self._recorded_index is awake.edge_index else self._recorded_index
+        link_rows, out_degree, stuck = awake.link_rows, self._out_degree, self._stuck
         changed = set(updated)
         flipped = []
         # Updaters were stuck, and stuck nodes are never adjacent, so each
         # link below is visited once.  Links into the destination never flip.
         for u in updated:
             own = states[u]
-            for k in links[u]:
-                edge, back, forward_label, back_label = table[k]
-                a, j = edge
-                if a != u:
-                    j = a
+            for k, j, out_arc, out_label, in_arc, in_label in link_rows[u]:
                 changed.add(j)
-                # u -> j is the forward arc exactly when u is the edge's first end.
-                if points_from(own, states[j]) == (a == u):
-                    arc, label = edge, forward_label
-                else:
-                    arc, label = back, back_label
-                if arcs[k] != arc:
-                    arcs[k] = arc
-                    labels[k] = label
-                    out_degree[arc[0]] += 1
-                    out_degree[arc[1]] -= 1
-                    if recorded is None or edge in recorded:
-                        flipped.append(edge)
+                if points_from(own, states[j]):
+                    if arcs[k] is not out_arc:
+                        arcs[k], labels[k] = out_arc, out_label
+                        out_degree[u] += 1
+                        out_degree[j] -= 1
+                        # The edge is whichever arc runs from the lower id.
+                        flipped.append(out_arc if u < j else in_arc)
+                elif arcs[k] is not in_arc:
+                    arcs[k], labels[k] = in_arc, in_label
+                    out_degree[j] += 1
+                    out_degree[u] -= 1
+                    flipped.append(out_arc if u < j else in_arc)
         # The hello probe of the changed nodes, U and its awake neighbors, is
-        # built while the stuck set is updated: rows for the nodes with no
-        # link to the destination, and a count of the changed nodes left stuck.
-        adjacency = awake._adjacency
-        rows = []
-        moved = False
+        # gathered while the stuck set is updated: their probe_table rows,
+        # and a count of the changed nodes left stuck.
+        probe_rows = awake.probe_rows
+        rows, moved = [], []
         left_stuck = 0
         for i in changed:
             if out_degree[i]:
                 if i in stuck:
                     stuck.discard(i)
-                    moved = True
+                    moved.append(i)
             else:
                 left_stuck += 1
                 if i not in stuck:
                     stuck.add(i)
-                    moved = True
-            neighbors = adjacency[i]
-            if DESTINATION not in neighbors:
-                rows.append((i, neighbors))
+                    moved.append(i)
+            row = probe_rows[i]
+            if row is not None:
+                rows.append(row)
         if moved:
-            self._stuck_view = tuple(sorted(stuck))
+            # Patched, not re-sorted: O(|stuck|) to copy, O(log |stuck|) to place a node.
+            view = list(self._stuck_view)
+            for i in moved:
+                if i in stuck:
+                    insort(view, i)
+                else:
+                    del view[bisect_left(view, i)]
+            self._stuck_view = tuple(view)
         self._stale = False
         # The probe's stuck nodes all lie among the changed ones, so it agrees
         # with the stuck set iff it finds as many as were left stuck, all in it.
@@ -538,7 +560,14 @@ class Simulation:
             self._cross_check(changed, by_probe)
         if not stuck:
             self._check_oriented()
-        return tuple(flipped) if len(flipped) < 2 else tuple(sorted(flipped))
+        if not flipped:
+            return ()
+        # With no rebuild since the last record, every awake edge was in it.
+        if self._recorded_index is not awake.edge_index:
+            recorded = self._recorded_index
+            flipped = [edge for edge in flipped if edge in recorded]
+        flipped.sort()
+        return tuple(flipped)
 
     def _cross_check(self, probed: Collection[int], by_probe: Collection[int]) -> None:
         """Name the first probed node whose hello probe disagrees with the maintained stuck set.
@@ -587,13 +616,15 @@ class Simulation:
             return stuck
         return tuple(i for i in stuck if i not in isolated)
 
-    def _seed_rng(self) -> None:
-        """Seed the random schedule's generator and replay the one-node draws deferred so far."""
-        schedule = self.schedule
-        self._rng = rng = random.Random(schedule.seed)
+    def _catch_up(self) -> random.Random:
+        """The random schedule's generator, seeded on first use, with the deferred one-node draws replayed."""
+        schedule, rng = self.schedule, self._rng
+        if rng is None:
+            self._rng = rng = random.Random(schedule.seed)
         for _ in range(self._deferred):
             schedule.pick(rng, (DESTINATION,), 0)
-        self._deferred = None
+        self._deferred = 0
+        return rng
 
     def step(self) -> StepRecord:
         """Run one update step; raises EmptyStuckSetError when already oriented.
@@ -611,17 +642,20 @@ class Simulation:
             )
         index = len(self.steps) + 1
         deferred = self._deferred
-        if deferred is not None and len(eligible) == 1:
+        if deferred is None:
+            chosen = self.schedule.pick(None, eligible, index)
+        elif len(eligible) == 1:
             # Nothing to choose: the draw waits until a step offers a choice.
             self._deferred = deferred + 1
             chosen = eligible
         else:
-            if deferred is not None:
-                self._seed_rng()
-            chosen = self.schedule.pick(self._rng, eligible, index)
+            rng = self._rng
+            if deferred or rng is None:
+                rng = self._catch_up()
+            chosen = self.schedule.pick(rng, eligible, index)
 
         states, update, max_height = self.states, self._update, self._max_height
-        if self._spec.neighbor_aware:
+        if self._neighbor_aware:
             # A stuck node is never destination-adjacent, so only ordinary
             # neighbor states are read here.
             neighbors = self._awake_topo.neighbors
@@ -638,15 +672,23 @@ class Simulation:
         for state in new_states:
             states[state.node] = state
             counts[state.node] += 1
+        if self._armed is False:
+            # Only an update raises a count, so the certificate can fire only from here on.
+            for state in new_states:
+                if state.updates >= self.n:
+                    self._armed = True
 
         flipped = self._reorient_updaters(chosen)
-        self.total_reversals += len(flipped)
         # With no rebuild since the digest was taken, flipped names every
         # label the step patched, so a step that flips nothing keeps it.
         digest = self._digest
-        if flipped or digest is None:
+        if flipped:
+            self.total_reversals += len(flipped)
             self._digest = digest = arcs_digest(self._arc_labels)
-        record = StepRecord(index, stuck, chosen, new_states, digest, flipped)
+        elif digest is None:
+            self._digest = digest = arcs_digest(self._arc_labels)
+        # The NamedTuple's own constructor, without its generated __new__'s frame.
+        record = _new_tuple(StepRecord, (index, stuck, chosen, new_states, digest, flipped))
         self.steps.append(record)
         self._recorded_index = self._awake_topo.edge_index
         return record
@@ -681,7 +723,7 @@ class Simulation:
                     self._apply_events_until(queue[0][0])
                     continue
                 return self._end(Outcome.CONVERGED)
-            if self._spec.counted:
+            if self._armed:
                 certificate = self._partition_certificate(stuck)
                 if certificate is not None:
                     return self._end(Outcome.PARTITIONED, certificate)

@@ -252,6 +252,17 @@ def test_a_scenario_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, co
     )
 
 
+@pytest.mark.parametrize("command", [["run", "--scheme", "no-full"], ["verify"]], ids=["run", "verify"])
+def test_a_scenario_file_with_a_byte_order_mark_is_read(tmp_path, capsys, command):
+    path = tmp_path / "bom.scen"
+    path.write_bytes(b"\xef\xbb\xbfscenario v1\nnodes 3\nedges D-3 1-2 2-3\n")
+    assert main([command[0], str(path), *command[1:]]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    last = {"run": "updates by node: 1=0 2=0 3=0", "verify": "checked 68 reports across 1 scenarios"}
+    assert captured.out.splitlines()[-1] == last[command[0]]
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])
 def test_an_unwritable_trace_out_is_an_input_error(scenario_file, tmp_path, capsys, target):
     out = tmp_path / "no" / "such" / "t.jsonl" if target == "missing-dir" else tmp_path

@@ -46,3 +46,26 @@ def test_a_size_that_overflows_prints_the_error_instead_of_a_row(capsys):
     *_, small, big = capsys.readouterr().out.splitlines()
     assert small.startswith("| 6 | ")
     assert big.startswith("| 80 | OverflowRiskError: threshold ")
+
+
+def test_against_alternates_with_a_checkout_and_prints_the_ratio(capsys):
+    checkout = _PATH.parents[1]
+    assert ladder.main(["--scheme", "no-full", "--sizes", "4,6", "--against", str(checkout)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "no-full, monotone chain, single_random(0)"
+    assert lines[1:3] == ladder.AGAINST_HEADER.splitlines()
+    cells = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[3:]]
+    assert [row[:3] for row in cells] == [
+        ["this", "4", "6"], ["against", "4", "6"], ["this/against", "4", ""],
+        ["this", "6", "15"], ["against", "6", "15"], ["this/against", "6", ""],
+    ]
+    for this, other, ratio in (cells[0:3], cells[3:6]):
+        assert this[5:7] == other[5:7]  # the same code: traced peak and JSONL bytes
+        assert float(ratio[4]) == pytest.approx(float(this[4]) / float(other[4]), abs=2e-3)
+
+
+def test_against_refuses_a_path_with_no_ladder(tmp_path, capsys):
+    with pytest.raises(SystemExit) as info:
+        ladder.main(["--scheme", "no-full", "--sizes", "4", "--against", str(tmp_path)])
+    assert info.value.code == 2
+    assert "no tools/ladder.py under" in capsys.readouterr().err

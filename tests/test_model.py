@@ -117,6 +117,47 @@ def test_the_arc_table_holds_both_arcs_of_each_edge_and_their_labels():
     assert topo.arc_table is topo.arc_table
 
 
+def test_the_link_rows_hold_each_ordinary_link_once_per_end_with_its_arcs_out_and_in():
+    topo = Topology.build(3, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    e12, e13, e23 = topo.edges[1:]
+    assert topo.link_rows == (
+        (),
+        ((1, 2, e12, "1>2", (2, 1), "2>1"), (2, 3, e13, "1>3", (3, 1), "3>1")),
+        ((1, 1, (2, 1), "2>1", e12, "1>2"), (3, 3, e23, "2>3", (3, 2), "3>2")),
+        ((2, 1, (3, 1), "3>1", e13, "1>3"), (3, 2, (3, 2), "3>2", e23, "2>3")),
+    )
+    assert topo.link_rows is topo.link_rows
+    # A view keeps the ids, and positions are in its own edges; a node it
+    # drops has no rows, like the destination.
+    view = topo.without(drop_nodes=(2,))
+    assert view.edges == ((0, 1), (1, 3))
+    assert view.link_rows == ((), ((1, 3, e13, "1>3", (3, 1), "3>1"),), (), ((1, 1, (3, 1), "3>1", e13, "1>3"),))
+    assert topo.without(drop_nodes=(3,)).probe_rows == (None, None, (2, (1,)))
+
+
+@given(n=st.integers(1, 12), seed=st.integers(0, 10_000))
+def test_link_and_probe_rows_follow_the_arc_and_probe_tables(n, seed):
+    topo = Topology.build(n, _random_connected_edges(random.Random(seed), n))
+    seen = Counter()
+    assert len(topo.link_rows) == len(topo.probe_rows) == n + 1
+    assert topo.link_rows[DESTINATION] == () and topo.probe_rows[DESTINATION] is None
+    for i in topo.nodes:
+        rows = topo.link_rows[i]
+        assert [k for k, *_ in rows] == list(topo.ordinary_links[i])
+        for k, j, out_arc, out_label, in_arc, in_label in rows:
+            edge, back, forward_label, back_label = topo.arc_table[k]
+            assert DESTINATION not in edge and {i, j} == set(edge)
+            assert (out_arc, in_arc) == ((i, j), (j, i))
+            # The arc table's own objects, which the kernel compares by identity.
+            assert {id(out_arc), id(in_arc)} == {id(edge), id(back)}
+            assert {out_label, in_label} == {forward_label, back_label}
+            assert (out_label, in_label) == (arc_label(i, j), arc_label(j, i))
+            seen[k] += 1
+    assert seen == {k: 2 for k, (a, _) in enumerate(topo.edges) if a != DESTINATION}
+    assert [row for row in topo.probe_rows if row is not None] == list(topo.probe_table)
+    assert all(topo.probe_rows[row[0]] is row for row in topo.probe_table)
+
+
 def test_topology_without_is_memoized_by_its_canonical_arguments():
     topo = Topology.build(4, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)])
     view = topo.without(drop_nodes=(2, 4), drop_edges=((1, 3), (0, 1)))

@@ -335,6 +335,24 @@ def test_load_rejects_a_file_that_is_not_utf8(tmp_path):
     assert str(info.value) == "not UTF-8 text: byte 0xe9 at offset 20 does not decode (line 2)"
 
 
+def test_load_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.scn"
+    path.write_bytes(b"\xef\xbb\xbf" + GOOD.encode("utf-8"))
+    assert load_scenario(path) == parse_scenario(GOOD)
+    # A second mark, or one further on, is text the format does not allow.
+    path.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbf" + GOOD.encode("utf-8"))
+    with pytest.raises(ScenarioFormatError, match=r"first directive must be 'scenario v1' \(line 1"):
+        load_scenario(path)
+    path.write_bytes(b"\xef\xbb\xbfscenario v1\nnodes \xef\xbb\xbf2\nedges D-1 1-2\n")
+    with pytest.raises(ScenarioFormatError, match=r"\(line 2"):
+        load_scenario(path)
+    # A byte that does not decode keeps its offset in the file, mark included.
+    path.write_bytes(b"\xef\xbb\xbfscenario v1\nname caf\xe9\nnodes 2\nedges D-1 1-2\n")
+    with pytest.raises(ScenarioFormatError) as info:
+        load_scenario(path)
+    assert str(info.value) == "not UTF-8 text: byte 0xe9 at offset 23 does not decode (line 2)"
+
+
 def test_load_reads_crlf_line_ends_as_the_parser_does(tmp_path):
     path = tmp_path / "crlf.scn"
     path.write_bytes(GOOD.replace("\n", "\r\n").encode("utf-8"))

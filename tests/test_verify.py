@@ -34,6 +34,7 @@ from linkrev import (
 from linkrev.generate import exhaustive_void_scenarios, random_partition_scenario, random_void_scenario
 from linkrev.schemes import CORE_SCHEMES, closed_form_height
 from linkrev import model, verify
+from linkrev.traceio import trace_to_jsonl
 from linkrev.verify import EQUIVALENCE_PAIRS
 
 
@@ -597,7 +598,8 @@ def test_determinism_check(chain):
     report = check_determinism(first)
     assert report.passed
     assert report.scheme == "no-partial"
-    assert "identical records" in report.detail
+    # The count of steps plus the totals line is the count of the export's lines.
+    assert report.detail == f"{len(trace_to_jsonl(first).splitlines())} identical records"
 
 
 def test_determinism_catches_a_trace_the_rerun_does_not_reproduce(chain):

@@ -12,11 +12,20 @@ bytes and the step check's time (with FAIL when the check fails).  A size
 whose run raises OverflowRiskError prints the error instead of a row.
 
 Times are one run each, wall clock, so they move with the machine's load.
+So compare two checkouts only from alternating runs:
+
+    python3 tools/ladder.py --scheme no-full --sizes 50,400 --against ../parent
+
+runs each size in fresh interpreters, once with this checkout's ladder
+and once with PATH/tools/ladder.py, alternating which goes first from one
+size to the next.  It prints both rows, each led by its side, and the
+ratio of this checkout's µs per step to the other's.
 """
 
 from __future__ import annotations
 
 import argparse
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -35,6 +44,10 @@ SHAPES = ("monotone", "zigzag")
 HEADER = (
     "| n | steps | run | µs/step | traced peak | JSONL | step check |\n"
     "|---|---|---|---|---|---|---|"
+)
+AGAINST_HEADER = (
+    "| side | n | steps | run | µs/step | traced peak | JSONL | step check |\n"
+    "|---|---|---|---|---|---|---|---|"
 )
 
 
@@ -97,13 +110,52 @@ def parse_sizes(text: str) -> list[int]:
     return sizes
 
 
+def fresh_row(script: Path, scheme: SchemeId, shape: str, n: int) -> str:
+    """The row of one size, as the ladder at script prints it in a fresh interpreter."""
+    command = [sys.executable, str(script), "--scheme", scheme.value, "--shape", shape, "--sizes", str(n)]
+    return subprocess.run(command, capture_output=True, text=True, check=True).stdout.splitlines()[-1]
+
+
+def per_step(row: str) -> float | None:
+    """The µs per step of a row, None for a size that printed an error."""
+    fields = row.split(" | ")
+    try:
+        return float(fields[3])
+    except (IndexError, ValueError):
+        return None
+
+
+def against(other: Path, scheme: SchemeId, shape: str, sizes: Sequence[int]) -> None:
+    """Print both checkouts' rows of each size and the ratio of their µs per step."""
+    sides = [("this", Path(__file__).resolve()), ("against", other / "tools" / "ladder.py")]
+    print(AGAINST_HEADER)
+    for index, n in enumerate(sizes):
+        # Sizes alternate which side runs first, so a slow spell lands on both.
+        order = sides if index % 2 == 0 else sides[::-1]
+        rows = {side: fresh_row(script, scheme, shape, n) for side, script in order}
+        for side, _ in sides:
+            print(f"| {side} {rows[side]}")
+        mine, theirs = per_step(rows["this"]), per_step(rows["against"])
+        if mine is not None and theirs:
+            print(f"| this/against | {n} | | | {mine / theirs:.3f} | | | |", flush=True)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scheme", required=True, type=SchemeId, help="a scheme, e.g. no-full")
     parser.add_argument("--shape", choices=SHAPES, default="monotone")
     parser.add_argument("--sizes", type=parse_sizes, default=[50, 100, 200, 400])
+    parser.add_argument(
+        "--against", type=Path, metavar="PATH",
+        help="a checkout to alternate with, size by size, in fresh interpreters",
+    )
     args = parser.parse_args(argv)
+    if args.against is not None and not (args.against / "tools" / "ladder.py").is_file():
+        parser.error(f"no tools/ladder.py under {args.against}")
     print(f"{args.scheme.value}, {args.shape} chain, single_random(0)")
+    if args.against is not None:
+        against(args.against, args.scheme, args.shape, args.sizes)
+        return 0
     print(HEADER)
     for n in args.sizes:
         try:
