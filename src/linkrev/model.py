@@ -31,6 +31,9 @@ Arcs = tuple[tuple[int, int], ...]
 #: One link seen from one end i: (position, neighbor j, arc i>j, its label, arc j>i, its label).
 LinkRow = tuple[int, int, tuple[int, int], str, tuple[int, int], str]
 
+#: A node's closed neighborhood: (the node and its ordinary neighbors, their probe_table rows).
+ClosedRow = tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
+
 
 @dataclass(frozen=True)
 class HeightAssignment:
@@ -227,6 +230,26 @@ class Topology:
         for row in self.probe_table:
             rows[row[0]] = row
         return tuple(rows)
+
+    @cached_property
+    def closed_rows(self) -> tuple[ClosedRow, ...]:
+        """Each node's closed neighborhood and its probe rows, by node id.
+
+        Slot i holds (nodes, rows): node i, then its ordinary neighbors in
+        the order of link_rows, and the probe_rows objects of those nodes
+        that have one.  An update of i changes the probe inputs of exactly
+        those nodes, so a step with one updater reads what it re-checks
+        here.  The destination's slot, and the slot of an id the topology
+        lacks, hold two empty tuples.  Built once per topology, so every run
+        on it shares them.
+        """
+        probe_rows, empty = self.probe_rows, ((), ())
+        closed: list[ClosedRow] = [empty] * len(probe_rows)
+        for i, links in enumerate(self.link_rows):
+            if i in self._node_set:
+                nodes = (i, *[j for _, j, *_ in links])
+                closed[i] = (nodes, tuple([probe_rows[j] for j in nodes if probe_rows[j] is not None]))
+        return tuple(closed)
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:

@@ -73,9 +73,10 @@ topology event rebuilds all of it from scratch with routing_dag, lazily at
 the next stuck query.  Topology.without memoizes its views, so every run
 of a scenario shares one awake topology per set of sleepers and removals,
 with its adjacency, edge index, link lists, arc table, link rows, probe
-table and reach memo.  A Simulation binds the scheme's update rule,
-whether the rule reads neighbors, whether the scheme counts updates, and
-the maximum initial height once, and each step calls the rule directly.
+table, closed rows and reach memo.  A Simulation binds the scheme's update
+rule, whether the rule reads neighbors, whether the scheme counts updates,
+and the maximum initial height once, and each step calls the rule
+directly.
 The sorted stuck view is patched where nodes enter or leave it, each
 placed by bisection, not sorted again.  A turn of advance() and its step
 read the maintained stuck view unless a rebuild is due, apply events only
@@ -117,16 +118,19 @@ Cross-checks kept on the incremental path:
   probes every node whose own state or a neighbor's state changed (U and
   its awake neighbors) and must agree with the maintained stuck set; no
   other node's probe inputs changed.  Its rows are those nodes' rows of
-  the awake topology's probe_table, (node, awake neighbors), gathered by
-  node through its probe_rows; a node linked to the destination has none
-  and must not be in the stuck set.  The check is fused into the
-  re-orientation: the rows are gathered, and the changed nodes left stuck
-  counted, in the same pass that updates the stuck set, and the probe
-  agrees iff it finds that many nodes, all in the stuck set.  Only a
-  mismatch walks the changed nodes again, to name the first that
-  disagrees.  After each rebuild that follows an event every awake node is
-  probed, in one call over the awake topology's probe_table.  Sleeping
-  nodes are not in the awake topology, so they never answer a probe.
+  the awake topology's probe_table, (node, awake neighbors); a node linked
+  to the destination has none and must not be in the stuck set.  The
+  changed nodes and their rows come from the awake topology's closed_rows:
+  a step with one updater reads both from the updater's closed row as they
+  stand, and a step with several unions their rows, each node once, since
+  updaters can share a neighbor.  The check is fused into the
+  re-orientation: the changed nodes left stuck are counted in the same
+  pass that updates the stuck set, and the probe agrees iff it finds that
+  many nodes, all in the stuck set.  Only a mismatch walks the changed
+  nodes again, to name the first that disagrees.  After each rebuild that
+  follows an event every awake node is probed, in one call over the awake
+  topology's probe_table.  Sleeping nodes are not in the awake topology,
+  so they never answer a probe.
 - The full probe of step 0 runs once per (scenario, scheme), in the first
   Simulation of the pair, which caches that start on the Scenario: events
   start at step 1, so every run of the pair starts there.  The scenario's
@@ -504,14 +508,12 @@ class Simulation:
         states, points_from = self.states, self._points_from
         awake, arcs, labels = self._awake_topo, self._arcs, self._arc_labels
         link_rows, out_degree, stuck = awake.link_rows, self._out_degree, self._stuck
-        changed = set(updated)
         flipped = []
         # Updaters were stuck, and stuck nodes are never adjacent, so each
         # link below is visited once.  Links into the destination never flip.
         for u in updated:
             own = states[u]
             for k, j, out_arc, out_label, in_arc, in_label in link_rows[u]:
-                changed.add(j)
                 if points_from(own, states[j]):
                     if arcs[k] is not out_arc:
                         arcs[k], labels[k] = out_arc, out_label
@@ -524,11 +526,16 @@ class Simulation:
                     out_degree[j] += 1
                     out_degree[u] -= 1
                     flipped.append(out_arc if u < j else in_arc)
-        # The hello probe of the changed nodes, U and its awake neighbors, is
-        # gathered while the stuck set is updated: their probe_table rows,
-        # and a count of the changed nodes left stuck.
-        probe_rows = awake.probe_rows
-        rows, moved = [], []
+        # The changed nodes, U and its awake neighbors, and their probe_table
+        # rows: one updater's closed row, or the union of several, each node
+        # once, since updaters can share a neighbor.
+        closed_rows = awake.closed_rows
+        if len(updated) == 1:
+            changed, rows = closed_rows[updated[0]]
+        else:
+            changed = list(dict.fromkeys([i for u in updated for i in closed_rows[u][0]]))
+            rows = list({row[0]: row for u in updated for row in closed_rows[u][1]}.values())
+        moved = []
         left_stuck = 0
         for i in changed:
             if out_degree[i]:
@@ -540,9 +547,6 @@ class Simulation:
                 if i not in stuck:
                     stuck.add(i)
                     moved.append(i)
-            row = probe_rows[i]
-            if row is not None:
-                rows.append(row)
         if moved:
             # Patched, not re-sorted: O(|stuck|) to copy, O(log |stuck|) to place a node.
             view = list(self._stuck_view)

@@ -8,6 +8,11 @@ sort_keys=True, separators=(",", ":")) would write: the keys in sorted
 order, and every text that can hold arbitrary characters (the schedule's
 description, the certificate, the events) escaped by
 json.encoder.encode_basestring_ascii, the encoder json.dumps itself uses.
+The lines are made one at a time from text built once per trace: each
+node id's text and each reversed edge's "[a,b]" are made on first use and
+reused by every later line.  trace_to_jsonl joins them; write_trace writes
+each to the file as it is made, so it never holds the whole text, and a
+file cut short is still a valid prefix.
 
 Step records keep no orientations, so the Graphviz frames are rebuilt by
 rerunning the trace's scenario, scheme, schedule and step limit: runs are
@@ -19,11 +24,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 from .scenario import _node_name
 from .schemes import SPECS
-from .sim import Simulation, StepRecord, Trace
+from .sim import Simulation, Trace
 
 #: JSON string literal of a text, escaped to ASCII as json.dumps writes it.
 _text = json.encoder.encode_basestring_ascii
@@ -45,48 +51,63 @@ def _state_template(cls: type) -> str:
 _STATE_TEMPLATES = {spec.state: _state_template(spec.state) for spec in SPECS.values()}
 
 
-def _step_line(rec: StepRecord) -> str:
-    """One step record, as json.dumps(..., sort_keys=True) with compact separators writes it.
+class _Memo(dict):
+    """A dict that fills a missing key with make(key) on first use."""
 
-    Every value is an int, an int list or a hex digest, so no text needs
-    escaping.  Sorting the state entries sorts them by node key as a string:
-    a key that is a prefix of another ends in '"', which sorts below every
-    digit.
+    __slots__ = ("_make",)
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        text = self[key] = self._make(key)
+        return text
+
+
+def _jsonl_lines(trace: Trace) -> Iterator[str]:
+    """Each step line, then the totals line, each with its newline.
+
+    Every line is what json.dumps(..., sort_keys=True) with compact
+    separators writes for its record.  A step's values are ints, int lists
+    and a hex digest, so no text needs escaping; the text of each node id,
+    as str() writes it, and of each reversed edge is built on first use and
+    reused for the rest of the trace.  Sorting the state entries sorts them
+    by node key as a string: a key that is a prefix of another ends in '"',
+    which sorts below every digit.  The updates_by_node keys of the totals
+    line are sorted the same way, so "10" comes before "2".
     """
-    states = ",".join(sorted(_STATE_TEMPLATES[type(s)].format(*s) for s in rec.new_states))
-    reversed_edges = ",".join(f"[{a},{b}]" for a, b in rec.reversed_edges)
-    return (
-        f'{{"dag":"{rec.dag_digest}","index":{rec.index},"reversed":[{reversed_edges}],'
-        f'"states":{{{states}}},"stuck":[{",".join(map(str, rec.stuck))}],"type":"step",'
-        f'"updated":[{",".join(map(str, rec.updated))}]}}'
-    )
-
-
-def _totals_line(trace: Trace) -> str:
-    """The totals record, as json.dumps(..., sort_keys=True) with compact separators writes it.
-
-    The updates_by_node keys are sorted as strings, so "10" comes before "2".
-    """
+    ids = _Memo(str).__getitem__
+    edges = _Memo("[{0[0]},{0[1]}]".format).__getitem__
+    templates = _STATE_TEMPLATES
+    for index, stuck, updated, new_states, digest, reversed_edges in trace.steps:
+        if len(new_states) == 1:
+            state = new_states[0]
+            states = templates[type(state)].format(*state)
+        else:
+            states = ",".join(sorted([templates[type(s)].format(*s) for s in new_states]))
+        yield (
+            f'{{"dag":"{digest}","index":{index},"reversed":[{",".join(map(edges, reversed_edges))}],'
+            f'"states":{{{states}}},"stuck":[{",".join(map(ids, stuck))}],"type":"step",'
+            f'"updated":[{",".join(map(ids, updated))}]}}\n'
+        )
     certificate = "null" if trace.certificate is None else _text(trace.certificate)
     events = ",".join(f"[{step},{_text(text)}]" for step, text in trace.events_applied)
     counts = trace.update_counts
-    by_node = ",".join([f'"{i}":{counts[i]}' for i in sorted(counts, key=str)])
-    return (
+    by_node = ",".join([f'"{ids(i)}":{counts[i]}' for i in sorted(counts, key=ids)])
+    yield (
         f'{{"certificate":{certificate},"events":[{events}],"final_dag":"{trace.final_digest}",'
         f'"initial_dag":"{trace.initial_digest}","n":{trace.scenario.n},"outcome":"{trace.outcome.value}",'
         f'"schedule":{_text(trace.schedule.describe())},"scheme":"{trace.scheme.value}",'
         f'"step_limit":{trace.step_limit},"steps":{len(trace.steps)},'
         f'"total_reversals":{trace.total_reversals},"total_updates":{trace.total_updates},'
-        f'"type":"totals","updates_by_node":{{{by_node}}}}}'
+        f'"type":"totals","updates_by_node":{{{by_node}}}}}\n'
     )
 
 
 def trace_to_jsonl(trace: Trace) -> str:
-    """One JSON object per step, then one totals object."""
-    lines = [_step_line(rec) for rec in trace.steps]
-    lines.append(_totals_line(trace))
-    lines.append("")  # the trailing newline, without copying the joined text
-    return "\n".join(lines)
+    """One JSON object per step, then one totals object, each on its own line."""
+    return "".join(_jsonl_lines(trace))
 
 
 def trace_to_csv(trace: Trace) -> str:
@@ -155,4 +176,10 @@ def export_trace(trace: Trace, fmt: str) -> str:
 
 
 def write_trace(trace: Trace, path: str | Path, fmt: str) -> None:
-    Path(path).write_text(export_trace(trace, fmt), encoding="utf-8")
+    """Write the trace's export to path; JSONL is written line by line as it is made."""
+    if fmt != "jsonl":
+        # Exported first, so an unknown format raises before the file exists.
+        Path(path).write_text(export_trace(trace, fmt), encoding="utf-8")
+        return
+    with open(path, "w", encoding="utf-8") as out:
+        out.writelines(_jsonl_lines(trace))

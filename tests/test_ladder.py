@@ -23,7 +23,7 @@ def test_a_monotone_chain_takes_n_choose_2_full_reversal_steps(n):
     assert (row.n, row.steps) == (n, n * (n - 1) // 2)
     assert row.check_passed
     assert row.run_s > 0 and row.check_s > 0
-    assert row.peak_bytes > 0 and row.jsonl_bytes > 0
+    assert row.peak_bytes > 0 and row.jsonl_bytes > 0 and row.jsonl_s > 0
 
 
 def test_the_zigzag_chain_alternates_its_heights():
@@ -59,6 +59,8 @@ def test_against_alternates_with_a_checkout_and_prints_the_ratio(capsys):
         ["this", "4", "6"], ["against", "4", "6"], ["this/against", "4", ""],
         ["this", "6", "15"], ["against", "6", "15"], ["this/against", "6", ""],
     ]
+    # Each row ends in the export's time, after the columns an older ladder prints.
+    assert all(len(row) == 9 for row in cells) and cells[0][8].endswith(" s")
     for this, other, ratio in (cells[0:3], cells[3:6]):
         assert this[5:7] == other[5:7]  # the same code: traced peak and JSONL bytes
         assert float(ratio[4]) == pytest.approx(float(this[4]) / float(other[4]), abs=2e-3)
@@ -69,3 +71,35 @@ def test_against_refuses_a_path_with_no_ladder(tmp_path, capsys):
         ladder.main(["--scheme", "no-full", "--sizes", "4", "--against", str(tmp_path)])
     assert info.value.code == 2
     assert "no tools/ladder.py under" in capsys.readouterr().err
+
+
+def test_against_keeps_each_sides_fastest_of_alternating_runs(monkeypatch, capsys, tmp_path):
+    # Canned rows: a side's runs of a size read 30, 10 and 20 µs per step, doubled for this side.
+    calls = []
+
+    def canned_row(script, scheme, shape, n):
+        side = "this" if script == _PATH else "against"
+        calls.append((side, n))
+        us = [30.0, 10.0, 20.0][calls.count((side, n)) - 1] * (2 if side == "this" else 1)
+        return f"| {n} | 6 | 0.001 s | {us} | 0.0 MB | 1 KB | 0.00 s |"
+
+    monkeypatch.setattr(ladder, "fresh_row", canned_row)
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "ladder.py").write_text("")
+    assert ladder.main(["--scheme", "no-full", "--sizes", "4,6", "--against", str(tmp_path)]) == 0
+    # REPEATS runs of each side per size; the side that goes first alternates from run to run.
+    assert ladder.REPEATS == 3
+    assert [side for side, _ in calls] == ["this", "against", "against", "this"] * 3
+    assert [n for _, n in calls] == [4] * 6 + [6] * 6
+    lines = capsys.readouterr().out.splitlines()[3:]
+    assert lines[0:3] == [
+        "| this | 4 | 6 | 0.001 s | 20.0 | 0.0 MB | 1 KB | 0.00 s |",
+        "| against | 4 | 6 | 0.001 s | 10.0 | 0.0 MB | 1 KB | 0.00 s |",
+        "| this/against | 4 | | | 2.000 | | | | |",
+    ]
+
+
+def test_fastest_keeps_the_least_time_per_step_and_falls_back_to_an_error_row():
+    rows = ["| 4 | 6 | 0.1 s | 12.5 | x |", "| 4 | 6 | 0.1 s | 9.5 | y |", "| 4 | OverflowRiskError: z |"]
+    assert ladder.fastest(rows) == rows[1]
+    assert ladder.fastest(rows[2:]) == rows[2]

@@ -158,6 +158,26 @@ def test_link_and_probe_rows_follow_the_arc_and_probe_tables(n, seed):
     assert all(topo.probe_rows[row[0]] is row for row in topo.probe_table)
 
 
+@given(n=st.integers(1, 12), seed=st.integers(0, 10_000), drop=st.integers(1, 12))
+def test_closed_rows_hold_each_node_its_ordinary_neighbors_and_their_probe_rows(n, seed, drop):
+    topo = Topology.build(n, _random_connected_edges(random.Random(seed), n))
+    # A view that drops a node keeps the ids; the dropped one has no row, like the destination.
+    for view in (topo, topo.without(drop_nodes=(min(drop, n),))):
+        closed = view.closed_rows
+        assert closed is view.closed_rows
+        assert len(closed) == len(view.link_rows) and closed[DESTINATION] == ((), ())
+        for i in range(1, len(closed)):
+            nodes, rows = closed[i]
+            if not view.has_node(i):
+                assert (nodes, rows) == ((), ())
+                continue
+            assert nodes == (i, *[j for _, j, *_ in view.link_rows[i]])
+            assert DESTINATION not in nodes
+            # The probe_rows objects themselves, in the order of the nodes.
+            expected = [view.probe_rows[j] for j in nodes if view.probe_rows[j] is not None]
+            assert len(rows) == len(expected) and all(a is b for a, b in zip(rows, expected))
+
+
 def test_topology_without_is_memoized_by_its_canonical_arguments():
     topo = Topology.build(4, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)])
     view = topo.without(drop_nodes=(2, 4), drop_edges=((1, 3), (0, 1)))

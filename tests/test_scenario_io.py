@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -34,6 +35,7 @@ from linkrev.traceio import (
     trace_to_csv,
     trace_to_dot_frames,
     trace_to_jsonl,
+    write_trace,
 )
 
 GOOD = """\
@@ -614,3 +616,76 @@ def test_export_trace_dispatch(one_step_trace):
         assert export_trace(one_step_trace, fmt)
     with pytest.raises(ValueError, match="unknown trace format"):
         export_trace(one_step_trace, "yaml")
+
+
+def _chain_trace(n: int):
+    """The monotone n-node chain under no-full: n(n-1)/2 steps."""
+    chain = Scenario.create(n, [(0, n)] + [(i, i + 1) for i in range(1, n)], heights=range(1, n + 1))
+    return run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+
+
+@pytest.mark.parametrize("case", [*TOTALS_CASES, "chain-60"])
+def test_write_trace_streams_exactly_the_jsonl_text(case, tmp_path):
+    trace = _chain_trace(60) if case == "chain-60" else TOTALS_CASES[case]()
+    path = tmp_path / "trace.jsonl"
+    write_trace(trace, path, "jsonl")
+    assert path.read_bytes() == trace_to_jsonl(trace).encode("utf-8")
+
+
+def test_write_trace_of_an_unknown_format_leaves_no_file(one_step_trace, tmp_path):
+    path = tmp_path / "trace.yaml"
+    with pytest.raises(ValueError, match="unknown trace format"):
+        write_trace(one_step_trace, path, "yaml")
+    assert not path.exists()
+
+
+def test_write_trace_never_holds_the_whole_jsonl_text(tmp_path):
+    trace = _chain_trace(60)
+    size = len(trace_to_jsonl(trace))
+    tracemalloc.start()
+    try:
+        write_trace(trace, tmp_path / "trace.jsonl", "jsonl")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size
+
+
+def test_jsonl_of_a_forged_trace_matches_json_dumps_for_fresh_equal_values(one_step_trace):
+    # Equal ids and edges in fresh objects, and an id above n: the text of
+    # each follows its value, not the object or the node count.
+    def big() -> int:
+        return int("1000")
+
+    rec = one_step_trace.steps[0]
+    state = rec.new_states[0]
+    first = rec._replace(stuck=(2, big()), reversed_edges=(tuple([2, 3]),))
+    second = rec._replace(
+        index=2,
+        stuck=(2, big()),
+        updated=(2, big()),
+        new_states=(state, state._replace(node=big())),
+        reversed_edges=(tuple([2, 3]), (2, big())),
+    )
+    forged = one_step_trace._replace(
+        steps=(first, second), update_counts={1: 0, 2: 2, 3: 0, big(): 1}, total_updates=3
+    )
+    steps = [
+        {
+            "type": "step",
+            "index": r.index,
+            "stuck": list(r.stuck),
+            "updated": list(r.updated),
+            "states": {str(s.node): dict(zip(s._fields[1:], s[1:])) for s in r.new_states},
+            "dag": r.dag_digest,
+            "reversed": [list(e) for e in r.reversed_edges],
+        }
+        for r in forged.steps
+    ]
+    expected = "".join(
+        json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        for record in [*steps, _reference_totals(forged)]
+    )
+    assert trace_to_jsonl(forged) == expected
+    # Keys sort as strings: "1000" before "2".
+    assert '"states":{"1000":' in expected.splitlines()[1]

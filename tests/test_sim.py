@@ -941,8 +941,13 @@ def test_a_corrupted_count_after_a_sleep_rebuild_trips_the_next_steps_probe(sche
         sim.step()
 
 
-def test_the_kernel_probes_once_per_step_and_once_per_rebuild(monkeypatch):
-    """Each step probes exactly its updaters U and their awake neighbors N(U), in one call."""
+def _probe_each_turn(monkeypatch, scenario: Scenario, schedule: Schedule) -> tuple[Simulation, int]:
+    """Run scenario under no-full, checking that each step probes exactly U and N(U), in one call.
+
+    Each rebuild probes the awake topology's probe_table in one call of its
+    own.  Returns the finished simulation and the number of steps whose
+    updaters share a neighbor.
+    """
     log = []
     real_probe, real_reorient = sim_module.probe_stuck, Simulation._reorient_all
 
@@ -957,9 +962,8 @@ def test_the_kernel_probes_once_per_step_and_once_per_rebuild(monkeypatch):
 
     monkeypatch.setattr(sim_module, "probe_stuck", probing)
     monkeypatch.setattr(Simulation, "_reorient_all", rebuilding)
-    scenario = _monotone_chain(10, [SimEvent(at_step=3, kind="sleep", node=6, duration=4)])
-    sim = Simulation(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
-    probes = rebuilds = 0
+    sim = Simulation(scenario, SchemeId.NO_FULL, schedule)
+    probes = rebuilds = shared = 0
     while True:
         log.clear()
         record = sim.advance()
@@ -976,12 +980,28 @@ def test_the_kernel_probes_once_per_step_and_once_per_rebuild(monkeypatch):
         probes += 1
         touched = set(record.updated).union(*(awake.neighbors(u) for u in record.updated))
         expected = {i for i in touched - {DESTINATION} if DESTINATION not in awake.neighbors(i)}
+        # Every changed node's row appears exactly once, however many updaters it neighbors.
         assert kind == "probe" and len(rows) == len({i for i, _ in rows}) == len(expected)
         assert {i for i, _ in rows} == expected
         assert all(neighbors == awake.neighbors(i) for i, neighbors in rows)
+        reached = [j for u in record.updated for j in awake.neighbors(u) if j != DESTINATION]
+        shared += len(reached) > len(set(reached))
     assert sim.outcome is Outcome.CONVERGED
-    assert sim.events_applied == [(3, "sleep 6 4"), (7, "wake 6")]
     assert rebuilds == len(sim.events_applied) and probes == len(sim.steps) + rebuilds
+    return sim, shared
+
+
+def test_the_kernel_probes_once_per_step_and_once_per_rebuild(monkeypatch):
+    """Each step probes exactly its updaters U and their awake neighbors N(U), in one call."""
+    scenario = _monotone_chain(10, [SimEvent(at_step=3, kind="sleep", node=6, duration=4)])
+    sim, _ = _probe_each_turn(monkeypatch, scenario, Schedule.single_random(0))
+    assert sim.events_applied == [(3, "sleep 6 4"), (7, "wake 6")]
+
+
+def test_the_kernel_probes_a_neighbor_shared_by_two_updaters_once(monkeypatch):
+    """Subset steps on a zigzag chain update nodes two apart, which share the node between them."""
+    _, shared = _probe_each_turn(monkeypatch, _zigzag_chain(10), Schedule.subset_random(0))
+    assert shared > 0
 
 
 def _scratch_stuck(sim: Simulation) -> tuple[int, ...]:

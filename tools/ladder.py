@@ -8,18 +8,22 @@ partial schemes take silent halves).  The chain runs under
 Schedule.single_random(0); its trace is then written as JSONL and checked
 by check_step_invariants.  A row gives the steps, the run's time and its
 µs per step, the peak of a second run traced by tracemalloc, the JSONL
-bytes and the step check's time (with FAIL when the check fails).  A size
-whose run raises OverflowRiskError prints the error instead of a row.
+bytes, the step check's time (with FAIL when the check fails) and the time
+trace_to_jsonl took.  A size whose run raises OverflowRiskError prints the
+error instead of a row.
 
 Times are one run each, wall clock, so they move with the machine's load.
 So compare two checkouts only from alternating runs:
 
     python3 tools/ladder.py --scheme no-full --sizes 50,400 --against ../parent
 
-runs each size in fresh interpreters, once with this checkout's ladder
-and once with PATH/tools/ladder.py, alternating which goes first from one
-size to the next.  It prints both rows, each led by its side, and the
-ratio of this checkout's µs per step to the other's.
+runs each size REPEATS times in fresh interpreters with this checkout's
+ladder and as often with PATH/tools/ladder.py, alternating which side goes
+first from one run to the next, and keeps each side's fastest row: a short
+run at small n is easily slowed by a passing spell of load.  An older
+ladder at PATH prints one row a run, so both sides are chosen the same
+way.  It prints both rows, each led by its side, and the ratio of this
+checkout's µs per step to the other's.
 """
 
 from __future__ import annotations
@@ -42,13 +46,15 @@ from linkrev.verify import check_step_invariants  # noqa: E402
 
 SHAPES = ("monotone", "zigzag")
 HEADER = (
-    "| n | steps | run | µs/step | traced peak | JSONL | step check |\n"
-    "|---|---|---|---|---|---|---|"
-)
-AGAINST_HEADER = (
-    "| side | n | steps | run | µs/step | traced peak | JSONL | step check |\n"
+    "| n | steps | run | µs/step | traced peak | JSONL | step check | JSONL s |\n"
     "|---|---|---|---|---|---|---|---|"
 )
+AGAINST_HEADER = (
+    "| side | n | steps | run | µs/step | traced peak | JSONL | step check | JSONL s |\n"
+    "|---|---|---|---|---|---|---|---|---|"
+)
+#: Runs of each side per size under --against; each side's fastest row is kept.
+REPEATS = 3
 
 
 class Row(NamedTuple):
@@ -61,6 +67,7 @@ class Row(NamedTuple):
     jsonl_bytes: int
     check_s: float
     check_passed: bool
+    jsonl_s: float
 
     def line(self) -> str:
         per_step = self.run_s / self.steps * 1e6 if self.steps else 0.0
@@ -68,7 +75,7 @@ class Row(NamedTuple):
         return (
             f"| {self.n} | {self.steps:,} | {self.run_s:.3f} s | {per_step:.1f} "
             f"| {self.peak_bytes / 1e6:.1f} MB | {self.jsonl_bytes / 1e3:,.0f} KB "
-            f"| {self.check_s:.2f} s{verdict} |"
+            f"| {self.check_s:.2f} s{verdict} | {self.jsonl_s:.3f} s |"
         )
 
 
@@ -85,7 +92,11 @@ def measure(scheme: SchemeId, shape: str, n: int) -> Row:
     trace = run_scenario(scenario, scheme, Schedule.single_random(0))
     run_s = time.perf_counter() - started
     steps = len(trace.steps)
-    jsonl_bytes = len(trace_to_jsonl(trace).encode("utf-8"))
+    started = time.perf_counter()
+    text = trace_to_jsonl(trace)
+    jsonl_s = time.perf_counter() - started
+    jsonl_bytes = len(text.encode("utf-8"))
+    del text
     started = time.perf_counter()
     report = check_step_invariants(trace)
     check_s = time.perf_counter() - started
@@ -97,7 +108,7 @@ def measure(scheme: SchemeId, shape: str, n: int) -> Row:
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return Row(n, steps, run_s, peak, jsonl_bytes, check_s, report.passed)
+    return Row(n, steps, run_s, peak, jsonl_bytes, check_s, report.passed, jsonl_s)
 
 
 def parse_sizes(text: str) -> list[int]:
@@ -125,19 +136,30 @@ def per_step(row: str) -> float | None:
         return None
 
 
+def fastest(rows: Sequence[str]) -> str:
+    """The row with the least µs per step; the first row when none has a time."""
+    timed = [row for row in rows if per_step(row) is not None]
+    return min(timed, key=per_step) if timed else rows[0]
+
+
 def against(other: Path, scheme: SchemeId, shape: str, sizes: Sequence[int]) -> None:
-    """Print both checkouts' rows of each size and the ratio of their µs per step."""
+    """Print both checkouts' fastest rows of each size and the ratio of their µs per step."""
     sides = [("this", Path(__file__).resolve()), ("against", other / "tools" / "ladder.py")]
     print(AGAINST_HEADER)
-    for index, n in enumerate(sizes):
-        # Sizes alternate which side runs first, so a slow spell lands on both.
-        order = sides if index % 2 == 0 else sides[::-1]
-        rows = {side: fresh_row(script, scheme, shape, n) for side, script in order}
+    turn = 0
+    for n in sizes:
+        runs: dict[str, list[str]] = {side: [] for side, _ in sides}
+        for _ in range(REPEATS):
+            # Runs alternate which side goes first, so a slow spell lands on both.
+            for side, script in sides if turn % 2 == 0 else sides[::-1]:
+                runs[side].append(fresh_row(script, scheme, shape, n))
+            turn += 1
+        rows = {side: fastest(found) for side, found in runs.items()}
         for side, _ in sides:
             print(f"| {side} {rows[side]}")
         mine, theirs = per_step(rows["this"]), per_step(rows["against"])
         if mine is not None and theirs:
-            print(f"| this/against | {n} | | | {mine / theirs:.3f} | | | |", flush=True)
+            print(f"| this/against | {n} | | | {mine / theirs:.3f} | | | | |", flush=True)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
