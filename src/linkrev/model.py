@@ -243,12 +243,11 @@ class Topology:
         lacks, hold two empty tuples.  Built once per topology, so every run
         on it shares them.
         """
-        probe_rows, empty = self.probe_rows, ((), ())
-        closed: list[ClosedRow] = [empty] * len(probe_rows)
-        for i, links in enumerate(self.link_rows):
-            if i in self._node_set:
-                nodes = (i, *[j for _, j, *_ in links])
-                closed[i] = (nodes, tuple([probe_rows[j] for j in nodes if probe_rows[j] is not None]))
+        link_rows, probe_rows = self.link_rows, self.probe_rows
+        closed: list[ClosedRow] = [((), ())] * len(probe_rows)
+        for i in self.nodes:
+            nodes = (i, *[row[1] for row in link_rows[i]])
+            closed[i] = (nodes, tuple([probe_rows[j] for j in nodes if probe_rows[j] is not None]))
         return tuple(closed)
 
     @cached_property

@@ -533,8 +533,8 @@ class Simulation:
         if len(updated) == 1:
             changed, rows = closed_rows[updated[0]]
         else:
-            changed = list(dict.fromkeys([i for u in updated for i in closed_rows[u][0]]))
-            rows = list({row[0]: row for u in updated for row in closed_rows[u][1]}.values())
+            changed = {i for u in updated for i in closed_rows[u][0]}
+            rows = {row for u in updated for row in closed_rows[u][1]}
         moved = []
         left_stuck = 0
         for i in changed:
