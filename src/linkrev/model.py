@@ -164,6 +164,15 @@ class Topology:
         return {}
 
     @cached_property
+    def _arcs_by_edge(self) -> dict[Arcs, dict[tuple[int, int], tuple[int, int]]]:
+        """Each orientation's arcs by canonical edge, by arcs.
+
+        Filled by the reversal check, which replays every trace of a
+        scenario from one initial orientation; never mutated.
+        """
+        return {}
+
+    @cached_property
     def _reach(self) -> dict[Arcs, frozenset[int]]:
         """The nodes each orientation leads to the destination, by arcs; see destination_reach."""
         return {}

@@ -92,7 +92,9 @@ the run computed last, the last step record's or the start's, unless a
 rebuild followed it, which drops it; the final states are read in the live
 topology's node order, which is sorted.  So a run pays for its steps, not
 for a second hash of its orientation or a sort of its states.  A Trace,
-like a StepRecord (below), is a NamedTuple.
+like a StepRecord (below), is a NamedTuple, and _finalize builds it
+positionally through tuple.__new__, as step() builds a record.  A run's
+zero update counts are copied from the cached start, like its states.
 
 A StepRecord is a NamedTuple, immutable and about a third as costly to
 build as a frozen dataclass; step() builds it through tuple.__new__, as
@@ -305,13 +307,15 @@ class Trace(NamedTuple):
 class _Start:
     """A scheme's step 0 on a scenario, kept in Scenario._starts and never mutated.
 
-    Every field but states is shared by all the scenario's schemes.
+    Every field but states is shared by all the scenario's schemes; counts
+    maps every node to an update count of 0.
     """
 
-    states: Mapping[int, State]
+    states: dict[int, State]
+    counts: dict[int, int]
     arcs: tuple[tuple[int, int], ...]
     labels: tuple[str, ...]
-    out_degree: Mapping[int, int]
+    out_degree: dict[int, int]
     stuck_view: tuple[int, ...]
     digest: str
 
@@ -356,7 +360,6 @@ class Simulation:
         self.sleeping: set[int] = set()
         self.steps: list[StepRecord] = []
         self.events_applied: list[tuple[int, str]] = []
-        self.update_counts: dict[int, int] = dict.fromkeys(self.live.nodes, 0)
         self.total_reversals = 0
         self.outcome: Outcome | None = None
         self.certificate: str | None = None
@@ -377,10 +380,11 @@ class Simulation:
         # Events start at step 1, so step 0 is the same for every run of the
         # scheme on this scenario: copy what a run mutates, share the rest.
         start = scenario._starts.get(scheme) or self._build_start()
-        self.states: dict[int, State] = dict(start.states)
+        self.states: dict[int, State] = start.states.copy()
+        self.update_counts: dict[int, int] = start.counts.copy()
         self._arcs = list(start.arcs)
         self._arc_labels = list(start.labels)
-        self._out_degree = dict(start.out_degree)
+        self._out_degree = start.out_degree.copy()
         self._stuck = set(start.stuck_view)
         self._stuck_view = start.stuck_view
         self._stale = False
@@ -458,8 +462,9 @@ class Simulation:
         shared = next(iter(starts.values()), None)
         if shared is None:
             start = _Start(
-                self.states, tuple(self._arcs), tuple(self._arc_labels), self._out_degree,
-                self._stuck_view, arcs_digest(self._arc_labels),
+                self.states, dict.fromkeys(self.live.nodes, 0), tuple(self._arcs),
+                tuple(self._arc_labels), self._out_degree, self._stuck_view,
+                arcs_digest(self._arc_labels),
             )
         else:
             assert shared.arcs == tuple(self._arcs), (
@@ -768,25 +773,16 @@ class Simulation:
         digest = self._digest
         if digest is None:
             digest = arcs_digest(self._arc_labels)
-        states = self.states
-        return Trace(
-            scenario=self.scenario,
-            scheme=self.scheme,
-            schedule=self.schedule,
-            step_limit=self.step_limit,
-            initial_arcs=self.initial_arcs,
-            initial_digest=self.initial_digest,
-            steps=tuple(self.steps),
-            outcome=self.outcome,
-            certificate=self.certificate,
-            update_counts=dict(self.update_counts),
-            total_updates=sum(self.update_counts.values()),
-            total_reversals=self.total_reversals,
-            final_digest=digest,
+        states, counts = self.states, self.update_counts
+        # Positional, in Trace's field order, through the NamedTuple's own
+        # constructor as step() builds a StepRecord.
+        return _new_tuple(Trace, (
+            self.scenario, self.scheme, self.schedule, self.step_limit, self.initial_arcs,
+            self.initial_digest, tuple(self.steps), self.outcome, self.certificate,
+            counts.copy(), sum(counts.values()), self.total_reversals, digest,
             # The live nodes are sorted, and they are exactly the nodes with a state.
-            final_states=tuple([states[i] for i in self.live.nodes]),
-            events_applied=tuple(self.events_applied),
-        )
+            tuple([states[i] for i in self.live.nodes]), tuple(self.events_applied),
+        ))
 
 
 def run_scenario(

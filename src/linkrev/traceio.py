@@ -8,11 +8,15 @@ sort_keys=True, separators=(",", ":")) would write: the keys in sorted
 order, and every text that can hold arbitrary characters (the schedule's
 description, the certificate, the events) escaped by
 json.encoder.encode_basestring_ascii, the encoder json.dumps itself uses.
-The lines are made one at a time from text built once per trace: each
-node id's text and each reversed edge's "[a,b]" are made on first use and
-reused by every later line.  trace_to_jsonl joins them; write_trace writes
-each to the file as it is made, so it never holds the whole text, and a
-file cut short is still a valid prefix.
+The lines are made one at a time.  On a trace of _MEMO_STEPS steps or
+more, each node id's text and each reversed edge's "[a,b]" are made on
+first use and reused by every later line; a shorter trace, like most of a
+verify battery's, writes them as it goes, which costs less than setting
+up the memos.  The totals line's updates_by_node template, its keys in
+string order, is kept per node set, so the traces of a scenario sort and
+format those keys once.  trace_to_jsonl joins the lines; write_trace
+writes each to the file as it is made, so it never holds the whole text,
+and a file cut short is still a valid prefix.
 
 Step records keep no orientations, so the Graphviz frames are rebuilt by
 rerunning the trace's scenario, scheme, schedule and step limit: runs are
@@ -25,6 +29,7 @@ import csv
 import io
 import json
 from collections.abc import Iterator
+from functools import lru_cache
 from pathlib import Path
 
 from .scenario import _node_name
@@ -33,6 +38,8 @@ from .sim import Simulation, Trace
 
 #: JSON string literal of a text, escaped to ASCII as json.dumps writes it.
 _text = json.encoder.encode_basestring_ascii
+#: The "[a,b]" text of an edge.
+_EDGE = "[{0[0]},{0[1]}]"
 
 EXPORT_FORMATS = ("jsonl", "csv", "dot-frames")
 
@@ -65,22 +72,47 @@ class _Memo(dict):
         return text
 
 
+#: The shortest trace whose step lines read node ids and edges through
+#: per-trace memos.  A memo pays for its set-up and its first writes only
+#: when ids repeat over several steps; a shorter trace writes each text
+#: with str() and format() as it goes.
+_MEMO_STEPS = 8
+
+
+@lru_cache(maxsize=128)
+def _by_node_order(nodes: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
+    """The nodes in the order of their text, and the updates_by_node template.
+
+    The nodes sort by their text, as json.dumps sorts the keys; the template
+    holds each '"i":' entry in that order, to be formatted with the counts
+    in that order.  Cached by the counts' keys in their order, so every
+    trace of a scenario shares one entry.
+    """
+    order = tuple(sorted(nodes, key=str))
+    return order, ",".join([f'"{i}":{{}}' for i in order])
+
+
 def _jsonl_lines(trace: Trace) -> Iterator[str]:
     """Each step line, then the totals line, each with its newline.
 
     Every line is what json.dumps(..., sort_keys=True) with compact
     separators writes for its record.  A step's values are ints, int lists
-    and a hex digest, so no text needs escaping; the text of each node id,
-    as str() writes it, and of each reversed edge is built on first use and
-    reused for the rest of the trace.  Sorting the state entries sorts them
-    by node key as a string: a key that is a prefix of another ends in '"',
-    which sorts below every digit.  The updates_by_node keys of the totals
-    line are sorted the same way, so "10" comes before "2".
+    and a hex digest, so no text needs escaping; on a trace of _MEMO_STEPS
+    steps or more the text of each node id, as str() writes it, and of each
+    reversed edge is built on first use and reused for the rest of the
+    trace.  Sorting the state entries sorts them by node key as a string: a
+    key that is a prefix of another ends in '"', which sorts below every
+    digit.  The updates_by_node keys of the totals line are sorted the same
+    way, so "10" comes before "2", by a template kept per node set.
     """
-    ids = _Memo(str).__getitem__
-    edges = _Memo("[{0[0]},{0[1]}]".format).__getitem__
+    steps = trace.steps
+    if len(steps) >= _MEMO_STEPS:
+        ids = _Memo(str).__getitem__
+        edges = _Memo(_EDGE.format).__getitem__
+    else:
+        ids, edges = str, _EDGE.format
     templates = _STATE_TEMPLATES
-    for index, stuck, updated, new_states, digest, reversed_edges in trace.steps:
+    for index, stuck, updated, new_states, digest, reversed_edges in steps:
         if len(new_states) == 1:
             state = new_states[0]
             states = templates[type(state)].format(*state)
@@ -94,14 +126,14 @@ def _jsonl_lines(trace: Trace) -> Iterator[str]:
     certificate = "null" if trace.certificate is None else _text(trace.certificate)
     events = ",".join(f"[{step},{_text(text)}]" for step, text in trace.events_applied)
     counts = trace.update_counts
-    by_node = ",".join([f'"{ids(i)}":{counts[i]}' for i in sorted(counts, key=ids)])
+    order, template = _by_node_order(tuple(counts))
     yield (
         f'{{"certificate":{certificate},"events":[{events}],"final_dag":"{trace.final_digest}",'
         f'"initial_dag":"{trace.initial_digest}","n":{trace.scenario.n},"outcome":"{trace.outcome.value}",'
         f'"schedule":{_text(trace.schedule.describe())},"scheme":"{trace.scheme.value}",'
-        f'"step_limit":{trace.step_limit},"steps":{len(trace.steps)},'
+        f'"step_limit":{trace.step_limit},"steps":{len(steps)},'
         f'"total_reversals":{trace.total_reversals},"total_updates":{trace.total_updates},'
-        f'"type":"totals","updates_by_node":{{{by_node}}}}}\n'
+        f'"type":"totals","updates_by_node":{{{template.format(*[counts[i] for i in order])}}}}}\n'
     )
 
 

@@ -13,11 +13,16 @@ and its verdict are cached in Scenario._replay_starts, which only this
 module fills and which never reads the simulator's Scenario._starts, so the
 replay stays the kernel's oracle.  Each trace's recorded initial digest is
 still compared with the start, and each trace is replayed from a copy of
-the start's states, arcs, labels and out-neighbors: its recorded new states
-go into one state dict, and only the links of each step's updaters U are
-re-oriented, O(sum of deg U) a step, with no routing_dag per step.
-check_reversal_semantics makes a node's reversed-toward set only when a
-link is first reversed toward it, not one set per node for every trace.
+the start's states, arcs and labels: its recorded new states go into one
+state dict, and only the links of each step's updaters U are re-oriented,
+O(sum of deg U) a step, with no routing_dag per step.  The start's
+out-neighbor sets are frozensets that every replay shares until a flip
+replaces a node's set, so a trace builds no set for a node none of its
+flips touch.  check_reversal_semantics makes a node's reversed-toward set
+only when a link is first reversed toward it, not one set per node for
+every trace, and starts from a copy of the initial arcs by canonical edge
+that the topology keeps per initial orientation.  A passing CheckReport
+is built positionally through tuple.__new__.
 Destination orientation, wherever a check asks for it, reads the
 topology's reachability memo, model.destination_reach, as the simulator's
 cross-check and check_initial_greedy_stability do.
@@ -90,6 +95,10 @@ from .schemes import (
 from .sim import Outcome, Schedule, Simulation, StepRecord, Trace, run_scenario
 from .traceio import trace_to_jsonl
 
+_new_tuple = tuple.__new__
+#: Each scheme's name, read once: an enum member's value is a property.
+_SCHEME_NAMES = {scheme: scheme.value for scheme in SchemeId}
+
 
 @dataclass(frozen=True)
 class Counterexample:
@@ -130,8 +139,14 @@ def _report(
     detail: str = "",
     informational: bool = False,
 ) -> CheckReport:
-    scheme_name = scheme.value if isinstance(scheme, SchemeId) else scheme
-    if failures and not informational:
+    scheme_name = _SCHEME_NAMES.get(scheme, scheme)
+    if not failures:
+        # A passing report, positionally in CheckReport's field order, through
+        # the NamedTuple's own constructor as the simulator builds its records.
+        return _new_tuple(
+            CheckReport, (check, scenario.scenario_id(), scheme_name, True, informational, detail, None)
+        )
+    if not informational:
         message = failures[0]
         example = Counterexample(
             scenario_text=serialize_scenario(scenario),
@@ -145,8 +160,7 @@ def _report(
         )
     return CheckReport(
         check, scenario.scenario_id(), scheme_name, passed=True,
-        informational=informational,
-        detail=detail if not failures else failures[0],
+        informational=True, detail=failures[0],
     )
 
 
@@ -160,10 +174,17 @@ def _replayed_orientations(trace: Trace) -> Iterator[tuple[StepRecord, dict, set
 
     The orientation is rebuilt from the initial arcs and each step's
     reversed edges, at a cost of O(flips) a step; the arcs dict is updated
-    in place and keeps the canonical edge order.  Reversed edges that are
-    not links are yielded but flip nothing.
+    in place and keeps the canonical edge order.  It starts as a copy of
+    the initial arcs by canonical edge, which the topology keeps for every
+    trace that starts from them.  Reversed edges that are not links are
+    yielded but flip nothing.
     """
-    arcs = {((s, d) if s < d else (d, s)): (s, d) for s, d in trace.initial_arcs}
+    topo, initial = trace.scenario.topology, trace.initial_arcs
+    key = initial if type(initial) is tuple else tuple(initial)
+    by_edge = topo._arcs_by_edge.get(key)
+    if by_edge is None:
+        by_edge = topo._arcs_by_edge[key] = {((s, d) if s < d else (d, s)): (s, d) for s, d in key}
+    arcs = by_edge.copy()
     for rec in trace.steps:
         flipped = set(rec.reversed_edges)
         for e in flipped & arcs.keys():
@@ -218,16 +239,18 @@ class _ReplayStart(NamedTuple):
     It is derived from the scheme's initial states alone and never read
     from the simulator's Scenario._starts, whose faults the check exists
     to catch.  arcs is the orientation those states induce, routing_dag's
-    tuple, and labels, out, stuck and digest are read off it.  failures is
-    the step-0 verdict: acyclicity, the stuck/oriented agreement and the
+    tuple, and labels, out, stuck and digest are read off it; out holds
+    each node's out-neighbors as a frozenset, which every replay of the
+    scheme shares until one of the node's arcs flips.  failures is the
+    step-0 verdict: acyclicity, the stuck/oriented agreement and the
     scheme's invariants over every node and link, for the scenario's node
     count.  Never mutated.
     """
 
-    states: Mapping[int, State]
+    states: dict[int, State]
     arcs: Arcs
     labels: tuple[str, ...]
-    out: Mapping[int, tuple[int, ...]]
+    out: Mapping[int, frozenset[int]]
     stuck: tuple[int, ...]
     digest: str
     failures: tuple[str, ...]
@@ -266,7 +289,7 @@ def _replay_start(scenario: Scenario, scheme: SchemeId) -> _ReplayStart:
                 out[s].append(d)
             labels = tuple(starmap(arc_label, arcs))
             start = _ReplayStart(
-                states, arcs, labels, {i: tuple(js) for i, js in out.items()},
+                states, arcs, labels, {i: frozenset(js) for i, js in out.items()},
                 tuple(i for i in topo.nodes if not out[i]), arcs_digest(labels), (),
             )
         else:
@@ -287,19 +310,22 @@ class _StateReplay:
     purpose, since the check exists to catch that kernel's faults; it
     shares only the compiled predicate, which defines the orientation.  It
     starts from the scheme's cached _ReplayStart and copies only what it
-    mutates; the link lists are the topology's.
+    mutates; the link lists are the topology's.  The out-neighbor sets are
+    copied on write: out starts as the start's frozensets, and a node's
+    set is replaced by a new frozenset only when one of its arcs flips, so
+    a trace pays for the nodes its flips touch, not for every node.
     """
 
     def __init__(self, scenario: Scenario, scheme: SchemeId, start: _ReplayStart):
         topo = scenario.topology
-        self.states = dict(start.states)
+        self.states = start.states.copy()
         self._points_from = orientation_predicate(scheme, scenario.heights)
         self._edges = topo.edges
         self._links = topo.ordinary_links
         self._adjacency = topo._adjacency
         self.arcs = list(start.arcs)
         self._labels = list(start.labels)
-        self.out = {i: set(js) for i, js in start.out.items()}
+        self.out = dict(start.out)
         self.stuck = start.stuck
 
     def digest(self) -> str:
@@ -307,20 +333,25 @@ class _StateReplay:
 
     def apply(
         self, new_states: Sequence[State]
-    ) -> tuple[list[tuple[int, int]], list[int], tuple[tuple[int, int], ...]]:
+    ) -> tuple[Iterator[tuple[int, int]], list[int], tuple[tuple[int, int], ...]]:
         """Write the new states and re-orient their links.
 
-        Returns the re-oriented links, the heads of the arcs that flipped
-        and whose tails keep an in-arc, and the flipped links, each in
-        canonical edge order.  A new cycle runs through a flipped arc, and
-        a tail with no in-arc lies on no cycle, so only those heads need a
-        cycle search.  After a full-reversal update there are none.
+        Returns the re-oriented links, as an iterator to read once, the
+        heads of the arcs that flipped and whose tails keep an in-arc, and
+        the flipped links, each in canonical edge order.  A new cycle runs
+        through a flipped arc, and a tail with no in-arc lies on no cycle,
+        so only those heads need a cycle search.  After a full-reversal
+        update there are none.
         """
         states, points_from, edges = self.states, self._points_from, self._edges
-        arcs, labels, out = self.arcs, self._labels, self.out
+        arcs, labels, out, links = self.arcs, self._labels, self.out, self._links
         for s in new_states:
             states[s.node] = s
-        touched = sorted({k for s in new_states for k in self._links[s.node]})
+        if len(new_states) == 1:
+            # One node's links are already in edge order.
+            touched = links[new_states[0].node]
+        else:
+            touched = sorted({k for s in new_states for k in links[s.node]})
         turned, flipped = [], []
         for k in touched:
             a, b = edges[k]
@@ -329,20 +360,26 @@ class _StateReplay:
             if arc != was:
                 arcs[k] = arc
                 labels[k] = arc_label(*arc)
-                out[was[0]].discard(was[1])
-                out[arc[0]].add(arc[1])
+                # New sets, never a write into the start's.
+                out[was[0]] = out[was[0]].difference((was[1],))
+                out[arc[0]] = out[arc[0]].union((arc[1],))
                 turned.append(arc)
                 flipped.append(edges[k])
-        # Only the endpoints of a flipped link changed their out-degree.
-        ends = {i for edge in flipped for i in edge}
-        if ends:
-            kept = {i for i in self.stuck if i not in ends}
-            self.stuck = tuple(sorted(kept | {i for i in ends if not out[i]}))
+        if flipped:
+            # Only the endpoints of a flipped link changed their out-degree.
+            stuck = set(self.stuck)
+            for edge in flipped:
+                for i in edge:
+                    if out[i]:
+                        stuck.discard(i)
+                    else:
+                        stuck.add(i)
+            self.stuck = tuple(sorted(stuck))
         # Every link of a tail is oriented, so it keeps an in-arc when some
         # of its links are not out-arcs.
         adjacency = self._adjacency
         heads = [h for t, h in turned if len(out[t]) < len(adjacency[t])]
-        return [edges[k] for k in touched], heads, tuple(flipped)
+        return map(edges.__getitem__, touched), heads, tuple(flipped)
 
 
 def _scheme_failures(

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -202,3 +203,71 @@ def test_the_json_file_keeps_each_workloads_summary(tmp_path, monkeypatch):
     assert claim["metrics"]["ok_share"]["supported"] is False
     assert table["events"]["failed_share"] == {"parent": 0.1, "change": 0.1}
     assert table["events"]["metrics"]["ok_share"]["parent"] == pytest.approx([0.9] * 3)
+
+
+#: The lines of bench.py's standard output that the pairing reads, as it prints them.
+_BENCH_STDOUT = """\
+workload=verify-random seed={seed} seconds=2 trace=0
+setup_s                                      0.812345 s      
+wall_s                                       {wall:>9} s      medians over 41 passes; raw walls {raw}..0.6012 s, scales 0.912..1.020
+op_ms_p50                                     1.52341 ms     of each op's median over 41 passes
+steps_per_s                                   24000.1 1/s    10525 simulated steps a pass
+{{"correct": true, "attempted": 100, "failed": 0, "metrics": {{"wall_s": {{"value": {wall}, "unit": "s"}}}}}}
+"""
+
+
+def test_the_fastest_raw_pass_is_read_from_the_wall_s_note():
+    text = _BENCH_STDOUT.format(seed=1, wall=0.440312, raw=0.4511)
+    assert bench_pairs.fastest_raw_pass(text) == 0.4511
+    assert bench_pairs.fastest_raw_pass(_BENCH_STDOUT.format(seed=1, wall=1.5, raw="1.2e-05")) == 1.2e-05
+    # Only the wall_s line's note counts.
+    assert bench_pairs.fastest_raw_pass(text.replace("wall_s      ", "other_s     ", 1)) is None
+    assert bench_pairs.fastest_raw_pass("wall_s 0.44 s medians over 41 passes\n") is None
+
+
+def test_the_pairs_compare_each_sides_fastest_raw_pass(tmp_path, monkeypatch, capsys):
+    declared = '{"paths": ["benchmarks"], "run_seconds": 2, "end_to_end": [{"name": "wall_s", "better": "lower"}]}'
+    files = {**_BENCHMARK, "BENCHMARK.json": declared}
+    parent = _checkout(tmp_path / "parent", files)
+    change = _checkout(tmp_path / "change", files)
+    # Scaled walls say the change is slower; the raw passes say it is faster.
+    walls = {parent: (0.40, 0.50), change: (0.42, 0.45)}
+
+    def fake_run(command, cwd, **kwargs):
+        seed = int(command[command.index("--seed") + 1])
+        wall, raw = walls[cwd]
+        text = _BENCH_STDOUT.format(seed=seed, wall=wall + seed / 1000, raw=f"{raw + seed / 1000:.4g}")
+        return SimpleNamespace(returncode=0, stdout=text, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload",
+                             "verify-random", "--seeds", "1-10", "--json", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "pair 1 seed 1 parent: wall_s 0.4010 fastest raw pass 0.5010 " in printed
+    assert "pair 2 seed 2 change: wall_s 0.4220 fastest raw pass 0.4520 " in printed
+    assert "raw_wall_s" in printed
+    claim = json.loads(out.read_text())["verify-random"]
+    assert claim["metrics"]["wall_s"]["wins"] == 0
+    raw = claim["raw_wall_s"]
+    assert raw["parent"] == pytest.approx([0.50325, 0.5055, 0.50775])
+    assert raw["change"] == pytest.approx([0.45325, 0.4555, 0.45775])
+    assert raw["ratio"] == pytest.approx(0.4555 / 0.5055)
+    assert (raw["wins"], raw["pairs"]) == (10, 10)
+
+
+def test_runs_without_the_note_store_no_raw_summary(tmp_path, monkeypatch):
+    declared = '{"paths": ["benchmarks"], "run_seconds": 2, "end_to_end": [{"name": "wall_s", "better": "lower"}]}'
+    files = {**_BENCHMARK, "BENCHMARK.json": declared}
+    parent = _checkout(tmp_path / "parent", files)
+    change = _checkout(tmp_path / "change", files)
+
+    def fake_run(command, cwd, **kwargs):
+        text = _BENCH_STDOUT.format(seed=1, wall=0.4, raw=0.5).replace("raw walls", "walls")
+        return SimpleNamespace(returncode=0, stdout=text, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload",
+                             "verify-random", "--seeds", "1-2", "--json", str(out)]) == 0
+    assert "raw_wall_s" not in json.loads(out.read_text())["verify-random"]

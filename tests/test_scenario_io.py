@@ -29,6 +29,7 @@ from linkrev.generate import random_partition_scenario, random_void_scenario
 from linkrev.model import Topology
 from linkrev.schemes import ALL_SCHEMES, INT63_MAX, SPECS
 from linkrev.sim import Outcome
+from linkrev import traceio
 from linkrev.traceio import (
     EXPORT_FORMATS,
     export_trace,
@@ -652,6 +653,17 @@ def test_write_trace_never_holds_the_whole_jsonl_text(tmp_path):
 
 
 def test_jsonl_of_a_forged_trace_matches_json_dumps_for_fresh_equal_values(one_step_trace):
+    _forged_trace_matches_json_dumps(one_step_trace)
+
+
+def test_jsonl_of_a_forged_trace_matches_json_dumps_through_the_memos(one_step_trace, monkeypatch):
+    # Two steps write their ids with str(); the per-trace memos take over
+    # from _MEMO_STEPS steps on, so lower the bound to run them here.
+    monkeypatch.setattr(traceio, "_MEMO_STEPS", 1)
+    _forged_trace_matches_json_dumps(one_step_trace)
+
+
+def _forged_trace_matches_json_dumps(one_step_trace):
     # Equal ids and edges in fresh objects, and an id above n: the text of
     # each follows its value, not the object or the node count.
     def big() -> int:
@@ -689,3 +701,30 @@ def test_jsonl_of_a_forged_trace_matches_json_dumps_for_fresh_equal_values(one_s
     assert trace_to_jsonl(forged) == expected
     # Keys sort as strings: "1000" before "2".
     assert '"states":{"1000":' in expected.splitlines()[1]
+
+
+def test_the_totals_key_order_follows_each_traces_own_node_set(one_step_trace):
+    # The same node count, other key sets: an id above n in place of node 3,
+    # and node 3 missing.  The key order is kept per node set, so exporting
+    # them in turn must not reuse another set's order or entries.
+    above = one_step_trace._replace(update_counts={1: 0, 2: 1, 10: 0})
+    missing = one_step_trace._replace(update_counts={1: 0, 2: 1})
+    assert one_step_trace.scenario.n == len(above.update_counts) == 3
+    for trace in (one_step_trace, above, missing, above, one_step_trace, missing, one_step_trace):
+        expected = json.dumps(_reference_totals(trace), sort_keys=True, separators=(",", ":"))
+        assert trace_to_jsonl(trace).splitlines()[-1] == expected
+    # Keys sort as strings: "10" before "2".
+    assert '"updates_by_node":{"1":0,"10":0,"2":1}' in trace_to_jsonl(above)
+
+
+def test_both_step_line_paths_write_the_same_text(monkeypatch):
+    # A 15-step chain trace, written with the per-trace memos and without.
+    trace = _chain_trace(6)
+    assert len(trace.steps) == 15
+    texts = []
+    for memo_steps in (1, 10**9):
+        monkeypatch.setattr(traceio, "_MEMO_STEPS", memo_steps)
+        texts.append(trace_to_jsonl(trace))
+    assert texts[0] == texts[1]
+    lines = texts[0].splitlines()
+    assert [json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) for line in lines] == lines

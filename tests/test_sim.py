@@ -27,6 +27,7 @@ from linkrev import (
     SchemeId,
     SimEvent,
     Simulation,
+    Trace,
     UnknownNodeError,
     check_scheme_equivalence,
     parse_scenario,
@@ -700,6 +701,69 @@ def test_the_final_digest_is_the_final_orientations(case, scheme):
     arcs = routing_dag(sim.states, sim.awake_topology(), scheme, sim.heights)
     assert sim.arcs == arcs
     assert trace.final_digest == arcs_digest(starmap(arc_label, arcs))
+
+
+def _sleep_and_removals() -> Simulation:
+    scenario = Scenario.create(
+        6,
+        [(0, 5), (0, 6), (5, 6), (1, 2), (2, 3), (3, 4), (4, 5)],
+        heights=range(1, 7),
+        events=[
+            SimEvent(at_step=1, kind="sleep", node=3, duration=2),
+            SimEvent(at_step=1, kind="remove-link", edge=(5, 6)),
+            SimEvent(at_step=2, kind="remove-node", node=6),
+        ],
+    )
+    return Simulation(scenario, SchemeId.GB_FULL, Schedule.single_random(0))
+
+
+def _counter_certificate() -> Simulation:
+    return Simulation(random_partition_scenario(6, seed=3), SchemeId.NO_FULL, Schedule.single_random(0))
+
+
+def _zero_steps() -> Simulation:
+    return Simulation(Scenario.create(2, [(0, 1), (1, 2)], heights=(1, 2)), SchemeId.GB_FULL)
+
+
+@pytest.mark.parametrize(
+    "build", [_sleep_and_removals, _counter_certificate, _zero_steps],
+    ids=lambda build: build.__name__.strip("_"),
+)
+def test_the_positional_trace_is_the_keyword_one(build):
+    """_finalize builds the Trace by position; each field must land where its name says."""
+    sim = build()
+    trace = sim.run()
+    expected = Trace(
+        scenario=sim.scenario,
+        scheme=sim.scheme,
+        schedule=sim.schedule,
+        step_limit=sim.step_limit,
+        initial_arcs=sim.initial_arcs,
+        initial_digest=sim.initial_digest,
+        steps=tuple(sim.steps),
+        outcome=sim.outcome,
+        certificate=sim.certificate,
+        update_counts=dict(sim.update_counts),
+        total_updates=sum(sim.update_counts.values()),
+        total_reversals=sim.total_reversals,
+        final_digest=arcs_digest(starmap(arc_label, sim.arcs)),
+        final_states=tuple(sim.states[i] for i in sim.live.nodes),
+        events_applied=tuple(sim.events_applied),
+    )
+    assert type(trace) is Trace
+    for name in Trace._fields:
+        assert getattr(trace, name) == getattr(expected, name), name
+    # The trace keeps its own counts, not the run's dict.
+    assert trace.update_counts is not sim.update_counts
+    if build is _sleep_and_removals:
+        assert [text.split()[0] for _, text in trace.events_applied] == [
+            "sleep", "remove-link", "remove-node", "wake",
+        ]
+        assert trace.total_updates != trace.total_reversals
+    elif build is _counter_certificate:
+        assert trace.outcome is Outcome.PARTITIONED and trace.certificate
+    else:
+        assert not trace.steps and trace.outcome is Outcome.CONVERGED
 
 
 # --- incremental kernel against a from-scratch orientation --------------------

@@ -214,6 +214,32 @@ def test_the_step_check_never_reads_the_simulators_starts():
         standard_battery(scenario, CORE_SCHEMES)
 
 
+def test_replays_leave_each_cached_start_as_a_fresh_derivation():
+    # A zigzag chain under subset-random schedules flips links at almost
+    # every step, and every replay of a scheme starts from one cached start
+    # whose out-neighbor sets it shares until a flip replaces them.
+    def zigzag() -> Scenario:
+        return Scenario.create(10, [(0, 10)] + [(i, i + 1) for i in range(1, 10)],
+                               heights=[1 + i % 2 for i in range(10)])
+
+    scenario = zigzag()
+    reports = standard_battery(scenario, CORE_SCHEMES, seed=4)
+    steps = [r for r in reports if r.check == "step-invariants"]
+    assert len(steps) == 2 * len(CORE_SCHEMES) and all(r.passed for r in steps)
+    for scheme in CORE_SCHEMES:
+        trace = run_scenario(scenario, scheme, Schedule.subset_random(5))
+        assert trace.total_reversals >= 10
+        assert any(len(rec.updated) > 1 for rec in trace.steps)
+    assert sorted(scenario._replay_starts) == sorted(CORE_SCHEMES)
+    fresh = zigzag()
+    for scheme, start in scenario._replay_starts.items():
+        derived = verify._replay_start(fresh, scheme)
+        assert start.states == derived.states
+        assert start.arcs == derived.arcs
+        assert start.out == derived.out
+        assert start.stuck == derived.stuck
+
+
 def test_a_cached_step_zero_failure_is_reported_on_every_trace(monkeypatch):
     scenario = random_void_scenario(7, 5)
     monkeypatch.setattr(verify, "_closes_cycle", lambda out, heads: True)

@@ -23,17 +23,26 @@ better than the parent's by more than the parent's interquartile range.
 Shares, not counts, are compared: a faster change runs more operations in
 the same time, and so fails more of them at the same share.
 
+``wall_s`` is scaled by the benchmark's calibration loop, whose own speed
+can differ between the checkouts, so each pair's line also gives each
+side's fastest unscaled pass: the first figure of the ``raw walls A..B s``
+note on bench.py's ``wall_s`` line.  The summary adds a ``raw_wall_s`` row
+for it, so a claim can be read on raw time too.
+
 With ``--json PATH`` the summary is also stored in PATH under the
 workload's name, beside the workloads the file already holds: the run
 length, the seeds, each side's failed share and one row per metric with
-both sides' quartiles, the ratio, the wins and the verdict.  So one file
-can keep the pairs of every workload a change was measured on.
+both sides' quartiles, the ratio, the wins and the verdict, and under
+``raw_wall_s`` both sides' quartiles of the fastest unscaled pass, its
+ratio and its wins.  So one file can keep the pairs of every workload a
+change was measured on.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -45,6 +54,8 @@ from pathlib import Path
 MIN_PAIRS = 10
 #: Share of all pairs the change must win before a gain is supported.
 WIN_SHARE = 0.9
+#: The note on bench.py's wall_s line that gives the fastest and slowest unscaled pass.
+RAW_WALLS = re.compile(r"^wall_s\s.*\braw walls (\S+?)\.\.(\S+) s\b", re.MULTILINE)
 
 
 @dataclass(frozen=True)
@@ -174,11 +185,24 @@ def first_difference(parent: Path, change: Path) -> str | None:
     return None
 
 
+def fastest_raw_pass(stdout: str) -> float | None:
+    """The fastest unscaled pass that bench.py's wall_s line notes, in seconds; None without the note."""
+    found = RAW_WALLS.search(stdout)
+    return float(found.group(1)) if found else None
+
+
 def summary_record(
-    rows: Iterable[MetricSummary], failed_share: tuple[float, float], seconds: float, seeds: Sequence[int]
+    rows: Iterable[MetricSummary],
+    failed_share: tuple[float, float],
+    seconds: float,
+    seeds: Sequence[int],
+    raw: MetricSummary | None = None,
 ) -> dict:
-    """The summary of one workload's pairs as plain JSON data."""
-    return {
+    """The summary of one workload's pairs as plain JSON data.
+
+    raw, when given, is the summary of each side's fastest unscaled pass.
+    """
+    record = {
         "run_seconds": seconds,
         "seeds": list(seeds),
         "failed_share": {"parent": failed_share[0], "change": failed_share[1]},
@@ -195,6 +219,15 @@ def summary_record(
             for row in rows
         },
     }
+    if raw is not None:
+        record["raw_wall_s"] = {
+            "parent": list(raw.parent),
+            "change": list(raw.change),
+            "ratio": raw.ratio,
+            "wins": raw.wins,
+            "pairs": raw.pairs,
+        }
+    return record
 
 
 def store_summary(path: Path, workload: str, record: Mapping) -> None:
@@ -205,7 +238,11 @@ def store_summary(path: Path, workload: str, record: Mapping) -> None:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in a checkout; its last line of standard output, parsed."""
+    """One untraced benchmark run in a checkout.
+
+    Its last line of standard output, parsed, with the fastest unscaled
+    pass under ``raw_wall_s`` (None when the wall_s line has no such note).
+    """
     command = [
         sys.executable, "benchmarks/bench.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -213,7 +250,9 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(command)} in {checkout} exited {done.returncode}:\n{done.stderr}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result["raw_wall_s"] = fastest_raw_pass(done.stdout)
+    return result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -240,9 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         for side in order:
             result = run_bench(sides[side], args.workload, seed, seconds)
             results[side].append(result)
-            wall = result["metrics"]["wall_s"]["value"]
-            print(f"pair {pair + 1} seed {seed} {side}: wall_s {wall:.4f} correct {result['correct']} "
-                  f"failed {result['failed']}/{result['attempted']}", flush=True)
+            wall, raw = result["metrics"]["wall_s"]["value"], result.get("raw_wall_s")
+            raw_text = "?" if raw is None else f"{raw:.4f}"
+            print(f"pair {pair + 1} seed {seed} {side}: wall_s {wall:.4f} fastest raw pass {raw_text} "
+                  f"correct {result['correct']} failed {result['failed']}/{result['attempted']}", flush=True)
     values = {
         side: [{k: v["value"] for k, v in run["metrics"].items()} for run in runs]
         for side, runs in results.items()
@@ -252,14 +292,17 @@ def main(argv: list[str] | None = None) -> int:
     share = {side: failed[side] / attempted[side] if attempted[side] else 0.0 for side in results}
     shares = (share["parent"], share["change"])
     rows = summarize(values["parent"], values["change"], better, shares)
+    raw = None
+    if all(run.get("raw_wall_s") is not None for runs in results.values() for run in runs):
+        (raw,) = summarize(results["parent"], results["change"], {"raw_wall_s": "lower"}, shares)
     print(f"{args.workload}: {len(values['parent'])} pairs at {seconds:g} s")
-    print(format_summary(rows))
+    print(format_summary(rows if raw is None else [*rows, raw]))
     for side, runs in results.items():
         correct = all(run["correct"] for run in runs)
         print(f"{side}: {failed[side]} of {attempted[side]} ops failed ({share[side]:.6f}); "
               f"every run correct: {correct}")
     if args.json is not None:
-        store_summary(args.json, args.workload, summary_record(rows, shares, seconds, seeds))
+        store_summary(args.json, args.workload, summary_record(rows, shares, seconds, seeds, raw))
     return 0
 
 
