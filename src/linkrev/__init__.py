@@ -73,7 +73,14 @@ from .sim import (
     Trace,
     run_scenario,
 )
-from .traceio import export_trace, trace_to_csv, trace_to_dot_frames, trace_to_jsonl, write_trace
+from .traceio import (
+    export_trace,
+    orientation_digests,
+    trace_to_csv,
+    trace_to_dot_frames,
+    trace_to_jsonl,
+    write_trace,
+)
 from .verify import (
     CheckReport,
     Counterexample,

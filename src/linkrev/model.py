@@ -28,8 +28,8 @@ DESTINATION = 0
 #: An orientation: one (source, target) arc per link, in canonical edge order.
 Arcs = tuple[tuple[int, int], ...]
 
-#: One link seen from one end i: (position, neighbor j, arc i>j, its label, arc j>i, its label).
-LinkRow = tuple[int, int, tuple[int, int], str, tuple[int, int], str]
+#: One link seen from one end i: (position, neighbor j, arc i>j, arc j>i).
+LinkRow = tuple[int, int, tuple[int, int], tuple[int, int]]
 
 #: A node's closed neighborhood: (the node and its ordinary neighbors, their probe_table rows).
 ClosedRow = tuple[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
@@ -173,6 +173,15 @@ class Topology:
         return {}
 
     @cached_property
+    def _texts(self) -> dict[Arcs, tuple[bytes, bytes]]:
+        """Each orientation's turned flags and digest text (see label_slots), by arcs.
+
+        Filled by the trace writer with the initial orientations of the
+        traces it writes; it patches copies, so an entry is never mutated.
+        """
+        return {}
+
+    @cached_property
     def _reach(self) -> dict[Arcs, frozenset[int]]:
         """The nodes each orientation leads to the destination, by arcs; see destination_reach."""
         return {}
@@ -202,10 +211,30 @@ class Topology:
         """One row per edge, in edge order: (edge, reversed edge, "a>b", "b>a").
 
         The two arcs a link can hold and their digest labels, built once per
-        topology, so the simulator picks an arc and its label instead of
-        building them.  The forward arc is the edge tuple of edges itself.
+        topology, so the simulator picks an arc instead of building one, and
+        the trace writer builds its digest texts from the labels.  The
+        forward arc is the edge tuple of edges itself.
         """
         return tuple([(e, (e[1], e[0]), arc_label(*e), arc_label(e[1], e[0])) for e in self.edges])
+
+    @cached_property
+    def label_slots(self) -> dict[tuple[int, int], tuple[int, int, int, bytes, bytes]]:
+        """Each edge's place in an orientation's digest text (see text_digest).
+
+        The text is the arc labels in edge order joined by ";", and a link's
+        two labels have the same length, so each link keeps one slice of it
+        whichever way it points: edge -> (position k in edges, start, end,
+        "a>b", "b>a"), the labels as ASCII bytes, read off the arc_table.
+        The trace writer rewrites a link's slice when the link flips, and
+        keeps a flag per position, set while the link points from b to a.
+        """
+        slots = {}
+        start = 0
+        for k, (edge, _, forward_label, back_label) in enumerate(self.arc_table):
+            end = start + len(forward_label)
+            slots[edge] = (k, start, end, forward_label.encode("ascii"), back_label.encode("ascii"))
+            start = end + 1
+        return slots
 
     @cached_property
     def link_rows(self) -> tuple[tuple[LinkRow, ...], ...]:
@@ -213,19 +242,18 @@ class Topology:
 
         Slot i holds node i's rows, in the order of ordinary_links; the
         destination's slot, and the slot of an id the topology lacks, are
-        empty.  A row (k, j, out arc, out label, in arc, in label) holds the
-        link's position k in edges, the neighbor j, and the arcs i -> j and
-        j -> i with their digest labels, the arc_table's own objects.  So
-        the simulator re-orients an updater's links without testing which
-        end of each it is.  Built once per topology, so every run on it
-        shares them.
+        empty.  A row (k, j, out arc, in arc) holds the link's position k in
+        edges, the neighbor j, and the arcs i -> j and j -> i, the
+        arc_table's own objects.  So the simulator re-orients an updater's
+        links without testing which end of each it is.  Built once per
+        topology, so every run on it shares them.
         """
         rows: list[list] = [[] for _ in range(max(self.nodes, default=DESTINATION) + 1)]
-        for k, (edge, back, forward_label, back_label) in enumerate(self.arc_table):
+        for k, (edge, back, _, _) in enumerate(self.arc_table):
             a, b = edge
             if a != DESTINATION:
-                rows[a].append((k, b, edge, forward_label, back, back_label))
-                rows[b].append((k, a, back, back_label, edge, forward_label))
+                rows[a].append((k, b, edge, back))
+                rows[b].append((k, a, back, edge))
         return tuple(map(tuple, rows))
 
     @cached_property
@@ -357,14 +385,22 @@ arc_label: Callable[[int, int], str] = "{}>{}".format
 def arcs_digest(labels: Iterable[str]) -> str:
     """Digest of an orientation from its arc labels, in canonical edge order.
 
-    The one digest of an orientation: arcs_digest(starmap(arc_label, arcs)).
-    The incremental simulator, which keeps the labels of its arcs and
-    patches them as links flip, passes its labels directly, and only after
-    a step that flipped a link or a rebuild: a step that reverses no link
-    keeps the last digest, and its record shares that string.  The
-    canonical order makes the digest stable across runs.
+    The one digest of an orientation: arcs_digest(starmap(arc_label, arcs)),
+    the text_digest of its labels joined by ";".  The canonical order makes
+    the digest stable across runs.
     """
-    return hashlib.sha256(";".join(labels).encode("ascii")).digest()[:6].hex()
+    return text_digest(";".join(labels).encode("ascii"))
+
+
+def text_digest(text: bytes | bytearray) -> str:
+    """Digest of an orientation's text: its arc labels in edge order, joined by ";", in ASCII.
+
+    The trace writer (traceio.orientation_digests) keeps a trace's text and
+    rewrites a flipped link's slice of it in place (Topology.label_slots),
+    so it hashes the text without joining the labels again, and only after
+    a step that flipped a link or one that followed an event.
+    """
+    return hashlib.sha256(text).digest()[:6].hex()
 
 
 def routing_dag(

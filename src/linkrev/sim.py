@@ -46,37 +46,29 @@ text at the same step as a scan on every turn, without the scan on the
 turns where it cannot fire.
 
 The step kernel is incremental.  A Simulation keeps the current arcs of
-the awake graph in canonical edge order with the digest label of each arc,
-each awake node's out-degree, the stuck set, and the awake topology: the
-live topology without its sleeping nodes, the one view of the awake graph
-that the probes, the eligibility test, the update rule and the orientation
-all read.  An update changes only the updater's own state, so after a step
-only the links of the updaters U can flip: they alone are re-oriented,
-through one orientation predicate compiled for the scheme and heights,
-which costs O(sum of deg U) instead of an orientation pass over every
-link.  Neither a step nor a rebuild builds an arc or a label: each link's
-two arcs and their digest labels are a row of the topology's arc_table,
-(edge, reversed edge, "a>b", "b>a"), and the kept arcs and labels are
-picked from it.  A step reads an updater u's links from the topology's
-link_rows, one row per link of u: its position, the neighbor j, and the
-arcs u -> j and j -> u with their labels, the arc table's own objects.  So
-it orients a link without testing which end u is, and it compares a kept
-arc with the one the predicate picks by identity; only a flip names its
-edge, the arc from the lower id.  A flipped arc's label is patched beside
-it, so the digest of a step that flips a link is one join and one hash of
-the kept labels, with no copy of the arcs.  A step that reverses no link
-keeps the last digest, and its record shares that string: with no rebuild
-since the digest was taken, every awake edge was in the last record, so
-the flipped edges name every label the step patched, and none were.  A
-rebuild drops the digest, and the next step hashes the labels again.  A
-topology event rebuilds all of it from scratch with routing_dag, lazily at
-the next stuck query.  Topology.without memoizes its views, so every run
-of a scenario shares one awake topology per set of sleepers and removals,
-with its adjacency, edge index, link lists, arc table, link rows, probe
-table, closed rows and reach memo.  A Simulation binds the scheme's update
-rule, whether the rule reads neighbors, whether the scheme counts updates,
-and the maximum initial height once, and each step calls the rule
-directly.
+the awake graph in canonical edge order, each awake node's out-degree, the
+stuck set, and the awake topology: the live topology without its sleeping
+nodes, the one view of the awake graph that the probes, the eligibility
+test, the update rule and the orientation all read.  An update changes
+only the updater's own state, so after a step only the links of the
+updaters U can flip: they alone are re-oriented, through one orientation
+predicate compiled for the scheme and heights, which costs O(sum of deg U)
+instead of an orientation pass over every link.  Neither a step nor a
+rebuild builds an arc: each link's two arcs are a row of the topology's
+arc_table, (edge, reversed edge, ...), and the kept arcs are picked from
+it.  A step reads an updater u's links from the topology's link_rows, one
+row per link of u: its position, the neighbor j, and the arcs u -> j and
+j -> u, the arc table's own objects.  So it orients a link without testing
+which end u is, and it compares a kept arc with the one the predicate
+picks by identity; only a flip names its edge, the arc from the lower id.
+A topology event rebuilds all of it from scratch with routing_dag, lazily
+at the next stuck query.  Topology.without memoizes its views, so every
+run of a scenario shares one awake topology per set of sleepers and
+removals, with its adjacency, edge index, link lists, arc table, link
+rows, probe table, closed rows and reach memo.  A Simulation binds the
+scheme's update rule, whether the rule reads neighbors, whether the scheme
+counts updates, and the maximum initial height once, and each step calls
+the rule directly.
 The sorted stuck view is patched where nodes enter or leave it, each
 placed by bisection, not sorted again.  A turn of advance() and its step
 read the maintained stuck view unless a rebuild is due, apply events only
@@ -87,32 +79,37 @@ change no node's state, so an edge that survives them keeps its
 orientation: only the edge set of the last record is kept, and it changes
 only at a rebuild.
 
-A run's finish reuses what it holds: the Trace's final digest is the one
-the run computed last, the last step record's or the start's, unless a
-rebuild followed it, which drops it; the final states are read in the live
-topology's node order, which is sorted.  So a run pays for its steps, not
-for a second hash of its orientation or a sort of its states.  A Trace,
-like a StepRecord (below), is a NamedTuple, and _finalize builds it
-positionally through tuple.__new__, as step() builds a record.  A run's
-zero update counts are copied from the cached start, like its states.
+The kernel hashes nothing per step.  An orientation's digest is derived
+data: it is a function of Trace.initial_arcs, the reversed edges of the
+records so far and the events applied, and the trace writer derives it
+(traceio.orientation_digests) when a trace is exported.  Only the start's
+digest, Trace.initial_digest, is computed here, once per scenario.  Each
+applied event is logged with the number of step records made before it
+(Trace.event_log), since a run that converges with events still queued
+applies them before the step their own index names; the (step, text)
+pairs of Trace.events_applied are read off that log.
+
+A run's finish reuses what it holds: the final states are read in the
+live topology's node order, which is sorted.  A Trace, like a StepRecord
+(below), is a NamedTuple, and _finalize builds it positionally through
+tuple.__new__, as step() builds a record.  A run's zero update counts are
+copied from the cached start, like its states.
 
 A StepRecord is a NamedTuple, immutable and about a third as costly to
 build as a frozen dataclass; step() builds it through tuple.__new__, as
 the NamedTuple's generated __new__ does, without that frame.  It holds
 O(1) data per step in the number of links: the stuck set before the step,
-the updaters and their new states, the digest of the orientation after the
-step, and the reversed edges.  It holds no copy of the orientation, which
-would make a run's trace grow as steps x links (cubic in n on a deep-void
-chain).  Every orientation follows from Trace.initial_arcs and the
-reversed edges of an event-free run, and from a deterministic rerun of any
-run; Simulation.arcs is the current one.  A caller that needs every
-orientation drives a rerun one turn at a time through
-Simulation.advance(), as run() does, and reads Simulation.arcs after each
-step.
+the updaters and their new states, and the reversed edges.  It holds no
+copy of the orientation, which would make a run's trace grow as steps x
+links (cubic in n on a deep-void chain).  Every orientation follows from
+Trace.initial_arcs and the reversed edges of an event-free run, and from a
+deterministic rerun of any run; Simulation.arcs is the current one.  A
+caller that needs every orientation drives a rerun one turn at a time
+through Simulation.advance(), as run() does, and reads Simulation.arcs
+after each step.
 Records share immutable values where they can: the reversed edges are the
-topology's own edge tuples, the stuck set is the previous record's tuple
-whenever it did not change, and the digest is the previous record's string
-(the start's for the first) whenever the step reversed no link.
+topology's own edge tuples, and the stuck set is the previous record's
+tuple whenever it did not change.
 
 Cross-checks kept on the incremental path:
 
@@ -136,9 +133,9 @@ Cross-checks kept on the incremental path:
 - The full probe of step 0 runs once per (scenario, scheme), in the first
   Simulation of the pair, which caches that start on the Scenario: events
   start at step 1, so every run of the pair starts there.  The scenario's
-  schemes share one copy of its arcs, labels, out-degrees, stuck set and
-  digest, and the edge index is the Topology's.  Each Simulation copies
-  what a run mutates (states, arcs, labels, out-degrees, stuck set).  The
+  schemes share one copy of its arcs, out-degrees, stuck set and digest,
+  and the edge index is the Topology's.  Each Simulation copies what a run
+  mutates (states, arcs, out-degrees, stuck set).  The
   verifier's step check derives its own start and never reads this cache.
 - Whenever the stuck set is empty on a connected awake graph, the
   maintained orientation must be destination-oriented.  While the stuck
@@ -156,6 +153,7 @@ from bisect import bisect_left, insort
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import starmap
 from typing import NamedTuple
 
 from .errors import (
@@ -169,6 +167,7 @@ from .model import (
     DESTINATION,
     Topology,
     _canonical_edge,
+    arc_label,
     arcs_digest,
     is_destination_oriented,
     orientation_predicate,
@@ -272,7 +271,6 @@ class StepRecord(NamedTuple):
     stuck: tuple[int, ...]
     updated: tuple[int, ...]
     new_states: tuple[State, ...]
-    dag_digest: str
     reversed_edges: tuple[tuple[int, int], ...]
 
 
@@ -280,7 +278,11 @@ _new_tuple = tuple.__new__
 
 
 class Trace(NamedTuple):
-    """Full record of a run; deterministic for a given scenario and schedule."""
+    """Full record of a run; deterministic for a given scenario and schedule.
+
+    event_log holds each applied event, wakes included, with the number of
+    step records the run had made when it applied it.
+    """
 
     scenario: Scenario
     scheme: SchemeId
@@ -294,13 +296,17 @@ class Trace(NamedTuple):
     update_counts: Mapping[int, int]
     total_updates: int
     total_reversals: int
-    final_digest: str
     final_states: tuple[State, ...]
-    events_applied: tuple[tuple[int, str], ...]
+    event_log: tuple[tuple[int, SimEvent], ...]
 
     @property
     def converged(self) -> bool:
         return self.outcome is Outcome.CONVERGED
+
+    @property
+    def events_applied(self) -> tuple[tuple[int, str], ...]:
+        """Each applied event's step and text, in order, as the export writes them."""
+        return tuple([(ev.at_step, ev.describe()) for _, ev in self.event_log])
 
 
 @dataclass(frozen=True, slots=True)
@@ -314,7 +320,6 @@ class _Start:
     states: dict[int, State]
     counts: dict[int, int]
     arcs: tuple[tuple[int, int], ...]
-    labels: tuple[str, ...]
     out_degree: dict[int, int]
     stuck_view: tuple[int, ...]
     digest: str
@@ -327,11 +332,11 @@ class Simulation:
     # past that every instance carries a full dict of its own.
     __slots__ = (
         "scenario", "scheme", "heights", "n", "schedule", "_rng", "_deferred",
-        "step_limit", "live", "sleeping", "states", "steps", "events_applied", "update_counts",
+        "step_limit", "live", "sleeping", "states", "steps", "event_log", "update_counts",
         "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
-        "_points_from", "_awake_topo", "_isolated", "_stale", "_arcs", "_arc_labels",
+        "_points_from", "_awake_topo", "_isolated", "_stale", "_arcs",
         "_out_degree", "_stuck", "_stuck_view", "initial_arcs", "initial_digest",
-        "_recorded_index", "_update", "_max_height", "_digest", "_neighbor_aware", "_armed",
+        "_recorded_index", "_update", "_max_height", "_neighbor_aware", "_armed",
     )
 
     def __init__(
@@ -359,7 +364,7 @@ class Simulation:
         self.live: Topology = scenario.topology
         self.sleeping: set[int] = set()
         self.steps: list[StepRecord] = []
-        self.events_applied: list[tuple[int, str]] = []
+        self.event_log: list[tuple[int, SimEvent]] = []
         self.total_reversals = 0
         self.outcome: Outcome | None = None
         self.certificate: str | None = None
@@ -383,13 +388,12 @@ class Simulation:
         self.states: dict[int, State] = start.states.copy()
         self.update_counts: dict[int, int] = start.counts.copy()
         self._arcs = list(start.arcs)
-        self._arc_labels = list(start.labels)
         self._out_degree = start.out_degree.copy()
         self._stuck = set(start.stuck_view)
         self._stuck_view = start.stuck_view
         self._stale = False
         self.initial_arcs = start.arcs
-        self.initial_digest = self._digest = start.digest
+        self.initial_digest = start.digest
         # Edge index of the last recorded orientation.
         self._recorded_index = self.live.edge_index
 
@@ -439,7 +443,12 @@ class Simulation:
         else:
             raise EventError(f"unknown event kind {ev.kind!r}")
         self._set_awake()
-        self.events_applied.append((ev.at_step, ev.describe()))
+        self.event_log.append((len(self.steps), ev))
+
+    @property
+    def events_applied(self) -> list[tuple[int, str]]:
+        """Each event applied so far, with its step and text."""
+        return [(ev.at_step, ev.describe()) for _, ev in self.event_log]
 
     def _apply_events_until(self, step: int) -> None:
         """Apply every queued event due at or before the given step, in order."""
@@ -455,16 +464,17 @@ class Simulation:
         Every scheme's initial states orient each link by the initial
         (height, id) order, so the schemes of a scenario share one
         orientation; each scheme's first build asserts it before sharing.
+        The start's digest is the only one the simulator computes.
         """
         self.states = initial_states(self.scheme, self.live, self.heights)
         self._reorient_all()
         starts = self.scenario._starts
         shared = next(iter(starts.values()), None)
         if shared is None:
+            arcs = tuple(self._arcs)
             start = _Start(
-                self.states, dict.fromkeys(self.live.nodes, 0), tuple(self._arcs),
-                tuple(self._arc_labels), self._out_degree, self._stuck_view,
-                arcs_digest(self._arc_labels),
+                self.states, dict.fromkeys(self.live.nodes, 0), arcs, self._out_degree,
+                self._stuck_view, arcs_digest(starmap(arc_label, arcs)),
             )
         else:
             assert shared.arcs == tuple(self._arcs), (
@@ -479,21 +489,14 @@ class Simulation:
         topo = self._awake_topo
         oriented = routing_dag(self.states, topo, self.scheme, self.heights)
         self._arcs = arcs = []
-        self._arc_labels = labels = []
         self._out_degree = out_degree = dict.fromkeys(topo.nodes, 0)
-        for (s, _), (edge, back, forward_label, back_label) in zip(oriented, topo.arc_table):
-            if s == edge[0]:
-                arcs.append(edge)
-                labels.append(forward_label)
-            else:
-                arcs.append(back)
-                labels.append(back_label)
+        for (s, _), (edge, back, _, _) in zip(oriented, topo.arc_table):
+            arcs.append(edge if s == edge[0] else back)
             if s != DESTINATION:
                 out_degree[s] += 1
         self._stuck = stuck = {i for i, degree in out_degree.items() if degree == 0}
         self._stuck_view = tuple(sorted(stuck))
         self._stale = False
-        self._digest = None
         by_probe = probe_stuck(topo.probe_table, self.states, self._points_from)
         if len(by_probe) != len(stuck) or not stuck.issuperset(by_probe):
             self._cross_check(topo.nodes, by_probe)
@@ -511,23 +514,23 @@ class Simulation:
         # Stays set if the predicate raises, so the next query rebuilds.
         self._stale = True
         states, points_from = self.states, self._points_from
-        awake, arcs, labels = self._awake_topo, self._arcs, self._arc_labels
+        awake, arcs = self._awake_topo, self._arcs
         link_rows, out_degree, stuck = awake.link_rows, self._out_degree, self._stuck
         flipped = []
         # Updaters were stuck, and stuck nodes are never adjacent, so each
         # link below is visited once.  Links into the destination never flip.
         for u in updated:
             own = states[u]
-            for k, j, out_arc, out_label, in_arc, in_label in link_rows[u]:
+            for k, j, out_arc, in_arc in link_rows[u]:
                 if points_from(own, states[j]):
                     if arcs[k] is not out_arc:
-                        arcs[k], labels[k] = out_arc, out_label
+                        arcs[k] = out_arc
                         out_degree[u] += 1
                         out_degree[j] -= 1
                         # The edge is whichever arc runs from the lower id.
                         flipped.append(out_arc if u < j else in_arc)
                 elif arcs[k] is not in_arc:
-                    arcs[k], labels[k] = in_arc, in_label
+                    arcs[k] = in_arc
                     out_degree[j] += 1
                     out_degree[u] -= 1
                     flipped.append(out_arc if u < j else in_arc)
@@ -688,16 +691,10 @@ class Simulation:
                     self._armed = True
 
         flipped = self._reorient_updaters(chosen)
-        # With no rebuild since the digest was taken, flipped names every
-        # label the step patched, so a step that flips nothing keeps it.
-        digest = self._digest
         if flipped:
             self.total_reversals += len(flipped)
-            self._digest = digest = arcs_digest(self._arc_labels)
-        elif digest is None:
-            self._digest = digest = arcs_digest(self._arc_labels)
         # The NamedTuple's own constructor, without its generated __new__'s frame.
-        record = _new_tuple(StepRecord, (index, stuck, chosen, new_states, digest, flipped))
+        record = _new_tuple(StepRecord, (index, stuck, chosen, new_states, flipped))
         self.steps.append(record)
         self._recorded_index = self._awake_topo.edge_index
         return record
@@ -769,19 +766,16 @@ class Simulation:
         return self._finalize()
 
     def _finalize(self) -> Trace:
-        """The run's Trace; the final digest is the last one computed, unless a rebuild followed it."""
-        digest = self._digest
-        if digest is None:
-            digest = arcs_digest(self._arc_labels)
+        """The run's Trace, built from what the run holds."""
         states, counts = self.states, self.update_counts
         # Positional, in Trace's field order, through the NamedTuple's own
         # constructor as step() builds a StepRecord.
         return _new_tuple(Trace, (
             self.scenario, self.scheme, self.schedule, self.step_limit, self.initial_arcs,
             self.initial_digest, tuple(self.steps), self.outcome, self.certificate,
-            counts.copy(), sum(counts.values()), self.total_reversals, digest,
+            counts.copy(), sum(counts.values()), self.total_reversals,
             # The live nodes are sorted, and they are exactly the nodes with a state.
-            tuple([states[i] for i in self.live.nodes]), tuple(self.events_applied),
+            tuple([states[i] for i in self.live.nodes]), tuple(self.event_log),
         ))
 
 

@@ -18,9 +18,21 @@ format those keys once.  trace_to_jsonl joins the lines; write_trace
 writes each to the file as it is made, so it never holds the whole text,
 and a file cut short is still a valid prefix.
 
+The orientation digests the lines carry are not kept in the trace: the
+simulator hashes nothing per step, and orientation_digests derives each
+digest as the lines are written.  An event-free step's orientation is the
+last one with the step's reversed edges flipped, so the writer keeps the
+digest text (model.text_digest: the arc labels joined by ";") as bytes,
+rewrites each flipped link's slice of it in place (Topology.label_slots),
+and hashes only after a step that flipped a link; a step that flipped
+none shares the last digest.  An event can bring a link back (a wake)
+whose direction no reversed edge reports, so the step after an event is
+re-oriented from scratch: the states replayed up to it, over the awake
+topology that the events so far leave, through routing_dag.
+
 Step records keep no orientations, so the Graphviz frames are rebuilt by
 rerunning the trace's scenario, scheme, schedule and step limit: runs are
-deterministic, and each rerun step must reproduce the recorded digest.
+deterministic, and each rerun step must reproduce the recorded one.
 """
 
 from __future__ import annotations
@@ -30,16 +42,21 @@ import io
 import json
 from collections.abc import Iterator
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
-from .scenario import _node_name
-from .schemes import SPECS
+from .model import Topology, routing_dag, text_digest
+from .scenario import SimEvent, _node_name
+from .schemes import SPECS, initial_states
 from .sim import Simulation, Trace
 
 #: JSON string literal of a text, escaped to ASCII as json.dumps writes it.
 _text = json.encoder.encode_basestring_ascii
 #: The "[a,b]" text of an edge.
 _EDGE = "[{0[0]},{0[1]}]"
+#: The number of step records made before a logged event.
+_records_made = itemgetter(0)
 
 EXPORT_FORMATS = ("jsonl", "csv", "dot-frames")
 
@@ -92,15 +109,109 @@ def _by_node_order(nodes: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
     return order, ",".join([f'"{i}":{{}}' for i in order])
 
 
+def _text_of(arcs, topo: Topology) -> tuple[bytes, bytes]:
+    """The turned flags and the digest text of an orientation of topo (see Topology.label_slots)."""
+    rows = topo.arc_table
+    turned = bytes([s != edge[0] for (s, _), (edge, *_) in zip(arcs, rows)])
+    labels = [fwd if s == edge[0] else back for (s, _), (edge, _, fwd, back) in zip(arcs, rows)]
+    return turned, ";".join(labels).encode("ascii")
+
+
+def _patched(steps, turned: bytearray, text: bytearray, slots, digest: str) -> Iterator[str]:
+    """The digest after each step, each reversed edge's label rewritten in the text in place.
+
+    Returns the last digest.  An edge that is no link flips nothing, and a
+    step that flipped no link shares the last digest.  The text is written
+    through a memoryview of it: a slice assignment there costs about half
+    of one on the bytearray itself.
+    """
+    view = memoryview(text)
+    for _, _, _, _, flipped in steps:
+        if flipped:
+            for edge in flipped:
+                try:
+                    k, lo, hi, fwd, back = slots[edge]
+                except KeyError:
+                    continue
+                if turned[k]:
+                    turned[k] = 0
+                    view[lo:hi] = fwd
+                else:
+                    turned[k] = 1
+                    view[lo:hi] = back
+            digest = text_digest(text)
+        yield digest
+    return digest
+
+
+def orientation_digests(trace: Trace) -> Iterator[str]:
+    """The digest of the orientation after each step of the trace, then the final one's.
+
+    Each is arcs_digest(starmap(arc_label, arcs)) of the arcs the awake
+    graph holds after that step, and the last is that of the orientation
+    the run ended in.  The initial digest text is kept per topology by the
+    initial arcs, and a copy is patched along each step's reversed edges.
+    Each group of events, logged with the number of step records made
+    before it, joins the removed nodes, the sleepers or the removed links;
+    the orientation after the next step, or the final one when no step
+    followed, is then rebuilt over the awake topology they leave, from the
+    states replayed up to it (see the module docstring).
+    """
+    scenario, steps = trace.scenario, trace.steps
+    topo = base = scenario.topology
+    memo = topo._texts
+    start = memo.get(trace.initial_arcs)
+    if start is None:
+        start = memo[trace.initial_arcs] = _text_of(trace.initial_arcs, topo)
+    turned, text = bytearray(start[0]), bytearray(start[1])
+    digest, done = trace.initial_digest, 0
+    if trace.event_log:
+        states = initial_states(trace.scheme, base, scenario.heights)
+        removed: set[int] = set()
+        asleep: set[int] = set()
+        cut: set[tuple[int, int]] = set()
+    for made, logged in groupby(trace.event_log, _records_made):
+        digest = yield from _patched(steps[done:made], turned, text, topo.label_slots, digest)
+        for rec in steps[done:made + 1]:
+            for state in rec.new_states:
+                states[state.node] = state
+        for _, ev in logged:
+            _apply(ev, removed, asleep, cut)
+        topo = base.without(drop_nodes=removed | asleep, drop_edges=cut)
+        arcs = routing_dag(states, topo, trace.scheme, scenario.heights)
+        turned, text = map(bytearray, _text_of(arcs, topo))
+        digest = text_digest(text)
+        if made < len(steps):
+            yield digest
+            made += 1
+        done = made
+    digest = yield from _patched(steps[done:], turned, text, topo.label_slots, digest)
+    yield digest
+
+
+def _apply(ev: SimEvent, removed: set[int], asleep: set[int], cut: set[tuple[int, int]]) -> None:
+    """Record one event in the sets of removed nodes, sleepers and removed links."""
+    if ev.kind == "remove-node":
+        removed.add(ev.node)
+    elif ev.kind == "remove-link":
+        a, b = ev.edge
+        cut.add((a, b) if a < b else (b, a))
+    elif ev.kind == "sleep":
+        asleep.add(ev.node)
+    else:
+        asleep.discard(ev.node)
+
+
 def _jsonl_lines(trace: Trace) -> Iterator[str]:
     """Each step line, then the totals line, each with its newline.
 
     Every line is what json.dumps(..., sort_keys=True) with compact
     separators writes for its record.  A step's values are ints, int lists
-    and a hex digest, so no text needs escaping; on a trace of _MEMO_STEPS
-    steps or more the text of each node id, as str() writes it, and of each
-    reversed edge is built on first use and reused for the rest of the
-    trace.  Sorting the state entries sorts them by node key as a string: a
+    and a hex digest, so no text needs escaping; the digests come from
+    orientation_digests, the last one the totals line's.  On a trace of
+    _MEMO_STEPS steps or more the text of each node id, as str() writes
+    it, and of each reversed edge is built on first use and reused for the
+    rest of the trace.  Sorting the state entries sorts them by node key as a string: a
     key that is a prefix of another ends in '"', which sorts below every
     digit.  The updates_by_node keys of the totals line are sorted the same
     way, so "10" comes before "2", by a template kept per node set.
@@ -112,7 +223,8 @@ def _jsonl_lines(trace: Trace) -> Iterator[str]:
     else:
         ids, edges = str, _EDGE.format
     templates = _STATE_TEMPLATES
-    for index, stuck, updated, new_states, digest, reversed_edges in steps:
+    digests = orientation_digests(trace)
+    for (index, stuck, updated, new_states, reversed_edges), digest in zip(steps, digests):
         if len(new_states) == 1:
             state = new_states[0]
             states = templates[type(state)].format(*state)
@@ -124,11 +236,11 @@ def _jsonl_lines(trace: Trace) -> Iterator[str]:
             f'"updated":[{",".join(map(ids, updated))}]}}\n'
         )
     certificate = "null" if trace.certificate is None else _text(trace.certificate)
-    events = ",".join(f"[{step},{_text(text)}]" for step, text in trace.events_applied)
+    events = ",".join(f"[{ev.at_step},{_text(ev.describe())}]" for _, ev in trace.event_log)
     counts = trace.update_counts
     order, template = _by_node_order(tuple(counts))
     yield (
-        f'{{"certificate":{certificate},"events":[{events}],"final_dag":"{trace.final_digest}",'
+        f'{{"certificate":{certificate},"events":[{events}],"final_dag":"{next(digests)}",'
         f'"initial_dag":"{trace.initial_digest}","n":{trace.scenario.n},"outcome":"{trace.outcome.value}",'
         f'"schedule":{_text(trace.schedule.describe())},"scheme":"{trace.scheme.value}",'
         f'"step_limit":{trace.step_limit},"steps":{len(steps)},'
@@ -178,7 +290,10 @@ def trace_to_dot_frames(trace: Trace) -> str:
     """steps+1 digraph blocks: the initial orientation and one per step.
 
     The frames are drawn from a rerun of the trace's scenario, scheme,
-    schedule and step limit, which must reproduce every recorded digest.
+    schedule and step limit, which must reproduce every recorded step
+    record: its stuck set, updaters, new states and reversed edges.  With
+    the initial arcs equal and the same events, equal flips at every step
+    mean equal orientations.
     """
     sim = Simulation(trace.scenario, trace.scheme, trace.schedule, trace.step_limit)
     if sim.initial_digest != trace.initial_digest:
@@ -186,7 +301,7 @@ def trace_to_dot_frames(trace: Trace) -> str:
     frames = [_frame("frame_0", "initial", sim.initial_arcs)]
     recorded = trace.steps
     while (rec := sim.advance()) is not None:
-        if rec.index > len(recorded) or rec.dag_digest != recorded[rec.index - 1].dag_digest:
+        if rec.index > len(recorded) or rec != recorded[rec.index - 1]:
             raise ValueError(f"the rerun differs from the trace at step {rec.index}")
         updated = ",".join(str(i) for i in rec.updated)
         frames.append(

@@ -13,10 +13,13 @@ and its verdict are cached in Scenario._replay_starts, which only this
 module fills and which never reads the simulator's Scenario._starts, so the
 replay stays the kernel's oracle.  Each trace's recorded initial digest is
 still compared with the start, and each trace is replayed from a copy of
-the start's states, arcs and labels: its recorded new states go into one
-state dict, and only the links of each step's updaters U are re-oriented,
-O(sum of deg U) a step, with no routing_dag per step.  The start's
-out-neighbor sets are frozensets that every replay shares until a flip
+the start's states and arcs: its recorded new states go into one state
+dict, and only the links of each step's updaters U are re-oriented,
+O(sum of deg U) a step, with no routing_dag and no hash per step.  Each
+step's recorded reversed edges must be the replay's flips: with the
+initial digest matched, equal flips at every step mean equal
+orientations, exactly, so the check compares no per-step digest.  The
+start's out-neighbor sets are frozensets that every replay shares until a flip
 replaces a node's set, so a trace builds no set for a node none of its
 flips touch.  check_reversal_semantics makes a node's reversed-toward set
 only when a link is first reversed toward it, not one set per node for
@@ -32,10 +35,16 @@ JSONL, and check_scheme_equivalence(reference, shadow, gating) replays a
 recorded reference trace's update sets under the shadow scheme, as the
 fixed schedule Schedule.fixed([rec.updated for rec in reference.steps]) of
 one Simulation, and compares each of its step records with the
-reference's.  standard_battery runs Schedule.subset_random(seed) once per
-scheme and hands that one trace to both, so the equivalence families reuse
-the determinism check's first run; when that run overflows, each pair it
-anchors gets an informational report that it was skipped.
+reference's: the stuck set and the reversed edges.  On a reference with
+events it also compares the orientations' digests after every step, the
+reference's derived by traceio.orientation_digests, since a link that an
+event brings back changes direction without being reported reversed.
+standard_battery runs Schedule.subset_random(seed) once per scheme and
+hands that one trace to both, so the equivalence families reuse the
+determinism check's first run.  A run that raises, with an overflow or any
+other package error or a failed kernel cross-check, fails the check it was
+made for, and the battery goes on; when that run is the anchor, each pair
+it anchors gets an informational report that it was skipped.
 
 standard_battery judges each distinct trace once.  A scheme's two checked
 runs, Schedule.single_random(seed) and Schedule.subset_random(seed + 1),
@@ -63,11 +72,11 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import starmap
+from itertools import repeat, starmap
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import ExplosionGuardError, LinkrevError, OverflowRiskError, ScheduleError
+from .errors import ExplosionGuardError, LinkrevError, ScheduleError
 from .model import (
     DESTINATION,
     Arcs,
@@ -93,7 +102,7 @@ from .schemes import (
     initial_states,
 )
 from .sim import Outcome, Schedule, Simulation, StepRecord, Trace, run_scenario
-from .traceio import trace_to_jsonl
+from .traceio import orientation_digests, trace_to_jsonl
 
 _new_tuple = tuple.__new__
 #: Each scheme's name, read once: an enum member's value is a property.
@@ -165,7 +174,7 @@ def _report(
 
 
 def _require_plain_trace(trace: Trace) -> None:
-    if trace.events_applied:
+    if trace.event_log:
         raise ValueError("this check assumes an event-free trace")
 
 
@@ -239,7 +248,7 @@ class _ReplayStart(NamedTuple):
     It is derived from the scheme's initial states alone and never read
     from the simulator's Scenario._starts, whose faults the check exists
     to catch.  arcs is the orientation those states induce, routing_dag's
-    tuple, and labels, out, stuck and digest are read off it; out holds
+    tuple, and out, stuck and digest are read off it; out holds
     each node's out-neighbors as a frozenset, which every replay of the
     scheme shares until one of the node's arcs flips.  failures is the
     step-0 verdict: acyclicity, the stuck/oriented agreement and the
@@ -249,7 +258,6 @@ class _ReplayStart(NamedTuple):
 
     states: dict[int, State]
     arcs: Arcs
-    labels: tuple[str, ...]
     out: Mapping[int, frozenset[int]]
     stuck: tuple[int, ...]
     digest: str
@@ -274,7 +282,7 @@ def _replay_start(scenario: Scenario, scheme: SchemeId) -> _ReplayStart:
     """The scheme's step 0 on the scenario, derived and judged once, then cached.
 
     Schemes whose initial states induce the same arcs share one copy of
-    the orientation, its labels, out-neighbors, stuck set and digest.
+    the orientation, its out-neighbors, stuck set and digest.
     """
     starts = scenario._replay_starts
     start = starts.get(scheme)
@@ -287,10 +295,9 @@ def _replay_start(scenario: Scenario, scheme: SchemeId) -> _ReplayStart:
             out: dict[int, list[int]] = {i: [] for i in (DESTINATION, *topo.nodes)}
             for s, d in arcs:
                 out[s].append(d)
-            labels = tuple(starmap(arc_label, arcs))
             start = _ReplayStart(
-                states, arcs, labels, {i: frozenset(js) for i, js in out.items()},
-                tuple(i for i in topo.nodes if not out[i]), arcs_digest(labels), (),
+                states, arcs, {i: frozenset(js) for i, js in out.items()},
+                tuple(i for i in topo.nodes if not out[i]), arcs_digest(starmap(arc_label, arcs)), (),
             )
         else:
             start = shared._replace(states=states)
@@ -303,10 +310,10 @@ class _StateReplay:
     """The recorded states and the orientation they induce, patched step by step.
 
     The states are written into one dict in place.  The arcs (in canonical
-    edge order), their digest labels, each node's out-neighbors and the
-    sorted stuck set are kept, and after each step only the links of the
-    nodes whose states were written are re-oriented: O(sum of their
-    degrees) a step.  The replay is kept apart from Simulation's kernel on
+    edge order), each node's out-neighbors and the sorted stuck set are
+    kept, and after each step only the links of the nodes whose states
+    were written are re-oriented: O(sum of their degrees) a step, with no
+    hash.  The replay is kept apart from Simulation's kernel on
     purpose, since the check exists to catch that kernel's faults; it
     shares only the compiled predicate, which defines the orientation.  It
     starts from the scheme's cached _ReplayStart and copies only what it
@@ -324,12 +331,8 @@ class _StateReplay:
         self._links = topo.ordinary_links
         self._adjacency = topo._adjacency
         self.arcs = list(start.arcs)
-        self._labels = list(start.labels)
         self.out = dict(start.out)
         self.stuck = start.stuck
-
-    def digest(self) -> str:
-        return arcs_digest(self._labels)
 
     def apply(
         self, new_states: Sequence[State]
@@ -344,7 +347,7 @@ class _StateReplay:
         update there are none.
         """
         states, points_from, edges = self.states, self._points_from, self._edges
-        arcs, labels, out, links = self.arcs, self._labels, self.out, self._links
+        arcs, out, links = self.arcs, self.out, self._links
         for s in new_states:
             states[s.node] = s
         if len(new_states) == 1:
@@ -359,7 +362,6 @@ class _StateReplay:
             was = arcs[k]
             if arc != was:
                 arcs[k] = arc
-                labels[k] = arc_label(*arc)
                 # New sets, never a write into the start's.
                 out[was[0]] = out[was[0]].difference((was[1],))
                 out[arc[0]] = out[arc[0]].union((arc[1],))
@@ -445,8 +447,6 @@ def _replay_failures(trace: Trace) -> tuple[list[str], int | None]:
             problem = _monotone_failure(spec, old, s)
             if problem:
                 failures.append(f"{tag}: {problem}")
-        if replay.digest() != rec.dag_digest:
-            failures.append(f"{tag}: recorded digest {rec.dag_digest} does not match states")
         if tuple(rec.reversed_edges) != flipped:
             failures.append(f"{tag}: recorded reversed edges do not match states")
         if heads and _closes_cycle(replay.out, heads):
@@ -463,14 +463,15 @@ def _replay_failures(trace: Trace) -> tuple[list[str], int | None]:
 def check_step_invariants(trace: Trace) -> CheckReport:
     """Per-step structural invariants of the recorded run.
 
-    Covers: recorded stuck sets, reversed edges and DAG digests against
-    the orientation the recorded states induce, acyclicity, the
+    Covers: recorded stuck sets and reversed edges against the
+    orientation the recorded states induce, acyclicity, the
     stuck/oriented equivalence, strictly advancing updater states,
     closed-form heights and height bands for the counted schemes, update
     counts bounded by the node count, and neighbor adjacency of counters,
     levels and phases.
 
-    Step 0 checks the whole initial orientation and every node and link.
+    Step 0 checks the whole initial orientation, its digest against the
+    recorded initial one, and every node and link.
     Each recorded step is then replayed at O(sum of deg U) for its
     updaters U, since nothing else changed: the updaters' links are
     re-oriented, only the flipped arcs whose tails keep an in-arc are
@@ -614,20 +615,21 @@ EQUIVALENCE_PAIRS: tuple[tuple[SchemeId, SchemeId, bool], ...] = (
 )
 
 
-def _lockstep_divergence(sim: Simulation, rec: StepRecord) -> str | None:
+def _lockstep_divergence(sim: Simulation, rec: StepRecord, digest: str | None) -> str | None:
     """Advance the shadow sim through the reference's step rec; say how they differ.
 
     The shadow's schedule replays the reference's picks, so its next step
     updates rec.updated.  The shadow's record must match rec in its stuck
-    set, in the digest of the orientation after the step and in the
-    reversed links.
+    set and in the reversed links, and when digest is given, the digest of
+    the reference's orientation after the step, the shadow's orientation
+    must have it too.
     """
     srec = mismatch = None
     try:
         srec = sim.advance()
     except ScheduleError as exc:
         mismatch = f"schedule replay mismatch: {exc}"
-    except LinkrevError as exc:
+    except _RUN_ERRORS as exc:
         return f"shadow run raised {type(exc).__name__}: {exc}"
     stuck = sim.stuck_nodes() if srec is None else srec.stuck
     if stuck != rec.stuck:
@@ -636,7 +638,9 @@ def _lockstep_divergence(sim: Simulation, rec: StepRecord) -> str | None:
         return mismatch
     if srec is None:
         return f"shadow run ended {sim.outcome}"
-    if srec.dag_digest != rec.dag_digest or srec.reversed_edges != rec.reversed_edges:
+    if srec.reversed_edges != rec.reversed_edges or (
+        digest is not None and digest != arcs_digest(starmap(arc_label, sim.arcs))
+    ):
         return "orientations diverge"
     return None
 
@@ -646,21 +650,26 @@ def _lockstep_replay(reference: Trace, shadow: SchemeId) -> tuple[str | None, in
 
     Returns the first divergence and the index of its step, or None and
     None when the shadow kept lockstep and converged with the reference.
+    Equal initial arcs and equal flips at every step mean equal
+    orientations, but an event can bring back a link whose direction no
+    flip reports, so a reference with events has its orientation digests
+    derived and compared at every step as well.
     """
     # After the last step the exhausted schedule raises if the shadow is still stuck.
     replay = Schedule.fixed(
         [rec.updated for rec in reference.steps], label=f"replay-of-{reference.scheme.value}"
     )
     sim = Simulation(reference.scenario, shadow, replay)
-    for rec in reference.steps:
-        found = _lockstep_divergence(sim, rec)
+    digests = orientation_digests(reference) if reference.event_log else repeat(None)
+    for rec, digest in zip(reference.steps, digests):
+        found = _lockstep_divergence(sim, rec, digest)
         if found is not None:
             return f"step {rec.index}: {found}", rec.index
     try:
         sim.advance()
     except ScheduleError:
         return "shadow run still stuck after replaying every step", None
-    except LinkrevError as exc:
+    except _RUN_ERRORS as exc:
         return f"shadow run raised {type(exc).__name__} after replaying every step: {exc}", None
     if sim.outcome is not Outcome.CONVERGED:
         return f"shadow run ended {sim.outcome} after replaying every step", None
@@ -678,7 +687,8 @@ def check_scheme_equivalence(
     updates exactly the nodes the reference chose.  Equivalent schemes
     must produce identical stuck sets and orientations at every step: the
     shadow's step records must match the reference's recorded ones in
-    their stuck sets, digests and reversed links.
+    their stuck sets and reversed links (and, with events, in the digests
+    of their orientations).
     A reference updater that the shadow cannot update, being not stuck or
     with no awake neighbor, is a replay mismatch and fails the check.  A
     reference run that did not converge anchors no replay and fails it too.
@@ -885,6 +895,10 @@ def _raised(
     return _report(check, scenario, scheme, [failure], schedule=schedule)
 
 
+#: What a run can raise that the battery reports as a failed check rather
+#: than abort on: any package error, and the kernel's failed cross-checks.
+_RUN_ERRORS = (LinkrevError, AssertionError)
+
 #: Every field of a Trace but its schedule.
 _run_fields = itemgetter(*(i for i, name in enumerate(Trace._fields) if name != "schedule"))
 
@@ -907,7 +921,7 @@ def _judge_run(trace: Trace) -> list[CheckReport]:
     ]
     if not converged:
         return reports
-    if trace.events_applied:
+    if trace.event_log:
         return reports + _skipped_for_events(trace)
     reports.append(check_step_invariants(trace))
     if SPECS[trace.scheme].reversal is not None:
@@ -931,7 +945,7 @@ def _judge_checked_runs(
     for schedule in schedules:
         try:
             trace = run_scenario(scenario, scheme, schedule)
-        except OverflowRiskError as exc:
+        except _RUN_ERRORS as exc:
             reports.append(_raised("termination", scenario, scheme, schedule, exc))
             continue
         if kept is not None and _same_run(kept[0], trace):
@@ -958,8 +972,8 @@ def _judge_anchor_run(
     pairs = [pair for pair in EQUIVALENCE_PAIRS if pair[0] is scheme and pair[1] in wanted]
     try:
         trace = run_scenario(scenario, scheme, anchor)
-    except OverflowRiskError as exc:
-        skipped = f"vs {scheme.value}: skipped: the reference run raised OverflowRiskError: {exc}"
+    except _RUN_ERRORS as exc:
+        skipped = f"vs {scheme.value}: skipped: the reference run raised {type(exc).__name__}: {exc}"
         for pair in pairs:
             check = "scheme-equivalence" if pair[2] else "scheme-divergence"
             equivalence[pair] = _report(check, scenario, pair[1], [], detail=skipped, informational=True)
@@ -980,10 +994,12 @@ def standard_battery(
     The step-invariant, reversal-semantics and initial-greedy-stability
     checks assume an event-free trace; for a run that applied events each
     yields an informational report that names the events instead.  A run
-    that raises OverflowRiskError fails the check it was made for,
-    termination or determinism, and the battery goes on without it; when
-    that run is the reference of equivalence pairs, each pair gets an
-    informational report that says it was skipped and why.
+    that raises a LinkrevError (such as OverflowRiskError or
+    PhaseAdjacencyError) or fails a kernel cross-check (AssertionError)
+    fails the check it was made for, termination or determinism, and the
+    battery goes on without it; when that run is the reference of
+    equivalence pairs, each pair gets an informational report that says it
+    was skipped and why.  A shadow run that raises fails its pair.
 
     Each scheme's two checked runs are both made, but each distinct trace
     is judged once (see the module docstring): a second run that records

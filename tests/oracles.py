@@ -3,14 +3,17 @@
 Each function reads an orientation as its arcs, (source, target) pairs in
 canonical edge order, and answers from the arcs alone by the plainest
 means, kept apart from the package's incremental and memoized paths so
-that a test can hold those paths against them.
+that a test can hold those paths against them.  rerun_digests reads the
+orientations of a trace off a fresh rerun, one step at a time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import starmap
 
-from linkrev.model import DESTINATION, Topology
+from linkrev.model import DESTINATION, Topology, arc_label, arcs_digest, routing_dag
+from linkrev.sim import Simulation, Trace
 
 
 def stuck_set(arcs: Iterable[tuple[int, int]], topo: Topology) -> frozenset[int]:
@@ -48,3 +51,20 @@ def reaching_destination(arcs: Iterable[tuple[int, int]]) -> set[int]:
                 reached.add(s)
                 grown = True
     return reached
+
+
+def rerun_digests(trace: Trace) -> list[str]:
+    """The digest of a fresh rerun's sim.arcs after each advance(), then of its final orientation.
+
+    What traceio.orientation_digests must derive from the trace alone.  The
+    final orientation is checked against a from-scratch routing_dag of the
+    awake topology.
+    """
+    sim = Simulation(trace.scenario, trace.scheme, trace.schedule, trace.step_limit)
+    digests = []
+    while sim.advance() is not None:
+        digests.append(arcs_digest(starmap(arc_label, sim.arcs)))
+    arcs = routing_dag(sim.states, sim.awake_topology(), trace.scheme, sim.heights)
+    assert sim.arcs == arcs
+    digests.append(arcs_digest(starmap(arc_label, arcs)))
+    return digests

@@ -400,6 +400,42 @@ def test_verify_says_which_equivalence_pairs_an_overflow_skips(scenario_file, ca
     ]
 
 
+#: The two sleep scenarios on which one-bit-full's kernel cross-check fails.
+ONE_BIT_SLEEP_CRASHES = {
+    "4-nodes": """\
+scenario v1
+nodes 4
+edges D-4 1-2 1-3 1-4 2-3
+heights 2 1 1 3
+event 1 sleep 1 3
+""",
+    "8-nodes": """\
+scenario v1
+nodes 8
+edges D-8 1-6 1-7 1-8 2-7 3-4 3-6 3-7 3-8 4-5 5-8 6-7
+heights 2 2 2 3 2 3 3 1
+event 1 sleep 6 4
+event 3 sleep 8 3
+""",
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_BIT_SLEEP_CRASHES))
+def test_verify_reports_runs_that_raise_instead_of_aborting(scenario_file, capsys, name):
+    # Each raising run fails its own check, and the battery goes on with the
+    # other schemes and pairs; the sleep defect itself is still there.
+    code = main(["verify", scenario_file(ONE_BIT_SLEEP_CRASHES[name])])
+    captured = capsys.readouterr()
+    assert code == EXIT_PROPERTY
+    assert captured.err == ""
+    failed = [line.strip() for line in captured.out.splitlines() if line.startswith("  FAIL ")]
+    crash = "run raised AssertionError: empty stuck set must coincide with destination orientation"
+    assert f"FAIL termination scheme=one-bit-full scenario=case :: {crash}" in failed
+    assert any("run raised PhaseAdjacencyError: phases of nodes 1 and" in line for line in failed)
+    assert any(line.startswith("FAIL scheme-equivalence scheme=one-bit-full") for line in failed)
+    assert f"checked {62 if name == '8-nodes' else 50} reports across 1 scenarios" in captured.out
+
+
 def test_verify_counts_only_gating_reports_as_passes(scenario_file, capsys):
     # the chain's runs are checked, the diamond's are skipped for its event
     files = [scenario_file(CHAIN, "chain.scn"), scenario_file(DIAMOND_CUT, "cut.scn")]
@@ -608,8 +644,9 @@ def test_compare_names_the_scheme_that_needs_extra_steps(scenario_file, capsys):
 def test_compare_reports_a_gated_pair_that_differs_mid_run_but_ends_alike(
     monkeypatch, scenario_file, capsys
 ):
-    # The no-full run's second orientation is forged; its updaters and final
-    # digest still match gb-full's, so only the step digests tell them apart.
+    # The no-full run's second record is forged to report one link fewer
+    # reversed; its updaters and final orientation still match gb-full's, so
+    # only the step's flips tell them apart.
     real_run = cli.run_scenario
     forged = []
 
@@ -618,7 +655,8 @@ def test_compare_reports_a_gated_pair_that_differs_mid_run_but_ends_alike(
         if scheme.value != "no-full":
             return trace
         steps = list(trace.steps)
-        steps[1] = steps[1]._replace(dag_digest="f" * len(steps[1].dag_digest))
+        assert steps[1].reversed_edges
+        steps[1] = steps[1]._replace(reversed_edges=steps[1].reversed_edges[1:])
         forged.append(steps[1].index)
         return trace._replace(steps=tuple(steps))
 

@@ -59,11 +59,18 @@ def test_against_alternates_with_a_checkout_and_prints_the_ratio(capsys):
         ["this", "4", "6"], ["against", "4", "6"], ["this/against", "4", ""],
         ["this", "6", "15"], ["against", "6", "15"], ["this/against", "6", ""],
     ]
-    # Each row ends in the export's time, after the columns an older ladder prints.
-    assert all(len(row) == 9 for row in cells) and cells[0][8].endswith(" s")
+    # Each row ends in the export's time, after the columns an older ladder
+    # prints; the ratio row has one more, the run plus its export.
+    assert [len(row) for row in cells] == [9, 9, 10] * 2 and cells[0][8].endswith(" s")
     for this, other, ratio in (cells[0:3], cells[3:6]):
         assert this[5:7] == other[5:7]  # the same code: traced peak and JSONL bytes
         assert float(ratio[4]) == pytest.approx(float(this[4]) / float(other[4]), abs=2e-3)
+        seconds = [[float(side[k].split()[0]) for k in (3, 7, 8)] for side in (this, other)]
+        (run, check, jsonl), (their_run, their_check, their_jsonl) = seconds
+        if their_check:
+            assert float(ratio[7]) == pytest.approx(check / their_check, abs=2e-3)
+        if their_run + their_jsonl:
+            assert float(ratio[9]) == pytest.approx((run + jsonl) / (their_run + their_jsonl), abs=2e-3)
 
 
 def test_against_refuses_a_path_with_no_ladder(tmp_path, capsys):
@@ -95,8 +102,31 @@ def test_against_keeps_each_sides_fastest_of_alternating_runs(monkeypatch, capsy
     assert lines[0:3] == [
         "| this | 4 | 6 | 0.001 s | 20.0 | 0.0 MB | 1 KB | 0.00 s |",
         "| against | 4 | 6 | 0.001 s | 10.0 | 0.0 MB | 1 KB | 0.00 s |",
-        "| this/against | 4 | | | 2.000 | | | | |",
+        "| this/against | 4 | | | 2.000 | | | | | |",
     ]
+
+
+def test_the_ratio_row_gives_the_step_check_and_the_run_with_its_export(monkeypatch, capsys, tmp_path):
+    # Canned rows in the current format: this side runs in half the time,
+    # checks in 0.300 s against 0.400 s, and exports in 0.010 s against 0.030 s.
+    def canned_row(script, scheme, shape, n):
+        if script == _PATH:
+            return f"| {n} | 6 | 0.040 s | 10.0 | 0.0 MB | 1 KB | 0.300 s | 0.010 s |"
+        return f"| {n} | 6 | 0.080 s | 20.0 | 0.0 MB | 1 KB | 0.400 s FAIL | 0.030 s |"
+
+    monkeypatch.setattr(ladder, "fresh_row", canned_row)
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "ladder.py").write_text("")
+    assert ladder.main(["--scheme", "no-full", "--sizes", "4", "--against", str(tmp_path)]) == 0
+    *_, ratios = capsys.readouterr().out.splitlines()
+    assert ratios == "| this/against | 4 | | | 0.500 | | | 0.750 | | 0.455 |"
+
+
+def test_a_missing_or_zero_time_leaves_its_ratio_empty():
+    assert ladder.ratio(1.0, 0.0) == ladder.ratio(None, 2.0) == ladder.ratio(1.0, None) == ""
+    assert ladder.ratio(1.0, 4.0) == "0.250"
+    assert ladder.run_and_jsonl("| 4 | 6 | 0.001 s | 20.0 | 0.0 MB | 1 KB | 0.00 s |") is None
+    assert ladder.run_and_jsonl("| 4 | 6 | 0.5 s | 20.0 | 0.0 MB | 1 KB | 0.00 s | 0.25 s |") == 0.75
 
 
 def test_fastest_keeps_the_least_time_per_step_and_falls_back_to_an_error_row():

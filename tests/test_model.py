@@ -117,21 +117,33 @@ def test_the_arc_table_holds_both_arcs_of_each_edge_and_their_labels():
     assert topo.arc_table is topo.arc_table
 
 
+def test_the_label_slots_hold_each_links_slice_of_the_digest_text():
+    # Ids of one and two digits, so the slices have different lengths.
+    topo = Topology.build(12, [(0, 12)] + [(i, i + 1) for i in range(1, 12)])
+    text = ";".join(arc_label(*edge) for edge in topo.edges).encode("ascii")
+    assert set(topo.label_slots) == set(topo.edges)
+    for k, edge in enumerate(topo.edges):
+        position, lo, hi, fwd, back = topo.label_slots[edge]
+        assert position == k and text[lo:hi] == fwd == arc_label(*edge).encode("ascii")
+        assert back == arc_label(edge[1], edge[0]).encode("ascii")
+    assert topo.label_slots is topo.label_slots
+
+
 def test_the_link_rows_hold_each_ordinary_link_once_per_end_with_its_arcs_out_and_in():
     topo = Topology.build(3, [(0, 1), (1, 2), (2, 3), (1, 3)])
     e12, e13, e23 = topo.edges[1:]
     assert topo.link_rows == (
         (),
-        ((1, 2, e12, "1>2", (2, 1), "2>1"), (2, 3, e13, "1>3", (3, 1), "3>1")),
-        ((1, 1, (2, 1), "2>1", e12, "1>2"), (3, 3, e23, "2>3", (3, 2), "3>2")),
-        ((2, 1, (3, 1), "3>1", e13, "1>3"), (3, 2, (3, 2), "3>2", e23, "2>3")),
+        ((1, 2, e12, (2, 1)), (2, 3, e13, (3, 1))),
+        ((1, 1, (2, 1), e12), (3, 3, e23, (3, 2))),
+        ((2, 1, (3, 1), e13), (3, 2, (3, 2), e23)),
     )
     assert topo.link_rows is topo.link_rows
     # A view keeps the ids, and positions are in its own edges; a node it
     # drops has no rows, like the destination.
     view = topo.without(drop_nodes=(2,))
     assert view.edges == ((0, 1), (1, 3))
-    assert view.link_rows == ((), ((1, 3, e13, "1>3", (3, 1), "3>1"),), (), ((1, 1, (3, 1), "3>1", e13, "1>3"),))
+    assert view.link_rows == ((), ((1, 3, e13, (3, 1)),), (), ((1, 1, (3, 1), e13),))
     assert topo.without(drop_nodes=(3,)).probe_rows == (None, None, (2, (1,)))
 
 
@@ -144,14 +156,12 @@ def test_link_and_probe_rows_follow_the_arc_and_probe_tables(n, seed):
     for i in topo.nodes:
         rows = topo.link_rows[i]
         assert [k for k, *_ in rows] == list(topo.ordinary_links[i])
-        for k, j, out_arc, out_label, in_arc, in_label in rows:
-            edge, back, forward_label, back_label = topo.arc_table[k]
+        for k, j, out_arc, in_arc in rows:
+            edge, back, _, _ = topo.arc_table[k]
             assert DESTINATION not in edge and {i, j} == set(edge)
             assert (out_arc, in_arc) == ((i, j), (j, i))
             # The arc table's own objects, which the kernel compares by identity.
             assert {id(out_arc), id(in_arc)} == {id(edge), id(back)}
-            assert {out_label, in_label} == {forward_label, back_label}
-            assert (out_label, in_label) == (arc_label(i, j), arc_label(j, i))
             seen[k] += 1
     assert seen == {k: 2 for k, (a, _) in enumerate(topo.edges) if a != DESTINATION}
     assert [row for row in topo.probe_rows if row is not None] == list(topo.probe_table)

@@ -6,6 +6,7 @@ import json
 import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields
+from itertools import starmap
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,7 +27,7 @@ from linkrev import (
     serialize_scenario,
 )
 from linkrev.generate import random_partition_scenario, random_void_scenario
-from linkrev.model import Topology
+from linkrev.model import Topology, arc_label, arcs_digest
 from linkrev.schemes import ALL_SCHEMES, INT63_MAX, SPECS
 from linkrev.sim import Outcome
 from linkrev import traceio
@@ -38,6 +39,7 @@ from linkrev.traceio import (
     trace_to_jsonl,
     write_trace,
 )
+from oracles import rerun_digests
 
 GOOD = """\
 scenario v1
@@ -480,7 +482,7 @@ def test_jsonl_has_one_record_per_step_plus_totals(one_step_trace):
     assert totals["certificate"] is None
 
 
-def _reference_totals(trace) -> dict:
+def _reference_totals(trace, final_dag: str) -> dict:
     """The totals record as a dict, for json.dumps to write the reference line."""
     return {
         "type": "totals",
@@ -494,7 +496,7 @@ def _reference_totals(trace) -> dict:
         "total_reversals": trace.total_reversals,
         "updates_by_node": {str(i): c for i, c in sorted(trace.update_counts.items())},
         "initial_dag": trace.initial_digest,
-        "final_dag": trace.final_digest,
+        "final_dag": final_dag,
         "certificate": trace.certificate,
         "events": [[step, text] for step, text in trace.events_applied],
     }
@@ -566,7 +568,8 @@ TOTALS_CASES = {
 @pytest.mark.parametrize("case", list(TOTALS_CASES))
 def test_the_totals_line_is_what_json_dumps_writes(case):
     trace = TOTALS_CASES[case]()
-    expected = json.dumps(_reference_totals(trace), sort_keys=True, separators=(",", ":"))
+    final = rerun_digests(trace)[-1]
+    expected = json.dumps(_reference_totals(trace, final), sort_keys=True, separators=(",", ":"))
     text = trace_to_jsonl(trace)
     assert text.endswith("\n")
     assert text.split("\n")[-2] == expected
@@ -605,7 +608,8 @@ def test_dot_frames_replay_the_orientation_after_each_step(chain):
 
 def test_dot_frames_reject_a_trace_the_rerun_does_not_reproduce(chain):
     trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
-    forged = trace._replace(steps=(trace.steps[0]._replace(dag_digest="0" * 12),))
+    assert trace.steps[0].reversed_edges == ((2, 3),)
+    forged = trace._replace(steps=(trace.steps[0]._replace(reversed_edges=((1, 2), (2, 3))),))
     with pytest.raises(ValueError, match="differs from the trace at step 1"):
         trace_to_dot_frames(forged)
     with pytest.raises(ValueError, match="took 1 steps, the trace 2"):
@@ -663,6 +667,31 @@ def test_jsonl_of_a_forged_trace_matches_json_dumps_through_the_memos(one_step_t
     _forged_trace_matches_json_dumps(one_step_trace)
 
 
+def test_dot_frames_reject_a_forged_state(chain):
+    # The forged height is off the closed form but orients every link as the
+    # real one does, so only the state itself differs from the rerun's.
+    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    (state,) = trace.steps[0].new_states
+    forged_state = state._replace(height=state.height + 1)
+    forged = trace._replace(steps=(trace.steps[0]._replace(new_states=(forged_state,)),))
+    assert trace_to_jsonl(forged) != trace_to_jsonl(trace)
+    with pytest.raises(ValueError, match="differs from the trace at step 1"):
+        trace_to_dot_frames(forged)
+
+
+def _flipped_digests(trace) -> list[str]:
+    """Each step's digest: the initial arcs with every reversed edge that is a link flipped so far."""
+    arcs = {(min(s, d), max(s, d)): (s, d) for s, d in trace.initial_arcs}
+    digests = []
+    for rec in trace.steps:
+        for edge in rec.reversed_edges:
+            if edge in arcs:
+                s, d = arcs[edge]
+                arcs[edge] = (d, s)
+        digests.append(arcs_digest(starmap(arc_label, arcs.values())))
+    return digests
+
+
 def _forged_trace_matches_json_dumps(one_step_trace):
     # Equal ids and edges in fresh objects, and an id above n: the text of
     # each follows its value, not the object or the node count.
@@ -682,6 +711,10 @@ def _forged_trace_matches_json_dumps(one_step_trace):
     forged = one_step_trace._replace(
         steps=(first, second), update_counts={1: 0, 2: 2, 3: 0, big(): 1}, total_updates=3
     )
+    # The edge (2, 1000) is no link, so it flips nothing: the second step
+    # turns 2-3 back, to the initial orientation.
+    digests = _flipped_digests(forged)
+    assert digests[1] == forged.initial_digest != digests[0]
     steps = [
         {
             "type": "step",
@@ -689,14 +722,14 @@ def _forged_trace_matches_json_dumps(one_step_trace):
             "stuck": list(r.stuck),
             "updated": list(r.updated),
             "states": {str(s.node): dict(zip(s._fields[1:], s[1:])) for s in r.new_states},
-            "dag": r.dag_digest,
+            "dag": digest,
             "reversed": [list(e) for e in r.reversed_edges],
         }
-        for r in forged.steps
+        for r, digest in zip(forged.steps, digests)
     ]
     expected = "".join(
         json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        for record in [*steps, _reference_totals(forged)]
+        for record in [*steps, _reference_totals(forged, digests[-1])]
     )
     assert trace_to_jsonl(forged) == expected
     # Keys sort as strings: "1000" before "2".
@@ -710,8 +743,9 @@ def test_the_totals_key_order_follows_each_traces_own_node_set(one_step_trace):
     above = one_step_trace._replace(update_counts={1: 0, 2: 1, 10: 0})
     missing = one_step_trace._replace(update_counts={1: 0, 2: 1})
     assert one_step_trace.scenario.n == len(above.update_counts) == 3
+    final = rerun_digests(one_step_trace)[-1]
     for trace in (one_step_trace, above, missing, above, one_step_trace, missing, one_step_trace):
-        expected = json.dumps(_reference_totals(trace), sort_keys=True, separators=(",", ":"))
+        expected = json.dumps(_reference_totals(trace, final), sort_keys=True, separators=(",", ":"))
         assert trace_to_jsonl(trace).splitlines()[-1] == expected
     # Keys sort as strings: "10" before "2".
     assert '"updates_by_node":{"1":0,"10":0,"2":1}' in trace_to_jsonl(above)

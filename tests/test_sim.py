@@ -44,8 +44,8 @@ from linkrev.model import (
 )
 from linkrev import sim as sim_module
 from linkrev.schemes import ALL_SCHEMES, CORE_SCHEMES, initial_states
-from linkrev.traceio import trace_to_jsonl
-from oracles import orientation_flips, stuck_set
+from linkrev.traceio import orientation_digests, trace_to_jsonl
+from oracles import orientation_flips, rerun_digests, stuck_set
 
 
 # --- step limit and schedules ------------------------------------------------
@@ -230,7 +230,8 @@ def test_counted_full_run_on_the_chain(chain):
     assert trace.update_counts == {1: 0, 2: 1, 3: 0}
     assert trace.total_updates == 1
     assert CountedHeightState(2, 1, 5) in trace.final_states
-    assert trace.initial_digest != trace.final_digest
+    *_, final = orientation_digests(trace)
+    assert trace.initial_digest != final
     assert trace.steps[0].reversed_edges == ((2, 3),)
 
 
@@ -359,28 +360,37 @@ def test_a_trace_keeps_no_per_step_orientation():
 
 @pytest.mark.parametrize("n", [16, 48])
 def test_an_event_free_step_builds_no_routing_dag(monkeypatch, n):
-    """The kernel orients the whole graph once, at construction, and never in a step."""
-    calls = {"routing_dag": 0}
-    real_routing_dag = sim_module.routing_dag
+    """The kernel orients the whole graph once, at construction, and never in a step.
+
+    It hashes the orientation once too, for the start's digest, and never
+    in a step: the per-step digests are the trace writer's.
+    """
+    calls = {"routing_dag": 0, "arcs_digest": 0}
+    real_routing_dag, real_arcs_digest = sim_module.routing_dag, sim_module.arcs_digest
 
     def counting_routing_dag(*args):
         calls["routing_dag"] += 1
         return real_routing_dag(*args)
 
+    def counting_arcs_digest(*args):
+        calls["arcs_digest"] += 1
+        return real_arcs_digest(*args)
+
     monkeypatch.setattr(sim_module, "routing_dag", counting_routing_dag)
+    monkeypatch.setattr(sim_module, "arcs_digest", counting_arcs_digest)
     scenario = Scenario.create(n, [(0, n)] + [(i, i + 1) for i in range(1, n)], heights=range(1, n + 1))
     sim = Simulation(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
-    assert calls["routing_dag"] == 1
+    assert calls == {"routing_dag": 1, "arcs_digest": 1}
     while True:
         before = dict(calls)
         record = sim.advance()
         assert calls == before
         if record is None:
             break
-        assert record.dag_digest == arcs_digest(starmap(arc_label, sim.arcs))
     assert sim.outcome is Outcome.CONVERGED
     assert len(sim.steps) == n * (n - 1) // 2
-    assert calls["routing_dag"] == 1
+    assert sim.run().initial_digest == arcs_digest(starmap(arc_label, sim.initial_arcs))
+    assert calls == {"routing_dag": 1, "arcs_digest": 1}
 
 
 # --- the cached start ----------------------------------------------------------
@@ -670,7 +680,9 @@ def _wake_after_convergence(scheme):
     )
     trace = run_scenario(scenario, scheme, Schedule.single_random(0))
     assert 1 <= len(trace.steps) < 6 and trace.events_applied[-1] == (6, "wake 4")
-    assert trace.final_digest != trace.steps[-1].dag_digest
+    assert trace.event_log[-1][0] == len(trace.steps)
+    *_, last_step, final = orientation_digests(trace)
+    assert final != last_step
     return trace
 
 
@@ -693,14 +705,9 @@ def _step_limit(scheme):
     ids=lambda case: case.__name__.strip("_"),
 )
 def test_the_final_digest_is_the_final_orientations(case, scheme):
-    """The run reuses the last digest it computed; a fresh orientation must agree."""
+    """The writer's derived digests, the final one last, are those of a rerun's orientations."""
     trace = case(scheme)
-    sim = Simulation(trace.scenario, scheme, trace.schedule, trace.step_limit)
-    while sim.advance() is not None:
-        pass
-    arcs = routing_dag(sim.states, sim.awake_topology(), scheme, sim.heights)
-    assert sim.arcs == arcs
-    assert trace.final_digest == arcs_digest(starmap(arc_label, arcs))
+    assert list(orientation_digests(trace)) == rerun_digests(trace)
 
 
 def _sleep_and_removals() -> Simulation:
@@ -746,9 +753,8 @@ def test_the_positional_trace_is_the_keyword_one(build):
         update_counts=dict(sim.update_counts),
         total_updates=sum(sim.update_counts.values()),
         total_reversals=sim.total_reversals,
-        final_digest=arcs_digest(starmap(arc_label, sim.arcs)),
         final_states=tuple(sim.states[i] for i in sim.live.nodes),
-        events_applied=tuple(sim.events_applied),
+        event_log=tuple(sim.event_log),
     )
     assert type(trace) is Trace
     for name in Trace._fields:
@@ -758,6 +764,9 @@ def test_the_positional_trace_is_the_keyword_one(build):
     if build is _sleep_and_removals:
         assert [text.split()[0] for _, text in trace.events_applied] == [
             "sleep", "remove-link", "remove-node", "wake",
+        ]
+        assert [(made, ev.kind) for made, ev in trace.event_log] == [
+            (0, "sleep"), (0, "remove-link"), (1, "remove-node"), (2, "wake"),
         ]
         assert trace.total_updates != trace.total_reversals
     elif build is _counter_certificate:
@@ -783,7 +792,6 @@ class _ScratchCheckedSimulation(Simulation):
         arcs = routing_dag(self.states, topo, self.scheme, self.heights)
         self.recorded_arcs = self.arcs
         assert self.recorded_arcs == arcs
-        assert record.dag_digest == arcs_digest(starmap(arc_label, arcs))
         assert record.reversed_edges == orientation_flips(before, arcs)
         assert self.stuck_nodes() == tuple(sorted(stuck_set(arcs, topo)))
         return record
@@ -852,7 +860,7 @@ def event_sweep() -> list[Scenario]:
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES, ids=str)
 def test_the_kernel_matches_a_from_scratch_orientation_on_the_event_sweep(event_sweep, scheme):
-    """Every record's digest, reversed edges and stuck set, checked on the events workload.
+    """Every record's orientation, reversed edges and stuck set, checked on the events workload.
 
     The schedule is `linkrev run`'s default, as the benchmark runs it.
     """
@@ -875,23 +883,24 @@ def _zigzag_chain(n: int) -> Scenario:
 
 
 def test_a_step_that_reverses_no_link_shares_the_last_digest(event_sweep):
-    """A record that flips nothing, with no event since the last, holds the same string."""
+    """The writer gives a step that flips nothing, with no event since the last, the same string."""
     shared = 0
     for scenario in [*event_sweep, _zigzag_chain(12)]:
         for scheme in ALL_SCHEMES:
-            sim = Simulation(scenario, scheme, Schedule.single_random(scenario.seed or 0))
-            last, applied = sim.initial_digest, 0
             try:
-                while (record := sim.advance()) is not None:
-                    quiet = len(sim.events_applied) == applied
-                    if quiet and not record.reversed_edges:
-                        assert record.dag_digest is last
-                        shared += 1
-                    elif record.reversed_edges:
-                        assert record.dag_digest != last
-                    last, applied = record.dag_digest, len(sim.events_applied)
+                trace = run_scenario(scenario, scheme, Schedule.single_random(scenario.seed or 0))
             except PhaseAdjacencyError:
                 assert scheme in (SchemeId.TWO_BIT_FULL, SchemeId.TWO_BIT_PARTIAL)
+                continue
+            last, made = trace.initial_digest, [made for made, _ in trace.event_log]
+            for position, (record, digest) in enumerate(zip(trace.steps, orientation_digests(trace))):
+                quiet = position not in made
+                if quiet and not record.reversed_edges:
+                    assert digest is last
+                    shared += 1
+                elif record.reversed_edges:
+                    assert digest != last
+                last = digest
     assert shared > 10_000
 
 

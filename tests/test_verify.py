@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import Counter
 from dataclasses import replace
-from itertools import starmap
 
 import pytest
 
@@ -34,7 +34,7 @@ from linkrev import (
 from linkrev.generate import exhaustive_void_scenarios, random_partition_scenario, random_void_scenario
 from linkrev.schemes import CORE_SCHEMES, closed_form_height
 from linkrev import model, verify
-from linkrev.traceio import trace_to_jsonl
+from linkrev.traceio import orientation_digests, trace_to_jsonl
 from linkrev.verify import EQUIVALENCE_PAIRS
 
 
@@ -97,12 +97,16 @@ def test_step_invariants_catch_a_forged_height(chain):
     assert "scenario v1" in report.counterexample.scenario_text
 
 
-def test_step_invariants_catch_a_forged_digest(chain):
-    trace = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
-    forged = _tamper_step(trace, 0, dag_digest="0" * 12)
+def test_step_invariants_catch_a_forged_state(chain):
+    # Height 3 still rises above node 2's initial 2, but ties node 3's and
+    # loses on the id, so the link 2-3 the record reports reversed stays put.
+    trace = run_scenario(chain, SchemeId.GB_FULL, Schedule.single_random(0))
+    assert trace.steps[0].new_states == (HeightState(2, 4),)
+    forged = _tamper_step(trace, 0, new_states=(HeightState(2, 3),))
     report = check_step_invariants(forged)
     assert not report.passed
-    assert "digest" in report.detail
+    assert report.detail == "step 1: recorded reversed edges do not match states"
+    assert report.counterexample.step == 1
 
 
 def test_step_invariants_catch_a_nonstuck_updater(chain):
@@ -207,11 +211,19 @@ def test_the_step_check_never_reads_the_simulators_starts():
     for report in steps:
         assert not report.passed
         assert report.detail == "initial digest does not match the scenario"
-    # Starting the kernel from arcs its states do not induce trips its cross-check.
+    # Starting the kernel from arcs its states do not induce trips its
+    # cross-check, and the battery reports every run that trips it.
     for scheme, start in clean.items():
         scenario._starts[scheme] = replace(start, arcs=tuple((d, s) for s, d in start.arcs))
-    with pytest.raises(AssertionError, match="disagrees with orientation view|must coincide"):
-        standard_battery(scenario, CORE_SCHEMES)
+    reports = standard_battery(scenario, CORE_SCHEMES)
+    raised = [r for r in reports if r.check in ("termination", "determinism")]
+    assert len(raised) == 3 * len(CORE_SCHEMES)
+    assert all(
+        not r.passed and re.fullmatch(
+            "run raised AssertionError: .*(disagrees with orientation view|must coincide).*", r.detail
+        )
+        for r in raised
+    )
 
 
 def test_replays_leave_each_cached_start_as_a_fresh_derivation():
@@ -393,10 +405,7 @@ def test_step_invariants_see_a_cycle_that_leaves_no_node_stuck():
     arcs = model.routing_dag(states, scenario.topology, scheme, scenario.heights)
     assert arcs == ((4, 0), (1, 2), (3, 1), (4, 1), (2, 3))
     flipped = sorted(tuple(sorted(arc)) for arc in set(arcs) - set(trace.initial_arcs))
-    digest = model.arcs_digest(starmap(model.arc_label, arcs))
-    forged = _tamper_step(
-        trace, 0, new_states=(states[2],), dag_digest=digest, reversed_edges=tuple(flipped),
-    )
+    forged = _tamper_step(trace, 0, new_states=(states[2],), reversed_edges=tuple(flipped))
     failures, step = verify._replay_failures(forged)
     assert step == 1
     assert failures == [
@@ -528,13 +537,75 @@ def test_equivalence_names_a_reference_updater_with_no_awake_neighbor(stranded_c
     assert report.counterexample.step == 1
 
 
-@pytest.mark.parametrize("field, forged", [("dag_digest", "0" * 12), ("reversed_edges", ())])
+@pytest.mark.parametrize("field, forged", [("reversed_edges", ((1, 3), (2, 3))), ("reversed_edges", ())])
 def test_equivalence_catches_a_forged_reference_record(chain, field, forged):
     ref = run_scenario(chain, SchemeId.NO_FULL, Schedule.single_random(0))
+    assert ref.steps[0].reversed_edges == ((2, 3),)
     report = check_scheme_equivalence(_tamper_step(ref, 0, **{field: forged}), SchemeId.TWO_BIT_FULL)
     assert not report.passed
     assert report.detail == "vs no-full: step 1: orientations diverge"
     assert report.counterexample.step == 1
+
+
+def test_equivalence_sees_the_direction_of_a_link_a_wake_brings_back():
+    # Node 4 wakes before step 3, and its links come back oriented by the
+    # states its neighbors reached while it slept: one-bit-full orients one
+    # of them another way than no-full, yet the step reports the same flips.
+    # Only the orientations' digests tell them apart at step 3; without
+    # them the replay would report later, as still stuck after every step.
+    scenario = Scenario.create(
+        4, _EVENT_VOID_EDGES, heights=(1, 2, 2, 1),
+        events=[SimEvent(at_step=2, kind="sleep", node=4, duration=1)],
+    )
+    ref = run_scenario(scenario, SchemeId.NO_FULL, Schedule.subset_random(0))
+    assert [(made, ev.kind) for made, ev in ref.event_log] == [(1, "sleep"), (2, "wake")]
+    report = check_scheme_equivalence(ref, SchemeId.ONE_BIT_FULL)
+    assert report.detail == "vs no-full: step 3: orientations diverge"
+    assert report.counterexample.step == 3
+
+
+def test_equivalence_catches_a_forged_reference_state_at_an_event():
+    # Node 4 sleeps before step 2, so the reference's orientation after that
+    # step is rebuilt from its states: node 3's forged height 2 turns the
+    # link 2-3 back, which no reversed edge of the record reports.
+    scenario = Scenario.create(
+        4, _EVENT_VOID_EDGES, heights=(1, 2, 2, 1),
+        events=[SimEvent(at_step=2, kind="sleep", node=4, duration=1)],
+    )
+    ref = run_scenario(scenario, SchemeId.NO_FULL, Schedule.subset_random(0))
+    assert [made for made, _ in ref.event_log] == [1, 2]
+    assert check_scheme_equivalence(ref, SchemeId.GB_FULL).passed
+    (state,) = ref.steps[1].new_states
+    assert state.node == 3 and state.height == 4
+    forged = _tamper_step(ref, 1, new_states=(state._replace(height=2),))
+    report = check_scheme_equivalence(forged, SchemeId.GB_FULL)
+    assert not report.passed
+    assert report.detail == "vs no-full: step 2: orientations diverge"
+    assert report.counterexample.step == 2
+
+
+def test_the_battery_reports_a_run_that_fails_a_kernel_cross_check(chain, monkeypatch):
+    # Every no-full run fails a cross-check: its two checked runs and its
+    # anchor fail, and the three pairs it anchors are reported as skipped.
+    real_run = verify.run_scenario
+
+    def crashing_run(scenario, scheme, *args):
+        if scheme is SchemeId.NO_FULL:
+            raise AssertionError("forged cross-check failure")
+        return real_run(scenario, scheme, *args)
+
+    monkeypatch.setattr(verify, "run_scenario", crashing_run)
+    reports = standard_battery(chain)
+    failed = [(r.check, r.scheme) for r in reports if not r.passed]
+    assert failed == [("termination", "no-full"), ("termination", "no-full"), ("determinism", "no-full")]
+    assert all(r.detail == "run raised AssertionError: forged cross-check failure" for r in reports if not r.passed)
+    skipped = [r for r in reports if "skipped: the reference" in r.detail]
+    assert [(r.check, r.scheme, r.informational) for r in skipped] == [
+        ("scheme-equivalence", shadow, True) for shadow in ("gb-full", "two-bit-full", "one-bit-full")
+    ]
+    assert {r.detail for r in skipped} == {
+        "vs no-full: skipped: the reference run raised AssertionError: forged cross-check failure"
+    }
 
 
 def test_counted_partial_and_two_bit_partial_listed_as_gating():
@@ -630,9 +701,14 @@ def test_determinism_check(chain):
 
 def test_determinism_catches_a_trace_the_rerun_does_not_reproduce(chain):
     first = run_scenario(chain, SchemeId.NO_PARTIAL, Schedule.subset_random(5))
-    report = check_determinism(_tamper_step(first, 0, dag_digest="0" * 12))
-    assert not report.passed
-    assert report.detail == "reruns differ"
+    (state,) = first.steps[0].new_states
+    for forged in (
+        _tamper_step(first, 0, reversed_edges=first.steps[0].reversed_edges + ((1, 3),)),
+        _tamper_step(first, 0, new_states=(state._replace(height=state.height + 1),)),
+    ):
+        report = check_determinism(forged)
+        assert not report.passed
+        assert report.detail == "reruns differ"
 
 
 # --- exhaustive schedule enumeration -----------------------------------------
@@ -665,7 +741,8 @@ def test_enumeration_witness_replays_to_its_digest(scenario, scheme):
     for digest, witness in result.witnesses.items():
         trace = run_scenario(scenario, scheme, witness)
         assert trace.outcome is Outcome.CONVERGED
-        assert trace.final_digest == digest
+        *_, final = orientation_digests(trace)
+        assert final == digest
 
 
 def test_enumeration_guard_trips_on_tiny_budgets(chain):

@@ -22,8 +22,12 @@ ladder and as often with PATH/tools/ladder.py, alternating which side goes
 first from one run to the next, and keeps each side's fastest row: a short
 run at small n is easily slowed by a passing spell of load.  An older
 ladder at PATH prints one row a run, so both sides are chosen the same
-way.  It prints both rows, each led by its side, and the ratio of this
-checkout's µs per step to the other's.
+way.  It prints both rows, each led by its side, and a row of this
+checkout's ratios to the other's: of the µs per step, of the step check's
+time, and of the run plus its JSONL export, which is what `linkrev run
+--trace-out` costs end to end.  The last ratio has a column of its own,
+after the columns a row prints; a ratio whose times a row lacks or reads
+as zero is left empty.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ HEADER = (
     "|---|---|---|---|---|---|---|---|"
 )
 AGAINST_HEADER = (
-    "| side | n | steps | run | µs/step | traced peak | JSONL | step check | JSONL s |\n"
-    "|---|---|---|---|---|---|---|---|---|"
+    "| side | n | steps | run | µs/step | traced peak | JSONL | step check | JSONL s | run + JSONL |\n"
+    "|---|---|---|---|---|---|---|---|---|---|"
 )
 #: Runs of each side per size under --against; each side's fastest row is kept.
 REPEATS = 3
@@ -75,7 +79,7 @@ class Row(NamedTuple):
         return (
             f"| {self.n} | {self.steps:,} | {self.run_s:.3f} s | {per_step:.1f} "
             f"| {self.peak_bytes / 1e6:.1f} MB | {self.jsonl_bytes / 1e3:,.0f} KB "
-            f"| {self.check_s:.2f} s{verdict} | {self.jsonl_s:.3f} s |"
+            f"| {self.check_s:.3f} s{verdict} | {self.jsonl_s:.3f} s |"
         )
 
 
@@ -127,13 +131,33 @@ def fresh_row(script: Path, scheme: SchemeId, shape: str, n: int) -> str:
     return subprocess.run(command, capture_output=True, text=True, check=True).stdout.splitlines()[-1]
 
 
-def per_step(row: str) -> float | None:
-    """The µs per step of a row, None for a size that printed an error."""
-    fields = row.split(" | ")
+#: Columns of a row, counted from its size.
+RUN, PER_STEP, CHECK, JSONL_S = 2, 3, 6, 7
+
+
+def number(row: str, column: int) -> float | None:
+    """The number that leads one column of a row, None when the row has none there."""
+    fields = row.strip(" |").split(" | ")
     try:
-        return float(fields[3])
+        return float(fields[column].split()[0])
     except (IndexError, ValueError):
         return None
+
+
+def per_step(row: str) -> float | None:
+    """The µs per step of a row, None for a size that printed an error."""
+    return number(row, PER_STEP)
+
+
+def run_and_jsonl(row: str) -> float | None:
+    """The seconds of a row's run plus its JSONL export, None when it lacks either."""
+    run, jsonl = number(row, RUN), number(row, JSONL_S)
+    return None if run is None or jsonl is None else run + jsonl
+
+
+def ratio(mine: float | None, theirs: float | None) -> str:
+    """mine / theirs to three places, or empty when either is missing or theirs is zero."""
+    return f"{mine / theirs:.3f}" if mine is not None and theirs else ""
 
 
 def fastest(rows: Sequence[str]) -> str:
@@ -143,7 +167,7 @@ def fastest(rows: Sequence[str]) -> str:
 
 
 def against(other: Path, scheme: SchemeId, shape: str, sizes: Sequence[int]) -> None:
-    """Print both checkouts' fastest rows of each size and the ratio of their µs per step."""
+    """Print both checkouts' fastest rows of each size and the ratios of their times."""
     sides = [("this", Path(__file__).resolve()), ("against", other / "tools" / "ladder.py")]
     print(AGAINST_HEADER)
     turn = 0
@@ -157,9 +181,13 @@ def against(other: Path, scheme: SchemeId, shape: str, sizes: Sequence[int]) -> 
         rows = {side: fastest(found) for side, found in runs.items()}
         for side, _ in sides:
             print(f"| {side} {rows[side]}")
-        mine, theirs = per_step(rows["this"]), per_step(rows["against"])
-        if mine is not None and theirs:
-            print(f"| this/against | {n} | | | {mine / theirs:.3f} | | | | |", flush=True)
+        mine, theirs = rows["this"], rows["against"]
+        us = ratio(per_step(mine), per_step(theirs))
+        if us:
+            check = ratio(number(mine, CHECK), number(theirs, CHECK))
+            total = ratio(run_and_jsonl(mine), run_and_jsonl(theirs))
+            cells = ("this/against", str(n), "", "", us, "", "", check, "", total)
+            print("|" + "|".join(f" {cell} " if cell else " " for cell in cells) + "|", flush=True)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
