@@ -52,7 +52,6 @@ from .schemes import (
     LevelHeightState,
     PhaseState,
     SchemeId,
-    apply_update,
     baseline_increment_update,
     closed_form_height,
     gb_full_update,

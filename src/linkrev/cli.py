@@ -187,11 +187,12 @@ class _Summary:
 def _random_scenarios(n: int, count: int, seed: int) -> Iterator[Scenario]:
     """The --random scenarios, each made only when its battery is due.
 
-    The first one is made at once, so that a size the generator rejects is
-    an input error before any battery runs.
+    A count below 1 is an input error.  The first scenario is made at once,
+    so that a size the generator rejects is an input error before any
+    battery runs.
     """
     if count < 1:
-        return iter(())
+        raise _InputError(f"--random {n} {count}: the scenario count must be at least 1")
     try:
         first = random_void_scenario(n, seed)
     except ValueError as exc:
@@ -203,11 +204,10 @@ def _random_scenarios(n: int, count: int, seed: int) -> Iterator[Scenario]:
 def cmd_verify(args: argparse.Namespace) -> int:
     schemes = CORE_SCHEMES if args.scheme == "all" else (_parse_scheme(args.scheme),)
     loaded = [_load(p) for p in args.scenarios]
-    n, count = args.random or (0, 0)
-    randoms = _random_scenarios(n, count, args.seed)
-    if args.exhaustive is not None and args.exhaustive < 0:
+    randoms = _random_scenarios(*args.random, args.seed) if args.random else iter(())
+    if args.exhaustive is not None and args.exhaustive < 1:
         raise _InputError(f"--exhaustive takes a node count, got {args.exhaustive}")
-    if not loaded and count < 1 and not args.exhaustive:
+    if not loaded and args.random is None and args.exhaustive is None:
         print("nothing to verify: give scenario files, --random, or --exhaustive", file=sys.stderr)
         return EXIT_INPUT
 

@@ -155,11 +155,12 @@ class Topology:
         return tuple([(i, adjacency[i]) for i in self.nodes if DESTINATION not in adjacency[i]])
 
     @cached_property
-    def _final_digests(self) -> dict[Arcs, str]:
-        """Digests of final orientations, by arcs.
+    def _final_facts(self) -> dict[Arcs, tuple[str, bool]]:
+        """Each final orientation's digest and whether it is destination-oriented, by arcs.
 
-        Filled by the schedule enumeration: the schemes run on one
-        topology mostly end in the same orientations.
+        Filled by the schedule enumeration, whose terminal vectors look up
+        their arcs here once each: the schemes run on one topology mostly
+        end in the same orientations.
         """
         return {}
 
@@ -365,7 +366,8 @@ def orientation_predicate(scheme: SchemeId, heights: HeightAssignment) -> Orient
     in the primary fields are broken by node id; the phase and flag schemes
     break them by the initial (height, id) order, whose ranks the heights
     compute once.  Each predicate is compiled once per scheme and height
-    assignment and then reused.
+    assignment and then reused; a sort-key scheme's predicate reads no
+    heights, so its spec compiles it once and every assignment shares it.
     """
     compiled = heights._predicates.get(scheme)
     if compiled is None:

@@ -343,13 +343,21 @@ class SchemeSpec:
         """Whether the state carries the node's update count."""
         return "updates" in self.state._fields
 
+    @cached_property
+    def _key_orientation(self) -> Orientation:
+        """The link direction of a sort-key scheme, which reads no heights."""
+        return _key_points_from(self)
+
     def orientation(self, heights: HeightAssignment) -> Orientation:
         """The compiled link direction: True when the link points a.node -> b.node.
 
-        The pairwise orders break ties by the initial heights' ranks.
+        A sort-key order reads the states alone, so it is compiled once per
+        scheme and shared by every height assignment.  The pairwise orders
+        break ties by the initial heights' ranks, so each assignment gets
+        its own.
         """
         if self.sort_key is not None:
-            return _key_points_from(self)
+            return self._key_orientation
         return partial(self.pairwise, self, heights.initial_ranks)
 
 
@@ -446,20 +454,6 @@ def initial_states(
 ) -> dict[int, State]:
     initial = SPECS[scheme].initial
     return {i: initial(i, heights.of(i)) for i in topo.nodes}
-
-
-def apply_update(
-    scheme: SchemeId,
-    own: State,
-    neighbors: Sequence[State] | None,
-    heights: HeightAssignment,
-) -> State:
-    """Apply the scheme's rule.
-
-    The neighbors argument is consulted only for the two neighbor-aware
-    schemes; passing None for the others keeps accidental coupling loud.
-    """
-    return SPECS[scheme].update(own, neighbors, heights.max_height)
 
 
 def state_bits(scheme: SchemeId, state: State) -> int:

@@ -196,8 +196,8 @@ class Schedule:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        # Kept to a few comparisons: the schedule enumeration builds one
-        # fixed witness per terminal orientation.
+        # Kept to a few comparisons: every lockstep replay of the
+        # equivalence check builds one.
         kind = self.kind
         if kind == "fixed":
             if type(self.steps) is not tuple:

@@ -60,12 +60,17 @@ while a check runs, and none during the scheme's anchor run.
 
 enumerate_all_schedules, behind check_order_invariance, finds the stuck
 nodes of each state vector with the model's hello probe, probe_stuck, the
-one the simulator's kernel runs, and builds a routing_dag only for a
-terminal vector, whose digest and reach set are kept on the topology for
-every scheme run on it.  It branches over one stuck node at a time: stuck
-nodes are sinks, so no two are adjacent, and a step by several of them is
-the same as their one-node steps in any order.  It explores event-free
-scenarios only: one with scripted events raises ValueError.
+one the simulator's kernel runs, and applies the scheme's update rule,
+bound once per call.  It builds a routing_dag only for a terminal vector,
+and looks its arcs up once in the topology's final-facts memo, which keeps
+each final orientation's digest and destination orientation for every
+scheme run on the topology.  It branches over one stuck node at a time:
+stuck nodes are sinks, so no two are adjacent, and a step by several of
+them is the same as their one-node steps in any order.  Its witnesses are
+built on demand from the parent links it keeps: a passing
+check_order_invariance builds none, and a failing one builds the one it
+shows.  It explores event-free scenarios only: one with scripted events
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -97,7 +102,6 @@ from .schemes import (
     SchemeId,
     SchemeSpec,
     State,
-    apply_update,
     closed_form_height,
     initial_states,
 )
@@ -746,20 +750,64 @@ class EnumerationResult:
         return len(self.final_digests) == 1
 
 
+class _Witnesses(Mapping):
+    """Each final DAG's witness schedule, by digest, built the first time it is read.
+
+    Holds the enumeration's parent links, each state vector's (parent, node
+    that updated), and the first terminal vector of each digest.  Reading a
+    digest walks the links back to the initial vector and keeps the fixed
+    schedule it makes, so a second read returns the same object; a check
+    that passes reads none.  Membership, iteration and length read the
+    finals alone and build nothing.
+    """
+
+    __slots__ = ("_parents", "_finals", "_built")
+
+    def __init__(self, parents: Mapping[tuple, tuple | None], finals: Mapping[str, tuple]):
+        self._parents = parents
+        self._finals = finals
+        self._built: dict[str, Schedule] = {}
+
+    def __getitem__(self, digest: str) -> Schedule:
+        witness = self._built.get(digest)
+        if witness is None:
+            parents = self._parents
+            steps = []
+            link = parents[self._finals[digest]]
+            while link is not None:
+                vec, i = link
+                steps.append((i,))
+                link = parents[vec]
+            steps.reverse()
+            witness = self._built[digest] = Schedule(
+                "fixed", steps=tuple(steps), label=f"witness-{digest[:6]}"
+            )
+        return witness
+
+    def __contains__(self, digest: object) -> bool:
+        return digest in self._finals
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._finals)
+
+    def __len__(self) -> int:
+        return len(self._finals)
+
+
 def _final_facts(arcs: Arcs, topo: Topology) -> tuple[str, bool]:
     """The digest of a final orientation's arcs and whether they are destination-oriented.
 
     Both depend on the arcs and the topology alone, so the topology keeps
-    them for all the schemes run on it: the digests here, the reach sets
-    in destination_reach's memo.  The enumeration passes routing_dag's
-    tuple straight in and binds it nowhere else, so the arcs of a terminal
-    whose orientation the memo already holds are freed at once.
+    the pair in one memo for all the schemes run on it, and a terminal
+    whose orientation the memo holds hashes its arcs once, for the lookup.
+    The enumeration passes routing_dag's tuple straight in and binds it
+    nowhere else, so the arcs of such a terminal are freed at once.
     """
-    digests = topo._final_digests
-    digest = digests.get(arcs)
-    if digest is None:
-        digest = digests[arcs] = arcs_digest(starmap(arc_label, arcs))
-    return digest, is_destination_oriented(arcs, topo)
+    memo = topo._final_facts
+    facts = memo.get(arcs)
+    if facts is None:
+        facts = memo[arcs] = (arcs_digest(starmap(arc_label, arcs)), is_destination_oriented(arcs, topo))
+    return facts
 
 
 def enumerate_all_schedules(
@@ -778,10 +826,12 @@ def enumerate_all_schedules(
     the destination, so it is its own state mapping; the first one is
     built from the scheme's initial states.  Its stuck set is found by the
     hello probe, probe_stuck, over the topology's probe table, the one
-    stuck detection the simulator runs too.  A routing_dag is
-    built only for a terminal vector, one with no stuck node, for its
-    digest and its destination orientation.  Scripted events are outside
-    the enumeration: a scenario with any raises ValueError.  Raises
+    stuck detection the simulator runs too.  The update rule and the
+    maximum initial height are bound once per call, as a Simulation binds
+    them.  A routing_dag is built only for a terminal vector, one with no
+    stuck node, for its digest and its destination orientation.  The
+    witnesses are built on demand (see _Witnesses).  Scripted events are
+    outside the enumeration: a scenario with any raises ValueError.  Raises
     ExplosionGuardError when more than max_states distinct state vectors
     appear.
     """
@@ -791,12 +841,14 @@ def enumerate_all_schedules(
     heights = scenario.heights
     spec = SPECS[scheme]
     table = topo.probe_table
-    # A stuck node is never linked to the destination, so its row of the
-    # probe table lists exactly the neighbor states a neighbor-aware rule reads.
-    neighbors = dict(table) if spec.neighbor_aware else None
+    # A stuck node is never linked to the destination, so its adjacency
+    # lists exactly the neighbor states a neighbor-aware rule reads.
+    neighbors = topo._adjacency if spec.neighbor_aware else None
     points_from = orientation_predicate(scheme, heights)
+    update, max_height = spec.update, heights.max_height
 
     init = (None, *starmap(spec.initial, enumerate(heights.values, start=1)))
+    # Each vector's parent and the one node whose update made it from there.
     parents: dict[tuple, tuple | None] = {init: None}
     frontier = [init]
     finals: dict[str, tuple] = {}
@@ -815,27 +867,15 @@ def enumerate_all_schedules(
         transitions += len(stuck)
         for i in stuck:
             neighbor_states = [vec[j] for j in neighbors[i]] if neighbors is not None else None
-            child = (*vec[:i], apply_update(scheme, vec[i], neighbor_states, heights), *vec[i + 1:])
+            child = (*vec[:i], update(vec[i], neighbor_states, max_height), *vec[i + 1:])
             if child not in parents:
                 if len(parents) >= max_states:
                     raise ExplosionGuardError(
                         f"enumeration exceeded {max_states} states for {scheme} on {scenario.scenario_id()}",
                         len(parents), len(frontier),
                     )
-                parents[child] = (vec, (i,))
+                parents[child] = (vec, i)
                 frontier.append(child)
-
-    witnesses = {}
-    for digest, vec in finals.items():
-        chain: list[tuple[int, ...]] = []
-        cursor = vec
-        while parents[cursor] is not None:
-            parent, chosen = parents[cursor]
-            chain.append(chosen)
-            cursor = parent
-        chain.reverse()
-        # Each step is one node of a stuck set.
-        witnesses[digest] = Schedule("fixed", steps=tuple(chain), label=f"witness-{digest[:6]}")
 
     return EnumerationResult(
         scheme=scheme,
@@ -843,7 +883,7 @@ def enumerate_all_schedules(
         states_explored=len(parents),
         transitions=transitions,
         all_destination_oriented=oriented_all,
-        witnesses=witnesses,
+        witnesses=_Witnesses(parents, finals),
     )
 
 

@@ -5,20 +5,38 @@ canonical edge order, and answers from the arcs alone by the plainest
 means, kept apart from the package's incremental and memoized paths so
 that a test can hold those paths against them.  rerun_digests reads the
 orientations of a trace off a fresh rerun, one step at a time.
+apply_update applies one scheme's rule by its id, looking the spec up on
+every call, where the package binds each spec's rule once per run or
+enumeration.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import starmap
 
-from linkrev.model import DESTINATION, Topology, arc_label, arcs_digest, routing_dag
+from linkrev.model import DESTINATION, HeightAssignment, Topology, arc_label, arcs_digest, routing_dag
+from linkrev.schemes import SPECS, SchemeId, State
 from linkrev.sim import Simulation, Trace
 
 
 def stuck_set(arcs: Iterable[tuple[int, int]], topo: Topology) -> frozenset[int]:
     """Nondestination nodes with no outgoing link."""
     return frozenset(topo.nodes).difference(s for s, _ in arcs)
+
+
+def apply_update(
+    scheme: SchemeId,
+    own: State,
+    neighbors: Sequence[State] | None,
+    heights: HeightAssignment,
+) -> State:
+    """Apply the scheme's rule.
+
+    The neighbors argument is consulted only for the two neighbor-aware
+    schemes; passing None for the others keeps accidental coupling loud.
+    """
+    return SPECS[scheme].update(own, neighbors, heights.max_height)
 
 
 def orientation_flips(

@@ -26,6 +26,7 @@ DELETED = {
     ("model", "link_points_from"),
     ("model", "orientation_flips"),
     ("model", "stuck_set"),
+    ("schemes", "apply_update"),
     ("sim", "hello_round"),
 }
 

@@ -286,12 +286,22 @@ def test_run_malformed_scenario_is_an_input_error(scenario_file, capsys):
     [
         (["verify", "--random", "2", "3"], "--random 2 3: void scenarios need at least three nodes"),
         (["verify", "--exhaustive", "-1"], "--exhaustive takes a node count, got -1"),
+        (["verify", "--exhaustive", "0"], "--exhaustive takes a node count, got 0"),
+        (["verify", "CHAIN", "--exhaustive", "0"], "--exhaustive takes a node count, got 0"),
+        (["verify", "--random", "5", "0"], "--random 5 0: the scenario count must be at least 1"),
+        (["verify", "CHAIN", "--random", "5", "-1"], "--random 5 -1: the scenario count must be at least 1"),
+        (["verify", "CHAIN", "--exhaustive", "3", "--random", "5", "0"],
+         "--random 5 0: the scenario count must be at least 1"),
         (["run", "CHAIN", "--scheme", "no-full", "--step-limit", "-3"],
          "--step-limit must not be negative, got -3"),
         (["compare", "CHAIN", "--schemes", "no-full,gb-full", "--step-limit", "-1"],
          "--step-limit must not be negative, got -1"),
     ],
-    ids=["random-too-few-nodes", "exhaustive-negative", "run-step-limit-negative", "compare-step-limit-negative"],
+    ids=[
+        "random-too-few-nodes", "exhaustive-negative", "exhaustive-zero", "exhaustive-zero-with-a-file",
+        "random-count-zero", "random-count-negative-with-a-file", "random-count-zero-with-exhaustive",
+        "run-step-limit-negative", "compare-step-limit-negative",
+    ],
 )
 def test_bad_numbers_are_input_errors(scenario_file, capsys, argv, message):
     code = main([scenario_file(CHAIN) if arg == "CHAIN" else arg for arg in argv])

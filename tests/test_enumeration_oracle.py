@@ -40,10 +40,10 @@ from linkrev.model import (
     is_destination_oriented,
     routing_dag,
 )
-from linkrev.schemes import CORE_SCHEMES, SPECS, apply_update, initial_states
+from linkrev.schemes import CORE_SCHEMES, SPECS, initial_states
 from linkrev.sim import Schedule
 from linkrev.verify import EnumerationResult
-from oracles import stuck_set
+from oracles import apply_update, stuck_set
 
 
 # --- the reference implementation --------------------------------------------

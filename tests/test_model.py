@@ -380,6 +380,21 @@ def test_flag_links_always_have_a_direction(flags, heights):
     assert points_from(a, b) != points_from(b, a)
 
 
+@pytest.mark.parametrize("scheme", [s for s in SchemeId if SPECS[s].sort_key is not None])
+def test_a_sort_key_predicate_is_shared_by_every_height_assignment(scheme):
+    assert orientation_predicate(scheme, H123) is orientation_predicate(scheme, HeightAssignment((3, 1, 2)))
+
+
+@pytest.mark.parametrize(
+    ("scheme", "state"), [(SchemeId.ONE_BIT_FULL, FlagState), (SchemeId.TWO_BIT_FULL, PhaseState)]
+)
+def test_a_tie_broken_predicate_reads_its_own_height_assignment(scheme, state):
+    a, b = state(1, 0), state(2, 0)
+    # Equal flags or phases keep the initial order, which the swapped heights reverse.
+    assert orientation_predicate(scheme, HeightAssignment((2, 1)))(a, b)
+    assert not orientation_predicate(scheme, HeightAssignment((1, 2)))(a, b)
+
+
 def test_initial_ranks_follow_height_then_id():
     # heights 2 1 2 1: order D, 2, 4, 1, 3
     assert HeightAssignment((2, 1, 2, 1)).initial_ranks == (0, 3, 1, 4, 2)

@@ -28,7 +28,6 @@ from linkrev import (
     SchemeMismatchError,
     Simulation,
     Topology,
-    apply_update,
     baseline_increment_update,
     closed_form_height,
     gb_full_update,
@@ -50,6 +49,7 @@ from linkrev.schemes import (
     initial_states,
 )
 from linkrev.traceio import trace_to_jsonl
+from oracles import apply_update
 
 
 # --- threshold sequence ------------------------------------------------------

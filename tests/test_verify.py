@@ -800,6 +800,51 @@ def test_order_invariance_counterexample_is_the_faulty_dags_witness(monkeypatch,
     assert report.counterexample.step == len(shown.steps)
 
 
+def _counted_schedules(monkeypatch) -> list[Schedule]:
+    """The Schedules verify builds from now on, in the order it builds them."""
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(Schedule(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(verify, "Schedule", counting)
+    return made
+
+
+def test_a_passing_order_invariance_check_builds_no_witness(monkeypatch):
+    made = _counted_schedules(monkeypatch)
+    checked = 0
+    for scenario in exhaustive_void_scenarios(4):
+        for scheme in CORE_SCHEMES:
+            assert check_order_invariance(scenario, scheme).passed
+            checked += 1
+    assert checked == 664 * 7
+    assert made == []
+
+
+def test_a_failing_order_invariance_check_builds_only_the_witness_it_shows(monkeypatch, star):
+    real = verify.enumerate_all_schedules(star, SchemeId.NO_PARTIAL)
+    (digest,) = real.final_digests
+    other = "f" * len(digest)  # sorts after the real digest
+    # Vectors are opaque to the witnesses: each links to its parent and the
+    # node whose update made it.  Leaves 2 and 3 of the star start stuck.
+    parents = {"start": None, "after-2": ("start", 2), "after-2-3": ("after-2", 3)}
+    witnesses = verify._Witnesses(parents, {digest: "after-2", other: "after-2-3"})
+    forged = replace(real, final_digests=(digest, other), witnesses=witnesses)
+    monkeypatch.setattr(verify, "enumerate_all_schedules", lambda *args: forged)
+    made = _counted_schedules(monkeypatch)
+    assert set(forged.witnesses) == {digest, other} and other in forged.witnesses
+    assert made == []
+    report = check_order_invariance(star, SchemeId.NO_PARTIAL)
+    assert report.detail == "reached 2 distinct final DAGs"
+    (shown,) = made
+    assert shown.steps == ((2,), (3,)) and shown.label == f"witness-{other[:6]}"
+    assert report.counterexample.schedule is shown and report.counterexample.step == 2
+    assert forged.witnesses[other] is shown and forged.witnesses[other] is shown
+    assert len(made) == 1
+
+
 #: sha256 over every n=4 void scenario x core scheme enumeration: its final
 #: digests, states explored, transitions, orientation verdict and the steps
 #: of each final DAG's witness.
