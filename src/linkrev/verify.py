@@ -31,7 +31,13 @@ topology's reachability memo, model.destination_reach, as the simulator's
 cross-check and check_initial_greedy_stability do.
 
 check_determinism(first) reruns a recorded trace once and compares the
-JSONL, and check_scheme_equivalence(reference, shadow, gating) replays a
+rerun's Trace with the recorded one, field by field.  The JSONL export
+derives every line, digests included, from the trace's fields alone (the
+initial arcs, the step records, the event log and the totals), so equal
+traces export equal bytes and the check makes no export; acceptance
+criterion 10 still exports both runs and compares the bytes.  A rerun
+that raises fails the determinism check.
+check_scheme_equivalence(reference, shadow, gating) replays a
 recorded reference trace's update sets under the shadow scheme, as the
 fixed schedule Schedule.fixed([rec.updated for rec in reference.steps]) of
 one Simulation, and compares each of its step records with the
@@ -106,7 +112,7 @@ from .schemes import (
     initial_states,
 )
 from .sim import Outcome, Schedule, Simulation, StepRecord, Trace, run_scenario
-from .traceio import orientation_digests, trace_to_jsonl
+from .traceio import orientation_digests
 
 _new_tuple = tuple.__new__
 #: Each scheme's name, read once: an enum member's value is a property.
@@ -718,15 +724,23 @@ def check_scheme_equivalence(
 
 
 def check_determinism(first: Trace) -> CheckReport:
-    """A fresh rerun of a recorded run must serialize byte-identically.
+    """A fresh rerun of a recorded run must reproduce its Trace, field by field.
 
-    The rerun takes step 0 from the start the scenario caches, not from a
-    second derivation of it.  The export writes one line per step and a
-    totals line, so the record count needs no scan of the text.
+    The rerun shares the recorded scenario and schedule, and every other
+    field compares by value (ints, strings, enums, the update counts, and
+    tuples of records, states and events), so tuple equality decides it.
+    The JSONL export is a function of those fields alone, so equal traces
+    export equal bytes, and no export is made.  A rerun that raises fails
+    the check instead of escaping it.  The rerun takes step 0 from the
+    start the scenario caches, not from a second derivation of it.  The
+    export writes one line per step and a totals line, so the record count
+    is the steps plus one.
     """
-    rerun = run_scenario(first.scenario, first.scheme, first.schedule, first.step_limit)
-    text, again = trace_to_jsonl(first), trace_to_jsonl(rerun)
-    failures = [] if text == again else ["reruns differ"]
+    try:
+        rerun = run_scenario(first.scenario, first.scheme, first.schedule, first.step_limit)
+    except _RUN_ERRORS as exc:
+        return _raised("determinism", first.scenario, first.scheme, first.schedule, exc, run="rerun")
+    failures = [] if rerun == first else ["reruns differ"]
     return _report(
         "determinism", first.scenario, first.scheme, failures,
         schedule=first.schedule, detail=f"{len(first.steps) + 1} identical records",
@@ -928,10 +942,11 @@ def _skipped_for_events(trace: Trace) -> list[CheckReport]:
 
 
 def _raised(
-    check: str, scenario: Scenario, scheme: SchemeId, schedule: Schedule, exc: Exception
+    check: str, scenario: Scenario, scheme: SchemeId, schedule: Schedule, exc: Exception,
+    run: str = "run",
 ) -> CheckReport:
-    """The failing report of a check whose run raised exc."""
-    failure = f"run raised {type(exc).__name__}: {exc}"
+    """The failing report of a check whose run, or the run named by run, raised exc."""
+    failure = f"{run} raised {type(exc).__name__}: {exc}"
     return _report(check, scenario, scheme, [failure], schedule=schedule)
 
 
@@ -1039,7 +1054,9 @@ def standard_battery(
     fails the check it was made for, termination or determinism, and the
     battery goes on without it; when that run is the reference of
     equivalence pairs, each pair gets an informational report that says it
-    was skipped and why.  A shadow run that raises fails its pair.
+    was skipped and why.  A determinism rerun that raises fails the
+    determinism check alone, and the pairs its anchor run anchors are still
+    judged.  A shadow run that raises fails its pair.
 
     Each scheme's two checked runs are both made, but each distinct trace
     is judged once (see the module docstring): a second run that records

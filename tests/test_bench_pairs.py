@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -271,3 +272,28 @@ def test_runs_without_the_note_store_no_raw_summary(tmp_path, monkeypatch):
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload",
                              "verify-random", "--seeds", "1-2", "--json", str(out)]) == 0
     assert "raw_wall_s" not in json.loads(out.read_text())["verify-random"]
+
+
+def test_each_run_gets_a_fresh_bytecode_cache_outside_both_checkouts(tmp_path, monkeypatch):
+    declared = '{"paths": ["benchmarks"], "run_seconds": 2, "end_to_end": [{"name": "wall_s", "better": "lower"}]}'
+    files = {**_BENCHMARK, "BENCHMARK.json": declared}
+    parent = _checkout(tmp_path / "parent", files)
+    change = _checkout(tmp_path / "change", files)
+    caches = []
+
+    def fake_run(command, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        assert cache.is_dir() and not any(cache.iterdir())
+        assert parent not in cache.parents and change not in cache.parents
+        assert {k: v for k, v in env.items() if k != "PYTHONPYCACHEPREFIX"} == {
+            k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"
+        }
+        caches.append(cache)
+        (cache / "left.pyc").write_bytes(b"")
+        return SimpleNamespace(returncode=0, stdout=_BENCH_STDOUT.format(seed=1, wall=0.4, raw=0.5), stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--workload",
+                             "verify-random", "--seeds", "1-2"]) == 0
+    assert len(caches) == len(set(caches)) == 4
+    assert not any(cache.exists() for cache in caches)

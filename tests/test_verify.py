@@ -33,7 +33,7 @@ from linkrev import (
 )
 from linkrev.generate import exhaustive_void_scenarios, random_partition_scenario, random_void_scenario
 from linkrev.schemes import CORE_SCHEMES, closed_form_height
-from linkrev import model, verify
+from linkrev import model, traceio, verify
 from linkrev.traceio import orientation_digests, trace_to_jsonl
 from linkrev.verify import EQUIVALENCE_PAIRS
 
@@ -699,16 +699,53 @@ def test_determinism_check(chain):
     assert report.detail == f"{len(trace_to_jsonl(first).splitlines())} identical records"
 
 
-def test_determinism_catches_a_trace_the_rerun_does_not_reproduce(chain):
-    first = run_scenario(chain, SchemeId.NO_PARTIAL, Schedule.subset_random(5))
+def _forged_runs(first) -> dict:
+    """Copies of a recorded run, each with one field the rerun must reproduce rewritten."""
     (state,) = first.steps[0].new_states
-    for forged in (
-        _tamper_step(first, 0, reversed_edges=first.steps[0].reversed_edges + ((1, 3),)),
-        _tamper_step(first, 0, new_states=(state._replace(height=state.height + 1),)),
-    ):
+    (source, target), *arcs = first.initial_arcs
+    node, count = next(iter(first.update_counts.items()))
+    *states, last = first.final_states
+    return {
+        "steps.reversed_edges": _tamper_step(
+            first, 0, reversed_edges=first.steps[0].reversed_edges + ((1, 3),)
+        ),
+        "steps.new_states": _tamper_step(first, 0, new_states=(state._replace(height=state.height + 1),)),
+        "initial_arcs": first._replace(initial_arcs=((target, source), *arcs)),
+        "initial_digest": first._replace(initial_digest="0" * len(first.initial_digest)),
+        "outcome": first._replace(outcome=Outcome.PARTITIONED),
+        "certificate": first._replace(certificate="forged certificate"),
+        "update_counts": first._replace(update_counts={**first.update_counts, node: count + 1}),
+        "total_updates": first._replace(total_updates=first.total_updates + 1),
+        "total_reversals": first._replace(total_reversals=first.total_reversals + 1),
+        "final_states": first._replace(final_states=(*states, last._replace(height=last.height + 1))),
+        "event_log": first._replace(event_log=((1, SimEvent(at_step=2, kind="sleep", node=1, duration=1)),)),
+    }
+
+
+def test_determinism_catches_a_trace_the_rerun_does_not_reproduce(chain):
+    # Each recorded field, rewritten alone, fails the check.  Every one of
+    # them but the final states also changes the JSONL export, so a byte
+    # comparison of the exports would catch it too; the final states are
+    # not exported, and only the comparison of the traces catches them.
+    first = run_scenario(chain, SchemeId.NO_PARTIAL, Schedule.subset_random(5))
+    text = trace_to_jsonl(first)
+    for field, forged in _forged_runs(first).items():
         report = check_determinism(forged)
-        assert not report.passed
+        assert not report.passed, field
         assert report.detail == "reruns differ"
+        assert (trace_to_jsonl(forged) == text) is (field == "final_states"), field
+
+
+def test_traces_that_compare_equal_export_equal_bytes(generated_corpus):
+    # The check compares traces, not exports: a run and its rerun that are
+    # equal must export the same bytes, whatever order the counts were made in.
+    for k, scenario in enumerate(generated_corpus[:216:9]):
+        for scheme in CORE_SCHEMES:
+            first = run_scenario(scenario, scheme, Schedule.subset_random(k))
+            rerun = run_scenario(scenario, scheme, Schedule.subset_random(k))
+            reordered = rerun._replace(update_counts=dict(reversed(rerun.update_counts.items())))
+            assert rerun is not first and rerun == first == reordered
+            assert trace_to_jsonl(rerun) == trace_to_jsonl(first) == trace_to_jsonl(reordered)
 
 
 # --- exhaustive schedule enumeration -----------------------------------------
@@ -953,6 +990,7 @@ def test_standard_battery_runs_each_scheme_four_times(monkeypatch):
     # single_random(seed) and subset_random(seed + 1) for the trace checks,
     # then subset_random(seed) once for determinism and the equivalence
     # pairs, and the determinism check's one rerun: 28 runs for 7 schemes.
+    # The determinism check compares the traces, so no run is exported.
     runs = Counter()
     real = verify.run_scenario
 
@@ -960,13 +998,53 @@ def test_standard_battery_runs_each_scheme_four_times(monkeypatch):
         runs[scheme, schedule.describe()] += 1
         return real(scenario, scheme, schedule, step_limit)
 
+    exports = []
+    real_lines = traceio._jsonl_lines
+
+    def counting_lines(trace):
+        exports.append(trace)
+        return real_lines(trace)
+
     monkeypatch.setattr(verify, "run_scenario", counting)
-    standard_battery(random_void_scenario(7, seed=2), seed=3)
+    monkeypatch.setattr(traceio, "_jsonl_lines", counting_lines)
+    scenario = random_void_scenario(7, seed=2)
+    standard_battery(scenario, seed=3)
     assert sum(runs.values()) == 28
     for scheme in CORE_SCHEMES:
         assert runs[scheme, "single-random(seed=3)"] == 1
         assert runs[scheme, "subset-random(seed=4)"] == 1
         assert runs[scheme, "subset-random(seed=3)"] == 2
+    assert exports == []
+    # The probe sees an export when one is made.
+    trace_to_jsonl(real(scenario, SchemeId.NO_FULL))
+    assert len(exports) == 1
+
+
+def test_a_determinism_rerun_that_raises_fails_determinism_alone(chain, monkeypatch):
+    # no-full's anchor run succeeds and its rerun raises: the determinism
+    # check fails, and the pairs that the anchor run anchors are judged.
+    real_run = verify.run_scenario
+    anchor_runs = []
+
+    def raising_rerun(scenario, scheme, schedule=None, step_limit=None):
+        if scheme is SchemeId.NO_FULL and schedule == Schedule.subset_random(0):
+            anchor_runs.append(schedule)
+            if len(anchor_runs) == 2:
+                raise AssertionError("forged rerun failure")
+        return real_run(scenario, scheme, schedule, step_limit)
+
+    monkeypatch.setattr(verify, "run_scenario", raising_rerun)
+    reports = standard_battery(chain)
+    assert len(anchor_runs) == 2
+    failed = [r for r in reports if not r.passed]
+    assert [(r.check, r.scheme, r.detail) for r in failed] == [
+        ("determinism", "no-full", "rerun raised AssertionError: forged rerun failure")
+    ]
+    assert failed[0].counterexample.schedule == Schedule.subset_random(0)
+    anchored = [r for r in reports if r.detail.startswith("lockstep with no-full")]
+    assert [(r.check, r.scheme, r.passed, r.informational) for r in anchored] == [
+        ("scheme-equivalence", shadow, True, False) for shadow in ("gb-full", "two-bit-full", "one-bit-full")
+    ]
 
 
 def _count_per_trace_checks(monkeypatch) -> Counter:

@@ -9,6 +9,10 @@ even pairs run the parent first and odd pairs the change, so a slow spell
 of the machine does not always land on one side.  The run length T is
 ``run_seconds`` of the change's ``BENCHMARK.json``, the benchmark's own,
 which also says whether each end-to-end metric is better lower or higher.
+Every run gets a fresh, empty ``PYTHONPYCACHEPREFIX`` directory outside
+both checkouts, so each side compiles its modules afresh and ``setup_s``
+does not read whether a checkout holds a ``__pycache__`` from an earlier
+run.
 
 The two checkouts must hold the same benchmark: the script refuses to pair
 them when ``BENCHMARK.json`` or a file under its ``paths`` differs, and
@@ -42,10 +46,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -240,6 +246,9 @@ def store_summary(path: Path, workload: str, record: Mapping) -> None:
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in a checkout.
 
+    The run's bytecode cache is a fresh, empty ``PYTHONPYCACHEPREFIX``
+    directory in the system's temporary directory, removed afterwards, so
+    no run reads a cache that an earlier run or either checkout holds.
     Its last line of standard output, parsed, with the fastest unscaled
     pass under ``raw_wall_s`` (None when the wall_s line has no such note).
     """
@@ -247,7 +256,9 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.executable, "benchmarks/bench.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    done = subprocess.run(command, cwd=checkout, capture_output=True, text=True, check=False)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = {**os.environ, "PYTHONPYCACHEPREFIX": cache}
+        done = subprocess.run(command, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(command)} in {checkout} exited {done.returncode}:\n{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
