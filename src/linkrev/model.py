@@ -174,15 +174,6 @@ class Topology:
         return {}
 
     @cached_property
-    def _texts(self) -> dict[Arcs, tuple[bytes, bytes]]:
-        """Each orientation's turned flags and digest text (see label_slots), by arcs.
-
-        Filled by the trace writer with the initial orientations of the
-        traces it writes; it patches copies, so an entry is never mutated.
-        """
-        return {}
-
-    @cached_property
     def _reach(self) -> dict[Arcs, frozenset[int]]:
         """The nodes each orientation leads to the destination, by arcs; see destination_reach."""
         return {}
@@ -208,32 +199,34 @@ class Topology:
         return {i: tuple(ks) for i, ks in links.items()}
 
     @cached_property
-    def arc_table(self) -> tuple[tuple[tuple[int, int], tuple[int, int], str, str], ...]:
-        """One row per edge, in edge order: (edge, reversed edge, "a>b", "b>a").
+    def arc_table(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+        """One row per edge, in edge order: (edge, reversed edge).
 
-        The two arcs a link can hold and their digest labels, built once per
-        topology, so the simulator picks an arc instead of building one, and
-        the trace writer builds its digest texts from the labels.  The
-        forward arc is the edge tuple of edges itself.
+        The two arcs a link can hold, built once per topology, so the
+        simulator picks an arc instead of building one.  The forward arc is
+        the edge tuple of edges itself.
         """
-        return tuple([(e, (e[1], e[0]), arc_label(*e), arc_label(e[1], e[0])) for e in self.edges])
+        return tuple([(e, (e[1], e[0])) for e in self.edges])
 
     @cached_property
     def label_slots(self) -> dict[tuple[int, int], tuple[int, int, int, bytes, bytes]]:
         """Each edge's place in an orientation's digest text (see text_digest).
 
-        The text is the arc labels in edge order joined by ";", and a link's
-        two labels have the same length, so each link keeps one slice of it
-        whichever way it points: edge -> (position k in edges, start, end,
-        "a>b", "b>a"), the labels as ASCII bytes, read off the arc_table.
-        The trace writer rewrites a link's slice when the link flips, and
-        keeps a flag per position, set while the link points from b to a.
+        The one table of arc labels.  The text is the arc labels in edge
+        order joined by ";", and a link's two labels have the same length,
+        so each link keeps one slice of it whichever way it points: edge ->
+        (position k in edges, start, end, "a>b", "b>a"), the labels as ASCII
+        bytes, in edge order.  The trace writer builds a trace's initial
+        text from the labels, rewrites a link's slice when the link flips,
+        and keeps a flag per position, set while the link points from b to a.
         """
         slots = {}
         start = 0
-        for k, (edge, _, forward_label, back_label) in enumerate(self.arc_table):
-            end = start + len(forward_label)
-            slots[edge] = (k, start, end, forward_label.encode("ascii"), back_label.encode("ascii"))
+        for k, edge in enumerate(self.edges):
+            a, b = edge
+            forward = arc_label(a, b).encode("ascii")
+            end = start + len(forward)
+            slots[edge] = (k, start, end, forward, arc_label(b, a).encode("ascii"))
             start = end + 1
         return slots
 
@@ -250,7 +243,7 @@ class Topology:
         topology, so every run on it shares them.
         """
         rows: list[list] = [[] for _ in range(max(self.nodes, default=DESTINATION) + 1)]
-        for k, (edge, back, _, _) in enumerate(self.arc_table):
+        for k, (edge, back) in enumerate(self.arc_table):
             a, b = edge
             if a != DESTINATION:
                 rows[a].append((k, b, edge, back))
@@ -399,8 +392,9 @@ def text_digest(text: bytes | bytearray) -> str:
 
     The trace writer (traceio.orientation_digests) keeps a trace's text and
     rewrites a flipped link's slice of it in place (Topology.label_slots),
-    so it hashes the text without joining the labels again, and only after
-    a step that flipped a link or one that followed an event.
+    so it hashes the text without joining the labels again: the initial
+    text once per export, then only after a step that flipped a link or
+    one that followed an event.
     """
     return hashlib.sha256(text).digest()[:6].hex()
 

@@ -55,9 +55,9 @@ updaters U can flip: they alone are re-oriented, through one orientation
 predicate compiled for the scheme and heights, which costs O(sum of deg U)
 instead of an orientation pass over every link.  Neither a step nor a
 rebuild builds an arc: each link's two arcs are a row of the topology's
-arc_table, (edge, reversed edge, ...), and the kept arcs are picked from
-it.  A step reads an updater u's links from the topology's link_rows, one
-row per link of u: its position, the neighbor j, and the arcs u -> j and
+arc_table, (edge, reversed edge), and the kept arcs are picked from it.
+A step reads an updater u's links from the topology's link_rows, one row
+per link of u: its position, the neighbor j, and the arcs u -> j and
 j -> u, the arc table's own objects.  So it orients a link without testing
 which end u is, and it compares a kept arc with the one the predicate
 picks by identity; only a flip names its edge, the arc from the lower id.
@@ -79,11 +79,11 @@ change no node's state, so an edge that survives them keeps its
 orientation: only the edge set of the last record is kept, and it changes
 only at a rebuild.
 
-The kernel hashes nothing per step.  An orientation's digest is derived
-data: it is a function of Trace.initial_arcs, the reversed edges of the
-records so far and the events applied, and the trace writer derives it
-(traceio.orientation_digests) when a trace is exported.  Only the start's
-digest, Trace.initial_digest, is computed here, once per scenario.  Each
+The simulator hashes nothing.  An orientation's digest is derived data:
+it is a function of Trace.initial_arcs, the reversed edges of the records
+so far and the events applied, and the trace writer derives it
+(traceio.orientation_digests) when a trace is exported.  The start's
+digest, Trace.initial_digest, is derived from initial_arcs alone.  Each
 applied event is logged with the number of step records made before it
 (Trace.event_log), since a run that converges with events still queued
 applies them before the step their own index names; the (step, text)
@@ -133,8 +133,8 @@ Cross-checks kept on the incremental path:
 - The full probe of step 0 runs once per (scenario, scheme), in the first
   Simulation of the pair, which caches that start on the Scenario: events
   start at step 1, so every run of the pair starts there.  The scenario's
-  schemes share one copy of its arcs, out-degrees, stuck set and digest,
-  and the edge index is the Topology's.  Each Simulation copies what a run
+  schemes share one copy of its arcs, out-degrees and stuck set, and the
+  edge index is the Topology's.  Each Simulation copies what a run
   mutates (states, arcs, out-degrees, stuck set).  The
   verifier's step check derives its own start and never reads this cache.
 - Whenever the stuck set is empty on a connected awake graph, the
@@ -153,7 +153,6 @@ from bisect import bisect_left, insort
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import starmap
 from typing import NamedTuple
 
 from .errors import (
@@ -167,8 +166,6 @@ from .model import (
     DESTINATION,
     Topology,
     _canonical_edge,
-    arc_label,
-    arcs_digest,
     is_destination_oriented,
     orientation_predicate,
     probe_stuck,
@@ -289,7 +286,6 @@ class Trace(NamedTuple):
     schedule: Schedule
     step_limit: int
     initial_arcs: tuple[tuple[int, int], ...]
-    initial_digest: str
     steps: tuple[StepRecord, ...]
     outcome: Outcome
     certificate: str | None
@@ -308,6 +304,17 @@ class Trace(NamedTuple):
         """Each applied event's step and text, in order, as the export writes them."""
         return tuple([(ev.at_step, ev.describe()) for _, ev in self.event_log])
 
+    @property
+    def initial_digest(self) -> str:
+        """The initial orientation's digest, as the export's totals line writes it.
+
+        Derived from initial_arcs by the trace writer, which holds the
+        orientation text and its hashing (traceio imports this module).
+        """
+        from .traceio import initial_digest
+
+        return initial_digest(self)
+
 
 @dataclass(frozen=True, slots=True)
 class _Start:
@@ -322,7 +329,6 @@ class _Start:
     arcs: tuple[tuple[int, int], ...]
     out_degree: dict[int, int]
     stuck_view: tuple[int, ...]
-    digest: str
 
 
 class Simulation:
@@ -335,8 +341,8 @@ class Simulation:
         "step_limit", "live", "sleeping", "states", "steps", "event_log", "update_counts",
         "total_reversals", "outcome", "certificate", "_queue", "_queue_seq",
         "_points_from", "_awake_topo", "_isolated", "_stale", "_arcs",
-        "_out_degree", "_stuck", "_stuck_view", "initial_arcs", "initial_digest",
-        "_recorded_index", "_update", "_max_height", "_neighbor_aware", "_armed",
+        "_out_degree", "_stuck", "_stuck_view", "initial_arcs", "_recorded_index",
+        "_update", "_max_height", "_neighbor_aware", "_armed",
     )
 
     def __init__(
@@ -393,7 +399,6 @@ class Simulation:
         self._stuck_view = start.stuck_view
         self._stale = False
         self.initial_arcs = start.arcs
-        self.initial_digest = start.digest
         # Edge index of the last recorded orientation.
         self._recorded_index = self.live.edge_index
 
@@ -445,11 +450,6 @@ class Simulation:
         self._set_awake()
         self.event_log.append((len(self.steps), ev))
 
-    @property
-    def events_applied(self) -> list[tuple[int, str]]:
-        """Each event applied so far, with its step and text."""
-        return [(ev.at_step, ev.describe()) for _, ev in self.event_log]
-
     def _apply_events_until(self, step: int) -> None:
         """Apply every queued event due at or before the given step, in order."""
         while self._queue and self._queue[0][0] <= step:
@@ -464,17 +464,15 @@ class Simulation:
         Every scheme's initial states orient each link by the initial
         (height, id) order, so the schemes of a scenario share one
         orientation; each scheme's first build asserts it before sharing.
-        The start's digest is the only one the simulator computes.
         """
         self.states = initial_states(self.scheme, self.live, self.heights)
         self._reorient_all()
         starts = self.scenario._starts
         shared = next(iter(starts.values()), None)
         if shared is None:
-            arcs = tuple(self._arcs)
             start = _Start(
-                self.states, dict.fromkeys(self.live.nodes, 0), arcs, self._out_degree,
-                self._stuck_view, arcs_digest(starmap(arc_label, arcs)),
+                self.states, dict.fromkeys(self.live.nodes, 0), tuple(self._arcs),
+                self._out_degree, self._stuck_view,
             )
         else:
             assert shared.arcs == tuple(self._arcs), (
@@ -490,7 +488,7 @@ class Simulation:
         oriented = routing_dag(self.states, topo, self.scheme, self.heights)
         self._arcs = arcs = []
         self._out_degree = out_degree = dict.fromkeys(topo.nodes, 0)
-        for (s, _), (edge, back, _, _) in zip(oriented, topo.arc_table):
+        for (s, _), (edge, back) in zip(oriented, topo.arc_table):
             arcs.append(edge if s == edge[0] else back)
             if s != DESTINATION:
                 out_degree[s] += 1
@@ -772,7 +770,7 @@ class Simulation:
         # constructor as step() builds a StepRecord.
         return _new_tuple(Trace, (
             self.scenario, self.scheme, self.schedule, self.step_limit, self.initial_arcs,
-            self.initial_digest, tuple(self.steps), self.outcome, self.certificate,
+            tuple(self.steps), self.outcome, self.certificate,
             counts.copy(), sum(counts.values()), self.total_reversals,
             # The live nodes are sorted, and they are exactly the nodes with a state.
             tuple([states[i] for i in self.live.nodes]), tuple(self.event_log),

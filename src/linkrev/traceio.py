@@ -8,27 +8,29 @@ sort_keys=True, separators=(",", ":")) would write: the keys in sorted
 order, and every text that can hold arbitrary characters (the schedule's
 description, the certificate, the events) escaped by
 json.encoder.encode_basestring_ascii, the encoder json.dumps itself uses.
-The lines are made one at a time.  On a trace of _MEMO_STEPS steps or
-more, each node id's text and each reversed edge's "[a,b]" are made on
-first use and reused by every later line; a shorter trace, like most of a
-verify battery's, writes them as it goes, which costs less than setting
-up the memos.  The totals line's updates_by_node template, its keys in
+The lines are made one at a time.  Each node id's text and each reversed
+edge's "[a,b]" are made on first use and reused by every later line of
+the trace.  The totals line's updates_by_node template, its keys in
 string order, is kept per node set, so the traces of a scenario sort and
 format those keys once.  trace_to_jsonl joins the lines; write_trace
 writes each to the file as it is made, so it never holds the whole text,
 and a file cut short is still a valid prefix.
 
-The orientation digests the lines carry are not kept in the trace: the
-simulator hashes nothing per step, and orientation_digests derives each
-digest as the lines are written.  An event-free step's orientation is the
-last one with the step's reversed edges flipped, so the writer keeps the
-digest text (model.text_digest: the arc labels joined by ";") as bytes,
-rewrites each flipped link's slice of it in place (Topology.label_slots),
-and hashes only after a step that flipped a link; a step that flipped
-none shares the last digest.  An event can bring a link back (a wake)
-whose direction no reversed edge reports, so the step after an event is
-re-oriented from scratch: the states replayed up to it, over the awake
-topology that the events so far leave, through routing_dag.
+This module is the one place that builds an orientation's text and
+hashes it for a trace; the simulator and the verifier's step check hash
+nothing.  The trace keeps no digest: orientation_digests derives each as
+the lines are written, and Trace.initial_digest reads initial_digest.
+The writer builds the initial text (model.text_digest: the arc labels
+joined by ";") from the topology's label table, Topology.label_slots, and
+hashes it once per export, for the totals line and for every step up to
+the first flip.  An event-free step's orientation is the last one with
+the step's reversed edges flipped, so the writer keeps the text as bytes,
+rewrites each flipped link's slice of it in place, and hashes only after
+a step that flipped a link; a step that flipped none shares the last
+digest.  An event can bring a link back (a wake) whose direction no
+reversed edge reports, so the step after an event is re-oriented from
+scratch: the states replayed up to it, over the awake topology that the
+events so far leave, through routing_dag.
 
 Step records keep no orientations, so the Graphviz frames are rebuilt by
 rerunning the trace's scenario, scheme, schedule and step limit: runs are
@@ -42,7 +44,7 @@ import io
 import json
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -89,13 +91,6 @@ class _Memo(dict):
         return text
 
 
-#: The shortest trace whose step lines read node ids and edges through
-#: per-trace memos.  A memo pays for its set-up and its first writes only
-#: when ids repeat over several steps; a shorter trace writes each text
-#: with str() and format() as it goes.
-_MEMO_STEPS = 8
-
-
 @lru_cache(maxsize=128)
 def _by_node_order(nodes: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
     """The nodes in the order of their text, and the updates_by_node template.
@@ -109,12 +104,16 @@ def _by_node_order(nodes: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
     return order, ",".join([f'"{i}":{{}}' for i in order])
 
 
-def _text_of(arcs, topo: Topology) -> tuple[bytes, bytes]:
+def _text_of(arcs, topo: Topology) -> tuple[bytearray, bytearray]:
     """The turned flags and the digest text of an orientation of topo (see Topology.label_slots)."""
-    rows = topo.arc_table
-    turned = bytes([s != edge[0] for (s, _), (edge, *_) in zip(arcs, rows)])
-    labels = [fwd if s == edge[0] else back for (s, _), (edge, _, fwd, back) in zip(arcs, rows)]
-    return turned, ";".join(labels).encode("ascii")
+    turned = bytearray([s != a for (s, _), (a, _) in zip(arcs, topo.edges)])
+    labels = [back if t else fwd for t, (_, _, _, fwd, back) in zip(turned, topo.label_slots.values())]
+    return turned, bytearray(b";".join(labels))
+
+
+def initial_digest(trace: Trace) -> str:
+    """The digest of the trace's initial orientation: Trace.initial_digest."""
+    return next(_digests(trace))
 
 
 def _patched(steps, turned: bytearray, text: bytearray, slots, digest: str) -> Iterator[str]:
@@ -149,22 +148,26 @@ def orientation_digests(trace: Trace) -> Iterator[str]:
 
     Each is arcs_digest(starmap(arc_label, arcs)) of the arcs the awake
     graph holds after that step, and the last is that of the orientation
-    the run ended in.  The initial digest text is kept per topology by the
-    initial arcs, and a copy is patched along each step's reversed edges.
-    Each group of events, logged with the number of step records made
-    before it, joins the removed nodes, the sleepers or the removed links;
-    the orientation after the next step, or the final one when no step
-    followed, is then rebuilt over the awake topology they leave, from the
-    states replayed up to it (see the module docstring).
+    the run ended in.
+    """
+    return islice(_digests(trace), 1, None)
+
+
+def _digests(trace: Trace) -> Iterator[str]:
+    """The initial orientation's digest, then those of orientation_digests.
+
+    The initial text is built from the initial arcs and patched along each
+    step's reversed edges.  Each group of events, logged with the number of
+    step records made before it, joins the removed nodes, the sleepers or
+    the removed links; the orientation after the next step, or the final
+    one when no step followed, is then rebuilt over the awake topology they
+    leave, from the states replayed up to it (see the module docstring).
     """
     scenario, steps = trace.scenario, trace.steps
     topo = base = scenario.topology
-    memo = topo._texts
-    start = memo.get(trace.initial_arcs)
-    if start is None:
-        start = memo[trace.initial_arcs] = _text_of(trace.initial_arcs, topo)
-    turned, text = bytearray(start[0]), bytearray(start[1])
-    digest, done = trace.initial_digest, 0
+    turned, text = _text_of(trace.initial_arcs, topo)
+    digest, done = text_digest(text), 0
+    yield digest
     if trace.event_log:
         states = initial_states(trace.scheme, base, scenario.heights)
         removed: set[int] = set()
@@ -179,7 +182,7 @@ def orientation_digests(trace: Trace) -> Iterator[str]:
             _apply(ev, removed, asleep, cut)
         topo = base.without(drop_nodes=removed | asleep, drop_edges=cut)
         arcs = routing_dag(states, topo, trace.scheme, scenario.heights)
-        turned, text = map(bytearray, _text_of(arcs, topo))
+        turned, text = _text_of(arcs, topo)
         digest = text_digest(text)
         if made < len(steps):
             yield digest
@@ -208,22 +211,20 @@ def _jsonl_lines(trace: Trace) -> Iterator[str]:
     Every line is what json.dumps(..., sort_keys=True) with compact
     separators writes for its record.  A step's values are ints, int lists
     and a hex digest, so no text needs escaping; the digests come from
-    orientation_digests, the last one the totals line's.  On a trace of
-    _MEMO_STEPS steps or more the text of each node id, as str() writes
-    it, and of each reversed edge is built on first use and reused for the
-    rest of the trace.  Sorting the state entries sorts them by node key as a string: a
-    key that is a prefix of another ends in '"', which sorts below every
-    digit.  The updates_by_node keys of the totals line are sorted the same
-    way, so "10" comes before "2", by a template kept per node set.
+    _digests, the first and the last the totals line's.  The text of each
+    node id, as str() writes it, and of each reversed edge is built on
+    first use and reused for the rest of the trace.  Sorting the state
+    entries sorts them by node key as a string: a key that is a prefix of
+    another ends in '"', which sorts below every digit.  The updates_by_node
+    keys of the totals line are sorted the same way, so "10" comes before
+    "2", by a template kept per node set.
     """
     steps = trace.steps
-    if len(steps) >= _MEMO_STEPS:
-        ids = _Memo(str).__getitem__
-        edges = _Memo(_EDGE.format).__getitem__
-    else:
-        ids, edges = str, _EDGE.format
+    ids = _Memo(str).__getitem__
+    edges = _Memo(_EDGE.format).__getitem__
     templates = _STATE_TEMPLATES
-    digests = orientation_digests(trace)
+    digests = _digests(trace)
+    initial = next(digests)
     for (index, stuck, updated, new_states, reversed_edges), digest in zip(steps, digests):
         if len(new_states) == 1:
             state = new_states[0]
@@ -241,7 +242,7 @@ def _jsonl_lines(trace: Trace) -> Iterator[str]:
     order, template = _by_node_order(tuple(counts))
     yield (
         f'{{"certificate":{certificate},"events":[{events}],"final_dag":"{next(digests)}",'
-        f'"initial_dag":"{trace.initial_digest}","n":{trace.scenario.n},"outcome":"{trace.outcome.value}",'
+        f'"initial_dag":"{initial}","n":{trace.scenario.n},"outcome":"{trace.outcome.value}",'
         f'"schedule":{_text(trace.schedule.describe())},"scheme":"{trace.scheme.value}",'
         f'"step_limit":{trace.step_limit},"steps":{len(steps)},'
         f'"total_reversals":{trace.total_reversals},"total_updates":{trace.total_updates},'
@@ -296,7 +297,7 @@ def trace_to_dot_frames(trace: Trace) -> str:
     mean equal orientations.
     """
     sim = Simulation(trace.scenario, trace.scheme, trace.schedule, trace.step_limit)
-    if sim.initial_digest != trace.initial_digest:
+    if sim.initial_arcs != trace.initial_arcs:
         raise ValueError("the rerun's initial orientation differs from the trace")
     frames = [_frame("frame_0", "initial", sim.initial_arcs)]
     recorded = trace.steps

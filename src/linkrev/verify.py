@@ -11,15 +11,14 @@ at step 0, and judges that start once: acyclicity, the stuck/oriented
 agreement and the scheme's invariants over every node and link.  The start
 and its verdict are cached in Scenario._replay_starts, which only this
 module fills and which never reads the simulator's Scenario._starts, so the
-replay stays the kernel's oracle.  Each trace's recorded initial digest is
-still compared with the start, and each trace is replayed from a copy of
-the start's states and arcs: its recorded new states go into one state
-dict, and only the links of each step's updaters U are re-oriented,
-O(sum of deg U) a step, with no routing_dag and no hash per step.  Each
-step's recorded reversed edges must be the replay's flips: with the
-initial digest matched, equal flips at every step mean equal
-orientations, exactly, so the check compares no per-step digest.  The
-start's out-neighbor sets are frozensets that every replay shares until a flip
+replay stays the kernel's oracle.  Each trace's recorded initial arcs are
+compared with the start's, tuple for tuple, and each trace is replayed
+from a copy of the start's states and arcs: its recorded new states go
+into one state dict, and only the links of each step's updaters U are
+re-oriented, O(sum of deg U) a step, with no routing_dag and no hash.
+Each step's recorded reversed edges must be the replay's flips: with the
+initial arcs equal, equal flips at every step mean equal orientations,
+exactly, so the check compares no digest.  The start's out-neighbor sets are frozensets that every replay shares until a flip
 replaces a node's set, so a trace builds no set for a node none of its
 flips touch.  check_reversal_semantics makes a node's reversed-toward set
 only when a link is first reversed toward it, not one set per node for
@@ -258,7 +257,7 @@ class _ReplayStart(NamedTuple):
     It is derived from the scheme's initial states alone and never read
     from the simulator's Scenario._starts, whose faults the check exists
     to catch.  arcs is the orientation those states induce, routing_dag's
-    tuple, and out, stuck and digest are read off it; out holds
+    tuple, and out and stuck are read off it; out holds
     each node's out-neighbors as a frozenset, which every replay of the
     scheme shares until one of the node's arcs flips.  failures is the
     step-0 verdict: acyclicity, the stuck/oriented agreement and the
@@ -270,7 +269,6 @@ class _ReplayStart(NamedTuple):
     arcs: Arcs
     out: Mapping[int, frozenset[int]]
     stuck: tuple[int, ...]
-    digest: str
     failures: tuple[str, ...]
 
 
@@ -292,7 +290,7 @@ def _replay_start(scenario: Scenario, scheme: SchemeId) -> _ReplayStart:
     """The scheme's step 0 on the scenario, derived and judged once, then cached.
 
     Schemes whose initial states induce the same arcs share one copy of
-    the orientation, its out-neighbors, stuck set and digest.
+    the orientation, its out-neighbors and stuck set.
     """
     starts = scenario._replay_starts
     start = starts.get(scheme)
@@ -307,7 +305,7 @@ def _replay_start(scenario: Scenario, scheme: SchemeId) -> _ReplayStart:
                 out[s].append(d)
             start = _ReplayStart(
                 states, arcs, {i: frozenset(js) for i, js in out.items()},
-                tuple(i for i in topo.nodes if not out[i]), arcs_digest(starmap(arc_label, arcs)), (),
+                tuple(i for i in topo.nodes if not out[i]), (),
             )
         else:
             start = shared._replace(states=states)
@@ -433,7 +431,7 @@ def _replay_failures(trace: Trace) -> tuple[list[str], int | None]:
     spec = SPECS[scheme]
     start = _replay_start(scenario, scheme)
     failures: list[str] = []
-    if start.digest != trace.initial_digest:
+    if start.arcs != trace.initial_arcs:
         failures.append("initial digest does not match the scenario")
     failures += start.failures
     if failures:
@@ -480,8 +478,8 @@ def check_step_invariants(trace: Trace) -> CheckReport:
     counts bounded by the node count, and neighbor adjacency of counters,
     levels and phases.
 
-    Step 0 checks the whole initial orientation, its digest against the
-    recorded initial one, and every node and link.
+    Step 0 checks the whole initial orientation, its arcs against the
+    recorded initial ones, and every node and link.
     Each recorded step is then replayed at O(sum of deg U) for its
     updaters U, since nothing else changed: the updaters' links are
     re-oriented, only the flipped arcs whose tails keep an in-arc are

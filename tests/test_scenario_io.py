@@ -30,7 +30,6 @@ from linkrev.generate import random_partition_scenario, random_void_scenario
 from linkrev.model import Topology, arc_label, arcs_digest
 from linkrev.schemes import ALL_SCHEMES, INT63_MAX, SPECS
 from linkrev.sim import Outcome
-from linkrev import traceio
 from linkrev.traceio import (
     EXPORT_FORMATS,
     export_trace,
@@ -656,17 +655,6 @@ def test_write_trace_never_holds_the_whole_jsonl_text(tmp_path):
     assert peak < size
 
 
-def test_jsonl_of_a_forged_trace_matches_json_dumps_for_fresh_equal_values(one_step_trace):
-    _forged_trace_matches_json_dumps(one_step_trace)
-
-
-def test_jsonl_of_a_forged_trace_matches_json_dumps_through_the_memos(one_step_trace, monkeypatch):
-    # Two steps write their ids with str(); the per-trace memos take over
-    # from _MEMO_STEPS steps on, so lower the bound to run them here.
-    monkeypatch.setattr(traceio, "_MEMO_STEPS", 1)
-    _forged_trace_matches_json_dumps(one_step_trace)
-
-
 def test_dot_frames_reject_a_forged_state(chain):
     # The forged height is off the closed form but orients every link as the
     # real one does, so only the state itself differs from the rerun's.
@@ -692,9 +680,10 @@ def _flipped_digests(trace) -> list[str]:
     return digests
 
 
-def _forged_trace_matches_json_dumps(one_step_trace):
+def test_jsonl_of_a_forged_trace_matches_json_dumps_for_fresh_equal_values(one_step_trace):
     # Equal ids and edges in fresh objects, and an id above n: the text of
-    # each follows its value, not the object or the node count.
+    # each follows its value, not the object or the node count, through the
+    # per-trace memos of ids and edges.
     def big() -> int:
         return int("1000")
 
@@ -751,14 +740,9 @@ def test_the_totals_key_order_follows_each_traces_own_node_set(one_step_trace):
     assert '"updates_by_node":{"1":0,"10":0,"2":1}' in trace_to_jsonl(above)
 
 
-def test_both_step_line_paths_write_the_same_text(monkeypatch):
-    # A 15-step chain trace, written with the per-trace memos and without.
+def test_a_long_traces_lines_are_what_json_dumps_writes():
+    # A 15-step chain trace: its ids and edges repeat, read back from the memos.
     trace = _chain_trace(6)
     assert len(trace.steps) == 15
-    texts = []
-    for memo_steps in (1, 10**9):
-        monkeypatch.setattr(traceio, "_MEMO_STEPS", memo_steps)
-        texts.append(trace_to_jsonl(trace))
-    assert texts[0] == texts[1]
-    lines = texts[0].splitlines()
+    lines = trace_to_jsonl(trace).splitlines()
     assert [json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) for line in lines] == lines

@@ -5,7 +5,6 @@ from __future__ import annotations
 import ast
 import inspect
 import json
-from itertools import starmap
 from pathlib import Path
 
 import pytest
@@ -40,7 +39,7 @@ from linkrev import (
     threshold,
     two_bit_update,
 )
-from linkrev.model import arc_label, arcs_digest, routing_dag
+from linkrev.model import routing_dag
 from linkrev.schemes import (
     ALL_SCHEMES,
     CORE_SCHEMES,
@@ -352,7 +351,6 @@ def test_every_scheme_starts_from_the_same_orientation(generated_corpus):
             sim = Simulation(scenario, scheme)
             assert type(arcs) is tuple
             assert arcs == sim.initial_arcs
-            assert arcs_digest(starmap(arc_label, arcs)) == sim.initial_digest
             orientations.add(arcs)
         if len(orientations) != 1:
             mismatched.append(scenario.scenario_id())

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 import sys
 from dataclasses import replace
-from itertools import starmap
 from types import SimpleNamespace
 
 import pytest
@@ -32,17 +31,16 @@ from linkrev import (
     check_scheme_equivalence,
     parse_scenario,
     run_scenario,
+    standard_battery,
 )
 from linkrev.generate import random_partition_scenario, random_void_scenario
 from linkrev.model import (
     HeightAssignment,
-    arc_label,
-    arcs_digest,
     orientation_predicate,
     probe_stuck,
     routing_dag,
 )
-from linkrev import sim as sim_module
+from linkrev import model as model_module, sim as sim_module, traceio as traceio_module
 from linkrev.schemes import ALL_SCHEMES, CORE_SCHEMES, initial_states
 from linkrev.traceio import orientation_digests, trace_to_jsonl
 from oracles import orientation_flips, rerun_digests, stuck_set
@@ -360,37 +358,46 @@ def test_a_trace_keeps_no_per_step_orientation():
 
 @pytest.mark.parametrize("n", [16, 48])
 def test_an_event_free_step_builds_no_routing_dag(monkeypatch, n):
-    """The kernel orients the whole graph once, at construction, and never in a step.
-
-    It hashes the orientation once too, for the start's digest, and never
-    in a step: the per-step digests are the trace writer's.
-    """
-    calls = {"routing_dag": 0, "arcs_digest": 0}
-    real_routing_dag, real_arcs_digest = sim_module.routing_dag, sim_module.arcs_digest
+    """The kernel orients the whole graph once, at construction, and never in a step."""
+    calls = {"routing_dag": 0}
+    real_routing_dag = sim_module.routing_dag
 
     def counting_routing_dag(*args):
         calls["routing_dag"] += 1
         return real_routing_dag(*args)
 
-    def counting_arcs_digest(*args):
-        calls["arcs_digest"] += 1
-        return real_arcs_digest(*args)
-
     monkeypatch.setattr(sim_module, "routing_dag", counting_routing_dag)
-    monkeypatch.setattr(sim_module, "arcs_digest", counting_arcs_digest)
     scenario = Scenario.create(n, [(0, n)] + [(i, i + 1) for i in range(1, n)], heights=range(1, n + 1))
     sim = Simulation(scenario, SchemeId.NO_FULL, Schedule.single_random(0))
-    assert calls == {"routing_dag": 1, "arcs_digest": 1}
+    assert calls == {"routing_dag": 1}
     while True:
-        before = dict(calls)
         record = sim.advance()
-        assert calls == before
+        assert calls == {"routing_dag": 1}
         if record is None:
             break
     assert sim.outcome is Outcome.CONVERGED
     assert len(sim.steps) == n * (n - 1) // 2
-    assert sim.run().initial_digest == arcs_digest(starmap(arc_label, sim.initial_arcs))
-    assert calls == {"routing_dag": 1, "arcs_digest": 1}
+
+
+def test_the_simulator_and_an_event_free_battery_hash_nothing(monkeypatch, chain):
+    """Orientation digests are the trace writer's: runs and an event-free battery make none.
+
+    Every linkrev module that holds model.text_digest, which arcs_digest
+    calls too, gets one that raises.
+    """
+    def refuse(text):
+        raise AssertionError("an orientation was hashed")
+
+    for module in (model_module, traceio_module):
+        monkeypatch.setattr(module, "text_digest", refuse)
+    sleepy = _monotone_chain(10, [SimEvent(at_step=3, kind="sleep", node=6, duration=2)])
+    for scenario in (chain, sleepy):
+        for scheme in ALL_SCHEMES:
+            assert run_scenario(scenario, scheme).outcome is Outcome.CONVERGED
+    reports = standard_battery(random_void_scenario(8, 3), ALL_SCHEMES)
+    assert len(reports) == 75 and all(r.passed for r in reports)
+    with pytest.raises(AssertionError, match="an orientation was hashed"):
+        trace_to_jsonl(run_scenario(chain, SchemeId.NO_FULL))
 
 
 # --- the cached start ----------------------------------------------------------
@@ -419,7 +426,6 @@ def test_a_cached_start_behaves_like_a_cold_one(generated_corpus, scheme):
         assert warm.states == cold.states
         assert warm.arcs == cold.arcs == warm.initial_arcs == cold.initial_arcs
         assert warm.stuck_nodes() == cold.stuck_nodes()
-        assert warm.initial_digest == cold.initial_digest
         assert trace_to_jsonl(warm.run()) == trace_to_jsonl(cold.run())
 
 
@@ -757,7 +763,6 @@ def test_the_positional_trace_is_the_keyword_one(build):
         schedule=sim.schedule,
         step_limit=sim.step_limit,
         initial_arcs=sim.initial_arcs,
-        initial_digest=sim.initial_digest,
         steps=tuple(sim.steps),
         outcome=sim.outcome,
         certificate=sim.certificate,
@@ -903,8 +908,11 @@ def test_a_step_that_reverses_no_link_shares_the_last_digest(event_sweep):
             except PhaseAdjacencyError:
                 assert scheme in (SchemeId.TWO_BIT_FULL, SchemeId.TWO_BIT_PARTIAL)
                 continue
-            last, made = trace.initial_digest, [made for made, _ in trace.event_log]
-            for position, (record, digest) in enumerate(zip(trace.steps, orientation_digests(trace))):
+            # The writer's own digests: the initial one first, shared by the quiet steps up to the first flip.
+            digests = traceio_module._digests(trace)
+            last, made = next(digests), [made for made, _ in trace.event_log]
+            assert last == trace.initial_digest
+            for position, (record, digest) in enumerate(zip(trace.steps, digests)):
                 quiet = position not in made
                 if quiet and not record.reversed_edges:
                     assert digest is last
@@ -915,23 +923,20 @@ def test_a_step_that_reverses_no_link_shares_the_last_digest(event_sweep):
     assert shared > 10_000
 
 
-def _awake_parts(scenario: Scenario, events_applied) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+def _awake_parts(scenario: Scenario, event_log) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """Nodes and links of the awake graph after the applied events, rebuilt from the event log."""
     nodes, edges, sleeping = set(scenario.topology.nodes), set(scenario.topology.edges), set()
-    for _, text in events_applied:
-        kind, _, argument = text.partition(" ")
-        if kind == "remove-link":
-            a, b = (DESTINATION if end == "D" else int(end) for end in argument.split("-"))
+    for _, ev in event_log:
+        if ev.kind == "remove-link":
+            a, b = ev.edge
             edges.discard((min(a, b), max(a, b)))
-            continue
-        node = int(argument.split()[0])
-        if kind == "remove-node":
-            nodes.discard(node)
-            sleeping.discard(node)
-        elif kind == "sleep":
-            sleeping.add(node)
+        elif ev.kind == "remove-node":
+            nodes.discard(ev.node)
+            sleeping.discard(ev.node)
+        elif ev.kind == "sleep":
+            sleeping.add(ev.node)
         else:
-            sleeping.discard(node)
+            sleeping.discard(ev.node)
     awake = nodes - sleeping
     return (
         tuple(sorted(awake)),
@@ -955,7 +960,7 @@ def test_the_kernel_agrees_with_fresh_hello_rounds_on_unshared_views(scenario, s
             while True:
                 record = sim.advance()
                 awake = sim.awake_topology()
-                assert (awake.nodes, awake.edges) == _awake_parts(scenario, sim.events_applied)
+                assert (awake.nodes, awake.edges) == _awake_parts(scenario, sim.event_log)
                 by_probe = _probed_stuck(sim.states, awake, scheme, sim.heights)
                 assert sim.stuck_nodes() == by_probe
                 if record is None:
@@ -1071,7 +1076,7 @@ def _probe_each_turn(monkeypatch, scenario: Scenario, schedule: Schedule) -> tup
         reached = [j for u in record.updated for j in awake.neighbors(u) if j != DESTINATION]
         shared += len(reached) > len(set(reached))
     assert sim.outcome is Outcome.CONVERGED
-    assert rebuilds == len(sim.events_applied) and probes == len(sim.steps) + rebuilds
+    assert rebuilds == len(sim.event_log) and probes == len(sim.steps) + rebuilds
     return sim, shared
 
 
@@ -1079,7 +1084,7 @@ def test_the_kernel_probes_once_per_step_and_once_per_rebuild(monkeypatch):
     """Each step probes exactly its updaters U and their awake neighbors N(U), in one call."""
     scenario = _monotone_chain(10, [SimEvent(at_step=3, kind="sleep", node=6, duration=4)])
     sim, _ = _probe_each_turn(monkeypatch, scenario, Schedule.single_random(0))
-    assert sim.events_applied == [(3, "sleep 6 4"), (7, "wake 6")]
+    assert [(ev.at_step, ev.describe()) for _, ev in sim.event_log] == [(3, "sleep 6 4"), (7, "wake 6")]
 
 
 def test_the_kernel_probes_a_neighbor_shared_by_two_updaters_once(monkeypatch):
@@ -1131,7 +1136,7 @@ def test_the_patched_stuck_view_is_the_sorted_stuck_set_through_a_sleep_sweep():
                             _most_moved_by_a_step(sim)
                         except PhaseAdjacencyError:
                             continue  # the two-bit orders' known drift under sleep
-                        assert sim.events_applied
+                        assert sim.event_log
                         runs += 1
     assert runs > 1000
 
@@ -1185,7 +1190,7 @@ def test_the_schemes_of_a_sleep_script_share_one_awake_view(monkeypatch):
         while sim.advance() is not None:
             if sim.sleeping:
                 views.add(id(sim.awake_topology()))
-        assert sim.events_applied == [(2, "sleep 5 3"), (5, "wake 5")]
+        assert [(ev.at_step, ev.describe()) for _, ev in sim.event_log] == [(2, "sleep 5 3"), (5, "wake 5")]
     assert len(built) == len(views) == 1
     assert built[0].nodes == (1, 2, 3, 4, 6, 7, 8)
 

@@ -200,17 +200,28 @@ def test_a_battery_builds_each_start_once(monkeypatch):
     assert [r.line() for r in second] == [r.line() for r in first]
 
 
-def test_the_step_check_never_reads_the_simulators_starts():
+class _Unreadable:
+    """A cache that raises on any read: attributes, lookups, membership and iteration."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the simulator's starts were read ({name})")
+
+
+def test_the_step_check_never_reads_the_simulators_starts(monkeypatch):
     scenario = random_void_scenario(8, 3)
-    standard_battery(scenario, CORE_SCHEMES)
+    traces = [
+        run_scenario(scenario, scheme, schedule)
+        for scheme in CORE_SCHEMES
+        for schedule in (Schedule.single_random(0), Schedule.subset_random(1))
+    ]
     clean = dict(scenario._starts)
-    for scheme, start in clean.items():
-        scenario._starts[scheme] = replace(start, digest="0" * 12)
-    steps = [r for r in standard_battery(scenario, CORE_SCHEMES) if r.check == "step-invariants"]
-    assert len(steps) == 2 * len(CORE_SCHEMES)
-    for report in steps:
-        assert not report.passed
-        assert report.detail == "initial digest does not match the scenario"
+    with monkeypatch.context() as patched:
+        patched.setitem(scenario.__dict__, "_starts", _Unreadable())
+        # The poison works: the simulator reads its starts first thing.
+        with pytest.raises(AssertionError, match="starts were read"):
+            run_scenario(scenario, CORE_SCHEMES[0])
+        assert all(check_step_invariants(trace).passed for trace in traces)
+    assert scenario._starts == clean
     # Starting the kernel from arcs its states do not induce trips its
     # cross-check, and the battery reports every run that trips it.
     for scheme, start in clean.items():
@@ -711,7 +722,6 @@ def _forged_runs(first) -> dict:
         ),
         "steps.new_states": _tamper_step(first, 0, new_states=(state._replace(height=state.height + 1),)),
         "initial_arcs": first._replace(initial_arcs=((target, source), *arcs)),
-        "initial_digest": first._replace(initial_digest="0" * len(first.initial_digest)),
         "outcome": first._replace(outcome=Outcome.PARTITIONED),
         "certificate": first._replace(certificate="forged certificate"),
         "update_counts": first._replace(update_counts={**first.update_counts, node: count + 1}),
